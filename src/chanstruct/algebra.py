@@ -7,7 +7,7 @@ subalgebras determined by one faithful block state per factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,14 +18,13 @@ from chanstruct.numerics import (
     Tolerances,
     dagger,
     fix_global_phase,
-    hs_inner,
     hs_norm,
+    range_isometry,
     reduce_span,
     round_projector,
-    spectral_norm,
-    subspace_intersection,
-    vec,
+    transfer_of,
     unvec,
+    vec,
 )
 
 
@@ -81,37 +80,14 @@ class OperatorAlgebra:
 
 
 def full_algebra(dim: int) -> OperatorAlgebra:
-    basis = tuple(unvec(e, dim) for e in np.eye(dim * dim, dtype=complex))
-    return OperatorAlgebra(MatrixSubspace(dim, basis))
+    return OperatorAlgebra(MatrixSubspace(dim, np.eye(dim * dim)))
 
 
 def restrict_to_commutant(sub: MatrixSubspace, ops,
-                          tol: Tolerances = DEFAULT_TOL,
-                          chunk: int = 8) -> MatrixSubspace:
-    """Subspace of ``sub`` commuting with every operator in ``ops``.
-
-    Processed in chunks so the constraint matrix shrinks with the basis.
-    """
-    dim = sub.ambient_dim
-    basis = list(sub.basis)
-    ops = [np.asarray(S, dtype=complex) for S in ops]
-    for start in range(0, len(ops), chunk):
-        if not basis:
-            break
-        group = ops[start:start + chunk]
-        rows = []
-        for S in group:
-            rows.append(np.column_stack([vec(B @ S - S @ B) for B in basis]))
-        L = np.vstack(rows)
-        u, s, vh = np.linalg.svd(L, full_matrices=True)
-        k = len(basis)
-        smax = s[0] if s.size else 0.0
-        scale = max(smax, max(spectral_norm(S) for S in group), 1e-300)
-        null_rows = [i for i in range(k)
-                     if i >= s.size or s[i] <= tol.rank_tol * scale]
-        basis = [sum(vh[i].conj()[j] * basis[j] for j in range(k))
-                 for i in null_rows]
-    return MatrixSubspace(dim, tuple(basis))
+                          tol: Tolerances = DEFAULT_TOL) -> MatrixSubspace:
+    """Subspace of ``sub`` commuting with every operator in ``ops``."""
+    return sub.restrict((lambda B, S=np.asarray(S, dtype=complex):
+                         B @ S - S @ B for S in ops), tol)
 
 
 def commutant(gens, dim=None, tol: Tolerances = DEFAULT_TOL) -> OperatorAlgebra:
@@ -180,9 +156,14 @@ class AlgebraStructure:
         return len(self.central_projections)
 
 
+def _random_combo(basis, rng) -> np.ndarray:
+    """Complex Gaussian combination of the stacked basis (zero if empty)."""
+    z = rng.standard_normal((len(basis), 2)) @ [1, 1j]
+    return np.tensordot(z, np.asarray(basis), 1)
+
+
 def _random_hermitian_combo(basis, rng) -> np.ndarray:
-    c = sum((rng.standard_normal() + 1j * rng.standard_normal()) * b
-            for b in basis)
+    c = _random_combo(basis, rng)
     return c + dagger(c)
 
 
@@ -195,12 +176,6 @@ def _cluster_real(values: np.ndarray, gap: float) -> list[list[int]]:
         else:
             clusters.append([int(idx)])
     return clusters
-
-
-def _range_basis(P: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Columns spanning the range of an (exact) projection."""
-    w, V = np.linalg.eigh(P)
-    return V[:, w > 0.5]
 
 
 def atomic_structure(alg: OperatorAlgebra, tol: Tolerances = DEFAULT_TOL,
@@ -242,7 +217,7 @@ def atomic_structure(alg: OperatorAlgebra, tol: Tolerances = DEFAULT_TOL,
 
     blocks = []
     for P in projections:
-        W = _range_basis(P, tol)
+        W = range_isometry(P, tol)
         nblk = W.shape[1]
         comp = reduce_span([dagger(W) @ b @ W for b in alg.basis],
                            dim=nblk, tol=tol)
@@ -285,17 +260,11 @@ def _factor_unitary(comp, nblk, nL, nR, rng, tol, max_draws):
         clusters = _cluster_real(w, gap)
         if len(clusters) != nL or any(len(c) != nR for c in clusters):
             continue
-        minimal = []
-        ok = True
-        for cl in clusters:
-            cols = V[:, cl]
-            E = round_projector(cols @ dagger(cols), tol)
-            minimal.append(E)
-        if not ok:
-            continue
-        c_rand = sum((rng.standard_normal() + 1j * rng.standard_normal()) * b
-                     for b in comp)
+        minimal = [round_projector(V[:, cl] @ dagger(V[:, cl]), tol)
+                   for cl in clusters]
+        c_rand = _random_combo(comp, rng)
         isoms = [minimal[0]]
+        ok = True
         for E in minimal[1:]:
             x = E @ c_rand @ minimal[0]
             scale = np.sqrt(max(np.real(np.trace(dagger(x) @ x)), 0.0) / nR)
@@ -398,14 +367,9 @@ def expectation_onto(alg: OperatorAlgebra, states,
         w = np.linalg.eigvalsh((rho + dagger(rho)) / 2)
         if w.min() < tol.rank_tol:
             raise NotFaithful(f"block state eigenvalue {w.min():.3e}")
-    D = structure.ambient_dim
-    cols = []
-    for b in range(D):
-        for a in range(D):
-            E = np.zeros((D, D), dtype=complex)
-            E[a, b] = 1.0
-            cols.append(vec(_apply_block_expectation(structure, states, E)))
-    transfer = np.column_stack(cols)
+    transfer = transfer_of(
+        lambda X: _apply_block_expectation(structure, states, X),
+        structure.ambient_dim)
     return ConditionalExpectation(transfer=transfer, range_algebra=alg,
                                   structure=structure,
                                   block_states=tuple(states))

@@ -20,6 +20,7 @@ import math
 import os
 import sys
 import tempfile
+from functools import cached_property
 
 import numpy as np
 
@@ -63,7 +64,6 @@ from chanstruct.structure import (
     dfa,
     fixed_points,
     invariant_states,
-    is_irreducible,
     L2Structure,
     multiplicative_domain,
     peripheral_subalgebra,
@@ -181,22 +181,58 @@ def load_input(path: str, tol: Tolerances):
 
 
 # ---------------------------------------------------------------------------
+# shared analysis
+# ---------------------------------------------------------------------------
+
+class Analysis:
+    """The structure stages of one input, each computed on first use and
+    then shared by the report and the verification ledger."""
+
+    def __init__(self, c: ChannelSpec, w: OqrwSpec | None, tol: Tolerances,
+                 seed: int, max_power: int | None):
+        self.c, self.w, self.tol = c, w, tol
+        self.seed, self.max_power = seed, max_power
+
+    @cached_property
+    def F(self):
+        return fixed_points(self.c, tol=self.tol)
+
+    @cached_property
+    def M(self):
+        return multiplicative_domain(self.c, tol=self.tol)
+
+    @cached_property
+    def N(self):
+        return dfa(self.c, tol=self.tol, n_max=self.max_power)
+
+    @cached_property
+    def inv(self):
+        return invariant_states(self.c, tol=self.tol)
+
+    @cached_property
+    def peripheral(self):
+        return peripheral_subalgebra(self.c, self.inv, tol=self.tol)
+
+    @cached_property
+    def l2(self):
+        return L2Structure.from_state(self.inv.rho_max, tol=self.tol)
+
+
+# ---------------------------------------------------------------------------
 # verification ledger
 # ---------------------------------------------------------------------------
 
 def _choi_min_eig(transfer: np.ndarray, dim: int) -> float:
-    """Smallest eigenvalue of the Choi matrix of a transfer-matrix map."""
-    C = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for a in range(dim):
-        for b in range(dim):
-            E = np.zeros((dim, dim), dtype=complex)
-            E[a, b] = 1
-            out = unvec(transfer @ vec(E), dim)
-            C[a * dim:(a + 1) * dim, b * dim:(b + 1) * dim] = out
+    """Smallest eigenvalue of the Choi matrix of a transfer-matrix map.
+
+    Choi block (a, b) is the image of E_ab, column b * dim + a of the
+    transfer matrix."""
+    C = transfer.reshape((dim,) * 4).transpose(3, 1, 2, 0).reshape(
+        dim * dim, dim * dim)
     return float(np.linalg.eigvalsh((C + dagger(C)) / 2).min())
 
 
-def _expectation_checks(name: str, E: np.ndarray, c: ChannelSpec, tol):
+def _expectation_checks(name: str, E: np.ndarray, c: ChannelSpec):
     """Idempotent / unital / CP / commutes-with-the-channel residuals."""
     D = c.dim
     yield (f"{name}-idempotent", spectral_norm(E @ E - E), 1e-7)
@@ -207,9 +243,9 @@ def _expectation_checks(name: str, E: np.ndarray, c: ChannelSpec, tol):
            spectral_norm(E @ c.transfer - c.transfer @ E), 1e-7)
 
 
-def build_ledger(c: ChannelSpec, w: OqrwSpec | None, tol: Tolerances,
-                 seed: int, max_power: int) -> list:
+def build_ledger(analysis: Analysis) -> list:
     """Property checks with residuals; each entry carries its tolerance."""
+    c, w, tol = analysis.c, analysis.w, analysis.tol
     entries = []
 
     def add(name, residual, tolerance):
@@ -222,29 +258,27 @@ def build_ledger(c: ChannelSpec, w: OqrwSpec | None, tol: Tolerances,
         # downstream structure theory is meaningless for a non-unital map
         return entries
 
-    F = fixed_points(c, tol=tol)
+    F = analysis.F
     prod_res = 0.0
     for a in F.subspace.basis:
         for b in F.subspace.basis:
             prod_res = max(prod_res, F.subspace.residual(a @ b))
     add("fixed-points-product-closed", prod_res, 1e-6)
 
-    inv = invariant_states(c, tol=tol)
-    N = dfa(c, tol=tol, n_max=max_power)
-
+    inv, N = analysis.inv, analysis.N
     if inv.faithful:
-        p = peripheral_subalgebra(c, inv, tol=tol)
+        p = analysis.peripheral
         add("dfa-equals-peripheral-span",
             subspace_distance(N.subspace, p.reversible), 1e-6)
-        for item in _expectation_checks("e-n", p.e_n_transfer, c, tol):
+        for item in _expectation_checks("e-n", p.e_n_transfer, c):
             add(*item)
         Ef, discrepancy = cesaro_expectation(c, max_n=10_000, tol=tol,
-                                             seed=seed)
-        for item in _expectation_checks("e-f", Ef.transfer, c, tol):
+                                             seed=analysis.seed)
+        for item in _expectation_checks("e-f", Ef.transfer, c):
             add(*item)
         add("cesaro-vs-spectral", discrepancy, 1e-6)
 
-        l2 = L2Structure.from_state(inv.rho_max, tol=tol)
+        l2 = analysis.l2
         add("l2-contraction", max(0.0, l2.map_norm(c.transfer) - 1.0), 1e-8)
         iso_res = max((abs(l2.norm(c.apply(b)) - l2.norm(b))
                        for b in N.subspace.basis), default=0.0)
@@ -252,10 +286,9 @@ def build_ledger(c: ChannelSpec, w: OqrwSpec | None, tol: Tolerances,
 
     if w is not None:
         m_block = oqrw_multiplicative_domain(w, tol=tol)
-        m_generic = multiplicative_domain(c, tol=tol)
         add("oqrw-mult-domain-oracle",
-            subspace_distance(m_block.subspace, m_generic.subspace), 1e-7)
-        rep = oqrw_dfa(w, n_max=max_power, tol=tol)
+            subspace_distance(m_block.subspace, analysis.M.subspace), 1e-7)
+        rep = oqrw_dfa(w, n_max=analysis.max_power, tol=tol)
         add("oqrw-dfa-oracle",
             subspace_distance(rep.algebra.subspace, N.subspace), 1e-7)
         if inv.faithful:
@@ -318,11 +351,8 @@ def analyze(c: ChannelSpec, w: OqrwSpec | None, tol: Tolerances,
             "homogeneous": w.homogeneous,
         }
 
-    F = fixed_points(c, tol=tol)
-    M = multiplicative_domain(c, tol=tol)
-    N = dfa(c, tol=tol, n_max=max_power)
-    inv = invariant_states(c, tol=tol)
-
+    analysis = Analysis(c, w, tol, seed, max_power)
+    F, M, N, inv = analysis.F, analysis.M, analysis.N, analysis.inv
     report["faithful"] = inv.faithful
     report["invariant_state"] = {
         "space_dim": inv.basis.dim,
@@ -344,28 +374,27 @@ def analyze(c: ChannelSpec, w: OqrwSpec | None, tol: Tolerances,
         report["peripheral_eigenvalues"] = "undetermined"
         report["components"] = "undetermined"
         report["gap"] = "undetermined"
-        report["verification"] = build_ledger(c, w, tol, seed, max_power)
+        report["verification"] = build_ledger(analysis)
         return report
 
-    p = peripheral_subalgebra(c, inv, tol=tol)
+    p = analysis.peripheral
     dims["stable"] = stable_subspace(p, tol=tol).dim
     report["dims"] = dims
-    report["irreducible"] = is_irreducible(c, inv, tol=tol)
+    report["irreducible"] = F.dim == 1
     report["peripheral_eigenvalues"] = _complex_pairs(p.eigenvalues)
 
     dec = mfnc_decompose(c, F.as_algebra(), N, tol=tol, seed=seed)
     report["components"] = [_component_summary(comp, tol, seed)
                             for comp in dec.components]
 
-    l2 = L2Structure.from_state(inv.rho_max, tol=tol)
-    gap = decoherence_gap(c, p, l2, tol=tol)
+    gap = decoherence_gap(c, p, analysis.l2, tol=tol)
     report["gap"] = {
         "finite_horizon": _num(gap.finite_horizon),
         "asymptotic": _num(gap.asymptotic),
         "horizon": gap.horizon,
         "uniform_bound": gap.uniform_bound,
     }
-    report["verification"] = build_ledger(c, w, tol, seed, max_power)
+    report["verification"] = build_ledger(analysis)
     return report
 
 
@@ -470,7 +499,7 @@ def main(argv=None) -> int:
             _emit(report, args.format, args.output)
             return EXIT_OK
         # verify
-        ledger = build_ledger(c, w, tol, args.seed, max_power)
+        ledger = build_ledger(Analysis(c, w, tol, args.seed, max_power))
         all_pass = all(e["passed"] for e in ledger)
         payload = {
             "schema_version": SCHEMA_VERSION,

@@ -30,11 +30,12 @@ from chanstruct.numerics import (
     fix_global_phase,
     hs_norm,
     kernel_basis,
-    reduce_span,
+    range_isometry,
     round_projector,
     spectral_norm,
     subspace_distance,
     subspace_intersection,
+    transfer_of,
     unvec,
     vec,
 )
@@ -130,19 +131,9 @@ class ComponentData:
 
     def xi_transfer(self, m: int) -> np.ndarray:
         """Transfer matrix of Xi_m as a map B(K_m^R) -> B(K_{m-1}^R)."""
-        d = self.period
-        n_in = self.right_dims[m]
-        n_out = self.right_dims[(m - 1) % d]
-        T = np.zeros((n_out * n_out, n_in * n_in), dtype=complex)
-        k = 0
-        for b in range(n_in):
-            for a in range(n_in):
-                E = np.zeros((n_in, n_in), dtype=complex)
-                E[a, b] = 1
-                out = sum(dagger(L) @ E @ L for L in self.xi_kraus[m])
-                T[:, k] = vec(out)
-                k += 1
-        return T
+        return transfer_of(
+            lambda E: sum(dagger(L) @ E @ L for L in self.xi_kraus[m]),
+            self.right_dims[m])
 
     def cycle_composition(self, m: int = 0) -> np.ndarray:
         """Transfer of the d-fold composition returning to B(K_m^R)."""
@@ -284,14 +275,6 @@ def period_irreducible(c: ChannelSpec, p, tol: Tolerances = DEFAULT_TOL) -> Cycl
 # MFNC decomposition
 # ---------------------------------------------------------------------------
 
-def _range_isometry(P: np.ndarray, tol: Tolerances) -> np.ndarray:
-    D = P.shape[0]
-    if spectral_norm(P - np.eye(D)) <= 10 * tol.eq_tol:
-        return np.eye(D, dtype=complex)
-    w, V = np.linalg.eigh((P + dagger(P)) / 2)
-    return V[:, w > 0.5]
-
-
 def _minimal_abelian_projections(alg: OperatorAlgebra, tol, seed):
     st = atomic_structure(alg, tol=tol, seed=seed)
     return st.central_projections
@@ -320,14 +303,12 @@ def mfnc_decompose(c: ChannelSpec, F: OperatorAlgebra, N: OperatorAlgebra,
     for Zi in z_projections:
         if spectral_norm(c.apply(Zi) - Zi) > 1e3 * tol.eq_tol:
             raise OrbitNotClosed("a joint-center projection is not invariant")
-        W = _range_isometry(Zi, tol)
+        W = range_isometry(Zi, tol)
         kraus_i = [dagger(W) @ V @ W for V in c.kraus]
         c_i = from_kraus(kraus_i, tol=tol, label=f"{c.label}|component")
         # restrict N to the component
-        Ni_basis = reduce_span([dagger(W) @ b @ W for b in N.basis],
-                               dim=W.shape[1], tol=tol)
-        N_i = OperatorAlgebra(MatrixSubspace.from_span(Ni_basis, dim=W.shape[1],
-                                                       tol=tol))
+        N_i = OperatorAlgebra(MatrixSubspace.from_span(
+            [dagger(W) @ b @ W for b in N.basis], dim=W.shape[1], tol=tol))
         cycle = _component_cycle(c_i, N_i, tol, seed)
         components.append(MfncComponent(projection=Zi, embedding=W,
                                         channel=c_i, cycle=cycle,
@@ -589,23 +570,17 @@ def fixed_multiblock(cd: ComponentData, F: OperatorAlgebra,
                     G[:, pcol * right_total + offsets[m] + s] = col
         embeddings.append(G)
 
-        Tpsi = np.zeros((right_total ** 2, right_total ** 2), dtype=complex)
-        k = 0
-        for b in range(right_total):
-            for a in range(right_total):
-                E = np.zeros((right_total, right_total), dtype=complex)
-                E[a, b] = 1
-                X = G @ np.kron(np.eye(lj), E) @ dagger(G)
-                C = dagger(G) @ cd.channel.apply(X) @ G
-                C4 = C.reshape(lj, right_total, lj, right_total)
-                out = np.einsum("iris->rs", C4) / lj
-                if np.linalg.norm(C4 - np.einsum("ij,rs->irjs", np.eye(lj),
-                                                 out)) > 1e3 * tol.eq_tol:
-                    raise CenterMismatch(
-                        "restriction does not factor through the left block")
-                Tpsi[:, k] = vec(out)
-                k += 1
-        psi_transfers.append(Tpsi)
+        def psi(E, G=G, lj=lj):
+            X = G @ np.kron(np.eye(lj), E) @ dagger(G)
+            C = dagger(G) @ cd.channel.apply(X) @ G
+            C4 = C.reshape(lj, right_total, lj, right_total)
+            out = np.einsum("iris->rs", C4) / lj
+            if np.linalg.norm(C4 - np.einsum("ij,rs->irjs", np.eye(lj),
+                                             out)) > 1e3 * tol.eq_tol:
+                raise CenterMismatch(
+                    "restriction does not factor through the left block")
+            return out
+        psi_transfers.append(transfer_of(psi, right_total))
 
     return FixedBlockData(t_products=tuple(tilde),
                           r_projections=tuple(r_projections),
@@ -624,19 +599,11 @@ def fixed_multiblock(cd: ComponentData, F: OperatorAlgebra,
 def _restricted_power_transfer(c: ChannelSpec, Q: np.ndarray, d: int,
                                tol: Tolerances) -> np.ndarray:
     """Transfer of Phi^d compressed to the range of the projection Q."""
-    R = _range_isometry(Q, tol)
-    k = R.shape[1]
+    R = range_isometry(Q, tol)
     Td = np.linalg.matrix_power(c.transfer, d)
-    out = np.zeros((k * k, k * k), dtype=complex)
-    col = 0
-    for b in range(k):
-        for a in range(k):
-            E = np.zeros((k, k), dtype=complex)
-            E[a, b] = 1
-            Y = unvec(Td @ vec(R @ E @ dagger(R)), c.dim)
-            out[:, col] = vec(dagger(R) @ Y @ R)
-            col += 1
-    return out
+    return transfer_of(
+        lambda E: dagger(R) @ unvec(Td @ vec(R @ E @ dagger(R)), c.dim) @ R,
+        R.shape[1])
 
 
 def verify_power_fixed_points(c: ChannelSpec, report: CycleReport,

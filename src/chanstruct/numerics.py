@@ -7,13 +7,17 @@ Conventions pinned here and used by every other module:
 * The matrix space carries the Hilbert-Schmidt inner product
   ``<A, B> = trace(A* B)``, under which vec() is an isometry.
 * All equality decisions are relative spectral-norm tests against
-  ``Tolerances.eq_tol``; rank/kernel decisions use an SVD with relative
-  cutoff ``Tolerances.rank_tol``.
+  ``Tolerances.eq_tol``.
+* Every kernel (fixed points, commutants, centers, the walk oracles) is
+  decided by one SVD of the folded constraint matrix in
+  :func:`kernel_coefficients`: singular values sigma <= rank_tol *
+  max(sigma_max, 1) span the kernel.  Spans keep the rows of one SVD with
+  sigma > rank_tol * sigma_max (:func:`span_basis`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -85,32 +89,89 @@ def dagger(A: np.ndarray) -> np.ndarray:
     return A.conj().T
 
 
-@dataclass(frozen=True)
+KERNEL_FOLD_ROWS = 2048
+"""Constraint rows gathered before they are folded into the triangular
+factor of :func:`kernel_coefficients`; memory stays at one such block."""
+
+
+def span_basis(mats, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal basis, stacked as (r, a, b), of the span of one or more
+    equally shaped matrices: the rows of one SVD with
+    sigma > rank_tol * sigma_max."""
+    mats = np.asarray(mats, dtype=complex)
+    _, s, vh = np.linalg.svd(mats.reshape(len(mats), -1), full_matrices=False)
+    return vh[s > tol.rank_tol * s[0]].reshape(-1, *mats.shape[1:])
+
+
+def kernel_coefficients(blocks, k: int,
+                        tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal k x r columns spanning the joint kernel of a constraint
+    matrix with k columns, given as a stream of row blocks.
+
+    Blocks are folded into a k x k triangular factor R with one QR per
+    ``KERNEL_FOLD_ROWS`` rows; one SVD of R then decides the kernel on all
+    constraints together: sigma <= rank_tol * max(sigma_max, 1).  The
+    constraints come from operators of norm O(1); the floor of 1 keeps
+    constraints that all hold (a numerically zero matrix) from reading as
+    full rank.
+    """
+    if k == 0:
+        return np.zeros((0, 0), dtype=complex)
+    R = np.zeros((k, k), dtype=complex)
+    pending, rows = [], 0
+    for block in blocks:
+        pending.append(block)
+        rows += block.shape[0]
+        if rows >= KERNEL_FOLD_ROWS:
+            R = np.linalg.qr(np.vstack([R, *pending]), mode="r")
+            pending, rows = [], 0
+    if pending:
+        R = np.linalg.qr(np.vstack([R, *pending]), mode="r")
+    _, s, vh = np.linalg.svd(R, full_matrices=False)
+    return vh[s <= tol.rank_tol * max(s[0], 1.0)].conj().T
+
+
+def transfer_of(action, dim: int) -> np.ndarray:
+    """Column-stacked transfer matrix of a linear map on dim x dim matrices:
+    column b * dim + a is vec(action(E_ab))."""
+    return np.column_stack([vec(action(unvec(e, dim)))
+                            for e in np.eye(dim * dim, dtype=complex)])
+
+
+def range_isometry(P: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal columns spanning the range of a projection; exactly the
+    identity when P is the identity within 10 * eq_tol."""
+    D = P.shape[0]
+    if spectral_norm(P - np.eye(D)) <= 10 * tol.eq_tol:
+        return np.eye(D, dtype=complex)
+    w, V = np.linalg.eigh((P + dagger(P)) / 2)
+    return V[:, w > 0.5]
+
+
+@dataclass(frozen=True, eq=False)
 class MatrixSubspace:
-    """A subspace of D x D matrices with an HS-orthonormal basis."""
+    """A subspace of D x D matrices with an HS-orthonormal basis, stacked
+    as a (dim, D, D) array."""
 
     ambient_dim: int
-    basis: tuple = field(default_factory=tuple)
+    basis: np.ndarray = ()
+
+    def __post_init__(self):
+        D = self.ambient_dim
+        object.__setattr__(self, "basis", np.asarray(
+            self.basis, dtype=complex).reshape(-1, D, D))
 
     @classmethod
     def from_span(cls, mats, dim: int | None = None,
                   tol: Tolerances = DEFAULT_TOL) -> "MatrixSubspace":
         """Orthonormal basis of the span of ``mats`` (SVD with rank_tol)."""
-        mats = [np.asarray(m, dtype=complex) for m in mats]
         if dim is None:
-            if not mats:
+            if not len(mats):
                 raise ValueError("need dim for an empty span")
-            dim = mats[0].shape[0]
-        if not mats:
-            return cls(dim, ())
-        M = np.stack([vec(m) for m in mats])
-        u, s, vh = np.linalg.svd(M, full_matrices=False)
-        if s.size and s[0] > 0:
-            keep = s > tol.rank_tol * s[0]
-        else:
-            keep = np.zeros_like(s, dtype=bool)
-        basis = tuple(unvec(vh[i], dim) for i in np.nonzero(keep)[0])
-        return cls(dim, basis)
+            dim = np.shape(mats[0])[0]
+        if not len(mats):
+            return cls(dim)
+        return cls(dim, span_basis(mats, tol))
 
     @property
     def dim(self) -> int:
@@ -118,10 +179,7 @@ class MatrixSubspace:
 
     def basis_matrix(self) -> np.ndarray:
         """D^2 x dim matrix whose columns are vec'd basis elements."""
-        D = self.ambient_dim
-        if not self.basis:
-            return np.zeros((D * D, 0), dtype=complex)
-        return np.column_stack([vec(b) for b in self.basis])
+        return self.basis.transpose(0, 2, 1).reshape(self.dim, -1).T
 
     def projector(self) -> np.ndarray:
         """HS-orthogonal projector onto the span (D^2 x D^2)."""
@@ -130,20 +188,27 @@ class MatrixSubspace:
 
     def project(self, X: np.ndarray) -> np.ndarray:
         """HS-orthogonal projection of X onto the subspace."""
-        out = np.zeros_like(np.asarray(X, dtype=complex))
-        for b in self.basis:
-            out += hs_inner(b, X) * b
-        return out
+        coeff = np.tensordot(self.basis.conj(), np.asarray(X), 2)
+        return np.tensordot(coeff, self.basis, 1)
 
     def residual(self, X: np.ndarray) -> float:
         """HS-distance of X from the subspace."""
         return hs_norm(X - self.project(X))
 
-    def contains(self, X: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
-        n = hs_norm(X)
-        if n == 0:
-            return True
-        return self.residual(X) <= tol.eq_tol * n
+    def restrict(self, constraints,
+                 tol: Tolerances = DEFAULT_TOL) -> "MatrixSubspace":
+        """Subspace of the elements on which every constraint vanishes.
+
+        ``constraints`` yields linear maps evaluated on the whole stacked
+        basis: each takes the (k, D, D) array and returns (k, ...) values.
+        """
+        k = self.dim
+        if k == 0:
+            return self
+        coeff = kernel_coefficients(
+            (fn(self.basis).reshape(k, -1).T for fn in constraints), k, tol)
+        return MatrixSubspace(self.ambient_dim,
+                              np.tensordot(coeff.T, self.basis, 1))
 
 
 def reduce_span(mats, dim: int | None = None,
@@ -155,22 +220,16 @@ def reduce_span(mats, dim: int | None = None,
 def kernel_basis(L: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> MatrixSubspace:
     """Numerical kernel of a linear map on vectorized D x D matrices.
 
-    ``L`` is an (m, D^2) matrix; returns the HS-orthonormal basis of
-    {X : ||L vec(X)|| <= rank_tol * ||L|| * ||X||} via SVD cutoff.
+    ``L`` is an (m, D^2) matrix; returns the HS-orthonormal basis of its
+    kernel under the cutoff of :func:`kernel_coefficients`.
     """
     L = np.asarray(L, dtype=complex)
     n = L.shape[1]
     dim = int(round(np.sqrt(n)))
     if dim * dim != n:
         raise DimensionMismatch(f"{n} columns is not a squared dimension")
-    if L.shape[0] == 0 or not np.any(L):
-        basis = tuple(unvec(e, dim) for e in np.eye(n, dtype=complex))
-        return MatrixSubspace(dim, basis)
-    u, s, vh = np.linalg.svd(L, full_matrices=True)
-    smax = s[0] if s.size else 0.0
-    null_rows = [i for i in range(n) if i >= s.size or s[i] <= tol.rank_tol * smax]
-    basis = tuple(unvec(vh[i].conj(), dim) for i in null_rows)
-    return MatrixSubspace(dim, basis)
+    coeff = kernel_coefficients([L], n, tol)
+    return MatrixSubspace(dim, [unvec(v, dim) for v in coeff.T])
 
 
 def round_projector(P: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -269,11 +328,6 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     A = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     Q, R = np.linalg.qr(A)
     return Q * (np.diag(R) / np.abs(np.diag(R)))
-
-
-def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    A = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return (A + dagger(A)) / 2
 
 
 def fix_global_phase(M: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

@@ -11,10 +11,11 @@ algebra which serve as independent oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from chanstruct.algebra import OperatorAlgebra
+from chanstruct.algebra import OperatorAlgebra, full_algebra
 from chanstruct.channel import (
     ChannelSpec,
     from_kraus,
@@ -28,11 +29,11 @@ from chanstruct.numerics import (
     Tolerances,
     dagger,
     hs_norm,
-    kernel_basis,
-    reduce_span,
+    span_basis,
     spectral_norm,
     subspace_intersection,
 )
+from chanstruct.structure import NoStabilization
 
 
 class ColumnNotNormalized(ValueError):
@@ -45,10 +46,6 @@ class NotHomogeneous(ValueError):
 
 class NotUnitary(ValueError):
     """A builder received a non-unitary operator."""
-
-
-class NoStabilization(RuntimeError):
-    """The path-condition chain did not stabilize by the cap."""
 
 
 @dataclass(frozen=True)
@@ -75,7 +72,7 @@ class OqrwSpec:
     def total_dim(self) -> int:
         return int(sum(self.local_dims))
 
-    @property
+    @cached_property
     def offsets(self) -> tuple:
         return tuple(int(x) for x in
                      np.concatenate([[0], np.cumsum(self.local_dims)]))
@@ -89,8 +86,9 @@ class OqrwSpec:
         return L
 
     def block(self, A: np.ndarray, i: int, j: int) -> np.ndarray:
+        """Block (i, j) of A, or of each matrix in a stack of them."""
         off = self.offsets
-        return A[off[i]:off[i + 1], off[j]:off[j + 1]]
+        return A[..., off[i]:off[i + 1], off[j]:off[j + 1]]
 
 
 def build(vertices, local_dims, transitions,
@@ -165,57 +163,11 @@ def local_map(w: OqrwSpec, tol: Tolerances = DEFAULT_TOL) -> ChannelSpec:
 # Block-structure oracles for M and N
 # ---------------------------------------------------------------------------
 
-def _restrict_by_rows(sub: MatrixSubspace, row_fns, tol: Tolerances,
-                      chunk: int = 64) -> MatrixSubspace:
-    """Intersect a subspace with the joint kernel of linear matrix maps.
-
-    row_fns yield functions A -> matrix; the kernel is computed in the
-    coefficient space of the current basis, chunked to keep SVDs small.
-    """
-    pending = []
-
-    def flush(sub, pending):
-        if not pending or sub.dim == 0:
-            return sub
-        rows = []
-        for fn in pending:
-            images = [fn(b).ravel() for b in sub.basis]
-            rows.append(np.stack(images, axis=1))
-        M = np.concatenate(rows, axis=0)
-        coeff = kernel_basis_matrix(M, tol)
-        basis = [sum(c[k] * sub.basis[k] for k in range(sub.dim))
-                 for c in coeff.T]
-        return MatrixSubspace.from_span(basis, dim=sub.ambient_dim, tol=tol) \
-            if basis else MatrixSubspace(sub.ambient_dim, ())
-
-    for fn in row_fns:
-        pending.append(fn)
-        if len(pending) >= chunk:
-            sub = flush(sub, pending)
-            pending = []
-            if sub.dim == 0:
-                return sub
-    return flush(sub, pending)
-
-
-def kernel_basis_matrix(M: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Orthonormal kernel of a (rows x k) matrix, as k x r columns."""
-    if M.shape[0] == 0:
-        return np.eye(M.shape[1], dtype=complex)
-    u, s, vh = np.linalg.svd(M, full_matrices=True)
-    # conditions are built from norm-one operators, so their magnitude is
-    # O(1); a floor on the scale keeps an all-satisfied (numerically zero)
-    # condition block from being read as full rank
-    scale = max(float(s[0]), 1.0) if s.size else 1.0
-    rank = int(np.sum(s > tol.rank_tol * scale))
-    return vh[rank:].conj().T
-
-
 def _block_condition_rows(w: OqrwSpec, spans):
     """Multiplicative-domain style conditions from per-edge operator spans.
 
     spans maps (i, j) to a basis of the reachable operators h_j -> h_i.
-    Yields functions of the full matrix A expressing, per column j:
+    Yields functions of a stack of full matrices A expressing, per column j:
     A_ii P Q* = P Q* A_kk for P in spans[i,j], Q in spans[k,j], and
     A_li P = 0 = Q* A_lk for off-diagonal blocks (l, i).
     """
@@ -247,22 +199,10 @@ def _block_condition_rows(w: OqrwSpec, spans):
 def oqrw_multiplicative_domain(w: OqrwSpec,
                                tol: Tolerances = DEFAULT_TOL) -> OperatorAlgebra:
     """M from the one-step block conditions on the transition operators."""
-    D = w.total_dim
-    spans = {}
-    for (i, j), L in w.transitions.items():
-        spans[(i, j)] = [L]
-    full = MatrixSubspace.from_span(
-        [E for E in _matrix_units(D)], dim=D, tol=tol)
-    sub = _restrict_by_rows(full, _block_condition_rows(w, spans), tol)
+    spans = {key: [L] for key, L in w.transitions.items()}
+    sub = full_algebra(w.total_dim).subspace.restrict(
+        _block_condition_rows(w, spans), tol)
     return OperatorAlgebra(sub)
-
-
-def _matrix_units(D):
-    for a in range(D):
-        for b in range(D):
-            E = np.zeros((D, D), dtype=complex)
-            E[a, b] = 1
-            yield E
 
 
 @dataclass(frozen=True)
@@ -285,21 +225,9 @@ def _advance_spans(w: OqrwSpec, spans, tol):
             if kk != k:
                 continue
             out.setdefault((i, j), []).extend(L @ P for P in Ps)
-    return {key: reduce_span_rect(mats, tol)
+    return {key: span_basis(mats, tol)
             for key, mats in out.items()
             if any(hs_norm(m) > tol.rank_tol for m in mats)}
-
-
-def reduce_span_rect(mats, tol: Tolerances):
-    """Orthonormal basis of a span of rectangular matrices."""
-    mats = [np.asarray(m, dtype=complex) for m in mats]
-    M = np.stack([m.ravel() for m in mats])
-    u, s, vh = np.linalg.svd(M, full_matrices=False)
-    if not s.size or s[0] == 0:
-        return []
-    keep = s > tol.rank_tol * s[0]
-    shape = mats[0].shape
-    return [vh[i].reshape(shape) for i in np.nonzero(keep)[0]]
 
 
 def oqrw_dfa(w: OqrwSpec, n_max: int | None = None,
@@ -313,13 +241,12 @@ def oqrw_dfa(w: OqrwSpec, n_max: int | None = None,
     """
     D = w.total_dim
     cap = n_max if n_max is not None else D * D
-    spans = {key: reduce_span_rect([L], tol)
-             for key, L in w.transitions.items()}
-    sub = MatrixSubspace.from_span(list(_matrix_units(D)), dim=D, tol=tol)
+    spans = {key: span_basis([L], tol) for key, L in w.transitions.items()}
+    sub = full_algebra(D).subspace
     prev_dim = None
     stabilized = None
     for n in range(1, cap + 1):
-        sub = _restrict_by_rows(sub, _block_condition_rows(w, spans), tol)
+        sub = sub.restrict(_block_condition_rows(w, spans), tol)
         if prev_dim is not None and sub.dim == prev_dim:
             stabilized = n
             break
@@ -336,11 +263,9 @@ def oqrw_dfa(w: OqrwSpec, n_max: int | None = None,
     mask = np.zeros((D, D))
     for i in range(w.n_vertices):
         mask[off[i]:off[i + 1], off[i]:off[i + 1]] = 1
-    units = list(_matrix_units(D))
-    diag_space = MatrixSubspace.from_span(
-        [E for E in units if (E * mask).any()], dim=D, tol=tol)
-    offd_space = MatrixSubspace.from_span(
-        [E for E in units if (E * (1 - mask)).any()], dim=D, tol=tol)
+    units = np.eye(D * D).reshape(-1, D, D)
+    diag_space = MatrixSubspace(D, units[mask.ravel() == 1])
+    offd_space = MatrixSubspace(D, units[mask.ravel() == 0])
     diagonal = subspace_intersection(sub, diag_space, tol=tol)
     off_diagonal = subspace_intersection(sub, offd_space, tol=tol)
 

@@ -94,7 +94,6 @@ class PeripheralData:
     eigenmatrices: tuple
     e_n_transfer: np.ndarray
     reversible: MatrixSubspace
-    diagonalizable: bool
 
     @property
     def dim(self) -> int:
@@ -317,7 +316,7 @@ def peripheral_subalgebra(c: ChannelSpec, inv: InvariantStateReport,
         raise PeripheralJordanBlock(
             f"expectation fails to commute with the channel: {comm_defect:.3e}")
     return PeripheralData(eigenvalues=tuple(w[idx]), eigenmatrices=tuple(mats),
-                          e_n_transfer=E, reversible=rev, diagonalizable=True)
+                          e_n_transfer=E, reversible=rev)
 
 
 def stable_subspace(p: PeripheralData,
@@ -425,7 +424,8 @@ def decoherence_gap(c: ChannelSpec, p: PeripheralData, l2: L2Structure,
 
     finite_horizon = min over n <= max_n of -(1/n) log of the rho-L2 norm
     of Phi^n restricted off N; asymptotic = -log(largest nonperipheral
-    eigenvalue modulus).
+    eigenvalue modulus).  Phi is a contraction in this geometry, so a norm
+    above 1 by at most eq_tol is rounding and counts as 1 (rate 0).
     """
     D = c.dim
     T = c.transfer
@@ -447,7 +447,8 @@ def decoherence_gap(c: ChannelSpec, p: PeripheralData, l2: L2Structure,
         if nrm <= tol.rank_tol:
             rates.append(math.inf)
             break
-        rates.append(-math.log(nrm) / n)
+        rates.append(0.0 if 1.0 <= nrm <= 1.0 + tol.eq_tol
+                     else -math.log(nrm) / n)
     finite = min(rates) if rates else math.inf
     return GapReport(finite_horizon=finite, asymptotic=asymptotic,
                      horizon=max_n, per_step=tuple(rates),

@@ -113,9 +113,9 @@ def _shift_walk(d, h, rng):
     return to_channel(w)
 
 
-@pytest.fixture(scope="module")
-def corpus():
-    rng = np.random.default_rng(20240817)
+def build_corpus(seed):
+    """The corpus recipe, drawn from one generator seeded with ``seed``."""
+    rng = np.random.default_rng(seed)
     channels = []
     for D in range(2, 9):
         for k in (2, 3):
@@ -127,6 +127,12 @@ def corpus():
     for d1, d2 in ((2, 2), (2, 3), (3, 3), (2, 4), (3, 4), (4, 4)):
         for _ in range(2):
             channels.append(_block_sum(d1, d2, 2, rng))
+    return channels
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    channels = build_corpus(20240817)
     assert len(channels) >= 50
     return channels
 

@@ -4,14 +4,19 @@ import jsonschema
 import numpy as np
 import pytest
 
+from chanstruct.algebra import center
 from chanstruct.channel import matrix_to_json
 from chanstruct.cli import (
+    _choi_min_eig,
     EXIT_INPUT_ERROR,
     EXIT_NUMERICAL_ERROR,
     EXIT_OK,
     EXIT_VERIFY_FAILED,
     main,
 )
+from chanstruct.structure import dfa
+from tests.test_acceptance import _choi_min_eig as choi_min_eig_by_units
+from tests.test_acceptance import build_corpus
 
 SCHEMA_DIR = "docs/schemas"
 
@@ -103,6 +108,19 @@ def test_example_nn_cycle_presets(tmp_path, capsys):
 # analyze
 # ---------------------------------------------------------------------------
 
+def test_choi_min_eig_layout():
+    # the transpose map has the swap as its Choi matrix, eigenvalues +-1
+    D = 3
+    transpose = np.zeros((D * D, D * D))
+    for a in range(D):
+        for b in range(D):
+            transpose[b + a * D, a + b * D] = 1
+    assert _choi_min_eig(transpose, D) == pytest.approx(-1)
+    rng = np.random.default_rng(7)
+    T = rng.standard_normal((D * D, D * D)) + 1j * rng.standard_normal((D * D, D * D))
+    assert _choi_min_eig(T, D) == pytest.approx(choi_min_eig_by_units(T, D))
+
+
 def test_analyze_channel_input(tmp_path, capsys):
     path = pauli_channel_file(tmp_path)
     code, out = run(["analyze", path], capsys)
@@ -130,6 +148,30 @@ def test_analyze_non_faithful_undetermined(tmp_path, capsys):
     assert report["components"] == "undetermined"
     assert report["gap"] == "undetermined"
     assert isinstance(report["dims"]["dfa"], int)
+
+
+def test_analyze_gap_rate_nonnegative(tmp_path, capsys):
+    # Phi contracts in the rho-weighted geometry; a norm rounded above 1
+    # must not show up as a negative decay rate
+    f = tmp_path / "nn4.json"
+    run(["example", "nn-cycle", "--n", "4", "--output", str(f)], capsys)
+    code, out = run(["analyze", str(f)], capsys)
+    assert code == EXIT_OK
+    assert json.loads(out)["gap"]["finite_horizon"] >= 0
+
+
+def test_analyze_shift_walk_center_keeps_identity(tmp_path, capsys):
+    # channel 35 of the corpus drawn with seed 27: a cyclic shift on four
+    # vertices with 2x2 unitaries, whose dfa has four minimal central
+    # projections; deciding the center on part of the constraints lost I
+    c = build_corpus(27)[35]
+    assert c.label == "cyclic-shift-4" and c.dim == 8
+    Z = center(dfa(c))
+    assert Z.dim == 4
+    assert Z.subspace.residual(np.eye(8)) < 1e-8
+    path = write_channel(tmp_path / "c35.json", list(c.kraus))
+    code, _ = run(["analyze", path], capsys)
+    assert code == EXIT_OK
 
 
 def test_analyze_text_format(tmp_path, capsys):

@@ -7,16 +7,20 @@ from chanstruct.numerics import (
     NotNearProjection,
     Tolerances,
     cluster_values,
+    KERNEL_FOLD_ROWS,
     hs_inner,
     kernel_basis,
+    kernel_coefficients,
     random_unitary,
     round_projector,
     spectral_projector,
     subspace_distance,
     subspace_intersection,
+    transfer_of,
     unvec,
     vec,
 )
+from chanstruct.channel import from_kraus
 from tests.conftest import I2, X, Z
 
 
@@ -70,6 +74,24 @@ def test_kernel_basis_commutation_map():
     assert sub.dim == 2
     for b in sub.basis:
         assert np.allclose(b, np.diag(np.diag(b)))
+
+
+def test_kernel_coefficients_folded_blocks():
+    # rows spread over several folds give the kernel of the whole matrix
+    rng = np.random.default_rng(4)
+    k, rank = 10, 7
+    L = rng.standard_normal((3 * KERNEL_FOLD_ROWS, rank)) @ \
+        rng.standard_normal((rank, k))
+    coeff = kernel_coefficients(np.array_split(L, 60), k)
+    assert coeff.shape == (k, k - rank)
+    assert np.allclose(coeff.conj().T @ coeff, np.eye(k - rank))
+    assert np.linalg.norm(L @ coeff) < 1e-9 * np.linalg.norm(L)
+
+
+def test_transfer_of_matches_kraus_transfer():
+    rng = np.random.default_rng(6)
+    c = from_kraus([np.sqrt(p) * random_unitary(3, rng) for p in (0.3, 0.7)])
+    assert np.allclose(transfer_of(c.apply, 3), c.transfer, atol=1e-14)
 
 
 def test_gram_orthonormal():
