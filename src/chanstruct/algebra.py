@@ -45,8 +45,6 @@ class OperatorAlgebra:
     """A *-closed unital subalgebra, stored as an HS-orthonormal basis."""
 
     subspace: MatrixSubspace
-    contains_identity: bool = True
-    star_closed: bool = True
 
     @property
     def ambient_dim(self) -> int:
@@ -178,6 +176,12 @@ def _cluster_real(values: np.ndarray, gap: float) -> list[list[int]]:
     return clusters
 
 
+def block_order(P: np.ndarray):
+    """Sort key of a projection: larger rank first, then by its diagonal."""
+    d = np.round(np.real(np.diag(P)), 6)
+    return (-int(round(np.real(np.trace(P)))), tuple(-d))
+
+
 def atomic_structure(alg: OperatorAlgebra, tol: Tolerances = DEFAULT_TOL,
                      seed: int = 0, max_draws: int = 50) -> AlgebraStructure:
     """Minimal central projections and block factorizations of ``alg``.
@@ -233,12 +237,7 @@ def atomic_structure(alg: OperatorAlgebra, tol: Tolerances = DEFAULT_TOL,
         _check_factorization(U, comp, W, nL, nR, tol)
         blocks.append((P, U, nL, nR))
 
-    def sort_key(blk):
-        P = blk[0]
-        d = np.round(np.real(np.diag(P)), 6)
-        return (-int(round(np.real(np.trace(P)))), tuple(-d))
-
-    blocks.sort(key=sort_key)
+    blocks.sort(key=lambda blk: block_order(blk[0]))
     return AlgebraStructure(
         ambient_dim=D,
         central_projections=tuple(b[0] for b in blocks),

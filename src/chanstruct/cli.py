@@ -272,8 +272,8 @@ def build_ledger(analysis: Analysis) -> list:
             subspace_distance(N.subspace, p.reversible), 1e-6)
         for item in _expectation_checks("e-n", p.e_n_transfer, c):
             add(*item)
-        Ef, discrepancy = cesaro_expectation(c, max_n=10_000, tol=tol,
-                                             seed=analysis.seed)
+        Ef, discrepancy = cesaro_expectation(c, analysis.F, max_n=10_000,
+                                             tol=tol, seed=analysis.seed)
         for item in _expectation_checks("e-f", Ef.transfer, c):
             add(*item)
         add("cesaro-vs-spectral", discrepancy, 1e-6)
@@ -300,12 +300,11 @@ def build_ledger(analysis: Analysis) -> list:
 # analysis pipeline
 # ---------------------------------------------------------------------------
 
-def _component_summary(comp, tol, seed):
-    cd = component_decompose(comp, tol=tol, seed=seed)
+def _component_summary(comp, tol):
+    cd = component_decompose(comp, tol=tol)
     rebuilt = structured_kraus(cd, tol=tol)
     recon = spectral_norm(rebuilt.transfer - comp.channel.transfer)
-    fb = fixed_multiblock(cd, fixed_points(comp.channel, tol=tol).as_algebra(),
-                          tol=tol)
+    fb = fixed_multiblock(cd, comp.fixed_points, tol=tol)
     return {
         "projection": matrix_to_json(comp.projection),
         "period": cd.period,
@@ -383,8 +382,8 @@ def analyze(c: ChannelSpec, w: OqrwSpec | None, tol: Tolerances,
     report["irreducible"] = F.dim == 1
     report["peripheral_eigenvalues"] = _complex_pairs(p.eigenvalues)
 
-    dec = mfnc_decompose(c, F.as_algebra(), N, tol=tol, seed=seed)
-    report["components"] = [_component_summary(comp, tol, seed)
+    dec = mfnc_decompose(c, F.as_algebra(), N, p, tol=tol, seed=seed)
+    report["components"] = [_component_summary(comp, tol)
                             for comp in dec.components]
 
     gap = decoherence_gap(c, p, analysis.l2, tol=tol)

@@ -1,10 +1,10 @@
 """Period and cyclic structure of channels.
 
-Cyclic resolutions of irreducible channels, decomposition into minimal
-components of the joint center of F and N, the tensor factorization of
-each component into a unitary shift part and a chain of reduced channels,
-structured Kraus forms and the resulting multiblock description of the
-fixed points.
+Cyclic resolutions of irreducible channels, minimal components as orbits
+of the channel on the minimal central projections of N, the tensor
+factorization of each component into a unitary shift part and a chain of
+reduced channels, structured Kraus forms and the resulting multiblock
+description of the fixed points.
 """
 
 from __future__ import annotations
@@ -15,9 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from chanstruct.algebra import (
+    AlgebraStructure,
     OperatorAlgebra,
     atomic_structure,
-    center,
+    block_order,
     extract_block_states,
 )
 from chanstruct.channel import ChannelSpec, from_kraus
@@ -34,14 +35,9 @@ from chanstruct.numerics import (
     round_projector,
     spectral_norm,
     subspace_distance,
-    subspace_intersection,
     transfer_of,
     unvec,
     vec,
-)
-from chanstruct.structure import (
-    invariant_states,
-    peripheral_subalgebra,
 )
 
 
@@ -56,7 +52,7 @@ class NotSimple(RuntimeError):
 
 
 class OrbitNotClosed(RuntimeError):
-    """The channel does not permute the minimal central projections."""
+    """The channel does not permute the minimal central projections of N."""
 
 
 class IsomorphismSolveFailed(RuntimeError):
@@ -87,13 +83,16 @@ class CycleReport:
 
 @dataclass(frozen=True)
 class MfncComponent:
-    """One minimal component of the joint center, with its restriction."""
+    """One minimal component, with the channel and the blocks of N and F
+    compressed to it by its embedding W."""
 
     projection: np.ndarray       # Z_i in the ambient space
-    embedding: np.ndarray        # D x r isometry onto the range of Z_i
+    embedding: np.ndarray        # D x r isometry W onto the range of Z_i
     channel: ChannelSpec         # restriction of the channel, r-dimensional
     cycle: CycleReport           # in component coordinates
-    dfa_restricted: OperatorAlgebra
+    blocks: AlgebraStructure     # N's blocks Q_m, in cyclic order, as U_j W
+    block_states: tuple          # states of E_N on those blocks
+    fixed_points: OperatorAlgebra    # F_i = span of W* b W for b in F
 
 
 @dataclass(frozen=True)
@@ -275,93 +274,82 @@ def period_irreducible(c: ChannelSpec, p, tol: Tolerances = DEFAULT_TOL) -> Cycl
 # MFNC decomposition
 # ---------------------------------------------------------------------------
 
-def _minimal_abelian_projections(alg: OperatorAlgebra, tol, seed):
-    st = atomic_structure(alg, tol=tol, seed=seed)
-    return st.central_projections
-
-
 def _diag_sort_key(P: np.ndarray):
     return tuple(np.round(np.real(np.diag(P)), 6))
 
 
 def mfnc_decompose(c: ChannelSpec, F: OperatorAlgebra, N: OperatorAlgebra,
-                   tol: Tolerances = DEFAULT_TOL,
+                   p, tol: Tolerances = DEFAULT_TOL,
                    seed: int = 0) -> MfncDecomposition:
-    """Split the channel along the joint center of F and N.
+    """Split the channel into its minimal components.
 
-    Minimal projections of Z(F) & Z(N) are invariant, so the channel
-    restricts to each of their ranges; inside a component the minimal
-    central projections of N form a single cycle under the channel.
+    ``F`` and ``N`` are the fixed points and the decoherence-free algebra,
+    ``p`` the peripheral data (:func:`structure.peripheral_subalgebra`),
+    whose expectation E_N gives the block states; ``seed`` drives the
+    atomic structure of N.  The channel has a faithful invariant state, so
+    F lies in N and Z(F) & Z(N) is the Phi-fixed part of Z(N).  Phi
+    permutes the minimal central projections of N, and the minimal
+    projections of Z(F) & Z(N) are the sums over its orbits.  Each orbit
+    is one component, its projections numbered by Phi(Q_m) = Q_{m-1}.
     """
-    D = c.dim
-    ZF = center(F, tol=tol)
-    ZN = center(N, tol=tol)
-    Z_sub = subspace_intersection(ZF.subspace, ZN.subspace, tol=tol)
-    Z = OperatorAlgebra(Z_sub)
-    z_projections = _minimal_abelian_projections(Z, tol, seed)
-    components = []
-    for Zi in z_projections:
-        if spectral_norm(c.apply(Zi) - Zi) > 1e3 * tol.eq_tol:
-            raise OrbitNotClosed("a joint-center projection is not invariant")
+    st = atomic_structure(N, tol=tol, seed=seed)
+    states = extract_block_states(p.apply_expectation, st, tol=tol)
+    atoms = st.central_projections
+    image = []
+    for P in atoms:
+        PhiP = c.apply(P)
+        hits = [k for k, Q in enumerate(atoms)
+                if spectral_norm(PhiP - Q) <= 1e3 * tol.eq_tol]
+        if len(hits) != 1:
+            raise OrbitNotClosed(
+                f"image of a minimal central projection matched "
+                f"{len(hits)} candidates")
+        image.append(hits[0])
+    if sorted(image) != list(range(len(atoms))):
+        raise OrbitNotClosed("two minimal central projections share an image")
+
+    components, seen = [], set()
+    for start in range(len(atoms)):
+        if start in seen:
+            continue
+        orbit = [start]
+        while image[orbit[-1]] != start:
+            orbit.append(image[orbit[-1]])
+        seen.update(orbit)
+        Zi = sum(atoms[j] for j in orbit)
         W = range_isometry(Zi, tol)
         kraus_i = [dagger(W) @ V @ W for V in c.kraus]
         c_i = from_kraus(kraus_i, tol=tol, label=f"{c.label}|component")
-        # restrict N to the component
-        N_i = OperatorAlgebra(MatrixSubspace.from_span(
-            [dagger(W) @ b @ W for b in N.basis], dim=W.shape[1], tol=tol))
-        cycle = _component_cycle(c_i, N_i, tol, seed)
-        components.append(MfncComponent(projection=Zi, embedding=W,
-                                        channel=c_i, cycle=cycle,
-                                        dfa_restricted=N_i))
-    return MfncDecomposition(z_projections=tuple(z_projections),
-                             components=tuple(components))
-
-
-def _component_cycle(c_i: ChannelSpec, N_i: OperatorAlgebra,
-                     tol: Tolerances, seed: int) -> CycleReport:
-    """Cycle of the minimal central projections of N inside one component."""
-    ZN = center(N_i, tol=tol)
-    minimal = list(_minimal_abelian_projections(OperatorAlgebra(ZN.subspace),
-                                                tol, seed))
-    d = len(minimal)
-    anchor = min(minimal, key=_diag_sort_key)
-    ordered = [None] * d
-    ordered[0] = anchor
-    current = anchor
-    for step in range(1, d):
-        nxt = c_i.apply(current)
-        hits = [Q for Q in minimal
-                if spectral_norm(nxt - Q) <= 1e3 * tol.eq_tol]
-        if len(hits) != 1:
-            raise OrbitNotClosed(
-                f"image of a cyclic projection matched {len(hits)} candidates")
-        # Phi(Q_m) = Q_{m-1}: walking forward with Phi decreases the index
-        ordered[(0 - step) % d] = hits[0]
-        current = hits[0]
-    back = c_i.apply(current)
-    if spectral_norm(back - anchor) > 1e3 * tol.eq_tol:
-        raise OrbitNotClosed("orbit of cyclic projections did not close")
-    omega = np.exp(2j * np.pi / d)
-    U = sum(omega ** j * ordered[j] for j in range(d))
-    return CycleReport(period=d, projections=tuple(ordered), unitary=U)
+        local = [dagger(W) @ atoms[j] @ W for j in orbit]
+        d = len(orbit)
+        anchor = min(range(d), key=lambda k: _diag_sort_key(local[k]))
+        # Phi walks forward along the orbit and back along the numbering
+        pos = [(anchor - m) % d for m in range(d)]
+        order = [orbit[k] for k in pos]
+        Qs = tuple(local[k] for k in pos)
+        omega = np.exp(2j * np.pi / d)
+        cycle = CycleReport(period=d, projections=Qs,
+                            unitary=sum(omega ** m * Qs[m] for m in range(d)))
+        blocks = AlgebraStructure(
+            ambient_dim=W.shape[1], central_projections=Qs,
+            block_unitaries=tuple(st.block_unitaries[j] @ W for j in order),
+            left_dims=tuple(st.left_dims[j] for j in order),
+            right_dims=tuple(st.right_dims[j] for j in order))
+        F_i = OperatorAlgebra(MatrixSubspace.from_span(
+            dagger(W) @ F.basis @ W, dim=W.shape[1], tol=tol))
+        components.append(MfncComponent(
+            projection=Zi, embedding=W, channel=c_i, cycle=cycle,
+            blocks=blocks, block_states=tuple(states[j] for j in order),
+            fixed_points=F_i))
+    components.sort(key=lambda comp: block_order(comp.projection))
+    return MfncDecomposition(
+        z_projections=tuple(comp.projection for comp in components),
+        components=tuple(components))
 
 
 # ---------------------------------------------------------------------------
 # Component factorization
 # ---------------------------------------------------------------------------
-
-def _match_blocks(structure, projections, tol):
-    """Map cyclic index m to the structure block carrying Q_m."""
-    match = []
-    for Q in projections:
-        hits = [j for j, P in enumerate(structure.central_projections)
-                if spectral_norm(P - Q) <= 1e3 * tol.eq_tol]
-        if len(hits) != 1:
-            raise OrbitNotClosed(
-                "cyclic projections do not match the central projections of N")
-        match.append(hits[0])
-    return match
-
 
 def _solve_conjugation_unitary(G_map, nL, tol):
     """Recover unitary T from the map E_ab -> T E_ab T* given on units."""
@@ -385,32 +373,27 @@ def _solve_conjugation_unitary(G_map, nL, tol):
     return T
 
 
-def component_decompose(comp: MfncComponent, tol: Tolerances = DEFAULT_TOL,
-                        seed: int = 0) -> ComponentData:
+def component_decompose(comp: MfncComponent,
+                        tol: Tolerances = DEFAULT_TOL) -> ComponentData:
     """Factor one component into shift unitaries and reduced channels.
 
     Each Kraus operator of the component shifts the cyclic projections
     forward by one step, so it splits into blocks T_m* (x) L_{m,k}; the
     L blocks share the index k across m, which is what makes the
-    reassembled Kraus operators reproduce the channel exactly.
+    reassembled Kraus operators reproduce the channel exactly.  The blocks
+    S_m and the block states rho_m are the component's, in cyclic order.
     """
     c_i = comp.channel
     cycle = comp.cycle
     d = cycle.period
-    structure = atomic_structure(comp.dfa_restricted, tol=tol, seed=seed)
-    match = _match_blocks(structure, cycle.projections, tol)
-    S = [structure.block_unitaries[match[m]] for m in range(d)]
-    nLs = [structure.left_dims[match[m]] for m in range(d)]
-    nRs = [structure.right_dims[match[m]] for m in range(d)]
+    S = comp.blocks.block_unitaries
+    nLs = comp.blocks.left_dims
+    nRs = comp.blocks.right_dims
     if len(set(nLs)) != 1:
         raise IsomorphismSolveFailed(
             f"left factors have unequal dimensions {nLs}")
     nL = nLs[0]
-
-    inv = invariant_states(c_i, tol=tol)
-    p = peripheral_subalgebra(c_i, inv, tol=tol)
-    states = extract_block_states(p.apply_expectation, structure, tol=tol)
-    rho = [states[match[m]] for m in range(d)]
+    rho = comp.block_states
 
     shift_unitaries = []
     for m in range(d):
@@ -458,10 +441,10 @@ def component_decompose(comp: MfncComponent, tol: Tolerances = DEFAULT_TOL,
                 "a Kraus operator has blocks outside the one-step shift")
     xi_kraus = [tuple(ks) for ks in xi_kraus]
 
-    cd = ComponentData(channel=c_i, cycle=cycle, isometries=tuple(S),
-                       left_dim=nL, right_dims=tuple(nRs),
+    cd = ComponentData(channel=c_i, cycle=cycle, isometries=S,
+                       left_dim=nL, right_dims=nRs,
                        shift_unitaries=tuple(shift_unitaries),
-                       xi_kraus=tuple(xi_kraus), block_states=tuple(rho))
+                       xi_kraus=tuple(xi_kraus), block_states=rho)
     for m in range(d):
         prev = (m - 1) % d
         push = sum(L @ rho[prev] @ dagger(L) for L in cd.xi_kraus[m])

@@ -12,7 +12,9 @@ Conventions pinned here and used by every other module:
   decided by one SVD of the folded constraint matrix in
   :func:`kernel_coefficients`: singular values sigma <= rank_tol *
   max(sigma_max, 1) span the kernel.  Spans keep the rows of one SVD with
-  sigma > rank_tol * sigma_max (:func:`span_basis`).
+  sigma > rank_tol * sigma_max (:func:`span_basis`).  Intersections
+  restrict one subspace by its residual against the other
+  (:meth:`MatrixSubspace.restrict`), never forming D^2 x D^2 projectors.
 """
 
 from __future__ import annotations
@@ -179,7 +181,8 @@ class MatrixSubspace:
 
     def basis_matrix(self) -> np.ndarray:
         """D^2 x dim matrix whose columns are vec'd basis elements."""
-        return self.basis.transpose(0, 2, 1).reshape(self.dim, -1).T
+        return self.basis.transpose(0, 2, 1).reshape(
+            self.dim, self.ambient_dim ** 2).T
 
     def projector(self) -> np.ndarray:
         """HS-orthogonal projector onto the span (D^2 x D^2)."""
@@ -187,8 +190,10 @@ class MatrixSubspace:
         return B @ B.conj().T
 
     def project(self, X: np.ndarray) -> np.ndarray:
-        """HS-orthogonal projection of X onto the subspace."""
-        coeff = np.tensordot(self.basis.conj(), np.asarray(X), 2)
+        """HS-orthogonal projection of X, or of each matrix in a stack of
+        them, onto the subspace."""
+        coeff = np.tensordot(np.asarray(X), self.basis.conj(),
+                             axes=([-2, -1], [1, 2]))
         return np.tensordot(coeff, self.basis, 1)
 
     def residual(self, X: np.ndarray) -> float:
@@ -265,13 +270,11 @@ def subspace_distance(S1: MatrixSubspace, S2: MatrixSubspace) -> float:
 
 def subspace_intersection(S1: MatrixSubspace, S2: MatrixSubspace,
                           tol: Tolerances = DEFAULT_TOL) -> MatrixSubspace:
-    """Intersection of two matrix subspaces (kernel of both complements)."""
+    """Intersection of two matrix subspaces: the elements of S1 with no
+    residual against S2."""
     if S1.ambient_dim != S2.ambient_dim:
         raise DimensionMismatch("ambient dims differ")
-    n = S1.ambient_dim ** 2
-    eye = np.eye(n)
-    L = np.vstack([eye - S1.projector(), eye - S2.projector()])
-    return kernel_basis(L, tol=tol)
+    return S1.restrict([lambda B: B - S2.project(B)], tol)
 
 
 def cluster_values(values, gap: float) -> list[list[int]]:

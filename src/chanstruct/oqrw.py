@@ -214,7 +214,6 @@ class OqrwDfaReport:
     off_diagonal: MatrixSubspace
     dead_corners: tuple          # dim of W_i per vertex
     diagonal_forced: bool        # at most one W_i nonzero
-    stabilized_at: int
 
 
 def _advance_spans(w: OqrwSpec, spans, tol):
@@ -244,18 +243,13 @@ def oqrw_dfa(w: OqrwSpec, n_max: int | None = None,
     spans = {key: span_basis([L], tol) for key, L in w.transitions.items()}
     sub = full_algebra(D).subspace
     prev_dim = None
-    stabilized = None
-    for n in range(1, cap + 1):
+    for _ in range(cap):
         sub = sub.restrict(_block_condition_rows(w, spans), tol)
-        if prev_dim is not None and sub.dim == prev_dim:
-            stabilized = n
-            break
-        if sub.dim <= 1:
-            stabilized = n
+        if sub.dim == prev_dim or sub.dim <= 1:
             break
         prev_dim = sub.dim
         spans = _advance_spans(w, spans, tol)
-    if stabilized is None:
+    else:
         raise NoStabilization(
             f"path-condition chain still at dim {sub.dim} after n={cap}")
 
@@ -281,7 +275,7 @@ def oqrw_dfa(w: OqrwSpec, n_max: int | None = None,
     forced = sum(1 for x in dead if x > 0) <= 1
     return OqrwDfaReport(algebra=OperatorAlgebra(sub), diagonal=diagonal,
                          off_diagonal=off_diagonal, dead_corners=tuple(dead),
-                         diagonal_forced=forced, stabilized_at=stabilized)
+                         diagonal_forced=forced)
 
 
 # ---------------------------------------------------------------------------

@@ -274,12 +274,14 @@ def test_acceptance_2_pauli_walk_d4(capsys):
         zdim = center(N).subspace.dim
         check(zdim == 2, f"{tag}: dim Z(N) = {zdim}")
 
-        dec = mfnc_decompose(c, F.as_algebra(), N, seed=0)
+        dec = mfnc_decompose(c, F.as_algebra(), N,
+                             peripheral_subalgebra(c, invariant_states(c)),
+                             seed=0)
         check(dec.n_components == 1,
               f"{tag}: {dec.n_components} components, expected 1")
         comp = dec.components[0]
         check(comp.cycle.period == 2, f"{tag}: period {comp.cycle.period}")
-        cd = component_decompose(comp, seed=0)
+        cd = component_decompose(comp)
 
         # reduced per-slot channel: unique invariant state I/2 and the
         # around-the-cycle composition spectrum {1, (2a-1)^2, 0, 0}
@@ -413,7 +415,8 @@ def test_acceptance_4_conditional_expectations(capsys, corpus_analysis):
     check = _checker(failures)
     rows, _ = corpus_analysis
     for i, (c, inv, N, p) in enumerate(rows):
-        E_F, discrepancy = cesaro_expectation(c, max_n=10_000)
+        E_F, discrepancy = cesaro_expectation(c, fixed_points(c),
+                                              max_n=10_000)
         check(discrepancy <= 1e-6,
               f"channel {i}: Cesaro vs spectral {discrepancy:.2e}")
         for name, E in (("E_F", E_F.transfer), ("E_N", p.e_n_transfer)):
@@ -554,12 +557,14 @@ def test_acceptance_7_cyclic_shift(capsys):
         check(F.dim == cdim,
               f"d={d}: dim F = {F.dim}, loop commutant has dim {cdim}")
 
-        dec = mfnc_decompose(c, F.as_algebra(), dfa(c), seed=0)
+        dec = mfnc_decompose(c, F.as_algebra(), dfa(c),
+                             peripheral_subalgebra(c, invariant_states(c)),
+                             seed=0)
         check(dec.n_components == 1, f"d={d}: {dec.n_components} components")
         comp = dec.components[0]
         check(comp.cycle.period == d,
               f"d={d}: period {comp.cycle.period}")
-        cd = component_decompose(comp, seed=0)
+        cd = component_decompose(comp)
         rebuilt = structured_kraus(cd)
         err = spectral_norm(rebuilt.transfer - comp.channel.transfer)
         check(err <= 1e-8, f"d={d}: reconstruction error {err:.2e}")

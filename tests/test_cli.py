@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from chanstruct.algebra import center
-from chanstruct.channel import matrix_to_json
+from chanstruct.channel import matrix_from_json, matrix_to_json
 from chanstruct.cli import (
     _choi_min_eig,
     EXIT_INPUT_ERROR,
@@ -172,6 +172,41 @@ def test_analyze_shift_walk_center_keeps_identity(tmp_path, capsys):
     path = write_channel(tmp_path / "c35.json", list(c.kraus))
     code, _ = run(["analyze", path], capsys)
     assert code == EXIT_OK
+
+
+def test_analyze_two_component_corpus_channels(tmp_path, capsys):
+    # the block sums of the corpus are its two-component channels
+    channels = [c for c in build_corpus(20240817)
+                if c.label.startswith("blocksum")]
+    assert len(channels) == 12
+    for n, c in enumerate(channels):
+        path = write_channel(tmp_path / f"b{n}.json", list(c.kraus))
+        code, out = run(["analyze", path], capsys)
+        assert code == EXIT_OK
+        comps = json.loads(out)["components"]
+        assert len(comps) == 2
+        total = sum(matrix_from_json(comp["projection"]) for comp in comps)
+        assert np.allclose(total, np.eye(c.dim), atol=1e-8)
+        for comp in comps:
+            assert comp["period"] == len(comp["cyclic_projections"])
+            assert comp["structured_kraus_residual"] <= 1e-8
+
+
+def test_unconverged_cesaro_is_a_failed_entry(tmp_path, capsys):
+    # channel 12 of the corpus drawn with seed 1 mixes slowly (second
+    # |lambda| = 0.9991): after the fixed 10 000 steps the Cesaro average
+    # is still 5.5e-3 from the spectral expectation onto F
+    c = build_corpus(1)[12]
+    assert c.label == "mixture-5-2" and c.dim == 5
+    path = write_channel(tmp_path / "c12.json", list(c.kraus))
+    code, out = run(["analyze", path], capsys)
+    assert code == EXIT_OK
+    entries = {e["name"]: e for e in json.loads(out)["verification"]}
+    assert not entries["cesaro-vs-spectral"]["passed"]
+    assert entries["cesaro-vs-spectral"]["residual"] == pytest.approx(
+        5.5e-3, rel=0.05)
+    code, _ = run(["verify", path], capsys)
+    assert code == EXIT_VERIFY_FAILED
 
 
 def test_analyze_text_format(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from chanstruct.algebra import extract_block_states
 from chanstruct.channel import from_kraus
 from chanstruct.cycles import (
     NotRootsOfUnity,
@@ -17,6 +18,7 @@ from chanstruct.numerics import (
     hs_norm,
     random_unitary,
     spectral_norm,
+    subspace_distance,
     unvec,
     vec,
 )
@@ -27,6 +29,7 @@ from chanstruct.structure import (
     peripheral_subalgebra,
 )
 from tests.conftest import I2, X, Z
+from tests.test_acceptance import build_corpus
 
 
 def classical_cycle(d):
@@ -119,24 +122,27 @@ def test_cycle_seed_independence():
         assert min(spectral_norm(Q - R) for R in rep2.projections) < 1e-8
 
 
-def test_mfnc_two_components():
-    a = classical_cycle(3)
-    b = classical_cycle(3)
+def two_cycles():
+    """Block sum of two classical 3-cycles."""
     kraus = []
-    for V in a.kraus:
+    for V in classical_cycle(3).kraus:
         W = np.zeros((6, 6), dtype=complex)
         W[:3, :3] = V
         kraus.append(W)
-    for V in b.kraus:
+    for V in classical_cycle(3).kraus:
         W = np.zeros((6, 6), dtype=complex)
         W[3:, 3:] = V
         kraus.append(W)
-    c = from_kraus(kraus)
+    return from_kraus(kraus)
+
+
+def test_mfnc_two_components():
+    c = two_cycles()
     F = fixed_points(c).as_algebra()
     N = dfa(c)
     assert F.dim == 2
     assert N.dim == 6
-    dec = mfnc_decompose(c, F, N, seed=1)
+    dec = mfnc_decompose(c, F, N, peripheral_of(c)[1], seed=1)
     assert dec.n_components == 2
     assert np.allclose(sum(dec.z_projections), np.eye(6), atol=1e-8)
     for comp in dec.components:
@@ -144,11 +150,27 @@ def test_mfnc_two_components():
         assert comp.channel.dim == 3
 
 
+@pytest.mark.parametrize("name", ["two-cycles", "corpus-blocksum"])
+def test_mfnc_components_match_their_own_analysis(name):
+    # reference route: F and E_N of each restricted channel, recomputed
+    c = two_cycles() if name == "two-cycles" else build_corpus(20240817)[40]
+    dec = mfnc_decompose(c, fixed_points(c).as_algebra(), dfa(c),
+                         peripheral_of(c)[1], seed=1)
+    assert dec.n_components == 2
+    for comp in dec.components:
+        assert subspace_distance(comp.fixed_points.subspace,
+                                 fixed_points(comp.channel).subspace) < 1e-10
+        states = extract_block_states(
+            peripheral_of(comp.channel)[1].apply_expectation, comp.blocks)
+        for rho, ref in zip(comp.block_states, states, strict=True):
+            assert hs_norm(rho - ref) < 1e-10
+
+
 def test_mfnc_identity_channel():
     c = from_kraus([np.eye(2)])
     F = fixed_points(c).as_algebra()
     N = dfa(c)
-    dec = mfnc_decompose(c, F, N)
+    dec = mfnc_decompose(c, F, N, peripheral_of(c)[1])
     assert dec.n_components == 1
     assert dec.components[0].cycle.period == 1
 
@@ -160,7 +182,7 @@ def test_mfnc_shift_walk_single_component():
     N = dfa(c)
     assert F.dim == 2          # commutant of a generic 2x2 unitary
     assert N.dim == 3 * 4      # block diagonals
-    dec = mfnc_decompose(c, F, N, seed=0)
+    dec = mfnc_decompose(c, F, N, peripheral_of(c)[1], seed=0)
     assert dec.n_components == 1
     assert dec.components[0].cycle.period == 3
 
@@ -169,7 +191,7 @@ def test_component_decompose_classical_cycle():
     c = classical_cycle(3)
     F = fixed_points(c).as_algebra()
     N = dfa(c)
-    dec = mfnc_decompose(c, F, N)
+    dec = mfnc_decompose(c, F, N, peripheral_of(c)[1])
     cd = component_decompose(dec.components[0])
     assert cd.left_dim == 1
     assert cd.right_dims == (1, 1, 1)
@@ -185,8 +207,8 @@ def test_component_decompose_shift_walk():
     c = shift_walk(Us)
     F = fixed_points(c).as_algebra()
     N = dfa(c)
-    dec = mfnc_decompose(c, F, N, seed=2)
-    cd = component_decompose(dec.components[0], seed=2)
+    dec = mfnc_decompose(c, F, N, peripheral_of(c)[1], seed=2)
+    cd = component_decompose(dec.components[0])
     assert cd.left_dim == 2
     assert cd.right_dims == (1, 1, 1)
     for T in cd.shift_unitaries:
@@ -202,7 +224,7 @@ def test_component_decompose_pauli():
     c = pauli_channel()
     F = fixed_points(c).as_algebra()
     N = dfa(c)
-    dec = mfnc_decompose(c, F, N)
+    dec = mfnc_decompose(c, F, N, peripheral_of(c)[1])
     cd = component_decompose(dec.components[0])
     assert cd.period == 2
     assert cd.left_dim == 1
@@ -221,8 +243,8 @@ def test_fixed_multiblock_shift_walk():
     c = shift_walk(Us)
     F = fixed_points(c).as_algebra()
     N = dfa(c)
-    dec = mfnc_decompose(c, F, N, seed=3)
-    cd = component_decompose(dec.components[0], seed=3)
+    dec = mfnc_decompose(c, F, N, peripheral_of(c)[1], seed=3)
+    cd = component_decompose(dec.components[0])
     fb = fixed_multiblock(cd, F)
     assert fb.n_blocks == 2                   # generic monodromy: 2 eigenlines
     assert np.allclose(sum(fb.central_projections), np.eye(6), atol=1e-8)
@@ -256,7 +278,7 @@ def test_fixed_multiblock_pauli():
     c = pauli_channel()
     F = fixed_points(c).as_algebra()
     N = dfa(c)
-    dec = mfnc_decompose(c, F, N)
+    dec = mfnc_decompose(c, F, N, peripheral_of(c)[1])
     cd = component_decompose(dec.components[0])
     fb = fixed_multiblock(cd, F)
     assert fb.n_blocks == 1

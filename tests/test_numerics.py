@@ -152,6 +152,26 @@ def test_subspace_intersection():
     assert subspace_distance(inter, MatrixSubspace.from_span([I2])) < 1e-8
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10_000))
+def test_subspace_intersection_matches_projector_kernel(seed):
+    # reference: the kernel of both complements' projectors, stacked
+    rng = np.random.default_rng(seed)
+    D = 3
+
+    def draw(k):
+        return [rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+                for _ in range(k)]
+    common = draw(rng.integers(0, 3))
+    s1 = MatrixSubspace.from_span(common + draw(rng.integers(1, 3)), dim=D)
+    s2 = MatrixSubspace.from_span(common + draw(rng.integers(1, 3)), dim=D)
+    eye = np.eye(D * D)
+    ref = kernel_basis(np.vstack([eye - s1.projector(), eye - s2.projector()]))
+    inter = subspace_intersection(s1, s2)
+    assert inter.dim == ref.dim == len(common)
+    assert subspace_distance(inter, ref) < 1e-8
+
+
 def test_cluster_values():
     vals = [1.0, 1.0 + 1e-12, -1.0, 1j]
     clusters = cluster_values(vals, 1e-8)

@@ -27,7 +27,9 @@ from chanstruct.structure import (
     peripheral_subalgebra,
     stable_subspace,
 )
+from chanstruct.oqrw import builder_nn_cycle, to_channel
 from tests.conftest import I2, X, Y, Z
+from tests.test_acceptance import build_corpus
 
 
 def pauli_channel():
@@ -206,14 +208,14 @@ def test_expectation_onto_dfa_properties():
 
 def test_cesaro_expectation_identity_channel():
     c = unitary_channel(np.eye(2))
-    E, disc = cesaro_expectation(c, max_n=64)
+    E, disc = cesaro_expectation(c, fixed_points(c), max_n=64)
     assert disc < 1e-10
     assert np.allclose(E.transfer, np.eye(4), atol=1e-9)
 
 
 def test_cesaro_expectation_random():
     c = random_unital_channel(3, 3, seed=17)
-    E, disc = cesaro_expectation(c, max_n=10_000)
+    E, disc = cesaro_expectation(c, fixed_points(c), max_n=10_000)
     assert disc < 1e-6
     # E is idempotent onto F and trace-preserving at the invariant state
     T = E.transfer
@@ -229,7 +231,8 @@ def test_cesaro_expectation_random():
 def test_cesaro_expectation_pauli():
     # peripheral eigenvalue -1 present: root-of-unity-friendly averaging
     # lengths keep the Cesaro route convergent
-    E, disc = cesaro_expectation(pauli_channel(), max_n=10_000)
+    c = pauli_channel()
+    E, disc = cesaro_expectation(c, fixed_points(c), max_n=10_000)
     assert disc < 1e-6
     A = np.array([[1, 2], [3, 4]], dtype=complex)
     assert np.allclose(E.apply(A), np.trace(A) / 2 * I2, atol=1e-7)
@@ -242,7 +245,7 @@ def test_expectation_compatibility(seed, dim):
     c = random_unital_channel(dim, 3, seed=seed)
     inv = invariant_states(c)
     p = peripheral_subalgebra(c, inv)
-    E_F, _ = cesaro_expectation(c, max_n=4096)
+    E_F, _ = cesaro_expectation(c, fixed_points(c), max_n=4096)
     assert spectral_norm(E_F.transfer @ p.e_n_transfer - E_F.transfer) < 1e-6
 
 
@@ -296,6 +299,54 @@ def test_decoherence_gap_random():
     n = 20
     nrm = l2.map_norm(np.linalg.matrix_power(c.transfer, n) @ Q)
     assert nrm <= np.exp(-rep.finite_horizon * n) + 1e-12
+
+
+def _finite_horizon_by_powers(c, p, l2, max_n):
+    """The finite-horizon rate from a fresh power, projection and weighting
+    at every step, without the rounding rule at norm 1."""
+    D = c.dim
+    Q = np.eye(D * D) - p.e_n_transfer
+    power = np.eye(D * D, dtype=complex)
+    rates = []
+    for n in range(1, max_n + 1):
+        power = c.transfer @ power
+        nrm = l2.map_norm(power @ Q)
+        if nrm <= 1e-9:
+            rates.append(np.inf)
+            break
+        rates.append(-np.log(nrm) / n)
+    return min(rates)
+
+
+@pytest.mark.parametrize("name", ["nn-cycle-4", "random-4"])
+def test_decoherence_gap_matches_powers(name):
+    if name == "nn-cycle-4":
+        L_minus = np.diag([np.sqrt(0.3), np.sqrt(0.7)])
+        L_plus = np.array([[0, np.sqrt(0.3)], [np.sqrt(0.7), 0]])
+        c = to_channel(builder_nn_cycle(4, L_plus, L_minus))
+    else:
+        c = random_unital_channel(4, 3, seed=5)
+    inv = invariant_states(c)
+    p = peripheral_subalgebra(c, inv)
+    l2 = L2Structure.from_state(inv.rho_max)
+    rep = decoherence_gap(c, p, l2)
+    ref = _finite_horizon_by_powers(c, p, l2, rep.horizon)
+    assert abs(rep.finite_horizon - ref) <= 1e-10
+
+
+def test_gap_two_unitary_mixtures_have_no_uniform_bound():
+    # Phi = p U*.U + (1-p) V*.V keeps the weighted norm of every X that
+    # commutes with U V*, and such X reach off N: the one-step norm is 1,
+    # so the rate is 0 whichever side of 1 rounding puts the norm
+    mixtures = [c for c in build_corpus(20240817)
+                if c.label.startswith("mixture") and c.label.endswith("-2")]
+    assert len(mixtures) == 14
+    for c in mixtures:
+        inv = invariant_states(c)
+        p = peripheral_subalgebra(c, inv)
+        rep = decoherence_gap(c, p, L2Structure.from_state(inv.rho_max))
+        assert rep.finite_horizon == 0, c.label
+        assert not rep.uniform_bound, c.label
 
 
 def test_gap_infinite_for_automorphism():
