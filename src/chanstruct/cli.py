@@ -79,7 +79,7 @@ EXIT_NUMERICAL_ERROR = 3
 
 
 class InputError(ValueError):
-    """The input file could not be parsed into a channel or a walk."""
+    """The input file or a command-line value was rejected."""
 
 
 # ---------------------------------------------------------------------------
@@ -464,9 +464,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _tolerances(args) -> Tolerances:
-    if getattr(args, "tol", None) is None:
-        return Tolerances()
-    return Tolerances(eq_tol=args.tol)
+    try:
+        return Tolerances() if args.tol is None else Tolerances(eq_tol=args.tol)
+    except ValueError as exc:
+        raise InputError(f"--tol: {exc}") from exc
 
 
 def main(argv=None) -> int:
@@ -484,6 +485,8 @@ def main(argv=None) -> int:
 
         tol = _tolerances(args)
         max_power = args.max_power
+        if max_power is not None and max_power < 1:
+            raise InputError(f"--max-power must be at least 1, got {max_power}")
         try:
             c, w = load_input(args.input, tol)
         except InputError as exc:

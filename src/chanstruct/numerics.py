@@ -51,8 +51,9 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("eq_tol", "rank_tol", "peripheral_band", "projector_round"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, not {value}")
 
 
 DEFAULT_TOL = Tolerances()

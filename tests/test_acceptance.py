@@ -666,4 +666,17 @@ def test_acceptance_9_l2_geometry(capsys, corpus_analysis):
         else:
             check(math.isinf(gap.asymptotic),
                   f"channel {i}: expected infinite rate")
+        rate = gap.finite_horizon
+        check(0 <= rate <= gap.asymptotic + 1e-12,
+              f"channel {i}: finite-horizon rate {rate} outside "
+              f"[0, {gap.asymptotic}]")
+        Q = np.eye(D * D) - p.e_n_transfer
+        power = np.eye(D * D)
+        for n in range(1, 11):
+            power = c.transfer @ power
+            decay = l2.map_norm(power @ Q)
+            bound = 1e-9 if math.isinf(rate) else math.exp(-n * rate) + 1e-10
+            check(decay <= bound,
+                  f"channel {i}: |Phi^{n}(I - E_N)| = {decay:.3e} above "
+                  f"{bound:.3e}")
     _verdict(capsys, "9: weighted-L2 geometry on the corpus", failures)

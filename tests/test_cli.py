@@ -289,6 +289,28 @@ def test_nonunital_channel_rejected(tmp_path, capsys):
     assert code == EXIT_INPUT_ERROR
 
 
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+@pytest.mark.parametrize("option", ["--tol=0", "--tol=-1", "--tol=nan",
+                                    "--tol=inf", "--max-power=0",
+                                    "--max-power=-2"])
+def test_bad_tolerance_or_power_is_an_input_error(tmp_path, capsys, command,
+                                                  option):
+    path = pauli_channel_file(tmp_path)
+    code = main([command, path, option])
+    assert code == EXIT_INPUT_ERROR
+    assert "input error" in capsys.readouterr().err
+
+
+def test_max_power_too_small_is_a_numerical_error(tmp_path, capsys):
+    # the pauli walk's dfa chain needs more than one step to stabilise
+    f = tmp_path / "walk.json"
+    run(["example", "pauli", "--d", "3", "--output", str(f)], capsys)
+    for command in ("analyze", "verify"):
+        code = main([command, str(f), "--max-power=1"])
+        assert code == EXIT_NUMERICAL_ERROR
+        assert "NoStabilization" in capsys.readouterr().err
+
+
 def test_exit_codes_are_distinct():
     assert len({EXIT_OK, EXIT_VERIFY_FAILED, EXIT_INPUT_ERROR,
                 EXIT_NUMERICAL_ERROR}) == 4

@@ -27,7 +27,7 @@ from chanstruct.structure import (
     peripheral_subalgebra,
     stable_subspace,
 )
-from chanstruct.oqrw import builder_nn_cycle, to_channel
+from chanstruct.oqrw import builder_nn_cycle, builder_pauli_walk, to_channel
 from tests.conftest import I2, X, Y, Z
 from tests.test_acceptance import build_corpus
 
@@ -318,20 +318,30 @@ def _finite_horizon_by_powers(c, p, l2, max_n):
     return min(rates)
 
 
-@pytest.mark.parametrize("name", ["nn-cycle-4", "random-4"])
+@pytest.mark.parametrize("name", ["nn-cycle-4", "random-4", "pauli-walk-3",
+                                  "cyclic-shift-3", "blocksum-2+2"])
 def test_decoherence_gap_matches_powers(name):
     if name == "nn-cycle-4":
         L_minus = np.diag([np.sqrt(0.3), np.sqrt(0.7)])
         L_plus = np.array([[0, np.sqrt(0.3)], [np.sqrt(0.7), 0]])
         c = to_channel(builder_nn_cycle(4, L_plus, L_minus))
-    else:
+    elif name == "random-4":
         c = random_unital_channel(4, 3, seed=5)
+    elif name == "pauli-walk-3":
+        c = to_channel(builder_pauli_walk(3, 0.5))
+    else:
+        # corpus 31: period 3, stable part gone in one step (rate inf);
+        # corpus 40: two components, one-step norm 1 (rate 0)
+        c = build_corpus(20240817)[31 if name == "cyclic-shift-3" else 40]
+        assert c.label.startswith(name)
     inv = invariant_states(c)
     p = peripheral_subalgebra(c, inv)
     l2 = L2Structure.from_state(inv.rho_max)
     rep = decoherence_gap(c, p, l2)
     ref = _finite_horizon_by_powers(c, p, l2, rep.horizon)
-    assert abs(rep.finite_horizon - ref) <= 1e-10
+    assert rep.finite_horizon == pytest.approx(ref, rel=0, abs=1e-10)
+    if name == "pauli-walk-3":
+        assert rep.uniform_bound
 
 
 def test_gap_two_unitary_mixtures_have_no_uniform_bound():

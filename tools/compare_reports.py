@@ -1,0 +1,172 @@
+"""Compare two sets of `chanstruct analyze` / `verify` outputs field by field.
+
+Usage::
+
+    python3 tools/compare_reports.py PARENT_DIR CHANGE_DIR
+
+Each directory holds one case per stem: ``<stem>.exit`` with the exit code
+of the command, and ``<stem>.json`` with the report it wrote, if any
+(``chanstruct analyze IN --output <stem>.json; echo $? > <stem>.exit``).
+Both directories must hold the same stems.
+
+Only fields that do not depend on the choice of bases are compared:
+
+* exactly: the exit code, the ledger's check names and pass flags
+  (``verification`` of an analysis, ``checks`` and ``all_pass`` of a
+  verification);
+* to 1e-8: ``dims``, ``faithful``, ``irreducible``,
+  ``fixed_points_is_algebra``, ``invariant_state`` and the sorted
+  ``peripheral_eigenvalues``;
+* to 1e-10: ``gap``;
+* as a set, to 1e-8: the components, each on its projection, period and
+  set of cyclic projections.
+
+The script prints, for each field, the largest difference over all cases
+and the case where it occurred, and exits 1 when any difference exceeds
+its field's limit (0 otherwise).  Booleans compare as 0/1; a string (such
+as ``"undetermined"`` or ``"inf"``) must match exactly, or the difference
+is infinite.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import sys
+from pathlib import Path
+
+EXACT = 0.0
+LIMITS = {
+    "dims": 1e-8,
+    "faithful": 1e-8,
+    "irreducible": 1e-8,
+    "fixed_points_is_algebra": 1e-8,
+    "invariant_state": 1e-8,
+    "peripheral_eigenvalues": 1e-8,
+    "gap": 1e-10,
+}
+COMPONENT_LIMIT = 1e-8
+
+
+def _diff(a, b) -> float:
+    """Largest elementwise difference of two JSON values of one shape."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() != b.keys():
+            return math.inf
+        return max((_diff(a[k], b[k]) for k in a), default=0.0)
+    if isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            return math.inf
+        return max((_diff(x, y) for x, y in zip(a, b)), default=0.0)
+    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
+        return abs(float(a) - float(b))
+    return 0.0 if a == b else math.inf
+
+
+def _sorted_eigenvalues(values):
+    if not isinstance(values, list):
+        return values
+    return sorted(values, key=lambda z: (round(z[0], 6), round(z[1], 6)))
+
+
+def _set_diff(xs, ys, diff) -> float:
+    """Distance of two lists compared as sets: each x is matched with the
+    nearest y not yet taken, and the worst match is returned."""
+    if len(xs) != len(ys):
+        return math.inf
+    free = list(ys)
+    worst = 0.0
+    for x in xs:
+        dists = [diff(x, y) for y in free]
+        best = dists.index(min(dists))
+        worst = max(worst, dists[best])
+        free.pop(best)
+    return worst
+
+
+def _component_diff(a, b) -> float:
+    if a["period"] != b["period"]:
+        return math.inf
+    return max(_diff(a["projection"], b["projection"]),
+               _set_diff(a["cyclic_projections"], b["cyclic_projections"],
+                         _diff))
+
+
+def _ledger(entries):
+    return [(e["name"], e["passed"]) for e in entries]
+
+
+def compare_case(parent: dict | None, change: dict | None):
+    """Yield (field, difference, limit) for one pair of reports."""
+    if parent is None or change is None:
+        yield "report", 0.0 if parent is change else math.inf, EXACT
+        return
+    if parent.get("kind") != change.get("kind"):
+        yield "kind", math.inf, EXACT
+        return
+    if parent["kind"] == "verification":
+        yield "all_pass", _diff(parent["all_pass"], change["all_pass"]), EXACT
+        yield "ledger", _diff(_ledger(parent["checks"]),
+                              _ledger(change["checks"])), EXACT
+        return
+    yield "ledger", _diff(_ledger(parent["verification"]),
+                          _ledger(change["verification"])), EXACT
+    for field, limit in LIMITS.items():
+        a, b = parent[field], change[field]
+        if field == "peripheral_eigenvalues":
+            a, b = _sorted_eigenvalues(a), _sorted_eigenvalues(b)
+        if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+            for key in sorted(a):
+                yield f"{field}.{key}", _diff(a[key], b[key]), limit
+        else:
+            yield field, _diff(a, b), limit
+    a, b = parent["components"], change["components"]
+    if isinstance(a, list) and isinstance(b, list):
+        yield "components", _set_diff(a, b, _component_diff), COMPONENT_LIMIT
+    else:
+        yield "components", _diff(a, b), COMPONENT_LIMIT
+
+
+def _load(directory: Path, stem: str):
+    code = int((directory / f"{stem}.exit").read_text())
+    report = directory / f"{stem}.json"
+    return code, json.loads(report.read_text()) if report.exists() else None
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2:
+        print("usage: compare_reports.py PARENT_DIR CHANGE_DIR",
+              file=sys.stderr)
+        return 2
+    parent_dir, change_dir = Path(argv[0]), Path(argv[1])
+    stems = {p.stem for p in parent_dir.glob("*.exit")}
+    other = {p.stem for p in change_dir.glob("*.exit")}
+    if stems != other or not stems:
+        print(f"cases differ: only in {parent_dir}: {sorted(stems - other)}; "
+              f"only in {change_dir}: {sorted(other - stems)}")
+        return 1
+
+    worst = {}  # field -> (difference, limit, stem)
+    for stem in sorted(stems):
+        code_a, report_a = _load(parent_dir, stem)
+        code_b, report_b = _load(change_dir, stem)
+        rows = [("exit", math.inf if code_a != code_b else 0.0, EXACT)]
+        rows += compare_case(report_a, report_b)
+        for field, difference, limit in rows:
+            if field not in worst or difference > worst[field][0]:
+                worst[field] = (difference, limit, stem)
+
+    failed = False
+    print(f"{len(stems)} cases")
+    for field, (difference, limit, stem) in sorted(worst.items()):
+        bad = difference > limit
+        failed |= bad
+        where = f"; {stem}" if difference > 0 else ""
+        print(f"{'FAIL' if bad else 'ok  '} {field:36s} {difference:.3g} "
+              f"(limit {limit:g}{where})")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
