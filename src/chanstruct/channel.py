@@ -64,13 +64,9 @@ class ChannelSpec:
 
     @cached_property
     def transfer(self) -> np.ndarray:
-        """D^2 x D^2 matrix of Phi in the column-stacking convention."""
+        """D^2 x D^2 matrix of Phi in the column-stacking convention; its HS
+        adjoint is the transfer matrix of Phi_*."""
         return sum(np.kron(V.T, dagger(V)) for V in self.kraus)
-
-    @cached_property
-    def preadjoint_transfer(self) -> np.ndarray:
-        """Transfer matrix of Phi_*; equals the HS adjoint of transfer."""
-        return dagger(self.transfer)
 
     def power(self, n: int) -> np.ndarray:
         """Transfer matrix of Phi^n."""

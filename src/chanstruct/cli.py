@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from chanstruct.algebra import center
+from chanstruct.algebra import atomic_structure
 from chanstruct.channel import (
     ChannelSpec,
     NotUnital,
@@ -67,7 +67,7 @@ from chanstruct.structure import (
     L2Structure,
     multiplicative_domain,
     peripheral_subalgebra,
-    stable_subspace,
+    spectrum,
 )
 
 SCHEMA_VERSION = 1
@@ -194,8 +194,12 @@ class Analysis:
         self.seed, self.max_power = seed, max_power
 
     @cached_property
+    def spectrum(self):
+        return spectrum(self.c.transfer, tol=self.tol)
+
+    @cached_property
     def F(self):
-        return fixed_points(self.c, tol=self.tol)
+        return fixed_points(self.spectrum, tol=self.tol)
 
     @cached_property
     def M(self):
@@ -206,12 +210,17 @@ class Analysis:
         return dfa(self.c, tol=self.tol, n_max=self.max_power)
 
     @cached_property
+    def N_structure(self):
+        return atomic_structure(self.N, tol=self.tol, seed=self.seed)
+
+    @cached_property
     def inv(self):
-        return invariant_states(self.c, tol=self.tol)
+        return invariant_states(self.c, self.spectrum, tol=self.tol)
 
     @cached_property
     def peripheral(self):
-        return peripheral_subalgebra(self.c, self.inv, tol=self.tol)
+        return peripheral_subalgebra(self.c, self.inv, self.spectrum,
+                                     tol=self.tol)
 
     @cached_property
     def l2(self):
@@ -272,11 +281,11 @@ def build_ledger(analysis: Analysis) -> list:
             subspace_distance(N.subspace, p.reversible), 1e-6)
         for item in _expectation_checks("e-n", p.e_n_transfer, c):
             add(*item)
-        Ef, discrepancy = cesaro_expectation(c, analysis.F, max_n=10_000,
-                                             tol=tol, seed=analysis.seed)
-        for item in _expectation_checks("e-f", Ef.transfer, c):
+        s = analysis.spectrum
+        for item in _expectation_checks("e-f", s.e_f, c):
             add(*item)
-        add("cesaro-vs-spectral", discrepancy, 1e-6)
+        add("cesaro-vs-spectral", cesaro_expectation(c, s, max_n=10_000),
+            1e-6)
 
         l2 = analysis.l2
         add("l2-contraction", max(0.0, l2.map_norm(c.transfer) - 1.0), 1e-8)
@@ -351,7 +360,9 @@ def analyze(c: ChannelSpec, w: OqrwSpec | None, tol: Tolerances,
         }
 
     analysis = Analysis(c, w, tol, seed, max_power)
-    F, M, N, inv = analysis.F, analysis.M, analysis.N, analysis.inv
+    # M and N first: their commutant SVDs set the peak memory, which the
+    # spectrum's D^2 x D^2 projectors would otherwise add to
+    M, N, F, inv = analysis.M, analysis.N, analysis.F, analysis.inv
     report["faithful"] = inv.faithful
     report["invariant_state"] = {
         "space_dim": inv.basis.dim,
@@ -362,7 +373,7 @@ def analyze(c: ChannelSpec, w: OqrwSpec | None, tol: Tolerances,
         "fixed_points": F.dim,
         "multiplicative_domain": M.dim,
         "dfa": N.dim,
-        "dfa_center": center(N, tol=tol).dim,
+        "dfa_center": analysis.N_structure.n_blocks,
     }
     report["fixed_points_is_algebra"] = F.is_algebra
 
@@ -377,16 +388,16 @@ def analyze(c: ChannelSpec, w: OqrwSpec | None, tol: Tolerances,
         return report
 
     p = analysis.peripheral
-    dims["stable"] = stable_subspace(p, tol=tol).dim
+    dims["stable"] = analysis.spectrum.stable_dim
     report["dims"] = dims
     report["irreducible"] = F.dim == 1
     report["peripheral_eigenvalues"] = _complex_pairs(p.eigenvalues)
 
-    dec = mfnc_decompose(c, F.as_algebra(), N, p, tol=tol, seed=seed)
+    dec = mfnc_decompose(c, F.as_algebra(), analysis.N_structure, p, tol=tol)
     report["components"] = [_component_summary(comp, tol)
                             for comp in dec.components]
 
-    gap = decoherence_gap(c, p, analysis.l2, tol=tol)
+    gap = decoherence_gap(c, analysis.spectrum, analysis.l2, tol=tol)
     report["gap"] = {
         "finite_horizon": _num(gap.finite_horizon),
         "asymptotic": _num(gap.asymptotic),

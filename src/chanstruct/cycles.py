@@ -30,7 +30,6 @@ from chanstruct.numerics import (
     dagger,
     fix_global_phase,
     hs_norm,
-    kernel_basis,
     range_isometry,
     round_projector,
     spectral_norm,
@@ -278,21 +277,20 @@ def _diag_sort_key(P: np.ndarray):
     return tuple(np.round(np.real(np.diag(P)), 6))
 
 
-def mfnc_decompose(c: ChannelSpec, F: OperatorAlgebra, N: OperatorAlgebra,
-                   p, tol: Tolerances = DEFAULT_TOL,
-                   seed: int = 0) -> MfncDecomposition:
+def mfnc_decompose(c: ChannelSpec, F: OperatorAlgebra, st: AlgebraStructure,
+                   p, tol: Tolerances = DEFAULT_TOL) -> MfncDecomposition:
     """Split the channel into its minimal components.
 
-    ``F`` and ``N`` are the fixed points and the decoherence-free algebra,
-    ``p`` the peripheral data (:func:`structure.peripheral_subalgebra`),
-    whose expectation E_N gives the block states; ``seed`` drives the
-    atomic structure of N.  The channel has a faithful invariant state, so
-    F lies in N and Z(F) & Z(N) is the Phi-fixed part of Z(N).  Phi
-    permutes the minimal central projections of N, and the minimal
-    projections of Z(F) & Z(N) are the sums over its orbits.  Each orbit
-    is one component, its projections numbered by Phi(Q_m) = Q_{m-1}.
+    ``F`` is the fixed-point algebra, ``st`` the atomic structure of the
+    decoherence-free algebra N (:func:`algebra.atomic_structure`), ``p``
+    the peripheral data (:func:`structure.peripheral_subalgebra`), whose
+    expectation E_N gives the block states.  The channel has a faithful
+    invariant state, so F lies in N and Z(F) & Z(N) is the Phi-fixed part
+    of Z(N).  Phi permutes the minimal central projections of N, and the
+    minimal projections of Z(F) & Z(N) are the sums over its orbits.  Each
+    orbit is one component, its projections numbered by Phi(Q_m) =
+    Q_{m-1}.
     """
-    st = atomic_structure(N, tol=tol, seed=seed)
     states = extract_block_states(p.apply_expectation, st, tol=tol)
     atoms = st.central_projections
     image = []
@@ -583,7 +581,7 @@ def _restricted_power_transfer(c: ChannelSpec, Q: np.ndarray, d: int,
                                tol: Tolerances) -> np.ndarray:
     """Transfer of Phi^d compressed to the range of the projection Q."""
     R = range_isometry(Q, tol)
-    Td = np.linalg.matrix_power(c.transfer, d)
+    Td = c.power(d)
     return transfer_of(
         lambda E: dagger(R) @ unvec(Td @ vec(R @ E @ dagger(R)), c.dim) @ R,
         R.shape[1])
@@ -594,31 +592,24 @@ def verify_power_fixed_points(c: ChannelSpec, report: CycleReport,
                               tol: Tolerances = DEFAULT_TOL) -> PowerFixedPointTable:
     """Tabulate dim F(Phi^m) against the gcd rule for an irreducible
     channel of known period, and check the restrictions of Phi^d."""
-    from chanstruct.structure import dfa
+    from chanstruct.structure import dfa, spectrum
 
     d = report.period
-    D = c.dim
     rows = []
     for m in range(1, m_max + 1):
-        Tm = np.linalg.matrix_power(c.transfer, m)
-        dim_f = kernel_basis(Tm - np.eye(D * D), tol=tol).dim
+        dim_f = spectrum(c.power(m), tol).fixed.dim
         coprime = math.gcd(m, d) == 1
         rows.append(PowerFixedPointRow(power=m, fixed_dim=dim_f,
                                        coprime=coprime,
                                        matches_gcd_rule=(dim_f == 1) == coprime))
     N = dfa(c, tol=tol)
-    Td = np.linalg.matrix_power(c.transfer, d)
-    Fd = kernel_basis(Td - np.eye(D * D), tol=tol)
+    Fd = spectrum(c.power(d), tol).fixed
     dist = subspace_distance(Fd, N.subspace)
     irreducible_flags, aperiodic_flags = [], []
     for Q in report.projections:
-        Tq = _restricted_power_transfer(c, Q, d, tol)
-        k2 = Tq.shape[0]
-        fdim = kernel_basis(Tq - np.eye(k2), tol=tol).dim
-        lam = np.linalg.eigvals(Tq)
-        n_per = int(np.sum(np.abs(lam) > 1.0 - tol.peripheral_band))
-        irreducible_flags.append(fdim == 1)
-        aperiodic_flags.append(n_per == 1)
+        sq = spectrum(_restricted_power_transfer(c, Q, d, tol), tol)
+        irreducible_flags.append(sq.fixed.dim == 1)
+        aperiodic_flags.append(sq.peripheral == 1)
     return PowerFixedPointTable(rows=tuple(rows),
                                 f_period_matches_dfa=dist <= 10 * tol.eq_tol,
                                 f_period_distance=dist,

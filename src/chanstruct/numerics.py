@@ -8,13 +8,16 @@ Conventions pinned here and used by every other module:
   ``<A, B> = trace(A* B)``, under which vec() is an isometry.
 * All equality decisions are relative spectral-norm tests against
   ``Tolerances.eq_tol``.
-* Every kernel (fixed points, commutants, centers, the walk oracles) is
-  decided by one SVD of the folded constraint matrix in
+* Every kernel (commutants, centers, the walk oracles) is decided by one
+  SVD of the folded constraint matrix in
   :func:`kernel_coefficients`: singular values sigma <= rank_tol *
   max(sigma_max, 1) span the kernel.  Spans keep the rows of one SVD with
   sigma > rank_tol * sigma_max (:func:`span_basis`).  Intersections
   restrict one subspace by its residual against the other
-  (:meth:`MatrixSubspace.restrict`), never forming D^2 x D^2 projectors.
+  (:meth:`MatrixSubspace.restrict`), and distances compare the bases
+  (:func:`subspace_distance`), never forming D^2 x D^2 projectors.
+* Spectral projectors come from a sorted complex Schur form plus one
+  Sylvester solve (:func:`sorted_schur`).
 """
 
 from __future__ import annotations
@@ -180,15 +183,16 @@ class MatrixSubspace:
     def dim(self) -> int:
         return len(self.basis)
 
+    @classmethod
+    def from_columns(cls, B: np.ndarray, dim: int) -> "MatrixSubspace":
+        """Subspace whose basis is the unvec'd orthonormal columns of B;
+        the inverse of :meth:`basis_matrix`."""
+        return cls(dim, B.T.reshape(-1, dim, dim).transpose(0, 2, 1))
+
     def basis_matrix(self) -> np.ndarray:
         """D^2 x dim matrix whose columns are vec'd basis elements."""
         return self.basis.transpose(0, 2, 1).reshape(
             self.dim, self.ambient_dim ** 2).T
-
-    def projector(self) -> np.ndarray:
-        """HS-orthogonal projector onto the span (D^2 x D^2)."""
-        B = self.basis_matrix()
-        return B @ B.conj().T
 
     def project(self, X: np.ndarray) -> np.ndarray:
         """HS-orthogonal projection of X, or of each matrix in a stack of
@@ -223,21 +227,6 @@ def reduce_span(mats, dim: int | None = None,
     return list(MatrixSubspace.from_span(mats, dim=dim, tol=tol).basis)
 
 
-def kernel_basis(L: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> MatrixSubspace:
-    """Numerical kernel of a linear map on vectorized D x D matrices.
-
-    ``L`` is an (m, D^2) matrix; returns the HS-orthonormal basis of its
-    kernel under the cutoff of :func:`kernel_coefficients`.
-    """
-    L = np.asarray(L, dtype=complex)
-    n = L.shape[1]
-    dim = int(round(np.sqrt(n)))
-    if dim * dim != n:
-        raise DimensionMismatch(f"{n} columns is not a squared dimension")
-    coeff = kernel_coefficients([L], n, tol)
-    return MatrixSubspace(dim, [unvec(v, dim) for v in coeff.T])
-
-
 def round_projector(P: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Snap a near-projection to an exact orthogonal projection.
 
@@ -262,11 +251,19 @@ def round_projector(P: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
 
 def subspace_distance(S1: MatrixSubspace, S2: MatrixSubspace) -> float:
-    """Spectral norm of the difference of the HS projectors onto the spans."""
+    """Spectral norm of the difference of the HS projectors onto the spans.
+
+    For spans of equal dimension that is ||B1 - B2 (B2* B1)||, the sine of
+    the largest principal angle, with B1, B2 the orthonormal basis
+    matrices; spans of different dimensions are at distance 1.
+    """
     if S1.ambient_dim != S2.ambient_dim:
         raise DimensionMismatch(
             f"ambient dims {S1.ambient_dim} and {S2.ambient_dim} differ")
-    return spectral_norm(S1.projector() - S2.projector())
+    if S1.dim != S2.dim:
+        return 1.0
+    B1, B2 = S1.basis_matrix(), S2.basis_matrix()
+    return spectral_norm(B1 - B2 @ (dagger(B2) @ B1))
 
 
 def subspace_intersection(S1: MatrixSubspace, S2: MatrixSubspace,
@@ -301,30 +298,21 @@ def cluster_values(values, gap: float) -> list[list[int]]:
     return clusters
 
 
-def spectral_projector(M: np.ndarray, select) -> np.ndarray:
-    """(Non-orthogonal) spectral projector of a general square matrix.
-
-    ``select(lam) -> bool`` picks the eigenvalue cluster; the projector
-    onto the corresponding invariant subspace along the complementary one
-    is computed from a sorted Schur form plus a Sylvester solve.
-    """
+def sorted_schur(M: np.ndarray, select):
+    """(A, Z, k, L): M = Z A Z* in complex Schur form with the k
+    eigenvalues that ``select(lam) -> bool`` picks first on the diagonal of
+    A, and L = [I R] Z*, R solving A11 R - R A22 = A12.  Z[:, :k] @ L is
+    the spectral projector onto their invariant subspace along the
+    complementary one, and Z[:, :k] an orthonormal basis of its range."""
     M = np.asarray(M, dtype=complex)
     n = M.shape[0]
-    T, Z, sdim = scipy.linalg.schur(M, output="complex",
-                                    sort=lambda x: bool(select(x)))
-    k = int(sdim)
-    if k == 0:
-        return np.zeros_like(M)
-    if k == n:
-        return np.eye(n, dtype=complex)
-    A11 = T[:k, :k]
-    A12 = T[:k, k:]
-    A22 = T[k:, k:]
-    R = scipy.linalg.solve_sylvester(A11, -A22, A12)
-    P = np.zeros((n, n), dtype=complex)
-    P[:k, :k] = np.eye(k)
-    P[:k, k:] = R
-    return Z @ P @ dagger(Z)
+    A, Z, k = scipy.linalg.schur(M, output="complex",
+                                 sort=lambda x: bool(select(x)))
+    k = int(k)
+    R = np.zeros((k, n - k), dtype=complex)
+    if 0 < k < n:
+        R = scipy.linalg.solve_sylvester(A[:k, :k], -A[k:, k:], A[:k, k:])
+    return A, Z, k, np.hstack([np.eye(k), R]) @ dagger(Z)
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -3,6 +3,11 @@
 Fixed points F, multiplicative domain M, decoherence-free algebra N,
 reversible/stable splitting, conditional expectations onto F and N,
 invariant states, irreducibility and the decoherence spectral gap.
+
+The spectral stages read one sorted Schur form of the transfer matrix T
+(:func:`spectrum`), and one rule decides all of them: an eigenvalue is
+peripheral when |lam| > 1 - peripheral_band, and among those it is 1 when
+|lam - 1| <= peripheral_band.
 """
 
 from __future__ import annotations
@@ -28,10 +33,9 @@ from chanstruct.numerics import (
     Tolerances,
     dagger,
     hs_norm,
-    kernel_basis,
     reduce_span,
+    sorted_schur,
     spectral_norm,
-    spectral_projector,
     unvec,
     vec,
 )
@@ -52,6 +56,27 @@ class NoStabilization(RuntimeError):
 class NoInvariantState(RuntimeError):
     """No PSD fixed point of the preadjoint was found (internal error for
     unital trace-preserving maps at finite dimension)."""
+
+
+@dataclass(frozen=True)
+class Spectrum:
+    """What the stages read off the sorted Schur form T = Z A Z* (see
+    :func:`spectrum`): the peripheral block A_11 and its Schur vectors Z_1,
+    the number and largest modulus of the other eigenvalues, E_N, E_F,
+    F = range(E_F) and range(E_F*)."""
+
+    a11: np.ndarray
+    z1: np.ndarray
+    stable_dim: int
+    stable_radius: float
+    e_n: np.ndarray
+    e_f: np.ndarray
+    fixed: MatrixSubspace
+    invariant: MatrixSubspace
+
+    @property
+    def peripheral(self) -> int:
+        return len(self.a11)
 
 
 @dataclass(frozen=True)
@@ -147,12 +172,37 @@ class GapReport:
 
 
 # ---------------------------------------------------------------------------
-# Fixed points and invariant states
+# Spectrum, fixed points and invariant states
 # ---------------------------------------------------------------------------
 
-def fixed_points(c: ChannelSpec, tol: Tolerances = DEFAULT_TOL) -> FixedPointSpace:
-    """Kernel of (transfer - I); flagged as algebra when product-closed."""
-    sub = kernel_basis(c.transfer - np.eye(c.dim ** 2), tol=tol)
+def spectrum(T: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
+    """Spectral data of a unital CP map from one sorted Schur form of its
+    transfer matrix, T = Z A Z* with the k peripheral eigenvalues
+    (|lam| > 1 - band) first.  One Sylvester solve gives
+    E_N = Z_1 [I R] Z*; with P_11 the spectral projector of A_11 at
+    |lam - 1| <= band, E_F = Z_1 P_11 [I R] Z* = E_F E_N.  F = range(E_F),
+    with the orthonormal basis Z_1 times the leading Schur vectors of A_11,
+    and range(E_F*) is the invariant-state space: the preadjoint's transfer
+    matrix is the HS adjoint of T.  The map is power-bounded, so every
+    peripheral eigenvalue is semisimple and F is the kernel of T - I."""
+    D = math.isqrt(len(T))
+    band = tol.peripheral_band
+    A, Z, k, L = sorted_schur(T, lambda lam: abs(lam) > 1.0 - band)
+    A11, Z1 = A[:k, :k].copy(), Z[:, :k].copy()
+    _, Y, f, L11 = sorted_schur(A11, lambda lam: abs(lam - 1) <= band)
+    fixed, left_f = Z1 @ Y[:, :f], L11 @ L
+    moduli = np.abs(np.diag(A)[k:])
+    return Spectrum(
+        a11=A11, z1=Z1, stable_dim=len(moduli),
+        stable_radius=float(moduli.max(initial=0.0)), e_n=Z1 @ L,
+        e_f=fixed @ left_f, fixed=MatrixSubspace.from_columns(fixed, D),
+        invariant=MatrixSubspace.from_columns(
+            np.linalg.qr(dagger(left_f))[0], D))
+
+
+def fixed_points(s: Spectrum, tol: Tolerances = DEFAULT_TOL) -> FixedPointSpace:
+    """F = range(E_F); flagged as algebra when product-closed."""
+    sub = s.fixed
     closed = True
     for a in sub.basis:
         if sub.residual(dagger(a)) > tol.eq_tol:
@@ -167,18 +217,13 @@ def fixed_points(c: ChannelSpec, tol: Tolerances = DEFAULT_TOL) -> FixedPointSpa
     return FixedPointSpace(subspace=sub, is_algebra=closed)
 
 
-def invariant_states(c: ChannelSpec,
+def invariant_states(c: ChannelSpec, s: Spectrum,
                      tol: Tolerances = DEFAULT_TOL) -> InvariantStateReport:
-    """Preadjoint fixed densities and a maximal-support candidate.
-
-    rho_max is the eigenvalue-1 spectral projection of the preadjoint
-    applied to I/D, symmetrized, clipped at rank_tol and renormalized.
-    """
+    """Preadjoint fixed densities, range(E_F*), and a maximal-support
+    candidate: rho_max = E_F* vec(I/D), symmetrized, clipped at rank_tol
+    and renormalized."""
     D = c.dim
-    Ts = c.preadjoint_transfer
-    basis = kernel_basis(Ts - np.eye(D * D), tol=tol)
-    proj = spectral_projector(Ts, lambda lam: abs(lam - 1) <= tol.peripheral_band)
-    rho = unvec(proj @ vec(np.eye(D) / D), D)
+    rho = unvec(dagger(s.e_f) @ vec(np.eye(D) / D), D)
     rho = (rho + dagger(rho)) / 2
     w, V = np.linalg.eigh(rho)
     w = np.where(np.abs(w) <= tol.rank_tol, 0.0, w)
@@ -192,7 +237,7 @@ def invariant_states(c: ChannelSpec,
     if resid > 100 * tol.eq_tol:
         raise NoInvariantState(f"candidate not invariant, residual {resid:.3e}")
     min_eig = float(np.linalg.eigvalsh(rho).min())
-    return InvariantStateReport(basis=basis, rho_max=rho,
+    return InvariantStateReport(basis=s.invariant, rho_max=rho,
                                 faithful=min_eig > 10 * tol.rank_tol,
                                 min_eigenvalue=min_eig)
 
@@ -206,13 +251,12 @@ def fixed_points_commutant(c: ChannelSpec, inv: InvariantStateReport,
     return commutant(list(c.kraus), dim=c.dim, tol=tol)
 
 
-def is_irreducible(c: ChannelSpec, inv: InvariantStateReport,
-                   tol: Tolerances = DEFAULT_TOL) -> bool:
+def is_irreducible(s: Spectrum, inv: InvariantStateReport) -> bool:
     """True iff the fixed points are trivial (faithful case only)."""
     if not inv.faithful:
         raise NoFaithfulInvariantState(
             "irreducibility criterion needs a faithful invariant state")
-    return fixed_points(c, tol=tol).dim == 1
+    return s.fixed.dim == 1
 
 
 # ---------------------------------------------------------------------------
@@ -279,45 +323,35 @@ def dfa(c: ChannelSpec, tol: Tolerances = DEFAULT_TOL,
 # ---------------------------------------------------------------------------
 
 def peripheral_subalgebra(c: ChannelSpec, inv: InvariantStateReport,
+                          s: Spectrum,
                           tol: Tolerances = DEFAULT_TOL) -> PeripheralData:
-    """Peripheral eigen-decomposition of the transfer matrix and the
-    spectral-projection realization of the expectation onto N."""
+    """Peripheral eigen-decomposition, read off the Schur block A_11 (the
+    eigenmatrices are Z_1 times its eigenvectors), and E_N onto N."""
     if not inv.faithful:
         raise NoFaithfulInvariantState(
             "peripheral splitting needs a faithful invariant state")
     T = c.transfer
-    w, V = np.linalg.eig(T)
-    band = 1.0 - tol.peripheral_band
-    idx = np.nonzero(np.abs(w) > band)[0]
-    Vp = V[:, idx]
-    if idx.size:
-        s = np.linalg.svd(Vp, compute_uv=False)
-        if s[-1] < 1e-6 * s[0]:
-            raise PeripheralJordanBlock(
-                f"peripheral eigenvector conditioning {s[-1] / s[0]:.3e}")
-    E = spectral_projector(T, lambda lam: abs(lam) > band)
+    w, V = np.linalg.eig(s.a11)
+    sv = np.linalg.svd(V, compute_uv=False)
+    if sv[-1] < 1e-6 * sv[0]:
+        raise PeripheralJordanBlock(
+            f"peripheral eigenvector conditioning {sv[-1] / sv[0]:.3e}")
     mats = []
-    for k, i in enumerate(idx):
-        X = unvec(Vp[:, k], c.dim)
-        resid = hs_norm(unvec(T @ Vp[:, k], c.dim) - w[i] * X)
+    for lam, v in zip(w, (s.z1 @ V).T):
+        X = unvec(v, c.dim)
+        resid = hs_norm(unvec(T @ v, c.dim) - lam * X)
         if resid > 100 * tol.eq_tol * hs_norm(X):
             raise PeripheralJordanBlock(
-                f"eigenpair residual {resid:.3e} at lambda={w[i]:.6f}")
+                f"eigenpair residual {resid:.3e} at lambda={lam:.6f}")
         mats.append(X)
-    rev = MatrixSubspace.from_span(mats, dim=c.dim, tol=tol) if mats \
-        else MatrixSubspace(c.dim, ())
+    E = s.e_n
     comm_defect = spectral_norm(E @ T - T @ E)
     if comm_defect > 100 * tol.eq_tol * max(1.0, spectral_norm(T)):
         raise PeripheralJordanBlock(
             f"expectation fails to commute with the channel: {comm_defect:.3e}")
-    return PeripheralData(eigenvalues=tuple(w[idx]), eigenmatrices=tuple(mats),
-                          e_n_transfer=E, reversible=rev)
-
-
-def stable_subspace(p: PeripheralData,
-                    tol: Tolerances = DEFAULT_TOL) -> MatrixSubspace:
-    """Kernel of the expectation onto N; decays to 0 under iteration."""
-    return kernel_basis(p.e_n_transfer, tol=tol)
+    return PeripheralData(eigenvalues=tuple(w), eigenmatrices=tuple(mats),
+                          e_n_transfer=E,
+                          reversible=MatrixSubspace.from_columns(s.z1, c.dim))
 
 
 def expectation_onto_dfa(c: ChannelSpec, p: PeripheralData,
@@ -363,28 +397,22 @@ def _cesaro_average(T: np.ndarray, n: int) -> np.ndarray:
     return total / n
 
 
-def cesaro_expectation(c: ChannelSpec, fp: FixedPointSpace,
-                       max_n: int = 10_000,
-                       tol: Tolerances = DEFAULT_TOL,
-                       seed: int = 0) -> tuple[ConditionalExpectation, float]:
-    """Expectation onto F, spectral route cross-checked against Cesaro.
+def cesaro_expectation(c: ChannelSpec, s: Spectrum,
+                       max_n: int = 10_000) -> float:
+    """Discrepancy between the Cesaro route to the expectation onto F and
+    the spectral one, E_F from :func:`spectrum`.
 
-    ``fp`` is the channel's fixed-point space, from :func:`fixed_points`.
-    The spectral projection onto the eigenvalue-1 eigenspace is returned;
-    the Cesaro route evaluates the cube of a length-m running average
+    The Cesaro route evaluates the cube of a length-m running average
     composed with a trailing power of the channel.  The cubed average
     suppresses a unimodular eigenvalue mu != 1 like (m|1-mu|)^-3 (and
     exactly when its period divides m), while the trailing power damps
     contracting directions geometrically; max_n bounds the total number
     of channel applications.  The spectral norm of the difference of the
-    two routes is returned with the expectation; the caller judges it
-    (a slowly mixing channel has not converged at a fixed horizon).
+    two routes is returned; the caller judges it (a slowly mixing channel
+    has not converged at a fixed horizon).
     """
-    D = c.dim
     T = c.transfer
-    E_spec = spectral_projector(T, lambda lam: abs(lam - 1) <= tol.peripheral_band)
-
-    stride = _lcm_upto(min(D, 10))
+    stride = _lcm_upto(min(c.dim, 10))
     m = max_n // 5
     m = (m // stride) * stride if m >= stride else max(1, m)
     A = _cesaro_average(T, m)
@@ -392,30 +420,20 @@ def cesaro_expectation(c: ChannelSpec, fp: FixedPointSpace,
     r = max_n - 3 * (m - 1)
     if r > 0:
         cesaro = cesaro @ np.linalg.matrix_power(T, r)
-    discrepancy = spectral_norm(cesaro - E_spec)
-
-    F = fp.as_algebra()
-    structure = atomic_structure(F, tol=tol, seed=seed)
-
-    def apply_spec(X):
-        return unvec(E_spec @ vec(np.asarray(X, dtype=complex)), D)
-
-    states = extract_block_states(apply_spec, structure, tol=tol)
-    E = ConditionalExpectation(transfer=E_spec, range_algebra=F,
-                               structure=structure, block_states=states)
-    return E, discrepancy
+    return spectral_norm(cesaro - s.e_f)
 
 
 # ---------------------------------------------------------------------------
 # Decoherence spectral gap
 # ---------------------------------------------------------------------------
 
-def decoherence_gap(c: ChannelSpec, p: PeripheralData, l2: L2Structure,
+def decoherence_gap(c: ChannelSpec, s: Spectrum, l2: L2Structure,
                     max_n: int = 50,
                     tol: Tolerances = DEFAULT_TOL) -> GapReport:
     """Finite-horizon and asymptotic decay rates of the stable part.
 
-    asymptotic = -log(largest nonperipheral eigenvalue modulus).
+    asymptotic = -log(largest nonperipheral eigenvalue modulus), off the
+    Schur diagonal; with no stable part both rates are infinite.
     finite_horizon = -log a, a = the rho-L2 norm of T Q, Q = I - E_N.  Q is
     T's nonperipheral spectral projector, so in the weighted geometry
     S^n Q' = (S Q')^n (S = G T G^-1, Q' = G Q G^-1, G = gram_sqrt) and
@@ -424,18 +442,13 @@ def decoherence_gap(c: ChannelSpec, p: PeripheralData, l2: L2Structure,
     a within eq_tol of 1 counts as 1 (rate 0), so rounding neither makes the
     rate negative nor claims a uniform bound.  max_n only fills ``horizon``.
     """
-    T = c.transfer
-    Q = np.eye(c.dim ** 2) - p.e_n_transfer
-    w = np.linalg.eigvals(T)
-    nonper = np.abs(w)[np.abs(w) <= 1.0 - tol.peripheral_band]
-    if nonper.size == 0 or nonper.max() <= tol.rank_tol:
-        asymptotic = math.inf
-    else:
-        asymptotic = -math.log(float(nonper.max()))
-    if spectral_norm(Q) <= tol.rank_tol:
+    r = s.stable_radius
+    asymptotic = math.inf if r <= tol.rank_tol else -math.log(r)
+    if s.stable_dim == 0:
         return GapReport(finite_horizon=math.inf, asymptotic=asymptotic,
                          horizon=0, uniform_bound=True)
-    nrm = l2.map_norm(T @ Q)
+    Q = np.eye(c.dim ** 2) - s.e_n
+    nrm = l2.map_norm(c.transfer @ Q)
     if nrm <= tol.rank_tol:
         finite = math.inf
     elif abs(nrm - 1.0) <= tol.eq_tol:

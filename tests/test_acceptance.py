@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from chanstruct.algebra import center, commutant
+from chanstruct.algebra import atomic_structure, center, commutant
 from chanstruct.channel import from_kraus
 from chanstruct.cycles import (
     component_decompose,
@@ -51,6 +51,7 @@ from chanstruct.structure import (
     invariant_states,
     multiplicative_domain,
     peripheral_subalgebra,
+    spectrum,
     L2Structure,
 )
 
@@ -144,10 +145,11 @@ def corpus_analysis(corpus):
     t0 = time.perf_counter()
     rows = []
     for c in corpus:
-        inv = invariant_states(c)
+        s = spectrum(c.transfer)
+        inv = invariant_states(c, s)
         N = dfa(c)
-        p = peripheral_subalgebra(c, inv)
-        rows.append((c, inv, N, p))
+        p = peripheral_subalgebra(c, inv, s)
+        rows.append((c, s, inv, N, p))
     return rows, time.perf_counter() - t0
 
 
@@ -162,11 +164,12 @@ def test_acceptance_1_pauli_walk_d3(capsys):
 
     d = 3
     c = to_channel(builder_pauli_walk(d, 0.5))
-    F = fixed_points(c)
+    s = spectrum(c.transfer)
+    F = fixed_points(s)
     check(F.dim == 1, f"dim F = {F.dim}, expected 1")
-    inv = invariant_states(c)
+    inv = invariant_states(c, s)
     check(inv.faithful, "invariant state not faithful")
-    p = peripheral_subalgebra(c, inv)
+    p = peripheral_subalgebra(c, inv, s)
     roots = np.exp(2j * np.pi * np.arange(d) / d)
     check(len(p.eigenvalues) == d,
           f"{len(p.eigenvalues)} peripheral eigenvalues, expected {d}")
@@ -264,7 +267,8 @@ def test_acceptance_2_pauli_walk_d4(capsys):
     for alpha in (0.3, 0.5):
         tag = f"alpha={alpha}"
         c = to_channel(builder_pauli_walk(d, alpha))
-        F = fixed_points(c)
+        s = spectrum(c.transfer)
+        F = fixed_points(s)
         check(F.dim == 2, f"{tag}: dim F = {F.dim}, expected 2")
         comm = max(spectral_norm(a @ b - b @ a)
                    for a in F.subspace.basis for b in F.subspace.basis)
@@ -274,9 +278,9 @@ def test_acceptance_2_pauli_walk_d4(capsys):
         zdim = center(N).subspace.dim
         check(zdim == 2, f"{tag}: dim Z(N) = {zdim}")
 
-        dec = mfnc_decompose(c, F.as_algebra(), N,
-                             peripheral_subalgebra(c, invariant_states(c)),
-                             seed=0)
+        dec = mfnc_decompose(
+            c, F.as_algebra(), atomic_structure(N, seed=0),
+            peripheral_subalgebra(c, invariant_states(c, s), s))
         check(dec.n_components == 1,
               f"{tag}: {dec.n_components} components, expected 1")
         comp = dec.components[0]
@@ -396,7 +400,7 @@ def test_acceptance_3_dfa_equals_peripheral_span(capsys, corpus_analysis):
     check = _checker(failures)
     rows, elapsed = corpus_analysis
     check(len(rows) >= 50, f"corpus has only {len(rows)} channels")
-    for i, (c, inv, N, p) in enumerate(rows):
+    for i, (c, s, inv, N, p) in enumerate(rows):
         check(inv.faithful, f"channel {i} ({c.label}): not faithful")
         dist = subspace_distance(N.subspace, p.reversible)
         check(dist <= 1e-6,
@@ -414,12 +418,11 @@ def test_acceptance_4_conditional_expectations(capsys, corpus_analysis):
     failures = []
     check = _checker(failures)
     rows, _ = corpus_analysis
-    for i, (c, inv, N, p) in enumerate(rows):
-        E_F, discrepancy = cesaro_expectation(c, fixed_points(c),
-                                              max_n=10_000)
+    for i, (c, s, inv, N, p) in enumerate(rows):
+        discrepancy = cesaro_expectation(c, s, max_n=10_000)
         check(discrepancy <= 1e-6,
               f"channel {i}: Cesaro vs spectral {discrepancy:.2e}")
-        for name, E in (("E_F", E_F.transfer), ("E_N", p.e_n_transfer)):
+        for name, E in (("E_F", s.e_f), ("E_N", p.e_n_transfer)):
             idem = spectral_norm(E @ E - E)
             check(idem <= 1e-7, f"channel {i}: {name} idempotent {idem:.2e}")
             unital = spectral_norm(
@@ -449,8 +452,8 @@ def test_acceptance_5_power_fixed_points(capsys):
                   to_channel(builder_cyclic_shift(6, [np.eye(1)] * 6)), 6))
 
     for label, c, d in cases:
-        inv = invariant_states(c)
-        p = peripheral_subalgebra(c, inv)
+        s = spectrum(c.transfer)
+        p = peripheral_subalgebra(c, invariant_states(c, s), s)
         rep = period_irreducible(c, p)
         check(rep.period == d, f"{label}: period {rep.period}, expected {d}")
         table = verify_power_fixed_points(c, rep, m_max=d + 1)
@@ -549,7 +552,8 @@ def test_acceptance_7_cyclic_shift(capsys):
         check(rep.off_diagonal.dim == 0,
               f"d={d}: off-diagonal dfa part has dim {rep.off_diagonal.dim}")
 
-        F = fixed_points(c)
+        s = spectrum(c.transfer)
+        F = fixed_points(s)
         loop = np.eye(2, dtype=complex)
         for U in Us:
             loop = U @ loop
@@ -557,9 +561,9 @@ def test_acceptance_7_cyclic_shift(capsys):
         check(F.dim == cdim,
               f"d={d}: dim F = {F.dim}, loop commutant has dim {cdim}")
 
-        dec = mfnc_decompose(c, F.as_algebra(), dfa(c),
-                             peripheral_subalgebra(c, invariant_states(c)),
-                             seed=0)
+        dec = mfnc_decompose(
+            c, F.as_algebra(), atomic_structure(dfa(c), seed=0),
+            peripheral_subalgebra(c, invariant_states(c, s), s))
         check(dec.n_components == 1, f"d={d}: {dec.n_components} components")
         comp = dec.components[0]
         check(comp.cycle.period == d,
@@ -591,8 +595,8 @@ def test_acceptance_8_nn_cycle(capsys):
     comm = max(spectral_norm(a @ b - b @ a)
                for a in rep.algebra.basis for b in rep.algebra.basis)
     check(comm <= 1e-7, f"special: dfa not abelian ({comm:.2e})")
-    inv = invariant_states(c)
-    p = peripheral_subalgebra(c, inv)
+    s = spectrum(c.transfer)
+    p = peripheral_subalgebra(c, invariant_states(c, s), s)
     cyc = period_irreducible(c, p)
     check(cyc.period == 4, f"special: period {cyc.period}, expected 4")
     basis = detect_special_basis(L_plus, L_minus)
@@ -615,8 +619,8 @@ def test_acceptance_8_nn_cycle(capsys):
                                            dim=2 * n)
     dist = subspace_distance(rep2.algebra.subspace, parity_span)
     check(dist <= 1e-7, f"generic: dfa vs parity span {dist:.2e}")
-    inv2 = invariant_states(c2)
-    p2 = peripheral_subalgebra(c2, inv2)
+    s2 = spectrum(c2.transfer)
+    p2 = peripheral_subalgebra(c2, invariant_states(c2, s2), s2)
     cyc2 = period_irreducible(c2, p2)
     check(cyc2.period == 2, f"generic: period {cyc2.period}, expected 2")
     basis2 = detect_special_basis(Lp, Lm)
@@ -633,7 +637,7 @@ def test_acceptance_9_l2_geometry(capsys, corpus_analysis):
     check = _checker(failures)
     rows, _ = corpus_analysis
     rng = np.random.default_rng(99)
-    for i, (c, inv, N, p) in enumerate(rows):
+    for i, (c, s, inv, N, p) in enumerate(rows):
         D = c.dim
         l2 = L2Structure.from_state(inv.rho_max)
         nrm = l2.map_norm(c.transfer)
@@ -655,7 +659,7 @@ def test_acceptance_9_l2_geometry(capsys, corpus_analysis):
             check(ov <= 1e-8, f"channel {i}: overlap {ov:.2e}")
             ov2 = abs(l2.inner(c.apply(ex), c.apply(perp)))
             check(ov2 <= 1e-8, f"channel {i}: overlap after step {ov2:.2e}")
-        gap = decoherence_gap(c, p, l2, max_n=10)
+        gap = decoherence_gap(c, s, l2, max_n=10)
         lam = np.linalg.eigvals(c.transfer)
         inner_radius = np.abs(lam)[np.abs(lam) <= 1 - TOL.peripheral_band]
         if inner_radius.size and inner_radius.max() > TOL.rank_tol:

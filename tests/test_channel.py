@@ -8,7 +8,7 @@ from chanstruct.channel import (
     channel_to_json,
     from_kraus,
 )
-from chanstruct.numerics import DimensionMismatch, unvec, vec
+from chanstruct.numerics import DimensionMismatch, dagger, unvec, vec
 from tests.conftest import I2, X, Y, Z
 
 
@@ -62,7 +62,7 @@ def test_transfer_agrees_with_kraus():
     for k in range(9):
         E = unvec(np.eye(9)[:, k], 3)
         assert np.allclose(unvec(c.transfer @ vec(E), 3), c.apply(E))
-        assert np.allclose(unvec(c.preadjoint_transfer @ vec(E), 3),
+        assert np.allclose(unvec(dagger(c.transfer) @ vec(E), 3),
                            c.preadjoint_apply(E))
 
 

@@ -5,16 +5,19 @@ import numpy as np
 import pytest
 
 from chanstruct.algebra import center
-from chanstruct.channel import matrix_from_json, matrix_to_json
+from chanstruct.channel import from_kraus, matrix_from_json, matrix_to_json
 from chanstruct.cli import (
     _choi_min_eig,
+    Analysis,
     EXIT_INPUT_ERROR,
     EXIT_NUMERICAL_ERROR,
     EXIT_OK,
     EXIT_VERIFY_FAILED,
     main,
 )
-from chanstruct.structure import dfa
+from chanstruct.numerics import Tolerances
+from chanstruct.structure import dfa, fixed_points, invariant_states, spectrum
+from tests.conftest import Z, amplitude_damping
 from tests.test_acceptance import _choi_min_eig as choi_min_eig_by_units
 from tests.test_acceptance import build_corpus
 
@@ -148,6 +151,42 @@ def test_analyze_non_faithful_undetermined(tmp_path, capsys):
     assert report["components"] == "undetermined"
     assert report["gap"] == "undetermined"
     assert isinstance(report["dims"]["dfa"], int)
+
+
+def test_dfa_center_is_the_block_count_of_n(tmp_path, capsys):
+    # dims.dfa_center is read off the one atomic structure of N that the
+    # components also use
+    for c in build_corpus(20240817):
+        a = Analysis(c, None, Tolerances(), seed=0, max_power=None)
+        assert a.N_structure.n_blocks == center(a.N).dim, c.label
+    c = amplitude_damping()
+    code, out = run(["analyze", write_channel(tmp_path / "ad.json",
+                                              list(c.kraus))], capsys)
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["faithful"] is False
+    assert report["dims"]["dfa_center"] == center(dfa(c)).dim
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-7, 5e-8, 1e-8, 3e-9, 1e-9,
+                                 1e-10])
+def test_one_band_rule_for_every_spectral_stage(eps, tmp_path, capsys):
+    # Phi = (1 - p) id + p Ad_Z has the eigenvalue 1 - eps twice, at the
+    # edge of the peripheral band for eps near 1e-7; F, the invariant
+    # states, E_F and E_N must still agree on which eigenvalues are 1
+    p = eps / 2
+    c = from_kraus([np.sqrt(1 - p) * np.eye(2), np.sqrt(p) * Z])
+    s = spectrum(c.transfer)
+    rank_f = np.linalg.matrix_rank(s.e_f)
+    assert fixed_points(s).dim == invariant_states(c, s).basis.dim == rank_f
+    assert rank_f <= np.linalg.matrix_rank(s.e_n)
+    code, out = run(["analyze", write_channel(tmp_path / "c.json",
+                                              list(c.kraus))], capsys)
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["dims"]["fixed_points"] == rank_f
+    assert report["invariant_state"]["space_dim"] == rank_f
+    assert rank_f <= 4 - report["dims"]["stable"]
 
 
 def test_analyze_gap_rate_nonnegative(tmp_path, capsys):

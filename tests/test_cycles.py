@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chanstruct.algebra import extract_block_states
+from chanstruct.algebra import atomic_structure, extract_block_states
 from chanstruct.channel import from_kraus
 from chanstruct.cycles import (
     NotRootsOfUnity,
@@ -27,6 +27,7 @@ from chanstruct.structure import (
     fixed_points,
     invariant_states,
     peripheral_subalgebra,
+    spectrum,
 )
 from tests.conftest import I2, X, Z
 from tests.test_acceptance import build_corpus
@@ -59,9 +60,10 @@ def pauli_channel():
 
 
 def peripheral_of(c):
-    inv = invariant_states(c)
+    s = spectrum(c.transfer)
+    inv = invariant_states(c, s)
     assert inv.faithful
-    return inv, peripheral_subalgebra(c, inv)
+    return inv, peripheral_subalgebra(c, inv, s)
 
 
 def test_period_classical_cycle():
@@ -138,11 +140,12 @@ def two_cycles():
 
 def test_mfnc_two_components():
     c = two_cycles()
-    F = fixed_points(c).as_algebra()
+    F = fixed_points(spectrum(c.transfer)).as_algebra()
     N = dfa(c)
     assert F.dim == 2
     assert N.dim == 6
-    dec = mfnc_decompose(c, F, N, peripheral_of(c)[1], seed=1)
+    dec = mfnc_decompose(c, F, atomic_structure(N, seed=1),
+                         peripheral_of(c)[1])
     assert dec.n_components == 2
     assert np.allclose(sum(dec.z_projections), np.eye(6), atol=1e-8)
     for comp in dec.components:
@@ -154,12 +157,14 @@ def test_mfnc_two_components():
 def test_mfnc_components_match_their_own_analysis(name):
     # reference route: F and E_N of each restricted channel, recomputed
     c = two_cycles() if name == "two-cycles" else build_corpus(20240817)[40]
-    dec = mfnc_decompose(c, fixed_points(c).as_algebra(), dfa(c),
-                         peripheral_of(c)[1], seed=1)
+    dec = mfnc_decompose(c, fixed_points(spectrum(c.transfer)).as_algebra(),
+                         atomic_structure(dfa(c), seed=1),
+                         peripheral_of(c)[1])
     assert dec.n_components == 2
     for comp in dec.components:
+        ref = fixed_points(spectrum(comp.channel.transfer))
         assert subspace_distance(comp.fixed_points.subspace,
-                                 fixed_points(comp.channel).subspace) < 1e-10
+                                 ref.subspace) < 1e-10
         states = extract_block_states(
             peripheral_of(comp.channel)[1].apply_expectation, comp.blocks)
         for rho, ref in zip(comp.block_states, states, strict=True):
@@ -168,9 +173,9 @@ def test_mfnc_components_match_their_own_analysis(name):
 
 def test_mfnc_identity_channel():
     c = from_kraus([np.eye(2)])
-    F = fixed_points(c).as_algebra()
+    F = fixed_points(spectrum(c.transfer)).as_algebra()
     N = dfa(c)
-    dec = mfnc_decompose(c, F, N, peripheral_of(c)[1])
+    dec = mfnc_decompose(c, F, atomic_structure(N), peripheral_of(c)[1])
     assert dec.n_components == 1
     assert dec.components[0].cycle.period == 1
 
@@ -178,20 +183,21 @@ def test_mfnc_identity_channel():
 def test_mfnc_shift_walk_single_component():
     rng = np.random.default_rng(42)
     c = shift_walk([random_unitary(2, rng) for _ in range(3)])
-    F = fixed_points(c).as_algebra()
+    F = fixed_points(spectrum(c.transfer)).as_algebra()
     N = dfa(c)
     assert F.dim == 2          # commutant of a generic 2x2 unitary
     assert N.dim == 3 * 4      # block diagonals
-    dec = mfnc_decompose(c, F, N, peripheral_of(c)[1], seed=0)
+    dec = mfnc_decompose(c, F, atomic_structure(N, seed=0),
+                         peripheral_of(c)[1])
     assert dec.n_components == 1
     assert dec.components[0].cycle.period == 3
 
 
 def test_component_decompose_classical_cycle():
     c = classical_cycle(3)
-    F = fixed_points(c).as_algebra()
+    F = fixed_points(spectrum(c.transfer)).as_algebra()
     N = dfa(c)
-    dec = mfnc_decompose(c, F, N, peripheral_of(c)[1])
+    dec = mfnc_decompose(c, F, atomic_structure(N), peripheral_of(c)[1])
     cd = component_decompose(dec.components[0])
     assert cd.left_dim == 1
     assert cd.right_dims == (1, 1, 1)
@@ -205,9 +211,10 @@ def test_component_decompose_shift_walk():
     rng = np.random.default_rng(5)
     Us = [random_unitary(2, rng) for _ in range(3)]
     c = shift_walk(Us)
-    F = fixed_points(c).as_algebra()
+    F = fixed_points(spectrum(c.transfer)).as_algebra()
     N = dfa(c)
-    dec = mfnc_decompose(c, F, N, peripheral_of(c)[1], seed=2)
+    dec = mfnc_decompose(c, F, atomic_structure(N, seed=2),
+                         peripheral_of(c)[1])
     cd = component_decompose(dec.components[0])
     assert cd.left_dim == 2
     assert cd.right_dims == (1, 1, 1)
@@ -222,9 +229,9 @@ def test_component_decompose_shift_walk():
 
 def test_component_decompose_pauli():
     c = pauli_channel()
-    F = fixed_points(c).as_algebra()
+    F = fixed_points(spectrum(c.transfer)).as_algebra()
     N = dfa(c)
-    dec = mfnc_decompose(c, F, N, peripheral_of(c)[1])
+    dec = mfnc_decompose(c, F, atomic_structure(N), peripheral_of(c)[1])
     cd = component_decompose(dec.components[0])
     assert cd.period == 2
     assert cd.left_dim == 1
@@ -241,9 +248,10 @@ def test_fixed_multiblock_shift_walk():
     rng = np.random.default_rng(11)
     Us = [random_unitary(2, rng) for _ in range(3)]
     c = shift_walk(Us)
-    F = fixed_points(c).as_algebra()
+    F = fixed_points(spectrum(c.transfer)).as_algebra()
     N = dfa(c)
-    dec = mfnc_decompose(c, F, N, peripheral_of(c)[1], seed=3)
+    dec = mfnc_decompose(c, F, atomic_structure(N, seed=3),
+                         peripheral_of(c)[1])
     cd = component_decompose(dec.components[0])
     fb = fixed_multiblock(cd, F)
     assert fb.n_blocks == 2                   # generic monodromy: 2 eigenlines
@@ -276,9 +284,9 @@ def test_fixed_multiblock_shift_walk():
 
 def test_fixed_multiblock_pauli():
     c = pauli_channel()
-    F = fixed_points(c).as_algebra()
+    F = fixed_points(spectrum(c.transfer)).as_algebra()
     N = dfa(c)
-    dec = mfnc_decompose(c, F, N, peripheral_of(c)[1])
+    dec = mfnc_decompose(c, F, atomic_structure(N), peripheral_of(c)[1])
     cd = component_decompose(dec.components[0])
     fb = fixed_multiblock(cd, F)
     assert fb.n_blocks == 1

@@ -9,11 +9,11 @@ from chanstruct.numerics import (
     cluster_values,
     KERNEL_FOLD_ROWS,
     hs_inner,
-    kernel_basis,
     kernel_coefficients,
     random_unitary,
     round_projector,
-    spectral_projector,
+    sorted_schur,
+    spectral_norm,
     subspace_distance,
     subspace_intersection,
     transfer_of,
@@ -21,7 +21,7 @@ from chanstruct.numerics import (
     vec,
 )
 from chanstruct.channel import from_kraus
-from tests.conftest import I2, X, Z
+from tests.conftest import I2, X, Z, kernel_basis
 
 
 def test_tolerances_positive():
@@ -144,6 +144,33 @@ def test_subspace_distance_symmetry_triangle(seed):
     assert d02 <= d01 + d12 + 1e-10
 
 
+def projector(S):
+    B = S.basis_matrix()
+    return B @ B.conj().T
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 4), st.integers(0, 4))
+def test_subspace_distance_matches_projector_difference(seed, k1, k2):
+    # reference: the spectral norm of the difference of the D^2 x D^2
+    # projectors, on equal, unequal and empty dimensions; half the draws
+    # share a common part so that the distance lies strictly inside (0, 1)
+    rng = np.random.default_rng(seed)
+    D = 3
+
+    def draw(k):
+        return [rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+                for _ in range(k)]
+    common = draw(min(k1, k2) if seed % 2 else 0)
+    s1 = MatrixSubspace.from_span(
+        common + draw(k1 - len(common)), dim=D)
+    s2 = MatrixSubspace.from_span(
+        [m + 1e-3 * rng.standard_normal((D, D)) for m in common]
+        + draw(k2 - len(common)), dim=D)
+    ref = spectral_norm(projector(s1) - projector(s2))
+    assert subspace_distance(s1, s2) == pytest.approx(ref, abs=1e-12)
+
+
 def test_subspace_intersection():
     s1 = MatrixSubspace.from_span([I2, X])
     s2 = MatrixSubspace.from_span([I2, Z])
@@ -166,7 +193,7 @@ def test_subspace_intersection_matches_projector_kernel(seed):
     s1 = MatrixSubspace.from_span(common + draw(rng.integers(1, 3)), dim=D)
     s2 = MatrixSubspace.from_span(common + draw(rng.integers(1, 3)), dim=D)
     eye = np.eye(D * D)
-    ref = kernel_basis(np.vstack([eye - s1.projector(), eye - s2.projector()]))
+    ref = kernel_basis(np.vstack([eye - projector(s1), eye - projector(s2)]))
     inter = subspace_intersection(s1, s2)
     assert inter.dim == ref.dim == len(common)
     assert subspace_distance(inter, ref) < 1e-8
@@ -183,7 +210,10 @@ def test_spectral_projector_diagonalizable():
     V = rng.standard_normal((5, 5)) + 0.1 * np.eye(5)
     lams = np.array([1.0, 1.0, 0.5, 0.2, -0.3])
     M = V @ np.diag(lams) @ np.linalg.inv(V)
-    P = spectral_projector(M, lambda lam: abs(lam - 1) < 1e-6)
+    A, Z, k, L = sorted_schur(M, lambda lam: abs(lam - 1) < 1e-6)
+    assert k == 2
+    assert np.linalg.norm(Z @ A @ Z.conj().T - M) < 1e-8
+    P = Z[:, :k] @ L
     assert np.linalg.norm(P @ P - P) < 1e-8
     assert np.linalg.norm(M @ P - P) < 1e-8
     assert abs(np.trace(P) - 2) < 1e-8

@@ -25,10 +25,10 @@ from chanstruct.structure import (
     kraus_word_basis,
     multiplicative_domain,
     peripheral_subalgebra,
-    stable_subspace,
+    spectrum,
 )
 from chanstruct.oqrw import builder_nn_cycle, builder_pauli_walk, to_channel
-from tests.conftest import I2, X, Y, Z
+from tests.conftest import I2, X, Y, Z, amplitude_damping, kernel_basis
 from tests.test_acceptance import build_corpus
 
 
@@ -47,16 +47,23 @@ def unitary_channel(U):
     return from_kraus([U])
 
 
+def spectral_stages(c):
+    """Spectrum, invariant states and peripheral data of a channel."""
+    s = spectrum(c.transfer)
+    inv = invariant_states(c, s)
+    return s, inv, peripheral_subalgebra(c, inv, s)
+
+
 def test_fixed_points_identity_channel():
     c = unitary_channel(I2)
-    fp = fixed_points(c)
+    fp = fixed_points(spectrum(c.transfer))
     assert fp.dim == 4
     assert fp.is_algebra
 
 
 def test_fixed_points_pauli():
     # F of the XZ mixture is the commutant of {X, Z}: scalars only
-    fp = fixed_points(pauli_channel())
+    fp = fixed_points(spectrum(pauli_channel().transfer))
     assert fp.dim == 1
     assert fp.is_algebra
     assert fp.subspace.residual(I2) < 1e-10
@@ -65,17 +72,42 @@ def test_fixed_points_pauli():
 def test_fixed_points_unitary_rotation():
     # conjugation by diag(1, i): fixed points are the diagonal algebra
     c = unitary_channel(np.diag([1.0, 1j]))
-    fp = fixed_points(c)
+    fp = fixed_points(spectrum(c.transfer))
     assert fp.dim == 2
     assert fp.subspace.residual(Z) < 1e-9
 
 
+def test_spectrum_matches_kernel_route():
+    # oracle: F and the invariant-state space as kernels of T - I and
+    # T* - I, and the stable part as the kernel of E_N
+    L_minus = np.diag([np.sqrt(0.3), np.sqrt(0.7)])
+    L_plus = np.array([[0, np.sqrt(0.3)], [np.sqrt(0.7), 0]])
+    channels = build_corpus(20240817) + [
+        to_channel(builder_nn_cycle(4, L_plus, L_minus)),
+        to_channel(builder_pauli_walk(3, 0.5)),
+        amplitude_damping(),
+        unitary_channel(np.eye(3))]
+    for c in channels:
+        n = c.dim ** 2
+        s = spectrum(c.transfer)
+        F = kernel_basis(c.transfer - np.eye(n))
+        states = kernel_basis(dagger(c.transfer) - np.eye(n))
+        assert subspace_distance(s.fixed, F) <= 1e-10, c.label
+        assert subspace_distance(s.invariant, states) <= 1e-10, c.label
+        assert kernel_basis(s.e_n).dim == s.stable_dim, c.label
+        if invariant_states(c, s).faithful:
+            assert s.stable_dim + dfa(c).dim == n, c.label
+    ad = channels[-2]
+    assert not invariant_states(ad, spectrum(ad.transfer)).faithful
+
+
 def test_invariant_states_unitary_mixture():
     c = random_unital_channel(3, 3, seed=5)
-    inv = invariant_states(c)
+    s = spectrum(c.transfer)
+    inv = invariant_states(c, s)
     assert inv.faithful
     assert np.allclose(inv.rho_max, np.eye(3) / 3, atol=1e-8)
-    assert inv.basis.dim == fixed_points(c).dim
+    assert inv.basis.dim == fixed_points(s).dim
 
 
 def test_invariant_states_block_channel():
@@ -84,26 +116,28 @@ def test_invariant_states_block_channel():
     U[:2, :2] = X
     U[2:, 2:] = np.diag([1.0, -1j])
     c = unitary_channel(U)
-    inv = invariant_states(c)
+    s = spectrum(c.transfer)
+    inv = invariant_states(c, s)
     assert inv.faithful
-    fp = fixed_points(c)
+    fp = fixed_points(s)
     assert fp.dim >= 2
 
 
 def test_fixed_points_commutant_matches_kernel():
     c = random_unital_channel(4, 3, seed=9)
-    inv = invariant_states(c)
-    F_comm = fixed_points_commutant(c, inv)
-    F_kernel = fixed_points(c)
-    assert subspace_distance(F_comm.subspace, F_kernel.subspace) < 1e-7
+    s = spectrum(c.transfer)
+    F_comm = fixed_points_commutant(c, invariant_states(c, s))
+    F_spectral = fixed_points(s)
+    assert subspace_distance(F_comm.subspace, F_spectral.subspace) < 1e-7
 
 
 def test_is_irreducible():
     c = pauli_channel()
-    inv = invariant_states(c)
-    assert is_irreducible(c, inv)
+    s = spectrum(c.transfer)
+    assert is_irreducible(s, invariant_states(c, s))
     ident = unitary_channel(np.eye(2))
-    assert not is_irreducible(ident, invariant_states(ident))
+    s = spectrum(ident.transfer)
+    assert not is_irreducible(s, invariant_states(ident, s))
 
 
 def test_multiplicative_domain_pauli():
@@ -153,16 +187,14 @@ def test_peripheral_matches_dfa():
     # the peripheral span equals N for channels with faithful invariant state
     for seed in (0, 1):
         c = random_unital_channel(3, 2, seed=seed)
-        inv = invariant_states(c)
-        p = peripheral_subalgebra(c, inv)
+        s, inv, p = spectral_stages(c)
         N = dfa(c)
         assert subspace_distance(p.reversible, N.subspace) < 1e-6
 
 
 def test_peripheral_pauli():
     c = pauli_channel()
-    inv = invariant_states(c)
-    p = peripheral_subalgebra(c, inv)
+    s, inv, p = spectral_stages(c)
     # XZ is a rotation by pi/2 up to phase: eigenvalues of the transfer on
     # the peripheral part are {1, -1}; span is {I, XZ}
     assert sorted(np.round(np.real(p.eigenvalues)).tolist()) == [-1, 1]
@@ -175,8 +207,7 @@ def test_peripheral_pauli():
 
 def test_peripheral_eigen_relations():
     c = random_unital_channel(4, 3, seed=13)
-    inv = invariant_states(c)
-    p = peripheral_subalgebra(c, inv)
+    s, inv, p = spectral_stages(c)
     for lam, Xm in zip(p.eigenvalues, p.eigenmatrices):
         assert abs(abs(lam) - 1) < 1e-7
         assert hs_norm(c.apply(Xm) - lam * Xm) < 1e-6 * hs_norm(Xm)
@@ -184,20 +215,16 @@ def test_peripheral_eigen_relations():
 
 def test_stable_subspace_decay():
     c = pauli_channel()
-    inv = invariant_states(c)
-    p = peripheral_subalgebra(c, inv)
-    Ms = stable_subspace(p)
-    assert Ms.dim + p.reversible.dim == 4
-    # elements of the stable part decay under iteration
+    s = spectrum(c.transfer)
+    assert s.peripheral + s.stable_dim == 4
+    # the stable part, the range of I - E_N, decays under iteration
     T50 = np.linalg.matrix_power(c.transfer, 50)
-    for b in Ms.basis:
-        assert hs_norm(unvec(T50 @ vec(b), 2)) < 1e-8
+    assert spectral_norm(T50 @ (np.eye(4) - s.e_n)) < 1e-8
 
 
 def test_expectation_onto_dfa_properties():
     c = random_unital_channel(3, 2, seed=2)
-    inv = invariant_states(c)
-    p = peripheral_subalgebra(c, inv)
+    s, inv, p = spectral_stages(c)
     E = expectation_onto_dfa(c, p, seed=1)
     assert spectral_norm(E.transfer @ E.transfer - E.transfer) < 1e-7
     assert np.allclose(E.apply(np.eye(3)), np.eye(3), atol=1e-8)
@@ -206,36 +233,44 @@ def test_expectation_onto_dfa_properties():
                          c.transfer @ E.transfer) < 1e-7
 
 
+def apply_transfer(T, X):
+    return unvec(T @ vec(X), X.shape[0])
+
+
 def test_cesaro_expectation_identity_channel():
     c = unitary_channel(np.eye(2))
-    E, disc = cesaro_expectation(c, fixed_points(c), max_n=64)
+    s = spectrum(c.transfer)
+    disc = cesaro_expectation(c, s, max_n=64)
     assert disc < 1e-10
-    assert np.allclose(E.transfer, np.eye(4), atol=1e-9)
+    assert np.allclose(s.e_f, np.eye(4), atol=1e-9)
 
 
 def test_cesaro_expectation_random():
     c = random_unital_channel(3, 3, seed=17)
-    E, disc = cesaro_expectation(c, fixed_points(c), max_n=10_000)
+    s = spectrum(c.transfer)
+    disc = cesaro_expectation(c, s, max_n=10_000)
     assert disc < 1e-6
     # E is idempotent onto F and trace-preserving at the invariant state
-    T = E.transfer
+    T = s.e_f
     assert spectral_norm(T @ T - T) < 1e-7
-    fp = fixed_points(c)
+    fp = fixed_points(s)
     for b in fp.subspace.basis:
-        assert hs_norm(E.apply(b) - b) < 1e-7
+        assert hs_norm(apply_transfer(T, b) - b) < 1e-7
     # ranges agree
     A = np.arange(9, dtype=complex).reshape(3, 3)
-    assert fp.subspace.residual(E.apply(A)) < 1e-7
+    assert fp.subspace.residual(apply_transfer(T, A)) < 1e-7
 
 
 def test_cesaro_expectation_pauli():
     # peripheral eigenvalue -1 present: root-of-unity-friendly averaging
     # lengths keep the Cesaro route convergent
     c = pauli_channel()
-    E, disc = cesaro_expectation(c, fixed_points(c), max_n=10_000)
+    s = spectrum(c.transfer)
+    disc = cesaro_expectation(c, s, max_n=10_000)
     assert disc < 1e-6
     A = np.array([[1, 2], [3, 4]], dtype=complex)
-    assert np.allclose(E.apply(A), np.trace(A) / 2 * I2, atol=1e-7)
+    assert np.allclose(apply_transfer(s.e_f, A), np.trace(A) / 2 * I2,
+                       atol=1e-7)
 
 
 @settings(max_examples=8, deadline=None)
@@ -243,10 +278,9 @@ def test_cesaro_expectation_pauli():
 def test_expectation_compatibility(seed, dim):
     # E_F = E_F o E_N: the fixed points sit inside N
     c = random_unital_channel(dim, 3, seed=seed)
-    inv = invariant_states(c)
-    p = peripheral_subalgebra(c, inv)
-    E_F, _ = cesaro_expectation(c, fixed_points(c), max_n=4096)
-    assert spectral_norm(E_F.transfer @ p.e_n_transfer - E_F.transfer) < 1e-6
+    s, inv, p = spectral_stages(c)
+    assert cesaro_expectation(c, s, max_n=4096) < 1e-6
+    assert spectral_norm(s.e_f @ p.e_n_transfer - s.e_f) < 1e-6
 
 
 def test_l2_structure_basic():
@@ -266,29 +300,27 @@ def test_l2_structure_needs_faithful():
 def test_l2_schwarz_contraction():
     # unital channels contract the rho-weighted L2 norm when rho is invariant
     c = random_unital_channel(3, 3, seed=23)
-    inv = invariant_states(c)
+    inv = invariant_states(c, spectrum(c.transfer))
     l2 = L2Structure.from_state(inv.rho_max)
     assert l2.map_norm(c.transfer) < 1 + 1e-9
 
 
 def test_decoherence_gap_pauli():
     c = pauli_channel()
-    inv = invariant_states(c)
-    p = peripheral_subalgebra(c, inv)
+    s, inv, p = spectral_stages(c)
     l2 = L2Structure.from_state(inv.rho_max)
     # XZ mixture sends the off-peripheral span {X, Z} to 0 in one step:
     # the stable part dies immediately, so both rates are infinite
-    rep = decoherence_gap(c, p, l2, max_n=10)
+    rep = decoherence_gap(c, s, l2, max_n=10)
     assert rep.finite_horizon == np.inf
     assert rep.uniform_bound
 
 
 def test_decoherence_gap_random():
     c = random_unital_channel(3, 3, seed=31)
-    inv = invariant_states(c)
-    p = peripheral_subalgebra(c, inv)
+    s, inv, p = spectral_stages(c)
     l2 = L2Structure.from_state(inv.rho_max)
-    rep = decoherence_gap(c, p, l2, max_n=30)
+    rep = decoherence_gap(c, s, l2, max_n=30)
     assert rep.finite_horizon > 0
     assert rep.asymptotic > 0
     # the finite-horizon rate never exceeds the asymptotic one by much;
@@ -334,10 +366,9 @@ def test_decoherence_gap_matches_powers(name):
         # corpus 40: two components, one-step norm 1 (rate 0)
         c = build_corpus(20240817)[31 if name == "cyclic-shift-3" else 40]
         assert c.label.startswith(name)
-    inv = invariant_states(c)
-    p = peripheral_subalgebra(c, inv)
+    s, inv, p = spectral_stages(c)
     l2 = L2Structure.from_state(inv.rho_max)
-    rep = decoherence_gap(c, p, l2)
+    rep = decoherence_gap(c, s, l2)
     ref = _finite_horizon_by_powers(c, p, l2, rep.horizon)
     assert rep.finite_horizon == pytest.approx(ref, rel=0, abs=1e-10)
     if name == "pauli-walk-3":
@@ -352,18 +383,16 @@ def test_gap_two_unitary_mixtures_have_no_uniform_bound():
                 if c.label.startswith("mixture") and c.label.endswith("-2")]
     assert len(mixtures) == 14
     for c in mixtures:
-        inv = invariant_states(c)
-        p = peripheral_subalgebra(c, inv)
-        rep = decoherence_gap(c, p, L2Structure.from_state(inv.rho_max))
+        s, inv, _ = spectral_stages(c)
+        rep = decoherence_gap(c, s, L2Structure.from_state(inv.rho_max))
         assert rep.finite_horizon == 0, c.label
         assert not rep.uniform_bound, c.label
 
 
 def test_gap_infinite_for_automorphism():
     c = unitary_channel(np.diag([1.0, np.exp(1j)]))
-    inv = invariant_states(c)
-    p = peripheral_subalgebra(c, inv)
+    s, inv, p = spectral_stages(c)
     l2 = L2Structure.from_state(inv.rho_max)
-    rep = decoherence_gap(c, p, l2, max_n=5)
+    rep = decoherence_gap(c, s, l2, max_n=5)
     assert rep.finite_horizon == np.inf
     assert rep.asymptotic == np.inf

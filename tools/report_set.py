@@ -1,0 +1,101 @@
+"""Write `chanstruct analyze` and `verify` reports on the standard case set.
+
+Usage::
+
+    python3 tools/report_set.py OUT_DIR
+
+For each input and each of the two commands, writes ``<stem>.json`` (the
+report, when the command wrote one) and ``<stem>.exit`` (its exit code)
+into OUT_DIR, the layout `tools/compare_reports.py` reads; the inputs
+themselves go to OUT_DIR/in.  The stem is ``<input>.<command>``.  The 164
+inputs, 328 cases:
+
+* the 52-channel corpora of seeds 20240817, 27 and 1, built by
+  `perfbench/inputs.py` (``s<seed>-cNN``);
+* the benchmark's two D=16 walks, ``nn-cycle-8`` and ``pauli-walk-8``;
+* six `chanstruct example` models: the Pauli walk with d=3 and d=4, the
+  cyclic shift with d=4 and with d=3 on local dimension 3, and the
+  nearest-neighbour cycle with n=4 (special basis) and n=6 (generic
+  unitary steps).
+
+The commands run in-process through `chanstruct.cli.main`, imported from
+the `src/` next to this script.  To compare two checkouts, run the script
+from each (copy it into the other checkout's `tools/` if it has none) and
+pass both output directories to `tools/compare_reports.py`.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+from chanstruct.cli import main as cli_main  # noqa: E402
+from perfbench import inputs  # noqa: E402
+
+CORPUS_SEEDS = (20240817, 27, 1)
+COMMANDS = ("analyze", "verify")
+EXAMPLES = {
+    "pauli-d3": ["pauli", "--d", "3"],
+    "pauli-d4": ["pauli", "--d", "4"],
+    "cyclic-shift-d4": ["cyclic-shift", "--d", "4"],
+    "cyclic-shift-d3-l3": ["cyclic-shift", "--d", "3", "--local-dim", "3"],
+    "nn-cycle-n4-special": ["nn-cycle", "--n", "4",
+                            "--preset", "special-basis"],
+    "nn-cycle-n6-generic": ["nn-cycle", "--n", "6",
+                            "--preset", "generic-unitary"],
+}
+
+
+def write_inputs(directory: Path) -> dict:
+    """Write every input as <name>.json under ``directory``; return
+    name -> path."""
+    payloads = {}
+    for seed in CORPUS_SEEDS:
+        payloads.update({f"s{seed}-{name}": data for name, data
+                         in inputs.corpus_json(seed).items()})
+    payloads.update(inputs.walks("full"))
+    paths = inputs.write_inputs(payloads, str(directory))
+    for name, argv in EXAMPLES.items():
+        path = directory / f"{name}.json"
+        cli_main(["example", *argv, "--output", str(path)])
+        paths[name] = str(path)
+    return paths
+
+
+def cases(paths: dict) -> list:
+    """(stem, argv without --output) for each command on each input."""
+    return [(f"{name}.{command}", [command, path])
+            for name, path in sorted(paths.items()) for command in COMMANDS]
+
+
+def run_case(stem: str, argv: list, out_dir: Path) -> int:
+    """Run one case; write <stem>.exit and, if made, <stem>.json."""
+    report = out_dir / f"{stem}.json"
+    code = cli_main([*argv, "--output", str(report)])
+    (out_dir / f"{stem}.exit").write_text(f"{code}\n")
+    return code
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        print("usage: report_set.py OUT_DIR", file=sys.stderr)
+        return 2
+    out_dir = Path(argv[0])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    codes = {}
+    for stem, case in cases(write_inputs(out_dir / "in")):
+        code = run_case(stem, case, out_dir)
+        codes[code] = codes.get(code, 0) + 1
+    print(json.dumps({"cases": sum(codes.values()),
+                      "exit_codes": {str(k): v
+                                     for k, v in sorted(codes.items())}}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
