@@ -49,9 +49,9 @@ class ChannelSpec:
         return spectral_norm(acc - np.eye(D))
 
     def apply(self, A: np.ndarray) -> np.ndarray:
-        """Phi(A) = sum_k V_k* A V_k."""
+        """Phi(A) = sum_k V_k* A V_k, of one matrix or of each in a stack."""
         A = np.asarray(A, dtype=complex)
-        if A.shape != (self.dim, self.dim):
+        if A.shape[-2:] != (self.dim, self.dim):
             raise DimensionMismatch(f"expected {(self.dim, self.dim)}, got {A.shape}")
         return sum(dagger(V) @ A @ V for V in self.kraus)
 

@@ -63,6 +63,7 @@ from chanstruct.structure import (
     decoherence_gap,
     dfa,
     fixed_points,
+    fixed_points_commutant,
     invariant_states,
     L2Structure,
     multiplicative_domain,
@@ -207,7 +208,7 @@ class Analysis:
 
     @cached_property
     def N(self):
-        return dfa(self.c, tol=self.tol, n_max=self.max_power)
+        return dfa(self.c, tol=self.tol, n_max=self.max_power, M=self.M)
 
     @cached_property
     def N_structure(self):
@@ -242,14 +243,12 @@ def _choi_min_eig(transfer: np.ndarray, dim: int) -> float:
 
 
 def _expectation_checks(name: str, E: np.ndarray, c: ChannelSpec):
-    """Idempotent / unital / CP / commutes-with-the-channel residuals."""
+    """Idempotent / unital / CP residuals."""
     D = c.dim
     yield (f"{name}-idempotent", spectral_norm(E @ E - E), 1e-7)
     yield (f"{name}-unital",
            hs_norm(unvec(E @ vec(np.eye(D)), D) - np.eye(D)), 1e-7)
     yield (f"{name}-cp", max(0.0, -_choi_min_eig(E, D)), 1e-7)
-    yield (f"{name}-commutes",
-           spectral_norm(E @ c.transfer - c.transfer @ E), 1e-7)
 
 
 def build_ledger(analysis: Analysis) -> list:
@@ -279,11 +278,16 @@ def build_ledger(analysis: Analysis) -> list:
         p = analysis.peripheral
         add("dfa-equals-peripheral-span",
             subspace_distance(N.subspace, p.reversible), 1e-6)
+        add("fixed-points-kraus-commutant",
+            subspace_distance(fixed_points_commutant(c, inv, tol).subspace,
+                              F.subspace), 1e-6)
         for item in _expectation_checks("e-n", p.e_n_transfer, c):
             add(*item)
-        s = analysis.spectrum
+        add("e-n-commutes", p.commutation_defect, 1e-7)
+        s, T = analysis.spectrum, c.transfer
         for item in _expectation_checks("e-f", s.e_f, c):
             add(*item)
+        add("e-f-commutes", spectral_norm(s.e_f @ T - T @ s.e_f), 1e-7)
         add("cesaro-vs-spectral", cesaro_expectation(c, s, max_n=10_000),
             1e-6)
 
@@ -360,8 +364,6 @@ def analyze(c: ChannelSpec, w: OqrwSpec | None, tol: Tolerances,
         }
 
     analysis = Analysis(c, w, tol, seed, max_power)
-    # M and N first: their commutant SVDs set the peak memory, which the
-    # spectrum's D^2 x D^2 projectors would otherwise add to
     M, N, F, inv = analysis.M, analysis.N, analysis.F, analysis.inv
     report["faithful"] = inv.faithful
     report["invariant_state"] = {

@@ -8,20 +8,24 @@ Conventions pinned here and used by every other module:
   ``<A, B> = trace(A* B)``, under which vec() is an isometry.
 * All equality decisions are relative spectral-norm tests against
   ``Tolerances.eq_tol``.
-* Every kernel (commutants, centers, the walk oracles) is decided by one
-  SVD of the folded constraint matrix in
+* Every kernel (commutants, centers, M, N, the walk oracles) is decided
+  by one SVD of the folded constraint matrix in
   :func:`kernel_coefficients`: singular values sigma <= rank_tol *
-  max(sigma_max, 1) span the kernel.  Spans keep the rows of one SVD with
-  sigma > rank_tol * sigma_max (:func:`span_basis`).  Intersections
-  restrict one subspace by its residual against the other
-  (:meth:`MatrixSubspace.restrict`), and distances compare the bases
-  (:func:`subspace_distance`), never forming D^2 x D^2 projectors.
+  max(sigma_max, 1) span the kernel.  :func:`gram_kernel` first keeps the
+  eigenvectors of a Gram matrix with lambda <= GRAM_CANDIDATE_CUTOFF *
+  max(lambda_max, 1); only the exact constraint on them decides.  Spans
+  keep the rows of one SVD with sigma > rank_tol * sigma_max
+  (:func:`span_basis`).  Intersections restrict one subspace by its
+  residual against the other (:meth:`MatrixSubspace.restrict`), and
+  distances compare the bases (:func:`subspace_distance`), never forming
+  D^2 x D^2 projectors.
 * Spectral projectors come from a sorted complex Schur form plus one
   Sylvester solve (:func:`sorted_schur`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,6 +229,22 @@ def reduce_span(mats, dim: int | None = None,
                 tol: Tolerances = DEFAULT_TOL) -> list[np.ndarray]:
     """Orthonormal basis (as a list) of the span of ``mats``."""
     return list(MatrixSubspace.from_span(mats, dim=dim, tol=tol).basis)
+
+
+GRAM_CANDIDATE_CUTOFF = 1e-6
+"""Stage-1 cutoff of :func:`gram_kernel` on Gram eigenvalues, which are
+squared singular values: far above rank_tol^2 and above eigh rounding."""
+
+
+def gram_kernel(G: np.ndarray, constraint,
+                tol: Tolerances = DEFAULT_TOL) -> MatrixSubspace:
+    """Kernel of a linear constraint on D x D matrices with Gram matrix G
+    (<vec A, G vec A> = ||constraint(A)||^2): the exact constraint
+    restricts the candidates from one eigh of G and alone decides."""
+    w, V = np.linalg.eigh(G)
+    candidates = V[:, w <= GRAM_CANDIDATE_CUTOFF * max(w[-1], 1.0)]
+    return MatrixSubspace.from_columns(candidates, math.isqrt(len(G))) \
+        .restrict([constraint], tol)
 
 
 def round_projector(P: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

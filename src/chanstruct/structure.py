@@ -22,9 +22,7 @@ from chanstruct.algebra import (
     ConditionalExpectation,
     OperatorAlgebra,
     atomic_structure,
-    commutant,
     extract_block_states,
-    restrict_to_commutant,
 )
 from chanstruct.channel import ChannelSpec
 from chanstruct.numerics import (
@@ -32,8 +30,8 @@ from chanstruct.numerics import (
     MatrixSubspace,
     Tolerances,
     dagger,
+    gram_kernel,
     hs_norm,
-    reduce_span,
     sorted_schur,
     spectral_norm,
     unvec,
@@ -109,12 +107,14 @@ class InvariantStateReport:
 
 @dataclass(frozen=True)
 class PeripheralData:
-    """Peripheral eigen-decomposition and the expectation onto N."""
+    """Peripheral eigen-decomposition and the expectation onto N, with its
+    commutation defect ||E_N T - T E_N||."""
 
     eigenvalues: tuple
     eigenmatrices: tuple
     e_n_transfer: np.ndarray
     reversible: MatrixSubspace
+    commutation_defect: float
 
     @property
     def dim(self) -> int:
@@ -242,13 +242,34 @@ def invariant_states(c: ChannelSpec, s: Spectrum,
                                 min_eigenvalue=min_eig)
 
 
+def kraus_gram(c: ChannelSpec, image, quadratic: np.ndarray):
+    """(G, constraint) of {B : B V_k = V_k x(B), V_k* B = x(B) V_k* for all
+    k}, x = ``image`` (on a stack of matrices).  The constraint stacks
+    both residuals; Phi being unital, <vec B, G vec B> is their summed
+    squared HS norm for G = R^T (x) I + I (x) R + ``quadratic``, with
+    R = sum_k V_k V_k* and quadratic = 2 X* X - 2 (T* X + X* T), X the
+    transfer matrix of x."""
+    V = np.stack(c.kraus)
+    Vh = V.conj().transpose(0, 2, 1)
+    R, eye = np.einsum("kab,kcb->ac", V, V.conj()), np.eye(c.dim)
+
+    def constraint(B):
+        B, xB = B[:, None], image(B)[:, None]
+        return np.stack([B @ V - V @ xB, Vh @ B - xB @ Vh], axis=1)
+
+    return np.kron(R.T, eye) + np.kron(eye, R) + quadratic, constraint
+
+
 def fixed_points_commutant(c: ChannelSpec, inv: InvariantStateReport,
                            tol: Tolerances = DEFAULT_TOL) -> OperatorAlgebra:
-    """F as the commutant of the Kraus operators (faithful case only)."""
+    """F as the commutant {V_k, V_k*}' of the Kraus operators (faithful
+    case only): the Gram kernel of :func:`kraus_gram` with x = id."""
     if not inv.faithful:
         raise NoFaithfulInvariantState(
             "commutant formula for F needs a faithful invariant state")
-    return commutant(list(c.kraus), dim=c.dim, tol=tol)
+    T = c.transfer
+    return OperatorAlgebra(gram_kernel(*kraus_gram(
+        c, lambda B: B, 2 * (np.eye(len(T)) - T - dagger(T))), tol))
 
 
 def is_irreducible(s: Spectrum, inv: InvariantStateReport) -> bool:
@@ -265,57 +286,49 @@ def is_irreducible(s: Spectrum, inv: InvariantStateReport) -> bool:
 
 def multiplicative_domain(c: ChannelSpec,
                           tol: Tolerances = DEFAULT_TOL) -> OperatorAlgebra:
-    """M = commutant of {V_j V_k*}, re-verified on the definitional test."""
-    gens = [Vj @ dagger(Vk) for Vj in c.kraus for Vk in c.kraus]
-    M = commutant(gens, dim=c.dim, tol=tol)
+    """M = {A : Phi(A* A) = Phi(A)* Phi(A), Phi(A A*) = Phi(A) Phi(A)*}, the
+    A with A V_k = V_k Phi(A) and V_k* A = Phi(A) V_k* for all k (by Choi's
+    theorem the commutant {V_j V_k*}'): the Gram kernel of
+    :func:`kraus_gram` with x = Phi, re-verified on the definitional test.
+    """
+    T = c.transfer
+    M = OperatorAlgebra(gram_kernel(*kraus_gram(c, c.apply,
+                                                -2 * dagger(T) @ T), tol))
     for b in M.basis:
         lhs = c.apply(dagger(b) @ b)
         rhs = dagger(c.apply(b)) @ c.apply(b)
         if spectral_norm(lhs - rhs) > 100 * tol.eq_tol:
             raise RuntimeError(
-                "commutant route disagrees with the multiplicativity test")
+                "Gram-kernel route disagrees with the multiplicativity test")
     return M
 
 
-def kraus_word_basis(c: ChannelSpec, n: int,
-                     tol: Tolerances = DEFAULT_TOL) -> list:
-    """Orthonormal basis of the span of length-n Kraus words."""
-    basis = reduce_span(list(c.kraus), dim=c.dim, tol=tol)
-    for _ in range(n - 1):
-        basis = reduce_span([V @ B for V in c.kraus for B in basis],
-                            dim=c.dim, tol=tol)
-    return basis
-
-
-def _word_generators(word_basis, dim, tol):
-    return reduce_span([b @ dagger(w) for b in word_basis for w in word_basis],
-                       dim=dim, tol=tol)
-
-
 def dfa(c: ChannelSpec, tol: Tolerances = DEFAULT_TOL,
-        n_max: int | None = None) -> OperatorAlgebra:
+        n_max: int | None = None,
+        M: OperatorAlgebra | None = None) -> OperatorAlgebra:
     """N = intersection of the multiplicative domains of all powers.
 
-    Computed as the commutant of n-step Kraus words against their
-    adjoints, intersected over n until the dimension stabilizes.
+    For A in M(Phi), Kadison-Schwarz gives Phi^2(A* A) = Phi(Phi(A)* Phi(A))
+    >= Phi^2(A)* Phi^2(A), with equality iff Phi(A) is in M(Phi) (so too for
+    A A*).  So C_m = M(Phi) ∩ ... ∩ M(Phi^m) = {A : Phi^j(A) in M, j < m}:
+    C_1 = M (``M``, computed if not given) and C_{m+1} = {A in C_m :
+    Phi(A) in C_m}, one linear restriction per power and no Kraus words.
+    The chain stops when the dimension repeats (C_m is then Phi-invariant)
+    or is <= 1, and raises NoStabilization past power ``n_max`` (D^2).
     """
-    D = c.dim
-    cap = n_max if n_max is not None else D * D
-    current = alg_mod.full_algebra(D).subspace
-    words = reduce_span(list(c.kraus), dim=D, tol=tol)
-    prev_dim = None
-    for n in range(1, cap + 1):
-        gens = _word_generators(words, D, tol)
-        current = restrict_to_commutant(current, gens, tol=tol)
-        if prev_dim is not None and current.dim == prev_dim:
-            return OperatorAlgebra(current)
-        if current.dim <= 1:
-            return OperatorAlgebra(current)
-        prev_dim = current.dim
-        words = reduce_span([V @ B for V in c.kraus for B in words],
-                            dim=D, tol=tol)
-    raise NoStabilization(
-        f"multiplicative-domain chain still at dim {current.dim} after n={cap}")
+    cap = n_max if n_max is not None else c.dim ** 2
+    current = (M if M is not None else multiplicative_domain(c, tol)).subspace
+    power = 1
+    while current.dim > 1:
+        if power == cap:
+            raise NoStabilization(f"multiplicative-domain chain still at "
+                                  f"dim {current.dim} after n={cap}")
+        prev, power = current.dim, power + 1
+        current = current.restrict(
+            [lambda B, S=current: (X := c.apply(B)) - S.project(X)], tol)
+        if current.dim == prev:
+            break
+    return OperatorAlgebra(current)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +364,8 @@ def peripheral_subalgebra(c: ChannelSpec, inv: InvariantStateReport,
             f"expectation fails to commute with the channel: {comm_defect:.3e}")
     return PeripheralData(eigenvalues=tuple(w), eigenmatrices=tuple(mats),
                           e_n_transfer=E,
-                          reversible=MatrixSubspace.from_columns(s.z1, c.dim))
+                          reversible=MatrixSubspace.from_columns(s.z1, c.dim),
+                          commutation_defect=comm_defect)
 
 
 def expectation_onto_dfa(c: ChannelSpec, p: PeripheralData,

@@ -1,13 +1,22 @@
 import numpy as np
 import pytest
 
+from chanstruct.algebra import (
+    OperatorAlgebra,
+    commutant,
+    full_algebra,
+    restrict_to_commutant,
+)
 from chanstruct.channel import from_kraus
 from chanstruct.numerics import (
     DEFAULT_TOL,
     MatrixSubspace,
     Tolerances,
+    dagger,
     kernel_coefficients,
+    reduce_span,
 )
+from chanstruct.structure import NoStabilization
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -23,6 +32,51 @@ def kernel_basis(L, tol=DEFAULT_TOL):
     n = L.shape[1]
     return MatrixSubspace.from_columns(kernel_coefficients([L], n, tol),
                                        int(round(np.sqrt(n))))
+
+
+def kraus_word_basis(c, n, tol=DEFAULT_TOL):
+    """Orthonormal basis of the span of length-n Kraus words."""
+    basis = reduce_span(list(c.kraus), dim=c.dim, tol=tol)
+    for _ in range(n - 1):
+        basis = reduce_span([V @ B for V in c.kraus for B in basis],
+                            dim=c.dim, tol=tol)
+    return basis
+
+
+def word_route_multiplicative_domain(c, tol=DEFAULT_TOL):
+    """Oracle for M: the commutant of the K^2 generators V_j V_k*."""
+    return commutant([Vj @ dagger(Vk) for Vj in c.kraus for Vk in c.kraus],
+                     dim=c.dim, tol=tol)
+
+
+def word_route_dfa(c, tol=DEFAULT_TOL, n_max=None):
+    """Oracle for N: the commutants of the products w w'* of n-step Kraus
+    words, intersected over n = 1, 2, ... until the dimension repeats or
+    falls to 1, at most n_max (default D^2) steps."""
+    D = c.dim
+    cap = n_max if n_max is not None else D * D
+    current = full_algebra(D).subspace
+    words = reduce_span(list(c.kraus), dim=D, tol=tol)
+    prev_dim = None
+    for n in range(1, cap + 1):
+        gens = reduce_span([b @ dagger(w) for b in words for w in words],
+                           dim=D, tol=tol)
+        current = restrict_to_commutant(current, gens, tol=tol)
+        if current.dim == prev_dim or current.dim <= 1:
+            return OperatorAlgebra(current)
+        prev_dim = current.dim
+        words = reduce_span([V @ B for V in c.kraus for B in words],
+                            dim=D, tol=tol)
+    raise NoStabilization(f"word chain still at dim {current.dim} after "
+                          f"n={cap}")
+
+
+def dephasing_mixture(eps):
+    """Phi = (1 - p) id + p Ad_Z with p = eps / 2: the eigenvalue 1 - eps
+    of T twice, so near the peripheral band for small eps."""
+    p = eps / 2
+    return from_kraus([np.sqrt(1 - p) * np.eye(2), np.sqrt(p) * Z],
+                      label=f"dephasing-{eps:g}")
 
 
 def amplitude_damping(gamma=0.3):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from chanstruct.algebra import center
-from chanstruct.channel import from_kraus, matrix_from_json, matrix_to_json
+from chanstruct.channel import matrix_from_json, matrix_to_json
 from chanstruct.cli import (
     _choi_min_eig,
     Analysis,
@@ -17,7 +17,7 @@ from chanstruct.cli import (
 )
 from chanstruct.numerics import Tolerances
 from chanstruct.structure import dfa, fixed_points, invariant_states, spectrum
-from tests.conftest import Z, amplitude_damping
+from tests.conftest import Z, amplitude_damping, dephasing_mixture
 from tests.test_acceptance import _choi_min_eig as choi_min_eig_by_units
 from tests.test_acceptance import build_corpus
 
@@ -174,8 +174,7 @@ def test_one_band_rule_for_every_spectral_stage(eps, tmp_path, capsys):
     # Phi = (1 - p) id + p Ad_Z has the eigenvalue 1 - eps twice, at the
     # edge of the peripheral band for eps near 1e-7; F, the invariant
     # states, E_F and E_N must still agree on which eigenvalues are 1
-    p = eps / 2
-    c = from_kraus([np.sqrt(1 - p) * np.eye(2), np.sqrt(p) * Z])
+    c = dephasing_mixture(eps)
     s = spectrum(c.transfer)
     rank_f = np.linalg.matrix_rank(s.e_f)
     assert fixed_points(s).dim == invariant_states(c, s).basis.dim == rank_f

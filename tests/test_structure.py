@@ -4,8 +4,12 @@ from hypothesis import given, settings, strategies as st
 
 from chanstruct.channel import from_kraus
 from chanstruct.numerics import (
+    GRAM_CANDIDATE_CUTOFF,
+    MatrixSubspace,
     dagger,
+    gram_kernel,
     hs_norm,
+    random_unitary,
     spectral_norm,
     subspace_distance,
     unvec,
@@ -14,6 +18,7 @@ from chanstruct.numerics import (
 from chanstruct.structure import (
     L2Structure,
     NoFaithfulInvariantState,
+    NoStabilization,
     cesaro_expectation,
     decoherence_gap,
     dfa,
@@ -22,13 +27,24 @@ from chanstruct.structure import (
     fixed_points_commutant,
     invariant_states,
     is_irreducible,
-    kraus_word_basis,
+    kraus_gram,
     multiplicative_domain,
     peripheral_subalgebra,
     spectrum,
 )
 from chanstruct.oqrw import builder_nn_cycle, builder_pauli_walk, to_channel
-from tests.conftest import I2, X, Y, Z, amplitude_damping, kernel_basis
+from tests.conftest import (
+    I2,
+    X,
+    Y,
+    Z,
+    amplitude_damping,
+    dephasing_mixture,
+    kernel_basis,
+    kraus_word_basis,
+    word_route_dfa,
+    word_route_multiplicative_domain,
+)
 from tests.test_acceptance import build_corpus
 
 
@@ -158,6 +174,110 @@ def test_kraus_word_basis_growth():
     c = pauli_channel()
     assert len(kraus_word_basis(c, 1)) == 2        # X, Z
     assert len(kraus_word_basis(c, 2)) == 2        # I, XZ (up to phase)
+
+
+def _nn_cycle(n):
+    L_minus = np.diag([np.sqrt(0.3), np.sqrt(0.7)])
+    L_plus = np.array([[0, np.sqrt(0.3)], [np.sqrt(0.7), 0]])
+    return to_channel(builder_nn_cycle(n, L_plus, L_minus))
+
+
+def test_gram_routes_match_word_oracle():
+    # M and N from the Gram kernel and the invariant chain against the
+    # commutants of Kraus-word products, including the dephasing mixture
+    # at and inside the peripheral band and a non-faithful channel
+    channels = build_corpus(20240817) + [
+        _nn_cycle(4), to_channel(builder_pauli_walk(3, 0.5)),
+        *(dephasing_mixture(eps) for eps in (1e-3, 1e-7, 5e-8, 1e-10)),
+        amplitude_damping(), unitary_channel(np.eye(3))]
+    for c in channels:
+        M = multiplicative_domain(c)
+        N = dfa(c, M=M)
+        for new, old in ((M, word_route_multiplicative_domain(c)),
+                         (N, word_route_dfa(c))):
+            assert new.dim == old.dim, c.label
+            assert subspace_distance(new.subspace, old.subspace) <= 1e-10, \
+                c.label
+
+
+def _grams(c):
+    """(G, constraint) of M (x = Phi) and of {V_k, V_k*}' (x = id)."""
+    T = c.transfer
+    return (kraus_gram(c, c.apply, -2 * dagger(T) @ T),
+            kraus_gram(c, lambda B: B, 2 * (np.eye(len(T)) - T - dagger(T))))
+
+
+def test_gram_identities():
+    # <vec A, G vec A> is the summed squared norm of the exact constraints
+    rng = np.random.default_rng(3)
+    for c in (pauli_channel(), random_unital_channel(3, 3, seed=4),
+              to_channel(builder_pauli_walk(3, 0.5))):
+        A = rng.standard_normal((5, c.dim, c.dim)) \
+            + 1j * rng.standard_normal((5, c.dim, c.dim))
+        for G, constraint in _grams(c):
+            quad = np.einsum("ki,ij,kj->k", A.transpose(0, 2, 1).reshape(
+                5, -1).conj(), G, A.transpose(0, 2, 1).reshape(5, -1))
+            norms = np.sum(np.abs(constraint(A).reshape(5, -1)) ** 2, axis=1)
+            assert np.allclose(quad, norms, rtol=1e-12, atol=1e-12), c.label
+
+
+def test_gram_stage_two_decides():
+    # at eps = 1e-7 the off-diagonal units violate the constraints by
+    # lambda ~ 4 eps, inside the stage-1 cutoff but with sigma ~ 6e-4 far
+    # above rank_tol: stage 1 admits them, the exact constraints drop them
+    c = dephasing_mixture(1e-7)
+    G, constraint = _grams(c)[0]
+    lam = np.linalg.eigvalsh(G)
+    assert np.sum(lam <= GRAM_CANDIDATE_CUTOFF * max(lam[-1], 1)) == 4
+    assert gram_kernel(G, constraint).dim == multiplicative_domain(c).dim == 2
+
+
+def _smallest_stabilising_power(route, c):
+    for n in range(1, c.dim ** 2 + 1):
+        try:
+            route(c, n)
+        except NoStabilization:
+            continue
+        return n
+
+
+def test_smallest_stabilising_power_matches_oracle():
+    for c in build_corpus(20240817):
+        M = multiplicative_domain(c)
+        assert _smallest_stabilising_power(
+            lambda c, n: dfa(c, n_max=n, M=M), c) == \
+            _smallest_stabilising_power(
+                lambda c, n: word_route_dfa(c, n_max=n), c), c.label
+
+
+_METAMORPHIC_CHANNELS = build_corpus(27)[::3] + [_nn_cycle(3)]
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(range(len(_METAMORPHIC_CHANNELS))),
+       st.integers(0, 10_000), st.integers(0, 2))
+def test_m_and_n_under_kraus_freedom_and_conjugation(index, seed, padding):
+    # V'_i = sum_j u_ij V_j, padded with zero operators, is the same
+    # channel; V'_k = U* V_k U is Phi'(A) = U* Phi(U A U*) U, whose M and
+    # N are U* M U and U* N U
+    c = _METAMORPHIC_CHANNELS[index]
+    rng = np.random.default_rng(seed)
+    K, D = len(c.kraus), c.dim
+    u = random_unitary(K + padding, rng)
+    padded = list(c.kraus) + [np.zeros((D, D))] * padding
+    mixed = from_kraus([sum(u[i, j] * V for j, V in enumerate(padded))
+                        for i in range(K + padding)])
+    U = random_unitary(D, rng)
+    conjugated = from_kraus([dagger(U) @ V @ U for V in c.kraus])
+    M = multiplicative_domain(c)
+    N = dfa(c, M=M)
+    for a, b in ((M, multiplicative_domain(mixed)), (N, dfa(mixed))):
+        assert subspace_distance(a.subspace, b.subspace) <= 1e-9, c.label
+    moved = [dagger(U) @ M.basis @ U, dagger(U) @ N.basis @ U]
+    for basis, alg in zip(moved, (multiplicative_domain(conjugated),
+                                   dfa(conjugated))):
+        assert subspace_distance(MatrixSubspace(D, basis),
+                                 alg.subspace) <= 1e-9, c.label
 
 
 def test_dfa_unitary_is_full():

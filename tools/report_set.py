@@ -7,8 +7,8 @@ Usage::
 For each input and each of the two commands, writes ``<stem>.json`` (the
 report, when the command wrote one) and ``<stem>.exit`` (its exit code)
 into OUT_DIR, the layout `tools/compare_reports.py` reads; the inputs
-themselves go to OUT_DIR/in.  The stem is ``<input>.<command>``.  The 164
-inputs, 328 cases:
+themselves go to OUT_DIR/in.  The stem is ``<input>.<command>``.  The 170
+inputs, 340 cases:
 
 * the 52-channel corpora of seeds 20240817, 27 and 1, built by
   `perfbench/inputs.py` (``s<seed>-cNN``);
@@ -16,7 +16,12 @@ inputs, 328 cases:
 * six `chanstruct example` models: the Pauli walk with d=3 and d=4, the
   cyclic shift with d=4 and with d=3 on local dimension 3, and the
   nearest-neighbour cycle with n=4 (special basis) and n=6 (generic
-  unitary steps).
+  unitary steps);
+* the dephasing mixture Phi = (1 - p) id + p Ad_Z with eps = 2p in
+  {1e-3, 1e-5, 1e-7, 5e-8, 1e-9}, whose eigenvalue 1 - eps crosses the
+  edge of the peripheral band (``dephasing-<eps>``), and amplitude
+  damping with gamma = 0.3, which has no faithful invariant state
+  (``amplitude-damping-0.3``).
 
 The commands run in-process through `chanstruct.cli.main`, imported from
 the `src/` next to this script.  To compare two checkouts, run the script
@@ -30,9 +35,12 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
+from chanstruct.channel import channel_to_json, from_kraus  # noqa: E402
 from chanstruct.cli import main as cli_main  # noqa: E402
 from perfbench import inputs  # noqa: E402
 
@@ -48,6 +56,22 @@ EXAMPLES = {
     "nn-cycle-n6-generic": ["nn-cycle", "--n", "6",
                             "--preset", "generic-unitary"],
 }
+DEPHASING_EPS = (1e-3, 1e-5, 1e-7, 5e-8, 1e-9)
+DAMPING_GAMMA = 0.3
+
+
+def kraus_channels() -> dict:
+    """The dephasing mixtures and the amplitude-damping channel, as
+    channel JSON keyed by input name."""
+    Z = np.diag([1.0, -1.0])
+    kraus = {f"dephasing-{eps:g}": [np.sqrt(1 - eps / 2) * np.eye(2),
+                                    np.sqrt(eps / 2) * Z]
+             for eps in DEPHASING_EPS}
+    g = DAMPING_GAMMA
+    kraus[f"amplitude-damping-{g:g}"] = [np.diag([1.0, np.sqrt(1 - g)]),
+                                         np.array([[0, np.sqrt(g)], [0, 0]])]
+    return {name: channel_to_json(from_kraus(ops, label=name))
+            for name, ops in kraus.items()}
 
 
 def write_inputs(directory: Path) -> dict:
@@ -58,6 +82,7 @@ def write_inputs(directory: Path) -> dict:
         payloads.update({f"s{seed}-{name}": data for name, data
                          in inputs.corpus_json(seed).items()})
     payloads.update(inputs.walks("full"))
+    payloads.update(kraus_channels())
     paths = inputs.write_inputs(payloads, str(directory))
     for name, argv in EXAMPLES.items():
         path = directory / f"{name}.json"
