@@ -18,6 +18,7 @@ from chanstruct.numerics import (
     Tolerances,
     dagger,
     fix_global_phase,
+    gram_kernel,
     hs_norm,
     range_isometry,
     reduce_span,
@@ -88,8 +89,23 @@ def restrict_to_commutant(sub: MatrixSubspace, ops,
                          B @ S - S @ B for S in ops), tol)
 
 
+def commutator_gram(gens, dim: int):
+    """(G, constraint) of the commutators with ``gens`` and their adjoints
+    W: <vec A, G vec A> = sum_W ||[A, W]||^2 for any generators, with
+    G = S^T (x) I + I (x) S - 2 (X + X*), S = sum_W W* W and X the
+    transfer matrix of A -> sum_g g A g*."""
+    g = np.asarray(gens, dtype=complex).reshape(-1, dim, dim)
+    W = np.concatenate([g, g.conj().transpose(0, 2, 1)])
+    S, eye = np.einsum("kba,kbc->ac", W.conj(), W), np.eye(dim)
+    X = np.tensordot(g.conj(), g, (0, 0)).transpose(0, 2, 1, 3) \
+        .reshape(dim * dim, dim * dim)
+    G = np.kron(S.T, eye) + np.kron(eye, S) - 2 * (X + dagger(X))
+    return G, lambda B: B[:, None] @ W - W @ B[:, None]
+
+
 def commutant(gens, dim=None, tol: Tolerances = DEFAULT_TOL) -> OperatorAlgebra:
-    """{A : AS = SA, AS* = S*A for all generators S}; a unital *-algebra."""
+    """{A : AS = SA, AS* = S*A for all generators S}; a unital *-algebra:
+    the Gram kernel of :func:`commutator_gram`."""
     gens = [np.asarray(g, dtype=complex) for g in gens]
     if dim is None:
         if not gens:
@@ -98,9 +114,7 @@ def commutant(gens, dim=None, tol: Tolerances = DEFAULT_TOL) -> OperatorAlgebra:
     for g in gens:
         if g.shape != (dim, dim):
             raise DimensionMismatch(f"generator shape {g.shape} != {(dim, dim)}")
-    ops = reduce_span(gens + [dagger(g) for g in gens], dim=dim, tol=tol)
-    sub = restrict_to_commutant(full_algebra(dim).subspace, ops, tol=tol)
-    return OperatorAlgebra(sub)
+    return OperatorAlgebra(gram_kernel(*commutator_gram(gens, dim), tol))
 
 
 def generated_algebra(gens, dim=None, tol: Tolerances = DEFAULT_TOL,

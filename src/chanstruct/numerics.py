@@ -118,20 +118,22 @@ def kernel_coefficients(blocks, k: int,
     """Orthonormal k x r columns spanning the joint kernel of a constraint
     matrix with k columns, given as a stream of row blocks.
 
-    Blocks are folded into a k x k triangular factor R with one QR per
-    ``KERNEL_FOLD_ROWS`` rows; one SVD of R then decides the kernel on all
-    constraints together: sigma <= rank_tol * max(sigma_max, 1).  The
-    constraints come from operators of norm O(1); the floor of 1 keeps
-    constraints that all hold (a numerically zero matrix) from reading as
-    full rank.
+    Blocks, cut to at most ``KERNEL_FOLD_ROWS`` rows (one tall QR is
+    slower than several short ones), are folded into a k x k triangular
+    factor R with one QR per ``KERNEL_FOLD_ROWS`` rows; one SVD of R then
+    decides the kernel on all constraints together: sigma <= rank_tol *
+    max(sigma_max, 1).  The constraints come from operators of norm O(1);
+    the floor of 1 keeps constraints that all hold (a numerically zero
+    matrix) from reading as full rank.
     """
     if k == 0:
         return np.zeros((0, 0), dtype=complex)
     R = np.zeros((k, k), dtype=complex)
     pending, rows = [], 0
-    for block in blocks:
-        pending.append(block)
-        rows += block.shape[0]
+    for chunk in (b[i:i + KERNEL_FOLD_ROWS] for b in blocks
+                  for i in range(0, b.shape[0], KERNEL_FOLD_ROWS)):
+        pending.append(chunk)
+        rows += chunk.shape[0]
         if rows >= KERNEL_FOLD_ROWS:
             R = np.linalg.qr(np.vstack([R, *pending]), mode="r")
             pending, rows = [], 0

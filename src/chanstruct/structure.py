@@ -30,7 +30,6 @@ from chanstruct.numerics import (
     MatrixSubspace,
     Tolerances,
     dagger,
-    gram_kernel,
     hs_norm,
     sorted_schur,
     spectral_norm,
@@ -242,34 +241,14 @@ def invariant_states(c: ChannelSpec, s: Spectrum,
                                 min_eigenvalue=min_eig)
 
 
-def kraus_gram(c: ChannelSpec, image, quadratic: np.ndarray):
-    """(G, constraint) of {B : B V_k = V_k x(B), V_k* B = x(B) V_k* for all
-    k}, x = ``image`` (on a stack of matrices).  The constraint stacks
-    both residuals; Phi being unital, <vec B, G vec B> is their summed
-    squared HS norm for G = R^T (x) I + I (x) R + ``quadratic``, with
-    R = sum_k V_k V_k* and quadratic = 2 X* X - 2 (T* X + X* T), X the
-    transfer matrix of x."""
-    V = np.stack(c.kraus)
-    Vh = V.conj().transpose(0, 2, 1)
-    R, eye = np.einsum("kab,kcb->ac", V, V.conj()), np.eye(c.dim)
-
-    def constraint(B):
-        B, xB = B[:, None], image(B)[:, None]
-        return np.stack([B @ V - V @ xB, Vh @ B - xB @ Vh], axis=1)
-
-    return np.kron(R.T, eye) + np.kron(eye, R) + quadratic, constraint
-
-
 def fixed_points_commutant(c: ChannelSpec, inv: InvariantStateReport,
                            tol: Tolerances = DEFAULT_TOL) -> OperatorAlgebra:
     """F as the commutant {V_k, V_k*}' of the Kraus operators (faithful
-    case only): the Gram kernel of :func:`kraus_gram` with x = id."""
+    case only)."""
     if not inv.faithful:
         raise NoFaithfulInvariantState(
             "commutant formula for F needs a faithful invariant state")
-    T = c.transfer
-    return OperatorAlgebra(gram_kernel(*kraus_gram(
-        c, lambda B: B, 2 * (np.eye(len(T)) - T - dagger(T))), tol))
+    return alg_mod.commutant(c.kraus, dim=c.dim, tol=tol)
 
 
 def is_irreducible(s: Spectrum, inv: InvariantStateReport) -> bool:
@@ -286,20 +265,18 @@ def is_irreducible(s: Spectrum, inv: InvariantStateReport) -> bool:
 
 def multiplicative_domain(c: ChannelSpec,
                           tol: Tolerances = DEFAULT_TOL) -> OperatorAlgebra:
-    """M = {A : Phi(A* A) = Phi(A)* Phi(A), Phi(A A*) = Phi(A) Phi(A)*}, the
-    A with A V_k = V_k Phi(A) and V_k* A = Phi(A) V_k* for all k (by Choi's
-    theorem the commutant {V_j V_k*}'): the Gram kernel of
-    :func:`kraus_gram` with x = Phi, re-verified on the definitional test.
-    """
-    T = c.transfer
-    M = OperatorAlgebra(gram_kernel(*kraus_gram(c, c.apply,
-                                                -2 * dagger(T) @ T), tol))
+    """M = {A : Phi(A* A) = Phi(A)* Phi(A), Phi(A A*) = Phi(A) Phi(A)*}: by
+    Choi's theorem the commutant {V_j V_k*}' (the pairs j <= k; their
+    adjoints are the rest), re-verified on the definitional test."""
+    V = c.kraus
+    M = alg_mod.commutant([V[j] @ dagger(V[k]) for j in range(len(V))
+                           for k in range(j, len(V))], dim=c.dim, tol=tol)
     for b in M.basis:
         lhs = c.apply(dagger(b) @ b)
         rhs = dagger(c.apply(b)) @ c.apply(b)
         if spectral_norm(lhs - rhs) > 100 * tol.eq_tol:
             raise RuntimeError(
-                "Gram-kernel route disagrees with the multiplicativity test")
+                "commutant route disagrees with the multiplicativity test")
     return M
 
 

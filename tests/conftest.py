@@ -3,11 +3,9 @@ import pytest
 
 from chanstruct.algebra import (
     OperatorAlgebra,
-    commutant,
     full_algebra,
     restrict_to_commutant,
 )
-from chanstruct.channel import from_kraus
 from chanstruct.numerics import (
     DEFAULT_TOL,
     MatrixSubspace,
@@ -17,6 +15,7 @@ from chanstruct.numerics import (
     reduce_span,
 )
 from chanstruct.structure import NoStabilization
+from tools.report_set import amplitude_damping, dephasing_mixture  # noqa: F401
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -43,10 +42,20 @@ def kraus_word_basis(c, n, tol=DEFAULT_TOL):
     return basis
 
 
+def svd_route_commutant(gens, dim, tol=DEFAULT_TOL):
+    """Oracle for commutants: every D x D matrix unit restricted by the
+    commutators with an orthonormal basis of the span of the generators
+    and their adjoints, decided by one SVD."""
+    ops = reduce_span(list(gens) + [dagger(g) for g in gens], dim=dim,
+                      tol=tol)
+    return OperatorAlgebra(restrict_to_commutant(full_algebra(dim).subspace,
+                                                 ops, tol=tol))
+
+
 def word_route_multiplicative_domain(c, tol=DEFAULT_TOL):
     """Oracle for M: the commutant of the K^2 generators V_j V_k*."""
-    return commutant([Vj @ dagger(Vk) for Vj in c.kraus for Vk in c.kraus],
-                     dim=c.dim, tol=tol)
+    return svd_route_commutant(
+        [Vj @ dagger(Vk) for Vj in c.kraus for Vk in c.kraus], c.dim, tol)
 
 
 def word_route_dfa(c, tol=DEFAULT_TOL, n_max=None):
@@ -69,22 +78,6 @@ def word_route_dfa(c, tol=DEFAULT_TOL, n_max=None):
                             dim=D, tol=tol)
     raise NoStabilization(f"word chain still at dim {current.dim} after "
                           f"n={cap}")
-
-
-def dephasing_mixture(eps):
-    """Phi = (1 - p) id + p Ad_Z with p = eps / 2: the eigenvalue 1 - eps
-    of T twice, so near the peripheral band for small eps."""
-    p = eps / 2
-    return from_kraus([np.sqrt(1 - p) * np.eye(2), np.sqrt(p) * Z],
-                      label=f"dephasing-{eps:g}")
-
-
-def amplitude_damping(gamma=0.3):
-    """Decay of |1> to |0>; its only invariant state is |0><0|, so it has
-    no faithful one."""
-    return from_kraus([np.diag([1.0, np.sqrt(1 - gamma)]),
-                       np.array([[0, np.sqrt(gamma)], [0, 0]])],
-                      label="amplitude-damping")
 
 
 @pytest.fixture

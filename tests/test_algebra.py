@@ -18,7 +18,7 @@ from chanstruct.numerics import (
     dagger,
     subspace_distance,
 )
-from tests.conftest import I2, X, Y, Z
+from tests.conftest import I2, X, Y, Z, svd_route_commutant
 
 
 def test_commutant_examples():
@@ -26,6 +26,23 @@ def test_commutant_examples():
     diag = commutant([np.diag([1.0, 2.0])])
     assert diag.dim == 2
     assert commutant([X, Z]).dim == 1
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 10_000), st.integers(2, 5), st.integers(1, 3))
+def test_commutant_matches_svd_route(seed, dim, ngens):
+    # block-diagonal generators (a nontrivial commutant) at mixed scales,
+    # not closed under adjoints, next to the dense-SVD oracle
+    rng = np.random.default_rng(seed)
+    cut = rng.integers(1, dim)
+    gens = []
+    for scale in 10.0 ** rng.integers(-3, 3, ngens):
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        g[:cut, cut:] = g[cut:, :cut] = 0
+        gens.append(scale * g)
+    new, old = commutant(gens), svd_route_commutant(gens, dim)
+    assert new.dim == old.dim
+    assert subspace_distance(new.subspace, old.subspace) < 1e-10
 
 
 def test_generated_algebra_examples():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chanstruct.algebra import commutator_gram
 from chanstruct.channel import from_kraus
 from chanstruct.numerics import (
     GRAM_CANDIDATE_CUTOFF,
@@ -27,7 +28,6 @@ from chanstruct.structure import (
     fixed_points_commutant,
     invariant_states,
     is_irreducible,
-    kraus_gram,
     multiplicative_domain,
     peripheral_subalgebra,
     spectrum,
@@ -200,21 +200,19 @@ def test_gram_routes_match_word_oracle():
                 c.label
 
 
-def _grams(c):
-    """(G, constraint) of M (x = Phi) and of {V_k, V_k*}' (x = id)."""
-    T = c.transfer
-    return (kraus_gram(c, c.apply, -2 * dagger(T) @ T),
-            kraus_gram(c, lambda B: B, 2 * (np.eye(len(T)) - T - dagger(T))))
-
-
-def test_gram_identities():
-    # <vec A, G vec A> is the summed squared norm of the exact constraints
+def test_commutator_gram_identity():
+    # <vec A, G vec A> is the summed squared norm of the commutators, for
+    # any generators: the M generators of a Kraus list off unitality, the
+    # Kraus operators themselves (F), and unstructured matrices
     rng = np.random.default_rng(3)
     for c in (pauli_channel(), random_unital_channel(3, 3, seed=4),
               to_channel(builder_pauli_walk(3, 0.5))):
-        A = rng.standard_normal((5, c.dim, c.dim)) \
-            + 1j * rng.standard_normal((5, c.dim, c.dim))
-        for G, constraint in _grams(c):
+        V = [1.5 * v for v in c.kraus]
+        for gens in ([a @ dagger(b) for a in V for b in V], V,
+                     rng.standard_normal((2, c.dim, c.dim))):
+            G, constraint = commutator_gram(gens, c.dim)
+            A = rng.standard_normal((5, c.dim, c.dim)) \
+                + 1j * rng.standard_normal((5, c.dim, c.dim))
             quad = np.einsum("ki,ij,kj->k", A.transpose(0, 2, 1).reshape(
                 5, -1).conj(), G, A.transpose(0, 2, 1).reshape(5, -1))
             norms = np.sum(np.abs(constraint(A).reshape(5, -1)) ** 2, axis=1)
@@ -222,14 +220,31 @@ def test_gram_identities():
 
 
 def test_gram_stage_two_decides():
-    # at eps = 1e-7 the off-diagonal units violate the constraints by
-    # lambda ~ 4 eps, inside the stage-1 cutoff but with sigma ~ 6e-4 far
-    # above rank_tol: stage 1 admits them, the exact constraints drop them
+    # at eps = 1e-7 the off-diagonal units violate the commutators with
+    # V_1 V_2* = sqrt(p (1 - p)) Z by lambda ~ 4 eps, inside the stage-1
+    # cutoff but with sigma ~ 6e-4 far above rank_tol: stage 1 admits
+    # them, the exact commutators drop them
     c = dephasing_mixture(1e-7)
-    G, constraint = _grams(c)[0]
+    V = c.kraus
+    G, constraint = commutator_gram(
+        [V[j] @ dagger(V[k]) for j in range(2) for k in range(j, 2)], 2)
     lam = np.linalg.eigvalsh(G)
     assert np.sum(lam <= GRAM_CANDIDATE_CUTOFF * max(lam[-1], 1)) == 4
     assert gram_kernel(G, constraint).dim == multiplicative_domain(c).dim == 2
+
+
+def test_m_and_n_of_a_kraus_list_off_unitality():
+    # a Kraus list scaled by 1 + 3e-9 is still accepted (sum V* V is off I
+    # by 6e-9 <= eq_tol); M = {V_j V_k*}' and N ignore the scale
+    for c in (dephasing_mixture(1e-3), pauli_channel(), _nn_cycle(3)):
+        scaled = from_kraus([(1 + 3e-9) * V for V in c.kraus])
+        M = multiplicative_domain(scaled)
+        assert M.subspace.residual(np.eye(c.dim)) <= 1e-12, c.label
+        for new, old in ((M, word_route_multiplicative_domain(scaled)),
+                         (dfa(scaled, M=M), word_route_dfa(scaled))):
+            assert new.dim == old.dim, c.label
+            assert subspace_distance(new.subspace, old.subspace) <= 1e-10, \
+                c.label
 
 
 def _smallest_stabilising_power(route, c):

@@ -60,18 +60,28 @@ DEPHASING_EPS = (1e-3, 1e-5, 1e-7, 5e-8, 1e-9)
 DAMPING_GAMMA = 0.3
 
 
+def dephasing_mixture(eps):
+    """Phi = (1 - p) id + p Ad_Z with p = eps / 2: the eigenvalue 1 - eps
+    of T twice, so near the peripheral band for small eps."""
+    p = eps / 2
+    return from_kraus([np.sqrt(1 - p) * np.eye(2),
+                       np.sqrt(p) * np.diag([1.0, -1.0])],
+                      label=f"dephasing-{eps:g}")
+
+
+def amplitude_damping(gamma=DAMPING_GAMMA):
+    """Decay of |1> to |0>; its only invariant state is |0><0|, so it has
+    no faithful one."""
+    return from_kraus([np.diag([1.0, np.sqrt(1 - gamma)]),
+                       np.array([[0, np.sqrt(gamma)], [0, 0]])],
+                      label=f"amplitude-damping-{gamma:g}")
+
+
 def kraus_channels() -> dict:
     """The dephasing mixtures and the amplitude-damping channel, as
-    channel JSON keyed by input name."""
-    Z = np.diag([1.0, -1.0])
-    kraus = {f"dephasing-{eps:g}": [np.sqrt(1 - eps / 2) * np.eye(2),
-                                    np.sqrt(eps / 2) * Z]
-             for eps in DEPHASING_EPS}
-    g = DAMPING_GAMMA
-    kraus[f"amplitude-damping-{g:g}"] = [np.diag([1.0, np.sqrt(1 - g)]),
-                                         np.array([[0, np.sqrt(g)], [0, 0]])]
-    return {name: channel_to_json(from_kraus(ops, label=name))
-            for name, ops in kraus.items()}
+    channel JSON keyed by input name (the label)."""
+    return {c.label: channel_to_json(c) for c in (
+        *map(dephasing_mixture, DEPHASING_EPS), amplitude_damping())}
 
 
 def write_inputs(directory: Path) -> dict:
