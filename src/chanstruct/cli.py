@@ -39,8 +39,10 @@ from chanstruct.cycles import (
 )
 from chanstruct.numerics import (
     Tolerances,
+    commutator_norm,
     dagger,
     hs_norm,
+    lowrank_norm,
     random_unitary,
     spectral_norm,
     subspace_distance,
@@ -59,7 +61,6 @@ from chanstruct.oqrw import (
     to_channel,
 )
 from chanstruct.structure import (
-    cesaro_expectation,
     decoherence_gap,
     dfa,
     fixed_points,
@@ -242,13 +243,23 @@ def _choi_min_eig(transfer: np.ndarray, dim: int) -> float:
     return float(np.linalg.eigvalsh((C + dagger(C)) / 2).min())
 
 
-def _expectation_checks(name: str, E: np.ndarray, c: ChannelSpec):
-    """Idempotent / unital / CP residuals."""
+def _expectation_checks(name: str, factors, c: ChannelSpec):
+    """Idempotent / unital / CP residuals of E = X Y*."""
+    X, Y = factors
     D = c.dim
-    yield (f"{name}-idempotent", spectral_norm(E @ E - E), 1e-7)
+    yield (f"{name}-idempotent",
+           lowrank_norm(X @ (dagger(Y) @ X - np.eye(X.shape[1])), Y), 1e-7)
     yield (f"{name}-unital",
-           hs_norm(unvec(E @ vec(np.eye(D)), D) - np.eye(D)), 1e-7)
-    yield (f"{name}-cp", max(0.0, -_choi_min_eig(E, D)), 1e-7)
+           hs_norm(unvec(X @ (dagger(Y) @ vec(np.eye(D))), D) - np.eye(D)),
+           1e-7)
+    yield (f"{name}-cp", max(0.0, -_choi_min_eig(X @ dagger(Y), D)), 1e-7)
+
+
+def _distance_to_rho_projection(factors, l2: L2Structure, sub) -> float:
+    """||E - P|| for E = X Y* and P the rho-orthogonal projection onto the
+    matrix subspace ``sub``."""
+    (X, Y), (B, W) = factors, l2.projection(sub.basis_matrix())
+    return lowrank_norm(np.hstack([X, -B]), np.hstack([Y, W]))
 
 
 def build_ledger(analysis: Analysis) -> list:
@@ -275,23 +286,29 @@ def build_ledger(analysis: Analysis) -> list:
 
     inv, N = analysis.inv, analysis.N
     if inv.faithful:
-        p = analysis.peripheral
+        p, s = analysis.peripheral, analysis.spectrum
         add("dfa-equals-peripheral-span",
             subspace_distance(N.subspace, p.reversible), 1e-6)
+        kraus_commutant = fixed_points_commutant(c, inv, tol).subspace
         add("fixed-points-kraus-commutant",
-            subspace_distance(fixed_points_commutant(c, inv, tol).subspace,
-                              F.subspace), 1e-6)
-        for item in _expectation_checks("e-n", p.e_n_transfer, c):
+            subspace_distance(kraus_commutant, F.subspace), 1e-6)
+        for item in _expectation_checks("e-n", s.e_n_factors, c):
             add(*item)
         add("e-n-commutes", p.commutation_defect, 1e-7)
-        s, T = analysis.spectrum, c.transfer
-        for item in _expectation_checks("e-f", s.e_f, c):
+        for item in _expectation_checks("e-f", s.e_f_factors, c):
             add(*item)
-        add("e-f-commutes", spectral_norm(s.e_f @ T - T @ s.e_f), 1e-7)
-        add("cesaro-vs-spectral", cesaro_expectation(c, s, max_n=10_000),
-            1e-6)
-
+        add("e-f-commutes", commutator_norm(c.transfer, *s.e_f_factors),
+            1e-7)
+        # a faithful invariant rho admits one rho-preserving expectation
+        # onto each algebra, the rho-orthogonal projection (Takesaki), so
+        # the spectral E_F and E_N must equal the projections onto the
+        # algebraic F and N
         l2 = analysis.l2
+        add("e-f-vs-rho",
+            _distance_to_rho_projection(s.e_f_factors, l2, kraus_commutant),
+            1e-6)
+        add("e-n-vs-rho",
+            _distance_to_rho_projection(s.e_n_factors, l2, N.subspace), 1e-6)
         add("l2-contraction", max(0.0, l2.map_norm(c.transfer) - 1.0), 1e-8)
         iso_res = max((abs(l2.norm(c.apply(b)) - l2.norm(b))
                        for b in N.subspace.basis), default=0.0)

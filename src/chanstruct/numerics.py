@@ -21,6 +21,12 @@ Conventions pinned here and used by every other module:
   D^2 x D^2 projectors.
 * Spectral projectors come from a sorted complex Schur form plus one
   Sylvester solve (:func:`sorted_schur`).
+* An operator of low rank is kept as factors E = X Y* and its residuals
+  are written as factors too: X (Y* X - I) Y* for idempotency,
+  [X, -T X] [T* Y, Y]* for the commutator with T (:func:`commutator_norm`)
+  and [X1, -X2] [Y1, Y2]* for a difference.  Their spectral norm comes
+  from two thin QRs and one SVD of the small triangular product
+  (:func:`lowrank_norm`), never from the D^2 x D^2 matrix.
 """
 
 from __future__ import annotations
@@ -97,6 +103,21 @@ def spectral_norm(A: np.ndarray) -> float:
 
 def dagger(A: np.ndarray) -> np.ndarray:
     return A.conj().T
+
+
+def lowrank_norm(X: np.ndarray, Y: np.ndarray) -> float:
+    """Spectral norm of X Y* for X (m x r) and Y (n x r): with thin QRs
+    X = Q_x R_x and Y = Q_y R_y it is the norm of R_x R_y*, at most
+    r x r."""
+    if min(X.shape) == 0 or min(Y.shape) == 0:
+        return 0.0
+    return spectral_norm(np.linalg.qr(X, mode="r") @
+                         dagger(np.linalg.qr(Y, mode="r")))
+
+
+def commutator_norm(T: np.ndarray, X: np.ndarray, Y: np.ndarray) -> float:
+    """||E T - T E|| for E = X Y*, from the factors [X, -T X] [T* Y, Y]*."""
+    return lowrank_norm(np.hstack([X, -T @ X]), np.hstack([dagger(T) @ Y, Y]))
 
 
 KERNEL_FOLD_ROWS = 2048

@@ -14,21 +14,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from chanstruct import algebra as alg_mod
-from chanstruct.algebra import (
-    ConditionalExpectation,
-    OperatorAlgebra,
-    atomic_structure,
-    extract_block_states,
-)
+from chanstruct.algebra import OperatorAlgebra
 from chanstruct.channel import ChannelSpec
 from chanstruct.numerics import (
     DEFAULT_TOL,
     MatrixSubspace,
     Tolerances,
+    commutator_norm,
     dagger,
     hs_norm,
     sorted_schur,
@@ -59,21 +56,32 @@ class NoInvariantState(RuntimeError):
 class Spectrum:
     """What the stages read off the sorted Schur form T = Z A Z* (see
     :func:`spectrum`): the peripheral block A_11 and its Schur vectors Z_1,
-    the number and largest modulus of the other eigenvalues, E_N, E_F,
-    F = range(E_F) and range(E_F*)."""
+    the number and largest modulus of the other eigenvalues, E_N and E_F as
+    factor pairs (X, Y) with E = X Y* of rank at most dim N, F = range(E_F)
+    and range(E_F*)."""
 
     a11: np.ndarray
     z1: np.ndarray
     stable_dim: int
     stable_radius: float
-    e_n: np.ndarray
-    e_f: np.ndarray
+    e_n_factors: tuple
+    e_f_factors: tuple
     fixed: MatrixSubspace
     invariant: MatrixSubspace
 
     @property
     def peripheral(self) -> int:
         return len(self.a11)
+
+    @cached_property
+    def e_n(self) -> np.ndarray:
+        X, Y = self.e_n_factors
+        return X @ dagger(Y)
+
+    @cached_property
+    def e_f(self) -> np.ndarray:
+        X, Y = self.e_f_factors
+        return X @ dagger(Y)
 
 
 @dataclass(frozen=True)
@@ -126,7 +134,9 @@ class PeripheralData:
 
 @dataclass(frozen=True)
 class L2Structure:
-    """Weighted L2 geometry <x, y> = trace(rho x* y) for a faithful rho."""
+    """Weighted L2 geometry <x, y> = trace(rho x* y) for a faithful rho.
+    Its orthogonal projection onto an algebra containing I is the unique
+    rho-preserving conditional expectation onto it (Takesaki 1972)."""
 
     rho: np.ndarray
     gram_sqrt: np.ndarray
@@ -159,6 +169,15 @@ class L2Structure:
         """Operator norm of a map in the rho-weighted L2 geometry."""
         return spectral_norm(self.gram_sqrt @ transfer @ self.gram_inv_sqrt)
 
+    def projection(self, B: np.ndarray) -> tuple:
+        """Factors (B, W) of the rho-orthogonal projection P = B W* onto
+        the span of the columns of B (vec'd matrices): with G the weight
+        b -> b rho, so that <x, y> = <x, G y>_HS, P = B (B* G B)^-1 (G B)*
+        and W = G B (B* G B)^-1, taken by one solve."""
+        D = len(self.rho)
+        GB = (self.rho.T @ B.reshape(D, -1)).reshape(B.shape)
+        return B, dagger(np.linalg.solve(dagger(B) @ GB, dagger(GB)))
+
 
 @dataclass(frozen=True)
 class GapReport:
@@ -178,25 +197,26 @@ def spectrum(T: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
     """Spectral data of a unital CP map from one sorted Schur form of its
     transfer matrix, T = Z A Z* with the k peripheral eigenvalues
     (|lam| > 1 - band) first.  One Sylvester solve gives
-    E_N = Z_1 [I R] Z*; with P_11 the spectral projector of A_11 at
-    |lam - 1| <= band, E_F = Z_1 P_11 [I R] Z* = E_F E_N.  F = range(E_F),
-    with the orthonormal basis Z_1 times the leading Schur vectors of A_11,
-    and range(E_F*) is the invariant-state space: the preadjoint's transfer
-    matrix is the HS adjoint of T.  The map is power-bounded, so every
-    peripheral eigenvalue is semisimple and F is the kernel of T - I."""
+    E_N = Z_1 L, L = [I R] Z*; with P_11 = Y_f L_11 the spectral projector
+    of A_11 at |lam - 1| <= band, E_F = (Z_1 Y_f)(L_11 L) = E_F E_N.  Both
+    are kept as their rank-k factors.  F = range(E_F), with the orthonormal
+    basis Z_1 Y_f, and range(E_F*) is the invariant-state space: the
+    preadjoint's transfer matrix is the HS adjoint of T.  The map is
+    power-bounded, so every peripheral eigenvalue is semisimple and F is
+    the kernel of T - I."""
     D = math.isqrt(len(T))
     band = tol.peripheral_band
     A, Z, k, L = sorted_schur(T, lambda lam: abs(lam) > 1.0 - band)
     A11, Z1 = A[:k, :k].copy(), Z[:, :k].copy()
     _, Y, f, L11 = sorted_schur(A11, lambda lam: abs(lam - 1) <= band)
-    fixed, left_f = Z1 @ Y[:, :f], L11 @ L
+    fixed, right_f = Z1 @ Y[:, :f], dagger(L11 @ L)
     moduli = np.abs(np.diag(A)[k:])
     return Spectrum(
         a11=A11, z1=Z1, stable_dim=len(moduli),
-        stable_radius=float(moduli.max(initial=0.0)), e_n=Z1 @ L,
-        e_f=fixed @ left_f, fixed=MatrixSubspace.from_columns(fixed, D),
-        invariant=MatrixSubspace.from_columns(
-            np.linalg.qr(dagger(left_f))[0], D))
+        stable_radius=float(moduli.max(initial=0.0)),
+        e_n_factors=(Z1, dagger(L)), e_f_factors=(fixed, right_f),
+        fixed=MatrixSubspace.from_columns(fixed, D),
+        invariant=MatrixSubspace.from_columns(np.linalg.qr(right_f)[0], D))
 
 
 def fixed_points(s: Spectrum, tol: Tolerances = DEFAULT_TOL) -> FixedPointSpace:
@@ -222,7 +242,8 @@ def invariant_states(c: ChannelSpec, s: Spectrum,
     candidate: rho_max = E_F* vec(I/D), symmetrized, clipped at rank_tol
     and renormalized."""
     D = c.dim
-    rho = unvec(dagger(s.e_f) @ vec(np.eye(D) / D), D)
+    X, Y = s.e_f_factors
+    rho = unvec(Y @ (dagger(X) @ vec(np.eye(D) / D)), D)
     rho = (rho + dagger(rho)) / 2
     w, V = np.linalg.eigh(rho)
     w = np.where(np.abs(w) <= tol.rank_tol, 0.0, w)
@@ -334,84 +355,14 @@ def peripheral_subalgebra(c: ChannelSpec, inv: InvariantStateReport,
             raise PeripheralJordanBlock(
                 f"eigenpair residual {resid:.3e} at lambda={lam:.6f}")
         mats.append(X)
-    E = s.e_n
-    comm_defect = spectral_norm(E @ T - T @ E)
+    comm_defect = commutator_norm(T, *s.e_n_factors)
     if comm_defect > 100 * tol.eq_tol * max(1.0, spectral_norm(T)):
         raise PeripheralJordanBlock(
             f"expectation fails to commute with the channel: {comm_defect:.3e}")
     return PeripheralData(eigenvalues=tuple(w), eigenmatrices=tuple(mats),
-                          e_n_transfer=E,
+                          e_n_transfer=s.e_n,
                           reversible=MatrixSubspace.from_columns(s.z1, c.dim),
                           commutation_defect=comm_defect)
-
-
-def expectation_onto_dfa(c: ChannelSpec, p: PeripheralData,
-                         tol: Tolerances = DEFAULT_TOL,
-                         seed: int = 0) -> ConditionalExpectation:
-    """Package the peripheral spectral projection as a conditional
-    expectation with atomic-structure data for its range N."""
-    N = OperatorAlgebra(p.reversible)
-    structure = atomic_structure(N, tol=tol, seed=seed)
-    states = extract_block_states(p.apply_expectation, structure, tol=tol)
-    return ConditionalExpectation(transfer=p.e_n_transfer, range_algebra=N,
-                                  structure=structure, block_states=states)
-
-
-# ---------------------------------------------------------------------------
-# Cesaro expectation onto the fixed points
-# ---------------------------------------------------------------------------
-
-def _lcm_upto(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out = out * i // math.gcd(out, i)
-    return out
-
-
-def _cesaro_average(T: np.ndarray, n: int) -> np.ndarray:
-    """(1/n) sum_{k<n} T^k via binary doubling of partial sums."""
-    size = T.shape[0]
-    total = np.zeros_like(T)
-    carry_pow = np.eye(size, dtype=complex)
-    remaining = n
-    # decompose n in binary: accumulate sums of blocks of length 2^j
-    Sj = np.eye(size, dtype=complex)
-    Pj = T.copy()
-    while remaining:
-        if remaining & 1:
-            total = total + carry_pow @ Sj
-            carry_pow = carry_pow @ Pj
-        remaining >>= 1
-        if remaining:
-            Sj = Sj + Pj @ Sj
-            Pj = Pj @ Pj
-    return total / n
-
-
-def cesaro_expectation(c: ChannelSpec, s: Spectrum,
-                       max_n: int = 10_000) -> float:
-    """Discrepancy between the Cesaro route to the expectation onto F and
-    the spectral one, E_F from :func:`spectrum`.
-
-    The Cesaro route evaluates the cube of a length-m running average
-    composed with a trailing power of the channel.  The cubed average
-    suppresses a unimodular eigenvalue mu != 1 like (m|1-mu|)^-3 (and
-    exactly when its period divides m), while the trailing power damps
-    contracting directions geometrically; max_n bounds the total number
-    of channel applications.  The spectral norm of the difference of the
-    two routes is returned; the caller judges it (a slowly mixing channel
-    has not converged at a fixed horizon).
-    """
-    T = c.transfer
-    stride = _lcm_upto(min(c.dim, 10))
-    m = max_n // 5
-    m = (m // stride) * stride if m >= stride else max(1, m)
-    A = _cesaro_average(T, m)
-    cesaro = A @ A @ A
-    r = max_n - 3 * (m - 1)
-    if r > 0:
-        cesaro = cesaro @ np.linalg.matrix_power(T, r)
-    return spectral_norm(cesaro - s.e_f)
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +389,8 @@ def decoherence_gap(c: ChannelSpec, s: Spectrum, l2: L2Structure,
     if s.stable_dim == 0:
         return GapReport(finite_horizon=math.inf, asymptotic=asymptotic,
                          horizon=0, uniform_bound=True)
-    Q = np.eye(c.dim ** 2) - s.e_n
-    nrm = l2.map_norm(c.transfer @ Q)
+    T = c.transfer
+    nrm = l2.map_norm(T - (T @ s.z1) @ dagger(s.e_n_factors[1]))
     if nrm <= tol.rank_tol:
         finite = math.inf
     elif abs(nrm - 1.0) <= tol.eq_tol:

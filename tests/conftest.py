@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from chanstruct.algebra import (
+    ConditionalExpectation,
     OperatorAlgebra,
+    atomic_structure,
+    extract_block_states,
     full_algebra,
     restrict_to_commutant,
 )
@@ -78,6 +83,59 @@ def word_route_dfa(c, tol=DEFAULT_TOL, n_max=None):
                             dim=D, tol=tol)
     raise NoStabilization(f"word chain still at dim {current.dim} after "
                           f"n={cap}")
+
+
+def expectation_onto_dfa(c, p, tol=DEFAULT_TOL, seed=0):
+    """The peripheral spectral projection packaged as a conditional
+    expectation with atomic-structure data for its range N."""
+    N = OperatorAlgebra(p.reversible)
+    structure = atomic_structure(N, tol=tol, seed=seed)
+    states = extract_block_states(p.apply_expectation, structure, tol=tol)
+    return ConditionalExpectation(transfer=p.e_n_transfer, range_algebra=N,
+                                  structure=structure, block_states=states)
+
+
+def _running_average(T, n):
+    """(1/n) sum_{k<n} T^k via binary doubling of partial sums."""
+    total = np.zeros_like(T)
+    carry_pow = np.eye(len(T), dtype=complex)
+    # blocks of length 2^j: Sj = sum_{k<2^j} T^k and Pj = T^(2^j)
+    Sj, Pj = np.eye(len(T), dtype=complex), T.copy()
+    remaining = n
+    while remaining:
+        if remaining & 1:
+            total = total + carry_pow @ Sj
+            carry_pow = carry_pow @ Pj
+        remaining >>= 1
+        if remaining:
+            Sj = Sj + Pj @ Sj
+            Pj = Pj @ Pj
+    return total / n
+
+
+def cesaro_expectation(T, min_n=10_000, max_n=10 ** 7):
+    """Oracle for E_F: the Cesaro limit of T^k, as the cube of a length-m
+    running average composed with a trailing power T^r.
+
+    The cubed average suppresses a unimodular eigenvalue mu != 1 like
+    (m|1 - mu|)^-3, exactly when its period divides m (a multiple of
+    lcm(1..min(D, 10))); the trailing power damps the other eigenvalues
+    like r2^r, r2 their largest modulus (outside the peripheral band of
+    DEFAULT_TOL).  The horizon n = 3(m - 1) + r, m ~ n / 5, is the least
+    that gives r2^r <= 1e-12, clipped to [min_n, max_n].
+    """
+    T = np.asarray(T, dtype=complex)
+    moduli = np.abs(np.linalg.eigvals(T))
+    r2 = moduli[moduli <= 1 - DEFAULT_TOL.peripheral_band].max(initial=0.0)
+    n = min_n
+    if r2 > 0:
+        n = min(max(n, math.ceil(2.5 * math.log(1e-12) / math.log(r2))),
+                max_n)
+    stride = math.lcm(*range(1, min(math.isqrt(len(T)), 10) + 1))
+    m = n // 5
+    m = (m // stride) * stride if m >= stride else max(1, m)
+    A = _running_average(T, m)
+    return A @ A @ A @ np.linalg.matrix_power(T, n - 3 * (m - 1))
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import jsonschema
@@ -13,6 +14,7 @@ from chanstruct.cli import (
     EXIT_NUMERICAL_ERROR,
     EXIT_OK,
     EXIT_VERIFY_FAILED,
+    build_ledger,
     main,
 )
 from chanstruct.numerics import Tolerances
@@ -230,21 +232,52 @@ def test_analyze_two_component_corpus_channels(tmp_path, capsys):
             assert comp["structured_kraus_residual"] <= 1e-8
 
 
-def test_unconverged_cesaro_is_a_failed_entry(tmp_path, capsys):
-    # channel 12 of the corpus drawn with seed 1 mixes slowly (second
-    # |lambda| = 0.9991): after the fixed 10 000 steps the Cesaro average
-    # is still 5.5e-3 from the spectral expectation onto F
-    c = build_corpus(1)[12]
-    assert c.label == "mixture-5-2" and c.dim == 5
-    path = write_channel(tmp_path / "c12.json", list(c.kraus))
-    code, out = run(["analyze", path], capsys)
-    assert code == EXIT_OK
-    entries = {e["name"]: e for e in json.loads(out)["verification"]}
-    assert not entries["cesaro-vs-spectral"]["passed"]
-    assert entries["cesaro-vs-spectral"]["residual"] == pytest.approx(
-        5.5e-3, rel=0.05)
-    code, _ = run(["verify", path], capsys)
-    assert code == EXIT_VERIFY_FAILED
+def test_slowly_mixing_channels_pass_e_f_vs_rho(tmp_path, capsys):
+    # channels 12 and 50 of the corpus drawn with seed 1 mix slowly (second
+    # |lambda| = 0.99910 and 0.99992); a Cesaro average over a fixed 10 000
+    # steps failed them, the rho-orthogonal projections do not
+    corpus = build_corpus(1)
+    for i, label in ((12, "mixture-5-2"), (50, "blocksum-4+4")):
+        c = corpus[i]
+        assert c.label == label
+        path = write_channel(tmp_path / f"c{i}.json", list(c.kraus))
+        code, out = run(["analyze", path], capsys)
+        assert code == EXIT_OK
+        entries = {e["name"]: e for e in json.loads(out)["verification"]}
+        assert "cesaro-vs-spectral" not in entries
+        for name in ("e-f-vs-rho", "e-n-vs-rho"):
+            assert entries[name]["passed"]
+            assert entries[name]["residual"] < 1e-10
+        code, _ = run(["verify", path], capsys)
+        assert code == EXIT_OK
+
+
+def _add_rank_one(factors, size, dim):
+    """Factors of X Y* + size u v* for unit vectors u, v."""
+    X, Y = factors
+    rng = np.random.default_rng(0)
+    u, v = (rng.standard_normal((dim * dim, 1)) for _ in range(2))
+    u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
+    return np.hstack([X, size * u]), np.hstack([Y, v])
+
+
+@pytest.mark.parametrize("name", ["e-f", "e-n"])
+def test_corrupted_expectation_fails_its_rho_entry(name):
+    # E + 1e-5 u v* is 1e-5 from the rho-orthogonal projection: the
+    # matching -vs-rho entry fails at its 1e-6 bound, the other one passes
+    a = Analysis(build_corpus(20240817)[40], None, Tolerances(), seed=0,
+                 max_power=None)
+    clean = {e["name"]: e for e in build_ledger(a)}
+    assert clean["e-f-vs-rho"]["passed"] and clean["e-n-vs-rho"]["passed"]
+    field = f"{name.replace('-', '_')}_factors"
+    a.spectrum = dataclasses.replace(a.spectrum, **{field: _add_rank_one(
+        getattr(a.spectrum, field), 1e-5, a.c.dim)})
+    entries = {e["name"]: e for e in build_ledger(a)}
+    assert not entries[f"{name}-vs-rho"]["passed"]
+    assert entries[f"{name}-vs-rho"]["residual"] == pytest.approx(1e-5,
+                                                                  rel=1e-3)
+    other = "e-n" if name == "e-f" else "e-f"
+    assert entries[f"{other}-vs-rho"]["passed"]
 
 
 def test_analyze_text_format(tmp_path, capsys):

@@ -34,3 +34,36 @@ def test_compare_reports_flags_a_moved_gap(tmp_path):
     moved = compare(parent, change)
     assert moved.returncode == 1
     assert "FAIL gap.finite_horizon" in moved.stdout
+
+
+def test_compare_reports_lists_flipped_exits_and_flags(tmp_path):
+    walk = tmp_path / "walk.json"
+    main(["example", "pauli", "--d", "3", "--output", str(walk)])
+    parent = tmp_path / "parent"
+    parent.mkdir()
+    for command in ("analyze", "verify"):
+        code = main([command, str(walk), "--output",
+                     str(parent / f"w.{command}.json")])
+        assert code == EXIT_OK
+        (parent / f"w.{command}.exit").write_text(f"{code}\n")
+    change = tmp_path / "change"
+    shutil.copytree(parent, change)
+
+    # verify: one check fails and the exit flips; analyze: one check is
+    # renamed, which is not a flag change
+    report = json.loads((change / "w.verify.json").read_text())
+    report["checks"][1]["passed"] = False
+    report["all_pass"] = False
+    flipped = report["checks"][1]["name"]
+    (change / "w.verify.json").write_text(json.dumps(report))
+    (change / "w.verify.exit").write_text("1\n")
+    report = json.loads((change / "w.analyze.json").read_text())
+    renamed = report["verification"][-1]["name"]
+    report["verification"][-1]["name"] = "renamed-check"
+    (change / "w.analyze.json").write_text(json.dumps(report))
+
+    out = compare(parent, change).stdout
+    assert "1 cases with a different exit code or pass flag" in out
+    assert f"  w.verify: exit 0 -> 1; {flipped} passed -> failed" in out
+    assert f"only in {parent}: {renamed} in 1 cases, 0 failed" in out
+    assert f"only in {change}: renamed-check in 1 cases, 0 failed" in out

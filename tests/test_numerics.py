@@ -7,9 +7,11 @@ from chanstruct.numerics import (
     NotNearProjection,
     Tolerances,
     cluster_values,
+    commutator_norm,
     KERNEL_FOLD_ROWS,
     hs_inner,
     kernel_coefficients,
+    lowrank_norm,
     random_unitary,
     round_projector,
     sorted_schur,
@@ -169,6 +171,27 @@ def test_subspace_distance_matches_projector_difference(seed, k1, k2):
         + draw(k2 - len(common)), dim=D)
     ref = spectral_norm(projector(s1) - projector(s2))
     assert subspace_distance(s1, s2) == pytest.approx(ref, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 6), st.integers(0, 8),
+       st.integers(0, 8))
+def test_lowrank_norm_matches_dense(seed, r, m, n):
+    # reference: the spectral norm of the formed m x n product, on ranks
+    # 0..6 and shapes where r exceeds m or n or a factor is empty
+    rng = np.random.default_rng(seed)
+
+    def draw(rows):
+        return rng.standard_normal((rows, r)) + \
+            1j * rng.standard_normal((rows, r))
+    X, Y = draw(m), draw(n)
+    ref = spectral_norm(X @ Y.conj().T)
+    assert lowrank_norm(X, Y) == pytest.approx(ref, rel=1e-12, abs=1e-12)
+    if m == n:
+        T = rng.standard_normal((m, m))
+        E = X @ Y.conj().T
+        assert commutator_norm(T, X, Y) == pytest.approx(
+            spectral_norm(E @ T - T @ E), rel=1e-12, abs=1e-12)
 
 
 def test_subspace_intersection():

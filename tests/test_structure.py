@@ -20,10 +20,8 @@ from chanstruct.structure import (
     L2Structure,
     NoFaithfulInvariantState,
     NoStabilization,
-    cesaro_expectation,
     decoherence_gap,
     dfa,
-    expectation_onto_dfa,
     fixed_points,
     fixed_points_commutant,
     invariant_states,
@@ -39,7 +37,9 @@ from tests.conftest import (
     Y,
     Z,
     amplitude_damping,
+    cesaro_expectation,
     dephasing_mixture,
+    expectation_onto_dfa,
     kernel_basis,
     kraus_word_basis,
     word_route_dfa,
@@ -375,7 +375,7 @@ def apply_transfer(T, X):
 def test_cesaro_expectation_identity_channel():
     c = unitary_channel(np.eye(2))
     s = spectrum(c.transfer)
-    disc = cesaro_expectation(c, s, max_n=64)
+    disc = spectral_norm(cesaro_expectation(c.transfer, min_n=64) - s.e_f)
     assert disc < 1e-10
     assert np.allclose(s.e_f, np.eye(4), atol=1e-9)
 
@@ -383,7 +383,7 @@ def test_cesaro_expectation_identity_channel():
 def test_cesaro_expectation_random():
     c = random_unital_channel(3, 3, seed=17)
     s = spectrum(c.transfer)
-    disc = cesaro_expectation(c, s, max_n=10_000)
+    disc = spectral_norm(cesaro_expectation(c.transfer) - s.e_f)
     assert disc < 1e-6
     # E is idempotent onto F and trace-preserving at the invariant state
     T = s.e_f
@@ -401,11 +401,26 @@ def test_cesaro_expectation_pauli():
     # lengths keep the Cesaro route convergent
     c = pauli_channel()
     s = spectrum(c.transfer)
-    disc = cesaro_expectation(c, s, max_n=10_000)
+    disc = spectral_norm(cesaro_expectation(c.transfer) - s.e_f)
     assert disc < 1e-6
     A = np.array([[1, 2], [3, 4]], dtype=complex)
     assert np.allclose(apply_transfer(s.e_f, A), np.trace(A) / 2 * I2,
                        atol=1e-7)
+
+
+def test_cesaro_expectation_slowly_mixing():
+    # channels 12 and 50 of the corpus drawn with seed 1 mix slowly (second
+    # |lambda| = 0.99910 and 0.99992): 10 000 steps leave the Cesaro average
+    # 5.5e-3 and 0.54 from E_F; a horizon set by that modulus converges
+    corpus = build_corpus(1)
+    for i, label in ((12, "mixture-5-2"), (50, "blocksum-4+4")):
+        c = corpus[i]
+        assert c.label == label
+        s = spectrum(c.transfer)
+        assert s.stable_radius > 0.999
+        short = cesaro_expectation(c.transfer, max_n=10_000)
+        assert spectral_norm(short - s.e_f) > 1e-3
+        assert spectral_norm(cesaro_expectation(c.transfer) - s.e_f) < 1e-6
 
 
 @settings(max_examples=8, deadline=None)
@@ -414,7 +429,8 @@ def test_expectation_compatibility(seed, dim):
     # E_F = E_F o E_N: the fixed points sit inside N
     c = random_unital_channel(dim, 3, seed=seed)
     s, inv, p = spectral_stages(c)
-    assert cesaro_expectation(c, s, max_n=4096) < 1e-6
+    assert spectral_norm(cesaro_expectation(c.transfer, min_n=4096) -
+                         s.e_f) < 1e-6
     assert spectral_norm(s.e_f @ p.e_n_transfer - s.e_f) < 1e-6
 
 

@@ -23,7 +23,10 @@ Only fields that do not depend on the choice of bases are compared:
 
 The script prints, for each field, the largest difference over all cases
 and the case where it occurred, and exits 1 when any difference exceeds
-its field's limit (0 otherwise).  Booleans compare as 0/1; a string (such
+its field's limit (0 otherwise).  It then lists every case whose exit code
+differs or whose ledgers give one check a different pass flag, and counts,
+per check name, the cases where only one of the two ledgers has it (a
+renamed or new check).  Booleans compare as 0/1; a string (such
 as ``"undetermined"`` or ``"inf"``) must match exactly, or the difference
 is infinite.
 """
@@ -96,6 +99,29 @@ def _ledger(entries):
     return [(e["name"], e["passed"]) for e in entries]
 
 
+def _pass_flags(report: dict | None) -> dict:
+    """Check name -> pass flag of the ledger in a report, if any."""
+    if report is None:
+        return {}
+    key = "checks" if report.get("kind") == "verification" else "verification"
+    return {e["name"]: e["passed"] for e in report.get(key, [])}
+
+
+def _flag(passed: bool) -> str:
+    return "passed" if passed else "failed"
+
+
+def flag_changes(code_a: int, code_b: int, flags_a: dict,
+                 flags_b: dict) -> list:
+    """The exit code and the pass flags of the checks both ledgers hold,
+    where they differ, as 'exit 1 -> 0' and '<check> failed -> passed'."""
+    changes = [f"exit {code_a} -> {code_b}"] if code_a != code_b else []
+    changes += [f"{name} {_flag(flags_a[name])} -> {_flag(flags_b[name])}"
+                for name in flags_a
+                if name in flags_b and flags_a[name] != flags_b[name]]
+    return changes
+
+
 def compare_case(parent: dict | None, change: dict | None):
     """Yield (field, difference, limit) for one pair of reports."""
     if parent is None or change is None:
@@ -148,6 +174,8 @@ def main(argv=None) -> int:
         return 1
 
     worst = {}  # field -> (difference, limit, stem)
+    changed = []  # (stem, changes)
+    one_sided = {}  # (side, check) -> [cases, failed]
     for stem in sorted(stems):
         code_a, report_a = _load(parent_dir, stem)
         code_b, report_b = _load(change_dir, stem)
@@ -156,6 +184,16 @@ def main(argv=None) -> int:
         for field, difference, limit in rows:
             if field not in worst or difference > worst[field][0]:
                 worst[field] = (difference, limit, stem)
+        flags_a, flags_b = _pass_flags(report_a), _pass_flags(report_b)
+        changes = flag_changes(code_a, code_b, flags_a, flags_b)
+        if changes:
+            changed.append((stem, changes))
+        for side, own, other in ((parent_dir, flags_a, flags_b),
+                                 (change_dir, flags_b, flags_a)):
+            for name in own.keys() - other.keys():
+                count = one_sided.setdefault((str(side), name), [0, 0])
+                count[0] += 1
+                count[1] += not own[name]
 
     failed = False
     print(f"{len(stems)} cases")
@@ -165,6 +203,11 @@ def main(argv=None) -> int:
         where = f"; {stem}" if difference > 0 else ""
         print(f"{'FAIL' if bad else 'ok  '} {field:36s} {difference:.3g} "
               f"(limit {limit:g}{where})")
+    print(f"{len(changed)} cases with a different exit code or pass flag")
+    for stem, changes in changed:
+        print(f"  {stem}: {'; '.join(changes)}")
+    for (side, name), (cases, failed_in) in sorted(one_sided.items()):
+        print(f"only in {side}: {name} in {cases} cases, {failed_in} failed")
     return 1 if failed else 0
 
 
