@@ -44,7 +44,6 @@ from chanstruct.numerics import (
     hs_norm,
     lowrank_norm,
     random_unitary,
-    spectral_norm,
     subspace_distance,
     unvec,
     vec,
@@ -332,8 +331,7 @@ def build_ledger(analysis: Analysis) -> list:
 
 def _component_summary(comp, tol):
     cd = component_decompose(comp, tol=tol)
-    rebuilt = structured_kraus(cd, tol=tol)
-    recon = spectral_norm(rebuilt.transfer - comp.channel.transfer)
+    _, recon = structured_kraus(cd, tol=tol)
     fb = fixed_multiblock(cd, comp.fixed_points, tol=tol)
     return {
         "projection": matrix_to_json(comp.projection),

@@ -453,8 +453,9 @@ def component_decompose(comp: MfncComponent,
 
 
 def structured_kraus(cd: ComponentData,
-                     tol: Tolerances = DEFAULT_TOL) -> ChannelSpec:
-    """Reassemble the component channel from its factorized data."""
+                     tol: Tolerances = DEFAULT_TOL) -> tuple:
+    """Reassemble the component channel from its factorized data; return
+    it with its residual, the spectral norm of the transfer difference."""
     d = cd.period
     r = cd.channel.dim
     K = max(len(ks) for ks in cd.xi_kraus)
@@ -476,7 +477,7 @@ def structured_kraus(cd: ComponentData,
     if err > 1e3 * tol.eq_tol:
         raise ReconstructionMismatch(
             f"structured Kraus reconstruction error {err:.3e}")
-    return rebuilt
+    return rebuilt, err
 
 
 # ---------------------------------------------------------------------------

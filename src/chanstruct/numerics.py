@@ -15,10 +15,10 @@ Conventions pinned here and used by every other module:
   eigenvectors of a Gram matrix with lambda <= GRAM_CANDIDATE_CUTOFF *
   max(lambda_max, 1); only the exact constraint on them decides.  Spans
   keep the rows of one SVD with sigma > rank_tol * sigma_max
-  (:func:`span_basis`).  Intersections restrict one subspace by its
-  residual against the other (:meth:`MatrixSubspace.restrict`), and
-  distances compare the bases (:func:`subspace_distance`), never forming
-  D^2 x D^2 projectors.
+  (:func:`span_basis`).  Subspaces are cut down by the kernel of
+  constraints on their stacked basis (:meth:`MatrixSubspace.restrict`),
+  and distances compare the bases (:func:`subspace_distance`), never
+  forming D^2 x D^2 projectors.
 * Spectral projectors come from a sorted complex Schur form plus one
   Sylvester solve (:func:`sorted_schur`).
 * An operator of low rank is kept as factors E = X Y* and its residuals
@@ -307,15 +307,6 @@ def subspace_distance(S1: MatrixSubspace, S2: MatrixSubspace) -> float:
         return 1.0
     B1, B2 = S1.basis_matrix(), S2.basis_matrix()
     return spectral_norm(B1 - B2 @ (dagger(B2) @ B1))
-
-
-def subspace_intersection(S1: MatrixSubspace, S2: MatrixSubspace,
-                          tol: Tolerances = DEFAULT_TOL) -> MatrixSubspace:
-    """Intersection of two matrix subspaces: the elements of S1 with no
-    residual against S2."""
-    if S1.ambient_dim != S2.ambient_dim:
-        raise DimensionMismatch("ambient dims differ")
-    return S1.restrict([lambda B: B - S2.project(B)], tol)
 
 
 def cluster_values(values, gap: float) -> list[list[int]]:

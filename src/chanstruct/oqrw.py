@@ -10,12 +10,13 @@ algebra which serve as independent oracles.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from chanstruct.algebra import OperatorAlgebra, full_algebra
+from chanstruct.algebra import OperatorAlgebra
 from chanstruct.channel import (
     ChannelSpec,
     from_kraus,
@@ -29,9 +30,9 @@ from chanstruct.numerics import (
     Tolerances,
     dagger,
     hs_norm,
+    kernel_coefficients,
     span_basis,
     spectral_norm,
-    subspace_intersection,
 )
 from chanstruct.structure import NoStabilization
 
@@ -76,14 +77,6 @@ class OqrwSpec:
     def offsets(self) -> tuple:
         return tuple(int(x) for x in
                      np.concatenate([[0], np.cumsum(self.local_dims)]))
-
-    def operator(self, i: int, j: int) -> np.ndarray:
-        """L as a matrix h_j -> h_i (zero when the edge is absent)."""
-        L = self.transitions.get((i, j))
-        if L is None:
-            return np.zeros((self.local_dims[i], self.local_dims[j]),
-                            dtype=complex)
-        return L
 
     def block(self, A: np.ndarray, i: int, j: int) -> np.ndarray:
         """Block (i, j) of A, or of each matrix in a stack of them."""
@@ -163,46 +156,71 @@ def local_map(w: OqrwSpec, tol: Tolerances = DEFAULT_TOL) -> ChannelSpec:
 # Block-structure oracles for M and N
 # ---------------------------------------------------------------------------
 
-def _block_condition_rows(w: OqrwSpec, spans):
-    """Multiplicative-domain style conditions from per-edge operator spans.
+def _diagonal_conditions(w: OqrwSpec, spans):
+    """A_ii M = M A_kk for M = P Q*, P in spans[i, j], Q in spans[k, j] over
+    the common sources j: one closure per vertex pair (i, k).  The stack S
+    of the P Q* enters as the triangular R of its QR: R*R = S*S keeps the
+    Gram matrix, hence the kernel, of the constraint."""
+    n, h = w.n_vertices, w.local_dims
+    for i, k in itertools.product(range(n), repeat=2):
+        prods = [np.einsum("pab,qcb->pqac", spans[(i, j)],
+                           spans[(k, j)].conj()).reshape(-1, h[i] * h[k])
+                 for j in range(n) if (i, j) in spans and (k, j) in spans]
+        if prods:
+            M = np.linalg.qr(np.concatenate(prods), mode="r") \
+                .reshape(-1, h[i], h[k])
+            yield lambda A, i=i, k=k, M=M: (w.block(A, i, i)[:, None] @ M
+                                            - M @ w.block(A, k, k)[:, None])
 
-    spans maps (i, j) to a basis of the reachable operators h_j -> h_i.
-    Yields functions of a stack of full matrices A expressing, per column j:
-    A_ii P Q* = P Q* A_kk for P in spans[i,j], Q in spans[k,j], and
-    A_li P = 0 = Q* A_lk for off-diagonal blocks (l, i).
-    """
-    n = w.n_vertices
-    for j in range(n):
-        incoming = [(i, spans[(i, j)]) for i in range(n) if (i, j) in spans]
-        for i, Ps in incoming:
-            for k, Qs in incoming:
-                for P in Ps:
-                    for Q in Qs:
-                        M = P @ dagger(Q)
 
-                        def diag_fn(A, i=i, k=k, M=M):
-                            return w.block(A, i, i) @ M - M @ w.block(A, k, k)
-                        yield diag_fn
-            for l in range(n):
-                if l == i:
-                    continue
-                for P in Ps:
-                    def off_left(A, l=l, i=i, P=P):
-                        return w.block(A, l, i) @ P
-                    yield off_left
+def _diagonal_chain(w: OqrwSpec, spans, tol):
+    """The diagonal parts cut out of the sum h_i^2 block-diagonal matrix
+    units by the conditions of 1-, 2-, ... step paths, cumulatively;
+    spans holds the one-step operators."""
+    D = w.total_dim
+    vertex = np.repeat(np.arange(w.n_vertices), w.local_dims)
+    rows, cols = np.nonzero(vertex[:, None] == vertex)
+    units = np.zeros((len(rows), D, D))
+    units[np.arange(len(rows)), rows, cols] = 1
+    diagonal = MatrixSubspace(D, units)
+    while True:
+        diagonal = diagonal.restrict(_diagonal_conditions(w, spans), tol)
+        yield diagonal
+        spans = _advance_spans(w, spans, tol)
 
-                    def off_right(A, l=l, i=i, P=P):
-                        return dagger(P) @ w.block(A, i, l)
-                    yield off_right
+
+def _off_diagonal(w: OqrwSpec, tol):
+    """(dim W_i per vertex, the sum of B(W_i, W_l) at the blocks (l, i),
+    l != i), with W_i the common kernel of the L* entering i."""
+    W = [kernel_coefficients([dagger(L) for (i, _), L
+                              in w.transitions.items() if i == v],
+                             w.local_dims[v], tol)
+         for v in range(w.n_vertices)]
+    D = w.total_dim
+    parts = [np.zeros((0, D, D), dtype=complex)]
+    for (l, Wl), (i, Wi) in itertools.permutations(enumerate(W), 2):
+        E = np.zeros((Wl.shape[1] * Wi.shape[1], D, D), dtype=complex)
+        w.block(E, l, i)[...] = np.einsum("xa,yb->abxy", Wl, Wi.conj()) \
+            .reshape(len(E), len(Wl), len(Wi))
+        parts.append(E)
+    return tuple(x.shape[1] for x in W), MatrixSubspace(D, np.concatenate(parts))
+
+
+def _algebra(diagonal: MatrixSubspace, off_diagonal: MatrixSubspace):
+    return OperatorAlgebra(MatrixSubspace(diagonal.ambient_dim, np.concatenate(
+        [diagonal.basis, off_diagonal.basis])))
 
 
 def oqrw_multiplicative_domain(w: OqrwSpec,
                                tol: Tolerances = DEFAULT_TOL) -> OperatorAlgebra:
-    """M from the one-step block conditions on the transition operators."""
-    spans = {key: [L] for key, L in w.transitions.items()}
-    sub = full_algebra(w.total_dim).subspace.restrict(
-        _block_condition_rows(w, spans), tol)
-    return OperatorAlgebra(sub)
+    """M from the one-step block conditions: A_ii L_ij L_kj* = L_ij L_kj* A_kk
+    for edges (i, j), (k, j), and A_li L_ij = 0 = L_ij* A_il for l != i.
+    No condition couples an off-diagonal block to any other block, so M is
+    a kernel on the block-diagonal units plus, at each block (l, i),
+    exactly B(W_i, W_l), W_i the common kernel of the L* entering i."""
+    spans = {key: L[None] for key, L in w.transitions.items()}
+    return _algebra(next(_diagonal_chain(w, spans, tol)),
+                    _off_diagonal(w, tol)[1])
 
 
 @dataclass(frozen=True)
@@ -231,51 +249,31 @@ def _advance_spans(w: OqrwSpec, spans, tol):
 
 def oqrw_dfa(w: OqrwSpec, n_max: int | None = None,
              tol: Tolerances = DEFAULT_TOL) -> OqrwDfaReport:
-    """N from path-operator conditions, intersected until stabilization.
+    """N from the block conditions of n-step path operators, intersected
+    over n = 1, 2, ... until the dimension repeats or falls to 1.
 
-    Also splits N into its block-diagonal and block-off-diagonal parts
-    and evaluates the dead-corner criterion: off-diagonal elements can
-    only exist when at least two vertices have a nonzero common
-    orthogonal complement of the incoming ranges.
-    """
-    D = w.total_dim
-    cap = n_max if n_max is not None else D * D
-    spans = {key: span_basis([L], tol) for key, L in w.transitions.items()}
-    sub = full_algebra(D).subspace
+    The blocks split as for M.  An n-step path into i ends with a one-step
+    path into i and so has a range inside the one-step ranges: the
+    off-diagonal conditions of n = 1 imply those of every n, the
+    off-diagonal part stays the sum of B(W_i, W_l), nonzero only if two
+    vertices have a dead corner W_i != 0, and only the diagonal part
+    shrinks along the chain."""
+    cap = n_max if n_max is not None else w.total_dim ** 2
+    dead, off_diagonal = _off_diagonal(w, tol)
     prev_dim = None
-    for _ in range(cap):
-        sub = sub.restrict(_block_condition_rows(w, spans), tol)
-        if sub.dim == prev_dim or sub.dim <= 1:
+    spans = {key: span_basis([L], tol) for key, L in w.transitions.items()}
+    for _, diagonal in zip(range(cap), _diagonal_chain(w, spans, tol)):
+        dim = diagonal.dim + off_diagonal.dim
+        if dim == prev_dim or dim <= 1:
             break
-        prev_dim = sub.dim
-        spans = _advance_spans(w, spans, tol)
+        prev_dim = dim
     else:
         raise NoStabilization(
-            f"path-condition chain still at dim {sub.dim} after n={cap}")
-
-    off = w.offsets
-    mask = np.zeros((D, D))
-    for i in range(w.n_vertices):
-        mask[off[i]:off[i + 1], off[i]:off[i + 1]] = 1
-    units = np.eye(D * D).reshape(-1, D, D)
-    diag_space = MatrixSubspace(D, units[mask.ravel() == 1])
-    offd_space = MatrixSubspace(D, units[mask.ravel() == 0])
-    diagonal = subspace_intersection(sub, diag_space, tol=tol)
-    off_diagonal = subspace_intersection(sub, offd_space, tol=tol)
-
-    dead = []
-    for i in range(w.n_vertices):
-        cols = [L for (ii, j), L in w.transitions.items() if ii == i]
-        if cols:
-            stacked = np.concatenate(cols, axis=1)
-            rank = np.linalg.matrix_rank(stacked, tol=1e3 * tol.rank_tol)
-        else:
-            rank = 0
-        dead.append(w.local_dims[i] - rank)
-    forced = sum(1 for x in dead if x > 0) <= 1
-    return OqrwDfaReport(algebra=OperatorAlgebra(sub), diagonal=diagonal,
-                         off_diagonal=off_diagonal, dead_corners=tuple(dead),
-                         diagonal_forced=forced)
+            f"path-condition chain still at dim {prev_dim} after n={cap}")
+    return OqrwDfaReport(algebra=_algebra(diagonal, off_diagonal),
+                         diagonal=diagonal, off_diagonal=off_diagonal,
+                         dead_corners=dead,
+                         diagonal_forced=sum(x > 0 for x in dead) <= 1)
 
 
 # ---------------------------------------------------------------------------

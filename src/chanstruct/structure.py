@@ -139,8 +139,8 @@ class L2Structure:
     rho-preserving conditional expectation onto it (Takesaki 1972)."""
 
     rho: np.ndarray
-    gram_sqrt: np.ndarray
-    gram_inv_sqrt: np.ndarray
+    sqrt: np.ndarray
+    inv_sqrt: np.ndarray
 
     @classmethod
     def from_state(cls, rho: np.ndarray,
@@ -150,12 +150,8 @@ class L2Structure:
         if w.min() < tol.rank_tol:
             raise NoFaithfulInvariantState(
                 f"state eigenvalue {w.min():.3e} below rank_tol")
-        s = (V * np.sqrt(w)) @ dagger(V)
-        s_inv = (V / np.sqrt(w)) @ dagger(V)
-        D = rho.shape[0]
-        return cls(rho=rho,
-                   gram_sqrt=np.kron(s.T, np.eye(D)),
-                   gram_inv_sqrt=np.kron(s_inv.T, np.eye(D)))
+        return cls(rho=rho, sqrt=(V * np.sqrt(w)) @ dagger(V),
+                   inv_sqrt=(V / np.sqrt(w)) @ dagger(V))
 
     def norm(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=complex)
@@ -166,8 +162,14 @@ class L2Structure:
         return complex(np.trace(self.rho @ dagger(x) @ y))
 
     def map_norm(self, transfer: np.ndarray) -> float:
-        """Operator norm of a map in the rho-weighted L2 geometry."""
-        return spectral_norm(self.gram_sqrt @ transfer @ self.gram_inv_sqrt)
+        """Operator norm of a map in the rho-weighted L2 geometry: the
+        2-norm of G T G^-1 with G x = x rho^1/2, conjugated on the
+        (D, D, D, D) reshape of T (axes: output column, row; input column,
+        row)."""
+        D = len(self.rho)
+        GT = np.tensordot(self.sqrt, transfer.reshape((D,) * 4), axes=(0, 0))
+        GTG = np.tensordot(GT, self.inv_sqrt, axes=(2, 1))
+        return spectral_norm(GTG.transpose(0, 1, 3, 2).reshape(D * D, D * D))
 
     def projection(self, B: np.ndarray) -> tuple:
         """Factors (B, W) of the rho-orthogonal projection P = B W* onto
@@ -378,7 +380,7 @@ def decoherence_gap(c: ChannelSpec, s: Spectrum, l2: L2Structure,
     Schur diagonal; with no stable part both rates are infinite.
     finite_horizon = -log a, a = the rho-L2 norm of T Q, Q = I - E_N.  Q is
     T's nonperipheral spectral projector, so in the weighted geometry
-    S^n Q' = (S Q')^n (S = G T G^-1, Q' = G Q G^-1, G = gram_sqrt) and
+    S^n Q' = (S Q')^n (S = G T G^-1, Q' = G Q G^-1, G x = x rho^1/2) and
     ||Phi^n (I - E_N)|| <= a^n for every n: the one-step rate is the minimum
     of -(1/n) log ||Phi^n (I - E_N)|| over all n.  a <= rank_tol gives inf;
     a within eq_tol of 1 counts as 1 (rate 0), so rounding neither makes the

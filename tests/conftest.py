@@ -13,12 +13,15 @@ from chanstruct.algebra import (
 )
 from chanstruct.numerics import (
     DEFAULT_TOL,
+    DimensionMismatch,
     MatrixSubspace,
     Tolerances,
     dagger,
     kernel_coefficients,
     reduce_span,
+    span_basis,
 )
+from chanstruct.oqrw import OqrwDfaReport, _advance_spans
 from chanstruct.structure import NoStabilization
 from tools.report_set import amplitude_damping, dephasing_mixture  # noqa: F401
 
@@ -83,6 +86,94 @@ def word_route_dfa(c, tol=DEFAULT_TOL, n_max=None):
                             dim=D, tol=tol)
     raise NoStabilization(f"word chain still at dim {current.dim} after "
                           f"n={cap}")
+
+
+def subspace_intersection(S1, S2, tol=DEFAULT_TOL):
+    """Intersection of two matrix subspaces: the elements of S1 with no
+    residual against S2."""
+    if S1.ambient_dim != S2.ambient_dim:
+        raise DimensionMismatch("ambient dims differ")
+    return S1.restrict([lambda B: B - S2.project(B)], tol)
+
+
+def _full_route_conditions(w, spans):
+    """The walk's block conditions as closures on full D x D matrices, per
+    column j: A_ii P Q* = P Q* A_kk for P in spans[i,j], Q in spans[k,j],
+    and A_li P = 0 = P* A_il for the off-diagonal blocks (l, i)."""
+    n = w.n_vertices
+    for j in range(n):
+        incoming = [(i, spans[(i, j)]) for i in range(n) if (i, j) in spans]
+        for i, Ps in incoming:
+            for k, Qs in incoming:
+                for P in Ps:
+                    for Q in Qs:
+                        M = P @ dagger(Q)
+
+                        def diag_fn(A, i=i, k=k, M=M):
+                            return w.block(A, i, i) @ M - M @ w.block(A, k, k)
+                        yield diag_fn
+            for l in range(n):
+                if l == i:
+                    continue
+                for P in Ps:
+                    def off_left(A, l=l, i=i, P=P):
+                        return w.block(A, l, i) @ P
+                    yield off_left
+
+                    def off_right(A, l=l, i=i, P=P):
+                        return dagger(P) @ w.block(A, i, l)
+                    yield off_right
+
+
+def full_route_oqrw_multiplicative_domain(w, tol=DEFAULT_TOL):
+    """Oracle for the walk's M: every D x D matrix unit restricted by all
+    one-step block conditions in one kernel."""
+    spans = {key: [L] for key, L in w.transitions.items()}
+    return OperatorAlgebra(full_algebra(w.total_dim).subspace.restrict(
+        _full_route_conditions(w, spans), tol))
+
+
+def full_route_oqrw_dfa(w, n_max=None, tol=DEFAULT_TOL):
+    """Oracle for the walk's N: every D x D matrix unit restricted by the
+    n-step block conditions until the dimension repeats or falls to 1,
+    split by intersecting with the diagonal and off-diagonal units, with
+    the dead corners counted by matrix_rank at 1e3 * rank_tol."""
+    D = w.total_dim
+    cap = n_max if n_max is not None else D * D
+    spans = {key: span_basis([L], tol) for key, L in w.transitions.items()}
+    sub = full_algebra(D).subspace
+    prev_dim = None
+    for _ in range(cap):
+        sub = sub.restrict(_full_route_conditions(w, spans), tol)
+        if sub.dim == prev_dim or sub.dim <= 1:
+            break
+        prev_dim = sub.dim
+        spans = _advance_spans(w, spans, tol)
+    else:
+        raise NoStabilization(
+            f"path-condition chain still at dim {sub.dim} after n={cap}")
+
+    off = w.offsets
+    mask = np.zeros((D, D))
+    for i in range(w.n_vertices):
+        mask[off[i]:off[i + 1], off[i]:off[i + 1]] = 1
+    units = np.eye(D * D).reshape(-1, D, D)
+    diag_space = MatrixSubspace(D, units[mask.ravel() == 1])
+    offd_space = MatrixSubspace(D, units[mask.ravel() == 0])
+    dead = []
+    for i in range(w.n_vertices):
+        cols = [L for (ii, j), L in w.transitions.items() if ii == i]
+        rank = 0
+        if cols:
+            rank = np.linalg.matrix_rank(np.concatenate(cols, axis=1),
+                                         tol=1e3 * tol.rank_tol)
+        dead.append(w.local_dims[i] - rank)
+    return OqrwDfaReport(
+        algebra=OperatorAlgebra(sub),
+        diagonal=subspace_intersection(sub, diag_space, tol=tol),
+        off_diagonal=subspace_intersection(sub, offd_space, tol=tol),
+        dead_corners=tuple(dead),
+        diagonal_forced=sum(1 for x in dead if x > 0) <= 1)
 
 
 def expectation_onto_dfa(c, p, tol=DEFAULT_TOL, seed=0):

@@ -569,7 +569,7 @@ def test_acceptance_7_cyclic_shift(capsys):
         check(comp.cycle.period == d,
               f"d={d}: period {comp.cycle.period}")
         cd = component_decompose(comp)
-        rebuilt = structured_kraus(cd)
+        rebuilt, _ = structured_kraus(cd)
         err = spectral_norm(rebuilt.transfer - comp.channel.transfer)
         check(err <= 1e-8, f"d={d}: reconstruction error {err:.2e}")
     _verdict(capsys, "7: cyclic shift walks d=3,4 (seed 42)", failures)

@@ -203,7 +203,7 @@ def test_component_decompose_classical_cycle():
     assert cd.right_dims == (1, 1, 1)
     for rho in cd.block_states:
         assert np.allclose(rho, np.eye(1))
-    rebuilt = structured_kraus(cd)
+    rebuilt, _ = structured_kraus(cd)
     assert spectral_norm(rebuilt.transfer - c.transfer) < 1e-8
 
 
@@ -223,7 +223,7 @@ def test_component_decompose_shift_walk():
     # each reduced map is the trivial scalar channel
     for m in range(3):
         assert np.allclose(cd.xi_transfer(m), np.eye(1), atol=1e-8)
-    rebuilt = structured_kraus(cd)
+    rebuilt, _ = structured_kraus(cd)
     assert spectral_norm(rebuilt.transfer - c.transfer) < 1e-8
 
 
@@ -240,7 +240,7 @@ def test_component_decompose_pauli():
     M = cd.cycle_composition(0)
     lam = np.linalg.eigvals(M)
     assert np.sum(np.abs(lam) > 1 - 1e-7) == 1
-    rebuilt = structured_kraus(cd)
+    rebuilt, _ = structured_kraus(cd)
     assert spectral_norm(rebuilt.transfer - c.transfer) < 1e-8
 
 

@@ -17,13 +17,12 @@ from chanstruct.numerics import (
     sorted_schur,
     spectral_norm,
     subspace_distance,
-    subspace_intersection,
     transfer_of,
     unvec,
     vec,
 )
 from chanstruct.channel import from_kraus
-from tests.conftest import I2, X, Z, kernel_basis
+from tests.conftest import I2, X, Z, kernel_basis, subspace_intersection
 
 
 def test_tolerances_positive():

@@ -25,7 +25,9 @@ from chanstruct.oqrw import (
     pauli_pair,
     to_channel,
 )
-from chanstruct.structure import dfa, multiplicative_domain
+from chanstruct.structure import NoStabilization, dfa, multiplicative_domain
+from tests.conftest import full_route_oqrw_dfa, full_route_oqrw_multiplicative_domain
+from tools.report_set import dead_corners_walk
 
 
 def random_walk(rng, n_vertices, dims, out_degree=2):
@@ -284,3 +286,67 @@ def test_json_roundtrip():
         assert np.allclose(w2.transitions[key], L, atol=1e-12)
     assert spectral_norm(to_channel(w2).transfer - to_channel(w).transfer) \
         < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# block split against the full-route oracle
+# ---------------------------------------------------------------------------
+
+def rank_one_scatter_walk(rng):
+    """Like the walk of test_dead_corners with random data: vertex 1
+    splits along a random basis into rank-one edges to 0 and 2, which
+    return to 1 by random unitaries."""
+    B = random_unitary(2, rng)
+    transitions = {
+        (0, 1): random_unitary(2, rng) @ np.outer(B[:, 0], B[:, 0].conj()),
+        (2, 1): random_unitary(2, rng) @ np.outer(B[:, 1], B[:, 1].conj()),
+        (1, 0): random_unitary(2, rng),
+        (1, 2): random_unitary(2, rng),
+    }
+    return build(range(3), [2, 2, 2], transitions)
+
+
+def least_stable_power(dfa_route, w):
+    """Smallest n_max at which the route stops raising NoStabilization."""
+    for n in range(1, w.total_dim ** 2 + 1):
+        try:
+            dfa_route(w, n_max=n)
+            return n
+        except NoStabilization:
+            pass
+    raise AssertionError("no n_max up to D^2 stabilizes")
+
+
+def oracle_walks():
+    rng = np.random.default_rng(17)
+    yield "dead-corners-3", dead_corners_walk()
+    yield "pauli-3", builder_pauli_walk(3, 0.5)
+    yield "pauli-4", builder_pauli_walk(4, 0.3)
+    yield "cyclic-shift-3", builder_cyclic_shift(
+        3, [random_unitary(2, rng) for _ in range(3)])
+    yield "nn-cycle-4", builder_nn_cycle(4, *special_pair())
+    yield "nn-cycle-5", builder_nn_cycle(
+        5, *(np.sqrt(p) * random_unitary(2, rng) for p in (0.4, 0.6)))
+    for t, dims in enumerate(([2, 2, 2], [2, 1, 2], [1, 2, 2], [2, 2, 1])):
+        yield f"random-{t}", random_walk(rng, 3, dims)
+    for t in range(3):
+        yield f"rank-one-scatter-{t}", rank_one_scatter_walk(rng)
+
+
+@pytest.mark.parametrize("name,w", [pytest.param(name, w, id=name)
+                                    for name, w in oracle_walks()])
+def test_block_split_matches_full_route(name, w):
+    rep, ref = oqrw_dfa(w), full_route_oqrw_dfa(w)
+    assert subspace_distance(rep.algebra.subspace, ref.algebra.subspace) \
+        <= 1e-10
+    assert subspace_distance(rep.diagonal, ref.diagonal) <= 1e-10
+    assert subspace_distance(rep.off_diagonal, ref.off_diagonal) <= 1e-10
+    assert rep.dead_corners == ref.dead_corners
+    assert rep.diagonal_forced == ref.diagonal_forced
+    assert subspace_distance(oqrw_multiplicative_domain(w).subspace,
+                             full_route_oqrw_multiplicative_domain(w).subspace) \
+        <= 1e-10
+    assert least_stable_power(oqrw_dfa, w) == \
+        least_stable_power(full_route_oqrw_dfa, w)
+    if name == "dead-corners-3":
+        assert rep.off_diagonal.dim == 2

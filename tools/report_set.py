@@ -7,8 +7,8 @@ Usage::
 For each input and each of the two commands, writes ``<stem>.json`` (the
 report, when the command wrote one) and ``<stem>.exit`` (its exit code)
 into OUT_DIR, the layout `tools/compare_reports.py` reads; the inputs
-themselves go to OUT_DIR/in.  The stem is ``<input>.<command>``.  The 170
-inputs, 340 cases:
+themselves go to OUT_DIR/in.  The stem is ``<input>.<command>``.  The 171
+inputs, 342 cases:
 
 * the 52-channel corpora of seeds 20240817, 27 and 1, built by
   `perfbench/inputs.py` (``s<seed>-cNN``);
@@ -21,7 +21,9 @@ inputs, 340 cases:
   {1e-3, 1e-5, 1e-7, 5e-8, 1e-9}, whose eigenvalue 1 - eps crosses the
   edge of the peripheral band (``dephasing-<eps>``), and amplitude
   damping with gamma = 0.3, which has no faithful invariant state
-  (``amplitude-damping-0.3``).
+  (``amplitude-damping-0.3``);
+* the 3-vertex walk with two dead corners, whose N has a nonzero
+  off-diagonal part (``dead-corners-3``).
 
 The commands run in-process through `chanstruct.cli.main`, imported from
 the `src/` next to this script.  To compare two checkouts, run the script
@@ -42,6 +44,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from chanstruct.channel import channel_to_json, from_kraus  # noqa: E402
 from chanstruct.cli import main as cli_main  # noqa: E402
+from chanstruct.numerics import random_unitary  # noqa: E402
+from chanstruct.oqrw import build, oqrw_to_json  # noqa: E402
 from perfbench import inputs  # noqa: E402
 
 CORPUS_SEEDS = (20240817, 27, 1)
@@ -77,6 +81,22 @@ def amplitude_damping(gamma=DAMPING_GAMMA):
                       label=f"amplitude-damping-{gamma:g}")
 
 
+def dead_corners_walk():
+    """Vertex 1 scatters rank-one pieces to vertices 0 and 2, which return
+    to 1 by unitaries; 0 and 2 each keep a one-dimensional dead corner
+    (the complement of their incoming ranges), so N has a two-dimensional
+    off-diagonal part."""
+    e0 = np.zeros((2, 2))
+    e0[0, 0] = 1
+    e1 = np.zeros((2, 2))
+    e1[0, 1] = 1
+    rng = np.random.default_rng(1)
+    transitions = {(0, 1): e0, (2, 1): e1,
+                   (1, 0): random_unitary(2, rng),
+                   (1, 2): random_unitary(2, rng)}
+    return build(range(3), [2, 2, 2], transitions, label="dead-corners-3")
+
+
 def kraus_channels() -> dict:
     """The dephasing mixtures and the amplitude-damping channel, as
     channel JSON keyed by input name (the label)."""
@@ -93,6 +113,7 @@ def write_inputs(directory: Path) -> dict:
                          in inputs.corpus_json(seed).items()})
     payloads.update(inputs.walks("full"))
     payloads.update(kraus_channels())
+    payloads["dead-corners-3"] = oqrw_to_json(dead_corners_walk())
     paths = inputs.write_inputs(payloads, str(directory))
     for name, argv in EXAMPLES.items():
         path = directory / f"{name}.json"
