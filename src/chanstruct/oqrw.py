@@ -260,8 +260,8 @@ def oqrw_dfa(w: OqrwSpec, n_max: int | None = None,
     shrinks along the chain."""
     cap = n_max if n_max is not None else w.total_dim ** 2
     dead, off_diagonal = _off_diagonal(w, tol)
-    prev_dim = None
     spans = {key: span_basis([L], tol) for key, L in w.transitions.items()}
+    prev_dim = None
     for _, diagonal in zip(range(cap), _diagonal_chain(w, spans, tol)):
         dim = diagonal.dim + off_diagonal.dim
         if dim == prev_dim or dim <= 1:
