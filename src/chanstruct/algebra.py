@@ -19,10 +19,9 @@ from chanstruct.numerics import (
     dagger,
     fix_global_phase,
     gram_kernel,
-    hs_norm,
     range_isometry,
-    reduce_span,
     round_projector,
+    span_basis,
     transfer_of,
     unvec,
     vec,
@@ -58,24 +57,6 @@ class OperatorAlgebra:
     @property
     def basis(self):
         return self.subspace.basis
-
-    def closure_defect(self) -> float:
-        """Largest residual of a basis product or adjoint outside the span."""
-        worst = 0.0
-        for a in self.basis:
-            worst = max(worst, self.subspace.residual(dagger(a)))
-            for b in self.basis:
-                worst = max(worst, self.subspace.residual(a @ b))
-        return worst
-
-    @classmethod
-    def from_span(cls, mats, dim=None, tol: Tolerances = DEFAULT_TOL,
-                  check: bool = False) -> "OperatorAlgebra":
-        sub = MatrixSubspace.from_span(mats, dim=dim, tol=tol)
-        alg = cls(sub)
-        if check and alg.closure_defect() > 10 * tol.eq_tol:
-            raise NotAlgebra(f"closure defect {alg.closure_defect():.3e}")
-        return alg
 
 
 def full_algebra(dim: int) -> OperatorAlgebra:
@@ -117,8 +98,8 @@ def commutant(gens, dim=None, tol: Tolerances = DEFAULT_TOL) -> OperatorAlgebra:
     return OperatorAlgebra(gram_kernel(*commutator_gram(gens, dim), tol))
 
 
-def generated_algebra(gens, dim=None, tol: Tolerances = DEFAULT_TOL,
-                      max_rounds: int | None = None) -> OperatorAlgebra:
+def generated_algebra(gens, dim=None,
+                      tol: Tolerances = DEFAULT_TOL) -> OperatorAlgebra:
     """Smallest unital *-algebra containing the generators.
 
     Closes under products until the dimension stabilizes (word length
@@ -129,17 +110,14 @@ def generated_algebra(gens, dim=None, tol: Tolerances = DEFAULT_TOL,
         if not gens:
             raise ValueError("need dim for an empty generator set")
         dim = gens[0].shape[0]
-    seed = [np.eye(dim, dtype=complex)] + gens + [dagger(g) for g in gens]
-    basis = reduce_span(seed, dim=dim, tol=tol)
-    rounds = max_rounds if max_rounds is not None else dim * dim
-    for _ in range(rounds):
-        prods = [a @ b for a in basis for b in basis]
-        new = reduce_span(basis + prods, dim=dim, tol=tol)
-        if len(new) == len(basis):
-            basis = new
+    basis = span_basis([np.eye(dim), *gens, *(dagger(g) for g in gens)], tol)
+    for _ in range(dim * dim):
+        prods = (basis[:, None] @ basis).reshape(-1, dim, dim)
+        new = span_basis(np.concatenate([basis, prods]), tol)
+        stable, basis = len(new) == len(basis), new
+        if stable:
             break
-        basis = new
-    return OperatorAlgebra(MatrixSubspace(dim, tuple(basis)))
+    return OperatorAlgebra(MatrixSubspace(dim, basis))
 
 
 def center(alg: OperatorAlgebra, tol: Tolerances = DEFAULT_TOL) -> OperatorAlgebra:
@@ -196,8 +174,13 @@ def block_order(P: np.ndarray):
     return (-int(round(np.real(np.trace(P)))), tuple(-d))
 
 
+MAX_DRAWS = 50
+"""Random elements drawn in :func:`atomic_structure` before it gives up on
+separating the central or the block spectrum."""
+
+
 def atomic_structure(alg: OperatorAlgebra, tol: Tolerances = DEFAULT_TOL,
-                     seed: int = 0, max_draws: int = 50) -> AlgebraStructure:
+                     seed: int = 0) -> AlgebraStructure:
     """Minimal central projections and block factorizations of ``alg``.
 
     Central projections come from the spectral decomposition of a random
@@ -206,7 +189,7 @@ def atomic_structure(alg: OperatorAlgebra, tol: Tolerances = DEFAULT_TOL,
     built from a random Hermitian block element give the unitary U_j.
     """
     D = alg.ambient_dim
-    defect = alg.closure_defect()
+    defect = max(alg.subspace.closure_defects())
     if defect > 100 * tol.eq_tol:
         raise NotAlgebra(f"closure defect {defect:.3e}")
     rng = np.random.default_rng(seed)
@@ -214,7 +197,7 @@ def atomic_structure(alg: OperatorAlgebra, tol: Tolerances = DEFAULT_TOL,
     k = cen.dim
 
     projections = None
-    for _ in range(max_draws):
+    for _ in range(MAX_DRAWS):
         h = _random_hermitian_combo(cen.basis, rng)
         w, V = np.linalg.eigh(h)
         gap = 10 * tol.eq_tol * max(1.0, float(np.max(np.abs(w))))
@@ -231,14 +214,13 @@ def atomic_structure(alg: OperatorAlgebra, tol: Tolerances = DEFAULT_TOL,
         break
     if projections is None:
         raise DegenerateRandomElement(
-            f"central element not separated after {max_draws} draws (seed {seed})")
+            f"central element not separated after {MAX_DRAWS} draws (seed {seed})")
 
     blocks = []
     for P in projections:
         W = range_isometry(P, tol)
         nblk = W.shape[1]
-        comp = reduce_span([dagger(W) @ b @ W for b in alg.basis],
-                           dim=nblk, tol=tol)
+        comp = span_basis(dagger(W) @ alg.basis @ W, tol)
         r = len(comp)
         nL = int(round(np.sqrt(r)))
         if nL * nL != r:
@@ -246,7 +228,7 @@ def atomic_structure(alg: OperatorAlgebra, tol: Tolerances = DEFAULT_TOL,
         if nblk % nL != 0:
             raise NotAlgebra(f"block size {nblk} not divisible by {nL}")
         nR = nblk // nL
-        Ut = _factor_unitary(comp, nblk, nL, nR, rng, tol, max_draws)
+        Ut = _factor_unitary(comp, nblk, nL, nR, rng, tol)
         U = fix_global_phase(Ut @ dagger(W), tol)
         _check_factorization(U, comp, W, nL, nR, tol)
         blocks.append((P, U, nL, nR))
@@ -261,12 +243,12 @@ def atomic_structure(alg: OperatorAlgebra, tol: Tolerances = DEFAULT_TOL,
     )
 
 
-def _factor_unitary(comp, nblk, nL, nR, rng, tol, max_draws):
+def _factor_unitary(comp, nblk, nL, nR, rng, tol):
     """Unitary (nL*nR x nblk) conjugating a factor to B(C^nL) (x) I."""
     if nL == 1:
         # Algebra is scalars on the block; any orthonormal basis works.
         return np.eye(nblk, dtype=complex)
-    for _ in range(max_draws):
+    for _ in range(MAX_DRAWS):
         h = _random_hermitian_combo(comp, rng)
         w, V = np.linalg.eigh(h)
         gap = 10 * tol.eq_tol * max(1.0, float(np.max(np.abs(w))))
@@ -295,8 +277,7 @@ def _factor_unitary(comp, nblk, nL, nR, rng, tol, max_draws):
             isoms.append(v)
         if not ok:
             continue
-        wE, VE = np.linalg.eigh(minimal[0])
-        F = VE[:, wE > 0.5]                     # (nblk, nR) basis of E_1 range
+        F = range_isometry(minimal[0], tol)     # (nblk, nR) basis of E_1 range
         G = np.column_stack([isoms[i] @ F[:, r]
                              for i in range(nL) for r in range(nR)])
         # re-orthonormalize via polar decomposition
@@ -306,18 +287,21 @@ def _factor_unitary(comp, nblk, nL, nR, rng, tol, max_draws):
         G = u @ vh
         return dagger(G)
     raise DegenerateRandomElement(
-        f"factor separation failed after {max_draws} draws")
+        f"factor separation failed after {MAX_DRAWS} draws")
 
 
 def _check_factorization(U, comp, W, nL, nR, tol):
+    """Every element of the stack ``comp``, carried by U W, must be
+    a (x) I within 100 * eq_tol * max(1, ||b||)."""
     Ut = U @ W                                   # (nL*nR, nblk)
-    for b in comp:
-        X = Ut @ b @ dagger(Ut)
-        X4 = X.reshape(nL, nR, nL, nR)
-        a = np.einsum("irjr->ij", X4) / nR
-        resid = np.linalg.norm(X4 - np.einsum("ij,rs->irjs", a, np.eye(nR)))
-        if resid > 100 * tol.eq_tol * max(1.0, hs_norm(b)):
-            raise NotAlgebra(f"factorization residual {resid:.3e}")
+    X5 = (Ut @ comp @ dagger(Ut)).reshape(-1, nL, nR, nL, nR)
+    a = np.einsum("kirjr->kij", X5) / nR
+    resid = np.linalg.norm(
+        (X5 - np.einsum("kij,rs->kirjs", a, np.eye(nR))).reshape(len(X5), -1),
+        axis=1)
+    bound = 100 * tol.eq_tol * np.maximum(1.0, np.linalg.norm(comp, axis=(1, 2)))
+    if np.any(resid > bound):
+        raise NotAlgebra(f"factorization residual {resid.max():.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -342,20 +326,26 @@ class ConditionalExpectation:
         return self.structure.ambient_dim
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        return unvec(self.transfer @ vec(np.asarray(X, dtype=complex)), self.dim)
+        """E(X), of one matrix or of each in a stack."""
+        return unvec(vec(np.asarray(X, dtype=complex)) @ self.transfer.T,
+                     self.dim)
 
 
 def _apply_block_expectation(structure: AlgebraStructure, states, X):
-    D = structure.ambient_dim
-    out = np.zeros((D, D), dtype=complex)
+    """The expectation of X, or of each matrix in a stack: per block,
+    the right factor of U X U* is traced against rho, and a (x) I is
+    carried back."""
+    out = 0
     for P, U, nL, nR, rho in zip(structure.central_projections,
                                  structure.block_unitaries,
                                  structure.left_dims, structure.right_dims,
                                  states):
         Y = U @ (P @ X @ P) @ dagger(U)
-        Y4 = Y.reshape(nL, nR, nL, nR)
-        a = np.einsum("irjs,sr->ij", Y4, rho)
-        out += dagger(U) @ np.kron(a, np.eye(nR)) @ U
+        a = np.einsum("...irjs,sr->...ij",
+                      Y.reshape(*Y.shape[:-2], nL, nR, nL, nR), rho)
+        # U* (a (x) I) U = sum_r U_r* a U_r, U_r the rows (i, r) of U
+        out = out + sum(dagger(Ur) @ a @ Ur
+                        for Ur in U.reshape(nL, nR, -1).transpose(1, 0, 2))
     return out
 
 
@@ -392,21 +382,19 @@ def extract_block_states(apply_fn, structure: AlgebraStructure,
                          tol: Tolerances = DEFAULT_TOL) -> tuple:
     """Read the defining block states off an expectation's action.
 
-    ``apply_fn(X)`` evaluates the expectation; for each block the state
+    ``apply_fn`` evaluates the expectation on a stack of matrices; for each
+    block it gets the nR^2 matrices U*(I (x) E_rs)U at once, and the state
     entries come from E(U*(I (x) E_rs)U) = rho[s, r] P_j.
     """
     states = []
     for P, U, nL, nR in zip(structure.central_projections,
                             structure.block_unitaries,
                             structure.left_dims, structure.right_dims):
-        rank = nL * nR
-        rho = np.zeros((nR, nR), dtype=complex)
-        for r in range(nR):
-            for s in range(nR):
-                B = np.zeros((nR, nR), dtype=complex)
-                B[r, s] = 1.0
-                X = dagger(U) @ np.kron(np.eye(nL), B) @ U
-                rho[s, r] = np.trace(P @ apply_fn(X)) / rank
+        U3 = U.reshape(nL, nR, -1)
+        X = np.einsum("irx,isy->rsxy", U3.conj(), U3).reshape(
+            nR * nR, *P.shape)
+        rho = np.einsum("xy,nyx->n", P, apply_fn(X)).reshape(nR, nR).T \
+            / (nL * nR)
         rho = (rho + dagger(rho)) / 2
         rho = rho / np.real(np.trace(rho))
         states.append(rho)

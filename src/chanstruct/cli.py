@@ -277,11 +277,7 @@ def build_ledger(analysis: Analysis) -> list:
         return entries
 
     F = analysis.F
-    prod_res = 0.0
-    for a in F.subspace.basis:
-        for b in F.subspace.basis:
-            prod_res = max(prod_res, F.subspace.residual(a @ b))
-    add("fixed-points-product-closed", prod_res, 1e-6)
+    add("fixed-points-product-closed", F.product_defect, 1e-6)
 
     inv, N = analysis.inv, analysis.N
     if inv.faithful:

@@ -35,8 +35,6 @@ from chanstruct.numerics import (
     spectral_norm,
     subspace_distance,
     transfer_of,
-    unvec,
-    vec,
 )
 
 
@@ -349,22 +347,17 @@ def mfnc_decompose(c: ChannelSpec, F: OperatorAlgebra, st: AlgebraStructure,
 # Component factorization
 # ---------------------------------------------------------------------------
 
-def _solve_conjugation_unitary(G_map, nL, tol):
-    """Recover unitary T from the map E_ab -> T E_ab T* given on units."""
-    K = np.zeros((nL, nL, nL, nL), dtype=complex)   # indices (c,a,d,b)
-    for a in range(nL):
-        for b in range(nL):
-            K[:, a, :, b] = G_map[(a, b)]
-    Kmat = K.reshape(nL * nL, nL * nL)
-    w, V = np.linalg.eigh((Kmat + dagger(Kmat)) / 2)
+def _solve_conjugation_unitary(G, nL, tol):
+    """Recover unitary T from the map E_ab -> T E_ab T*, given as the stack
+    of the images of the units in the order a * nL + b."""
+    # K[c, a, d, b] = G[a * nL + b][c, d]
+    K = G.reshape((nL,) * 4).transpose(2, 0, 3, 1).reshape(nL * nL, nL * nL)
+    w, V = np.linalg.eigh((K + dagger(K)) / 2)
     T = (V[:, -1] * np.sqrt(max(w[-1], 0.0))).reshape(nL, nL)
     W, _, Vh = np.linalg.svd(T)
     T = fix_global_phase(W @ Vh, tol=tol)
-    worst = 0.0
-    for (a, b), G in G_map.items():
-        E = np.zeros((nL, nL), dtype=complex)
-        E[a, b] = 1
-        worst = max(worst, spectral_norm(G - T @ E @ dagger(T)))
+    images = np.einsum("ca,db->abcd", T, T.conj()).reshape(G.shape)
+    worst = np.linalg.norm(G - images, 2, axis=(1, 2)).max()
     if worst > 1e3 * tol.eq_tol:
         raise IsomorphismSolveFailed(
             f"shift-unitary solve residual {worst:.3e}")
@@ -390,54 +383,46 @@ def component_decompose(comp: MfncComponent,
     if len(set(nLs)) != 1:
         raise IsomorphismSolveFailed(
             f"left factors have unequal dimensions {nLs}")
-    nL = nLs[0]
+    nL, r = nLs[0], c_i.dim
     rho = comp.block_states
+    limit = 1e3 * tol.eq_tol
 
+    # left part: E_ab -> T_m E_ab T_m*, probed on the stack of the nL^2
+    # units S_m* (E_ab (x) I) S_m, in the order a * nL + b
     shift_unitaries = []
     for m in range(d):
         prev = (m - 1) % d
-        Sm, Sp = S[m], S[prev]
-        nR_m, nR_p = nRs[m], nRs[prev]
-        # left part: E_ab -> T_m E_ab T_m*
-        G_map = {}
-        for a in range(nL):
-            for b in range(nL):
-                E = np.zeros((nL, nL), dtype=complex)
-                E[a, b] = 1
-                X = dagger(Sm) @ np.kron(E, np.eye(nR_m)) @ Sm
-                Cblk = Sp @ c_i.apply(X) @ dagger(Sp)
-                C4 = Cblk.reshape(nL, nR_p, nL, nR_p)
-                G = np.einsum("irjr->ij", C4) / nR_p
-                if np.linalg.norm(C4 - np.einsum("ij,rs->irjs", G,
-                                                 np.eye(nR_p))) > 1e3 * tol.eq_tol:
-                    raise IsomorphismSolveFailed(
-                        "left action is not of the form T E T* (x) I")
-                G_map[(a, b)] = G
-        shift_unitaries.append(_solve_conjugation_unitary(G_map, nL, tol))
-
-    # right part: split each Kraus operator along the cycle
-    canonical = c_i.minimal_kraus().kraus
-    xi_kraus = [[] for _ in range(d)]
-    for V in canonical:
-        recomposed = np.zeros_like(V)
-        for m in range(d):
-            prev = (m - 1) % d
-            Sm, Sp = S[m], S[prev]
-            nR_m, nR_p = nRs[m], nRs[prev]
-            B = Sm @ V @ dagger(Sp)
-            lifted = np.kron(shift_unitaries[m], np.eye(nR_m)) @ B
-            L = np.einsum("iris->rs",
-                          lifted.reshape(nL, nR_m, nL, nR_p)) / nL
-            if np.linalg.norm(B - np.kron(dagger(shift_unitaries[m]),
-                                          L)) > 1e3 * tol.eq_tol:
-                raise IsomorphismSolveFailed(
-                    "a Kraus block is not of the form T* (x) L")
-            xi_kraus[m].append(L)
-            recomposed += dagger(Sm) @ B @ Sp
-        if spectral_norm(recomposed - V) > 1e3 * tol.eq_tol:
+        Sm3 = S[m].reshape(nL, nRs[m], -1)
+        X = np.einsum("arx,bry->abxy", Sm3.conj(), Sm3).reshape(
+            nL * nL, r, r)
+        C5 = (S[prev] @ c_i.apply(X) @ dagger(S[prev])).reshape(
+            -1, nL, nRs[prev], nL, nRs[prev])
+        G = np.einsum("nirjr->nij", C5) / nRs[prev]
+        resid = C5 - np.einsum("nij,rs->nirjs", G, np.eye(nRs[prev]))
+        if np.any(np.linalg.norm(resid.reshape(len(G), -1), axis=1) > limit):
             raise IsomorphismSolveFailed(
-                "a Kraus operator has blocks outside the one-step shift")
-    xi_kraus = [tuple(ks) for ks in xi_kraus]
+                "left action is not of the form T E T* (x) I")
+        shift_unitaries.append(_solve_conjugation_unitary(G, nL, tol))
+
+    # right part: split every Kraus operator along the cycle, all the
+    # blocks B = S_m V S_{m-1}* of one step at once
+    canonical = np.asarray(c_i.minimal_kraus().kraus)
+    xi_kraus, recomposed = [], np.zeros_like(canonical)
+    for m in range(d):
+        prev = (m - 1) % d
+        T = shift_unitaries[m]
+        B = S[m] @ canonical @ dagger(S[prev])
+        B5 = B.reshape(-1, nL, nRs[m], nL, nRs[prev])
+        L = np.einsum("ia,karis->krs", T, B5) / nL
+        resid = B5 - np.einsum("ia,krs->karis", T.conj(), L)
+        if np.any(np.linalg.norm(resid.reshape(len(L), -1), axis=1) > limit):
+            raise IsomorphismSolveFailed(
+                "a Kraus block is not of the form T* (x) L")
+        xi_kraus.append(tuple(L))
+        recomposed += dagger(S[m]) @ B @ S[prev]
+    if np.any(np.linalg.norm(recomposed - canonical, 2, axis=(1, 2)) > limit):
+        raise IsomorphismSolveFailed(
+            "a Kraus operator has blocks outside the one-step shift")
 
     cd = ComponentData(channel=c_i, cycle=cycle, isometries=S,
                        left_dim=nL, right_dims=nRs,
@@ -503,8 +488,6 @@ def fixed_multiblock(cd: ComponentData, F: OperatorAlgebra,
     for m in range(d - 2, -1, -1):
         acc = T[m + 1] @ acc
         tilde[m] = acc
-    if d == 1:
-        tilde = [T[0]]
     mono = tilde[0]
 
     w, V = np.linalg.eig(mono)
@@ -541,24 +524,25 @@ def fixed_multiblock(cd: ComponentData, F: OperatorAlgebra,
                 "projection of the fixed points")
         central.append(P)
 
-        G = np.zeros((r, lj * right_total), dtype=complex)
+        # column p * right_total + offsets[m] + s is S_m* (T~_m B_j e_p (x) e_s)
+        G3 = np.zeros((r, lj, right_total), dtype=complex)
         for m in range(d):
-            lifted = tilde[m] @ Bj            # nL x lj
-            for pcol in range(lj):
-                for s in range(cd.right_dims[m]):
-                    e = np.zeros(cd.right_dims[m])
-                    e[s] = 1
-                    col = dagger(cd.isometries[m]) @ np.kron(lifted[:, pcol], e)
-                    G[:, pcol * right_total + offsets[m] + s] = col
+            G3[:, :, offsets[m]:offsets[m + 1]] = np.einsum(
+                "xis,ip->xps",
+                dagger(cd.isometries[m]).reshape(r, nL, cd.right_dims[m]),
+                tilde[m] @ Bj)
+        G = G3.reshape(r, lj * right_total)
         embeddings.append(G)
 
-        def psi(E, G=G, lj=lj):
-            X = G @ np.kron(np.eye(lj), E) @ dagger(G)
-            C = dagger(G) @ cd.channel.apply(X) @ G
-            C4 = C.reshape(lj, right_total, lj, right_total)
-            out = np.einsum("iris->rs", C4) / lj
-            if np.linalg.norm(C4 - np.einsum("ij,rs->irjs", np.eye(lj),
-                                             out)) > 1e3 * tol.eq_tol:
+        def psi(E, G=G, G3=G3, lj=lj):
+            # G (I (x) E) G* = sum_i G_i E G_i*, G_i = G[:, i-th block]
+            X = sum(g @ E @ dagger(g) for g in G3.transpose(1, 0, 2))
+            C5 = (dagger(G) @ cd.channel.apply(X) @ G).reshape(
+                -1, lj, right_total, lj, right_total)
+            out = np.einsum("niris->nrs", C5) / lj
+            resid = C5 - np.einsum("ij,nrs->nirjs", np.eye(lj), out)
+            if np.linalg.norm(resid.reshape(len(out), -1), axis=1).max() \
+                    > 1e3 * tol.eq_tol:
                 raise CenterMismatch(
                     "restriction does not factor through the left block")
             return out
@@ -580,12 +564,11 @@ def fixed_multiblock(cd: ComponentData, F: OperatorAlgebra,
 
 def _restricted_power_transfer(c: ChannelSpec, Q: np.ndarray, d: int,
                                tol: Tolerances) -> np.ndarray:
-    """Transfer of Phi^d compressed to the range of the projection Q."""
+    """Transfer of Phi^d compressed to the range of the projection Q:
+    E -> R* Phi^d(R E R*) R for the isometry R onto it, which is
+    kron(R^T, R*) T^d kron(conj(R), R)."""
     R = range_isometry(Q, tol)
-    Td = c.power(d)
-    return transfer_of(
-        lambda E: dagger(R) @ unvec(Td @ vec(R @ E @ dagger(R)), c.dim) @ R,
-        R.shape[1])
+    return np.kron(R.T, dagger(R)) @ c.power(d) @ np.kron(R.conj(), R)
 
 
 def verify_power_fixed_points(c: ChannelSpec, report: CycleReport,

@@ -14,8 +14,9 @@ Conventions pinned here and used by every other module:
   max(sigma_max, 1) span the kernel.  :func:`gram_kernel` first keeps the
   eigenvectors of a Gram matrix with lambda <= GRAM_CANDIDATE_CUTOFF *
   max(lambda_max, 1); only the exact constraint on them decides.  Spans
-  keep the rows of one SVD with sigma > rank_tol * sigma_max
-  (:func:`span_basis`).  Subspaces are cut down by the kernel of
+  keep the rows of one SVD with sigma > rank_tol * max(sigma_max, 1)
+  (:func:`span_basis`), the same rule, so a numerically zero stack spans
+  nothing.  Subspaces are cut down by the kernel of
   constraints on their stacked basis (:meth:`MatrixSubspace.restrict`),
   and distances compare the bases (:func:`subspace_distance`), never
   forming D^2 x D^2 projectors.
@@ -27,6 +28,12 @@ Conventions pinned here and used by every other module:
   and [X1, -X2] [Y1, Y2]* for a difference.  Their spectral norm comes
   from two thin QRs and one SVD of the small triangular product
   (:func:`lowrank_norm`), never from the D^2 x D^2 matrix.
+* A linear action on matrices takes a (k, D, D) stack and returns the
+  stack of its images: one call covers every matrix unit of a transfer
+  matrix (:func:`transfer_of`), every block unit that
+  ``algebra.extract_block_states`` reads, and one basis row of the
+  products in a closure test (:meth:`MatrixSubspace.closure_defects`).
+  :func:`vec`, :func:`unvec` and :func:`dagger` act on the last two axes.
 """
 
 from __future__ import annotations
@@ -73,13 +80,15 @@ DEFAULT_TOL = Tolerances()
 
 
 def vec(X: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return np.asarray(X).flatten(order="F")
+    """Column-stacking vectorization of a matrix or of each in a stack."""
+    X = np.asarray(X)
+    return np.swapaxes(X, -1, -2).reshape(*X.shape[:-2], -1)
 
 
 def unvec(v: np.ndarray, dim: int) -> np.ndarray:
     """Inverse of :func:`vec`."""
-    return np.asarray(v).reshape((dim, dim), order="F")
+    v = np.asarray(v)
+    return np.swapaxes(v.reshape(*v.shape[:-1], dim, dim), -1, -2)
 
 
 def hs_inner(A: np.ndarray, B: np.ndarray) -> complex:
@@ -102,7 +111,8 @@ def spectral_norm(A: np.ndarray) -> float:
 
 
 def dagger(A: np.ndarray) -> np.ndarray:
-    return A.conj().T
+    """Adjoint of a matrix or of each matrix in a stack."""
+    return np.swapaxes(A.conj(), -1, -2)
 
 
 def lowrank_norm(X: np.ndarray, Y: np.ndarray) -> float:
@@ -128,10 +138,11 @@ factor of :func:`kernel_coefficients`; memory stays at one such block."""
 def span_basis(mats, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis, stacked as (r, a, b), of the span of one or more
     equally shaped matrices: the rows of one SVD with
-    sigma > rank_tol * sigma_max."""
+    sigma > rank_tol * max(sigma_max, 1), the rule of
+    :func:`kernel_coefficients`."""
     mats = np.asarray(mats, dtype=complex)
     _, s, vh = np.linalg.svd(mats.reshape(len(mats), -1), full_matrices=False)
-    return vh[s > tol.rank_tol * s[0]].reshape(-1, *mats.shape[1:])
+    return vh[s > tol.rank_tol * max(s[0], 1.0)].reshape(-1, *mats.shape[1:])
 
 
 def kernel_coefficients(blocks, k: int,
@@ -165,10 +176,10 @@ def kernel_coefficients(blocks, k: int,
 
 
 def transfer_of(action, dim: int) -> np.ndarray:
-    """Column-stacked transfer matrix of a linear map on dim x dim matrices:
-    column b * dim + a is vec(action(E_ab))."""
-    return np.column_stack([vec(action(unvec(e, dim)))
-                            for e in np.eye(dim * dim, dtype=complex)])
+    """Column-stacked transfer matrix of a linear map on dim x dim matrices
+    from one call of ``action`` on the (dim^2, dim, dim) stack of matrix
+    units: column b * dim + a is vec(action(E_ab))."""
+    return vec(action(unvec(np.eye(dim * dim, dtype=complex), dim))).T
 
 
 def range_isometry(P: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -228,9 +239,21 @@ class MatrixSubspace:
                              axes=([-2, -1], [1, 2]))
         return np.tensordot(coeff, self.basis, 1)
 
-    def residual(self, X: np.ndarray) -> float:
-        """HS-distance of X from the subspace."""
-        return hs_norm(X - self.project(X))
+    def residual(self, X: np.ndarray):
+        """HS-distance of X, or of each matrix in a stack of them, from the
+        subspace."""
+        return np.linalg.norm(X - self.project(X), axis=(-2, -1))
+
+    def closure_defects(self) -> tuple[float, float]:
+        """(adjoint, product) defects: the largest residual of the adjoint
+        of a basis element and of the product of two.  The products are
+        taken one basis row at a time, so memory stays at one (k, D, D)
+        stack."""
+        B = self.basis
+        adjoint = float(self.residual(dagger(B)).max(initial=0.0))
+        product = max((float(self.residual(a @ B).max()) for a in B),
+                      default=0.0)
+        return adjoint, product
 
     def restrict(self, constraints,
                  tol: Tolerances = DEFAULT_TOL) -> "MatrixSubspace":
@@ -246,12 +269,6 @@ class MatrixSubspace:
             (fn(self.basis).reshape(k, -1).T for fn in constraints), k, tol)
         return MatrixSubspace(self.ambient_dim,
                               np.tensordot(coeff.T, self.basis, 1))
-
-
-def reduce_span(mats, dim: int | None = None,
-                tol: Tolerances = DEFAULT_TOL) -> list[np.ndarray]:
-    """Orthonormal basis (as a list) of the span of ``mats``."""
-    return list(MatrixSubspace.from_span(mats, dim=dim, tol=tol).basis)
 
 
 GRAM_CANDIDATE_CUTOFF = 1e-6

@@ -242,9 +242,8 @@ def _advance_spans(w: OqrwSpec, spans, tol):
             if kk != k:
                 continue
             out.setdefault((i, j), []).extend(L @ P for P in Ps)
-    return {key: span_basis(mats, tol)
-            for key, mats in out.items()
-            if any(hs_norm(m) > tol.rank_tol for m in mats)}
+    bases = {key: span_basis(mats, tol) for key, mats in out.items()}
+    return {key: basis for key, basis in bases.items() if len(basis)}
 
 
 def oqrw_dfa(w: OqrwSpec, n_max: int | None = None,

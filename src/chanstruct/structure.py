@@ -86,10 +86,13 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class FixedPointSpace:
-    """Fixed points of a channel; an algebra whenever product-closed."""
+    """Fixed points of a channel; an algebra whenever product-closed.
+    product_defect is the largest residual of a product of two basis
+    elements outside the span."""
 
     subspace: MatrixSubspace
     is_algebra: bool
+    product_defect: float
 
     @property
     def dim(self) -> int:
@@ -114,12 +117,13 @@ class InvariantStateReport:
 
 @dataclass(frozen=True)
 class PeripheralData:
-    """Peripheral eigen-decomposition and the expectation onto N, with its
+    """Peripheral eigen-decomposition and the expectation onto N, as the
+    factors (X, Y) of E_N = X Y* (:attr:`Spectrum.e_n_factors`), with its
     commutation defect ||E_N T - T E_N||."""
 
     eigenvalues: tuple
     eigenmatrices: tuple
-    e_n_transfer: np.ndarray
+    e_n_factors: tuple
     reversible: MatrixSubspace
     commutation_defect: float
 
@@ -128,8 +132,10 @@ class PeripheralData:
         return self.reversible.ambient_dim
 
     def apply_expectation(self, X: np.ndarray) -> np.ndarray:
-        return unvec(self.e_n_transfer @ vec(np.asarray(X, dtype=complex)),
-                     self.dim)
+        """E_N(X), of one matrix or of each in a stack."""
+        Xf, Yf = self.e_n_factors
+        v = vec(np.asarray(X, dtype=complex))
+        return unvec((v @ Yf.conj()) @ Xf.T, self.dim)
 
 
 @dataclass(frozen=True)
@@ -222,20 +228,12 @@ def spectrum(T: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
 
 
 def fixed_points(s: Spectrum, tol: Tolerances = DEFAULT_TOL) -> FixedPointSpace:
-    """F = range(E_F); flagged as algebra when product-closed."""
-    sub = s.fixed
-    closed = True
-    for a in sub.basis:
-        if sub.residual(dagger(a)) > tol.eq_tol:
-            closed = False
-            break
-        for b in sub.basis:
-            if sub.residual(a @ b) > 10 * tol.eq_tol:
-                closed = False
-                break
-        if not closed:
-            break
-    return FixedPointSpace(subspace=sub, is_algebra=closed)
+    """F = range(E_F); flagged as algebra when its adjoint defect is at
+    most eq_tol and its product defect at most 10 * eq_tol."""
+    adjoint, product = s.fixed.closure_defects()
+    return FixedPointSpace(
+        subspace=s.fixed, product_defect=product,
+        is_algebra=adjoint <= tol.eq_tol and product <= 10 * tol.eq_tol)
 
 
 def invariant_states(c: ChannelSpec, s: Spectrum,
@@ -362,7 +360,7 @@ def peripheral_subalgebra(c: ChannelSpec, inv: InvariantStateReport,
         raise PeripheralJordanBlock(
             f"expectation fails to commute with the channel: {comm_defect:.3e}")
     return PeripheralData(eigenvalues=tuple(w), eigenmatrices=tuple(mats),
-                          e_n_transfer=s.e_n,
+                          e_n_factors=s.e_n_factors,
                           reversible=MatrixSubspace.from_columns(s.z1, c.dim),
                           commutation_defect=comm_defect)
 

@@ -18,8 +18,10 @@ from chanstruct.numerics import (
     Tolerances,
     dagger,
     kernel_coefficients,
-    reduce_span,
     span_basis,
+    transfer_of,
+    unvec,
+    vec,
 )
 from chanstruct.oqrw import OqrwDfaReport, _advance_spans
 from chanstruct.structure import NoStabilization
@@ -41,12 +43,19 @@ def kernel_basis(L, tol=DEFAULT_TOL):
                                        int(round(np.sqrt(n))))
 
 
+def transfer_of_units(action, dim):
+    """Oracle for :func:`transfer_of`: the transfer matrix of a linear map
+    on dim x dim matrices with one call of ``action`` per matrix unit;
+    column b * dim + a is vec(action(E_ab))."""
+    return np.column_stack([vec(action(unvec(e, dim)))
+                            for e in np.eye(dim * dim, dtype=complex)])
+
+
 def kraus_word_basis(c, n, tol=DEFAULT_TOL):
     """Orthonormal basis of the span of length-n Kraus words."""
-    basis = reduce_span(list(c.kraus), dim=c.dim, tol=tol)
+    basis = span_basis(c.kraus, tol)
     for _ in range(n - 1):
-        basis = reduce_span([V @ B for V in c.kraus for B in basis],
-                            dim=c.dim, tol=tol)
+        basis = span_basis([V @ B for V in c.kraus for B in basis], tol)
     return basis
 
 
@@ -54,8 +63,7 @@ def svd_route_commutant(gens, dim, tol=DEFAULT_TOL):
     """Oracle for commutants: every D x D matrix unit restricted by the
     commutators with an orthonormal basis of the span of the generators
     and their adjoints, decided by one SVD."""
-    ops = reduce_span(list(gens) + [dagger(g) for g in gens], dim=dim,
-                      tol=tol)
+    ops = span_basis(list(gens) + [dagger(g) for g in gens], tol)
     return OperatorAlgebra(restrict_to_commutant(full_algebra(dim).subspace,
                                                  ops, tol=tol))
 
@@ -73,17 +81,15 @@ def word_route_dfa(c, tol=DEFAULT_TOL, n_max=None):
     D = c.dim
     cap = n_max if n_max is not None else D * D
     current = full_algebra(D).subspace
-    words = reduce_span(list(c.kraus), dim=D, tol=tol)
+    words = span_basis(c.kraus, tol)
     prev_dim = None
     for n in range(1, cap + 1):
-        gens = reduce_span([b @ dagger(w) for b in words for w in words],
-                           dim=D, tol=tol)
+        gens = span_basis([b @ dagger(w) for b in words for w in words], tol)
         current = restrict_to_commutant(current, gens, tol=tol)
         if current.dim == prev_dim or current.dim <= 1:
             return OperatorAlgebra(current)
         prev_dim = current.dim
-        words = reduce_span([V @ B for V in c.kraus for B in words],
-                            dim=D, tol=tol)
+        words = span_basis([V @ B for V in c.kraus for B in words], tol)
     raise NoStabilization(f"word chain still at dim {current.dim} after "
                           f"n={cap}")
 
@@ -182,7 +188,9 @@ def expectation_onto_dfa(c, p, tol=DEFAULT_TOL, seed=0):
     N = OperatorAlgebra(p.reversible)
     structure = atomic_structure(N, tol=tol, seed=seed)
     states = extract_block_states(p.apply_expectation, structure, tol=tol)
-    return ConditionalExpectation(transfer=p.e_n_transfer, range_algebra=N,
+    return ConditionalExpectation(transfer=transfer_of(p.apply_expectation,
+                                                       c.dim),
+                                  range_algebra=N,
                                   structure=structure, block_states=states)
 
 

@@ -422,7 +422,7 @@ def test_acceptance_4_conditional_expectations(capsys, corpus_analysis):
         discrepancy = spectral_norm(cesaro_expectation(c.transfer) - s.e_f)
         check(discrepancy <= 1e-6,
               f"channel {i}: Cesaro vs spectral {discrepancy:.2e}")
-        for name, E in (("E_F", s.e_f), ("E_N", p.e_n_transfer)):
+        for name, E in (("E_F", s.e_f), ("E_N", s.e_n)):
             idem = spectral_norm(E @ E - E)
             check(idem <= 1e-7, f"channel {i}: {name} idempotent {idem:.2e}")
             unital = spectral_norm(
@@ -674,7 +674,7 @@ def test_acceptance_9_l2_geometry(capsys, corpus_analysis):
         check(0 <= rate <= gap.asymptotic + 1e-12,
               f"channel {i}: finite-horizon rate {rate} outside "
               f"[0, {gap.asymptotic}]")
-        Q = np.eye(D * D) - p.e_n_transfer
+        Q = np.eye(D * D) - s.e_n
         power = np.eye(D * D)
         for n in range(1, 11):
             power = c.transfer @ power

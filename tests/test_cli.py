@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from chanstruct.algebra import center
-from chanstruct.channel import matrix_from_json, matrix_to_json
+from chanstruct.channel import from_kraus, matrix_from_json, matrix_to_json
 from chanstruct.cli import (
     _choi_min_eig,
     Analysis,
@@ -17,9 +17,9 @@ from chanstruct.cli import (
     build_ledger,
     main,
 )
-from chanstruct.numerics import Tolerances
+from chanstruct.numerics import MatrixSubspace, Tolerances
 from chanstruct.structure import dfa, fixed_points, invariant_states, spectrum
-from tests.conftest import Z, amplitude_damping, dephasing_mixture
+from tests.conftest import I2, X, Z, amplitude_damping, dephasing_mixture
 from tests.test_acceptance import _choi_min_eig as choi_min_eig_by_units
 from tests.test_acceptance import build_corpus
 
@@ -278,6 +278,22 @@ def test_corrupted_expectation_fails_its_rho_entry(name):
                                                                   rel=1e-3)
     other = "e-n" if name == "e-f" else "e-f"
     assert entries[f"{other}-vs-rho"]["passed"]
+
+
+def test_ledger_reads_the_product_defect_of_f():
+    # span{I, X, Z} is not product-closed: XZ = -iY lies at HS distance
+    # ||Y / 2|| = 2^-1/2 from it
+    a = Analysis(from_kraus([I2]), None, Tolerances(), seed=0, max_power=None)
+    sub = MatrixSubspace.from_span([I2, X, Z])
+    a.spectrum = dataclasses.replace(a.spectrum, fixed=sub)
+    adjoint, product = sub.closure_defects()
+    assert adjoint < 1e-15
+    assert product == pytest.approx(2 ** -0.5, abs=1e-15)
+    assert not a.F.is_algebra
+    assert a.F.product_defect == product
+    entry = {e["name"]: e for e in build_ledger(a)}[
+        "fixed-points-product-closed"]
+    assert entry["residual"] == product and not entry["passed"]
 
 
 def test_analyze_text_format(tmp_path, capsys):

@@ -14,7 +14,8 @@ def compare(parent_dir, change_dir):
                            str(change_dir)], capture_output=True, text=True)
 
 
-def test_compare_reports_flags_a_moved_gap(tmp_path):
+def analyzed_walk(tmp_path):
+    """A case directory with the analysis of the d=3 Pauli walk."""
     walk = tmp_path / "walk.json"
     main(["example", "pauli", "--d", "3", "--output", str(walk)])
     parent = tmp_path / "parent"
@@ -22,18 +23,40 @@ def test_compare_reports_flags_a_moved_gap(tmp_path):
     code = main(["analyze", str(walk), "--output", str(parent / "w.json")])
     assert code == EXIT_OK
     (parent / "w.exit").write_text(f"{code}\n")
+    return parent
 
-    same = compare(parent, parent)
-    assert same.returncode == 0, same.stdout
 
+def moved_copy(tmp_path, parent, move):
+    """A copy of the case directory with ``move`` applied to its report."""
     change = tmp_path / "change"
     shutil.copytree(parent, change)
     report = json.loads((change / "w.json").read_text())
-    report["gap"]["finite_horizon"] += 1e-6
+    move(report)
     (change / "w.json").write_text(json.dumps(report))
-    moved = compare(parent, change)
+    return change
+
+
+def test_compare_reports_flags_a_moved_gap(tmp_path):
+    parent = analyzed_walk(tmp_path)
+    same = compare(parent, parent)
+    assert same.returncode == 0, same.stdout
+
+    def move(report):
+        report["gap"]["finite_horizon"] += 1e-6
+    moved = compare(parent, moved_copy(tmp_path, parent, move))
     assert moved.returncode == 1
     assert "FAIL gap.finite_horizon" in moved.stdout
+
+
+def test_compare_reports_flags_a_moved_fixed_block_count(tmp_path):
+    parent = analyzed_walk(tmp_path)
+
+    def move(report):
+        report["components"][0]["fixed_blocks"]["count"] += 1
+    moved = compare(parent, moved_copy(tmp_path, parent, move))
+    assert moved.returncode == 1
+    assert "FAIL components.fixed_blocks.count" in moved.stdout
+    assert "ok   components.projection" in moved.stdout
 
 
 def test_compare_reports_lists_flipped_exits_and_flags(tmp_path):

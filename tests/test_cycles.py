@@ -6,6 +6,7 @@ from chanstruct.channel import from_kraus
 from chanstruct.cycles import (
     NotRootsOfUnity,
     NotSimple,
+    _restricted_power_transfer,
     component_decompose,
     fixed_multiblock,
     mfnc_decompose,
@@ -14,9 +15,11 @@ from chanstruct.cycles import (
     verify_power_fixed_points,
 )
 from chanstruct.numerics import (
+    DEFAULT_TOL,
     dagger,
     hs_norm,
     random_unitary,
+    range_isometry,
     spectral_norm,
     subspace_distance,
     unvec,
@@ -29,7 +32,7 @@ from chanstruct.structure import (
     peripheral_subalgebra,
     spectrum,
 )
-from tests.conftest import I2, X, Z
+from tests.conftest import I2, X, Z, transfer_of_units
 from tests.test_acceptance import build_corpus
 
 
@@ -320,3 +323,17 @@ def test_verify_power_fixed_points_period1():
         table = verify_power_fixed_points(c, rep, m_max=4)
         assert table.all_pass
         assert all(row.fixed_dim == 1 for row in table.rows)
+
+
+def test_restricted_power_transfer_is_the_compressed_power():
+    # kron(R^T, R*) T^d kron(conj(R), R) against E -> R* Phi^d(R E R*) R
+    # taken unit by unit
+    rng = np.random.default_rng(11)
+    c = from_kraus([np.sqrt(p) * random_unitary(4, rng) for p in (0.2, 0.8)])
+    U = random_unitary(4, rng)
+    Q = U[:, :2] @ dagger(U[:, :2])
+    R, Td = range_isometry(Q), c.power(3)
+    oracle = transfer_of_units(
+        lambda E: dagger(R) @ unvec(Td @ vec(R @ E @ dagger(R)), 4) @ R, 2)
+    assert np.allclose(_restricted_power_transfer(c, Q, 3, DEFAULT_TOL),
+                       oracle, atol=1e-14)

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import block_diag
 
+from chanstruct.algebra import (
+    _apply_block_expectation,
+    expectation_onto,
+    generated_algebra,
+)
 from chanstruct.numerics import (
     MatrixSubspace,
     NotNearProjection,
@@ -15,6 +21,7 @@ from chanstruct.numerics import (
     random_unitary,
     round_projector,
     sorted_schur,
+    span_basis,
     spectral_norm,
     subspace_distance,
     transfer_of,
@@ -22,7 +29,14 @@ from chanstruct.numerics import (
     vec,
 )
 from chanstruct.channel import from_kraus
-from tests.conftest import I2, X, Z, kernel_basis, subspace_intersection
+from tests.conftest import (
+    I2,
+    X,
+    Z,
+    kernel_basis,
+    subspace_intersection,
+    transfer_of_units,
+)
 
 
 def test_tolerances_positive():
@@ -93,6 +107,32 @@ def test_transfer_of_matches_kraus_transfer():
     rng = np.random.default_rng(6)
     c = from_kraus([np.sqrt(p) * random_unitary(3, rng) for p in (0.3, 0.7)])
     assert np.allclose(transfer_of(c.apply, 3), c.transfer, atol=1e-14)
+    # rectangular Kraus operators, as in a reduced channel: B(C^2) -> B(C^3)
+    Ls = rng.standard_normal((3, 2, 3)) + 1j * rng.standard_normal((3, 2, 3))
+
+    def xi(E):
+        return sum(L.conj().T @ E @ L for L in Ls)
+    T = transfer_of(xi, 2)
+    assert T.shape == (9, 4)
+    assert np.allclose(T, transfer_of_units(xi, 2), atol=1e-14)
+    assert np.allclose(T, sum(np.kron(L.T, L.conj().T) for L in Ls),
+                       atol=1e-13)
+    # a block expectation onto M_2 (x) I_2 + C I_2, with a state per block
+    alg = generated_algebra([block_diag(np.kron(G, I2), np.zeros((2, 2)))
+                             for G in (X, Z)])
+    states = [np.array([[0.7, 0.1j], [-0.1j, 0.3]]), np.diag([0.4, 0.6])]
+    E = expectation_onto(alg, states, seed=3)
+    assert E.structure.n_blocks == 2
+    assert np.allclose(E.transfer, transfer_of_units(
+        lambda A: _apply_block_expectation(E.structure, states, A), 6),
+        atol=1e-14)
+
+
+def test_numerically_zero_stack_spans_nothing():
+    # one rule with kernel_coefficients: sigma > rank_tol * max(sigma_max, 1)
+    assert span_basis([1e-17 * X]).shape == (0, 2, 2)
+    assert MatrixSubspace.from_span([1e-300 * X]).dim == 0
+    assert span_basis([1e-3 * X]).shape == (1, 2, 2)
 
 
 def test_gram_orthonormal():

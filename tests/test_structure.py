@@ -335,7 +335,7 @@ def test_peripheral_pauli():
     assert sorted(np.round(np.real(p.eigenvalues)).tolist()) == [-1, 1]
     assert p.reversible.dim == 2
     # E_N is idempotent and commutes with the transfer
-    E = p.e_n_transfer
+    E = s.e_n
     assert spectral_norm(E @ E - E) < 1e-8
     assert spectral_norm(E @ c.transfer - c.transfer @ E) < 1e-8
 
@@ -431,7 +431,7 @@ def test_expectation_compatibility(seed, dim):
     s, inv, p = spectral_stages(c)
     assert spectral_norm(cesaro_expectation(c.transfer, min_n=4096) -
                          s.e_f) < 1e-6
-    assert spectral_norm(s.e_f @ p.e_n_transfer - s.e_f) < 1e-6
+    assert spectral_norm(s.e_f @ s.e_n - s.e_f) < 1e-6
 
 
 def test_l2_structure_basic():
@@ -478,17 +478,17 @@ def test_decoherence_gap_random():
     # asymptotically the decay rate approaches the eigenvalue bound
     assert rep.finite_horizon <= rep.asymptotic + 1e-9
     # consistency: norms actually decay at the reported rate
-    Q = np.eye(9) - p.e_n_transfer
+    Q = np.eye(9) - s.e_n
     n = 20
     nrm = l2.map_norm(np.linalg.matrix_power(c.transfer, n) @ Q)
     assert nrm <= np.exp(-rep.finite_horizon * n) + 1e-12
 
 
-def _finite_horizon_by_powers(c, p, l2, max_n):
+def _finite_horizon_by_powers(c, s, l2, max_n):
     """The finite-horizon rate from a fresh power, projection and weighting
     at every step, without the rounding rule at norm 1."""
     D = c.dim
-    Q = np.eye(D * D) - p.e_n_transfer
+    Q = np.eye(D * D) - s.e_n
     power = np.eye(D * D, dtype=complex)
     rates = []
     for n in range(1, max_n + 1):
@@ -520,7 +520,7 @@ def test_decoherence_gap_matches_powers(name):
     s, inv, p = spectral_stages(c)
     l2 = L2Structure.from_state(inv.rho_max)
     rep = decoherence_gap(c, s, l2)
-    ref = _finite_horizon_by_powers(c, p, l2, rep.horizon)
+    ref = _finite_horizon_by_powers(c, s, l2, rep.horizon)
     assert rep.finite_horizon == pytest.approx(ref, rel=0, abs=1e-10)
     if name == "pauli-walk-3":
         assert rep.uniform_bound

@@ -18,8 +18,14 @@ Only fields that do not depend on the choice of bases are compared:
   ``fixed_points_is_algebra``, ``invariant_state`` and the sorted
   ``peripheral_eigenvalues``;
 * to 1e-10: ``gap``;
-* as a set, to 1e-8: the components, each on its projection, period and
-  set of cyclic projections.
+* as a set, to 1e-8: the components.  Each component is matched with the
+  nearest one on the other side, and the matched pairs are compared, to
+  1e-8, on the projection, ``period``, the set of cyclic projections,
+  ``left_dim``, ``right_dims``, ``structured_kraus_residual`` (absolute),
+  and of ``fixed_blocks`` the ``count``, ``right_total``, the sorted
+  ``eigenvalues`` and the set of ``central_projections``.  Components whose
+  numbers differ, or a string in place of the list, give one
+  ``components`` row.
 
 The script prints, for each field, the largest difference over all cases
 and the case where it occurred, and exits 1 when any difference exceeds
@@ -72,27 +78,56 @@ def _sorted_eigenvalues(values):
     return sorted(values, key=lambda z: (round(z[0], 6), round(z[1], 6)))
 
 
-def _set_diff(xs, ys, diff) -> float:
-    """Distance of two lists compared as sets: each x is matched with the
-    nearest y not yet taken, and the worst match is returned."""
-    if len(xs) != len(ys):
-        return math.inf
-    free = list(ys)
-    worst = 0.0
+def _match(xs, ys, diff) -> list:
+    """Pairs (x, y) of two lists of one length: each x is matched with the
+    nearest y not yet taken."""
+    free, pairs = list(ys), []
     for x in xs:
         dists = [diff(x, y) for y in free]
-        best = dists.index(min(dists))
-        worst = max(worst, dists[best])
-        free.pop(best)
-    return worst
+        pairs.append((x, free.pop(dists.index(min(dists)))))
+    return pairs
 
 
-def _component_diff(a, b) -> float:
-    if a["period"] != b["period"]:
+def _set_diff(xs, ys, diff) -> float:
+    """Distance of two lists compared as sets: the worst matched pair."""
+    if len(xs) != len(ys):
         return math.inf
-    return max(_diff(a["projection"], b["projection"]),
-               _set_diff(a["cyclic_projections"], b["cyclic_projections"],
-                         _diff))
+    return max((diff(x, y) for x, y in _match(xs, ys, diff)), default=0.0)
+
+
+def _component_fields(a, b) -> dict:
+    """Field -> difference of two components."""
+    fa, fb = a["fixed_blocks"], b["fixed_blocks"]
+    return {
+        "projection": _diff(a["projection"], b["projection"]),
+        "period": _diff(a["period"], b["period"]),
+        "cyclic_projections": _set_diff(a["cyclic_projections"],
+                                        b["cyclic_projections"], _diff),
+        "left_dim": _diff(a["left_dim"], b["left_dim"]),
+        "right_dims": _diff(a["right_dims"], b["right_dims"]),
+        "structured_kraus_residual": _diff(a["structured_kraus_residual"],
+                                           b["structured_kraus_residual"]),
+        "fixed_blocks.count": _diff(fa["count"], fb["count"]),
+        "fixed_blocks.right_total": _diff(fa["right_total"],
+                                          fb["right_total"]),
+        "fixed_blocks.eigenvalues": _diff(
+            _sorted_eigenvalues(fa["eigenvalues"]),
+            _sorted_eigenvalues(fb["eigenvalues"])),
+        "fixed_blocks.central_projections": _set_diff(
+            fa["central_projections"], fb["central_projections"], _diff),
+    }
+
+
+def _component_rows(a, b):
+    """Yield (field, difference) over the matched components of two
+    reports."""
+    if not (isinstance(a, list) and isinstance(b, list)) or len(a) != len(b):
+        yield "components", _diff(a, b)
+        return
+    for x, y in _match(a, b,
+                       lambda x, y: max(_component_fields(x, y).values())):
+        for field, difference in _component_fields(x, y).items():
+            yield f"components.{field}", difference
 
 
 def _ledger(entries):
@@ -146,11 +181,9 @@ def compare_case(parent: dict | None, change: dict | None):
                 yield f"{field}.{key}", _diff(a[key], b[key]), limit
         else:
             yield field, _diff(a, b), limit
-    a, b = parent["components"], change["components"]
-    if isinstance(a, list) and isinstance(b, list):
-        yield "components", _set_diff(a, b, _component_diff), COMPONENT_LIMIT
-    else:
-        yield "components", _diff(a, b), COMPONENT_LIMIT
+    for field, difference in _component_rows(parent["components"],
+                                             change["components"]):
+        yield field, difference, COMPONENT_LIMIT
 
 
 def _load(directory: Path, stem: str):
@@ -201,7 +234,7 @@ def main(argv=None) -> int:
         bad = difference > limit
         failed |= bad
         where = f"; {stem}" if difference > 0 else ""
-        print(f"{'FAIL' if bad else 'ok  '} {field:36s} {difference:.3g} "
+        print(f"{'FAIL' if bad else 'ok  '} {field:44s} {difference:.3g} "
               f"(limit {limit:g}{where})")
     print(f"{len(changed)} cases with a different exit code or pass flag")
     for stem, changes in changed:
