@@ -4,14 +4,17 @@ A channel here is the unital dual map ``Phi(A) = sum_k V_k* A V_k`` with
 ``sum_k V_k* V_k = I``; its preadjoint acts on densities as
 ``Phi_*(rho) = sum_k V_k rho V_k*`` and preserves trace.
 
-Choi convention (pinned): ``C = sum_ij E_ij (x) Phi(E_ij)`` with E_ij the
-matrix units; C is PSD iff Phi is completely positive and rank(C) is the
-minimal Kraus count.
+The Kraus operators are one (K, D, D) stack; its (K, D^2) row-major
+reshape Vm is the Kraus matrix.
+
+Choi convention (pinned): ``C = sum_ij E_ij (x) Phi(E_ij) = A A*`` with
+A = Vm* (the columns are the row-major conj(V_k)); C is PSD iff Phi is
+completely positive and rank(C) is the minimal Kraus count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -33,20 +36,20 @@ class NotCP(ValueError):
     """Choi matrix has a significantly negative eigenvalue."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelSpec:
-    """A validated channel: dimension, Kraus list, free-form label."""
+    """A validated channel: dimension, Kraus operators stacked as a
+    (K, D, D) array, free-form label."""
 
     dim: int
-    kraus: tuple
+    kraus: np.ndarray
     label: str = ""
-    tol: Tolerances = field(default=DEFAULT_TOL, compare=False)
+    tol: Tolerances = DEFAULT_TOL
 
     @property
     def unitality_defect(self) -> float:
-        D = self.dim
-        acc = sum(dagger(V) @ V for V in self.kraus)
-        return spectral_norm(acc - np.eye(D))
+        V = self.kraus.reshape(-1, self.dim)     # the V_k stacked as rows
+        return spectral_norm(dagger(V) @ V - np.eye(self.dim))
 
     def apply(self, A: np.ndarray) -> np.ndarray:
         """Phi(A) = sum_k V_k* A V_k, of one matrix or of each in a stack."""
@@ -65,8 +68,13 @@ class ChannelSpec:
     @cached_property
     def transfer(self) -> np.ndarray:
         """D^2 x D^2 matrix of Phi in the column-stacking convention; its HS
-        adjoint is the transfer matrix of Phi_*."""
-        return sum(np.kron(V.T, dagger(V)) for V in self.kraus)
+        adjoint is the transfer matrix of Phi_*.  sum_k kron(V_k^T, V_k*)
+        is the reshuffled P = Vm^T conj(Vm): T[(i, j), (l, m)] =
+        P[(l, i), (m, j)]."""
+        D = self.dim
+        Vm = self.kraus.reshape(-1, D * D)
+        P = (Vm.T @ Vm.conj()).reshape((D,) * 4)
+        return P.transpose(1, 3, 0, 2).reshape(D * D, D * D)
 
     def power(self, n: int) -> np.ndarray:
         """Transfer matrix of Phi^n."""
@@ -74,39 +82,27 @@ class ChannelSpec:
             raise ValueError("n must be >= 1")
         return np.linalg.matrix_power(self.transfer, n)
 
-    @cached_property
-    def choi(self) -> np.ndarray:
-        """Choi matrix sum_ij E_ij (x) Phi(E_ij)."""
-        D = self.dim
-        C = np.zeros((D * D, D * D), dtype=complex)
-        for V in self.kraus:
-            w = V.conj().flatten(order="C")
-            C += np.outer(w, w.conj())
-        return C
-
     def minimal_kraus(self) -> "ChannelSpec":
-        """Equivalent channel whose Kraus count is the Choi rank.
-
-        The returned Kraus operators are pairwise HS-orthogonal.
-        """
-        C = self.choi
-        cnorm = spectral_norm(C)
-        w, U = np.linalg.eigh((C + dagger(C)) / 2)
+        """Equivalent channel whose Kraus count is the Choi rank: with the
+        SVD Vm = U diag(s) Wh, C = A A* has the eigenpairs (s^2, Wh*), so
+        the operators are s_i Wh[i] (ascending in s), pairwise
+        HS-orthogonal."""
+        D = self.dim
+        _, s, wh = np.linalg.svd(self.kraus.reshape(-1, D * D),
+                                 full_matrices=False)
+        w, cnorm = s[::-1] ** 2, s[0] ** 2
+        # w >= 0, so this test cannot fire on a Kraus form
         if cnorm > 0 and w.min() < -self.tol.eq_tol * cnorm:
             raise NotCP(f"Choi eigenvalue {w.min():.3e}")
         keep = w > self.tol.rank_tol * max(cnorm, 1e-300)
-        ops = []
-        for i in np.nonzero(keep)[0]:
-            v = np.sqrt(w[i]) * U[:, i]
-            ops.append(v.reshape(self.dim, self.dim, order="C").conj())
-        return ChannelSpec(self.dim, tuple(ops), label=self.label + " (minimal)",
+        ops = (s[::-1, None] * wh[::-1])[keep].reshape(-1, D, D)
+        return ChannelSpec(self.dim, ops, label=self.label + " (minimal)",
                            tol=self.tol)
 
     def stinespring(self) -> "StinespringData":
         """Isometry V = sum_k V_k (x) |e_k> with V*(A (x) I)V = Phi(A)."""
         K = len(self.kraus)
-        arr = np.stack(self.kraus)            # (K, D, D)
-        V = arr.transpose(1, 0, 2).reshape(self.dim * K, self.dim)
+        V = self.kraus.transpose(1, 0, 2).reshape(self.dim * K, self.dim)
         return StinespringData(isometry=V, env_dim=K)
 
     def to_json_dict(self) -> dict:
@@ -137,7 +133,7 @@ def from_kraus(matrices, tol: Tolerances = DEFAULT_TOL,
             raise DimensionMismatch(f"Kraus shapes differ: {M.shape} vs {(D, D)}")
         if not np.all(np.isfinite(M)):
             raise ValueError("Kraus operator has non-finite entries")
-    c = ChannelSpec(D, tuple(mats), label=label, tol=tol)
+    c = ChannelSpec(D, np.stack(mats), label=label, tol=tol)
     defect = c.unitality_defect
     if defect > tol.eq_tol:
         raise NotUnital(f"sum V*V deviates from I by {defect:.3e}")

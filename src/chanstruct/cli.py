@@ -284,7 +284,8 @@ def build_ledger(analysis: Analysis) -> list:
         p, s = analysis.peripheral, analysis.spectrum
         add("dfa-equals-peripheral-span",
             subspace_distance(N.subspace, p.reversible), 1e-6)
-        kraus_commutant = fixed_points_commutant(c, inv, tol).subspace
+        kraus_commutant = fixed_points_commutant(c, inv, analysis.M,
+                                                 tol).subspace
         add("fixed-points-kraus-commutant",
             subspace_distance(kraus_commutant, F.subspace), 1e-6)
         for item in _expectation_checks("e-n", s.e_n_factors, c):

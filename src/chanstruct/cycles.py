@@ -107,9 +107,10 @@ class ComponentData:
     """Tensor factorization of one component.
 
     S_m are partial isometries onto K_m^L (x) K_m^R, T_m the shift
-    unitaries K_m^L -> K_{m-1}^L, xi_kraus[m] the Kraus list of the
-    reduced channel Xi_m: B(K_m^R) -> B(K_{m-1}^R) and rho[m] the block
-    state on K_m^R.
+    unitaries K_m^L -> K_{m-1}^L, xi_kraus[m] the Kraus operators L_{m,k}
+    of the reduced channel Xi_m: B(K_m^R) -> B(K_{m-1}^R), stacked as a
+    (K, nR_m, nR_{m-1}) array with the same K for every m, and rho[m] the
+    block state on K_m^R.
     """
 
     channel: ChannelSpec
@@ -118,7 +119,7 @@ class ComponentData:
     left_dim: int
     right_dims: tuple
     shift_unitaries: tuple       # T_m
-    xi_kraus: tuple              # per m: tuple of L_{m,k}, (nR_m x nR_{m-1})
+    xi_kraus: tuple              # per m: the stack of L_{m,k}
     block_states: tuple          # rho_m
 
     @property
@@ -314,8 +315,8 @@ def mfnc_decompose(c: ChannelSpec, F: OperatorAlgebra, st: AlgebraStructure,
         seen.update(orbit)
         Zi = sum(atoms[j] for j in orbit)
         W = range_isometry(Zi, tol)
-        kraus_i = [dagger(W) @ V @ W for V in c.kraus]
-        c_i = from_kraus(kraus_i, tol=tol, label=f"{c.label}|component")
+        c_i = from_kraus(dagger(W) @ c.kraus @ W, tol=tol,
+                         label=f"{c.label}|component")
         local = [dagger(W) @ atoms[j] @ W for j in orbit]
         d = len(orbit)
         anchor = min(range(d), key=lambda k: _diag_sort_key(local[k]))
@@ -406,7 +407,7 @@ def component_decompose(comp: MfncComponent,
 
     # right part: split every Kraus operator along the cycle, all the
     # blocks B = S_m V S_{m-1}* of one step at once
-    canonical = np.asarray(c_i.minimal_kraus().kraus)
+    canonical = c_i.minimal_kraus().kraus
     xi_kraus, recomposed = [], np.zeros_like(canonical)
     for m in range(d):
         prev = (m - 1) % d
@@ -418,7 +419,7 @@ def component_decompose(comp: MfncComponent,
         if np.any(np.linalg.norm(resid.reshape(len(L), -1), axis=1) > limit):
             raise IsomorphismSolveFailed(
                 "a Kraus block is not of the form T* (x) L")
-        xi_kraus.append(tuple(L))
+        xi_kraus.append(L)
         recomposed += dagger(S[m]) @ B @ S[prev]
     if np.any(np.linalg.norm(recomposed - canonical, 2, axis=(1, 2)) > limit):
         raise IsomorphismSolveFailed(
@@ -439,24 +440,15 @@ def component_decompose(comp: MfncComponent,
 
 def structured_kraus(cd: ComponentData,
                      tol: Tolerances = DEFAULT_TOL) -> tuple:
-    """Reassemble the component channel from its factorized data; return
-    it with its residual, the spectral norm of the transfer difference."""
-    d = cd.period
-    r = cd.channel.dim
-    K = max(len(ks) for ks in cd.xi_kraus)
-    kraus = []
-    for k in range(K):
-        V = np.zeros((r, r), dtype=complex)
-        for m in range(d):
-            prev = (m - 1) % d
-            if k < len(cd.xi_kraus[m]):
-                L = cd.xi_kraus[m][k]
-            else:
-                L = np.zeros((cd.right_dims[m], cd.right_dims[prev]),
-                             dtype=complex)
-            V += dagger(cd.isometries[m]) @ np.kron(
-                dagger(cd.shift_unitaries[m]), L) @ cd.isometries[prev]
-        kraus.append(V)
+    """Reassemble the component channel from its factorized data,
+    V_k = sum_m S_m* (T_m* (x) L_{m,k}) S_{m-1}, all k of a step in one
+    einsum; return it with its residual, the spectral norm of the transfer
+    difference."""
+    nL, kraus = cd.left_dim, 0
+    for m, (L, T) in enumerate(zip(cd.xi_kraus, cd.shift_unitaries)):
+        B = np.einsum("ba,kij->kaibj", T.conj(), L).reshape(
+            len(L), nL * L.shape[1], nL * L.shape[2])
+        kraus = kraus + dagger(cd.isometries[m]) @ B @ cd.isometries[m - 1]
     rebuilt = from_kraus(kraus, tol=tol, label=f"{cd.channel.label}|rebuilt")
     err = spectral_norm(rebuilt.transfer - cd.channel.transfer)
     if err > 1e3 * tol.eq_tol:

@@ -328,11 +328,15 @@ def subspace_distance(S1: MatrixSubspace, S2: MatrixSubspace) -> float:
 
 def cluster_values(values, gap: float) -> list[list[int]]:
     """Greedy clustering of complex values: indices whose values lie
-    within ``gap`` of a cluster centroid join that cluster."""
+    within ``gap`` of a cluster centroid join that cluster.  Values are
+    taken by descending modulus and, within moduli that steps of at most
+    ``gap`` join, by arg alone: rounding in |lam| does not reorder them."""
     clusters: list[list[int]] = []
     centroids: list[complex] = []
-    order = sorted(range(len(values)), key=lambda i: (-abs(values[i]),
-                                                      np.angle(values[i])))
+    m = np.sort(np.abs(values))[::-1]
+    starts = m[1:][m[:-1] - m[1:] > gap]      # moduli that open a level
+    order = sorted(range(len(values)), key=lambda i: (
+        np.sum(starts >= abs(values[i])), np.angle(values[i])))
     for i in order:
         v = values[i]
         placed = False

@@ -263,13 +263,16 @@ def invariant_states(c: ChannelSpec, s: Spectrum,
 
 
 def fixed_points_commutant(c: ChannelSpec, inv: InvariantStateReport,
+                           M: OperatorAlgebra,
                            tol: Tolerances = DEFAULT_TOL) -> OperatorAlgebra:
     """F as the commutant {V_k, V_k*}' of the Kraus operators (faithful
-    case only)."""
+    case only): what commutes with each V_k and V_k* commutes with each
+    V_j V_k*, so it is M = {V_j V_k*}' restricted by [V; V*]."""
     if not inv.faithful:
         raise NoFaithfulInvariantState(
             "commutant formula for F needs a faithful invariant state")
-    return alg_mod.commutant(c.kraus, dim=c.dim, tol=tol)
+    return OperatorAlgebra(alg_mod.restrict_to_commutant(
+        M.subspace, np.concatenate([c.kraus, dagger(c.kraus)]), tol))
 
 
 def is_irreducible(s: Spectrum, inv: InvariantStateReport) -> bool:
@@ -290,14 +293,14 @@ def multiplicative_domain(c: ChannelSpec,
     Choi's theorem the commutant {V_j V_k*}' (the pairs j <= k; their
     adjoints are the rest), re-verified on the definitional test."""
     V = c.kraus
-    M = alg_mod.commutant([V[j] @ dagger(V[k]) for j in range(len(V))
-                           for k in range(j, len(V))], dim=c.dim, tol=tol)
-    for b in M.basis:
-        lhs = c.apply(dagger(b) @ b)
-        rhs = dagger(c.apply(b)) @ c.apply(b)
-        if spectral_norm(lhs - rhs) > 100 * tol.eq_tol:
-            raise RuntimeError(
-                "commutant route disagrees with the multiplicativity test")
+    j, k = np.triu_indices(len(V))
+    M = alg_mod.commutant(V[j] @ dagger(V[k]), dim=c.dim, tol=tol)
+    B = M.basis
+    lhs, PB = np.split(c.apply(np.concatenate([dagger(B) @ B, B])), 2)
+    if np.any(np.linalg.norm(lhs - dagger(PB) @ PB, 2, axis=(1, 2))
+              > 100 * tol.eq_tol):
+        raise RuntimeError(
+            "commutant route disagrees with the multiplicativity test")
     return M
 
 

@@ -7,6 +7,7 @@ from chanstruct.algebra import (
     ConditionalExpectation,
     OperatorAlgebra,
     atomic_structure,
+    commutant,
     extract_block_states,
     full_algebra,
     restrict_to_commutant,
@@ -49,6 +50,29 @@ def transfer_of_units(action, dim):
     column b * dim + a is vec(action(E_ab))."""
     return np.column_stack([vec(action(unvec(e, dim)))
                             for e in np.eye(dim * dim, dtype=complex)])
+
+
+def choi(c):
+    """Oracle for the Choi matrix sum_ij E_ij (x) Phi(E_ij) that
+    ``ChannelSpec.minimal_kraus`` factors: sum_k w_k w_k* with w_k the
+    row-major flattening of conj(V_k)."""
+    D = c.dim
+    C = np.zeros((D * D, D * D), dtype=complex)
+    for V in c.kraus:
+        w = V.conj().flatten(order="C")
+        C += np.outer(w, w.conj())
+    return C
+
+
+def kron_transfer(c):
+    """Oracle for ``ChannelSpec.transfer``: sum_k kron(V_k^T, V_k*)."""
+    return sum(np.kron(V.T, dagger(V)) for V in c.kraus)
+
+
+def gram_route_kraus_commutant(c, tol=DEFAULT_TOL):
+    """Oracle for ``structure.fixed_points_commutant``: {V_k, V_k*}' as its
+    own Gram kernel over all D x D matrices, not restricted from M."""
+    return commutant(c.kraus, dim=c.dim, tol=tol)
 
 
 def kraus_word_basis(c, n, tol=DEFAULT_TOL):

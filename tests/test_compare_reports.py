@@ -4,7 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from chanstruct.cli import EXIT_OK, main
+from chanstruct.numerics import random_unitary
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_reports.py"
 
@@ -57,6 +60,40 @@ def test_compare_reports_flags_a_moved_fixed_block_count(tmp_path):
     assert moved.returncode == 1
     assert "FAIL components.fixed_blocks.count" in moved.stdout
     assert "ok   components.projection" in moved.stdout
+
+
+def _move_xi_kraus(report, move):
+    """Apply ``move`` to the (K, n, n') stack of every xi_kraus[m] of the
+    first component, stored back as [re, im] pairs."""
+    component = report["components"][0]
+    for m, ops in enumerate(component["xi_kraus"]):
+        pairs = np.array(ops)
+        moved = move(pairs[..., 0] + 1j * pairs[..., 1])
+        component["xi_kraus"][m] = np.stack(
+            [moved.real, moved.imag], axis=-1).tolist()
+
+
+def test_compare_reports_reads_xi_kraus_up_to_kraus_freedom(tmp_path):
+    parent = analyzed_walk(tmp_path)
+    component = json.loads((parent / "w.json").read_text())["components"][0]
+    K = len(component["xi_kraus"][0])
+    u = random_unitary(K, np.random.default_rng(4))
+
+    def mix(report):
+        _move_xi_kraus(report, lambda L: np.tensordot(u, L, 1))
+    mixed = compare(parent, moved_copy(tmp_path, parent, mix))
+    assert mixed.returncode == 0, mixed.stdout
+    assert "ok   components.xi_choi_spectrum" in mixed.stdout
+
+    def scale(report):
+        def move(L):
+            L[0] *= 1.5
+            return L
+        _move_xi_kraus(report, move)
+    shutil.rmtree(tmp_path / "change")
+    scaled = compare(parent, moved_copy(tmp_path, parent, scale))
+    assert scaled.returncode == 1
+    assert "FAIL components.xi_choi_spectrum" in scaled.stdout
 
 
 def test_compare_reports_lists_flipped_exits_and_flags(tmp_path):

@@ -267,6 +267,15 @@ def test_cluster_values():
     assert len(clusters) == 3
 
 
+def test_cluster_order_ignores_rounding_in_the_modulus():
+    # a unimodular value off the circle by one ulp keeps its place: within
+    # moduli the gap joins, the clusters come in the order of arg
+    gap = 1e-7
+    assert cluster_values([1, -1], gap) == \
+        cluster_values([1, -(1 + 2 ** -52)], gap) == [[0], [1]]
+    assert cluster_values([0.5, -1, 1j, 1 - 1e-9], gap) == [[3], [2], [1], [0]]
+
+
 def test_spectral_projector_diagonalizable():
     rng = np.random.default_rng(5)
     V = rng.standard_normal((5, 5)) + 0.1 * np.eye(5)

@@ -22,10 +22,14 @@ Only fields that do not depend on the choice of bases are compared:
   nearest one on the other side, and the matched pairs are compared, to
   1e-8, on the projection, ``period``, the set of cyclic projections,
   ``left_dim``, ``right_dims``, ``structured_kraus_residual`` (absolute),
-  and of ``fixed_blocks`` the ``count``, ``right_total``, the sorted
-  ``eigenvalues`` and the set of ``central_projections``.  Components whose
-  numbers differ, or a string in place of the list, give one
-  ``components`` row.
+  of ``fixed_blocks`` the ``count``, ``right_total``, the sorted
+  ``eigenvalues`` and the set of ``central_projections``, and
+  ``xi_choi_spectrum``: per step m, the sorted singular values of
+  ``xi_kraus[m]`` as a (K, nR_m nR_{m-1}) matrix, compared as a set over
+  m.  They are the square roots of the Choi eigenvalues of the reduced
+  channel, so Kraus mixing and unitary changes of the K^R bases leave them
+  unchanged.  Components whose numbers differ, or a string in place of the
+  list, give one ``components`` row.
 
 The script prints, for each field, the largest difference over all cases
 and the case where it occurred, and exits 1 when any difference exceeds
@@ -43,6 +47,8 @@ import json
 import math
 import sys
 from pathlib import Path
+
+import numpy as np
 
 EXACT = 0.0
 LIMITS = {
@@ -95,6 +101,17 @@ def _set_diff(xs, ys, diff) -> float:
     return max((diff(x, y) for x, y in _match(xs, ys, diff)), default=0.0)
 
 
+def _xi_choi_spectra(component) -> list:
+    """Per step m, the sorted singular values of the stacked xi_kraus[m]."""
+    spectra = []
+    for ops in component["xi_kraus"]:
+        pairs = np.array(ops, dtype=float).reshape(len(ops), -1, 2)
+        s = np.linalg.svd(pairs[..., 0] + 1j * pairs[..., 1],
+                          compute_uv=False)
+        spectra.append(sorted(s.tolist()))
+    return spectra
+
+
 def _component_fields(a, b) -> dict:
     """Field -> difference of two components."""
     fa, fb = a["fixed_blocks"], b["fixed_blocks"]
@@ -115,6 +132,8 @@ def _component_fields(a, b) -> dict:
             _sorted_eigenvalues(fb["eigenvalues"])),
         "fixed_blocks.central_projections": _set_diff(
             fa["central_projections"], fb["central_projections"], _diff),
+        "xi_choi_spectrum": _set_diff(_xi_choi_spectra(a),
+                                      _xi_choi_spectra(b), _diff),
     }
 
 
