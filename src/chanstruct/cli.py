@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 verification failure, 2 input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -39,6 +40,7 @@ from chanstruct.cycles import (
 )
 from chanstruct.numerics import (
     Tolerances,
+    block_stacks,
     commutator_norm,
     dagger,
     hs_norm,
@@ -236,10 +238,11 @@ def _choi_min_eig(transfer: np.ndarray, dim: int) -> float:
     """Smallest eigenvalue of the Choi matrix of a transfer-matrix map.
 
     Choi block (a, b) is the image of E_ab, column b * dim + a of the
-    transfer matrix."""
+    transfer matrix; the minimum is taken over its pattern blocks."""
     C = transfer.reshape((dim,) * 4).transpose(3, 1, 2, 0).reshape(
         dim * dim, dim * dim)
-    return float(np.linalg.eigvalsh((C + dagger(C)) / 2).min())
+    return min(float(np.linalg.eigvalsh(S).min())
+               for _, S in block_stacks((C + dagger(C)) / 2))
 
 
 def _expectation_checks(name: str, factors, c: ChannelSpec):
@@ -451,6 +454,7 @@ def make_example(name: str, args) -> dict:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chanstruct",

@@ -26,6 +26,7 @@ from chanstruct.numerics import (
     DEFAULT_TOL,
     MatrixSubspace,
     Tolerances,
+    blockwise_norm,
     cluster_values,
     dagger,
     fix_global_phase,
@@ -450,7 +451,7 @@ def structured_kraus(cd: ComponentData,
             len(L), nL * L.shape[1], nL * L.shape[2])
         kraus = kraus + dagger(cd.isometries[m]) @ B @ cd.isometries[m - 1]
     rebuilt = from_kraus(kraus, tol=tol, label=f"{cd.channel.label}|rebuilt")
-    err = spectral_norm(rebuilt.transfer - cd.channel.transfer)
+    err = blockwise_norm(rebuilt.transfer - cd.channel.transfer)
     if err > 1e3 * tol.eq_tol:
         raise ReconstructionMismatch(
             f"structured Kraus reconstruction error {err:.3e}")

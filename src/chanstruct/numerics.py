@@ -21,7 +21,11 @@ Conventions pinned here and used by every other module:
   and distances compare the bases (:func:`subspace_distance`), never
   forming D^2 x D^2 projectors.
 * Spectral projectors come from a sorted complex Schur form plus one
-  Sylvester solve (:func:`sorted_schur`).
+  Sylvester solve on its triangular blocks (:func:`sorted_schur`).
+* The D^2 x D^2 Schur form, Gram eigh and 2-norm (:func:`blockwise_norm`)
+  run block by block over the components of the operand's exact zero
+  pattern (:func:`pattern_blocks`), one batched call per block size: exact,
+  with no tolerance; an operand of one block takes one dense call.
 * An operator of low rank is kept as factors E = X Y* and its residuals
   are written as factors too: X (Y* X - I) Y* for idempotency,
   [X, -T X] [T* Y, Y]* for the commutator with T (:func:`commutator_norm`)
@@ -107,7 +111,41 @@ def hs_norm(A: np.ndarray) -> float:
 def spectral_norm(A: np.ndarray) -> float:
     if min(A.shape) == 0:
         return 0.0
-    return float(np.linalg.norm(A, 2))
+    return float(np.linalg.svd(A, compute_uv=False)[0])
+
+
+def pattern_blocks(A: np.ndarray) -> list[np.ndarray]:
+    """Connected components of the symmetric exact nonzero pattern of a
+    square matrix (A_ij != 0 or A_ji != 0), grouped by size: one (m, s)
+    array per block size s, each row one block's ascending indices.  Each
+    index takes the least label of its neighbours, then the label of its
+    label (pointer jumping), until the labels settle."""
+    n = len(A)
+    nz = np.asarray(A) != 0
+    i, j = np.divmod(np.flatnonzero(nz | nz.T), n)
+    label, new = None, np.arange(n)
+    while new.any() and not np.array_equal(new, label):  # all 0: one block
+        label = new.copy()
+        np.minimum.at(new, i, label[j])
+        new = new[new]
+    order, sizes = np.argsort(new, kind="stable"), np.bincount(new, minlength=n)
+    starts = np.cumsum(sizes) - sizes
+    return [order[starts[sizes == s, None] + np.arange(s)]
+            for s in np.unique(sizes[sizes > 0])]
+
+
+def block_stacks(A: np.ndarray):
+    """(index, (m, s, s) stack) pairs of the diagonal blocks of A along
+    :func:`pattern_blocks`."""
+    for idx in pattern_blocks(A):
+        yield idx, A[idx[:, :, None], idx[:, None, :]]
+
+
+def blockwise_norm(A: np.ndarray) -> float:
+    """Spectral norm of a square matrix: the largest over its pattern
+    blocks, one batched SVD per block size."""
+    return max((float(np.linalg.svd(S, compute_uv=False)[:, 0].max())
+                for _, S in block_stacks(A)), default=0.0)
 
 
 def dagger(A: np.ndarray) -> np.ndarray:
@@ -280,10 +318,17 @@ def gram_kernel(G: np.ndarray, constraint,
                 tol: Tolerances = DEFAULT_TOL) -> MatrixSubspace:
     """Kernel of a linear constraint on D x D matrices with Gram matrix G
     (<vec A, G vec A> = ||constraint(A)||^2): the exact constraint
-    restricts the candidates from one eigh of G and alone decides."""
-    w, V = np.linalg.eigh(G)
-    candidates = V[:, w <= GRAM_CANDIDATE_CUTOFF * max(w[-1], 1.0)]
-    return MatrixSubspace.from_columns(candidates, math.isqrt(len(G))) \
+    restricts the candidates from one eigh of G per block size of its
+    pattern, embedded block-sparse, and alone decides."""
+    parts = [(idx, *np.linalg.eigh(S)) for idx, S in block_stacks(G)]
+    cut = GRAM_CANDIDATE_CUTOFF * max(max(w.max() for _, w, _ in parts), 1.0)
+    columns = []
+    for idx, w, V in parts:
+        b, e = np.nonzero(w <= cut)          # block and eigenvector
+        C = np.zeros((len(G), len(b)), dtype=complex)
+        C[idx[b], np.arange(len(b))[:, None]] = V[b, :, e]
+        columns.append(C)
+    return MatrixSubspace.from_columns(np.hstack(columns), math.isqrt(len(G))) \
         .restrict([constraint], tol)
 
 
@@ -330,13 +375,17 @@ def cluster_values(values, gap: float) -> list[list[int]]:
     """Greedy clustering of complex values: indices whose values lie
     within ``gap`` of a cluster centroid join that cluster.  Values are
     taken by descending modulus and, within moduli that steps of at most
-    ``gap`` join, by arg alone: rounding in |lam| does not reorder them."""
+    ``gap`` join, by arg in [0, 2 pi), an arg within ``gap`` of 2 pi
+    counting as 0: rounding in |lam| or across the real axis does not
+    reorder them."""
     clusters: list[list[int]] = []
     centroids: list[complex] = []
     m = np.sort(np.abs(values))[::-1]
     starts = m[1:][m[:-1] - m[1:] > gap]      # moduli that open a level
+    arg = np.angle(values) % (2 * np.pi)
+    arg[arg > 2 * np.pi - gap] = 0.0
     order = sorted(range(len(values)), key=lambda i: (
-        np.sum(starts >= abs(values[i])), np.angle(values[i])))
+        np.sum(starts >= abs(values[i])), arg[i]))
     for i in order:
         v = values[i]
         placed = False
@@ -358,15 +407,38 @@ def sorted_schur(M: np.ndarray, select):
     eigenvalues that ``select(lam) -> bool`` picks first on the diagonal of
     A, and L = [I R] Z*, R solving A11 R - R A22 = A12.  Z[:, :k] @ L is
     the spectral projector onto their invariant subspace along the
-    complementary one, and Z[:, :k] an orthonormal basis of its range."""
+    complementary one, and Z[:, :k] an orthonormal basis of its range.
+
+    One Schur form per pattern block (the 1 x 1 blocks as one diagonal);
+    each block's selected Schur vectors go among the first k columns, its
+    others after them, in its own order: A stays triangular."""
     M = np.asarray(M, dtype=complex)
     n = M.shape[0]
-    A, Z, k = scipy.linalg.schur(M, output="complex",
-                                 sort=lambda x: bool(select(x)))
-    k = int(k)
+    parts = []                              # (rows, A_b, Z_b, k_b)
+    for idx, S in block_stacks(M):
+        if idx.shape[1] > 1:
+            parts += [(rows, *scipy.linalg.schur(
+                B, output="complex", sort=lambda x: bool(select(x))))
+                for rows, B in zip(idx, S)]
+            continue
+        pick = np.array([bool(select(x)) for x in S[:, 0, 0]], dtype=bool)
+        order = np.argsort(~pick, kind="stable")
+        parts.append((idx[order, 0], np.diag(S[order, 0, 0]),
+                      np.eye(len(idx)), pick.sum()))
+    k = int(sum(p[3] for p in parts))
+    A, Z = np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex)
+    first, rest = 0, k
+    for rows, T, U, kb in parts:
+        cols = np.r_[first:first + kb, rest:rest + len(rows) - kb]
+        first, rest = first + kb, rest + len(rows) - kb
+        A[np.ix_(cols, cols)], Z[np.ix_(rows, cols)] = T, U
     R = np.zeros((k, n - k), dtype=complex)
     if 0 < k < n:
-        R = scipy.linalg.solve_sylvester(A[:k, :k], -A[k:, k:], A[:k, k:])
+        X, scale, info = scipy.linalg.lapack.ztrsyl(
+            A[:k, :k], A[k:, k:], A[:k, k:], isgn=-1)
+        if info < 0:
+            raise np.linalg.LinAlgError(f"Illegal value in the {-info} term")
+        R = X / scale
     return A, Z, k, np.hstack([np.eye(k), R]) @ dagger(Z)
 
 

@@ -25,11 +25,11 @@ from chanstruct.numerics import (
     DEFAULT_TOL,
     MatrixSubspace,
     Tolerances,
+    blockwise_norm,
     commutator_norm,
     dagger,
     hs_norm,
     sorted_schur,
-    spectral_norm,
     unvec,
     vec,
 )
@@ -175,7 +175,7 @@ class L2Structure:
         D = len(self.rho)
         GT = np.tensordot(self.sqrt, transfer.reshape((D,) * 4), axes=(0, 0))
         GTG = np.tensordot(GT, self.inv_sqrt, axes=(2, 1))
-        return spectral_norm(GTG.transpose(0, 1, 3, 2).reshape(D * D, D * D))
+        return blockwise_norm(GTG.transpose(0, 1, 3, 2).reshape(D * D, D * D))
 
     def projection(self, B: np.ndarray) -> tuple:
         """Factors (B, W) of the rho-orthogonal projection P = B W* onto
@@ -359,7 +359,7 @@ def peripheral_subalgebra(c: ChannelSpec, inv: InvariantStateReport,
                 f"eigenpair residual {resid:.3e} at lambda={lam:.6f}")
         mats.append(X)
     comm_defect = commutator_norm(T, *s.e_n_factors)
-    if comm_defect > 100 * tol.eq_tol * max(1.0, spectral_norm(T)):
+    if comm_defect > 100 * tol.eq_tol * max(1.0, blockwise_norm(T)):
         raise PeripheralJordanBlock(
             f"expectation fails to commute with the channel: {comm_defect:.3e}")
     return PeripheralData(eigenvalues=tuple(w), eigenmatrices=tuple(mats),

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from chanstruct.algebra import (
     ConditionalExpectation,
@@ -14,6 +15,7 @@ from chanstruct.algebra import (
 )
 from chanstruct.numerics import (
     DEFAULT_TOL,
+    GRAM_CANDIDATE_CUTOFF,
     DimensionMismatch,
     MatrixSubspace,
     Tolerances,
@@ -42,6 +44,28 @@ def kernel_basis(L, tol=DEFAULT_TOL):
     n = L.shape[1]
     return MatrixSubspace.from_columns(kernel_coefficients([L], n, tol),
                                        int(round(np.sqrt(n))))
+
+
+def dense_sorted_schur(M, select):
+    """Oracle for ``numerics.sorted_schur``: one Schur form of the whole
+    matrix and scipy's Sylvester solver, which takes two Schur forms of its
+    triangular operands again."""
+    n = len(M)
+    A, Z, k = scipy.linalg.schur(M, output="complex",
+                                 sort=lambda x: bool(select(x)))
+    R = np.zeros((k, n - k), dtype=complex)
+    if 0 < k < n:
+        R = scipy.linalg.solve_sylvester(A[:k, :k], -A[k:, k:], A[:k, k:])
+    return A, Z, k, np.hstack([np.eye(k), R]) @ dagger(Z)
+
+
+def dense_gram_kernel(G, constraint, tol=DEFAULT_TOL):
+    """Oracle for ``numerics.gram_kernel``: the candidates from one eigh
+    of the whole Gram matrix."""
+    w, V = np.linalg.eigh(G)
+    candidates = V[:, w <= GRAM_CANDIDATE_CUTOFF * max(w[-1], 1.0)]
+    return MatrixSubspace.from_columns(candidates, math.isqrt(len(G))) \
+        .restrict([constraint], tol)
 
 
 def transfer_of_units(action, dim):

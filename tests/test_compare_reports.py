@@ -62,6 +62,40 @@ def test_compare_reports_flags_a_moved_fixed_block_count(tmp_path):
     assert "ok   components.projection" in moved.stdout
 
 
+def test_compare_reports_reads_fixed_block_eigenvalues_up_to_a_phase(
+        tmp_path):
+    walk = tmp_path / "walk.json"
+    main(["example", "pauli", "--d", "4", "--output", str(walk)])
+    parent = tmp_path / "parent"
+    parent.mkdir()
+    assert main(["analyze", str(walk), "--output",
+                 str(parent / "w.json")]) == EXIT_OK
+    (parent / "w.exit").write_text("0\n")
+    blocks = json.loads((parent / "w.json").read_text())[
+        "components"][0]["fixed_blocks"]
+    assert blocks["count"] == len(blocks["eigenvalues"]) == 2
+
+    def move_eigenvalues(move):
+        def move_report(report):
+            fb = report["components"][0]["fixed_blocks"]
+            z = move(np.array([complex(*v) for v in fb["eigenvalues"]]))
+            fb["eigenvalues"] = [[x.real, x.imag] for x in z]
+        return move_report
+    rotated = compare(parent, moved_copy(
+        tmp_path, parent, move_eigenvalues(lambda z: z * np.exp(2.1j))))
+    assert rotated.returncode == 0, rotated.stdout
+    assert "ok   components.fixed_blocks.eigenvalues" in rotated.stdout
+
+    def turn_one(z):
+        z[0] *= np.exp(0.1j)
+        return z
+    shutil.rmtree(tmp_path / "change")
+    moved = compare(parent, moved_copy(tmp_path, parent,
+                                       move_eigenvalues(turn_one)))
+    assert moved.returncode == 1
+    assert "FAIL components.fixed_blocks.eigenvalues" in moved.stdout
+
+
 def _move_xi_kraus(report, move):
     """Apply ``move`` to the (K, n, n') stack of every xi_kraus[m] of the
     first component, stored back as [re, im] pairs."""

@@ -3,6 +3,7 @@ import pytest
 
 from chanstruct.algebra import atomic_structure, extract_block_states
 from chanstruct.channel import from_kraus
+from chanstruct.cli import analyze
 from chanstruct.cycles import (
     NotRootsOfUnity,
     NotSimple,
@@ -283,6 +284,31 @@ def test_fixed_multiblock_shift_walk():
         assert np.linalg.norm(pre @ v - v) < 1e-8
         lam = np.linalg.eigvals(pre)
         assert np.sum(np.abs(lam - 1) < 1e-7) == 1
+
+
+
+def test_fixed_block_eigenvalues_are_fixed_up_to_one_phase():
+    # cyclic-shift-4 of the seed-27 corpus: the seed and the frame of the
+    # input turn both fixed-block eigenvalues by one common phase; their
+    # count and the ratios lam_i conj(lam_j) do not move
+    c = build_corpus(27)[35]
+    rng = np.random.default_rng(3)
+    U = random_unitary(c.dim, rng)
+    u = random_unitary(len(c.kraus), rng)
+    variants = [(c, 0), (c, 1), (c, 2),
+                (from_kraus(U @ c.kraus @ dagger(U)), 0),
+                (from_kraus(np.tensordot(u, c.kraus, 1)), 0)]
+    ratios = []
+    for channel, seed in variants:
+        [component] = analyze(channel, None, DEFAULT_TOL, seed,
+                              None)["components"]
+        blocks = component["fixed_blocks"]
+        lam = np.array([complex(*v) for v in blocks["eigenvalues"]])
+        assert blocks["count"] == len(lam) == 2
+        ratios.append(np.outer(lam, lam.conj()).ravel())
+    for r in ratios[1:]:
+        assert max(np.abs(r - x).min() for x in ratios[0]) < 1e-8
+        assert max(np.abs(ratios[0] - x).min() for x in r) < 1e-8
 
 
 def test_fixed_multiblock_pauli():

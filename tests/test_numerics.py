@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,16 +10,21 @@ from chanstruct.algebra import (
     expectation_onto,
     generated_algebra,
 )
+from chanstruct.cli import _choi_min_eig
 from chanstruct.numerics import (
     MatrixSubspace,
     NotNearProjection,
     Tolerances,
+    blockwise_norm,
     cluster_values,
     commutator_norm,
+    dagger,
     KERNEL_FOLD_ROWS,
+    gram_kernel,
     hs_inner,
     kernel_coefficients,
     lowrank_norm,
+    pattern_blocks,
     random_unitary,
     round_projector,
     sorted_schur,
@@ -29,10 +36,13 @@ from chanstruct.numerics import (
     vec,
 )
 from chanstruct.channel import from_kraus
+from tests.test_acceptance import _choi_min_eig as dense_choi_min_eig
 from tests.conftest import (
     I2,
     X,
     Z,
+    dense_gram_kernel,
+    dense_sorted_schur,
     kernel_basis,
     subspace_intersection,
     transfer_of_units,
@@ -274,6 +284,99 @@ def test_cluster_order_ignores_rounding_in_the_modulus():
     assert cluster_values([1, -1], gap) == \
         cluster_values([1, -(1 + 2 ** -52)], gap) == [[0], [1]]
     assert cluster_values([0.5, -1, 1j, 1 - 1e-9], gap) == [[3], [2], [1], [0]]
+
+
+def test_cluster_order_ignores_the_sign_of_a_rounded_imaginary_part():
+    # np.angle is cut at -1: an arg in [0, 2 pi), near 2 pi read as 0,
+    # orders -1 and 1 alike whichever way rounding tips them
+    gap = 1e-7
+    assert cluster_values([1, -1 + 1e-17j], gap) == \
+        cluster_values([1, -1 - 1e-17j], gap) == [[0], [1]]
+    assert cluster_values([1 + 1e-17j, -1], gap) == \
+        cluster_values([1 - 1e-17j, -1], gap) == [[0], [1]]
+
+
+def permuted_blocks(rng, sizes, make_block):
+    """A D^2 x D^2 matrix with diagonal blocks ``make_block(s)`` for the
+    sizes s > 0 and 1 x 1 zeros (zero rows) for the sizes 0 and as padding
+    to a square, under a random permutation; returned with D and the index
+    sets of its blocks."""
+    D = math.isqrt(max(sum(sizes) + sizes.count(0), 1) - 1) + 1
+    sizes = sizes + [0] * (D * D - sum(sizes) - sizes.count(0))
+    M = np.zeros((D * D, D * D), dtype=complex)
+    blocks, start = [], 0
+    for s in sizes:
+        if s:
+            M[start:start + s, start:start + s] = make_block(s)
+        blocks.append(np.arange(start, start + max(s, 1)))
+        start += max(s, 1)
+    p = rng.permutation(D * D)
+    inverse = np.argsort(p)
+    return M[np.ix_(p, p)], D, {tuple(np.sort(inverse[b])) for b in blocks}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.lists(st.sampled_from([0, 1, 2, 3, 5]), max_size=8),
+                 st.sampled_from([[9], [16], [25]])),      # one dense block
+       st.integers(0, 2 ** 32 - 1))
+def test_split_kernels_match_the_dense_routes(sizes, seed):
+    rng = np.random.default_rng(seed)
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def schur_block(s):
+        # moduli in [0.9, 1] or [0, 0.5] under a non-normal triangle, in a
+        # random basis
+        r = np.where(rng.random(s) < 0.5, 0.9 + 0.1 * rng.random(s),
+                     0.5 * rng.random(s))
+        T = np.diag(r * np.exp(2j * np.pi * rng.random(s))) \
+            + 0.3 * np.triu(gaussian(s, s), 1) / s
+        U = random_unitary(s, rng)
+        return U @ T @ dagger(U)
+
+    def select(lam):
+        return abs(lam) > 0.7
+
+    M, D, blocks = permuted_blocks(rng, sizes, schur_block)
+    assert {tuple(b) for idx in pattern_blocks(M) for b in idx} == blocks
+    chains, _, chain_blocks = permuted_blocks(  # one-sided, long paths
+        np.random.default_rng(seed), sizes, lambda s: np.eye(s, k=1))
+    assert {tuple(b) for idx in pattern_blocks(chains) for b in idx} == \
+        chain_blocks
+    scale = max(1.0, spectral_norm(M))
+    A, Z_, k, L = sorted_schur(M, select)
+    assert spectral_norm(Z_ @ A @ dagger(Z_) - M) <= 1e-13 * scale
+    assert spectral_norm(dagger(Z_) @ Z_ - np.eye(D * D)) <= 1e-13
+    assert not np.tril(A, -1).any()
+    assert [select(x) for x in np.diag(A)] == [True] * k + [False] * (D * D - k)
+    A_ref, Z_ref, k_ref, L_ref = dense_sorted_schur(M, select)
+    assert k == k_ref
+    assert spectral_norm(Z_[:, :k] @ L - Z_ref[:, :k] @ L_ref) <= 1e-12
+    assert blockwise_norm(M) == pytest.approx(spectral_norm(M), rel=1e-14)
+
+    def constraint_block(s):                    # of rank 0 ... s
+        r = rng.integers(0, s + 1)
+        return gaussian(s, r) @ gaussian(r, s)
+
+    C, D, _ = permuted_blocks(rng, sizes, constraint_block)
+    G = dagger(C) @ C
+
+    def constraint(B):
+        return vec(B) @ C.T
+    kernel = gram_kernel(G, constraint)
+    reference = dense_gram_kernel(G, constraint)
+    assert kernel.dim == reference.dim
+    assert subspace_distance(kernel, reference) <= 1e-10
+
+    def hermitian_block(s):
+        W = gaussian(s, s)
+        return W + dagger(W)
+
+    H, D, _ = permuted_blocks(rng, sizes, hermitian_block)
+    T = H.reshape((D,) * 4).transpose(3, 1, 2, 0).reshape(D * D, D * D)
+    assert _choi_min_eig(T, D) == pytest.approx(
+        dense_choi_min_eig(T, D), rel=0, abs=1e-14 * spectral_norm(H))
 
 
 def test_spectral_projector_diagonalizable():

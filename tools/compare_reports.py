@@ -22,8 +22,10 @@ Only fields that do not depend on the choice of bases are compared:
   nearest one on the other side, and the matched pairs are compared, to
   1e-8, on the projection, ``period``, the set of cyclic projections,
   ``left_dim``, ``right_dims``, ``structured_kraus_residual`` (absolute),
-  of ``fixed_blocks`` the ``count``, ``right_total``, the sorted
-  ``eigenvalues`` and the set of ``central_projections``, and
+  of ``fixed_blocks`` the ``count``, ``right_total``, the ``eigenvalues``
+  up to one common phase (the sorted products lam_i conj(lam_j) over all
+  pairs; the monodromy fixes them only up to that phase) and the set of
+  ``central_projections``, and
   ``xi_choi_spectrum``: per step m, the sorted singular values of
   ``xi_kraus[m]`` as a (K, nR_m nR_{m-1}) matrix, compared as a set over
   m.  They are the square roots of the Choi eigenvalues of the reduced
@@ -84,6 +86,16 @@ def _sorted_eigenvalues(values):
     return sorted(values, key=lambda z: (round(z[0], 6), round(z[1], 6)))
 
 
+def _phase_free(values):
+    """The sorted products lam_i conj(lam_j) over all pairs of a list of
+    [re, im] values: the values up to one common phase."""
+    if not isinstance(values, list):
+        return values
+    z = np.array([complex(*v) for v in values])
+    ratios = np.outer(z, z.conj()).ravel()
+    return _sorted_eigenvalues([[r.real, r.imag] for r in ratios])
+
+
 def _match(xs, ys, diff) -> list:
     """Pairs (x, y) of two lists of one length: each x is matched with the
     nearest y not yet taken."""
@@ -127,9 +139,8 @@ def _component_fields(a, b) -> dict:
         "fixed_blocks.count": _diff(fa["count"], fb["count"]),
         "fixed_blocks.right_total": _diff(fa["right_total"],
                                           fb["right_total"]),
-        "fixed_blocks.eigenvalues": _diff(
-            _sorted_eigenvalues(fa["eigenvalues"]),
-            _sorted_eigenvalues(fb["eigenvalues"])),
+        "fixed_blocks.eigenvalues": _diff(_phase_free(fa["eigenvalues"]),
+                                          _phase_free(fb["eigenvalues"])),
         "fixed_blocks.central_projections": _set_diff(
             fa["central_projections"], fb["central_projections"], _diff),
         "xi_choi_spectrum": _set_diff(_xi_choi_spectra(a),
