@@ -1,8 +1,8 @@
 """Finite-dimensional von Neumann algebra engine.
 
 Commutants, generated algebras, centers, atomic factor decompositions
-(block form P_j H ~ H_L (x) H_R), and conditional expectations onto
-subalgebras determined by one faithful block state per factor.
+(block form P_j H ~ H_L (x) H_R), and the block states that an
+expectation onto such an algebra leaves on the right factors.
 """
 
 from __future__ import annotations
@@ -22,9 +22,6 @@ from chanstruct.numerics import (
     range_isometry,
     round_projector,
     span_basis,
-    transfer_of,
-    unvec,
-    vec,
 )
 
 
@@ -34,10 +31,6 @@ class NotAlgebra(ValueError):
 
 class DegenerateRandomElement(RuntimeError):
     """Random spectral separation failed after the allowed redraws."""
-
-
-class NotFaithful(ValueError):
-    """A block state has an eigenvalue below rank_tol."""
 
 
 @dataclass(frozen=True)
@@ -57,10 +50,6 @@ class OperatorAlgebra:
     @property
     def basis(self):
         return self.subspace.basis
-
-
-def full_algebra(dim: int) -> OperatorAlgebra:
-    return OperatorAlgebra(MatrixSubspace(dim, np.eye(dim * dim)))
 
 
 def restrict_to_commutant(sub: MatrixSubspace, ops,
@@ -304,80 +293,6 @@ def _check_factorization(U, comp, W, nL, nR, tol):
         raise NotAlgebra(f"factorization residual {resid.max():.3e}")
 
 
-# ---------------------------------------------------------------------------
-# Conditional expectations
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ConditionalExpectation:
-    """Idempotent unital CP projection with the module property.
-
-    Determined by an atomic structure of its range plus one faithful
-    state per block acting on the right tensor factor.
-    """
-
-    transfer: np.ndarray
-    range_algebra: OperatorAlgebra
-    structure: AlgebraStructure
-    block_states: tuple
-
-    @property
-    def dim(self) -> int:
-        return self.structure.ambient_dim
-
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        """E(X), of one matrix or of each in a stack."""
-        return unvec(vec(np.asarray(X, dtype=complex)) @ self.transfer.T,
-                     self.dim)
-
-
-def _apply_block_expectation(structure: AlgebraStructure, states, X):
-    """The expectation of X, or of each matrix in a stack: per block,
-    the right factor of U X U* is traced against rho, and a (x) I is
-    carried back."""
-    out = 0
-    for P, U, nL, nR, rho in zip(structure.central_projections,
-                                 structure.block_unitaries,
-                                 structure.left_dims, structure.right_dims,
-                                 states):
-        Y = U @ (P @ X @ P) @ dagger(U)
-        a = np.einsum("...irjs,sr->...ij",
-                      Y.reshape(*Y.shape[:-2], nL, nR, nL, nR), rho)
-        # U* (a (x) I) U = sum_r U_r* a U_r, U_r the rows (i, r) of U
-        out = out + sum(dagger(Ur) @ a @ Ur
-                        for Ur in U.reshape(nL, nR, -1).transpose(1, 0, 2))
-    return out
-
-
-def expectation_onto(alg: OperatorAlgebra, states,
-                     tol: Tolerances = DEFAULT_TOL, seed: int = 0,
-                     structure: AlgebraStructure | None = None,
-                     ) -> ConditionalExpectation:
-    """Conditional expectation onto ``alg`` with the given block states.
-
-    ``states`` lists one faithful density per block, ordered as in the
-    atomic structure (computed here when not supplied).
-    """
-    if structure is None:
-        structure = atomic_structure(alg, tol=tol, seed=seed)
-    states = [np.asarray(r, dtype=complex) for r in states]
-    if len(states) != structure.n_blocks:
-        raise DimensionMismatch(
-            f"{len(states)} states for {structure.n_blocks} blocks")
-    for rho, nR in zip(states, structure.right_dims):
-        if rho.shape != (nR, nR):
-            raise DimensionMismatch(f"state shape {rho.shape} != {(nR, nR)}")
-        w = np.linalg.eigvalsh((rho + dagger(rho)) / 2)
-        if w.min() < tol.rank_tol:
-            raise NotFaithful(f"block state eigenvalue {w.min():.3e}")
-    transfer = transfer_of(
-        lambda X: _apply_block_expectation(structure, states, X),
-        structure.ambient_dim)
-    return ConditionalExpectation(transfer=transfer, range_algebra=alg,
-                                  structure=structure,
-                                  block_states=tuple(states))
-
-
 def extract_block_states(apply_fn, structure: AlgebraStructure,
                          tol: Tolerances = DEFAULT_TOL) -> tuple:
     """Read the defining block states off an expectation's action.
@@ -399,26 +314,3 @@ def extract_block_states(apply_fn, structure: AlgebraStructure,
         rho = rho / np.real(np.trace(rho))
         states.append(rho)
     return tuple(states)
-
-
-@dataclass(frozen=True)
-class InvariantStateFamily:
-    """Parametrization of all densities invariant under an expectation's
-    preadjoint: convex sums over blocks of (left state) (x) (block state)."""
-
-    structure: AlgebraStructure
-    block_states: tuple
-
-    def state(self, weights, left_states) -> np.ndarray:
-        D = self.structure.ambient_dim
-        out = np.zeros((D, D), dtype=complex)
-        for lam, omega, U, rho in zip(weights, left_states,
-                                      self.structure.block_unitaries,
-                                      self.block_states):
-            out += lam * dagger(U) @ np.kron(np.asarray(omega), rho) @ U
-        return out
-
-
-def expectation_invariant_states(E: ConditionalExpectation) -> InvariantStateFamily:
-    return InvariantStateFamily(structure=E.structure,
-                                block_states=E.block_states)

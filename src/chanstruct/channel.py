@@ -32,10 +32,6 @@ class NotUnital(ValueError):
     """Kraus list fails sum V* V = I within tolerance."""
 
 
-class NotCP(ValueError):
-    """Choi matrix has a significantly negative eigenvalue."""
-
-
 @dataclass(frozen=True, eq=False)
 class ChannelSpec:
     """A validated channel: dimension, Kraus operators stacked as a
@@ -76,12 +72,6 @@ class ChannelSpec:
         P = (Vm.T @ Vm.conj()).reshape((D,) * 4)
         return P.transpose(1, 3, 0, 2).reshape(D * D, D * D)
 
-    def power(self, n: int) -> np.ndarray:
-        """Transfer matrix of Phi^n."""
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        return np.linalg.matrix_power(self.transfer, n)
-
     def minimal_kraus(self) -> "ChannelSpec":
         """Equivalent channel whose Kraus count is the Choi rank: with the
         SVD Vm = U diag(s) Wh, C = A A* has the eigenpairs (s^2, Wh*), so
@@ -91,34 +81,10 @@ class ChannelSpec:
         _, s, wh = np.linalg.svd(self.kraus.reshape(-1, D * D),
                                  full_matrices=False)
         w, cnorm = s[::-1] ** 2, s[0] ** 2
-        # w >= 0, so this test cannot fire on a Kraus form
-        if cnorm > 0 and w.min() < -self.tol.eq_tol * cnorm:
-            raise NotCP(f"Choi eigenvalue {w.min():.3e}")
         keep = w > self.tol.rank_tol * max(cnorm, 1e-300)
         ops = (s[::-1, None] * wh[::-1])[keep].reshape(-1, D, D)
         return ChannelSpec(self.dim, ops, label=self.label + " (minimal)",
                            tol=self.tol)
-
-    def stinespring(self) -> "StinespringData":
-        """Isometry V = sum_k V_k (x) |e_k> with V*(A (x) I)V = Phi(A)."""
-        K = len(self.kraus)
-        V = self.kraus.transpose(1, 0, 2).reshape(self.dim * K, self.dim)
-        return StinespringData(isometry=V, env_dim=K)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "kraus": [matrix_to_json(V) for V in self.kraus],
-            "label": self.label,
-        }
-
-
-@dataclass(frozen=True)
-class StinespringData:
-    """Stacked-Kraus isometry V: H -> H (x) K and the environment size."""
-
-    isometry: np.ndarray
-    env_dim: int
 
 
 def from_kraus(matrices, tol: Tolerances = DEFAULT_TOL,
@@ -153,7 +119,11 @@ def matrix_from_json(rows) -> np.ndarray:
 
 
 def channel_to_json(c: ChannelSpec) -> dict:
-    return c.to_json_dict()
+    return {
+        "dim": c.dim,
+        "kraus": [matrix_to_json(V) for V in c.kraus],
+        "label": c.label,
+    }
 
 
 def channel_from_json(data: dict, tol: Tolerances = DEFAULT_TOL) -> ChannelSpec:

@@ -1,7 +1,7 @@
 """Period and cyclic structure of channels.
 
-Cyclic resolutions of irreducible channels, minimal components as orbits
-of the channel on the minimal central projections of N, the tensor
+Minimal components as orbits of the channel on the minimal central
+projections of N, with their periods and cyclic projections, the tensor
 factorization of each component into a unitary shift part and a chain of
 reduced channels, structured Kraus forms and the resulting multiblock
 description of the fixed points.
@@ -9,7 +9,6 @@ description of the fixed points.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,19 +33,8 @@ from chanstruct.numerics import (
     range_isometry,
     round_projector,
     spectral_norm,
-    subspace_distance,
     transfer_of,
 )
-
-
-class NotRootsOfUnity(RuntimeError):
-    """Peripheral eigenvalues of an irreducible channel fail the
-    root-of-unity group-structure test."""
-
-
-class NotSimple(RuntimeError):
-    """A peripheral eigenvalue has multiplicity >= 2 under an
-    irreducibility claim."""
 
 
 class OrbitNotClosed(RuntimeError):
@@ -72,11 +60,6 @@ class CycleReport:
 
     period: int
     projections: tuple
-    unitary: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.projections[0].shape[0]
 
 
 @dataclass(frozen=True)
@@ -97,10 +80,6 @@ class MfncComponent:
 class MfncDecomposition:
     z_projections: tuple
     components: tuple
-
-    @property
-    def n_components(self) -> int:
-        return len(self.components)
 
 
 @dataclass(frozen=True)
@@ -126,23 +105,6 @@ class ComponentData:
     @property
     def period(self) -> int:
         return self.cycle.period
-
-    def xi_transfer(self, m: int) -> np.ndarray:
-        """Transfer matrix of Xi_m as a map B(K_m^R) -> B(K_{m-1}^R)."""
-        return transfer_of(
-            lambda E: sum(dagger(L) @ E @ L for L in self.xi_kraus[m]),
-            self.right_dims[m])
-
-    def cycle_composition(self, m: int = 0) -> np.ndarray:
-        """Transfer of the d-fold composition returning to B(K_m^R)."""
-        d = self.period
-        n = self.right_dims[m]
-        out = np.eye(n * n, dtype=complex)
-        idx = m
-        for _ in range(d):
-            out = self.xi_transfer(idx) @ out
-            idx = (idx - 1) % d
-        return out
 
 
 @dataclass(frozen=True)
@@ -171,102 +133,6 @@ class FixedBlockData:
     @property
     def n_blocks(self) -> int:
         return len(self.r_projections)
-
-    def invariant_state(self, weights, left_states) -> np.ndarray:
-        """Assemble an invariant density from block weights and states
-        on the left eigenspaces."""
-        out = 0
-        for lam, omega, G in zip(weights, left_states, self.embeddings):
-            out = out + lam * (G @ np.kron(np.asarray(omega, dtype=complex),
-                                           self.sigma) @ dagger(G))
-        return out
-
-
-@dataclass(frozen=True)
-class PowerFixedPointRow:
-    power: int
-    fixed_dim: int
-    coprime: bool
-    matches_gcd_rule: bool
-
-
-@dataclass(frozen=True)
-class PowerFixedPointTable:
-    rows: tuple
-    f_period_matches_dfa: bool
-    f_period_distance: float
-    restrictions_irreducible: tuple
-    restrictions_aperiodic: tuple
-
-    @property
-    def all_pass(self) -> bool:
-        return (self.f_period_matches_dfa
-                and all(r.matches_gcd_rule for r in self.rows)
-                and all(self.restrictions_irreducible)
-                and all(self.restrictions_aperiodic))
-
-
-# ---------------------------------------------------------------------------
-# Irreducible period
-# ---------------------------------------------------------------------------
-
-def _root_of_unity_check(eigenvalues, d, tol):
-    """Match peripheral eigenvalues to the d-th roots of unity, 1-1."""
-    roots = np.exp(2j * np.pi * np.arange(d) / d)
-    used = [False] * d
-    for lam in eigenvalues:
-        hits = [k for k in range(d)
-                if not used[k] and abs(lam - roots[k]) <= 1e3 * tol.eq_tol]
-        if not hits:
-            close = [k for k in range(d) if abs(lam - roots[k]) <= 1e3 * tol.eq_tol]
-            if close:
-                raise NotSimple(
-                    f"peripheral eigenvalue near exp(2i pi {close[0]}/{d}) "
-                    f"appears with multiplicity >= 2")
-            raise NotRootsOfUnity(
-                f"peripheral eigenvalue {lam:.8f} is not a {d}-th root of unity")
-        used[hits[0]] = True
-
-
-def period_irreducible(c: ChannelSpec, p, tol: Tolerances = DEFAULT_TOL) -> CycleReport:
-    """Cyclic resolution of an irreducible channel.
-
-    The period is the number of peripheral eigenvalues, which must form
-    the full group of d-th roots of unity, each simple.  The cycle
-    unitary is the polar part of the eigenmatrix at exp(2i pi/d),
-    rotated so that 1 lies in its spectrum.
-    """
-    d = len(p.eigenvalues)
-    _root_of_unity_check(p.eigenvalues, d, tol)
-    D = c.dim
-    if d == 1:
-        return CycleReport(period=1, projections=(np.eye(D),),
-                           unitary=np.eye(D, dtype=complex))
-    omega = np.exp(2j * np.pi / d)
-    idx = int(np.argmin([abs(lam - omega) for lam in p.eigenvalues]))
-    X = p.eigenmatrices[idx]
-    W, _, Vh = np.linalg.svd(X)
-    U = W @ Vh
-    # rotate so the spectrum consists of exact d-th roots with 1 included
-    theta = np.angle(np.linalg.eigvals(U))
-    res = np.mod(theta, 2 * np.pi / d)
-    if res.max() - res.min() > np.pi / d:     # wrap-around cluster
-        res = np.where(res > np.pi / d, res - 2 * np.pi / d, res)
-    phi = float(np.mean(res))
-    U = np.exp(-1j * phi) * U
-    if spectral_norm(np.linalg.matrix_power(U, d) - np.eye(D)) > 1e3 * tol.eq_tol:
-        raise NotRootsOfUnity("cycle unitary fails U^d = I")
-    projections = []
-    for j in range(d):
-        Q = sum(omega ** (-j * n) * np.linalg.matrix_power(U, n)
-                for n in range(d)) / d
-        projections.append(round_projector(Q, tol=tol))
-    for j in range(d):
-        resid = spectral_norm(c.apply(projections[j]) - projections[(j - 1) % d])
-        if resid > 1e3 * tol.eq_tol:
-            raise NotRootsOfUnity(
-                f"cyclic numbering failed: residual {resid:.3e} at j={j}")
-    return CycleReport(period=d, projections=tuple(projections), unitary=U)
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +191,7 @@ def mfnc_decompose(c: ChannelSpec, F: OperatorAlgebra, st: AlgebraStructure,
         pos = [(anchor - m) % d for m in range(d)]
         order = [orbit[k] for k in pos]
         Qs = tuple(local[k] for k in pos)
-        omega = np.exp(2j * np.pi / d)
-        cycle = CycleReport(period=d, projections=Qs,
-                            unitary=sum(omega ** m * Qs[m] for m in range(d)))
+        cycle = CycleReport(period=d, projections=Qs)
         blocks = AlgebraStructure(
             ambient_dim=W.shape[1], central_projections=Qs,
             block_unitaries=tuple(st.block_unitaries[j] @ W for j in order),
@@ -549,46 +413,3 @@ def fixed_multiblock(cd: ComponentData, F: OperatorAlgebra,
                           embeddings=tuple(embeddings),
                           psi_transfers=tuple(psi_transfers),
                           sigma=sigma_blocks, right_total=right_total)
-
-
-# ---------------------------------------------------------------------------
-# Fixed points of powers
-# ---------------------------------------------------------------------------
-
-def _restricted_power_transfer(c: ChannelSpec, Q: np.ndarray, d: int,
-                               tol: Tolerances) -> np.ndarray:
-    """Transfer of Phi^d compressed to the range of the projection Q:
-    E -> R* Phi^d(R E R*) R for the isometry R onto it, which is
-    kron(R^T, R*) T^d kron(conj(R), R)."""
-    R = range_isometry(Q, tol)
-    return np.kron(R.T, dagger(R)) @ c.power(d) @ np.kron(R.conj(), R)
-
-
-def verify_power_fixed_points(c: ChannelSpec, report: CycleReport,
-                              m_max: int,
-                              tol: Tolerances = DEFAULT_TOL) -> PowerFixedPointTable:
-    """Tabulate dim F(Phi^m) against the gcd rule for an irreducible
-    channel of known period, and check the restrictions of Phi^d."""
-    from chanstruct.structure import dfa, spectrum
-
-    d = report.period
-    rows = []
-    for m in range(1, m_max + 1):
-        dim_f = spectrum(c.power(m), tol).fixed.dim
-        coprime = math.gcd(m, d) == 1
-        rows.append(PowerFixedPointRow(power=m, fixed_dim=dim_f,
-                                       coprime=coprime,
-                                       matches_gcd_rule=(dim_f == 1) == coprime))
-    N = dfa(c, tol=tol)
-    Fd = spectrum(c.power(d), tol).fixed
-    dist = subspace_distance(Fd, N.subspace)
-    irreducible_flags, aperiodic_flags = [], []
-    for Q in report.projections:
-        sq = spectrum(_restricted_power_transfer(c, Q, d, tol), tol)
-        irreducible_flags.append(sq.fixed.dim == 1)
-        aperiodic_flags.append(sq.peripheral == 1)
-    return PowerFixedPointTable(rows=tuple(rows),
-                                f_period_matches_dfa=dist <= 10 * tol.eq_tol,
-                                f_period_distance=dist,
-                                restrictions_irreducible=tuple(irreducible_flags),
-                                restrictions_aperiodic=tuple(aperiodic_flags))

@@ -95,15 +95,6 @@ def unvec(v: np.ndarray, dim: int) -> np.ndarray:
     return np.swapaxes(v.reshape(*v.shape[:-1], dim, dim), -1, -2)
 
 
-def hs_inner(A: np.ndarray, B: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product trace(A* B)."""
-    A = np.asarray(A)
-    B = np.asarray(B)
-    if A.shape != B.shape:
-        raise DimensionMismatch(f"shapes {A.shape} and {B.shape} differ")
-    return complex(np.sum(A.conj() * B))
-
-
 def hs_norm(A: np.ndarray) -> float:
     return float(np.linalg.norm(A))
 

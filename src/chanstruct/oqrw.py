@@ -41,10 +41,6 @@ class ColumnNotNormalized(ValueError):
     """A column of transition operators fails sum L*L = I."""
 
 
-class NotHomogeneous(ValueError):
-    """Operation requires a homogeneous walk on a common local space."""
-
-
 class NotUnitary(ValueError):
     """A builder received a non-unitary operator."""
 
@@ -62,7 +58,6 @@ class OqrwSpec:
     local_dims: tuple
     transitions: dict = field(compare=False)
     homogeneous: bool = False
-    cyclic: bool = False
     label: str = ""
 
     @property
@@ -85,8 +80,7 @@ class OqrwSpec:
 
 
 def build(vertices, local_dims, transitions,
-          tol: Tolerances = DEFAULT_TOL, cyclic: bool = False,
-          label: str = "") -> OqrwSpec:
+          tol: Tolerances = DEFAULT_TOL, label: str = "") -> OqrwSpec:
     """Validate vertex data and transition operators into an OqrwSpec."""
     vertices = tuple(vertices)
     local_dims = tuple(int(d) for d in local_dims)
@@ -111,8 +105,7 @@ def build(vertices, local_dims, transitions,
                 f"column {j} has unitality defect {defect:.3e}")
     homogeneous = _is_homogeneous(vertices, local_dims, ops)
     return OqrwSpec(vertices=vertices, local_dims=local_dims,
-                    transitions=ops, homogeneous=homogeneous,
-                    cyclic=cyclic, label=label)
+                    transitions=ops, homogeneous=homogeneous, label=label)
 
 
 def _is_homogeneous(vertices, local_dims, ops) -> bool:
@@ -142,14 +135,6 @@ def to_channel(w: OqrwSpec, tol: Tolerances = DEFAULT_TOL) -> ChannelSpec:
         V[off[i]:off[i + 1], off[j]:off[j + 1]] = L
         kraus.append(V)
     return from_kraus(kraus, tol=tol, label=w.label or "oqrw")
-
-
-def local_map(w: OqrwSpec, tol: Tolerances = DEFAULT_TOL) -> ChannelSpec:
-    """The vertex-independent local channel of a homogeneous walk."""
-    if not w.homogeneous:
-        raise NotHomogeneous("local map requires a homogeneous walk")
-    ops = [L for (i, j), L in sorted(w.transitions.items()) if j == 0]
-    return from_kraus(ops, tol=tol, label=f"{w.label or 'oqrw'}|local")
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +276,7 @@ def builder_cyclic_shift(d: int, unitaries,
                 spectral_norm(dagger(U) @ U - np.eye(h)) > 100 * tol.eq_tol:
             raise NotUnitary(f"operator {i} is not unitary on a common space")
     transitions = {(i, (i - 1) % d): unitaries[i] for i in range(d)}
-    return build(range(d), [h] * d, transitions, tol=tol, cyclic=True,
+    return build(range(d), [h] * d, transitions, tol=tol,
                  label=f"cyclic-shift-{d}")
 
 
@@ -317,7 +302,7 @@ def builder_pauli_walk(d: int, alpha: float,
     stay = np.sqrt(alpha) * Z
     move = np.sqrt(1 - alpha) * X
     transitions = {(0, 0): stay, (1, 1): stay, (0, 1): move, (1, 0): move}
-    return build([0, 1], [d, d], transitions, tol=tol, cyclic=True,
+    return build([0, 1], [d, d], transitions, tol=tol,
                  label=f"pauli-walk-{d}")
 
 
@@ -332,67 +317,8 @@ def builder_nn_cycle(n: int, L_plus, L_minus,
     for i in range(n):
         transitions[((i + 1) % n, i)] = L_plus
         transitions[((i - 1) % n, i)] = L_minus
-    return build(range(n), [h] * n, transitions, tol=tol, cyclic=True,
+    return build(range(n), [h] * n, transitions, tol=tol,
                  label=f"nn-cycle-{n}")
-
-
-def detect_special_basis(L_plus, L_minus, tol: Tolerances = DEFAULT_TOL):
-    """Orthonormal basis making one step operator diagonal and the other
-    off-diagonal, when such a basis exists (2x2 operators only).
-
-    Returns a 2x2 unitary whose columns are the basis, or None.
-    """
-    L_plus = np.asarray(L_plus, dtype=complex)
-    L_minus = np.asarray(L_minus, dtype=complex)
-    for A, B in ((L_minus, L_plus), (L_plus, L_minus)):
-        basis = _diagonalizing_basis_with_offdiag(A, B, tol)
-        if basis is not None:
-            return basis
-    return None
-
-
-def _diagonalizing_basis_with_offdiag(A, B, tol):
-    """Basis where A is diagonal and B off-diagonal, or None."""
-    scale = max(spectral_norm(A), spectral_norm(B), 1.0)
-    if spectral_norm(A @ dagger(A) - dagger(A) @ A) > 100 * tol.eq_tol * scale:
-        return None                      # A cannot be unitarily diagonalized
-    if spectral_norm(A - np.trace(A) / 2 * np.eye(2)) <= 100 * tol.eq_tol * scale:
-        # degenerate: A is (near) scalar, any basis keeps it diagonal;
-        # B must square to a scalar without being one itself
-        if spectral_norm(B - np.trace(B) / 2 * np.eye(2)) <= 100 * tol.eq_tol * scale:
-            return None
-        B2 = B @ B
-        lam = np.trace(B2) / 2
-        if spectral_norm(B2 - lam * np.eye(2)) > 100 * tol.eq_tol * scale ** 2:
-            return None
-        if abs(lam) > (100 * tol.eq_tol * scale) ** 2:
-            BtB = dagger(B) @ B
-            if spectral_norm(BtB - np.trace(BtB) / 2 * np.eye(2)) \
-                    > 100 * tol.eq_tol * scale ** 2:
-                # non-normal B: the sought basis diagonalizes B*B
-                basis = np.linalg.eigh(BtB)[1]
-            else:
-                # normal B: split the +/- sqrt(lam) eigenlines evenly
-                V = np.linalg.qr(np.linalg.eig(B)[1])[0]
-                f0 = (V[:, 0] + V[:, 1]) / np.sqrt(2)
-                f1 = (V[:, 0] - V[:, 1]) / np.sqrt(2)
-                basis = np.column_stack([f0, f1])
-        else:
-            # nilpotent: B = |u><v| with orthogonal u, v
-            u_, s_, vh_ = np.linalg.svd(B)
-            basis = np.column_stack([vh_[0].conj(), u_[:, 0]])
-        return _validated_basis(A, B, basis, tol, scale)
-    w, V = np.linalg.eig(A)
-    V = np.linalg.qr(V)[0]               # orthogonal since A is normal
-    return _validated_basis(A, B, V, tol, scale)
-
-
-def _validated_basis(A, B, basis, tol, scale):
-    Ad = dagger(basis) @ A @ basis
-    Bd = dagger(basis) @ B @ basis
-    diag_ok = abs(Ad[0, 1]) + abs(Ad[1, 0]) <= 1e3 * tol.eq_tol * scale
-    off_ok = abs(Bd[0, 0]) + abs(Bd[1, 1]) <= 1e3 * tol.eq_tol * scale
-    return basis if (diag_ok and off_ok) else None
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Fixed points F, multiplicative domain M, decoherence-free algebra N,
 reversible/stable splitting, conditional expectations onto F and N,
-invariant states, irreducibility and the decoherence spectral gap.
+invariant states and the decoherence spectral gap.
 
 The spectral stages read one sorted Schur form of the transfer matrix T
 (:func:`spectrum`), and one rule decides all of them: an eigenvalue is
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -72,16 +71,6 @@ class Spectrum:
     @property
     def peripheral(self) -> int:
         return len(self.a11)
-
-    @cached_property
-    def e_n(self) -> np.ndarray:
-        X, Y = self.e_n_factors
-        return X @ dagger(Y)
-
-    @cached_property
-    def e_f(self) -> np.ndarray:
-        X, Y = self.e_f_factors
-        return X @ dagger(Y)
 
 
 @dataclass(frozen=True)
@@ -187,6 +176,11 @@ class L2Structure:
         return B, dagger(np.linalg.solve(dagger(B) @ GB, dagger(GB)))
 
 
+GAP_HORIZON = 50
+"""The ``gap.horizon`` of a schema v1 report with a stable part; no rate
+depends on it."""
+
+
 @dataclass(frozen=True)
 class GapReport:
     """Finite-horizon and asymptotic decoherence decay rates."""
@@ -273,14 +267,6 @@ def fixed_points_commutant(c: ChannelSpec, inv: InvariantStateReport,
             "commutant formula for F needs a faithful invariant state")
     return OperatorAlgebra(alg_mod.restrict_to_commutant(
         M.subspace, np.concatenate([c.kraus, dagger(c.kraus)]), tol))
-
-
-def is_irreducible(s: Spectrum, inv: InvariantStateReport) -> bool:
-    """True iff the fixed points are trivial (faithful case only)."""
-    if not inv.faithful:
-        raise NoFaithfulInvariantState(
-            "irreducibility criterion needs a faithful invariant state")
-    return s.fixed.dim == 1
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +359,6 @@ def peripheral_subalgebra(c: ChannelSpec, inv: InvariantStateReport,
 # ---------------------------------------------------------------------------
 
 def decoherence_gap(c: ChannelSpec, s: Spectrum, l2: L2Structure,
-                    max_n: int = 50,
                     tol: Tolerances = DEFAULT_TOL) -> GapReport:
     """Finite-horizon and asymptotic decay rates of the stable part.
 
@@ -385,7 +370,7 @@ def decoherence_gap(c: ChannelSpec, s: Spectrum, l2: L2Structure,
     ||Phi^n (I - E_N)|| <= a^n for every n: the one-step rate is the minimum
     of -(1/n) log ||Phi^n (I - E_N)|| over all n.  a <= rank_tol gives inf;
     a within eq_tol of 1 counts as 1 (rate 0), so rounding neither makes the
-    rate negative nor claims a uniform bound.  max_n only fills ``horizon``.
+    rate negative nor claims a uniform bound.
     """
     r = s.stable_radius
     asymptotic = math.inf if r <= tol.rank_tol else -math.log(r)
@@ -401,4 +386,4 @@ def decoherence_gap(c: ChannelSpec, s: Spectrum, l2: L2Structure,
     else:
         finite = -math.log(nrm)
     return GapReport(finite_horizon=finite, asymptotic=asymptotic,
-                     horizon=max_n, uniform_bound=finite > 0)
+                     horizon=GAP_HORIZON, uniform_bound=finite > 0)

@@ -1,16 +1,17 @@
 import math
+from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from chanstruct.algebra import (
-    ConditionalExpectation,
+    AlgebraStructure,
     OperatorAlgebra,
     atomic_structure,
     commutant,
     extract_block_states,
-    full_algebra,
     restrict_to_commutant,
 )
 from chanstruct.numerics import (
@@ -21,19 +22,34 @@ from chanstruct.numerics import (
     Tolerances,
     dagger,
     kernel_coefficients,
+    range_isometry,
+    round_projector,
     span_basis,
+    spectral_norm,
+    subspace_distance,
     transfer_of,
     unvec,
     vec,
 )
 from chanstruct.oqrw import OqrwDfaReport, _advance_spans
-from chanstruct.structure import NoStabilization
+from chanstruct.structure import NoStabilization, dfa, spectrum
 from tools.report_set import amplitude_damping, dephasing_mixture  # noqa: F401
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def full_algebra(dim: int) -> OperatorAlgebra:
+    return OperatorAlgebra(MatrixSubspace(dim, np.eye(dim * dim)))
+
+
+def dense(factors):
+    """The matrix X Y* of an operator kept as its factors (X, Y), such as
+    ``Spectrum.e_n_factors`` and ``Spectrum.e_f_factors``."""
+    X, Y = factors
+    return X @ dagger(Y)
 
 
 def kernel_basis(L, tol=DEFAULT_TOL):
@@ -230,6 +246,81 @@ def full_route_oqrw_dfa(w, n_max=None, tol=DEFAULT_TOL):
         diagonal_forced=sum(1 for x in dead if x > 0) <= 1)
 
 
+# ---------------------------------------------------------------------------
+# Conditional expectations from block states
+# ---------------------------------------------------------------------------
+
+class NotFaithful(ValueError):
+    """A block state has an eigenvalue below rank_tol."""
+
+
+@dataclass(frozen=True)
+class ConditionalExpectation:
+    """Idempotent unital CP projection with the module property.
+
+    Determined by an atomic structure of its range plus one faithful
+    state per block acting on the right tensor factor.
+    """
+
+    transfer: np.ndarray
+    range_algebra: OperatorAlgebra
+    structure: AlgebraStructure
+    block_states: tuple
+
+    @property
+    def dim(self) -> int:
+        return self.structure.ambient_dim
+
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """E(X), of one matrix or of each in a stack."""
+        return unvec(vec(np.asarray(X, dtype=complex)) @ self.transfer.T,
+                     self.dim)
+
+
+def apply_block_expectation(structure, states, X):
+    """The expectation of X, or of each matrix in a stack: per block,
+    the right factor of U X U* is traced against rho, and a (x) I is
+    carried back."""
+    out = 0
+    for P, U, nL, nR, rho in zip(structure.central_projections,
+                                 structure.block_unitaries,
+                                 structure.left_dims, structure.right_dims,
+                                 states):
+        Y = U @ (P @ X @ P) @ dagger(U)
+        a = np.einsum("...irjs,sr->...ij",
+                      Y.reshape(*Y.shape[:-2], nL, nR, nL, nR), rho)
+        # U* (a (x) I) U = sum_r U_r* a U_r, U_r the rows (i, r) of U
+        out = out + sum(dagger(Ur) @ a @ Ur
+                        for Ur in U.reshape(nL, nR, -1).transpose(1, 0, 2))
+    return out
+
+
+def expectation_onto(alg, states, tol=DEFAULT_TOL, seed=0, structure=None):
+    """Conditional expectation onto ``alg`` with the given block states.
+
+    ``states`` lists one faithful density per block, ordered as in the
+    atomic structure (computed here when not supplied).
+    """
+    if structure is None:
+        structure = atomic_structure(alg, tol=tol, seed=seed)
+    states = [np.asarray(r, dtype=complex) for r in states]
+    if len(states) != structure.n_blocks:
+        raise DimensionMismatch(
+            f"{len(states)} states for {structure.n_blocks} blocks")
+    for rho, nR in zip(states, structure.right_dims):
+        if rho.shape != (nR, nR):
+            raise DimensionMismatch(f"state shape {rho.shape} != {(nR, nR)}")
+        w = np.linalg.eigvalsh((rho + dagger(rho)) / 2)
+        if w.min() < tol.rank_tol:
+            raise NotFaithful(f"block state eigenvalue {w.min():.3e}")
+    transfer = transfer_of(
+        lambda X: apply_block_expectation(structure, states, X),
+        structure.ambient_dim)
+    return ConditionalExpectation(transfer=transfer, range_algebra=alg,
+                                  structure=structure,
+                                  block_states=tuple(states))
+
+
 def expectation_onto_dfa(c, p, tol=DEFAULT_TOL, seed=0):
     """The peripheral spectral projection packaged as a conditional
     expectation with atomic-structure data for its range N."""
@@ -240,6 +331,183 @@ def expectation_onto_dfa(c, p, tol=DEFAULT_TOL, seed=0):
                                                        c.dim),
                                   range_algebra=N,
                                   structure=structure, block_states=states)
+
+
+# ---------------------------------------------------------------------------
+# Identities of an irreducible channel and of its components
+# (Carbone-Jencova, arXiv 1905.00857)
+# ---------------------------------------------------------------------------
+
+class NotRootsOfUnity(RuntimeError):
+    """Peripheral eigenvalues of an irreducible channel fail the
+    root-of-unity group-structure test."""
+
+
+class NotSimple(RuntimeError):
+    """A peripheral eigenvalue has multiplicity >= 2 under an
+    irreducibility claim."""
+
+
+CyclicResolution = namedtuple("CyclicResolution",
+                              "period projections unitary")
+
+
+def _root_of_unity_check(eigenvalues, d, tol):
+    """Match peripheral eigenvalues to the d-th roots of unity, 1-1."""
+    roots = np.exp(2j * np.pi * np.arange(d) / d)
+    used = [False] * d
+    for lam in eigenvalues:
+        hits = [k for k in range(d)
+                if not used[k] and abs(lam - roots[k]) <= 1e3 * tol.eq_tol]
+        if not hits:
+            close = [k for k in range(d)
+                     if abs(lam - roots[k]) <= 1e3 * tol.eq_tol]
+            if close:
+                raise NotSimple(
+                    f"peripheral eigenvalue near exp(2i pi {close[0]}/{d}) "
+                    f"appears with multiplicity >= 2")
+            raise NotRootsOfUnity(
+                f"peripheral eigenvalue {lam:.8f} is not a {d}-th root of unity")
+        used[hits[0]] = True
+
+
+def period_irreducible(c, p, tol=DEFAULT_TOL):
+    """Oracle for the period and cyclic projections of an irreducible
+    channel, from its peripheral data ``p`` alone.
+
+    The period is the number of peripheral eigenvalues, which must form
+    the full group of d-th roots of unity, each simple.  The cycle
+    unitary is the polar part of the eigenmatrix at exp(2i pi/d),
+    rotated so that 1 lies in its spectrum; its spectral projections are
+    the cyclic projections.
+    """
+    d = len(p.eigenvalues)
+    _root_of_unity_check(p.eigenvalues, d, tol)
+    D = c.dim
+    if d == 1:
+        return CyclicResolution(period=1, projections=(np.eye(D),),
+                                unitary=np.eye(D, dtype=complex))
+    omega = np.exp(2j * np.pi / d)
+    idx = int(np.argmin([abs(lam - omega) for lam in p.eigenvalues]))
+    X = p.eigenmatrices[idx]
+    W, _, Vh = np.linalg.svd(X)
+    U = W @ Vh
+    # rotate so the spectrum consists of exact d-th roots with 1 included
+    theta = np.angle(np.linalg.eigvals(U))
+    res = np.mod(theta, 2 * np.pi / d)
+    if res.max() - res.min() > np.pi / d:     # wrap-around cluster
+        res = np.where(res > np.pi / d, res - 2 * np.pi / d, res)
+    phi = float(np.mean(res))
+    U = np.exp(-1j * phi) * U
+    if spectral_norm(np.linalg.matrix_power(U, d) - np.eye(D)) \
+            > 1e3 * tol.eq_tol:
+        raise NotRootsOfUnity("cycle unitary fails U^d = I")
+    projections = []
+    for j in range(d):
+        Q = sum(omega ** (-j * n) * np.linalg.matrix_power(U, n)
+                for n in range(d)) / d
+        projections.append(round_projector(Q, tol=tol))
+    for j in range(d):
+        resid = spectral_norm(c.apply(projections[j])
+                              - projections[(j - 1) % d])
+        if resid > 1e3 * tol.eq_tol:
+            raise NotRootsOfUnity(
+                f"cyclic numbering failed: residual {resid:.3e} at j={j}")
+    return CyclicResolution(period=d, projections=tuple(projections),
+                            unitary=U)
+
+
+@dataclass(frozen=True)
+class PowerFixedPointRow:
+    power: int
+    fixed_dim: int
+    coprime: bool
+    matches_gcd_rule: bool
+
+
+@dataclass(frozen=True)
+class PowerFixedPointTable:
+    rows: tuple
+    f_period_matches_dfa: bool
+    f_period_distance: float
+    restrictions_irreducible: tuple
+    restrictions_aperiodic: tuple
+
+    @property
+    def all_pass(self) -> bool:
+        return (self.f_period_matches_dfa
+                and all(r.matches_gcd_rule for r in self.rows)
+                and all(self.restrictions_irreducible)
+                and all(self.restrictions_aperiodic))
+
+
+def restricted_power_transfer(c, Q, d, tol=DEFAULT_TOL):
+    """Transfer of Phi^d compressed to the range of the projection Q:
+    E -> R* Phi^d(R E R*) R for the isometry R onto it, which is
+    kron(R^T, R*) T^d kron(conj(R), R)."""
+    R = range_isometry(Q, tol)
+    return np.kron(R.T, dagger(R)) @ np.linalg.matrix_power(c.transfer, d) \
+        @ np.kron(R.conj(), R)
+
+
+def verify_power_fixed_points(c, report, m_max, tol=DEFAULT_TOL):
+    """Tabulate dim F(Phi^m) = gcd(m, d) for an irreducible channel of
+    known period d, F(Phi^d) = N, and the restrictions of Phi^d to the
+    cyclic projections (irreducible, aperiodic), each from a dense Schur
+    form of a power of T."""
+    d = report.period
+    rows = []
+    for m in range(1, m_max + 1):
+        dim_f = spectrum(np.linalg.matrix_power(c.transfer, m), tol).fixed.dim
+        coprime = math.gcd(m, d) == 1
+        rows.append(PowerFixedPointRow(power=m, fixed_dim=dim_f,
+                                       coprime=coprime,
+                                       matches_gcd_rule=(dim_f == 1) == coprime))
+    N = dfa(c, tol=tol)
+    Fd = spectrum(np.linalg.matrix_power(c.transfer, d), tol).fixed
+    dist = subspace_distance(Fd, N.subspace)
+    irreducible_flags, aperiodic_flags = [], []
+    for Q in report.projections:
+        sq = spectrum(restricted_power_transfer(c, Q, d, tol), tol)
+        irreducible_flags.append(sq.fixed.dim == 1)
+        aperiodic_flags.append(sq.peripheral == 1)
+    return PowerFixedPointTable(rows=tuple(rows),
+                                f_period_matches_dfa=dist <= 10 * tol.eq_tol,
+                                f_period_distance=dist,
+                                restrictions_irreducible=tuple(irreducible_flags),
+                                restrictions_aperiodic=tuple(aperiodic_flags))
+
+
+def xi_transfer(cd, m):
+    """Transfer matrix of the reduced channel Xi_m of a
+    ``cycles.ComponentData``, a map B(K_m^R) -> B(K_{m-1}^R)."""
+    return transfer_of(
+        lambda E: sum(dagger(L) @ E @ L for L in cd.xi_kraus[m]),
+        cd.right_dims[m])
+
+
+def cycle_composition(cd, m=0):
+    """Transfer of the d-fold composition of the reduced channels that
+    returns to B(K_m^R)."""
+    d = cd.period
+    n = cd.right_dims[m]
+    out = np.eye(n * n, dtype=complex)
+    idx = m
+    for _ in range(d):
+        out = xi_transfer(cd, idx) @ out
+        idx = (idx - 1) % d
+    return out
+
+
+def invariant_state(fb, weights, left_states):
+    """The invariant density of a component with ``cycles.FixedBlockData``
+    ``fb``: the sum over fixed blocks of weight * G (omega (x) sigma) G*,
+    omega a state on the block's left eigenspace."""
+    out = 0
+    for lam, omega, G in zip(weights, left_states, fb.embeddings):
+        out = out + lam * (G @ np.kron(np.asarray(omega, dtype=complex),
+                                       fb.sigma) @ dagger(G))
+    return out
 
 
 def _running_average(T, n):

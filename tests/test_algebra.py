@@ -3,14 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chanstruct.algebra import (
-    NotFaithful,
     atomic_structure,
     center,
     commutant,
-    expectation_invariant_states,
-    expectation_onto,
     extract_block_states,
-    full_algebra,
     generated_algebra,
 )
 from chanstruct.numerics import (
@@ -18,7 +14,15 @@ from chanstruct.numerics import (
     dagger,
     subspace_distance,
 )
-from tests.conftest import I2, X, Y, Z, svd_route_commutant
+from tests.conftest import (
+    I2,
+    X,
+    Z,
+    NotFaithful,
+    expectation_onto,
+    full_algebra,
+    svd_route_commutant,
+)
 
 
 def test_commutant_examples():
@@ -186,10 +190,11 @@ def test_extract_block_states_roundtrip():
 
 
 def test_invariant_state_family():
+    # the density U* (omega (x) rho) U of the one block, omega = 1
     alg = generated_algebra([], dim=2)
     E = expectation_onto(alg, [I2 / 2])
-    fam = expectation_invariant_states(E)
-    s = fam.state([1.0], [np.eye(1)])
+    (U,), (rho,) = E.structure.block_unitaries, E.block_states
+    s = dagger(U) @ np.kron(np.eye(1), rho) @ U
     assert np.allclose(s, I2 / 2)
     # invariance under preadjoint: trace(s E(A)) = trace(s A)
     rng = np.random.default_rng(6)

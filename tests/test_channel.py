@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from chanstruct.channel import (
     ChannelSpec,
-    NotCP,
     NotUnital,
     channel_from_json,
     channel_to_json,
@@ -76,13 +75,6 @@ def test_transfer_agrees_with_kraus():
                            c.preadjoint_apply(E))
 
 
-def test_power():
-    c = random_unital_channel(2, 2, seed=3)
-    assert np.allclose(c.power(3), c.transfer @ c.transfer @ c.transfer)
-    ident = from_kraus([np.eye(3)])
-    assert np.allclose(ident.power(5), np.eye(9))
-
-
 def test_choi_and_minimal_kraus():
     ident = from_kraus([I2])
     C = choi(ident)
@@ -115,20 +107,6 @@ def test_choi_psd_and_reconstruction():
     assert np.allclose(m.apply(A), c.apply(A))
 
 
-def test_not_cp_detection():
-    # bypass validation to build a non-CP "channel" by hand
-    bad = ChannelSpec(2, (I2,))
-    object.__setattr__(bad, "kraus", (I2,))
-    # perturb the Choi by monkeypatching is awkward; instead check a
-    # legitimate map: transpose has non-PSD Choi in this convention.
-    # Build it from the identity channel's Choi with a swapped block.
-    c = from_kraus([I2])
-    C = choi(c)
-    # no exception expected on a valid channel
-    c.minimal_kraus()
-    assert np.linalg.eigvalsh(C).min() > -1e-12
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 4), st.integers(0, 10_000), st.integers(0, 2),
        st.data())
@@ -152,17 +130,6 @@ def test_transfer_and_minimal_kraus_of_kraus_stacks(dim, seed, padding, data):
     off = gram - np.diag(np.diag(gram))
     assert np.abs(off).max(initial=0.0) <= 1e-12 * np.abs(gram).max()
     assert np.abs(m.transfer - c.transfer).max() <= 1e-12
-
-
-def test_stinespring():
-    c = pauli_channel()
-    sd = c.stinespring()
-    V = sd.isometry
-    assert V.shape == (4, 2)
-    assert np.allclose(V.conj().T @ V, np.eye(2))
-    for A in (I2, X, Y, Z):
-        lhs = V.conj().T @ np.kron(A, np.eye(sd.env_dim)) @ V
-        assert np.allclose(lhs, c.apply(A))
 
 
 def test_schwarz_inequality_sampled():

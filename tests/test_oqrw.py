@@ -3,21 +3,17 @@ import pytest
 
 from chanstruct.channel import from_kraus
 from chanstruct.numerics import (
-    dagger,
     random_unitary,
     spectral_norm,
     subspace_distance,
 )
 from chanstruct.oqrw import (
     ColumnNotNormalized,
-    NotHomogeneous,
     NotUnitary,
     build,
     builder_cyclic_shift,
     builder_nn_cycle,
     builder_pauli_walk,
-    detect_special_basis,
-    local_map,
     oqrw_dfa,
     oqrw_from_json,
     oqrw_multiplicative_domain,
@@ -46,6 +42,23 @@ def random_walk(rng, n_vertices, dims, out_degree=2):
     return build(range(n_vertices), dims, transitions)
 
 
+def local_channel(w):
+    """The channel of the operators leaving vertex 0 of a homogeneous
+    walk: the local map that every vertex applies."""
+    return from_kraus([L for (i, j), L in sorted(w.transitions.items())
+                       if j == 0])
+
+
+def special_pair(c1=0.6, c2=0.8):
+    """Steps of the special-basis regime: L_minus diagonal, L_plus
+    off-diagonal."""
+    s1 = np.sqrt(1 - c1 ** 2)
+    s2 = np.sqrt(1 - c2 ** 2)
+    Lm = np.diag([c1, c2])
+    Lp = np.array([[0, s2], [s1, 0]])
+    return Lp, Lm
+
+
 # ---------------------------------------------------------------------------
 # construction and flattening
 # ---------------------------------------------------------------------------
@@ -66,7 +79,6 @@ def test_cyclic_shift_builder():
     Us = [random_unitary(2, rng) for _ in range(3)]
     w = builder_cyclic_shift(3, Us)
     assert w.total_dim == 6
-    assert w.cyclic
     c = to_channel(w)
     assert c.dim == 6
     # the flat channel is the shift walk with Kraus U_i (x) |i><i-1|
@@ -84,7 +96,7 @@ def test_pauli_walk_builder():
     assert w.homogeneous
     c = to_channel(w)
     assert c.dim == 6
-    lm = local_map(w)
+    lm = local_channel(w)
     Z, X = pauli_pair(3)
     expected = from_kraus([np.sqrt(0.4) * Z, np.sqrt(0.6) * X])
     assert spectral_norm(lm.transfer - expected.transfer) < 1e-10
@@ -102,17 +114,9 @@ def test_nn_cycle_builder_and_local_map():
     Lp = np.array([[0, 0.6], [0.8, 0]])
     w = builder_nn_cycle(4, Lp, Lm)
     assert w.homogeneous
-    lm = local_map(w)
+    lm = local_channel(w)
     expected = from_kraus([Lm, Lp])
     assert spectral_norm(lm.transfer - expected.transfer) < 1e-10
-
-
-def test_local_map_requires_homogeneous():
-    rng = np.random.default_rng(0)
-    w = random_walk(rng, 3, [2, 2, 2])
-    if not w.homogeneous:
-        with pytest.raises(NotHomogeneous):
-            local_map(w)
 
 
 # ---------------------------------------------------------------------------
@@ -192,82 +196,6 @@ def test_dead_corners():
     rep2 = oqrw_dfa(w2)
     assert rep2.dead_corners == (0, 0)
     assert rep2.diagonal_forced
-
-
-# ---------------------------------------------------------------------------
-# special-basis detection
-# ---------------------------------------------------------------------------
-
-def special_pair(c1=0.6, c2=0.8):
-    s1 = np.sqrt(1 - c1 ** 2)
-    s2 = np.sqrt(1 - c2 ** 2)
-    Lm = np.diag([c1, c2])
-    Lp = np.array([[0, s2], [s1, 0]])
-    return Lp, Lm
-
-
-def conjugated(Lp, Lm, W):
-    return W @ Lp @ dagger(W), W @ Lm @ dagger(W)
-
-
-def assert_special(Lp, Lm, basis):
-    assert basis is not None
-    assert np.allclose(dagger(basis) @ basis, np.eye(2), atol=1e-8)
-    cands = []
-    for A, B in ((Lm, Lp), (Lp, Lm)):
-        Ad = dagger(basis) @ A @ basis
-        Bd = dagger(basis) @ B @ basis
-        cands.append(abs(Ad[0, 1]) + abs(Ad[1, 0]) +
-                     abs(Bd[0, 0]) + abs(Bd[1, 1]))
-    assert min(cands) < 1e-7
-
-
-def test_special_basis_identity_case():
-    Lp, Lm = special_pair()
-    basis = detect_special_basis(Lp, Lm)
-    assert_special(Lp, Lm, basis)
-
-
-def test_special_basis_conjugated():
-    rng = np.random.default_rng(17)
-    Lp0, Lm0 = special_pair()
-    for _ in range(5):
-        W = random_unitary(2, rng)
-        Lp, Lm = conjugated(Lp0, Lm0, W)
-        basis = detect_special_basis(Lp, Lm)
-        assert_special(Lp, Lm, basis)
-
-
-def test_special_basis_scalar_diagonal_part():
-    # degenerate branch: the diagonal operator is scalar
-    rng = np.random.default_rng(23)
-    Lm0 = 0.5 * np.eye(2)
-    # non-normal off-diagonal partner with nonzero square
-    Lp0 = np.array([[0, 0.3], [0.7, 0]])
-    for _ in range(5):
-        W = random_unitary(2, rng)
-        Lp, Lm = conjugated(Lp0, Lm0, W)
-        basis = detect_special_basis(Lp, Lm)
-        assert_special(Lp, Lm, basis)
-
-
-def test_special_basis_nilpotent_partner():
-    rng = np.random.default_rng(29)
-    Lm0 = 0.9 * np.eye(2)
-    Lp0 = np.array([[0, 0.5], [0, 0]])
-    for _ in range(5):
-        W = random_unitary(2, rng)
-        Lp, Lm = conjugated(Lp0, Lm0, W)
-        basis = detect_special_basis(Lp, Lm)
-        assert_special(Lp, Lm, basis)
-
-
-def test_special_basis_absent():
-    rng = np.random.default_rng(31)
-    # generic pair: no unitary makes one diagonal and the other off-diagonal
-    A = random_unitary(2, rng) @ np.diag([0.6, 0.7])
-    B = random_unitary(2, rng) @ np.diag([0.8, 0.5])
-    assert detect_special_basis(A, B) is None
 
 
 # ---------------------------------------------------------------------------

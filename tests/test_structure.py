@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from chanstruct.algebra import commutator_gram
 from chanstruct.channel import from_kraus
+from chanstruct.cli import analyze
 from chanstruct.numerics import (
+    DEFAULT_TOL,
     GRAM_CANDIDATE_CUTOFF,
     MatrixSubspace,
     dagger,
@@ -27,7 +29,6 @@ from chanstruct.structure import (
     fixed_points,
     fixed_points_commutant,
     invariant_states,
-    is_irreducible,
     multiplicative_domain,
     peripheral_subalgebra,
     spectrum,
@@ -40,6 +41,7 @@ from tests.conftest import (
     Z,
     amplitude_damping,
     cesaro_expectation,
+    dense,
     dephasing_mixture,
     expectation_onto_dfa,
     gram_route_kraus_commutant,
@@ -114,7 +116,7 @@ def test_spectrum_matches_kernel_route():
         states = kernel_basis(dagger(c.transfer) - np.eye(n))
         assert subspace_distance(s.fixed, F) <= 1e-10, c.label
         assert subspace_distance(s.invariant, states) <= 1e-10, c.label
-        assert kernel_basis(s.e_n).dim == s.stable_dim, c.label
+        assert kernel_basis(dense(s.e_n_factors)).dim == s.stable_dim, c.label
         if invariant_states(c, s).faithful:
             assert s.stable_dim + dfa(c).dim == n, c.label
     ad = channels[-2]
@@ -175,12 +177,10 @@ def test_kraus_commutant_inside_m_matches_gram_oracle():
 
 
 def test_is_irreducible():
-    c = pauli_channel()
-    s = spectrum(c.transfer)
-    assert is_irreducible(s, invariant_states(c, s))
-    ident = unitary_channel(np.eye(2))
-    s = spectrum(ident.transfer)
-    assert not is_irreducible(s, invariant_states(ident, s))
+    # the report's irreducibility flag: trivial fixed points
+    assert analyze(pauli_channel(), None, DEFAULT_TOL, 0, None)["irreducible"]
+    assert not analyze(unitary_channel(np.eye(2)), None, DEFAULT_TOL, 0,
+                       None)["irreducible"]
 
 
 def test_multiplicative_domain_pauli():
@@ -362,7 +362,7 @@ def test_peripheral_pauli():
     assert sorted(np.round(np.real(p.eigenvalues)).tolist()) == [-1, 1]
     assert p.reversible.dim == 2
     # E_N is idempotent and commutes with the transfer
-    E = s.e_n
+    E = dense(s.e_n_factors)
     assert spectral_norm(E @ E - E) < 1e-8
     assert spectral_norm(E @ c.transfer - c.transfer @ E) < 1e-8
 
@@ -381,7 +381,7 @@ def test_stable_subspace_decay():
     assert s.peripheral + s.stable_dim == 4
     # the stable part, the range of I - E_N, decays under iteration
     T50 = np.linalg.matrix_power(c.transfer, 50)
-    assert spectral_norm(T50 @ (np.eye(4) - s.e_n)) < 1e-8
+    assert spectral_norm(T50 @ (np.eye(4) - dense(s.e_n_factors))) < 1e-8
 
 
 def test_expectation_onto_dfa_properties():
@@ -401,19 +401,19 @@ def apply_transfer(T, X):
 
 def test_cesaro_expectation_identity_channel():
     c = unitary_channel(np.eye(2))
-    s = spectrum(c.transfer)
-    disc = spectral_norm(cesaro_expectation(c.transfer, min_n=64) - s.e_f)
+    E_F = dense(spectrum(c.transfer).e_f_factors)
+    disc = spectral_norm(cesaro_expectation(c.transfer, min_n=64) - E_F)
     assert disc < 1e-10
-    assert np.allclose(s.e_f, np.eye(4), atol=1e-9)
+    assert np.allclose(E_F, np.eye(4), atol=1e-9)
 
 
 def test_cesaro_expectation_random():
     c = random_unital_channel(3, 3, seed=17)
     s = spectrum(c.transfer)
-    disc = spectral_norm(cesaro_expectation(c.transfer) - s.e_f)
+    T = dense(s.e_f_factors)
+    disc = spectral_norm(cesaro_expectation(c.transfer) - T)
     assert disc < 1e-6
     # E is idempotent onto F and trace-preserving at the invariant state
-    T = s.e_f
     assert spectral_norm(T @ T - T) < 1e-7
     fp = fixed_points(s)
     for b in fp.subspace.basis:
@@ -427,11 +427,11 @@ def test_cesaro_expectation_pauli():
     # peripheral eigenvalue -1 present: root-of-unity-friendly averaging
     # lengths keep the Cesaro route convergent
     c = pauli_channel()
-    s = spectrum(c.transfer)
-    disc = spectral_norm(cesaro_expectation(c.transfer) - s.e_f)
+    E_F = dense(spectrum(c.transfer).e_f_factors)
+    disc = spectral_norm(cesaro_expectation(c.transfer) - E_F)
     assert disc < 1e-6
     A = np.array([[1, 2], [3, 4]], dtype=complex)
-    assert np.allclose(apply_transfer(s.e_f, A), np.trace(A) / 2 * I2,
+    assert np.allclose(apply_transfer(E_F, A), np.trace(A) / 2 * I2,
                        atol=1e-7)
 
 
@@ -445,9 +445,10 @@ def test_cesaro_expectation_slowly_mixing():
         assert c.label == label
         s = spectrum(c.transfer)
         assert s.stable_radius > 0.999
+        E_F = dense(s.e_f_factors)
         short = cesaro_expectation(c.transfer, max_n=10_000)
-        assert spectral_norm(short - s.e_f) > 1e-3
-        assert spectral_norm(cesaro_expectation(c.transfer) - s.e_f) < 1e-6
+        assert spectral_norm(short - E_F) > 1e-3
+        assert spectral_norm(cesaro_expectation(c.transfer) - E_F) < 1e-6
 
 
 @settings(max_examples=8, deadline=None)
@@ -456,9 +457,10 @@ def test_expectation_compatibility(seed, dim):
     # E_F = E_F o E_N: the fixed points sit inside N
     c = random_unital_channel(dim, 3, seed=seed)
     s, inv, p = spectral_stages(c)
+    E_F, E_N = dense(s.e_f_factors), dense(s.e_n_factors)
     assert spectral_norm(cesaro_expectation(c.transfer, min_n=4096) -
-                         s.e_f) < 1e-6
-    assert spectral_norm(s.e_f @ s.e_n - s.e_f) < 1e-6
+                         E_F) < 1e-6
+    assert spectral_norm(E_F @ E_N - E_F) < 1e-6
 
 
 def test_l2_structure_basic():
@@ -489,7 +491,7 @@ def test_decoherence_gap_pauli():
     l2 = L2Structure.from_state(inv.rho_max)
     # XZ mixture sends the off-peripheral span {X, Z} to 0 in one step:
     # the stable part dies immediately, so both rates are infinite
-    rep = decoherence_gap(c, s, l2, max_n=10)
+    rep = decoherence_gap(c, s, l2)
     assert rep.finite_horizon == np.inf
     assert rep.uniform_bound
 
@@ -498,14 +500,14 @@ def test_decoherence_gap_random():
     c = random_unital_channel(3, 3, seed=31)
     s, inv, p = spectral_stages(c)
     l2 = L2Structure.from_state(inv.rho_max)
-    rep = decoherence_gap(c, s, l2, max_n=30)
+    rep = decoherence_gap(c, s, l2)
     assert rep.finite_horizon > 0
     assert rep.asymptotic > 0
     # the finite-horizon rate never exceeds the asymptotic one by much;
     # asymptotically the decay rate approaches the eigenvalue bound
     assert rep.finite_horizon <= rep.asymptotic + 1e-9
     # consistency: norms actually decay at the reported rate
-    Q = np.eye(9) - s.e_n
+    Q = np.eye(9) - dense(s.e_n_factors)
     n = 20
     nrm = l2.map_norm(np.linalg.matrix_power(c.transfer, n) @ Q)
     assert nrm <= np.exp(-rep.finite_horizon * n) + 1e-12
@@ -515,7 +517,7 @@ def _finite_horizon_by_powers(c, s, l2, max_n):
     """The finite-horizon rate from a fresh power, projection and weighting
     at every step, without the rounding rule at norm 1."""
     D = c.dim
-    Q = np.eye(D * D) - s.e_n
+    Q = np.eye(D * D) - dense(s.e_n_factors)
     power = np.eye(D * D, dtype=complex)
     rates = []
     for n in range(1, max_n + 1):
@@ -571,6 +573,6 @@ def test_gap_infinite_for_automorphism():
     c = unitary_channel(np.diag([1.0, np.exp(1j)]))
     s, inv, p = spectral_stages(c)
     l2 = L2Structure.from_state(inv.rho_max)
-    rep = decoherence_gap(c, s, l2, max_n=5)
+    rep = decoherence_gap(c, s, l2)
     assert rep.finite_horizon == np.inf
     assert rep.asymptotic == np.inf

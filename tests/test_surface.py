@@ -1,0 +1,58 @@
+"""Every module-level def and class in `src/chanstruct` has a caller.
+
+A name counts as used when it is referenced, other than inside its own
+definition, somewhere in `src/chanstruct` or `tools/`, or when it is
+exported in `chanstruct.__all__`.  Tests do not count: a routine that only
+the tests call is an oracle and belongs in `tests/conftest.py`.
+"""
+
+import ast
+from pathlib import Path
+
+import chanstruct
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "chanstruct").glob("*.py"))
+CALLERS = SOURCES + sorted((ROOT / "tools").glob("*.py"))
+
+
+def _names(node):
+    """Names that ``node`` references: loads, attributes and imports."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name.rsplit(".", 1)[-1]
+
+
+def unused_definitions(sources, callers, exported):
+    """(module, name) of each top-level def or class in ``sources`` that
+    no statement of ``callers`` references outside its own definition."""
+    defined, used = [], set(exported)
+    for path in callers:
+        for stmt in ast.parse(path.read_text()).body:
+            own = getattr(stmt, "name", None)
+            used.update(n for n in _names(stmt) if n != own)
+    for path in sources:
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.stem, stmt.name))
+    return [(mod, name) for mod, name in defined if name not in used]
+
+
+def test_every_definition_in_src_has_a_caller():
+    assert unused_definitions(SOURCES, CALLERS, chanstruct.__all__) == []
+
+
+def test_a_definition_without_a_caller_is_flagged(tmp_path):
+    # a recursive function refers only to itself
+    lib = tmp_path / "lib.py"
+    lib.write_text("def used():\n    return 1\n\n\n"
+                   "def lonely(n):\n    return lonely(n - 1) if n else 0\n\n\n"
+                   "class Exported:\n    pass\n")
+    app = tmp_path / "app.py"
+    app.write_text("from lib import used\n\nprint(used())\n")
+    assert unused_definitions([lib], [lib, app], ["Exported"]) == [
+        ("lib", "lonely")]
