@@ -410,9 +410,10 @@ def analyze(c: ChannelSpec, w: OqrwSpec | None, tol: Tolerances,
     report["irreducible"] = F.dim == 1
     report["peripheral_eigenvalues"] = _complex_pairs(p.eigenvalues)
 
-    dec = mfnc_decompose(c, F.as_algebra(), analysis.N_structure, p, tol=tol)
-    report["components"] = [_component_summary(comp, tol)
-                            for comp in dec.components]
+    report["components"] = [
+        _component_summary(comp, tol)
+        for comp in mfnc_decompose(c, F.as_algebra(), analysis.N_structure,
+                                   p, tol=tol)]
 
     gap = decoherence_gap(c, analysis.spectrum, analysis.l2, tol=tol)
     report["gap"] = {

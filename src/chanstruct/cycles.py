@@ -3,8 +3,9 @@
 Minimal components as orbits of the channel on the minimal central
 projections of N, with their periods and cyclic projections, the tensor
 factorization of each component into a unitary shift part and a chain of
-reduced channels, structured Kraus forms and the resulting multiblock
-description of the fixed points.
+reduced channels, read off the blocks of its Kraus operators, structured
+Kraus forms, and the fixed points as the commutant of the monodromy carried
+around the cycle (Carbone-Jencova, arXiv 1905.00857).
 """
 
 from __future__ import annotations
@@ -12,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from chanstruct.algebra import (
     AlgebraStructure,
     OperatorAlgebra,
-    atomic_structure,
     block_order,
     extract_block_states,
 )
@@ -33,7 +34,7 @@ from chanstruct.numerics import (
     range_isometry,
     round_projector,
     spectral_norm,
-    transfer_of,
+    subspace_distance,
 )
 
 
@@ -42,7 +43,7 @@ class OrbitNotClosed(RuntimeError):
 
 
 class IsomorphismSolveFailed(RuntimeError):
-    """The linear solve for a shift unitary left a large residual."""
+    """The Kraus blocks of a component do not factor along its cycle."""
 
 
 class ReconstructionMismatch(RuntimeError):
@@ -50,8 +51,8 @@ class ReconstructionMismatch(RuntimeError):
 
 
 class CenterMismatch(RuntimeError):
-    """Assembled fixed-point projections disagree with the minimal
-    central projections of F."""
+    """The monodromy commutant carried around the cycle does not span the
+    fixed points."""
 
 
 @dataclass(frozen=True)
@@ -65,21 +66,14 @@ class CycleReport:
 @dataclass(frozen=True)
 class MfncComponent:
     """One minimal component, with the channel and the blocks of N and F
-    compressed to it by its embedding W."""
+    compressed to it by the isometry W onto the range of Z_i."""
 
     projection: np.ndarray       # Z_i in the ambient space
-    embedding: np.ndarray        # D x r isometry W onto the range of Z_i
     channel: ChannelSpec         # restriction of the channel, r-dimensional
     cycle: CycleReport           # in component coordinates
     blocks: AlgebraStructure     # N's blocks Q_m, in cyclic order, as U_j W
     block_states: tuple          # states of E_N on those blocks
     fixed_points: OperatorAlgebra    # F_i = span of W* b W for b in F
-
-
-@dataclass(frozen=True)
-class MfncDecomposition:
-    z_projections: tuple
-    components: tuple
 
 
 @dataclass(frozen=True)
@@ -111,28 +105,21 @@ class ComponentData:
 class FixedBlockData:
     """Fixed points of a periodic component as a direct sum of blocks.
 
-    t_products[m] carries the running products of the shift unitaries,
-    r_projections[j] the spectral projections of t_products[0] with
-    eigenspaces spanned by left_bases[j]; central_projections[j] the
-    matching minimal central projections of F; embeddings[j] the
-    isometry from L_j (x) (direct sum of the K_m^R) into the component;
-    psi_transfers[j] the channel induced on the right factor; sigma the
-    unique invariant state of each such channel.
+    left_bases[j] spans the eigenspace of the monodromy for
+    eigenvalues[j]; central_projections[j] is the matching minimal central
+    projection of F; sigma, on the direct sum of the K_m^R (dimension
+    right_total), is the uniform mixture of the block states.
     """
 
-    t_products: tuple
-    r_projections: tuple
     left_bases: tuple
     eigenvalues: tuple
     central_projections: tuple
-    embeddings: tuple
-    psi_transfers: tuple
     sigma: np.ndarray
     right_total: int
 
     @property
     def n_blocks(self) -> int:
-        return len(self.r_projections)
+        return len(self.eigenvalues)
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +131,9 @@ def _diag_sort_key(P: np.ndarray):
 
 
 def mfnc_decompose(c: ChannelSpec, F: OperatorAlgebra, st: AlgebraStructure,
-                   p, tol: Tolerances = DEFAULT_TOL) -> MfncDecomposition:
-    """Split the channel into its minimal components.
+                   p, tol: Tolerances = DEFAULT_TOL) -> tuple:
+    """Split the channel into its minimal components, returned as a tuple
+    of :class:`MfncComponent`.
 
     ``F`` is the fixed-point algebra, ``st`` the atomic structure of the
     decoherence-free algebra N (:func:`algebra.atomic_structure`), ``p``
@@ -200,35 +188,16 @@ def mfnc_decompose(c: ChannelSpec, F: OperatorAlgebra, st: AlgebraStructure,
         F_i = OperatorAlgebra(MatrixSubspace.from_span(
             dagger(W) @ F.basis @ W, dim=W.shape[1], tol=tol))
         components.append(MfncComponent(
-            projection=Zi, embedding=W, channel=c_i, cycle=cycle,
+            projection=Zi, channel=c_i, cycle=cycle,
             blocks=blocks, block_states=tuple(states[j] for j in order),
             fixed_points=F_i))
     components.sort(key=lambda comp: block_order(comp.projection))
-    return MfncDecomposition(
-        z_projections=tuple(comp.projection for comp in components),
-        components=tuple(components))
+    return tuple(components)
 
 
 # ---------------------------------------------------------------------------
 # Component factorization
 # ---------------------------------------------------------------------------
-
-def _solve_conjugation_unitary(G, nL, tol):
-    """Recover unitary T from the map E_ab -> T E_ab T*, given as the stack
-    of the images of the units in the order a * nL + b."""
-    # K[c, a, d, b] = G[a * nL + b][c, d]
-    K = G.reshape((nL,) * 4).transpose(2, 0, 3, 1).reshape(nL * nL, nL * nL)
-    w, V = np.linalg.eigh((K + dagger(K)) / 2)
-    T = (V[:, -1] * np.sqrt(max(w[-1], 0.0))).reshape(nL, nL)
-    W, _, Vh = np.linalg.svd(T)
-    T = fix_global_phase(W @ Vh, tol=tol)
-    images = np.einsum("ca,db->abcd", T, T.conj()).reshape(G.shape)
-    worst = np.linalg.norm(G - images, 2, axis=(1, 2)).max()
-    if worst > 1e3 * tol.eq_tol:
-        raise IsomorphismSolveFailed(
-            f"shift-unitary solve residual {worst:.3e}")
-    return T
-
 
 def component_decompose(comp: MfncComponent,
                         tol: Tolerances = DEFAULT_TOL) -> ComponentData:
@@ -249,41 +218,32 @@ def component_decompose(comp: MfncComponent,
     if len(set(nLs)) != 1:
         raise IsomorphismSolveFailed(
             f"left factors have unequal dimensions {nLs}")
-    nL, r = nLs[0], c_i.dim
+    nL = nLs[0]
     rho = comp.block_states
     limit = 1e3 * tol.eq_tol
 
-    # left part: E_ab -> T_m E_ab T_m*, probed on the stack of the nL^2
-    # units S_m* (E_ab (x) I) S_m, in the order a * nL + b
-    shift_unitaries = []
-    for m in range(d):
-        prev = (m - 1) % d
-        Sm3 = S[m].reshape(nL, nRs[m], -1)
-        X = np.einsum("arx,bry->abxy", Sm3.conj(), Sm3).reshape(
-            nL * nL, r, r)
-        C5 = (S[prev] @ c_i.apply(X) @ dagger(S[prev])).reshape(
-            -1, nL, nRs[prev], nL, nRs[prev])
-        G = np.einsum("nirjr->nij", C5) / nRs[prev]
-        resid = C5 - np.einsum("nij,rs->nirjs", G, np.eye(nRs[prev]))
-        if np.any(np.linalg.norm(resid.reshape(len(G), -1), axis=1) > limit):
-            raise IsomorphismSolveFailed(
-                "left action is not of the form T E T* (x) I")
-        shift_unitaries.append(_solve_conjugation_unitary(G, nL, tol))
-
-    # right part: split every Kraus operator along the cycle, all the
-    # blocks B = S_m V S_{m-1}* of one step at once
+    # split every Kraus operator along the cycle, all the blocks
+    # B = S_m V S_{m-1}* of one step at once: realigned to rows (a, i) and
+    # columns (k, r, s), T_m* (x) L_{m,k} is the rank-one
+    # vec(T_m*) vec(L_m)^T, so T_m* is the polar factor of the top left
+    # singular vector
     canonical = c_i.minimal_kraus().kraus
-    xi_kraus, recomposed = [], np.zeros_like(canonical)
+    shift_unitaries, xi_kraus = [], []
+    recomposed = np.zeros_like(canonical)
     for m in range(d):
         prev = (m - 1) % d
-        T = shift_unitaries[m]
         B = S[m] @ canonical @ dagger(S[prev])
         B5 = B.reshape(-1, nL, nRs[m], nL, nRs[prev])
+        u = np.linalg.svd(B5.transpose(1, 3, 0, 2, 4).reshape(nL * nL, -1),
+                          full_matrices=False)[0][:, 0]
+        W, _, Vh = np.linalg.svd(u.reshape(nL, nL))
+        T = fix_global_phase(dagger(W @ Vh), tol=tol)
         L = np.einsum("ia,karis->krs", T, B5) / nL
         resid = B5 - np.einsum("ia,krs->karis", T.conj(), L)
         if np.any(np.linalg.norm(resid.reshape(len(L), -1), axis=1) > limit):
             raise IsomorphismSolveFailed(
                 "a Kraus block is not of the form T* (x) L")
+        shift_unitaries.append(T)
         xi_kraus.append(L)
         recomposed += dagger(S[m]) @ B @ S[prev]
     if np.any(np.linalg.norm(recomposed - canonical, 2, axis=(1, 2)) > limit):
@@ -330,10 +290,13 @@ def fixed_multiblock(cd: ComponentData, F: OperatorAlgebra,
                      tol: Tolerances = DEFAULT_TOL) -> FixedBlockData:
     """Fixed points of the component via the monodromy of the shifts.
 
-    The product of the shift unitaries around the cycle acts on K_0^L;
-    its spectral projections label the minimal central projections of F
-    and each carries an induced channel on the right factor with the
-    uniform mixture of the block states as unique invariant state.
+    The product of the shift unitaries around the cycle acts on K_0^L and
+    T~_m carries it to K_m^L.  The fixed points are its commutant carried
+    around the cycle: with B_j an orthonormal basis of its j-th eigenspace,
+    F is the span of the matrix units
+    sum_m S_m* (T~_m B_j e_pq B_j* T~_m* (x) I) S_m over all j, p, q, and
+    their sums over p = q are its minimal central projections.  F must
+    equal that span within 1e3 * eq_tol, or CenterMismatch is raised.
     """
     d = cd.period
     T = cd.shift_unitaries
@@ -345,71 +308,32 @@ def fixed_multiblock(cd: ComponentData, F: OperatorAlgebra,
     for m in range(d - 2, -1, -1):
         acc = T[m + 1] @ acc
         tilde[m] = acc
-    mono = tilde[0]
 
-    w, V = np.linalg.eig(mono)
+    w, V = np.linalg.eig(tilde[0])
     clusters = cluster_values(w, gap=10 * tol.eq_tol)
-    r_projections, left_bases, eigenvalues = [], [], []
-    for cl in clusters:
-        B = np.linalg.qr(V[:, cl])[0]
-        left_bases.append(B)
-        r_projections.append(B @ dagger(B))
-        eigenvalues.append(complex(np.mean(w[cl])))
+    left_bases = [np.linalg.qr(V[:, cl])[0] for cl in clusters]
+    eigenvalues = [complex(np.mean(w[cl])) for cl in clusters]
 
-    right_total = sum(cd.right_dims)
-    offsets = np.concatenate([[0], np.cumsum(cd.right_dims)]).astype(int)
-    sigma_blocks = np.zeros((right_total, right_total), dtype=complex)
-    for m in range(d):
-        sigma_blocks[offsets[m]:offsets[m + 1],
-                     offsets[m]:offsets[m + 1]] = cd.block_states[m] / d
-
-    central, embeddings, psi_transfers = [], [], []
-    F_central = atomic_structure(F, tol=tol).central_projections
-    for j, (Rj, Bj) in enumerate(zip(r_projections, left_bases)):
-        lj = Bj.shape[1]
-        P = np.zeros((r, r), dtype=complex)
+    units, central = [], []
+    for Bj in left_bases:
+        # the row H_m[p, s] = (T~_m B_j e_p (x) e_s)* S_m, so that
+        # X[p, q] = sum_m,s H_m[p, s]* H_m[q, s]
+        X = 0
         for m in range(d):
-            P += dagger(cd.isometries[m]) @ np.kron(
-                tilde[m] @ Rj @ dagger(tilde[m]),
-                np.eye(cd.right_dims[m])) @ cd.isometries[m]
-        P = round_projector(P, tol=tol)
-        hits = [Q for Q in F_central
-                if spectral_norm(Q - P) <= 1e3 * tol.eq_tol]
-        if len(hits) != 1:
-            raise CenterMismatch(
-                "assembled projection does not match a minimal central "
-                "projection of the fixed points")
-        central.append(P)
+            H = np.einsum("ip,isy->psy", (tilde[m] @ Bj).conj(),
+                          cd.isometries[m].reshape(nL, cd.right_dims[m], r))
+            X = X + np.einsum("psx,qsy->pqxy", H.conj(), H)
+        central.append(round_projector(np.einsum("ppxy->xy", X), tol=tol))
+        units.append(X.reshape(-1, r, r))
+    carried = MatrixSubspace.from_span(np.concatenate(units), dim=r, tol=tol)
+    distance = subspace_distance(carried, F.subspace)
+    if distance > 1e3 * tol.eq_tol:
+        raise CenterMismatch(
+            f"the monodromy commutant carried around the cycle is "
+            f"{distance:.3e} from the fixed points")
 
-        # column p * right_total + offsets[m] + s is S_m* (T~_m B_j e_p (x) e_s)
-        G3 = np.zeros((r, lj, right_total), dtype=complex)
-        for m in range(d):
-            G3[:, :, offsets[m]:offsets[m + 1]] = np.einsum(
-                "xis,ip->xps",
-                dagger(cd.isometries[m]).reshape(r, nL, cd.right_dims[m]),
-                tilde[m] @ Bj)
-        G = G3.reshape(r, lj * right_total)
-        embeddings.append(G)
-
-        def psi(E, G=G, G3=G3, lj=lj):
-            # G (I (x) E) G* = sum_i G_i E G_i*, G_i = G[:, i-th block]
-            X = sum(g @ E @ dagger(g) for g in G3.transpose(1, 0, 2))
-            C5 = (dagger(G) @ cd.channel.apply(X) @ G).reshape(
-                -1, lj, right_total, lj, right_total)
-            out = np.einsum("niris->nrs", C5) / lj
-            resid = C5 - np.einsum("ij,nrs->nirjs", np.eye(lj), out)
-            if np.linalg.norm(resid.reshape(len(out), -1), axis=1).max() \
-                    > 1e3 * tol.eq_tol:
-                raise CenterMismatch(
-                    "restriction does not factor through the left block")
-            return out
-        psi_transfers.append(transfer_of(psi, right_total))
-
-    return FixedBlockData(t_products=tuple(tilde),
-                          r_projections=tuple(r_projections),
-                          left_bases=tuple(left_bases),
+    return FixedBlockData(left_bases=tuple(left_bases),
                           eigenvalues=tuple(eigenvalues),
                           central_projections=tuple(central),
-                          embeddings=tuple(embeddings),
-                          psi_transfers=tuple(psi_transfers),
-                          sigma=sigma_blocks, right_total=right_total)
+                          sigma=scipy.linalg.block_diag(*cd.block_states) / d,
+                          right_total=sum(cd.right_dims))

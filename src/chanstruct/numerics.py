@@ -33,8 +33,7 @@ Conventions pinned here and used by every other module:
   from two thin QRs and one SVD of the small triangular product
   (:func:`lowrank_norm`), never from the D^2 x D^2 matrix.
 * A linear action on matrices takes a (k, D, D) stack and returns the
-  stack of its images: one call covers every matrix unit of a transfer
-  matrix (:func:`transfer_of`), every block unit that
+  stack of its images: one call covers every block unit that
   ``algebra.extract_block_states`` reads, and one basis row of the
   products in a closure test (:meth:`MatrixSubspace.closure_defects`).
   :func:`vec`, :func:`unvec` and :func:`dagger` act on the last two axes.
@@ -202,13 +201,6 @@ def kernel_coefficients(blocks, k: int,
         R = np.linalg.qr(np.vstack([R, *pending]), mode="r")
     _, s, vh = np.linalg.svd(R, full_matrices=False)
     return vh[s <= tol.rank_tol * max(s[0], 1.0)].conj().T
-
-
-def transfer_of(action, dim: int) -> np.ndarray:
-    """Column-stacked transfer matrix of a linear map on dim x dim matrices
-    from one call of ``action`` on the (dim^2, dim, dim) stack of matrix
-    units: column b * dim + a is vec(action(E_ab))."""
-    return vec(action(unvec(np.eye(dim * dim, dtype=complex), dim))).T
 
 
 def range_isometry(P: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

@@ -88,6 +88,10 @@ def build(vertices, local_dims, transitions,
         raise DimensionMismatch("one local dimension per vertex required")
     ops = {}
     for (i, j), L in transitions.items():
+        if not (0 <= i < len(vertices) and 0 <= j < len(vertices)):
+            raise DimensionMismatch(
+                f"transition ({i},{j}) names a vertex outside "
+                f"0..{len(vertices) - 1}")
         L = np.asarray(L, dtype=complex)
         if L.shape != (local_dims[i], local_dims[j]):
             raise DimensionMismatch(
@@ -174,9 +178,9 @@ def _diagonal_chain(w: OqrwSpec, spans, tol):
         spans = _advance_spans(w, spans, tol)
 
 
-def _off_diagonal(w: OqrwSpec, tol):
-    """(dim W_i per vertex, the sum of B(W_i, W_l) at the blocks (l, i),
-    l != i), with W_i the common kernel of the L* entering i."""
+def _off_diagonal(w: OqrwSpec, tol) -> MatrixSubspace:
+    """The sum of B(W_i, W_l) at the blocks (l, i), l != i, with W_i the
+    common kernel of the L* entering i."""
     W = [kernel_coefficients([dagger(L) for (i, _), L
                               in w.transitions.items() if i == v],
                              w.local_dims[v], tol)
@@ -188,7 +192,7 @@ def _off_diagonal(w: OqrwSpec, tol):
         w.block(E, l, i)[...] = np.einsum("xa,yb->abxy", Wl, Wi.conj()) \
             .reshape(len(E), len(Wl), len(Wi))
         parts.append(E)
-    return tuple(x.shape[1] for x in W), MatrixSubspace(D, np.concatenate(parts))
+    return MatrixSubspace(D, np.concatenate(parts))
 
 
 def _algebra(diagonal: MatrixSubspace, off_diagonal: MatrixSubspace):
@@ -205,18 +209,16 @@ def oqrw_multiplicative_domain(w: OqrwSpec,
     exactly B(W_i, W_l), W_i the common kernel of the L* entering i."""
     spans = {key: L[None] for key, L in w.transitions.items()}
     return _algebra(next(_diagonal_chain(w, spans, tol)),
-                    _off_diagonal(w, tol)[1])
+                    _off_diagonal(w, tol))
 
 
 @dataclass(frozen=True)
 class OqrwDfaReport:
-    """Path-condition decoherence-free algebra with its block split."""
+    """Path-condition decoherence-free algebra with its off-diagonal
+    part."""
 
     algebra: OperatorAlgebra
-    diagonal: MatrixSubspace
     off_diagonal: MatrixSubspace
-    dead_corners: tuple          # dim of W_i per vertex
-    diagonal_forced: bool        # at most one W_i nonzero
 
 
 def _advance_spans(w: OqrwSpec, spans, tol):
@@ -243,7 +245,7 @@ def oqrw_dfa(w: OqrwSpec, n_max: int | None = None,
     vertices have a dead corner W_i != 0, and only the diagonal part
     shrinks along the chain."""
     cap = n_max if n_max is not None else w.total_dim ** 2
-    dead, off_diagonal = _off_diagonal(w, tol)
+    off_diagonal = _off_diagonal(w, tol)
     spans = {key: span_basis([L], tol) for key, L in w.transitions.items()}
     prev_dim = None
     for _, diagonal in zip(range(cap), _diagonal_chain(w, spans, tol)):
@@ -255,9 +257,7 @@ def oqrw_dfa(w: OqrwSpec, n_max: int | None = None,
         raise NoStabilization(
             f"path-condition chain still at dim {prev_dim} after n={cap}")
     return OqrwDfaReport(algebra=_algebra(diagonal, off_diagonal),
-                         diagonal=diagonal, off_diagonal=off_diagonal,
-                         dead_corners=dead,
-                         diagonal_forced=sum(x > 0 for x in dead) <= 1)
+                         off_diagonal=off_diagonal)
 
 
 # ---------------------------------------------------------------------------

@@ -106,12 +106,11 @@ class InvariantStateReport:
 
 @dataclass(frozen=True)
 class PeripheralData:
-    """Peripheral eigen-decomposition and the expectation onto N, as the
-    factors (X, Y) of E_N = X Y* (:attr:`Spectrum.e_n_factors`), with its
+    """Peripheral eigenvalues and the expectation onto N, as the factors
+    (X, Y) of E_N = X Y* (:attr:`Spectrum.e_n_factors`), with its
     commutation defect ||E_N T - T E_N||."""
 
     eigenvalues: tuple
-    eigenmatrices: tuple
     e_n_factors: tuple
     reversible: MatrixSubspace
     commutation_defect: float
@@ -325,8 +324,9 @@ def dfa(c: ChannelSpec, tol: Tolerances = DEFAULT_TOL,
 def peripheral_subalgebra(c: ChannelSpec, inv: InvariantStateReport,
                           s: Spectrum,
                           tol: Tolerances = DEFAULT_TOL) -> PeripheralData:
-    """Peripheral eigen-decomposition, read off the Schur block A_11 (the
-    eigenmatrices are Z_1 times its eigenvectors), and E_N onto N."""
+    """Peripheral eigenvalues, read off the Schur block A_11, with each
+    eigenmatrix (Z_1 times an eigenvector of A_11) checked against T, and
+    E_N onto N."""
     if not inv.faithful:
         raise NoFaithfulInvariantState(
             "peripheral splitting needs a faithful invariant state")
@@ -336,19 +336,17 @@ def peripheral_subalgebra(c: ChannelSpec, inv: InvariantStateReport,
     if sv[-1] < 1e-6 * sv[0]:
         raise PeripheralJordanBlock(
             f"peripheral eigenvector conditioning {sv[-1] / sv[0]:.3e}")
-    mats = []
     for lam, v in zip(w, (s.z1 @ V).T):
         X = unvec(v, c.dim)
         resid = hs_norm(unvec(T @ v, c.dim) - lam * X)
         if resid > 100 * tol.eq_tol * hs_norm(X):
             raise PeripheralJordanBlock(
                 f"eigenpair residual {resid:.3e} at lambda={lam:.6f}")
-        mats.append(X)
     comm_defect = commutator_norm(T, *s.e_n_factors)
     if comm_defect > 100 * tol.eq_tol * max(1.0, blockwise_norm(T)):
         raise PeripheralJordanBlock(
             f"expectation fails to commute with the channel: {comm_defect:.3e}")
-    return PeripheralData(eigenvalues=tuple(w), eigenmatrices=tuple(mats),
+    return PeripheralData(eigenvalues=tuple(w),
                           e_n_factors=s.e_n_factors,
                           reversible=MatrixSubspace.from_columns(s.z1, c.dim),
                           commutation_defect=comm_defect)

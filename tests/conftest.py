@@ -14,6 +14,7 @@ from chanstruct.algebra import (
     extract_block_states,
     restrict_to_commutant,
 )
+from chanstruct.cycles import CenterMismatch, IsomorphismSolveFailed
 from chanstruct.numerics import (
     DEFAULT_TOL,
     GRAM_CANDIDATE_CUTOFF,
@@ -21,17 +22,17 @@ from chanstruct.numerics import (
     MatrixSubspace,
     Tolerances,
     dagger,
+    fix_global_phase,
     kernel_coefficients,
     range_isometry,
     round_projector,
     span_basis,
     spectral_norm,
     subspace_distance,
-    transfer_of,
     unvec,
     vec,
 )
-from chanstruct.oqrw import OqrwDfaReport, _advance_spans
+from chanstruct.oqrw import _advance_spans
 from chanstruct.structure import NoStabilization, dfa, spectrum
 from tools.report_set import amplitude_damping, dephasing_mixture  # noqa: F401
 
@@ -82,6 +83,13 @@ def dense_gram_kernel(G, constraint, tol=DEFAULT_TOL):
     candidates = V[:, w <= GRAM_CANDIDATE_CUTOFF * max(w[-1], 1.0)]
     return MatrixSubspace.from_columns(candidates, math.isqrt(len(G))) \
         .restrict([constraint], tol)
+
+
+def transfer_of(action, dim):
+    """Column-stacked transfer matrix of a linear map on dim x dim matrices
+    from one call of ``action`` on the (dim^2, dim, dim) stack of matrix
+    units: column b * dim + a is vec(action(E_ab))."""
+    return vec(action(unvec(np.eye(dim * dim, dtype=complex), dim))).T
 
 
 def transfer_of_units(action, dim):
@@ -203,11 +211,30 @@ def full_route_oqrw_multiplicative_domain(w, tol=DEFAULT_TOL):
         _full_route_conditions(w, spans), tol))
 
 
+def block_units(w):
+    """(diagonal, off-diagonal) matrix units of a walk's block layout:
+    the units inside the blocks (i, i), and those of the blocks (l, i),
+    l != i."""
+    D, off = w.total_dim, w.offsets
+    mask = np.zeros((D, D))
+    for i in range(w.n_vertices):
+        mask[off[i]:off[i + 1], off[i]:off[i + 1]] = 1
+    units = np.eye(D * D).reshape(-1, D, D)
+    return (MatrixSubspace(D, units[mask.ravel() == 1]),
+            MatrixSubspace(D, units[mask.ravel() == 0]))
+
+
+FullRouteDfa = namedtuple(
+    "FullRouteDfa",
+    "algebra diagonal off_diagonal dead_corners diagonal_forced")
+
+
 def full_route_oqrw_dfa(w, n_max=None, tol=DEFAULT_TOL):
     """Oracle for the walk's N: every D x D matrix unit restricted by the
     n-step block conditions until the dimension repeats or falls to 1,
     split by intersecting with the diagonal and off-diagonal units, with
-    the dead corners counted by matrix_rank at 1e3 * rank_tol."""
+    the dead corners (dim W_i per vertex) counted by matrix_rank at
+    1e3 * rank_tol; diagonal_forced when at most one W_i is nonzero."""
     D = w.total_dim
     cap = n_max if n_max is not None else D * D
     spans = {key: span_basis([L], tol) for key, L in w.transitions.items()}
@@ -223,13 +250,7 @@ def full_route_oqrw_dfa(w, n_max=None, tol=DEFAULT_TOL):
         raise NoStabilization(
             f"path-condition chain still at dim {sub.dim} after n={cap}")
 
-    off = w.offsets
-    mask = np.zeros((D, D))
-    for i in range(w.n_vertices):
-        mask[off[i]:off[i + 1], off[i]:off[i + 1]] = 1
-    units = np.eye(D * D).reshape(-1, D, D)
-    diag_space = MatrixSubspace(D, units[mask.ravel() == 1])
-    offd_space = MatrixSubspace(D, units[mask.ravel() == 0])
+    diag_space, offd_space = block_units(w)
     dead = []
     for i in range(w.n_vertices):
         cols = [L for (ii, j), L in w.transitions.items() if ii == i]
@@ -238,7 +259,7 @@ def full_route_oqrw_dfa(w, n_max=None, tol=DEFAULT_TOL):
             rank = np.linalg.matrix_rank(np.concatenate(cols, axis=1),
                                          tol=1e3 * tol.rank_tol)
         dead.append(w.local_dims[i] - rank)
-    return OqrwDfaReport(
+    return FullRouteDfa(
         algebra=OperatorAlgebra(sub),
         diagonal=subspace_intersection(sub, diag_space, tol=tol),
         off_diagonal=subspace_intersection(sub, offd_space, tol=tol),
@@ -371,9 +392,18 @@ def _root_of_unity_check(eigenvalues, d, tol):
         used[hits[0]] = True
 
 
-def period_irreducible(c, p, tol=DEFAULT_TOL):
+def peripheral_eigenpairs(s, dim):
+    """The peripheral eigenvalues of T and their eigenmatrices, Z_1 times
+    the eigenvectors of the Schur block A_11 of ``s``
+    (:func:`structure.spectrum`), in the order of
+    ``PeripheralData.eigenvalues``."""
+    w, V = np.linalg.eig(s.a11)
+    return w, [unvec(v, dim) for v in (s.z1 @ V).T]
+
+
+def period_irreducible(c, s, tol=DEFAULT_TOL):
     """Oracle for the period and cyclic projections of an irreducible
-    channel, from its peripheral data ``p`` alone.
+    channel, from the peripheral eigenpairs of its spectrum ``s`` alone.
 
     The period is the number of peripheral eigenvalues, which must form
     the full group of d-th roots of unity, each simple.  The cycle
@@ -381,15 +411,16 @@ def period_irreducible(c, p, tol=DEFAULT_TOL):
     rotated so that 1 lies in its spectrum; its spectral projections are
     the cyclic projections.
     """
-    d = len(p.eigenvalues)
-    _root_of_unity_check(p.eigenvalues, d, tol)
+    eigenvalues, eigenmatrices = peripheral_eigenpairs(s, c.dim)
+    d = len(eigenvalues)
+    _root_of_unity_check(eigenvalues, d, tol)
     D = c.dim
     if d == 1:
         return CyclicResolution(period=1, projections=(np.eye(D),),
                                 unitary=np.eye(D, dtype=complex))
     omega = np.exp(2j * np.pi / d)
-    idx = int(np.argmin([abs(lam - omega) for lam in p.eigenvalues]))
-    X = p.eigenmatrices[idx]
+    idx = int(np.argmin([abs(lam - omega) for lam in eigenvalues]))
+    X = eigenmatrices[idx]
     W, _, Vh = np.linalg.svd(X)
     U = W @ Vh
     # rotate so the spectrum consists of exact d-th roots with 1 included
@@ -499,12 +530,120 @@ def cycle_composition(cd, m=0):
     return out
 
 
-def invariant_state(fb, weights, left_states):
-    """The invariant density of a component with ``cycles.FixedBlockData``
-    ``fb``: the sum over fixed blocks of weight * G (omega (x) sigma) G*,
-    omega a state on the block's left eigenspace."""
+def component_embedding(comp, tol=DEFAULT_TOL):
+    """The D x r isometry W onto the range of a component's projection Z_i,
+    in whose coordinates ``cycles.mfnc_decompose`` gives the component."""
+    return range_isometry(comp.projection, tol)
+
+
+def _solve_conjugation_unitary(G, nL, tol):
+    """Recover unitary T from the map E_ab -> T E_ab T*, given as the stack
+    of the images of the units in the order a * nL + b."""
+    # K[c, a, d, b] = G[a * nL + b][c, d]
+    K = G.reshape((nL,) * 4).transpose(2, 0, 3, 1).reshape(nL * nL, nL * nL)
+    w, V = np.linalg.eigh((K + dagger(K)) / 2)
+    T = (V[:, -1] * np.sqrt(max(w[-1], 0.0))).reshape(nL, nL)
+    W, _, Vh = np.linalg.svd(T)
+    T = fix_global_phase(W @ Vh, tol=tol)
+    images = np.einsum("ca,db->abcd", T, T.conj()).reshape(G.shape)
+    worst = np.linalg.norm(G - images, 2, axis=(1, 2)).max()
+    if worst > 1e3 * tol.eq_tol:
+        raise IsomorphismSolveFailed(
+            f"shift-unitary solve residual {worst:.3e}")
+    return T
+
+
+def probe_shift_unitaries(comp, tol=DEFAULT_TOL):
+    """Oracle for the shift unitaries T_m of ``cycles.component_decompose``:
+    the left action of the channel, probed on the stack of the nL^2 units
+    S_m* (E_ab (x) I) S_m (order a * nL + b), must be E_ab -> T_m E_ab T_m*
+    (x) I, and T_m is solved from it as a conjugation."""
+    c_i = comp.channel
+    S = comp.blocks.block_unitaries
+    nL, nRs = comp.blocks.left_dims[0], comp.blocks.right_dims
+    r, d, limit = c_i.dim, comp.cycle.period, 1e3 * tol.eq_tol
+    shift_unitaries = []
+    for m in range(d):
+        prev = (m - 1) % d
+        Sm3 = S[m].reshape(nL, nRs[m], -1)
+        X = np.einsum("arx,bry->abxy", Sm3.conj(), Sm3).reshape(
+            nL * nL, r, r)
+        C5 = (S[prev] @ c_i.apply(X) @ dagger(S[prev])).reshape(
+            -1, nL, nRs[prev], nL, nRs[prev])
+        G = np.einsum("nirjr->nij", C5) / nRs[prev]
+        resid = C5 - np.einsum("nij,rs->nirjs", G, np.eye(nRs[prev]))
+        if np.any(np.linalg.norm(resid.reshape(len(G), -1), axis=1) > limit):
+            raise IsomorphismSolveFailed(
+                "left action is not of the form T E T* (x) I")
+        shift_unitaries.append(_solve_conjugation_unitary(G, nL, tol))
+    return tuple(shift_unitaries)
+
+
+FixedBlockOracles = namedtuple(
+    "FixedBlockOracles", "t_products r_projections embeddings psi_transfers")
+
+
+def fixed_block_oracles(cd, fb, tol=DEFAULT_TOL):
+    """What ``cycles.fixed_multiblock`` leaves out for a component ``cd``
+    with fixed blocks ``fb``: t_products[m] = T_{m+1} ... T_{d-1} T_0, the
+    running products of the shift unitaries (t_products[0] is the
+    monodromy); r_projections[j] the spectral projection of the monodromy
+    onto the span of fb.left_bases[j]; embeddings[j] the isometry G from
+    L_j (x) (direct sum of the K_m^R) into the component; psi_transfers[j]
+    the transfer matrix of the channel psi_j(E) that the component induces
+    on the right factor, G* Phi(G (I (x) E) G*) G = I (x) psi_j(E), which
+    must factor so within 1e3 * eq_tol or CenterMismatch is raised."""
+    d, T = cd.period, cd.shift_unitaries
+    nL, r, right_total = cd.left_dim, cd.channel.dim, fb.right_total
+    tilde = [None] * d
+    acc = T[0]
+    tilde[d - 1] = T[0]
+    for m in range(d - 2, -1, -1):
+        acc = T[m + 1] @ acc
+        tilde[m] = acc
+    offsets = np.concatenate([[0], np.cumsum(cd.right_dims)]).astype(int)
+
+    embeddings, psi_transfers = [], []
+    for Bj in fb.left_bases:
+        lj = Bj.shape[1]
+        # column p * right_total + offsets[m] + s is S_m* (T~_m B_j e_p (x) e_s)
+        G3 = np.zeros((r, lj, right_total), dtype=complex)
+        for m in range(d):
+            G3[:, :, offsets[m]:offsets[m + 1]] = np.einsum(
+                "xis,ip->xps",
+                dagger(cd.isometries[m]).reshape(r, nL, cd.right_dims[m]),
+                tilde[m] @ Bj)
+        G = G3.reshape(r, lj * right_total)
+        embeddings.append(G)
+
+        def psi(E, G=G, G3=G3, lj=lj):
+            # G (I (x) E) G* = sum_i G_i E G_i*, G_i = G[:, i-th block]
+            X = sum(g @ E @ dagger(g) for g in G3.transpose(1, 0, 2))
+            C5 = (dagger(G) @ cd.channel.apply(X) @ G).reshape(
+                -1, lj, right_total, lj, right_total)
+            out = np.einsum("niris->nrs", C5) / lj
+            resid = C5 - np.einsum("ij,nrs->nirjs", np.eye(lj), out)
+            if np.linalg.norm(resid.reshape(len(out), -1), axis=1).max() \
+                    > 1e3 * tol.eq_tol:
+                raise CenterMismatch(
+                    "restriction does not factor through the left block")
+            return out
+        psi_transfers.append(transfer_of(psi, right_total))
+    return FixedBlockOracles(
+        t_products=tuple(tilde),
+        r_projections=tuple(B @ dagger(B) for B in fb.left_bases),
+        embeddings=tuple(embeddings), psi_transfers=tuple(psi_transfers))
+
+
+def invariant_state(cd, fb, weights, left_states):
+    """The invariant density of a component ``cd`` with
+    ``cycles.FixedBlockData`` ``fb``: the sum over fixed blocks of
+    weight * G (omega (x) sigma) G*, G the block's embedding
+    (:func:`fixed_block_oracles`) and omega a state on its left
+    eigenspace."""
     out = 0
-    for lam, omega, G in zip(weights, left_states, fb.embeddings):
+    for lam, omega, G in zip(weights, left_states,
+                             fixed_block_oracles(cd, fb).embeddings):
         out = out + lam * (G @ np.kron(np.asarray(omega, dtype=complex),
                                        fb.sigma) @ dagger(G))
     return out

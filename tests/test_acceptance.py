@@ -52,8 +52,10 @@ from chanstruct.structure import (
 )
 from tests.conftest import (
     cesaro_expectation,
+    component_embedding,
     cycle_composition,
     dense,
+    fixed_block_oracles,
     invariant_state,
     period_irreducible,
     verify_power_fixed_points,
@@ -95,15 +97,14 @@ def _check_cycle_against_oracle(check, label, c, s, p, rep):
     """The pipeline's one component of an irreducible channel must carry
     the period and, embedded by W, the cyclic projections that the
     peripheral-eigenmatrix oracle ``rep`` (period_irreducible) gives."""
-    dec = mfnc_decompose(c, fixed_points(s).as_algebra(),
-                         atomic_structure(dfa(c), seed=0), p)
-    check(len(dec.components) == 1,
-          f"{label}: {len(dec.components)} components, expected 1")
-    comp = dec.components[0]
+    comps = mfnc_decompose(c, fixed_points(s).as_algebra(),
+                           atomic_structure(dfa(c), seed=0), p)
+    check(len(comps) == 1, f"{label}: {len(comps)} components, expected 1")
+    comp = comps[0]
     check(comp.cycle.period == rep.period,
           f"{label}: component period {comp.cycle.period}, oracle "
           f"{rep.period}")
-    W = comp.embedding
+    W = component_embedding(comp)
     embedded = [W @ Q @ dagger(W) for Q in comp.cycle.projections]
     for mine, theirs in ((embedded, rep.projections),
                          (rep.projections, embedded)):
@@ -202,7 +203,7 @@ def test_acceptance_1_pauli_walk_d3(capsys):
     for r in roots:
         hits = [lam for lam in p.eigenvalues if abs(lam - r) <= 1e-7]
         check(len(hits) == 1, f"root {r:.4f} not simple: {len(hits)} matches")
-    rep = period_irreducible(c, p)
+    rep = period_irreducible(c, s)
     check(rep.period == d, f"period {rep.period}, expected {d}")
     _check_cycle_against_oracle(check, "pauli d=3", c, s, p, rep)
     N = dfa(c)
@@ -305,12 +306,11 @@ def test_acceptance_2_pauli_walk_d4(capsys):
         zdim = center(N).subspace.dim
         check(zdim == 2, f"{tag}: dim Z(N) = {zdim}")
 
-        dec = mfnc_decompose(
+        comps = mfnc_decompose(
             c, F.as_algebra(), atomic_structure(N, seed=0),
             peripheral_subalgebra(c, invariant_states(c, s), s))
-        check(len(dec.components) == 1,
-              f"{tag}: {len(dec.components)} components, expected 1")
-        comp = dec.components[0]
+        check(len(comps) == 1, f"{tag}: {len(comps)} components, expected 1")
+        comp = comps[0]
         check(comp.cycle.period == 2, f"{tag}: period {comp.cycle.period}")
         cd = component_decompose(comp)
 
@@ -326,6 +326,7 @@ def test_acceptance_2_pauli_walk_d4(capsys):
               f"{tag}: cycle composition spectrum {np.round(lam, 4)}")
 
         fb = fixed_multiblock(cd, F.as_algebra())
+        psi_transfers = fixed_block_oracles(cd, fb).psi_transfers
         check(fb.n_blocks == 2, f"{tag}: {fb.n_blocks} fixed blocks")
         ratio = fb.eigenvalues[0] / fb.eigenvalues[1]
         check(abs(ratio + 1) <= 1e-7,
@@ -334,7 +335,8 @@ def test_acceptance_2_pauli_walk_d4(capsys):
         # invariant family s P_a/4 + (1-s) P_b/4
         Pa, Pb = fb.central_projections
         for s in (0.0, 0.5, 1.0):
-            xi = invariant_state(fb, [s, 1 - s], [np.eye(1), np.eye(1)])
+            xi = invariant_state(cd, fb, [s, 1 - s],
+                                 [np.eye(1), np.eye(1)])
             res = hs_norm(c.preadjoint_apply(xi) - xi)
             check(res <= 1e-8, f"{tag}: xi_{s} invariance {res:.2e}")
             mix = hs_norm(xi - (s * Pa + (1 - s) * Pb) / d)
@@ -407,7 +409,7 @@ def test_acceptance_2_pauli_walk_d4(capsys):
                 order = np.lexsort((lam.imag.round(6), lam.real.round(6)))
                 return lam[order]
             spec_a = nonzero_part(T_psi)
-            spec_b = nonzero_part(fb.psi_transfers[j])
+            spec_b = nonzero_part(psi_transfers[j])
             check(len(spec_a) == len(spec_b)
                   and np.abs(spec_a - spec_b).max() <= 1e-7,
                   f"{tag}: psi_{sign} spectrum disagrees with the "
@@ -482,7 +484,7 @@ def test_acceptance_5_power_fixed_points(capsys):
     for label, c, d in cases:
         s = spectrum(c.transfer)
         p = peripheral_subalgebra(c, invariant_states(c, s), s)
-        rep = period_irreducible(c, p)
+        rep = period_irreducible(c, s)
         check(rep.period == d, f"{label}: period {rep.period}, expected {d}")
         _check_cycle_against_oracle(check, label, c, s, p, rep)
         table = verify_power_fixed_points(c, rep, m_max=d + 1)
@@ -590,12 +592,11 @@ def test_acceptance_7_cyclic_shift(capsys):
         check(F.dim == cdim,
               f"d={d}: dim F = {F.dim}, loop commutant has dim {cdim}")
 
-        dec = mfnc_decompose(
+        comps = mfnc_decompose(
             c, F.as_algebra(), atomic_structure(dfa(c), seed=0),
             peripheral_subalgebra(c, invariant_states(c, s), s))
-        check(len(dec.components) == 1,
-              f"d={d}: {len(dec.components)} components")
-        comp = dec.components[0]
+        check(len(comps) == 1, f"d={d}: {len(comps)} components")
+        comp = comps[0]
         check(comp.cycle.period == d,
               f"d={d}: period {comp.cycle.period}")
         cd = component_decompose(comp)
@@ -627,7 +628,7 @@ def test_acceptance_8_nn_cycle(capsys):
     check(comm <= 1e-7, f"special: dfa not abelian ({comm:.2e})")
     s = spectrum(c.transfer)
     p = peripheral_subalgebra(c, invariant_states(c, s), s)
-    cyc = period_irreducible(c, p)
+    cyc = period_irreducible(c, s)
     check(cyc.period == 4, f"special: period {cyc.period}, expected 4")
     _check_cycle_against_oracle(check, "special", c, s, p, cyc)
 
@@ -650,7 +651,7 @@ def test_acceptance_8_nn_cycle(capsys):
     check(dist <= 1e-7, f"generic: dfa vs parity span {dist:.2e}")
     s2 = spectrum(c2.transfer)
     p2 = peripheral_subalgebra(c2, invariant_states(c2, s2), s2)
-    cyc2 = period_irreducible(c2, p2)
+    cyc2 = period_irreducible(c2, s2)
     check(cyc2.period == 2, f"generic: period {cyc2.period}, expected 2")
     _check_cycle_against_oracle(check, "generic", c2, s2, p2, cyc2)
     _verdict(capsys, "8: nearest-neighbor 8-cycle regimes", failures)

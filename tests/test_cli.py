@@ -383,6 +383,24 @@ def test_nonunital_channel_rejected(tmp_path, capsys):
     assert code == EXIT_INPUT_ERROR
 
 
+@pytest.mark.parametrize("key", ["to", "from"])
+@pytest.mark.parametrize("vertex", [2, -1, -2])
+def test_walk_vertex_out_of_range_is_an_input_error(tmp_path, capsys, key,
+                                                    vertex):
+    # a period-2 walk on two one-dimensional vertices, one edge end moved
+    # outside range(2): -2 would otherwise pass the checks as vertex 0
+    one = matrix_to_json(np.eye(1))
+    walk = {"vertices": [0, 1], "local_dims": [1, 1],
+            "transitions": [{"from": 0, "to": 1, "matrix": one},
+                            {"from": 1, "to": 0, "matrix": one}]}
+    walk["transitions"][1][key] = vertex
+    f = tmp_path / "walk.json"
+    f.write_text(json.dumps(walk))
+    code = main(["analyze", str(f)])
+    assert code == EXIT_INPUT_ERROR
+    assert "outside 0..1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["analyze", "verify"])
 @pytest.mark.parametrize("option", ["--tol=0", "--tol=-1", "--tol=nan",
                                     "--tol=inf", "--max-power=0",

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from chanstruct.cli import EXIT_OK, main
 from chanstruct.numerics import random_unitary
@@ -161,3 +162,77 @@ def test_compare_reports_lists_flipped_exits_and_flags(tmp_path):
     assert f"  w.verify: exit 0 -> 1; {flipped} passed -> failed" in out
     assert f"only in {parent}: {renamed} in 1 cases, 0 failed" in out
     assert f"only in {change}: renamed-check in 1 cases, 0 failed" in out
+
+
+def _hermitian_pairs(H):
+    return np.stack([H.real, H.imag], axis=-1).tolist()
+
+
+def _turn_states(report, turn):
+    """Apply ``turn`` to sigma and to every block state of the first
+    component, stored back as [re, im] pairs."""
+    component = report["components"][0]
+    fb = component["fixed_blocks"]
+    for holder, key in [(fb, "sigma")] + [
+            (component["block_states"], m)
+            for m in range(len(component["block_states"]))]:
+        pairs = np.array(holder[key])
+        holder[key] = _hermitian_pairs(
+            turn(pairs[..., 0] + 1j * pairs[..., 1]))
+
+
+def test_compare_reports_reads_state_spectra_up_to_a_basis(tmp_path):
+    # a unitary change of the K^R bases, and a new order of the steps,
+    # keep the spectra of sigma and of the block states
+    walk = tmp_path / "walk.json"
+    main(["example", "pauli", "--d", "4", "--output", str(walk)])
+    parent = tmp_path / "parent"
+    parent.mkdir()
+    assert main(["analyze", str(walk), "--output",
+                 str(parent / "w.json")]) == EXIT_OK
+    (parent / "w.exit").write_text("0\n")
+    rng = np.random.default_rng(5)
+
+    def rotate(report):
+        def turn(H):
+            U = random_unitary(len(H), rng)
+            return U @ H @ U.conj().T
+        _turn_states(report, turn)
+        report["components"][0]["block_states"].reverse()
+    rotated = compare(parent, moved_copy(tmp_path, parent, rotate))
+    assert rotated.returncode == 0, rotated.stdout
+    assert "ok   components.block_state_spectra" in rotated.stdout
+    assert "ok   components.fixed_blocks.sigma_spectrum" in rotated.stdout
+
+
+def _spread_sigma(component):
+    fb = component["fixed_blocks"]
+    fb["sigma"] = _hermitian_pairs(np.diag(np.linspace(0.1, 0.9,
+                                                       len(fb["sigma"]))))
+
+
+def _spread_first_block_state(component):
+    states = component["block_states"]
+    states[0] = _hermitian_pairs(np.diag(np.linspace(0.2, 0.8,
+                                                     len(states[0]))))
+
+
+def _grow_first_left_state_dim(component):
+    component["fixed_blocks"]["invariant_state_parameters"][
+        "left_state_dims"][0] += 1
+
+
+@pytest.mark.parametrize("row,move", [
+    ("components.fixed_blocks.sigma_spectrum", _spread_sigma),
+    ("components.block_state_spectra", _spread_first_block_state),
+    ("components.fixed_blocks.invariant_state_parameters.left_state_dims",
+     _grow_first_left_state_dim),
+])
+def test_compare_reports_flags_a_moved_state_or_block_dim(tmp_path, row,
+                                                          move):
+    parent = analyzed_walk(tmp_path)
+    moved = compare(parent, moved_copy(
+        tmp_path, parent, lambda report: move(report["components"][0])))
+    assert moved.returncode == 1
+    assert f"FAIL {row} " in moved.stdout
+    assert "ok   components.projection" in moved.stdout

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
-from chanstruct.algebra import atomic_structure, extract_block_states
+from chanstruct.algebra import (
+    OperatorAlgebra,
+    atomic_structure,
+    extract_block_states,
+)
 from chanstruct.channel import from_kraus
-from chanstruct.cli import analyze
+from chanstruct.cli import Analysis, analyze
 from chanstruct.cycles import (
+    CenterMismatch,
     component_decompose,
     fixed_multiblock,
     mfnc_decompose,
@@ -12,6 +17,7 @@ from chanstruct.cycles import (
 )
 from chanstruct.numerics import (
     DEFAULT_TOL,
+    MatrixSubspace,
     dagger,
     hs_norm,
     random_unitary,
@@ -21,6 +27,7 @@ from chanstruct.numerics import (
     unvec,
     vec,
 )
+from chanstruct.oqrw import builder_nn_cycle, builder_pauli_walk, to_channel
 from chanstruct.structure import (
     dfa,
     fixed_points,
@@ -34,8 +41,11 @@ from tests.conftest import (
     NotRootsOfUnity,
     NotSimple,
     cycle_composition,
+    fixed_block_oracles,
+    full_algebra,
     invariant_state,
     period_irreducible,
+    probe_shift_unitaries,
     restricted_power_transfer,
     transfer_of_units,
     verify_power_fixed_points,
@@ -74,13 +84,13 @@ def peripheral_of(c):
     s = spectrum(c.transfer)
     inv = invariant_states(c, s)
     assert inv.faithful
-    return inv, peripheral_subalgebra(c, inv, s)
+    return s, peripheral_subalgebra(c, inv, s)
 
 
 def test_period_classical_cycle():
     c = classical_cycle(4)
-    _, p = peripheral_of(c)
-    rep = period_irreducible(c, p)
+    s, _ = peripheral_of(c)
+    rep = period_irreducible(c, s)
     assert rep.period == 4
     Qs = rep.projections
     assert np.allclose(sum(Qs), np.eye(4), atol=1e-8)
@@ -97,8 +107,8 @@ def test_period_classical_cycle():
 
 def test_period_pauli_channel():
     c = pauli_channel()
-    _, p = peripheral_of(c)
-    rep = period_irreducible(c, p)
+    s, _ = peripheral_of(c)
+    rep = period_irreducible(c, s)
     assert rep.period == 2
     Q0, Q1 = rep.projections
     assert np.linalg.matrix_rank(Q0) == 1
@@ -110,9 +120,9 @@ def test_period_one_aperiodic():
     rng = np.random.default_rng(7)
     kraus = [random_unitary(3, rng) / np.sqrt(2) for _ in range(2)]
     c = from_kraus(kraus)
-    inv, p = peripheral_of(c)
+    s, p = peripheral_of(c)
     if len(p.eigenvalues) == 1:  # aperiodic for this seed
-        rep = period_irreducible(c, p)
+        rep = period_irreducible(c, s)
         assert rep.period == 1
         assert np.allclose(rep.projections[0], np.eye(3))
 
@@ -120,17 +130,17 @@ def test_period_one_aperiodic():
 def test_period_rejects_reducible():
     # unitary conjugation: eigenvalue 1 appears with multiplicity >= 2
     c = from_kraus([np.diag([1.0, np.exp(0.7j)])])
-    _, p = peripheral_of(c)
+    s, _ = peripheral_of(c)
     with pytest.raises((NotSimple, NotRootsOfUnity)):
-        period_irreducible(c, p)
+        period_irreducible(c, s)
 
 
 def test_cycle_seed_independence():
     c = classical_cycle(3)
-    _, p = peripheral_of(c)
-    rep1 = period_irreducible(c, p)
+    s, _ = peripheral_of(c)
+    rep1 = period_irreducible(c, s)
     # recompute peripheral data (fresh eigendecomposition) and compare sets
-    rep2 = period_irreducible(c, peripheral_of(c)[1])
+    rep2 = period_irreducible(c, peripheral_of(c)[0])
     for Q in rep1.projections:
         assert min(spectral_norm(Q - R) for R in rep2.projections) < 1e-8
 
@@ -155,11 +165,12 @@ def test_mfnc_two_components():
     N = dfa(c)
     assert F.dim == 2
     assert N.dim == 6
-    dec = mfnc_decompose(c, F, atomic_structure(N, seed=1),
-                         peripheral_of(c)[1])
-    assert len(dec.components) == 2
-    assert np.allclose(sum(dec.z_projections), np.eye(6), atol=1e-8)
-    for comp in dec.components:
+    comps = mfnc_decompose(c, F, atomic_structure(N, seed=1),
+                           peripheral_of(c)[1])
+    assert len(comps) == 2
+    assert np.allclose(sum(comp.projection for comp in comps), np.eye(6),
+                       atol=1e-8)
+    for comp in comps:
         assert comp.cycle.period == 3
         assert comp.channel.dim == 3
 
@@ -168,11 +179,11 @@ def test_mfnc_two_components():
 def test_mfnc_components_match_their_own_analysis(name):
     # reference route: F and E_N of each restricted channel, recomputed
     c = two_cycles() if name == "two-cycles" else build_corpus(20240817)[40]
-    dec = mfnc_decompose(c, fixed_points(spectrum(c.transfer)).as_algebra(),
-                         atomic_structure(dfa(c), seed=1),
-                         peripheral_of(c)[1])
-    assert len(dec.components) == 2
-    for comp in dec.components:
+    comps = mfnc_decompose(c, fixed_points(spectrum(c.transfer)).as_algebra(),
+                           atomic_structure(dfa(c), seed=1),
+                           peripheral_of(c)[1])
+    assert len(comps) == 2
+    for comp in comps:
         ref = fixed_points(spectrum(comp.channel.transfer))
         assert subspace_distance(comp.fixed_points.subspace,
                                  ref.subspace) < 1e-10
@@ -186,9 +197,9 @@ def test_mfnc_identity_channel():
     c = from_kraus([np.eye(2)])
     F = fixed_points(spectrum(c.transfer)).as_algebra()
     N = dfa(c)
-    dec = mfnc_decompose(c, F, atomic_structure(N), peripheral_of(c)[1])
-    assert len(dec.components) == 1
-    assert dec.components[0].cycle.period == 1
+    comps = mfnc_decompose(c, F, atomic_structure(N), peripheral_of(c)[1])
+    assert len(comps) == 1
+    assert comps[0].cycle.period == 1
 
 
 def test_mfnc_shift_walk_single_component():
@@ -198,18 +209,18 @@ def test_mfnc_shift_walk_single_component():
     N = dfa(c)
     assert F.dim == 2          # commutant of a generic 2x2 unitary
     assert N.dim == 3 * 4      # block diagonals
-    dec = mfnc_decompose(c, F, atomic_structure(N, seed=0),
-                         peripheral_of(c)[1])
-    assert len(dec.components) == 1
-    assert dec.components[0].cycle.period == 3
+    comps = mfnc_decompose(c, F, atomic_structure(N, seed=0),
+                           peripheral_of(c)[1])
+    assert len(comps) == 1
+    assert comps[0].cycle.period == 3
 
 
 def test_component_decompose_classical_cycle():
     c = classical_cycle(3)
     F = fixed_points(spectrum(c.transfer)).as_algebra()
     N = dfa(c)
-    dec = mfnc_decompose(c, F, atomic_structure(N), peripheral_of(c)[1])
-    cd = component_decompose(dec.components[0])
+    comps = mfnc_decompose(c, F, atomic_structure(N), peripheral_of(c)[1])
+    cd = component_decompose(comps[0])
     assert cd.left_dim == 1
     assert cd.right_dims == (1, 1, 1)
     for rho in cd.block_states:
@@ -224,9 +235,9 @@ def test_component_decompose_shift_walk():
     c = shift_walk(Us)
     F = fixed_points(spectrum(c.transfer)).as_algebra()
     N = dfa(c)
-    dec = mfnc_decompose(c, F, atomic_structure(N, seed=2),
-                         peripheral_of(c)[1])
-    cd = component_decompose(dec.components[0])
+    comps = mfnc_decompose(c, F, atomic_structure(N, seed=2),
+                           peripheral_of(c)[1])
+    cd = component_decompose(comps[0])
     assert cd.left_dim == 2
     assert cd.right_dims == (1, 1, 1)
     for T in cd.shift_unitaries:
@@ -242,8 +253,8 @@ def test_component_decompose_pauli():
     c = pauli_channel()
     F = fixed_points(spectrum(c.transfer)).as_algebra()
     N = dfa(c)
-    dec = mfnc_decompose(c, F, atomic_structure(N), peripheral_of(c)[1])
-    cd = component_decompose(dec.components[0])
+    comps = mfnc_decompose(c, F, atomic_structure(N), peripheral_of(c)[1])
+    cd = component_decompose(comps[0])
     assert cd.period == 2
     assert cd.left_dim == 1
     assert cd.right_dims == (1, 1)
@@ -261,18 +272,26 @@ def test_fixed_multiblock_shift_walk():
     c = shift_walk(Us)
     F = fixed_points(spectrum(c.transfer)).as_algebra()
     N = dfa(c)
-    dec = mfnc_decompose(c, F, atomic_structure(N, seed=3),
-                         peripheral_of(c)[1])
-    cd = component_decompose(dec.components[0])
+    comps = mfnc_decompose(c, F, atomic_structure(N, seed=3),
+                           peripheral_of(c)[1])
+    cd = component_decompose(comps[0])
     fb = fixed_multiblock(cd, F)
+    oracles = fixed_block_oracles(cd, fb)
     assert fb.n_blocks == 2                   # generic monodromy: 2 eigenlines
     assert np.allclose(sum(fb.central_projections), np.eye(6), atol=1e-8)
+    # each is the monodromy's spectral projection carried around the cycle
+    for P, R in zip(fb.central_projections, oracles.r_projections,
+                    strict=True):
+        carried = sum(dagger(S) @ np.kron(Tm @ R @ dagger(Tm), np.eye(nR)) @ S
+                      for S, Tm, nR in zip(cd.isometries, oracles.t_products,
+                                           cd.right_dims))
+        assert spectral_norm(P - carried) < 1e-10
     # monodromy spectrum matches the loop unitary up to a global phase
     loop = Us[0]
     for m in range(2, 0, -1):
         loop = loop @ Us[m]
     lam_loop = np.sort(np.angle(np.linalg.eigvals(loop)))
-    lam_mono = np.linalg.eigvals(fb.t_products[0])
+    lam_mono = np.linalg.eigvals(oracles.t_products[0])
     ratio_loop = np.exp(1j * (lam_loop[1] - lam_loop[0]))
     ratio_mono = lam_mono[1] / lam_mono[0]
     assert min(abs(ratio_mono - np.conj(ratio_loop)),
@@ -281,17 +300,16 @@ def test_fixed_multiblock_shift_walk():
     sigma_tr = np.trace(fb.sigma)
     assert sigma_tr == pytest.approx(1.0)
     for w in ([1.0, 0.0], [0.3, 0.7]):
-        xi = invariant_state(fb, w, [np.eye(1), np.eye(1)])
+        xi = invariant_state(cd, fb, w, [np.eye(1), np.eye(1)])
         assert np.trace(xi).real == pytest.approx(sum(w))
         assert hs_norm(c.preadjoint_apply(xi) - xi) < 1e-8
     # each induced right-factor channel fixes sigma uniquely
-    for Tpsi in fb.psi_transfers:
+    for Tpsi in oracles.psi_transfers:
         pre = dagger(Tpsi)
         v = vec(fb.sigma)
         assert np.linalg.norm(pre @ v - v) < 1e-8
         lam = np.linalg.eigvals(pre)
         assert np.sum(np.abs(lam - 1) < 1e-7) == 1
-
 
 
 def test_fixed_block_eigenvalues_are_fixed_up_to_one_phase():
@@ -322,22 +340,81 @@ def test_fixed_multiblock_pauli():
     c = pauli_channel()
     F = fixed_points(spectrum(c.transfer)).as_algebra()
     N = dfa(c)
-    dec = mfnc_decompose(c, F, atomic_structure(N), peripheral_of(c)[1])
-    cd = component_decompose(dec.components[0])
+    comps = mfnc_decompose(c, F, atomic_structure(N), peripheral_of(c)[1])
+    cd = component_decompose(comps[0])
     fb = fixed_multiblock(cd, F)
     assert fb.n_blocks == 1
     assert np.allclose(fb.central_projections[0], np.eye(2), atol=1e-10)
     assert np.allclose(fb.sigma, np.eye(2) / 2, atol=1e-8)
-    Tpsi = fb.psi_transfers[0]
+    Tpsi = fixed_block_oracles(cd, fb).psi_transfers[0]
     pre = dagger(Tpsi)
     v = vec(fb.sigma)
     assert np.linalg.norm(pre @ v - v) < 1e-8
 
 
+def pipeline_components(c, tol=DEFAULT_TOL):
+    """The components that ``analyze`` factors: mfnc_decompose on the
+    analysis' F, atomic structure of N and peripheral data."""
+    a = Analysis(c, None, tol, 0, None)
+    return mfnc_decompose(c, a.F.as_algebra(), a.N_structure, a.peripheral,
+                          tol=tol)
+
+
+def shift_probe_channels(name):
+    if name == "nn-cycle-8":
+        L_minus = np.diag([np.sqrt(0.3), np.sqrt(0.7)])
+        L_plus = np.array([[0, np.sqrt(0.3)], [np.sqrt(0.7), 0]])
+        return [to_channel(builder_nn_cycle(8, L_plus, L_minus))]
+    if name == "pauli-walk-8":
+        return [to_channel(builder_pauli_walk(8, 0.5))]
+    return build_corpus(int(name.removeprefix("corpus-")))
+
+
+@pytest.mark.parametrize("name", ["corpus-20240817", "corpus-27", "corpus-1",
+                                  "nn-cycle-8", "pauli-walk-8"])
+def test_shift_unitaries_match_the_left_action_probe(name):
+    # T_m read off the Kraus blocks against T_m solved from the left action
+    # of the channel on the units S_m* (E_ab (x) I) S_m
+    left_dims = []
+    for i, c in enumerate(shift_probe_channels(name)):
+        for comp in pipeline_components(c):
+            cd = component_decompose(comp)
+            left_dims.append(cd.left_dim)
+            for m, (T, ref) in enumerate(zip(
+                    cd.shift_unitaries, probe_shift_unitaries(comp),
+                    strict=True)):
+                assert spectral_norm(T - ref) <= 1e-12, (i, m)
+    if name.startswith("corpus"):
+        assert max(left_dims) > 1        # the shift walks have nL = h
+
+
+def test_fixed_multiblock_rejects_a_wrong_fixed_point_algebra():
+    # the loop unitary has the eigenvalue 1 twice: fixed blocks of left
+    # dimensions 2 and 1, F of dimension 4 + 1
+    rng = np.random.default_rng(8)
+    W = random_unitary(3, rng)
+    c = shift_walk([np.eye(3), np.eye(3),
+                    W @ np.diag([1.0, 1.0, -1.0]) @ dagger(W)])
+    [comp] = pipeline_components(c)
+    cd = component_decompose(comp)
+    F, r = comp.fixed_points, cd.channel.dim
+    fb = fixed_multiblock(cd, F)
+    assert sorted(B.shape[1] for B in fb.left_bases) == [1, 2]
+    j = [B.shape[1] for B in fb.left_bases].index(2)
+    P = fb.central_projections[j]
+    without_block = OperatorAlgebra(F.subspace.restrict([lambda B: P @ B]))
+    assert (F.dim, without_block.dim) == (5, 1)
+    U = random_unitary(r, rng)
+    turned = OperatorAlgebra(MatrixSubspace(r, U @ F.basis @ dagger(U)))
+    for wrong in (without_block, full_algebra(r), turned):
+        with pytest.raises(CenterMismatch):
+            fixed_multiblock(cd, wrong)
+
+
 def test_verify_power_fixed_points_cycle4():
     c = classical_cycle(4)
-    _, p = peripheral_of(c)
-    rep = period_irreducible(c, p)
+    s, _ = peripheral_of(c)
+    rep = period_irreducible(c, s)
     table = verify_power_fixed_points(c, rep, m_max=8)
     assert table.all_pass
     dims = {row.power: row.fixed_dim for row in table.rows}
@@ -350,9 +427,9 @@ def test_verify_power_fixed_points_period1():
     rng = np.random.default_rng(7)
     kraus = [random_unitary(3, rng) / np.sqrt(2) for _ in range(2)]
     c = from_kraus(kraus)
-    inv, p = peripheral_of(c)
+    s, p = peripheral_of(c)
     if len(p.eigenvalues) == 1:
-        rep = period_irreducible(c, p)
+        rep = period_irreducible(c, s)
         table = verify_power_fixed_points(c, rep, m_max=4)
         assert table.all_pass
         assert all(row.fixed_dim == 1 for row in table.rows)

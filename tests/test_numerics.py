@@ -26,7 +26,6 @@ from chanstruct.numerics import (
     span_basis,
     spectral_norm,
     subspace_distance,
-    transfer_of,
     unvec,
     vec,
 )
@@ -42,6 +41,7 @@ from tests.conftest import (
     expectation_onto,
     kernel_basis,
     subspace_intersection,
+    transfer_of,
     transfer_of_units,
 )
 

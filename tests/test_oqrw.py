@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,12 @@ from chanstruct.oqrw import (
     to_channel,
 )
 from chanstruct.structure import NoStabilization, dfa, multiplicative_domain
-from tests.conftest import full_route_oqrw_dfa, full_route_oqrw_multiplicative_domain
+from tests.conftest import (
+    block_units,
+    full_route_oqrw_dfa,
+    full_route_oqrw_multiplicative_domain,
+    subspace_intersection,
+)
 from tools.report_set import dead_corners_walk
 
 
@@ -149,7 +156,9 @@ def test_dfa_agrees_pauli_walk():
         rep = oqrw_dfa(w)
         n_generic = dfa(c)
         assert subspace_distance(rep.algebra.subspace, n_generic.subspace) < 1e-7
-        assert rep.diagonal.dim + rep.off_diagonal.dim == rep.algebra.dim
+        diagonal = subspace_intersection(rep.algebra.subspace,
+                                         block_units(w)[0])
+        assert diagonal.dim + rep.off_diagonal.dim == rep.algebra.dim
 
 
 def test_dfa_agrees_cyclic_shift():
@@ -188,14 +197,17 @@ def test_dead_corners():
         (1, 2): random_unitary(2, rng),
     }
     w = build(range(3), [2, 2, 2], transitions)
-    rep = oqrw_dfa(w)
-    assert rep.dead_corners == (1, 0, 1)
-    assert not rep.diagonal_forced
+    ref = full_route_oqrw_dfa(w)
+    assert ref.dead_corners == (1, 0, 1)
+    assert not ref.diagonal_forced
+    # B(W_2, W_0) and B(W_0, W_2), one dimension each
+    assert oqrw_dfa(w).off_diagonal.dim == 2
 
     w2 = builder_pauli_walk(2, 0.5)
-    rep2 = oqrw_dfa(w2)
-    assert rep2.dead_corners == (0, 0)
-    assert rep2.diagonal_forced
+    ref2 = full_route_oqrw_dfa(w2)
+    assert ref2.dead_corners == (0, 0)
+    assert ref2.diagonal_forced
+    assert oqrw_dfa(w2).off_diagonal.dim == 0
 
 
 # ---------------------------------------------------------------------------
@@ -267,10 +279,12 @@ def test_block_split_matches_full_route(name, w):
     rep, ref = oqrw_dfa(w), full_route_oqrw_dfa(w)
     assert subspace_distance(rep.algebra.subspace, ref.algebra.subspace) \
         <= 1e-10
-    assert subspace_distance(rep.diagonal, ref.diagonal) <= 1e-10
+    diagonal = subspace_intersection(rep.algebra.subspace, block_units(w)[0])
+    assert subspace_distance(diagonal, ref.diagonal) <= 1e-10
     assert subspace_distance(rep.off_diagonal, ref.off_diagonal) <= 1e-10
-    assert rep.dead_corners == ref.dead_corners
-    assert rep.diagonal_forced == ref.diagonal_forced
+    # the off-diagonal part is the sum of B(W_i, W_l) over l != i
+    assert rep.off_diagonal.dim == sum(
+        a * b for a, b in itertools.permutations(ref.dead_corners, 2))
     assert subspace_distance(oqrw_multiplicative_domain(w).subspace,
                              full_route_oqrw_multiplicative_domain(w).subspace) \
         <= 1e-10

@@ -47,6 +47,7 @@ from tests.conftest import (
     gram_route_kraus_commutant,
     kernel_basis,
     kraus_word_basis,
+    peripheral_eigenpairs,
     word_route_dfa,
     word_route_multiplicative_domain,
 )
@@ -370,7 +371,9 @@ def test_peripheral_pauli():
 def test_peripheral_eigen_relations():
     c = random_unital_channel(4, 3, seed=13)
     s, inv, p = spectral_stages(c)
-    for lam, Xm in zip(p.eigenvalues, p.eigenmatrices):
+    eigenvalues, eigenmatrices = peripheral_eigenpairs(s, c.dim)
+    assert np.array_equal(eigenvalues, p.eigenvalues)
+    for lam, Xm in zip(p.eigenvalues, eigenmatrices, strict=True):
         assert abs(abs(lam) - 1) < 1e-7
         assert hs_norm(c.apply(Xm) - lam * Xm) < 1e-6 * hs_norm(Xm)
 

@@ -1,9 +1,13 @@
-"""Every module-level def and class in `src/chanstruct` has a caller.
+"""Every module-level def and class in `src/chanstruct` has a caller, and
+every dataclass field there a reader.
 
 A name counts as used when it is referenced, other than inside its own
 definition, somewhere in `src/chanstruct` or `tools/`, or when it is
-exported in `chanstruct.__all__`.  Tests do not count: a routine that only
-the tests call is an oracle and belongs in `tests/conftest.py`.
+exported in `chanstruct.__all__`.  A field counts as read when some
+statement of `src/chanstruct` or `tools/` loads it as an attribute
+(``x.field``); passing it to the constructor does not count.  Tests do not
+count: a routine or a field that only the tests read is an oracle and
+belongs in `tests/conftest.py`.
 """
 
 import ast
@@ -56,3 +60,44 @@ def test_a_definition_without_a_caller_is_flagged(tmp_path):
     app.write_text("from lib import used\n\nprint(used())\n")
     assert unused_definitions([lib], [lib, app], ["Exported"]) == [
         ("lib", "lonely")]
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    for deco in cls.decorator_list:
+        fn = deco.func if isinstance(deco, ast.Call) else deco
+        if getattr(fn, "id", getattr(fn, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def unread_fields(sources, callers):
+    """(module, class, field) of each annotated field of a top-level
+    dataclass in ``sources`` that no statement of ``callers`` loads as an
+    attribute."""
+    fields, read = [], set()
+    for path in callers:
+        read.update(node.attr for node in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load))
+    for path in sources:
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, ast.ClassDef) and _is_dataclass(stmt):
+                fields += [(path.stem, stmt.name, item.target.id)
+                           for item in stmt.body
+                           if isinstance(item, ast.AnnAssign)]
+    return [field for field in fields if field[2] not in read]
+
+
+def test_every_dataclass_field_in_src_is_read():
+    assert unread_fields(SOURCES, CALLERS) == []
+
+
+def test_a_field_only_constructed_is_flagged(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text("from dataclasses import dataclass\n\n\n"
+                   "@dataclass(frozen=True)\n"
+                   "class Report:\n    value: int\n    extra: int\n\n\n"
+                   "def make():\n    return Report(value=1, extra=2)\n")
+    app = tmp_path / "app.py"
+    app.write_text("from lib import make\n\nprint(make().value)\n")
+    assert unread_fields([lib], [lib, app]) == [("lib", "Report", "extra")]

@@ -24,14 +24,19 @@ Only fields that do not depend on the choice of bases are compared:
   ``left_dim``, ``right_dims``, ``structured_kraus_residual`` (absolute),
   of ``fixed_blocks`` the ``count``, ``right_total``, the ``eigenvalues``
   up to one common phase (the sorted products lam_i conj(lam_j) over all
-  pairs; the monodromy fixes them only up to that phase) and the set of
-  ``central_projections``, and
+  pairs; the monodromy fixes them only up to that phase), the set of
+  ``central_projections``, the sorted eigenvalues of ``sigma``
+  (``fixed_blocks.sigma_spectrum``) and, exactly, the sorted
+  ``invariant_state_parameters.left_state_dims``;
+  ``block_state_spectra``: the sorted eigenvalues of each
+  ``block_states[m]``, compared as a set over m; and
   ``xi_choi_spectrum``: per step m, the sorted singular values of
   ``xi_kraus[m]`` as a (K, nR_m nR_{m-1}) matrix, compared as a set over
   m.  They are the square roots of the Choi eigenvalues of the reduced
   channel, so Kraus mixing and unitary changes of the K^R bases leave them
-  unchanged.  Components whose numbers differ, or a string in place of the
-  list, give one ``components`` row.
+  unchanged, as such changes leave the spectra of the states.  Components
+  whose numbers differ, or a string in place of the list, give one
+  ``components`` row.
 
 The script prints, for each field, the largest difference over all cases
 and the case where it occurred, and exits 1 when any difference exceeds
@@ -63,6 +68,7 @@ LIMITS = {
     "gap": 1e-10,
 }
 COMPONENT_LIMIT = 1e-8
+COMPONENT_EXACT = {"fixed_blocks.invariant_state_parameters.left_state_dims"}
 
 
 def _diff(a, b) -> float:
@@ -113,15 +119,22 @@ def _set_diff(xs, ys, diff) -> float:
     return max((diff(x, y) for x, y in _match(xs, ys, diff)), default=0.0)
 
 
+def _complex(value) -> np.ndarray:
+    """A matrix, or a stack of them, stored as [re, im] pairs."""
+    pairs = np.array(value, dtype=float)
+    return pairs[..., 0] + 1j * pairs[..., 1]
+
+
 def _xi_choi_spectra(component) -> list:
     """Per step m, the sorted singular values of the stacked xi_kraus[m]."""
-    spectra = []
-    for ops in component["xi_kraus"]:
-        pairs = np.array(ops, dtype=float).reshape(len(ops), -1, 2)
-        s = np.linalg.svd(pairs[..., 0] + 1j * pairs[..., 1],
-                          compute_uv=False)
-        spectra.append(sorted(s.tolist()))
-    return spectra
+    return [sorted(np.linalg.svd(_complex(ops).reshape(len(ops), -1),
+                                 compute_uv=False).tolist())
+            for ops in component["xi_kraus"]]
+
+
+def _spectrum(matrix) -> list:
+    """The ascending eigenvalues of a Hermitian matrix."""
+    return np.linalg.eigvalsh(_complex(matrix)).tolist()
 
 
 def _component_fields(a, b) -> dict:
@@ -143,21 +156,30 @@ def _component_fields(a, b) -> dict:
                                           _phase_free(fb["eigenvalues"])),
         "fixed_blocks.central_projections": _set_diff(
             fa["central_projections"], fb["central_projections"], _diff),
+        "fixed_blocks.sigma_spectrum": _diff(_spectrum(fa["sigma"]),
+                                             _spectrum(fb["sigma"])),
+        "fixed_blocks.invariant_state_parameters.left_state_dims": _diff(
+            sorted(fa["invariant_state_parameters"]["left_state_dims"]),
+            sorted(fb["invariant_state_parameters"]["left_state_dims"])),
+        "block_state_spectra": _set_diff(
+            [_spectrum(r) for r in a["block_states"]],
+            [_spectrum(r) for r in b["block_states"]], _diff),
         "xi_choi_spectrum": _set_diff(_xi_choi_spectra(a),
                                       _xi_choi_spectra(b), _diff),
     }
 
 
 def _component_rows(a, b):
-    """Yield (field, difference) over the matched components of two
+    """Yield (field, difference, limit) over the matched components of two
     reports."""
     if not (isinstance(a, list) and isinstance(b, list)) or len(a) != len(b):
-        yield "components", _diff(a, b)
+        yield "components", _diff(a, b), COMPONENT_LIMIT
         return
     for x, y in _match(a, b,
                        lambda x, y: max(_component_fields(x, y).values())):
         for field, difference in _component_fields(x, y).items():
-            yield f"components.{field}", difference
+            limit = EXACT if field in COMPONENT_EXACT else COMPONENT_LIMIT
+            yield f"components.{field}", difference, limit
 
 
 def _ledger(entries):
@@ -211,9 +233,7 @@ def compare_case(parent: dict | None, change: dict | None):
                 yield f"{field}.{key}", _diff(a[key], b[key]), limit
         else:
             yield field, _diff(a, b), limit
-    for field, difference in _component_rows(parent["components"],
-                                             change["components"]):
-        yield field, difference, COMPONENT_LIMIT
+    yield from _component_rows(parent["components"], change["components"])
 
 
 def _load(directory: Path, stem: str):
@@ -264,7 +284,7 @@ def main(argv=None) -> int:
         bad = difference > limit
         failed |= bad
         where = f"; {stem}" if difference > 0 else ""
-        print(f"{'FAIL' if bad else 'ok  '} {field:44s} {difference:.3g} "
+        print(f"{'FAIL' if bad else 'ok  '} {field:66s} {difference:.3g} "
               f"(limit {limit:g}{where})")
     print(f"{len(changed)} cases with a different exit code or pass flag")
     for stem, changes in changed:
