@@ -8,7 +8,7 @@ MFNC decompositions, component channels and decoherence spectral gap.
 
 from chanstruct.numerics import Tolerances, MatrixSubspace
 from chanstruct.channel import ChannelSpec, from_kraus
-from chanstruct.algebra import OperatorAlgebra, commutant, generated_algebra
+from chanstruct.algebra import commutant, generated_algebra
 from chanstruct.oqrw import OqrwSpec, build as build_oqrw, to_channel
 
 __all__ = [
@@ -16,7 +16,6 @@ __all__ = [
     "MatrixSubspace",
     "ChannelSpec",
     "from_kraus",
-    "OperatorAlgebra",
     "commutant",
     "generated_algebra",
     "OqrwSpec",

@@ -2,7 +2,9 @@
 
 Commutants, generated algebras, centers, atomic factor decompositions
 (block form P_j H ~ H_L (x) H_R), and the block states that an
-expectation onto such an algebra leaves on the right factors.
+expectation onto such an algebra leaves on the right factors.  An
+algebra is a :class:`MatrixSubspace` that is closed under adjoints and
+products; :func:`atomic_structure` checks the closure.
 """
 
 from __future__ import annotations
@@ -25,31 +27,12 @@ from chanstruct.numerics import (
 )
 
 
-class NotAlgebra(ValueError):
+class NotAlgebra(RuntimeError):
     """Subspace fails closure under products at tolerance."""
 
 
 class DegenerateRandomElement(RuntimeError):
     """Random spectral separation failed after the allowed redraws."""
-
-
-@dataclass(frozen=True)
-class OperatorAlgebra:
-    """A *-closed unital subalgebra, stored as an HS-orthonormal basis."""
-
-    subspace: MatrixSubspace
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.subspace.ambient_dim
-
-    @property
-    def dim(self) -> int:
-        return self.subspace.dim
-
-    @property
-    def basis(self):
-        return self.subspace.basis
 
 
 def restrict_to_commutant(sub: MatrixSubspace, ops,
@@ -73,7 +56,7 @@ def commutator_gram(gens, dim: int):
     return G, lambda B: B[:, None] @ W - W @ B[:, None]
 
 
-def commutant(gens, dim=None, tol: Tolerances = DEFAULT_TOL) -> OperatorAlgebra:
+def commutant(gens, dim=None, tol: Tolerances = DEFAULT_TOL) -> MatrixSubspace:
     """{A : AS = SA, AS* = S*A for all generators S}; a unital *-algebra:
     the Gram kernel of :func:`commutator_gram`."""
     gens = [np.asarray(g, dtype=complex) for g in gens]
@@ -84,11 +67,11 @@ def commutant(gens, dim=None, tol: Tolerances = DEFAULT_TOL) -> OperatorAlgebra:
     for g in gens:
         if g.shape != (dim, dim):
             raise DimensionMismatch(f"generator shape {g.shape} != {(dim, dim)}")
-    return OperatorAlgebra(gram_kernel(*commutator_gram(gens, dim), tol))
+    return gram_kernel(*commutator_gram(gens, dim), tol)
 
 
 def generated_algebra(gens, dim=None,
-                      tol: Tolerances = DEFAULT_TOL) -> OperatorAlgebra:
+                      tol: Tolerances = DEFAULT_TOL) -> MatrixSubspace:
     """Smallest unital *-algebra containing the generators.
 
     Closes under products until the dimension stabilizes (word length
@@ -106,13 +89,13 @@ def generated_algebra(gens, dim=None,
         stable, basis = len(new) == len(basis), new
         if stable:
             break
-    return OperatorAlgebra(MatrixSubspace(dim, basis))
+    return MatrixSubspace(dim, basis)
 
 
-def center(alg: OperatorAlgebra, tol: Tolerances = DEFAULT_TOL) -> OperatorAlgebra:
+def center(alg: MatrixSubspace,
+           tol: Tolerances = DEFAULT_TOL) -> MatrixSubspace:
     """alg intersected with its commutant (always abelian)."""
-    sub = restrict_to_commutant(alg.subspace, list(alg.basis), tol=tol)
-    return OperatorAlgebra(sub)
+    return restrict_to_commutant(alg, alg.basis, tol=tol)
 
 
 @dataclass(frozen=True)
@@ -168,7 +151,7 @@ MAX_DRAWS = 50
 separating the central or the block spectrum."""
 
 
-def atomic_structure(alg: OperatorAlgebra, tol: Tolerances = DEFAULT_TOL,
+def atomic_structure(alg: MatrixSubspace, tol: Tolerances = DEFAULT_TOL,
                      seed: int = 0) -> AlgebraStructure:
     """Minimal central projections and block factorizations of ``alg``.
 
@@ -178,7 +161,7 @@ def atomic_structure(alg: OperatorAlgebra, tol: Tolerances = DEFAULT_TOL,
     built from a random Hermitian block element give the unitary U_j.
     """
     D = alg.ambient_dim
-    defect = max(alg.subspace.closure_defects())
+    defect = max(alg.closure_defects())
     if defect > 100 * tol.eq_tol:
         raise NotAlgebra(f"closure defect {defect:.3e}")
     rng = np.random.default_rng(seed)

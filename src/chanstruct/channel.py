@@ -40,7 +40,6 @@ class ChannelSpec:
     dim: int
     kraus: np.ndarray
     label: str = ""
-    tol: Tolerances = DEFAULT_TOL
 
     @property
     def unitality_defect(self) -> float:
@@ -72,7 +71,7 @@ class ChannelSpec:
         P = (Vm.T @ Vm.conj()).reshape((D,) * 4)
         return P.transpose(1, 3, 0, 2).reshape(D * D, D * D)
 
-    def minimal_kraus(self) -> "ChannelSpec":
+    def minimal_kraus(self, tol: Tolerances = DEFAULT_TOL) -> "ChannelSpec":
         """Equivalent channel whose Kraus count is the Choi rank: with the
         SVD Vm = U diag(s) Wh, C = A A* has the eigenpairs (s^2, Wh*), so
         the operators are s_i Wh[i] (ascending in s), pairwise
@@ -81,10 +80,9 @@ class ChannelSpec:
         _, s, wh = np.linalg.svd(self.kraus.reshape(-1, D * D),
                                  full_matrices=False)
         w, cnorm = s[::-1] ** 2, s[0] ** 2
-        keep = w > self.tol.rank_tol * max(cnorm, 1e-300)
+        keep = w > tol.rank_tol * max(cnorm, 1e-300)
         ops = (s[::-1, None] * wh[::-1])[keep].reshape(-1, D, D)
-        return ChannelSpec(self.dim, ops, label=self.label + " (minimal)",
-                           tol=self.tol)
+        return ChannelSpec(self.dim, ops, label=self.label + " (minimal)")
 
 
 def from_kraus(matrices, tol: Tolerances = DEFAULT_TOL,
@@ -99,7 +97,7 @@ def from_kraus(matrices, tol: Tolerances = DEFAULT_TOL,
             raise DimensionMismatch(f"Kraus shapes differ: {M.shape} vs {(D, D)}")
         if not np.all(np.isfinite(M)):
             raise ValueError("Kraus operator has non-finite entries")
-    c = ChannelSpec(D, np.stack(mats), label=label, tol=tol)
+    c = ChannelSpec(D, np.stack(mats), label=label)
     defect = c.unitality_defect
     if defect > tol.eq_tol:
         raise NotUnital(f"sum V*V deviates from I by {defect:.3e}")

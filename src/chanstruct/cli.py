@@ -33,7 +33,6 @@ from chanstruct.channel import (
     matrix_to_json,
 )
 from chanstruct.cycles import (
-    component_decompose,
     fixed_multiblock,
     mfnc_decompose,
     structured_kraus,
@@ -286,9 +285,8 @@ def build_ledger(analysis: Analysis) -> list:
     if inv.faithful:
         p, s = analysis.peripheral, analysis.spectrum
         add("dfa-equals-peripheral-span",
-            subspace_distance(N.subspace, p.reversible), 1e-6)
-        kraus_commutant = fixed_points_commutant(c, inv, analysis.M,
-                                                 tol).subspace
+            subspace_distance(N, s.reversible), 1e-6)
+        kraus_commutant = fixed_points_commutant(c, inv, analysis.M, tol)
         add("fixed-points-kraus-commutant",
             subspace_distance(kraus_commutant, F.subspace), 1e-6)
         for item in _expectation_checks("e-n", s.e_n_factors, c):
@@ -307,19 +305,19 @@ def build_ledger(analysis: Analysis) -> list:
             _distance_to_rho_projection(s.e_f_factors, l2, kraus_commutant),
             1e-6)
         add("e-n-vs-rho",
-            _distance_to_rho_projection(s.e_n_factors, l2, N.subspace), 1e-6)
+            _distance_to_rho_projection(s.e_n_factors, l2, N), 1e-6)
         add("l2-contraction", max(0.0, l2.map_norm(c.transfer) - 1.0), 1e-8)
         iso_res = max((abs(l2.norm(c.apply(b)) - l2.norm(b))
-                       for b in N.subspace.basis), default=0.0)
+                       for b in N.basis), default=0.0)
         add("l2-isometry-on-dfa", iso_res, 1e-8)
 
     if w is not None:
         m_block = oqrw_multiplicative_domain(w, tol=tol)
         add("oqrw-mult-domain-oracle",
-            subspace_distance(m_block.subspace, analysis.M.subspace), 1e-7)
+            subspace_distance(m_block, analysis.M), 1e-7)
         rep = oqrw_dfa(w, n_max=analysis.max_power, tol=tol)
         add("oqrw-dfa-oracle",
-            subspace_distance(rep.algebra.subspace, N.subspace), 1e-7)
+            subspace_distance(rep.algebra, N), 1e-7)
         if inv.faithful:
             add("oqrw-dfa-block-diagonal", rep.off_diagonal.dim, 0)
     return entries
@@ -330,19 +328,18 @@ def build_ledger(analysis: Analysis) -> list:
 # ---------------------------------------------------------------------------
 
 def _component_summary(comp, tol):
-    cd = component_decompose(comp, tol=tol)
-    _, recon = structured_kraus(cd, tol=tol)
-    fb = fixed_multiblock(cd, comp.fixed_points, tol=tol)
+    _, recon = structured_kraus(comp, tol=tol)
+    fb = fixed_multiblock(comp, tol=tol)
     return {
         "projection": matrix_to_json(comp.projection),
-        "period": cd.period,
+        "period": comp.period,
         "cyclic_projections": [matrix_to_json(Q)
-                               for Q in cd.cycle.projections],
-        "left_dim": cd.left_dim,
-        "right_dims": list(cd.right_dims),
+                               for Q in comp.cyclic_projections],
+        "left_dim": comp.left_dim,
+        "right_dims": list(comp.right_dims),
         "xi_kraus": [[matrix_to_json(L) for L in ops]
-                     for ops in cd.xi_kraus],
-        "block_states": [matrix_to_json(r) for r in cd.block_states],
+                     for ops in comp.xi_kraus],
+        "block_states": [matrix_to_json(r) for r in comp.block_states],
         "structured_kraus_residual": _num(recon),
         "fixed_blocks": {
             "count": fb.n_blocks,
@@ -382,7 +379,7 @@ def analyze(c: ChannelSpec, w: OqrwSpec | None, tol: Tolerances,
     M, N, F, inv = analysis.M, analysis.N, analysis.F, analysis.inv
     report["faithful"] = inv.faithful
     report["invariant_state"] = {
-        "space_dim": inv.basis.dim,
+        "space_dim": analysis.spectrum.invariant.dim,
         "min_eigenvalue": _num(inv.min_eigenvalue),
         "rho_max": matrix_to_json(inv.rho_max),
     }
@@ -413,7 +410,7 @@ def analyze(c: ChannelSpec, w: OqrwSpec | None, tol: Tolerances,
     report["components"] = [
         _component_summary(comp, tol)
         for comp in mfnc_decompose(c, F.as_algebra(), analysis.N_structure,
-                                   p, tol=tol)]
+                                   analysis.spectrum, tol=tol)]
 
     gap = decoherence_gap(c, analysis.spectrum, analysis.l2, tol=tol)
     report["gap"] = {

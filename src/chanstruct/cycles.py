@@ -1,11 +1,14 @@
 """Period and cyclic structure of channels.
 
 Minimal components as orbits of the channel on the minimal central
-projections of N, with their periods and cyclic projections, the tensor
-factorization of each component into a unitary shift part and a chain of
-reduced channels, read off the blocks of its Kraus operators, structured
-Kraus forms, and the fixed points as the commutant of the monodromy carried
-around the cycle (Carbone-Jencova, arXiv 1905.00857).
+projections of N (:func:`mfnc_decompose`).  Each orbit is handed over as
+one :class:`Component` record: its period and cyclic projections, and the
+tensor factorization into a unitary shift part and a chain of reduced
+channels, read off the blocks of its Kraus operators as the orbit is
+found.  :func:`structured_kraus` reassembles the Kraus operators from that
+record, and :func:`fixed_multiblock` reads the fixed points off it as the
+commutant of the monodromy carried around the cycle (Carbone-Jencova,
+arXiv 1905.00857).
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import scipy.linalg
 
 from chanstruct.algebra import (
     AlgebraStructure,
-    OperatorAlgebra,
     block_order,
     extract_block_states,
 )
@@ -56,49 +58,33 @@ class CenterMismatch(RuntimeError):
 
 
 @dataclass(frozen=True)
-class CycleReport:
-    """Cyclic resolution: projections Q_j with Phi(Q_j) = Q_{j-1}."""
+class Component:
+    """One minimal component, in the coordinates of the isometry W onto
+    the range of its projection Z_i, factored along its cycle.
 
-    period: int
-    projections: tuple
-
-
-@dataclass(frozen=True)
-class MfncComponent:
-    """One minimal component, with the channel and the blocks of N and F
-    compressed to it by the isometry W onto the range of Z_i."""
+    cyclic_projections are the blocks Q_m of N, numbered so that
+    Phi(Q_m) = Q_{m-1}; S_m = U_j W are partial isometries onto
+    K_m^L (x) K_m^R, T_m the shift unitaries K_m^L -> K_{m-1}^L,
+    xi_kraus[m] the Kraus operators L_{m,k} of the reduced channel Xi_m:
+    B(K_m^R) -> B(K_{m-1}^R), stacked as a (K, nR_m, nR_{m-1}) array with
+    the same K for every m, and block_states[m] the state of E_N on
+    K_m^R.
+    """
 
     projection: np.ndarray       # Z_i in the ambient space
     channel: ChannelSpec         # restriction of the channel, r-dimensional
-    cycle: CycleReport           # in component coordinates
-    blocks: AlgebraStructure     # N's blocks Q_m, in cyclic order, as U_j W
-    block_states: tuple          # states of E_N on those blocks
-    fixed_points: OperatorAlgebra    # F_i = span of W* b W for b in F
-
-
-@dataclass(frozen=True)
-class ComponentData:
-    """Tensor factorization of one component.
-
-    S_m are partial isometries onto K_m^L (x) K_m^R, T_m the shift
-    unitaries K_m^L -> K_{m-1}^L, xi_kraus[m] the Kraus operators L_{m,k}
-    of the reduced channel Xi_m: B(K_m^R) -> B(K_{m-1}^R), stacked as a
-    (K, nR_m, nR_{m-1}) array with the same K for every m, and rho[m] the
-    block state on K_m^R.
-    """
-
-    channel: ChannelSpec
-    cycle: CycleReport
+    cyclic_projections: tuple    # Q_m
     isometries: tuple            # S_m, each (nL*nR_m) x r
     left_dim: int
     right_dims: tuple
     shift_unitaries: tuple       # T_m
     xi_kraus: tuple              # per m: the stack of L_{m,k}
     block_states: tuple          # rho_m
+    fixed_points: MatrixSubspace     # F_i = span of W* b W for b in F
 
     @property
     def period(self) -> int:
-        return self.cycle.period
+        return len(self.cyclic_projections)
 
 
 @dataclass(frozen=True)
@@ -130,22 +116,21 @@ def _diag_sort_key(P: np.ndarray):
     return tuple(np.round(np.real(np.diag(P)), 6))
 
 
-def mfnc_decompose(c: ChannelSpec, F: OperatorAlgebra, st: AlgebraStructure,
-                   p, tol: Tolerances = DEFAULT_TOL) -> tuple:
+def mfnc_decompose(c: ChannelSpec, F: MatrixSubspace, st: AlgebraStructure,
+                   s, tol: Tolerances = DEFAULT_TOL) -> tuple:
     """Split the channel into its minimal components, returned as a tuple
-    of :class:`MfncComponent`.
+    of factored :class:`Component`.
 
     ``F`` is the fixed-point algebra, ``st`` the atomic structure of the
-    decoherence-free algebra N (:func:`algebra.atomic_structure`), ``p``
-    the peripheral data (:func:`structure.peripheral_subalgebra`), whose
-    expectation E_N gives the block states.  The channel has a faithful
-    invariant state, so F lies in N and Z(F) & Z(N) is the Phi-fixed part
-    of Z(N).  Phi permutes the minimal central projections of N, and the
-    minimal projections of Z(F) & Z(N) are the sums over its orbits.  Each
-    orbit is one component, its projections numbered by Phi(Q_m) =
-    Q_{m-1}.
+    decoherence-free algebra N (:func:`algebra.atomic_structure`), ``s``
+    the spectrum (:func:`structure.spectrum`), whose expectation E_N gives
+    the block states.  The channel has a faithful invariant state, so F
+    lies in N and Z(F) & Z(N) is the Phi-fixed part of Z(N).  Phi permutes
+    the minimal central projections of N, and the minimal projections of
+    Z(F) & Z(N) are the sums over its orbits.  Each orbit is one
+    component, its projections numbered by Phi(Q_m) = Q_{m-1}.
     """
-    states = extract_block_states(p.apply_expectation, st, tol=tol)
+    states = extract_block_states(s.apply_expectation, st, tol=tol)
     atoms = st.central_projections
     image = []
     for P in atoms:
@@ -178,48 +163,36 @@ def mfnc_decompose(c: ChannelSpec, F: OperatorAlgebra, st: AlgebraStructure,
         # Phi walks forward along the orbit and back along the numbering
         pos = [(anchor - m) % d for m in range(d)]
         order = [orbit[k] for k in pos]
-        Qs = tuple(local[k] for k in pos)
-        cycle = CycleReport(period=d, projections=Qs)
-        blocks = AlgebraStructure(
-            ambient_dim=W.shape[1], central_projections=Qs,
-            block_unitaries=tuple(st.block_unitaries[j] @ W for j in order),
-            left_dims=tuple(st.left_dims[j] for j in order),
-            right_dims=tuple(st.right_dims[j] for j in order))
-        F_i = OperatorAlgebra(MatrixSubspace.from_span(
-            dagger(W) @ F.basis @ W, dim=W.shape[1], tol=tol))
-        components.append(MfncComponent(
-            projection=Zi, channel=c_i, cycle=cycle,
-            blocks=blocks, block_states=tuple(states[j] for j in order),
-            fixed_points=F_i))
+        S = tuple(st.block_unitaries[j] @ W for j in order)
+        nLs = tuple(st.left_dims[j] for j in order)
+        nRs = tuple(st.right_dims[j] for j in order)
+        rho = tuple(states[j] for j in order)
+        if len(set(nLs)) != 1:
+            raise IsomorphismSolveFailed(
+                f"left factors have unequal dimensions {nLs}")
+        shifts, xi_kraus = _factor_kraus(c_i, S, nLs[0], nRs, rho, tol)
+        F_i = MatrixSubspace.from_span(dagger(W) @ F.basis @ W,
+                                       dim=W.shape[1], tol=tol)
+        components.append(Component(
+            projection=Zi, channel=c_i,
+            cyclic_projections=tuple(local[k] for k in pos), isometries=S,
+            left_dim=nLs[0], right_dims=nRs, shift_unitaries=shifts,
+            xi_kraus=xi_kraus, block_states=rho, fixed_points=F_i))
     components.sort(key=lambda comp: block_order(comp.projection))
     return tuple(components)
 
 
-# ---------------------------------------------------------------------------
-# Component factorization
-# ---------------------------------------------------------------------------
-
-def component_decompose(comp: MfncComponent,
-                        tol: Tolerances = DEFAULT_TOL) -> ComponentData:
-    """Factor one component into shift unitaries and reduced channels.
+def _factor_kraus(c_i: ChannelSpec, S, nL: int, nRs, rho,
+                  tol: Tolerances) -> tuple:
+    """Shift unitaries T_m and reduced Kraus stacks L_m of one component.
 
     Each Kraus operator of the component shifts the cyclic projections
     forward by one step, so it splits into blocks T_m* (x) L_{m,k}; the
     L blocks share the index k across m, which is what makes the
-    reassembled Kraus operators reproduce the channel exactly.  The blocks
-    S_m and the block states rho_m are the component's, in cyclic order.
+    reassembled Kraus operators reproduce the channel exactly.  The
+    reduced channels must carry the block state rho_{m-1} to rho_m.
     """
-    c_i = comp.channel
-    cycle = comp.cycle
-    d = cycle.period
-    S = comp.blocks.block_unitaries
-    nLs = comp.blocks.left_dims
-    nRs = comp.blocks.right_dims
-    if len(set(nLs)) != 1:
-        raise IsomorphismSolveFailed(
-            f"left factors have unequal dimensions {nLs}")
-    nL = nLs[0]
-    rho = comp.block_states
+    d = len(S)
     limit = 1e3 * tol.eq_tol
 
     # split every Kraus operator along the cycle, all the blocks
@@ -227,7 +200,7 @@ def component_decompose(comp: MfncComponent,
     # columns (k, r, s), T_m* (x) L_{m,k} is the rank-one
     # vec(T_m*) vec(L_m)^T, so T_m* is the polar factor of the top left
     # singular vector
-    canonical = c_i.minimal_kraus().kraus
+    canonical = c_i.minimal_kraus(tol).kraus
     shift_unitaries, xi_kraus = [], []
     recomposed = np.zeros_like(canonical)
     for m in range(d):
@@ -250,32 +223,28 @@ def component_decompose(comp: MfncComponent,
         raise IsomorphismSolveFailed(
             "a Kraus operator has blocks outside the one-step shift")
 
-    cd = ComponentData(channel=c_i, cycle=cycle, isometries=S,
-                       left_dim=nL, right_dims=nRs,
-                       shift_unitaries=tuple(shift_unitaries),
-                       xi_kraus=tuple(xi_kraus), block_states=rho)
     for m in range(d):
         prev = (m - 1) % d
-        push = sum(L @ rho[prev] @ dagger(L) for L in cd.xi_kraus[m])
-        if hs_norm(push - rho[m]) > 1e3 * tol.eq_tol:
+        push = sum(L @ rho[prev] @ dagger(L) for L in xi_kraus[m])
+        if hs_norm(push - rho[m]) > limit:
             raise IsomorphismSolveFailed(
                 f"reduced channel does not carry rho_{prev} to rho_{m}")
-    return cd
+    return tuple(shift_unitaries), tuple(xi_kraus)
 
 
-def structured_kraus(cd: ComponentData,
+def structured_kraus(comp: Component,
                      tol: Tolerances = DEFAULT_TOL) -> tuple:
     """Reassemble the component channel from its factorized data,
     V_k = sum_m S_m* (T_m* (x) L_{m,k}) S_{m-1}, all k of a step in one
     einsum; return it with its residual, the spectral norm of the transfer
     difference."""
-    nL, kraus = cd.left_dim, 0
-    for m, (L, T) in enumerate(zip(cd.xi_kraus, cd.shift_unitaries)):
+    nL, kraus = comp.left_dim, 0
+    for m, (L, T) in enumerate(zip(comp.xi_kraus, comp.shift_unitaries)):
         B = np.einsum("ba,kij->kaibj", T.conj(), L).reshape(
             len(L), nL * L.shape[1], nL * L.shape[2])
-        kraus = kraus + dagger(cd.isometries[m]) @ B @ cd.isometries[m - 1]
-    rebuilt = from_kraus(kraus, tol=tol, label=f"{cd.channel.label}|rebuilt")
-    err = blockwise_norm(rebuilt.transfer - cd.channel.transfer)
+        kraus = kraus + dagger(comp.isometries[m]) @ B @ comp.isometries[m - 1]
+    rebuilt = from_kraus(kraus, tol=tol, label=f"{comp.channel.label}|rebuilt")
+    err = blockwise_norm(rebuilt.transfer - comp.channel.transfer)
     if err > 1e3 * tol.eq_tol:
         raise ReconstructionMismatch(
             f"structured Kraus reconstruction error {err:.3e}")
@@ -286,7 +255,7 @@ def structured_kraus(cd: ComponentData,
 # Fixed points of a periodic component
 # ---------------------------------------------------------------------------
 
-def fixed_multiblock(cd: ComponentData, F: OperatorAlgebra,
+def fixed_multiblock(comp: Component,
                      tol: Tolerances = DEFAULT_TOL) -> FixedBlockData:
     """Fixed points of the component via the monodromy of the shifts.
 
@@ -295,13 +264,14 @@ def fixed_multiblock(cd: ComponentData, F: OperatorAlgebra,
     around the cycle: with B_j an orthonormal basis of its j-th eigenspace,
     F is the span of the matrix units
     sum_m S_m* (T~_m B_j e_pq B_j* T~_m* (x) I) S_m over all j, p, q, and
-    their sums over p = q are its minimal central projections.  F must
-    equal that span within 1e3 * eq_tol, or CenterMismatch is raised.
+    their sums over p = q are its minimal central projections.  The
+    component's fixed points must equal that span within 1e3 * eq_tol, or
+    CenterMismatch is raised.
     """
-    d = cd.period
-    T = cd.shift_unitaries
-    nL = cd.left_dim
-    r = cd.channel.dim
+    d = comp.period
+    T = comp.shift_unitaries
+    nL = comp.left_dim
+    r = comp.channel.dim
     tilde = [None] * d
     acc = T[0]
     tilde[d - 1] = T[0]
@@ -320,20 +290,20 @@ def fixed_multiblock(cd: ComponentData, F: OperatorAlgebra,
         # X[p, q] = sum_m,s H_m[p, s]* H_m[q, s]
         X = 0
         for m in range(d):
-            H = np.einsum("ip,isy->psy", (tilde[m] @ Bj).conj(),
-                          cd.isometries[m].reshape(nL, cd.right_dims[m], r))
+            S3 = comp.isometries[m].reshape(nL, comp.right_dims[m], r)
+            H = np.einsum("ip,isy->psy", (tilde[m] @ Bj).conj(), S3)
             X = X + np.einsum("psx,qsy->pqxy", H.conj(), H)
         central.append(round_projector(np.einsum("ppxy->xy", X), tol=tol))
         units.append(X.reshape(-1, r, r))
     carried = MatrixSubspace.from_span(np.concatenate(units), dim=r, tol=tol)
-    distance = subspace_distance(carried, F.subspace)
+    distance = subspace_distance(carried, comp.fixed_points)
     if distance > 1e3 * tol.eq_tol:
         raise CenterMismatch(
             f"the monodromy commutant carried around the cycle is "
             f"{distance:.3e} from the fixed points")
 
-    return FixedBlockData(left_bases=tuple(left_bases),
-                          eigenvalues=tuple(eigenvalues),
-                          central_projections=tuple(central),
-                          sigma=scipy.linalg.block_diag(*cd.block_states) / d,
-                          right_total=sum(cd.right_dims))
+    return FixedBlockData(
+        left_bases=tuple(left_bases), eigenvalues=tuple(eigenvalues),
+        central_projections=tuple(central),
+        sigma=scipy.linalg.block_diag(*comp.block_states) / d,
+        right_total=sum(comp.right_dims))

@@ -52,7 +52,7 @@ class DimensionMismatch(ValueError):
     """Operands have incompatible dimensions."""
 
 
-class NotNearProjection(ValueError):
+class NotNearProjection(RuntimeError):
     """Matrix handed to round_projector is not close to a projection."""
 
 
@@ -64,16 +64,14 @@ class Tolerances:
     rank_tol: relative singular-value cutoff for rank/kernel decisions.
     peripheral_band: eigenvalues with ``|lam| > 1 - peripheral_band``
         count as peripheral.
-    projector_round: eigenvalues >= this round to 1 in round_projector.
     """
 
     eq_tol: float = 1e-8
     rank_tol: float = 1e-9
     peripheral_band: float = 1e-7
-    projector_round: float = 0.5
 
     def __post_init__(self):
-        for name in ("eq_tol", "rank_tol", "peripheral_band", "projector_round"):
+        for name in ("eq_tol", "rank_tol", "peripheral_band"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, not {value}")
@@ -318,8 +316,8 @@ def gram_kernel(G: np.ndarray, constraint,
 def round_projector(P: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Snap a near-projection to an exact orthogonal projection.
 
-    Eigenvalues must lie within 10*eq_tol of {0, 1}; those at least
-    ``projector_round`` map to 1, the rest to 0, keeping eigenvectors.
+    Eigenvalues must lie within 10*eq_tol of {0, 1}; those at least 0.5
+    map to 1, the rest to 0, keeping eigenvectors.
     """
     P = np.asarray(P, dtype=complex)
     nrm = spectral_norm(P)
@@ -334,7 +332,7 @@ def round_projector(P: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     bad = [x for x in w if not (abs(x) <= slack or abs(x - 1) <= slack)]
     if bad:
         raise NotNearProjection(f"eigenvalue(s) {bad} not near {{0,1}}")
-    rounded = (w >= tol.projector_round).astype(float)
+    rounded = (w >= 0.5).astype(float)
     return (V * rounded) @ dagger(V)
 
 

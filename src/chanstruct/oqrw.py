@@ -11,12 +11,12 @@ algebra which serve as independent oracles.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from chanstruct.algebra import OperatorAlgebra
 from chanstruct.channel import (
     ChannelSpec,
     from_kraus,
@@ -82,7 +82,12 @@ class OqrwSpec:
 def build(vertices, local_dims, transitions,
           tol: Tolerances = DEFAULT_TOL, label: str = "") -> OqrwSpec:
     """Validate vertex data and transition operators into an OqrwSpec."""
-    vertices = tuple(vertices)
+    vertices, local_dims = tuple(vertices), tuple(local_dims)
+    if len(set(vertices)) != len(vertices):
+        raise DimensionMismatch(f"repeated vertex labels in {list(vertices)}")
+    if not all(isinstance(d, numbers.Integral) and d > 0 for d in local_dims):
+        raise DimensionMismatch(
+            f"local dimensions {list(local_dims)} are not positive integers")
     local_dims = tuple(int(d) for d in local_dims)
     if len(local_dims) != len(vertices):
         raise DimensionMismatch("one local dimension per vertex required")
@@ -196,12 +201,12 @@ def _off_diagonal(w: OqrwSpec, tol) -> MatrixSubspace:
 
 
 def _algebra(diagonal: MatrixSubspace, off_diagonal: MatrixSubspace):
-    return OperatorAlgebra(MatrixSubspace(diagonal.ambient_dim, np.concatenate(
-        [diagonal.basis, off_diagonal.basis])))
+    return MatrixSubspace(diagonal.ambient_dim, np.concatenate(
+        [diagonal.basis, off_diagonal.basis]))
 
 
-def oqrw_multiplicative_domain(w: OqrwSpec,
-                               tol: Tolerances = DEFAULT_TOL) -> OperatorAlgebra:
+def oqrw_multiplicative_domain(
+        w: OqrwSpec, tol: Tolerances = DEFAULT_TOL) -> MatrixSubspace:
     """M from the one-step block conditions: A_ii L_ij L_kj* = L_ij L_kj* A_kk
     for edges (i, j), (k, j), and A_li L_ij = 0 = L_ij* A_il for l != i.
     No condition couples an off-diagonal block to any other block, so M is
@@ -217,7 +222,7 @@ class OqrwDfaReport:
     """Path-condition decoherence-free algebra with its off-diagonal
     part."""
 
-    algebra: OperatorAlgebra
+    algebra: MatrixSubspace
     off_diagonal: MatrixSubspace
 
 

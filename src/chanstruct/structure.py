@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from chanstruct import algebra as alg_mod
-from chanstruct.algebra import OperatorAlgebra
 from chanstruct.channel import ChannelSpec
 from chanstruct.numerics import (
     DEFAULT_TOL,
@@ -55,9 +54,9 @@ class NoInvariantState(RuntimeError):
 class Spectrum:
     """What the stages read off the sorted Schur form T = Z A Z* (see
     :func:`spectrum`): the peripheral block A_11 and its Schur vectors Z_1,
-    the number and largest modulus of the other eigenvalues, E_N and E_F as
-    factor pairs (X, Y) with E = X Y* of rank at most dim N, F = range(E_F)
-    and range(E_F*)."""
+    whose span is the reversible part, the number and largest modulus of
+    the other eigenvalues, E_N and E_F as factor pairs (X, Y) with
+    E = X Y* of rank at most dim N, F = range(E_F) and range(E_F*)."""
 
     a11: np.ndarray
     z1: np.ndarray
@@ -71,6 +70,21 @@ class Spectrum:
     @property
     def peripheral(self) -> int:
         return len(self.a11)
+
+    @property
+    def dim(self) -> int:
+        return math.isqrt(len(self.z1))
+
+    @property
+    def reversible(self) -> MatrixSubspace:
+        """The span of the peripheral eigenmatrices, range(E_N)."""
+        return MatrixSubspace.from_columns(self.z1, self.dim)
+
+    def apply_expectation(self, X: np.ndarray) -> np.ndarray:
+        """E_N(X), of one matrix or of each in a stack."""
+        Xf, Yf = self.e_n_factors
+        v = vec(np.asarray(X, dtype=complex))
+        return unvec((v @ Yf.conj()) @ Xf.T, self.dim)
 
 
 @dataclass(frozen=True)
@@ -87,18 +101,16 @@ class FixedPointSpace:
     def dim(self) -> int:
         return self.subspace.dim
 
-    def as_algebra(self) -> OperatorAlgebra:
+    def as_algebra(self) -> MatrixSubspace:
         if not self.is_algebra:
             raise alg_mod.NotAlgebra("fixed-point space is not product-closed")
-        return OperatorAlgebra(self.subspace)
+        return self.subspace
 
 
 @dataclass(frozen=True)
 class InvariantStateReport:
-    """Eigenvalue-1 space of the preadjoint and a maximal-support fixed
-    density built from it."""
+    """A maximal-support fixed density of the preadjoint."""
 
-    basis: MatrixSubspace
     rho_max: np.ndarray
     faithful: bool
     min_eigenvalue: float
@@ -106,24 +118,11 @@ class InvariantStateReport:
 
 @dataclass(frozen=True)
 class PeripheralData:
-    """Peripheral eigenvalues and the expectation onto N, as the factors
-    (X, Y) of E_N = X Y* (:attr:`Spectrum.e_n_factors`), with its
-    commutation defect ||E_N T - T E_N||."""
+    """Peripheral eigenvalues and the commutation defect ||E_N T - T E_N||
+    of the expectation onto N."""
 
     eigenvalues: tuple
-    e_n_factors: tuple
-    reversible: MatrixSubspace
     commutation_defect: float
-
-    @property
-    def dim(self) -> int:
-        return self.reversible.ambient_dim
-
-    def apply_expectation(self, X: np.ndarray) -> np.ndarray:
-        """E_N(X), of one matrix or of each in a stack."""
-        Xf, Yf = self.e_n_factors
-        v = vec(np.asarray(X, dtype=complex))
-        return unvec((v @ Yf.conj()) @ Xf.T, self.dim)
 
 
 @dataclass(frozen=True)
@@ -250,22 +249,22 @@ def invariant_states(c: ChannelSpec, s: Spectrum,
     if resid > 100 * tol.eq_tol:
         raise NoInvariantState(f"candidate not invariant, residual {resid:.3e}")
     min_eig = float(np.linalg.eigvalsh(rho).min())
-    return InvariantStateReport(basis=s.invariant, rho_max=rho,
+    return InvariantStateReport(rho_max=rho,
                                 faithful=min_eig > 10 * tol.rank_tol,
                                 min_eigenvalue=min_eig)
 
 
 def fixed_points_commutant(c: ChannelSpec, inv: InvariantStateReport,
-                           M: OperatorAlgebra,
-                           tol: Tolerances = DEFAULT_TOL) -> OperatorAlgebra:
+                           M: MatrixSubspace,
+                           tol: Tolerances = DEFAULT_TOL) -> MatrixSubspace:
     """F as the commutant {V_k, V_k*}' of the Kraus operators (faithful
     case only): what commutes with each V_k and V_k* commutes with each
     V_j V_k*, so it is M = {V_j V_k*}' restricted by [V; V*]."""
     if not inv.faithful:
         raise NoFaithfulInvariantState(
             "commutant formula for F needs a faithful invariant state")
-    return OperatorAlgebra(alg_mod.restrict_to_commutant(
-        M.subspace, np.concatenate([c.kraus, dagger(c.kraus)]), tol))
+    return alg_mod.restrict_to_commutant(
+        M, np.concatenate([c.kraus, dagger(c.kraus)]), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +272,7 @@ def fixed_points_commutant(c: ChannelSpec, inv: InvariantStateReport,
 # ---------------------------------------------------------------------------
 
 def multiplicative_domain(c: ChannelSpec,
-                          tol: Tolerances = DEFAULT_TOL) -> OperatorAlgebra:
+                          tol: Tolerances = DEFAULT_TOL) -> MatrixSubspace:
     """M = {A : Phi(A* A) = Phi(A)* Phi(A), Phi(A A*) = Phi(A) Phi(A)*}: by
     Choi's theorem the commutant {V_j V_k*}' (the pairs j <= k; their
     adjoints are the rest), re-verified on the definitional test."""
@@ -291,7 +290,7 @@ def multiplicative_domain(c: ChannelSpec,
 
 def dfa(c: ChannelSpec, tol: Tolerances = DEFAULT_TOL,
         n_max: int | None = None,
-        M: OperatorAlgebra | None = None) -> OperatorAlgebra:
+        M: MatrixSubspace | None = None) -> MatrixSubspace:
     """N = intersection of the multiplicative domains of all powers.
 
     For A in M(Phi), Kadison-Schwarz gives Phi^2(A* A) = Phi(Phi(A)* Phi(A))
@@ -303,7 +302,7 @@ def dfa(c: ChannelSpec, tol: Tolerances = DEFAULT_TOL,
     or is <= 1, and raises NoStabilization past power ``n_max`` (D^2).
     """
     cap = n_max if n_max is not None else c.dim ** 2
-    current = (M if M is not None else multiplicative_domain(c, tol)).subspace
+    current = M if M is not None else multiplicative_domain(c, tol)
     power = 1
     while current.dim > 1:
         if power == cap:
@@ -314,7 +313,7 @@ def dfa(c: ChannelSpec, tol: Tolerances = DEFAULT_TOL,
             [lambda B, S=current: (X := c.apply(B)) - S.project(X)], tol)
         if current.dim == prev:
             break
-    return OperatorAlgebra(current)
+    return current
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +325,7 @@ def peripheral_subalgebra(c: ChannelSpec, inv: InvariantStateReport,
                           tol: Tolerances = DEFAULT_TOL) -> PeripheralData:
     """Peripheral eigenvalues, read off the Schur block A_11, with each
     eigenmatrix (Z_1 times an eigenvector of A_11) checked against T, and
-    E_N onto N."""
+    the commutation of E_N with T."""
     if not inv.faithful:
         raise NoFaithfulInvariantState(
             "peripheral splitting needs a faithful invariant state")
@@ -347,8 +346,6 @@ def peripheral_subalgebra(c: ChannelSpec, inv: InvariantStateReport,
         raise PeripheralJordanBlock(
             f"expectation fails to commute with the channel: {comm_defect:.3e}")
     return PeripheralData(eigenvalues=tuple(w),
-                          e_n_factors=s.e_n_factors,
-                          reversible=MatrixSubspace.from_columns(s.z1, c.dim),
                           commutation_defect=comm_defect)
 
 

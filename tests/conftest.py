@@ -8,7 +8,6 @@ import scipy.linalg
 
 from chanstruct.algebra import (
     AlgebraStructure,
-    OperatorAlgebra,
     atomic_structure,
     commutant,
     extract_block_states,
@@ -42,8 +41,8 @@ Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-def full_algebra(dim: int) -> OperatorAlgebra:
-    return OperatorAlgebra(MatrixSubspace(dim, np.eye(dim * dim)))
+def full_algebra(dim: int) -> MatrixSubspace:
+    return MatrixSubspace(dim, np.eye(dim * dim))
 
 
 def dense(factors):
@@ -136,8 +135,7 @@ def svd_route_commutant(gens, dim, tol=DEFAULT_TOL):
     commutators with an orthonormal basis of the span of the generators
     and their adjoints, decided by one SVD."""
     ops = span_basis(list(gens) + [dagger(g) for g in gens], tol)
-    return OperatorAlgebra(restrict_to_commutant(full_algebra(dim).subspace,
-                                                 ops, tol=tol))
+    return restrict_to_commutant(full_algebra(dim), ops, tol=tol)
 
 
 def word_route_multiplicative_domain(c, tol=DEFAULT_TOL):
@@ -152,14 +150,14 @@ def word_route_dfa(c, tol=DEFAULT_TOL, n_max=None):
     falls to 1, at most n_max (default D^2) steps."""
     D = c.dim
     cap = n_max if n_max is not None else D * D
-    current = full_algebra(D).subspace
+    current = full_algebra(D)
     words = span_basis(c.kraus, tol)
     prev_dim = None
     for n in range(1, cap + 1):
         gens = span_basis([b @ dagger(w) for b in words for w in words], tol)
         current = restrict_to_commutant(current, gens, tol=tol)
         if current.dim == prev_dim or current.dim <= 1:
-            return OperatorAlgebra(current)
+            return current
         prev_dim = current.dim
         words = span_basis([V @ B for V in c.kraus for B in words], tol)
     raise NoStabilization(f"word chain still at dim {current.dim} after "
@@ -207,8 +205,8 @@ def full_route_oqrw_multiplicative_domain(w, tol=DEFAULT_TOL):
     """Oracle for the walk's M: every D x D matrix unit restricted by all
     one-step block conditions in one kernel."""
     spans = {key: [L] for key, L in w.transitions.items()}
-    return OperatorAlgebra(full_algebra(w.total_dim).subspace.restrict(
-        _full_route_conditions(w, spans), tol))
+    return full_algebra(w.total_dim).restrict(
+        _full_route_conditions(w, spans), tol)
 
 
 def block_units(w):
@@ -238,7 +236,7 @@ def full_route_oqrw_dfa(w, n_max=None, tol=DEFAULT_TOL):
     D = w.total_dim
     cap = n_max if n_max is not None else D * D
     spans = {key: span_basis([L], tol) for key, L in w.transitions.items()}
-    sub = full_algebra(D).subspace
+    sub = full_algebra(D)
     prev_dim = None
     for _ in range(cap):
         sub = sub.restrict(_full_route_conditions(w, spans), tol)
@@ -260,7 +258,7 @@ def full_route_oqrw_dfa(w, n_max=None, tol=DEFAULT_TOL):
                                          tol=1e3 * tol.rank_tol)
         dead.append(w.local_dims[i] - rank)
     return FullRouteDfa(
-        algebra=OperatorAlgebra(sub),
+        algebra=sub,
         diagonal=subspace_intersection(sub, diag_space, tol=tol),
         off_diagonal=subspace_intersection(sub, offd_space, tol=tol),
         dead_corners=tuple(dead),
@@ -284,7 +282,7 @@ class ConditionalExpectation:
     """
 
     transfer: np.ndarray
-    range_algebra: OperatorAlgebra
+    range_algebra: MatrixSubspace
     structure: AlgebraStructure
     block_states: tuple
 
@@ -342,13 +340,14 @@ def expectation_onto(alg, states, tol=DEFAULT_TOL, seed=0, structure=None):
                                   block_states=tuple(states))
 
 
-def expectation_onto_dfa(c, p, tol=DEFAULT_TOL, seed=0):
-    """The peripheral spectral projection packaged as a conditional
-    expectation with atomic-structure data for its range N."""
-    N = OperatorAlgebra(p.reversible)
+def expectation_onto_dfa(c, s, tol=DEFAULT_TOL, seed=0):
+    """The peripheral spectral projection of the spectrum ``s`` packaged as
+    a conditional expectation with atomic-structure data for its range
+    N."""
+    N = s.reversible
     structure = atomic_structure(N, tol=tol, seed=seed)
-    states = extract_block_states(p.apply_expectation, structure, tol=tol)
-    return ConditionalExpectation(transfer=transfer_of(p.apply_expectation,
+    states = extract_block_states(s.apply_expectation, structure, tol=tol)
+    return ConditionalExpectation(transfer=transfer_of(s.apply_expectation,
                                                        c.dim),
                                   range_algebra=N,
                                   structure=structure, block_states=states)
@@ -496,7 +495,7 @@ def verify_power_fixed_points(c, report, m_max, tol=DEFAULT_TOL):
                                        matches_gcd_rule=(dim_f == 1) == coprime))
     N = dfa(c, tol=tol)
     Fd = spectrum(np.linalg.matrix_power(c.transfer, d), tol).fixed
-    dist = subspace_distance(Fd, N.subspace)
+    dist = subspace_distance(Fd, N)
     irreducible_flags, aperiodic_flags = [], []
     for Q in report.projections:
         sq = spectrum(restricted_power_transfer(c, Q, d, tol), tol)
@@ -509,23 +508,23 @@ def verify_power_fixed_points(c, report, m_max, tol=DEFAULT_TOL):
                                 restrictions_aperiodic=tuple(aperiodic_flags))
 
 
-def xi_transfer(cd, m):
+def xi_transfer(comp, m):
     """Transfer matrix of the reduced channel Xi_m of a
-    ``cycles.ComponentData``, a map B(K_m^R) -> B(K_{m-1}^R)."""
+    ``cycles.Component``, a map B(K_m^R) -> B(K_{m-1}^R)."""
     return transfer_of(
-        lambda E: sum(dagger(L) @ E @ L for L in cd.xi_kraus[m]),
-        cd.right_dims[m])
+        lambda E: sum(dagger(L) @ E @ L for L in comp.xi_kraus[m]),
+        comp.right_dims[m])
 
 
-def cycle_composition(cd, m=0):
+def cycle_composition(comp, m=0):
     """Transfer of the d-fold composition of the reduced channels that
     returns to B(K_m^R)."""
-    d = cd.period
-    n = cd.right_dims[m]
+    d = comp.period
+    n = comp.right_dims[m]
     out = np.eye(n * n, dtype=complex)
     idx = m
     for _ in range(d):
-        out = xi_transfer(cd, idx) @ out
+        out = xi_transfer(comp, idx) @ out
         idx = (idx - 1) % d
     return out
 
@@ -554,14 +553,13 @@ def _solve_conjugation_unitary(G, nL, tol):
 
 
 def probe_shift_unitaries(comp, tol=DEFAULT_TOL):
-    """Oracle for the shift unitaries T_m of ``cycles.component_decompose``:
+    """Oracle for the shift unitaries T_m of ``cycles.mfnc_decompose``:
     the left action of the channel, probed on the stack of the nL^2 units
     S_m* (E_ab (x) I) S_m (order a * nL + b), must be E_ab -> T_m E_ab T_m*
     (x) I, and T_m is solved from it as a conjugation."""
     c_i = comp.channel
-    S = comp.blocks.block_unitaries
-    nL, nRs = comp.blocks.left_dims[0], comp.blocks.right_dims
-    r, d, limit = c_i.dim, comp.cycle.period, 1e3 * tol.eq_tol
+    S, nL, nRs = comp.isometries, comp.left_dim, comp.right_dims
+    r, d, limit = c_i.dim, comp.period, 1e3 * tol.eq_tol
     shift_unitaries = []
     for m in range(d):
         prev = (m - 1) % d
@@ -583,8 +581,8 @@ FixedBlockOracles = namedtuple(
     "FixedBlockOracles", "t_products r_projections embeddings psi_transfers")
 
 
-def fixed_block_oracles(cd, fb, tol=DEFAULT_TOL):
-    """What ``cycles.fixed_multiblock`` leaves out for a component ``cd``
+def fixed_block_oracles(comp, fb, tol=DEFAULT_TOL):
+    """What ``cycles.fixed_multiblock`` leaves out for a component ``comp``
     with fixed blocks ``fb``: t_products[m] = T_{m+1} ... T_{d-1} T_0, the
     running products of the shift unitaries (t_products[0] is the
     monodromy); r_projections[j] the spectral projection of the monodromy
@@ -593,15 +591,15 @@ def fixed_block_oracles(cd, fb, tol=DEFAULT_TOL):
     the transfer matrix of the channel psi_j(E) that the component induces
     on the right factor, G* Phi(G (I (x) E) G*) G = I (x) psi_j(E), which
     must factor so within 1e3 * eq_tol or CenterMismatch is raised."""
-    d, T = cd.period, cd.shift_unitaries
-    nL, r, right_total = cd.left_dim, cd.channel.dim, fb.right_total
+    d, T = comp.period, comp.shift_unitaries
+    nL, r, right_total = comp.left_dim, comp.channel.dim, fb.right_total
     tilde = [None] * d
     acc = T[0]
     tilde[d - 1] = T[0]
     for m in range(d - 2, -1, -1):
         acc = T[m + 1] @ acc
         tilde[m] = acc
-    offsets = np.concatenate([[0], np.cumsum(cd.right_dims)]).astype(int)
+    offsets = np.concatenate([[0], np.cumsum(comp.right_dims)]).astype(int)
 
     embeddings, psi_transfers = [], []
     for Bj in fb.left_bases:
@@ -611,7 +609,7 @@ def fixed_block_oracles(cd, fb, tol=DEFAULT_TOL):
         for m in range(d):
             G3[:, :, offsets[m]:offsets[m + 1]] = np.einsum(
                 "xis,ip->xps",
-                dagger(cd.isometries[m]).reshape(r, nL, cd.right_dims[m]),
+                dagger(comp.isometries[m]).reshape(r, nL, comp.right_dims[m]),
                 tilde[m] @ Bj)
         G = G3.reshape(r, lj * right_total)
         embeddings.append(G)
@@ -619,7 +617,7 @@ def fixed_block_oracles(cd, fb, tol=DEFAULT_TOL):
         def psi(E, G=G, G3=G3, lj=lj):
             # G (I (x) E) G* = sum_i G_i E G_i*, G_i = G[:, i-th block]
             X = sum(g @ E @ dagger(g) for g in G3.transpose(1, 0, 2))
-            C5 = (dagger(G) @ cd.channel.apply(X) @ G).reshape(
+            C5 = (dagger(G) @ comp.channel.apply(X) @ G).reshape(
                 -1, lj, right_total, lj, right_total)
             out = np.einsum("niris->nrs", C5) / lj
             resid = C5 - np.einsum("ij,nrs->nirjs", np.eye(lj), out)
@@ -635,15 +633,15 @@ def fixed_block_oracles(cd, fb, tol=DEFAULT_TOL):
         embeddings=tuple(embeddings), psi_transfers=tuple(psi_transfers))
 
 
-def invariant_state(cd, fb, weights, left_states):
-    """The invariant density of a component ``cd`` with
+def invariant_state(comp, fb, weights, left_states):
+    """The invariant density of a component ``comp`` with
     ``cycles.FixedBlockData`` ``fb``: the sum over fixed blocks of
     weight * G (omega (x) sigma) G*, G the block's embedding
     (:func:`fixed_block_oracles`) and omega a state on its left
     eigenspace."""
     out = 0
     for lam, omega, G in zip(weights, left_states,
-                             fixed_block_oracles(cd, fb).embeddings):
+                             fixed_block_oracles(comp, fb).embeddings):
         out = out + lam * (G @ np.kron(np.asarray(omega, dtype=complex),
                                        fb.sigma) @ dagger(G))
     return out

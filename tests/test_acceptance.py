@@ -15,7 +15,6 @@ import pytest
 from chanstruct.algebra import atomic_structure, center, commutant
 from chanstruct.channel import from_kraus
 from chanstruct.cycles import (
-    component_decompose,
     fixed_multiblock,
     mfnc_decompose,
     structured_kraus,
@@ -93,19 +92,19 @@ def _trace_distance(rho, sigma):
     return 0.5 * float(np.abs(np.linalg.eigvalsh(rho - sigma)).sum())
 
 
-def _check_cycle_against_oracle(check, label, c, s, p, rep):
+def _check_cycle_against_oracle(check, label, c, s, rep):
     """The pipeline's one component of an irreducible channel must carry
     the period and, embedded by W, the cyclic projections that the
     peripheral-eigenmatrix oracle ``rep`` (period_irreducible) gives."""
     comps = mfnc_decompose(c, fixed_points(s).as_algebra(),
-                           atomic_structure(dfa(c), seed=0), p)
+                           atomic_structure(dfa(c), seed=0), s)
     check(len(comps) == 1, f"{label}: {len(comps)} components, expected 1")
     comp = comps[0]
-    check(comp.cycle.period == rep.period,
-          f"{label}: component period {comp.cycle.period}, oracle "
+    check(comp.period == rep.period,
+          f"{label}: component period {comp.period}, oracle "
           f"{rep.period}")
     W = component_embedding(comp)
-    embedded = [W @ Q @ dagger(W) for Q in comp.cycle.projections]
+    embedded = [W @ Q @ dagger(W) for Q in comp.cyclic_projections]
     for mine, theirs in ((embedded, rep.projections),
                          (rep.projections, embedded)):
         worst = max(min(spectral_norm(Q - R) for R in theirs) for Q in mine)
@@ -205,9 +204,9 @@ def test_acceptance_1_pauli_walk_d3(capsys):
         check(len(hits) == 1, f"root {r:.4f} not simple: {len(hits)} matches")
     rep = period_irreducible(c, s)
     check(rep.period == d, f"period {rep.period}, expected {d}")
-    _check_cycle_against_oracle(check, "pauli d=3", c, s, p, rep)
+    _check_cycle_against_oracle(check, "pauli d=3", c, s, rep)
     N = dfa(c)
-    check(N.subspace.dim == d, f"dim N = {N.subspace.dim}, expected {d}")
+    check(N.dim == d, f"dim N = {N.dim}, expected {d}")
 
     # reference projections: eigenvectors of the one-step displacement
     # unitary Z X^{-1}, inflated over the two-dimensional vertex space
@@ -302,31 +301,29 @@ def test_acceptance_2_pauli_walk_d4(capsys):
                    for a in F.subspace.basis for b in F.subspace.basis)
         check(comm <= 1e-8, f"{tag}: F not abelian ({comm:.2e})")
         N = dfa(c)
-        check(N.subspace.dim == 8, f"{tag}: dim N = {N.subspace.dim}")
-        zdim = center(N).subspace.dim
+        check(N.dim == 8, f"{tag}: dim N = {N.dim}")
+        zdim = center(N).dim
         check(zdim == 2, f"{tag}: dim Z(N) = {zdim}")
 
-        comps = mfnc_decompose(
-            c, F.as_algebra(), atomic_structure(N, seed=0),
-            peripheral_subalgebra(c, invariant_states(c, s), s))
+        comps = mfnc_decompose(c, F.as_algebra(),
+                               atomic_structure(N, seed=0), s)
         check(len(comps) == 1, f"{tag}: {len(comps)} components, expected 1")
         comp = comps[0]
-        check(comp.cycle.period == 2, f"{tag}: period {comp.cycle.period}")
-        cd = component_decompose(comp)
+        check(comp.period == 2, f"{tag}: period {comp.period}")
 
         # reduced per-slot channel: unique invariant state I/2 and the
         # around-the-cycle composition spectrum {1, (2a-1)^2, 0, 0}
-        for m, rho in enumerate(cd.block_states):
+        for m, rho in enumerate(comp.block_states):
             td = _trace_distance(rho, np.eye(2) / 2)
             check(td <= 1e-8, f"{tag}: block state {m} off I/2 by {td:.2e}")
-        lam = np.sort_complex(np.linalg.eigvals(cycle_composition(cd, 0)))
+        lam = np.sort_complex(np.linalg.eigvals(cycle_composition(comp, 0)))
         ref = np.sort_complex(np.array([0, 0, (2 * alpha - 1) ** 2, 1.0],
                                        dtype=complex))
         check(np.abs(lam - ref).max() <= 1e-7,
               f"{tag}: cycle composition spectrum {np.round(lam, 4)}")
 
-        fb = fixed_multiblock(cd, F.as_algebra())
-        psi_transfers = fixed_block_oracles(cd, fb).psi_transfers
+        fb = fixed_multiblock(comp)
+        psi_transfers = fixed_block_oracles(comp, fb).psi_transfers
         check(fb.n_blocks == 2, f"{tag}: {fb.n_blocks} fixed blocks")
         ratio = fb.eigenvalues[0] / fb.eigenvalues[1]
         check(abs(ratio + 1) <= 1e-7,
@@ -335,7 +332,7 @@ def test_acceptance_2_pauli_walk_d4(capsys):
         # invariant family s P_a/4 + (1-s) P_b/4
         Pa, Pb = fb.central_projections
         for s in (0.0, 0.5, 1.0):
-            xi = invariant_state(cd, fb, [s, 1 - s],
+            xi = invariant_state(comp, fb, [s, 1 - s],
                                  [np.eye(1), np.eye(1)])
             res = hs_norm(c.preadjoint_apply(xi) - xi)
             check(res <= 1e-8, f"{tag}: xi_{s} invariance {res:.2e}")
@@ -431,7 +428,7 @@ def test_acceptance_3_dfa_equals_peripheral_span(capsys, corpus_analysis):
     check(len(rows) >= 50, f"corpus has only {len(rows)} channels")
     for i, (c, s, inv, N, p) in enumerate(rows):
         check(inv.faithful, f"channel {i} ({c.label}): not faithful")
-        dist = subspace_distance(N.subspace, p.reversible)
+        dist = subspace_distance(N, s.reversible)
         check(dist <= 1e-6,
               f"channel {i} ({c.label}): dfa vs peripheral span {dist:.2e}")
     check(elapsed < 60.0, f"corpus analysis took {elapsed:.1f}s")
@@ -483,10 +480,10 @@ def test_acceptance_5_power_fixed_points(capsys):
 
     for label, c, d in cases:
         s = spectrum(c.transfer)
-        p = peripheral_subalgebra(c, invariant_states(c, s), s)
+        peripheral_subalgebra(c, invariant_states(c, s), s)
         rep = period_irreducible(c, s)
         check(rep.period == d, f"{label}: period {rep.period}, expected {d}")
-        _check_cycle_against_oracle(check, label, c, s, p, rep)
+        _check_cycle_against_oracle(check, label, c, s, rep)
         table = verify_power_fixed_points(c, rep, m_max=d + 1)
         for row in table.rows:
             check(row.matches_gcd_rule,
@@ -553,11 +550,10 @@ def test_acceptance_6_oqrw_oracles(capsys):
 
     for label, w in walks:
         c = to_channel(w)
-        dM = subspace_distance(oqrw_multiplicative_domain(w).subspace,
-                               multiplicative_domain(c).subspace)
+        dM = subspace_distance(oqrw_multiplicative_domain(w),
+                               multiplicative_domain(c))
         check(dM <= 1e-7, f"{label}: multiplicative domain {dM:.2e}")
-        dN = subspace_distance(oqrw_dfa(w).algebra.subspace,
-                               dfa(c).subspace)
+        dN = subspace_distance(oqrw_dfa(w).algebra, dfa(c))
         check(dN <= 1e-7, f"{label}: dfa {dN:.2e}")
     _verdict(capsys, f"6: walk oracles vs generic route on {len(walks)} "
                      f"walks", failures)
@@ -577,8 +573,8 @@ def test_acceptance_7_cyclic_shift(capsys):
         c = to_channel(w)
 
         rep = oqrw_dfa(w)
-        check(rep.algebra.subspace.dim == d * 4,
-              f"d={d}: dim N = {rep.algebra.subspace.dim}, "
+        check(rep.algebra.dim == d * 4,
+              f"d={d}: dim N = {rep.algebra.dim}, "
               f"expected {d * 4}")
         check(rep.off_diagonal.dim == 0,
               f"d={d}: off-diagonal dfa part has dim {rep.off_diagonal.dim}")
@@ -592,15 +588,13 @@ def test_acceptance_7_cyclic_shift(capsys):
         check(F.dim == cdim,
               f"d={d}: dim F = {F.dim}, loop commutant has dim {cdim}")
 
-        comps = mfnc_decompose(
-            c, F.as_algebra(), atomic_structure(dfa(c), seed=0),
-            peripheral_subalgebra(c, invariant_states(c, s), s))
+        comps = mfnc_decompose(c, F.as_algebra(),
+                               atomic_structure(dfa(c), seed=0), s)
         check(len(comps) == 1, f"d={d}: {len(comps)} components")
         comp = comps[0]
-        check(comp.cycle.period == d,
-              f"d={d}: period {comp.cycle.period}")
-        cd = component_decompose(comp)
-        rebuilt, _ = structured_kraus(cd)
+        check(comp.period == d,
+              f"d={d}: period {comp.period}")
+        rebuilt, _ = structured_kraus(comp)
         err = spectral_norm(rebuilt.transfer - comp.channel.transfer)
         check(err <= 1e-8, f"d={d}: reconstruction error {err:.2e}")
     _verdict(capsys, "7: cyclic shift walks d=3,4 (seed 42)", failures)
@@ -621,16 +615,16 @@ def test_acceptance_8_nn_cycle(capsys):
     w = builder_nn_cycle(n, L_plus, L_minus)
     c = to_channel(w)
     rep = oqrw_dfa(w)
-    check(rep.algebra.subspace.dim == 4,
-          f"special: dim N = {rep.algebra.subspace.dim}, expected 4")
+    check(rep.algebra.dim == 4,
+          f"special: dim N = {rep.algebra.dim}, expected 4")
     comm = max(spectral_norm(a @ b - b @ a)
                for a in rep.algebra.basis for b in rep.algebra.basis)
     check(comm <= 1e-7, f"special: dfa not abelian ({comm:.2e})")
     s = spectrum(c.transfer)
-    p = peripheral_subalgebra(c, invariant_states(c, s), s)
+    peripheral_subalgebra(c, invariant_states(c, s), s)
     cyc = period_irreducible(c, s)
     check(cyc.period == 4, f"special: period {cyc.period}, expected 4")
-    _check_cycle_against_oracle(check, "special", c, s, p, cyc)
+    _check_cycle_against_oracle(check, "special", c, s, cyc)
 
     # regime 2: generic unitary steps leave only the sublattice parity
     rng = np.random.default_rng(5)
@@ -639,21 +633,21 @@ def test_acceptance_8_nn_cycle(capsys):
     w2 = builder_nn_cycle(n, Lp, Lm)
     c2 = to_channel(w2)
     rep2 = oqrw_dfa(w2)
-    check(rep2.algebra.subspace.dim == 2,
-          f"generic: dim N = {rep2.algebra.subspace.dim}, expected 2")
+    check(rep2.algebra.dim == 2,
+          f"generic: dim N = {rep2.algebra.dim}, expected 2")
     par = np.zeros((2 * n, 2 * n), dtype=complex)
     for i in range(0, n, 2):
         par[2 * i:2 * i + 2, 2 * i:2 * i + 2] = np.eye(2)
     from chanstruct.numerics import MatrixSubspace
     parity_span = MatrixSubspace.from_span([par, np.eye(2 * n) - par],
                                            dim=2 * n)
-    dist = subspace_distance(rep2.algebra.subspace, parity_span)
+    dist = subspace_distance(rep2.algebra, parity_span)
     check(dist <= 1e-7, f"generic: dfa vs parity span {dist:.2e}")
     s2 = spectrum(c2.transfer)
-    p2 = peripheral_subalgebra(c2, invariant_states(c2, s2), s2)
+    peripheral_subalgebra(c2, invariant_states(c2, s2), s2)
     cyc2 = period_irreducible(c2, s2)
     check(cyc2.period == 2, f"generic: period {cyc2.period}, expected 2")
-    _check_cycle_against_oracle(check, "generic", c2, s2, p2, cyc2)
+    _check_cycle_against_oracle(check, "generic", c2, s2, cyc2)
     _verdict(capsys, "8: nearest-neighbor 8-cycle regimes", failures)
 
 
@@ -678,8 +672,8 @@ def test_acceptance_9_l2_geometry(capsys, corpus_analysis):
         for _ in range(3):
             x = rng.normal(size=(D, D)) + 1j * rng.normal(size=(D, D))
             y = rng.normal(size=(D, D)) + 1j * rng.normal(size=(D, D))
-            ex = p.apply_expectation(x)
-            perp = y - p.apply_expectation(y)
+            ex = s.apply_expectation(x)
+            perp = y - s.apply_expectation(y)
             if l2.norm(ex) < 1e-9 or l2.norm(perp) < 1e-9:
                 continue
             ex = ex / l2.norm(ex)

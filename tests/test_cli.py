@@ -5,7 +5,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from chanstruct.algebra import center
+from chanstruct import cli
+from chanstruct.algebra import NotAlgebra, center
 from chanstruct.channel import from_kraus, matrix_from_json, matrix_to_json
 from chanstruct.cli import (
     _choi_min_eig,
@@ -17,8 +18,8 @@ from chanstruct.cli import (
     build_ledger,
     main,
 )
-from chanstruct.numerics import MatrixSubspace, Tolerances
-from chanstruct.structure import dfa, fixed_points, invariant_states, spectrum
+from chanstruct.numerics import MatrixSubspace, NotNearProjection, Tolerances
+from chanstruct.structure import dfa, fixed_points, spectrum
 from tests.conftest import (
     I2,
     X,
@@ -186,7 +187,7 @@ def test_one_band_rule_for_every_spectral_stage(eps, tmp_path, capsys):
     c = dephasing_mixture(eps)
     s = spectrum(c.transfer)
     rank_f = np.linalg.matrix_rank(dense(s.e_f_factors))
-    assert fixed_points(s).dim == invariant_states(c, s).basis.dim == rank_f
+    assert fixed_points(s).dim == s.invariant.dim == rank_f
     assert rank_f <= np.linalg.matrix_rank(dense(s.e_n_factors))
     code, out = run(["analyze", write_channel(tmp_path / "c.json",
                                               list(c.kraus))], capsys)
@@ -215,7 +216,7 @@ def test_analyze_shift_walk_center_keeps_identity(tmp_path, capsys):
     assert c.label == "cyclic-shift-4" and c.dim == 8
     Z = center(dfa(c))
     assert Z.dim == 4
-    assert Z.subspace.residual(np.eye(8)) < 1e-8
+    assert Z.residual(np.eye(8)) < 1e-8
     path = write_channel(tmp_path / "c35.json", list(c.kraus))
     code, _ = run(["analyze", path], capsys)
     assert code == EXIT_OK
@@ -383,22 +384,61 @@ def test_nonunital_channel_rejected(tmp_path, capsys):
     assert code == EXIT_INPUT_ERROR
 
 
+def two_vertex_walk():
+    """A period-2 walk on two one-dimensional vertices, as walk JSON."""
+    one = matrix_to_json(np.eye(1))
+    return {"vertices": [0, 1], "local_dims": [1, 1],
+            "transitions": [{"from": 0, "to": 1, "matrix": one},
+                            {"from": 1, "to": 0, "matrix": one}]}
+
+
 @pytest.mark.parametrize("key", ["to", "from"])
 @pytest.mark.parametrize("vertex", [2, -1, -2])
 def test_walk_vertex_out_of_range_is_an_input_error(tmp_path, capsys, key,
                                                     vertex):
-    # a period-2 walk on two one-dimensional vertices, one edge end moved
-    # outside range(2): -2 would otherwise pass the checks as vertex 0
-    one = matrix_to_json(np.eye(1))
-    walk = {"vertices": [0, 1], "local_dims": [1, 1],
-            "transitions": [{"from": 0, "to": 1, "matrix": one},
-                            {"from": 1, "to": 0, "matrix": one}]}
+    # one edge end moved outside range(2): -2 would otherwise pass the
+    # checks as vertex 0
+    walk = two_vertex_walk()
     walk["transitions"][1][key] = vertex
     f = tmp_path / "walk.json"
     f.write_text(json.dumps(walk))
     code = main(["analyze", str(f)])
     assert code == EXIT_INPUT_ERROR
     assert "outside 0..1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dim", [1.7, 0, "1"])
+def test_walk_local_dim_not_a_positive_integer_is_an_input_error(
+        tmp_path, capsys, dim):
+    # 1.7 and "1" were read through int() as 1
+    walk = two_vertex_walk()
+    walk["local_dims"][0] = dim
+    f = tmp_path / "walk.json"
+    f.write_text(json.dumps(walk))
+    assert main(["analyze", str(f)]) == EXIT_INPUT_ERROR
+    assert "not positive integers" in capsys.readouterr().err
+
+
+def test_walk_repeated_vertex_label_is_an_input_error(tmp_path, capsys):
+    walk = two_vertex_walk()
+    walk["vertices"] = [0, 0]
+    f = tmp_path / "walk.json"
+    f.write_text(json.dumps(walk))
+    assert main(["analyze", str(f)]) == EXIT_INPUT_ERROR
+    assert "repeated vertex labels" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [NotAlgebra, NotNearProjection])
+def test_every_numerical_failure_class_exits_3(tmp_path, capsys, monkeypatch,
+                                               error):
+    # a failed self-check inside analyze is a numerical error, not a
+    # traceback with the exit code of a failed verification
+    def fail(*args, **kwargs):
+        raise error("injected")
+    monkeypatch.setattr(cli, "atomic_structure", fail)
+    assert main(["analyze", pauli_channel_file(tmp_path)]) \
+        == EXIT_NUMERICAL_ERROR
+    assert f"({error.__name__})" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["analyze", "verify"])

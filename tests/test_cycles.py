@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from chanstruct.algebra import (
-    OperatorAlgebra,
+    AlgebraStructure,
     atomic_structure,
     extract_block_states,
 )
@@ -10,7 +12,6 @@ from chanstruct.channel import from_kraus
 from chanstruct.cli import Analysis, analyze
 from chanstruct.cycles import (
     CenterMismatch,
-    component_decompose,
     fixed_multiblock,
     mfnc_decompose,
     structured_kraus,
@@ -166,12 +167,12 @@ def test_mfnc_two_components():
     assert F.dim == 2
     assert N.dim == 6
     comps = mfnc_decompose(c, F, atomic_structure(N, seed=1),
-                           peripheral_of(c)[1])
+                           peripheral_of(c)[0])
     assert len(comps) == 2
     assert np.allclose(sum(comp.projection for comp in comps), np.eye(6),
                        atol=1e-8)
     for comp in comps:
-        assert comp.cycle.period == 3
+        assert comp.period == 3
         assert comp.channel.dim == 3
 
 
@@ -181,14 +182,19 @@ def test_mfnc_components_match_their_own_analysis(name):
     c = two_cycles() if name == "two-cycles" else build_corpus(20240817)[40]
     comps = mfnc_decompose(c, fixed_points(spectrum(c.transfer)).as_algebra(),
                            atomic_structure(dfa(c), seed=1),
-                           peripheral_of(c)[1])
+                           peripheral_of(c)[0])
     assert len(comps) == 2
     for comp in comps:
         ref = fixed_points(spectrum(comp.channel.transfer))
-        assert subspace_distance(comp.fixed_points.subspace,
-                                 ref.subspace) < 1e-10
+        assert subspace_distance(comp.fixed_points, ref.subspace) < 1e-10
+        blocks = AlgebraStructure(
+            ambient_dim=comp.channel.dim,
+            central_projections=comp.cyclic_projections,
+            block_unitaries=comp.isometries,
+            left_dims=(comp.left_dim,) * comp.period,
+            right_dims=comp.right_dims)
         states = extract_block_states(
-            peripheral_of(comp.channel)[1].apply_expectation, comp.blocks)
+            peripheral_of(comp.channel)[0].apply_expectation, blocks)
         for rho, ref in zip(comp.block_states, states, strict=True):
             assert hs_norm(rho - ref) < 1e-10
 
@@ -197,9 +203,9 @@ def test_mfnc_identity_channel():
     c = from_kraus([np.eye(2)])
     F = fixed_points(spectrum(c.transfer)).as_algebra()
     N = dfa(c)
-    comps = mfnc_decompose(c, F, atomic_structure(N), peripheral_of(c)[1])
+    comps = mfnc_decompose(c, F, atomic_structure(N), peripheral_of(c)[0])
     assert len(comps) == 1
-    assert comps[0].cycle.period == 1
+    assert comps[0].period == 1
 
 
 def test_mfnc_shift_walk_single_component():
@@ -210,22 +216,22 @@ def test_mfnc_shift_walk_single_component():
     assert F.dim == 2          # commutant of a generic 2x2 unitary
     assert N.dim == 3 * 4      # block diagonals
     comps = mfnc_decompose(c, F, atomic_structure(N, seed=0),
-                           peripheral_of(c)[1])
+                           peripheral_of(c)[0])
     assert len(comps) == 1
-    assert comps[0].cycle.period == 3
+    assert comps[0].period == 3
 
 
 def test_component_decompose_classical_cycle():
     c = classical_cycle(3)
     F = fixed_points(spectrum(c.transfer)).as_algebra()
     N = dfa(c)
-    comps = mfnc_decompose(c, F, atomic_structure(N), peripheral_of(c)[1])
-    cd = component_decompose(comps[0])
-    assert cd.left_dim == 1
-    assert cd.right_dims == (1, 1, 1)
-    for rho in cd.block_states:
+    comps = mfnc_decompose(c, F, atomic_structure(N), peripheral_of(c)[0])
+    comp = comps[0]
+    assert comp.left_dim == 1
+    assert comp.right_dims == (1, 1, 1)
+    for rho in comp.block_states:
         assert np.allclose(rho, np.eye(1))
-    rebuilt, _ = structured_kraus(cd)
+    rebuilt, _ = structured_kraus(comp)
     assert spectral_norm(rebuilt.transfer - c.transfer) < 1e-8
 
 
@@ -236,16 +242,16 @@ def test_component_decompose_shift_walk():
     F = fixed_points(spectrum(c.transfer)).as_algebra()
     N = dfa(c)
     comps = mfnc_decompose(c, F, atomic_structure(N, seed=2),
-                           peripheral_of(c)[1])
-    cd = component_decompose(comps[0])
-    assert cd.left_dim == 2
-    assert cd.right_dims == (1, 1, 1)
-    for T in cd.shift_unitaries:
+                           peripheral_of(c)[0])
+    comp = comps[0]
+    assert comp.left_dim == 2
+    assert comp.right_dims == (1, 1, 1)
+    for T in comp.shift_unitaries:
         assert np.allclose(T @ dagger(T), np.eye(2), atol=1e-8)
     # each reduced map is the trivial scalar channel
     for m in range(3):
-        assert np.allclose(xi_transfer(cd, m), np.eye(1), atol=1e-8)
-    rebuilt, _ = structured_kraus(cd)
+        assert np.allclose(xi_transfer(comp, m), np.eye(1), atol=1e-8)
+    rebuilt, _ = structured_kraus(comp)
     assert spectral_norm(rebuilt.transfer - c.transfer) < 1e-8
 
 
@@ -253,16 +259,16 @@ def test_component_decompose_pauli():
     c = pauli_channel()
     F = fixed_points(spectrum(c.transfer)).as_algebra()
     N = dfa(c)
-    comps = mfnc_decompose(c, F, atomic_structure(N), peripheral_of(c)[1])
-    cd = component_decompose(comps[0])
-    assert cd.period == 2
-    assert cd.left_dim == 1
-    assert cd.right_dims == (1, 1)
+    comps = mfnc_decompose(c, F, atomic_structure(N), peripheral_of(c)[0])
+    comp = comps[0]
+    assert comp.period == 2
+    assert comp.left_dim == 1
+    assert comp.right_dims == (1, 1)
     # round-trip composition has a unique peripheral eigenvalue 1
-    M = cycle_composition(cd, 0)
+    M = cycle_composition(comp, 0)
     lam = np.linalg.eigvals(M)
     assert np.sum(np.abs(lam) > 1 - 1e-7) == 1
-    rebuilt, _ = structured_kraus(cd)
+    rebuilt, _ = structured_kraus(comp)
     assert spectral_norm(rebuilt.transfer - c.transfer) < 1e-8
 
 
@@ -273,18 +279,18 @@ def test_fixed_multiblock_shift_walk():
     F = fixed_points(spectrum(c.transfer)).as_algebra()
     N = dfa(c)
     comps = mfnc_decompose(c, F, atomic_structure(N, seed=3),
-                           peripheral_of(c)[1])
-    cd = component_decompose(comps[0])
-    fb = fixed_multiblock(cd, F)
-    oracles = fixed_block_oracles(cd, fb)
+                           peripheral_of(c)[0])
+    comp = comps[0]
+    fb = fixed_multiblock(comp)
+    oracles = fixed_block_oracles(comp, fb)
     assert fb.n_blocks == 2                   # generic monodromy: 2 eigenlines
     assert np.allclose(sum(fb.central_projections), np.eye(6), atol=1e-8)
     # each is the monodromy's spectral projection carried around the cycle
     for P, R in zip(fb.central_projections, oracles.r_projections,
                     strict=True):
         carried = sum(dagger(S) @ np.kron(Tm @ R @ dagger(Tm), np.eye(nR)) @ S
-                      for S, Tm, nR in zip(cd.isometries, oracles.t_products,
-                                           cd.right_dims))
+                      for S, Tm, nR in zip(comp.isometries, oracles.t_products,
+                                           comp.right_dims))
         assert spectral_norm(P - carried) < 1e-10
     # monodromy spectrum matches the loop unitary up to a global phase
     loop = Us[0]
@@ -300,7 +306,7 @@ def test_fixed_multiblock_shift_walk():
     sigma_tr = np.trace(fb.sigma)
     assert sigma_tr == pytest.approx(1.0)
     for w in ([1.0, 0.0], [0.3, 0.7]):
-        xi = invariant_state(cd, fb, w, [np.eye(1), np.eye(1)])
+        xi = invariant_state(comp, fb, w, [np.eye(1), np.eye(1)])
         assert np.trace(xi).real == pytest.approx(sum(w))
         assert hs_norm(c.preadjoint_apply(xi) - xi) < 1e-8
     # each induced right-factor channel fixes sigma uniquely
@@ -340,13 +346,13 @@ def test_fixed_multiblock_pauli():
     c = pauli_channel()
     F = fixed_points(spectrum(c.transfer)).as_algebra()
     N = dfa(c)
-    comps = mfnc_decompose(c, F, atomic_structure(N), peripheral_of(c)[1])
-    cd = component_decompose(comps[0])
-    fb = fixed_multiblock(cd, F)
+    comps = mfnc_decompose(c, F, atomic_structure(N), peripheral_of(c)[0])
+    comp = comps[0]
+    fb = fixed_multiblock(comp)
     assert fb.n_blocks == 1
     assert np.allclose(fb.central_projections[0], np.eye(2), atol=1e-10)
     assert np.allclose(fb.sigma, np.eye(2) / 2, atol=1e-8)
-    Tpsi = fixed_block_oracles(cd, fb).psi_transfers[0]
+    Tpsi = fixed_block_oracles(comp, fb).psi_transfers[0]
     pre = dagger(Tpsi)
     v = vec(fb.sigma)
     assert np.linalg.norm(pre @ v - v) < 1e-8
@@ -354,9 +360,9 @@ def test_fixed_multiblock_pauli():
 
 def pipeline_components(c, tol=DEFAULT_TOL):
     """The components that ``analyze`` factors: mfnc_decompose on the
-    analysis' F, atomic structure of N and peripheral data."""
+    analysis' F, atomic structure of N and spectrum."""
     a = Analysis(c, None, tol, 0, None)
-    return mfnc_decompose(c, a.F.as_algebra(), a.N_structure, a.peripheral,
+    return mfnc_decompose(c, a.F.as_algebra(), a.N_structure, a.spectrum,
                           tol=tol)
 
 
@@ -378,10 +384,9 @@ def test_shift_unitaries_match_the_left_action_probe(name):
     left_dims = []
     for i, c in enumerate(shift_probe_channels(name)):
         for comp in pipeline_components(c):
-            cd = component_decompose(comp)
-            left_dims.append(cd.left_dim)
+            left_dims.append(comp.left_dim)
             for m, (T, ref) in enumerate(zip(
-                    cd.shift_unitaries, probe_shift_unitaries(comp),
+                    comp.shift_unitaries, probe_shift_unitaries(comp),
                     strict=True)):
                 assert spectral_norm(T - ref) <= 1e-12, (i, m)
     if name.startswith("corpus"):
@@ -396,19 +401,18 @@ def test_fixed_multiblock_rejects_a_wrong_fixed_point_algebra():
     c = shift_walk([np.eye(3), np.eye(3),
                     W @ np.diag([1.0, 1.0, -1.0]) @ dagger(W)])
     [comp] = pipeline_components(c)
-    cd = component_decompose(comp)
-    F, r = comp.fixed_points, cd.channel.dim
-    fb = fixed_multiblock(cd, F)
+    F, r = comp.fixed_points, comp.channel.dim
+    fb = fixed_multiblock(comp)
     assert sorted(B.shape[1] for B in fb.left_bases) == [1, 2]
     j = [B.shape[1] for B in fb.left_bases].index(2)
     P = fb.central_projections[j]
-    without_block = OperatorAlgebra(F.subspace.restrict([lambda B: P @ B]))
+    without_block = F.restrict([lambda B: P @ B])
     assert (F.dim, without_block.dim) == (5, 1)
     U = random_unitary(r, rng)
-    turned = OperatorAlgebra(MatrixSubspace(r, U @ F.basis @ dagger(U)))
+    turned = MatrixSubspace(r, U @ F.basis @ dagger(U))
     for wrong in (without_block, full_algebra(r), turned):
         with pytest.raises(CenterMismatch):
-            fixed_multiblock(cd, wrong)
+            fixed_multiblock(replace(comp, fixed_points=wrong))
 
 
 def test_verify_power_fixed_points_cycle4():

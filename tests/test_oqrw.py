@@ -136,7 +136,7 @@ def test_mult_domain_agrees_pauli_walk():
         c = to_channel(w)
         m_block = oqrw_multiplicative_domain(w)
         m_generic = multiplicative_domain(c)
-        assert subspace_distance(m_block.subspace, m_generic.subspace) < 1e-7
+        assert subspace_distance(m_block, m_generic) < 1e-7
 
 
 def test_mult_domain_agrees_random():
@@ -146,7 +146,7 @@ def test_mult_domain_agrees_random():
         c = to_channel(w)
         m_block = oqrw_multiplicative_domain(w)
         m_generic = multiplicative_domain(c)
-        assert subspace_distance(m_block.subspace, m_generic.subspace) < 1e-7
+        assert subspace_distance(m_block, m_generic) < 1e-7
 
 
 def test_dfa_agrees_pauli_walk():
@@ -155,8 +155,8 @@ def test_dfa_agrees_pauli_walk():
         c = to_channel(w)
         rep = oqrw_dfa(w)
         n_generic = dfa(c)
-        assert subspace_distance(rep.algebra.subspace, n_generic.subspace) < 1e-7
-        diagonal = subspace_intersection(rep.algebra.subspace,
+        assert subspace_distance(rep.algebra, n_generic) < 1e-7
+        diagonal = subspace_intersection(rep.algebra,
                                          block_units(w)[0])
         assert diagonal.dim + rep.off_diagonal.dim == rep.algebra.dim
 
@@ -168,7 +168,7 @@ def test_dfa_agrees_cyclic_shift():
     c = to_channel(w)
     rep = oqrw_dfa(w)
     n_generic = dfa(c)
-    assert subspace_distance(rep.algebra.subspace, n_generic.subspace) < 1e-7
+    assert subspace_distance(rep.algebra, n_generic) < 1e-7
     # the walk only moves along edges: the algebra is block diagonal
     assert rep.off_diagonal.dim == 0
     assert rep.algebra.dim == d * 4
@@ -181,7 +181,7 @@ def test_dfa_agrees_random():
         c = to_channel(w)
         rep = oqrw_dfa(w)
         n_generic = dfa(c)
-        assert subspace_distance(rep.algebra.subspace, n_generic.subspace) < 1e-7
+        assert subspace_distance(rep.algebra, n_generic) < 1e-7
 
 
 def test_dead_corners():
@@ -277,16 +277,16 @@ def oracle_walks():
                                     for name, w in oracle_walks()])
 def test_block_split_matches_full_route(name, w):
     rep, ref = oqrw_dfa(w), full_route_oqrw_dfa(w)
-    assert subspace_distance(rep.algebra.subspace, ref.algebra.subspace) \
+    assert subspace_distance(rep.algebra, ref.algebra) \
         <= 1e-10
-    diagonal = subspace_intersection(rep.algebra.subspace, block_units(w)[0])
+    diagonal = subspace_intersection(rep.algebra, block_units(w)[0])
     assert subspace_distance(diagonal, ref.diagonal) <= 1e-10
     assert subspace_distance(rep.off_diagonal, ref.off_diagonal) <= 1e-10
     # the off-diagonal part is the sum of B(W_i, W_l) over l != i
     assert rep.off_diagonal.dim == sum(
         a * b for a, b in itertools.permutations(ref.dead_corners, 2))
-    assert subspace_distance(oqrw_multiplicative_domain(w).subspace,
-                             full_route_oqrw_multiplicative_domain(w).subspace) \
+    assert subspace_distance(oqrw_multiplicative_domain(w),
+                             full_route_oqrw_multiplicative_domain(w)) \
         <= 1e-10
     assert least_stable_power(oqrw_dfa, w) == \
         least_stable_power(full_route_oqrw_dfa, w)

@@ -130,7 +130,7 @@ def test_invariant_states_unitary_mixture():
     inv = invariant_states(c, s)
     assert inv.faithful
     assert np.allclose(inv.rho_max, np.eye(3) / 3, atol=1e-8)
-    assert inv.basis.dim == fixed_points(s).dim
+    assert s.invariant.dim == fixed_points(s).dim
 
 
 def test_invariant_states_block_channel():
@@ -152,7 +152,7 @@ def test_fixed_points_commutant_matches_kernel():
     F_comm = fixed_points_commutant(c, invariant_states(c, s),
                                     multiplicative_domain(c))
     F_spectral = fixed_points(s)
-    assert subspace_distance(F_comm.subspace, F_spectral.subspace) < 1e-7
+    assert subspace_distance(F_comm, F_spectral.subspace) < 1e-7
 
 
 def test_kraus_commutant_inside_m_matches_gram_oracle():
@@ -174,7 +174,7 @@ def test_kraus_commutant_inside_m_matches_gram_oracle():
         new = fixed_points_commutant(c, inv, M)
         old = gram_route_kraus_commutant(c)
         assert new.dim == old.dim, c.label
-        assert subspace_distance(new.subspace, old.subspace) <= 1e-10, c.label
+        assert subspace_distance(new, old) <= 1e-10, c.label
 
 
 def test_is_irreducible():
@@ -189,7 +189,7 @@ def test_multiplicative_domain_pauli():
     # whose square is -I, so M = span{I, XZ} (dimension 2)
     M = multiplicative_domain(pauli_channel())
     assert M.dim == 2
-    assert M.subspace.residual(X @ Z) < 1e-9
+    assert M.residual(X @ Z) < 1e-9
 
 
 def test_multiplicative_domain_unitary():
@@ -224,7 +224,7 @@ def test_gram_routes_match_word_oracle():
         for new, old in ((M, word_route_multiplicative_domain(c)),
                          (N, word_route_dfa(c))):
             assert new.dim == old.dim, c.label
-            assert subspace_distance(new.subspace, old.subspace) <= 1e-10, \
+            assert subspace_distance(new, old) <= 1e-10, \
                 c.label
 
 
@@ -267,11 +267,11 @@ def test_m_and_n_of_a_kraus_list_off_unitality():
     for c in (dephasing_mixture(1e-3), pauli_channel(), _nn_cycle(3)):
         scaled = from_kraus([(1 + 3e-9) * V for V in c.kraus])
         M = multiplicative_domain(scaled)
-        assert M.subspace.residual(np.eye(c.dim)) <= 1e-12, c.label
+        assert M.residual(np.eye(c.dim)) <= 1e-12, c.label
         for new, old in ((M, word_route_multiplicative_domain(scaled)),
                          (dfa(scaled, M=M), word_route_dfa(scaled))):
             assert new.dim == old.dim, c.label
-            assert subspace_distance(new.subspace, old.subspace) <= 1e-10, \
+            assert subspace_distance(new, old) <= 1e-10, \
                 c.label
 
 
@@ -315,12 +315,12 @@ def test_m_and_n_under_kraus_freedom_and_conjugation(index, seed, padding):
     M = multiplicative_domain(c)
     N = dfa(c, M=M)
     for a, b in ((M, multiplicative_domain(mixed)), (N, dfa(mixed))):
-        assert subspace_distance(a.subspace, b.subspace) <= 1e-9, c.label
+        assert subspace_distance(a, b) <= 1e-9, c.label
     moved = [dagger(U) @ M.basis @ U, dagger(U) @ N.basis @ U]
     for basis, alg in zip(moved, (multiplicative_domain(conjugated),
                                    dfa(conjugated))):
         assert subspace_distance(MatrixSubspace(D, basis),
-                                 alg.subspace) <= 1e-9, c.label
+                                 alg) <= 1e-9, c.label
 
 
 def test_dfa_unitary_is_full():
@@ -336,7 +336,7 @@ def test_dfa_pauli():
     # the algebra generated by XZ, which has dimension 2
     N = dfa(pauli_channel())
     assert N.dim == 2
-    assert N.subspace.residual(X @ Z) < 1e-9
+    assert N.residual(X @ Z) < 1e-9
 
 
 def test_dfa_depolarizing_is_trivial():
@@ -352,7 +352,7 @@ def test_peripheral_matches_dfa():
         c = random_unital_channel(3, 2, seed=seed)
         s, inv, p = spectral_stages(c)
         N = dfa(c)
-        assert subspace_distance(p.reversible, N.subspace) < 1e-6
+        assert subspace_distance(s.reversible, N) < 1e-6
 
 
 def test_peripheral_pauli():
@@ -361,7 +361,7 @@ def test_peripheral_pauli():
     # XZ is a rotation by pi/2 up to phase: eigenvalues of the transfer on
     # the peripheral part are {1, -1}; span is {I, XZ}
     assert sorted(np.round(np.real(p.eigenvalues)).tolist()) == [-1, 1]
-    assert p.reversible.dim == 2
+    assert s.reversible.dim == 2
     # E_N is idempotent and commutes with the transfer
     E = dense(s.e_n_factors)
     assert spectral_norm(E @ E - E) < 1e-8
@@ -390,7 +390,7 @@ def test_stable_subspace_decay():
 def test_expectation_onto_dfa_properties():
     c = random_unital_channel(3, 2, seed=2)
     s, inv, p = spectral_stages(c)
-    E = expectation_onto_dfa(c, p, seed=1)
+    E = expectation_onto_dfa(c, s, seed=1)
     assert spectral_norm(E.transfer @ E.transfer - E.transfer) < 1e-7
     assert np.allclose(E.apply(np.eye(3)), np.eye(3), atol=1e-8)
     # commutes with the channel

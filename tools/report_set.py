@@ -26,18 +26,28 @@ inputs, 342 cases:
   off-diagonal part (``dead-corners-3``).
 
 The commands run in-process through `chanstruct.cli.main`, imported from
-the `src/` next to this script.  To compare two checkouts, run the script
+the `src/` next to this script.  Run as a script, it sets
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1 before
+numpy is imported, so the reports of two runs compare byte for byte
+whatever the caller's environment.  To compare two checkouts, run the script
 from each (copy it into the other checkout's `tools/` if it has none) and
 pass both output directories to `tools/compare_reports.py`.
 """
 
 from __future__ import annotations
 
-import json
-import sys
-from pathlib import Path
+import os
 
-import numpy as np
+# one BLAS thread, fixed before numpy is imported, as in perfbench/run.py
+if __name__ == "__main__":
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
+
+import json  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
