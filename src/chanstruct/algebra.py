@@ -4,7 +4,8 @@ Commutants, generated algebras, centers, atomic factor decompositions
 (block form P_j H ~ H_L (x) H_R), and the block states that an
 expectation onto such an algebra leaves on the right factors.  An
 algebra is a :class:`MatrixSubspace` that is closed under adjoints and
-products; :func:`atomic_structure` checks the closure.
+products; :func:`atomic_structure` checks the closure and splits the
+algebra by its own elements, with no random draw.
 """
 
 from __future__ import annotations
@@ -21,18 +22,12 @@ from chanstruct.numerics import (
     dagger,
     fix_global_phase,
     gram_kernel,
-    range_isometry,
-    round_projector,
     span_basis,
 )
 
 
 class NotAlgebra(RuntimeError):
     """Subspace fails closure under products at tolerance."""
-
-
-class DegenerateRandomElement(RuntimeError):
-    """Random spectral separation failed after the allowed redraws."""
 
 
 def restrict_to_commutant(sub: MatrixSubspace, ops,
@@ -118,17 +113,6 @@ class AlgebraStructure:
         return len(self.central_projections)
 
 
-def _random_combo(basis, rng) -> np.ndarray:
-    """Complex Gaussian combination of the stacked basis (zero if empty)."""
-    z = rng.standard_normal((len(basis), 2)) @ [1, 1j]
-    return np.tensordot(z, np.asarray(basis), 1)
-
-
-def _random_hermitian_combo(basis, rng) -> np.ndarray:
-    c = _random_combo(basis, rng)
-    return c + dagger(c)
-
-
 def _cluster_real(values: np.ndarray, gap: float) -> list[list[int]]:
     order = np.argsort(values)
     clusters = [[int(order[0])]]
@@ -146,64 +130,78 @@ def block_order(P: np.ndarray):
     return (-int(round(np.real(np.trace(P)))), tuple(-d))
 
 
-MAX_DRAWS = 50
-"""Random elements drawn in :func:`atomic_structure` before it gives up on
-separating the central or the block spectrum."""
+def _minimal_ranges(basis, W0: np.ndarray, tol: Tolerances) -> list:
+    """Isometries onto the minimal ranges inside range(W0) of the algebra
+    spanned by the stack ``basis``, split by its own elements.
+
+    A range W is minimal when the compressed algebra span(W* B W) is one-
+    dimensional.  Otherwise W splits along the eigenvalue clusters (gap
+    10 * eq_tol * max(1, |w|)) of the largest in HS norm of the parts
+    b + b* and i(b - b*) of the compressed basis, traces removed, and each
+    part is split again.  For a k-dimensional compression their squared
+    norms add up to at least 4(k - 1), so the element picked has norm at
+    least 1; should its spectrum still form one cluster, NotAlgebra is
+    raised.
+    """
+    comp = span_basis(dagger(W0) @ basis @ W0, tol)
+    if len(comp) <= 1:
+        return [W0]
+    n = W0.shape[1]
+    parts = np.concatenate([comp + dagger(comp), 1j * (comp - dagger(comp))])
+    parts -= np.trace(parts, axis1=1, axis2=2)[:, None, None] * np.eye(n) / n
+    w, V = np.linalg.eigh(
+        parts[np.argmax(np.linalg.norm(parts, axis=(1, 2)))])
+    clusters = _cluster_real(w, 10 * tol.eq_tol * max(1.0, np.abs(w).max()))
+    if len(clusters) == 1:
+        raise NotAlgebra("a non-scalar element has one eigenvalue cluster")
+    return [W for cl in clusters
+            for W in _minimal_ranges(basis, W0 @ V[:, cl], tol)]
 
 
-def atomic_structure(alg: MatrixSubspace, tol: Tolerances = DEFAULT_TOL,
-                     seed: int = 0) -> AlgebraStructure:
-    """Minimal central projections and block factorizations of ``alg``.
+def atomic_structure(alg: MatrixSubspace,
+                     tol: Tolerances = DEFAULT_TOL) -> AlgebraStructure:
+    """Minimal central projections and block factorizations of ``alg``,
+    split by its own elements (:func:`_minimal_ranges`), with no random
+    draw.
 
-    Central projections come from the spectral decomposition of a random
-    Hermitian central element (redrawn until its eigenvalue clusters
-    separate); within each block, minimal projections and matrix units
-    built from a random Hermitian block element give the unitary U_j.
+    The minimal ranges of the center are the ranges of the minimal central
+    projections P_j = W_j W_j*.  In each block, the minimal ranges E_a of
+    the compressed algebra are its nL minimal projections, each of rank nR;
+    the compression E_a* comp E_1 spans one matrix unit x_a from E_1 to
+    E_a, and U_j is the polar factor of [E_a x_a]_a, carried back by W_j*.
+    NotAlgebra is raised when ``alg`` is not closed, or when the ranges do
+    not make the blocks of a direct sum of factors M_nL (x) I_nR.
     """
     D = alg.ambient_dim
     defect = max(alg.closure_defects())
     if defect > 100 * tol.eq_tol:
         raise NotAlgebra(f"closure defect {defect:.3e}")
-    rng = np.random.default_rng(seed)
     cen = center(alg, tol=tol)
-    k = cen.dim
-
-    projections = None
-    for _ in range(MAX_DRAWS):
-        h = _random_hermitian_combo(cen.basis, rng)
-        w, V = np.linalg.eigh(h)
-        gap = 10 * tol.eq_tol * max(1.0, float(np.max(np.abs(w))))
-        clusters = _cluster_real(w, gap)
-        if len(clusters) != k:
-            continue
-        if k > 1 and min(abs(w[c1[0]] - w[c2[-1]]) for c1 in clusters
-                         for c2 in clusters if c1 is not c2) <= gap:
-            continue
-        projections = []
-        for cl in clusters:
-            cols = V[:, cl]
-            projections.append(round_projector(cols @ dagger(cols), tol))
-        break
-    if projections is None:
-        raise DegenerateRandomElement(
-            f"central element not separated after {MAX_DRAWS} draws (seed {seed})")
+    ranges = _minimal_ranges(cen.basis, np.eye(D), tol)
+    if len(ranges) != cen.dim:
+        raise NotAlgebra(f"{len(ranges)} minimal central ranges for a "
+                         f"center of dimension {cen.dim}")
 
     blocks = []
-    for P in projections:
-        W = range_isometry(P, tol)
+    for W in ranges:
         nblk = W.shape[1]
         comp = span_basis(dagger(W) @ alg.basis @ W, tol)
-        r = len(comp)
-        nL = int(round(np.sqrt(r)))
-        if nL * nL != r:
-            raise NotAlgebra(f"block algebra dimension {r} is not a square")
-        if nblk % nL != 0:
-            raise NotAlgebra(f"block size {nblk} not divisible by {nL}")
-        nR = nblk // nL
-        Ut = _factor_unitary(comp, nblk, nL, nR, rng, tol)
-        U = fix_global_phase(Ut @ dagger(W), tol)
+        E = _minimal_ranges(comp, np.eye(nblk), tol)
+        nL, nR = len(E), nblk // len(E)
+        if len(comp) != nL * nL or any(Ea.shape[1] != nR for Ea in E):
+            raise NotAlgebra(f"block algebra of dimension {len(comp)} with "
+                             f"minimal ranges {[Ea.shape[1] for Ea in E]}")
+        units = []
+        for Ea in E:
+            x = span_basis(dagger(Ea) @ comp @ E[0], tol)
+            if len(x) != 1:
+                raise NotAlgebra(f"{len(x)} matrix units between two "
+                                 "minimal projections")
+            units.append(Ea @ x[0])
+        u, _, vh = np.linalg.svd(np.hstack(units), full_matrices=False)
+        U = fix_global_phase(dagger(u @ vh) @ dagger(W), tol)
         _check_factorization(U, comp, W, nL, nR, tol)
-        blocks.append((P, U, nL, nR))
+        blocks.append((W @ dagger(W), U, nL, nR))
 
     blocks.sort(key=lambda blk: block_order(blk[0]))
     return AlgebraStructure(
@@ -213,53 +211,6 @@ def atomic_structure(alg: MatrixSubspace, tol: Tolerances = DEFAULT_TOL,
         left_dims=tuple(b[2] for b in blocks),
         right_dims=tuple(b[3] for b in blocks),
     )
-
-
-def _factor_unitary(comp, nblk, nL, nR, rng, tol):
-    """Unitary (nL*nR x nblk) conjugating a factor to B(C^nL) (x) I."""
-    if nL == 1:
-        # Algebra is scalars on the block; any orthonormal basis works.
-        return np.eye(nblk, dtype=complex)
-    for _ in range(MAX_DRAWS):
-        h = _random_hermitian_combo(comp, rng)
-        w, V = np.linalg.eigh(h)
-        gap = 10 * tol.eq_tol * max(1.0, float(np.max(np.abs(w))))
-        clusters = _cluster_real(w, gap)
-        if len(clusters) != nL or any(len(c) != nR for c in clusters):
-            continue
-        minimal = [round_projector(V[:, cl] @ dagger(V[:, cl]), tol)
-                   for cl in clusters]
-        c_rand = _random_combo(comp, rng)
-        isoms = [minimal[0]]
-        ok = True
-        for E in minimal[1:]:
-            x = E @ c_rand @ minimal[0]
-            scale = np.sqrt(max(np.real(np.trace(dagger(x) @ x)), 0.0) / nR)
-            if scale <= tol.rank_tol:
-                ok = False
-                break
-            v = x / scale
-            # polar correction keeps v a partial isometry E -> minimal[0]
-            g = dagger(v) @ v
-            wg, Vg = np.linalg.eigh(g)
-            inv_sqrt = np.zeros_like(wg)
-            pos = wg > tol.rank_tol
-            inv_sqrt[pos] = 1.0 / np.sqrt(wg[pos])
-            v = v @ (Vg * inv_sqrt) @ dagger(Vg)
-            isoms.append(v)
-        if not ok:
-            continue
-        F = range_isometry(minimal[0], tol)     # (nblk, nR) basis of E_1 range
-        G = np.column_stack([isoms[i] @ F[:, r]
-                             for i in range(nL) for r in range(nR)])
-        # re-orthonormalize via polar decomposition
-        u, s, vh = np.linalg.svd(G, full_matrices=False)
-        if s.min() < 0.5:
-            continue
-        G = u @ vh
-        return dagger(G)
-    raise DegenerateRandomElement(
-        f"factor separation failed after {MAX_DRAWS} draws")
 
 
 def _check_factorization(U, comp, W, nL, nR, tol):

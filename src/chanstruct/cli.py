@@ -191,9 +191,8 @@ class Analysis:
     then shared by the report and the verification ledger."""
 
     def __init__(self, c: ChannelSpec, w: OqrwSpec | None, tol: Tolerances,
-                 seed: int, max_power: int | None):
-        self.c, self.w, self.tol = c, w, tol
-        self.seed, self.max_power = seed, max_power
+                 max_power: int | None):
+        self.c, self.w, self.tol, self.max_power = c, w, tol, max_power
 
     @cached_property
     def spectrum(self):
@@ -213,7 +212,7 @@ class Analysis:
 
     @cached_property
     def N_structure(self):
-        return atomic_structure(self.N, tol=self.tol, seed=self.seed)
+        return atomic_structure(self.N, tol=self.tol)
 
     @cached_property
     def inv(self):
@@ -357,7 +356,7 @@ def _component_summary(comp, tol):
 
 
 def analyze(c: ChannelSpec, w: OqrwSpec | None, tol: Tolerances,
-            seed: int, max_power: int) -> dict:
+            max_power: int) -> dict:
     report = {
         "schema_version": SCHEMA_VERSION,
         "kind": "analysis",
@@ -375,11 +374,11 @@ def analyze(c: ChannelSpec, w: OqrwSpec | None, tol: Tolerances,
             "homogeneous": w.homogeneous,
         }
 
-    analysis = Analysis(c, w, tol, seed, max_power)
+    analysis = Analysis(c, w, tol, max_power)
     M, N, F, inv = analysis.M, analysis.N, analysis.F, analysis.inv
     report["faithful"] = inv.faithful
     report["invariant_state"] = {
-        "space_dim": analysis.spectrum.invariant.dim,
+        "space_dim": F.dim,
         "min_eigenvalue": _num(inv.min_eigenvalue),
         "rho_max": matrix_to_json(inv.rho_max),
     }
@@ -463,7 +462,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--tol", type=float, default=None,
                        help="equality tolerance (default 1e-8)")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--max-power", type=int, default=None,
                        help="cap on the power/path chain length")
         p.add_argument("--format", choices=["json", "text"], default="json")
@@ -502,12 +500,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "example":
-            payload = make_example(args.name, args)
-            text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-            if args.output:
-                _write_atomic(text, args.output)
-            else:
-                sys.stdout.write(text)
+            _emit(make_example(args.name, args), "json", args.output)
             return EXIT_OK
 
         tol = _tolerances(args)
@@ -524,11 +517,11 @@ def main(argv=None) -> int:
             else:
                 raise
         if args.command == "analyze":
-            report = analyze(c, w, tol, args.seed, max_power)
+            report = analyze(c, w, tol, max_power)
             _emit(report, args.format, args.output)
             return EXIT_OK
         # verify
-        ledger = build_ledger(Analysis(c, w, tol, args.seed, max_power))
+        ledger = build_ledger(Analysis(c, w, tol, max_power))
         all_pass = all(e["passed"] for e in ledger)
         payload = {
             "schema_version": SCHEMA_VERSION,

@@ -266,7 +266,11 @@ def fixed_multiblock(comp: Component,
     sum_m S_m* (T~_m B_j e_pq B_j* T~_m* (x) I) S_m over all j, p, q, and
     their sums over p = q are its minimal central projections.  The
     component's fixed points must equal that span within 1e3 * eq_tol, or
-    CenterMismatch is raised.
+    CenterMismatch is raised.  The eigenvalues are fixed only up to one
+    common phase, so the blocks are listed by arg(lam_j conj(lam_ref)) in
+    [0, 2 pi), an arg within 10 * eq_tol of 2 pi counting as 0; lam_ref
+    belongs to the block whose central projection comes first by
+    :func:`algebra.block_order`.
     """
     d = comp.period
     T = comp.shift_unitaries
@@ -295,6 +299,11 @@ def fixed_multiblock(comp: Component,
             X = X + np.einsum("psx,qsy->pqxy", H.conj(), H)
         central.append(round_projector(np.einsum("ppxy->xy", X), tol=tol))
         units.append(X.reshape(-1, r, r))
+    ref = eigenvalues[min(range(len(central)),
+                          key=lambda j: block_order(central[j]))]
+    arg = np.angle(np.array(eigenvalues) * np.conj(ref)) % (2 * np.pi)
+    arg[arg > 2 * np.pi - 10 * tol.eq_tol] = 0.0
+    order = np.argsort(arg, kind="stable")
     carried = MatrixSubspace.from_span(np.concatenate(units), dim=r, tol=tol)
     distance = subspace_distance(carried, comp.fixed_points)
     if distance > 1e3 * tol.eq_tol:
@@ -303,7 +312,8 @@ def fixed_multiblock(comp: Component,
             f"{distance:.3e} from the fixed points")
 
     return FixedBlockData(
-        left_bases=tuple(left_bases), eigenvalues=tuple(eigenvalues),
-        central_projections=tuple(central),
+        left_bases=tuple(left_bases[j] for j in order),
+        eigenvalues=tuple(eigenvalues[j] for j in order),
+        central_projections=tuple(central[j] for j in order),
         sigma=scipy.linalg.block_diag(*comp.block_states) / d,
         right_total=sum(comp.right_dims))

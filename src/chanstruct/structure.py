@@ -56,7 +56,7 @@ class Spectrum:
     :func:`spectrum`): the peripheral block A_11 and its Schur vectors Z_1,
     whose span is the reversible part, the number and largest modulus of
     the other eigenvalues, E_N and E_F as factor pairs (X, Y) with
-    E = X Y* of rank at most dim N, F = range(E_F) and range(E_F*)."""
+    E = X Y* of rank at most dim N, and F = range(E_F)."""
 
     a11: np.ndarray
     z1: np.ndarray
@@ -65,7 +65,6 @@ class Spectrum:
     e_n_factors: tuple
     e_f_factors: tuple
     fixed: MatrixSubspace
-    invariant: MatrixSubspace
 
     @property
     def peripheral(self) -> int:
@@ -215,8 +214,7 @@ def spectrum(T: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
         a11=A11, z1=Z1, stable_dim=len(moduli),
         stable_radius=float(moduli.max(initial=0.0)),
         e_n_factors=(Z1, dagger(L)), e_f_factors=(fixed, right_f),
-        fixed=MatrixSubspace.from_columns(fixed, D),
-        invariant=MatrixSubspace.from_columns(np.linalg.qr(right_f)[0], D))
+        fixed=MatrixSubspace.from_columns(fixed, D))
 
 
 def fixed_points(s: Spectrum, tol: Tolerances = DEFAULT_TOL) -> FixedPointSpace:

@@ -314,14 +314,14 @@ def apply_block_expectation(structure, states, X):
     return out
 
 
-def expectation_onto(alg, states, tol=DEFAULT_TOL, seed=0, structure=None):
+def expectation_onto(alg, states, tol=DEFAULT_TOL, structure=None):
     """Conditional expectation onto ``alg`` with the given block states.
 
     ``states`` lists one faithful density per block, ordered as in the
     atomic structure (computed here when not supplied).
     """
     if structure is None:
-        structure = atomic_structure(alg, tol=tol, seed=seed)
+        structure = atomic_structure(alg, tol=tol)
     states = [np.asarray(r, dtype=complex) for r in states]
     if len(states) != structure.n_blocks:
         raise DimensionMismatch(
@@ -340,12 +340,12 @@ def expectation_onto(alg, states, tol=DEFAULT_TOL, seed=0, structure=None):
                                   block_states=tuple(states))
 
 
-def expectation_onto_dfa(c, s, tol=DEFAULT_TOL, seed=0):
+def expectation_onto_dfa(c, s, tol=DEFAULT_TOL):
     """The peripheral spectral projection of the spectrum ``s`` packaged as
     a conditional expectation with atomic-structure data for its range
     N."""
     N = s.reversible
-    structure = atomic_structure(N, tol=tol, seed=seed)
+    structure = atomic_structure(N, tol=tol)
     states = extract_block_states(s.apply_expectation, structure, tol=tol)
     return ConditionalExpectation(transfer=transfer_of(s.apply_expectation,
                                                        c.dim),

@@ -97,7 +97,7 @@ def _check_cycle_against_oracle(check, label, c, s, rep):
     the period and, embedded by W, the cyclic projections that the
     peripheral-eigenmatrix oracle ``rep`` (period_irreducible) gives."""
     comps = mfnc_decompose(c, fixed_points(s).as_algebra(),
-                           atomic_structure(dfa(c), seed=0), s)
+                           atomic_structure(dfa(c)), s)
     check(len(comps) == 1, f"{label}: {len(comps)} components, expected 1")
     comp = comps[0]
     check(comp.period == rep.period,
@@ -306,7 +306,7 @@ def test_acceptance_2_pauli_walk_d4(capsys):
         check(zdim == 2, f"{tag}: dim Z(N) = {zdim}")
 
         comps = mfnc_decompose(c, F.as_algebra(),
-                               atomic_structure(N, seed=0), s)
+                               atomic_structure(N), s)
         check(len(comps) == 1, f"{tag}: {len(comps)} components, expected 1")
         comp = comps[0]
         check(comp.period == 2, f"{tag}: period {comp.period}")
@@ -589,7 +589,7 @@ def test_acceptance_7_cyclic_shift(capsys):
               f"d={d}: dim F = {F.dim}, loop commutant has dim {cdim}")
 
         comps = mfnc_decompose(c, F.as_algebra(),
-                               atomic_structure(dfa(c), seed=0), s)
+                               atomic_structure(dfa(c)), s)
         check(len(comps) == 1, f"d={d}: {len(comps)} components")
         comp = comps[0]
         check(comp.period == d,

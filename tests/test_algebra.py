@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chanstruct.algebra import (
+    NotAlgebra,
     atomic_structure,
     center,
     commutant,
@@ -11,7 +12,10 @@ from chanstruct.algebra import (
 )
 from chanstruct.numerics import (
     MatrixSubspace,
+    Tolerances,
     dagger,
+    random_unitary,
+    spectral_norm,
     subspace_distance,
 )
 from tests.conftest import (
@@ -78,7 +82,7 @@ def test_atomic_structure_factor():
     # M2 (x) I3 inside 6x6: one block, left 2, right 3
     gens = [np.kron(X, np.eye(3)), np.kron(Z, np.eye(3))]
     alg = generated_algebra(gens)
-    st_ = atomic_structure(alg, seed=1)
+    st_ = atomic_structure(alg)
     assert st_.n_blocks == 1
     assert st_.left_dims == (2,)
     assert st_.right_dims == (3,)
@@ -96,7 +100,7 @@ def test_atomic_structure_factor():
 
 def test_atomic_structure_diagonal():
     alg = generated_algebra([np.diag([1.0, 2.0])])
-    st_ = atomic_structure(alg, seed=0)
+    st_ = atomic_structure(alg)
     assert st_.n_blocks == 2
     assert st_.left_dims == (1, 1)
     assert st_.right_dims == (1, 1)
@@ -109,11 +113,61 @@ def test_atomic_structure_mixed_blocks():
     blk[0][:4, :4] = np.kron(X, I2)
     blk[1][:4, :4] = np.kron(Z, I2)
     alg = generated_algebra(blk)
-    st_ = atomic_structure(alg, seed=2)
+    st_ = atomic_structure(alg)
     assert st_.n_blocks == 2
     dims = set(zip(st_.left_dims, st_.right_dims))
     assert dims == {(2, 2), (1, 2)}
     assert np.allclose(sum(st_.central_projections), np.eye(6))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)),
+                min_size=1, max_size=4).filter(
+                    lambda shapes: sum(a * b for a, b in shapes) <= 12),
+       st.integers(0, 10_000))
+@example([(2, 2), (2, 2), (1, 3)], 0)
+@example([(1, 1), (1, 1), (1, 2), (3, 1)], 1)
+def test_atomic_structure_of_planted_blocks(shapes, seed):
+    # V (sum_j M_nL_j (x) I_nR_j) V* for a Haar V: the central projections
+    # are the planted ones, with their dims, and each U_j carries every
+    # basis element to a (x) I
+    D = sum(nL * nR for nL, nR in shapes)
+    V = random_unitary(D, np.random.default_rng(seed))
+    units, planted, start = [], [], 0
+    for nL, nR in shapes:
+        stop = start + nL * nR
+        for a in range(nL * nL):
+            B = np.zeros((D, D), dtype=complex)
+            B[start:stop, start:stop] = np.kron(
+                np.eye(nL * nL)[a].reshape(nL, nL), np.eye(nR))
+            units.append(V @ B @ dagger(V))
+        P = np.zeros((D, D))
+        P[start:stop, start:stop] = np.eye(stop - start)
+        planted.append((V @ P @ dagger(V), (nL, nR)))
+        start = stop
+    alg = MatrixSubspace.from_span(units)
+    st_ = atomic_structure(alg)
+    matched = []
+    for P, U, nL, nR in zip(st_.central_projections, st_.block_unitaries,
+                            st_.left_dims, st_.right_dims, strict=True):
+        [k] = [k for k, (Q, _) in enumerate(planted)
+               if spectral_norm(P - Q) <= 1e-10]
+        assert planted[k][1] == (nL, nR)
+        matched.append(k)
+        X4 = (U @ alg.basis @ dagger(U)).reshape(-1, nL, nR, nL, nR)
+        a = np.einsum("kirjr->kij", X4) / nR
+        resid = X4 - np.einsum("kij,rs->kirjs", a, np.eye(nR))
+        assert np.abs(resid).max() <= 1e-8
+    assert sorted(matched) == list(range(len(shapes)))
+
+
+def test_atomic_structure_too_coarse_to_split_raises():
+    # at eq_tol = 1 the cluster gap 10 * max(1, |w|) joins both eigenvalues
+    # of every non-scalar element of the diagonal algebra: no split is
+    # possible, and the split stops with NotAlgebra
+    alg = generated_algebra([np.diag([1.0, 2.0])])
+    with pytest.raises(NotAlgebra):
+        atomic_structure(alg, Tolerances(eq_tol=1.0))
 
 
 def _check_expectation(E, tol=1e-8):
@@ -150,7 +204,7 @@ def test_expectation_module_property_and_cp():
     rho = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     rho = rho @ dagger(rho) + 0.1 * np.eye(3)
     rho /= np.trace(rho).real
-    E = expectation_onto(alg, [rho], seed=1)
+    E = expectation_onto(alg, [rho])
     _check_expectation(E)
     # complete positivity via the Choi matrix of the transfer map
     from chanstruct.channel import ChannelSpec
@@ -184,7 +238,7 @@ def test_extract_block_states_roundtrip():
     gens = [np.kron(X, np.eye(2)), np.kron(Z, np.eye(2))]
     alg = generated_algebra(gens)
     rho = np.array([[0.7, 0.1j], [-0.1j, 0.3]])
-    E = expectation_onto(alg, [rho], seed=3)
+    E = expectation_onto(alg, [rho])
     (got,) = extract_block_states(E.apply, E.structure)
     assert np.allclose(got, rho, atol=1e-9)
 

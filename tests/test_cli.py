@@ -1,12 +1,16 @@
 import dataclasses
+import importlib
+import inspect
 import json
+import pkgutil
 
 import jsonschema
 import numpy as np
 import pytest
 
+import chanstruct
 from chanstruct import cli
-from chanstruct.algebra import NotAlgebra, center
+from chanstruct.algebra import center
 from chanstruct.channel import from_kraus, matrix_from_json, matrix_to_json
 from chanstruct.cli import (
     _choi_min_eig,
@@ -18,7 +22,7 @@ from chanstruct.cli import (
     build_ledger,
     main,
 )
-from chanstruct.numerics import MatrixSubspace, NotNearProjection, Tolerances
+from chanstruct.numerics import MatrixSubspace, Tolerances
 from chanstruct.structure import dfa, fixed_points, spectrum
 from tests.conftest import (
     I2,
@@ -97,9 +101,21 @@ def test_analyze_reproducible(tmp_path, capsys):
     f = tmp_path / "w.json"
     run(["example", "cyclic-shift", "--d", "3", "--seed", "42",
          "--output", str(f)], capsys)
-    _, out1 = run(["analyze", str(f), "--seed", "7"], capsys)
-    _, out2 = run(["analyze", str(f), "--seed", "7"], capsys)
+    _, out1 = run(["analyze", str(f)], capsys)
+    _, out2 = run(["analyze", str(f)], capsys)
     assert out1 == out2
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_analyze_and_verify_take_no_seed(tmp_path, capsys, command):
+    # analyze and verify make no random draw; example draws its unitaries
+    f = tmp_path / "w.json"
+    code, _ = run(["example", "cyclic-shift", "--d", "3", "--seed", "1",
+                   "--output", str(f)], capsys)
+    assert code == EXIT_OK
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(f), "--seed", "1"])
+    assert exc.value.code == EXIT_INPUT_ERROR
 
 
 def test_example_nn_cycle_presets(tmp_path, capsys):
@@ -167,7 +183,7 @@ def test_dfa_center_is_the_block_count_of_n(tmp_path, capsys):
     # dims.dfa_center is read off the one atomic structure of N that the
     # components also use
     for c in build_corpus(20240817):
-        a = Analysis(c, None, Tolerances(), seed=0, max_power=None)
+        a = Analysis(c, None, Tolerances(), max_power=None)
         assert a.N_structure.n_blocks == center(a.N).dim, c.label
     c = amplitude_damping()
     code, out = run(["analyze", write_channel(tmp_path / "ad.json",
@@ -187,7 +203,7 @@ def test_one_band_rule_for_every_spectral_stage(eps, tmp_path, capsys):
     c = dephasing_mixture(eps)
     s = spectrum(c.transfer)
     rank_f = np.linalg.matrix_rank(dense(s.e_f_factors))
-    assert fixed_points(s).dim == s.invariant.dim == rank_f
+    assert fixed_points(s).dim == rank_f
     assert rank_f <= np.linalg.matrix_rank(dense(s.e_n_factors))
     code, out = run(["analyze", write_channel(tmp_path / "c.json",
                                               list(c.kraus))], capsys)
@@ -273,8 +289,7 @@ def _add_rank_one(factors, size, dim):
 def test_corrupted_expectation_fails_its_rho_entry(name):
     # E + 1e-5 u v* is 1e-5 from the rho-orthogonal projection: the
     # matching -vs-rho entry fails at its 1e-6 bound, the other one passes
-    a = Analysis(build_corpus(20240817)[40], None, Tolerances(), seed=0,
-                 max_power=None)
+    a = Analysis(build_corpus(20240817)[40], None, Tolerances(), None)
     clean = {e["name"]: e for e in build_ledger(a)}
     assert clean["e-f-vs-rho"]["passed"] and clean["e-n-vs-rho"]["passed"]
     field = f"{name.replace('-', '_')}_factors"
@@ -291,7 +306,7 @@ def test_corrupted_expectation_fails_its_rho_entry(name):
 def test_ledger_reads_the_product_defect_of_f():
     # span{I, X, Z} is not product-closed: XZ = -iY lies at HS distance
     # ||Y / 2|| = 2^-1/2 from it
-    a = Analysis(from_kraus([I2]), None, Tolerances(), seed=0, max_power=None)
+    a = Analysis(from_kraus([I2]), None, Tolerances(), max_power=None)
     sub = MatrixSubspace.from_span([I2, X, Z])
     a.spectrum = dataclasses.replace(a.spectrum, fixed=sub)
     adjoint, product = sub.closure_defects()
@@ -428,7 +443,19 @@ def test_walk_repeated_vertex_label_is_an_input_error(tmp_path, capsys):
     assert "repeated vertex labels" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("error", [NotAlgebra, NotNearProjection])
+def _numerical_failure_classes():
+    """Every RuntimeError subclass defined in a chanstruct module."""
+    modules = [importlib.import_module(f"chanstruct.{m.name}")
+               for m in pkgutil.iter_modules(chanstruct.__path__)]
+    return sorted({cls for mod in modules
+                   for _, cls in inspect.getmembers(mod, inspect.isclass)
+                   if issubclass(cls, RuntimeError)
+                   and cls.__module__ == mod.__name__},
+                  key=lambda cls: cls.__name__)
+
+
+@pytest.mark.parametrize("error", _numerical_failure_classes(),
+                         ids=lambda cls: cls.__name__)
 def test_every_numerical_failure_class_exits_3(tmp_path, capsys, monkeypatch,
                                                error):
     # a failed self-check inside analyze is a numerical error, not a

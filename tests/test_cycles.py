@@ -8,7 +8,7 @@ from chanstruct.algebra import (
     atomic_structure,
     extract_block_states,
 )
-from chanstruct.channel import from_kraus
+from chanstruct.channel import from_kraus, matrix_from_json
 from chanstruct.cli import Analysis, analyze
 from chanstruct.cycles import (
     CenterMismatch,
@@ -166,8 +166,7 @@ def test_mfnc_two_components():
     N = dfa(c)
     assert F.dim == 2
     assert N.dim == 6
-    comps = mfnc_decompose(c, F, atomic_structure(N, seed=1),
-                           peripheral_of(c)[0])
+    comps = mfnc_decompose(c, F, atomic_structure(N), peripheral_of(c)[0])
     assert len(comps) == 2
     assert np.allclose(sum(comp.projection for comp in comps), np.eye(6),
                        atol=1e-8)
@@ -181,7 +180,7 @@ def test_mfnc_components_match_their_own_analysis(name):
     # reference route: F and E_N of each restricted channel, recomputed
     c = two_cycles() if name == "two-cycles" else build_corpus(20240817)[40]
     comps = mfnc_decompose(c, fixed_points(spectrum(c.transfer)).as_algebra(),
-                           atomic_structure(dfa(c), seed=1),
+                           atomic_structure(dfa(c)),
                            peripheral_of(c)[0])
     assert len(comps) == 2
     for comp in comps:
@@ -215,8 +214,7 @@ def test_mfnc_shift_walk_single_component():
     N = dfa(c)
     assert F.dim == 2          # commutant of a generic 2x2 unitary
     assert N.dim == 3 * 4      # block diagonals
-    comps = mfnc_decompose(c, F, atomic_structure(N, seed=0),
-                           peripheral_of(c)[0])
+    comps = mfnc_decompose(c, F, atomic_structure(N), peripheral_of(c)[0])
     assert len(comps) == 1
     assert comps[0].period == 3
 
@@ -241,8 +239,7 @@ def test_component_decompose_shift_walk():
     c = shift_walk(Us)
     F = fixed_points(spectrum(c.transfer)).as_algebra()
     N = dfa(c)
-    comps = mfnc_decompose(c, F, atomic_structure(N, seed=2),
-                           peripheral_of(c)[0])
+    comps = mfnc_decompose(c, F, atomic_structure(N), peripheral_of(c)[0])
     comp = comps[0]
     assert comp.left_dim == 2
     assert comp.right_dims == (1, 1, 1)
@@ -278,8 +275,7 @@ def test_fixed_multiblock_shift_walk():
     c = shift_walk(Us)
     F = fixed_points(spectrum(c.transfer)).as_algebra()
     N = dfa(c)
-    comps = mfnc_decompose(c, F, atomic_structure(N, seed=3),
-                           peripheral_of(c)[0])
+    comps = mfnc_decompose(c, F, atomic_structure(N), peripheral_of(c)[0])
     comp = comps[0]
     fb = fixed_multiblock(comp)
     oracles = fixed_block_oracles(comp, fb)
@@ -319,20 +315,18 @@ def test_fixed_multiblock_shift_walk():
 
 
 def test_fixed_block_eigenvalues_are_fixed_up_to_one_phase():
-    # cyclic-shift-4 of the seed-27 corpus: the seed and the frame of the
-    # input turn both fixed-block eigenvalues by one common phase; their
-    # count and the ratios lam_i conj(lam_j) do not move
+    # cyclic-shift-4 of the seed-27 corpus: the frame of the input turns
+    # both fixed-block eigenvalues by one common phase; their count and the
+    # ratios lam_i conj(lam_j) do not move
     c = build_corpus(27)[35]
     rng = np.random.default_rng(3)
     U = random_unitary(c.dim, rng)
     u = random_unitary(len(c.kraus), rng)
-    variants = [(c, 0), (c, 1), (c, 2),
-                (from_kraus(U @ c.kraus @ dagger(U)), 0),
-                (from_kraus(np.tensordot(u, c.kraus, 1)), 0)]
+    variants = [c, from_kraus(U @ c.kraus @ dagger(U)),
+                from_kraus(np.tensordot(u, c.kraus, 1))]
     ratios = []
-    for channel, seed in variants:
-        [component] = analyze(channel, None, DEFAULT_TOL, seed,
-                              None)["components"]
+    for channel in variants:
+        [component] = analyze(channel, None, DEFAULT_TOL, None)["components"]
         blocks = component["fixed_blocks"]
         lam = np.array([complex(*v) for v in blocks["eigenvalues"]])
         assert blocks["count"] == len(lam) == 2
@@ -340,6 +334,25 @@ def test_fixed_block_eigenvalues_are_fixed_up_to_one_phase():
     for r in ratios[1:]:
         assert max(np.abs(r - x).min() for x in ratios[0]) < 1e-8
         assert max(np.abs(ratios[0] - x).min() for x in r) < 1e-8
+
+
+def test_fixed_block_order_is_free_of_the_phase_gauge():
+    # Kraus mixings turn the monodromy eigenvalues by one common phase;
+    # listed by arg relative to the first block by block_order, the fixed
+    # blocks keep their order
+    c = build_corpus(27)[35]
+    rng = np.random.default_rng(0)
+    orders = []
+    for _ in range(10):
+        u = random_unitary(len(c.kraus), rng)
+        [component] = analyze(from_kraus(np.tensordot(u, c.kraus, 1)), None,
+                              DEFAULT_TOL, None)["components"]
+        orders.append([matrix_from_json(P) for P in
+                       component["fixed_blocks"]["central_projections"]])
+    for order in orders[1:]:
+        assert len(order) == len(orders[0])
+        for P, Q in zip(order, orders[0]):
+            assert spectral_norm(P - Q) < 1e-8
 
 
 def test_fixed_multiblock_pauli():
@@ -361,7 +374,7 @@ def test_fixed_multiblock_pauli():
 def pipeline_components(c, tol=DEFAULT_TOL):
     """The components that ``analyze`` factors: mfnc_decompose on the
     analysis' F, atomic structure of N and spectrum."""
-    a = Analysis(c, None, tol, 0, None)
+    a = Analysis(c, None, tol, None)
     return mfnc_decompose(c, a.F.as_algebra(), a.N_structure, a.spectrum,
                           tol=tol)
 

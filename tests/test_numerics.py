@@ -113,7 +113,7 @@ def test_transfer_of_matches_kraus_transfer():
     alg = generated_algebra([block_diag(np.kron(G, I2), np.zeros((2, 2)))
                              for G in (X, Z)])
     states = [np.array([[0.7, 0.1j], [-0.1j, 0.3]]), np.diag([0.4, 0.6])]
-    E = expectation_onto(alg, states, seed=3)
+    E = expectation_onto(alg, states)
     assert E.structure.n_blocks == 2
     assert np.allclose(E.transfer, transfer_of_units(
         lambda A: apply_block_expectation(E.structure, states, A), 6),
