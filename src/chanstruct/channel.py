@@ -109,7 +109,8 @@ def from_kraus(matrices, tol: Tolerances = DEFAULT_TOL,
 # ---------------------------------------------------------------------------
 
 def matrix_to_json(M: np.ndarray) -> list:
-    return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(M, dtype=complex)]
+    M = np.asarray(M, dtype=complex)
+    return np.stack([M.real, M.imag], -1).tolist()
 
 
 def matrix_from_json(rows) -> np.ndarray:

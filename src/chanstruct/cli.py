@@ -56,7 +56,6 @@ from chanstruct.oqrw import (
     builder_pauli_walk,
     oqrw_dfa,
     oqrw_from_json,
-    oqrw_multiplicative_domain,
     oqrw_to_json,
     to_channel,
 )
@@ -117,7 +116,7 @@ def _write_atomic(text: str, path: str):
 
 def _emit(payload: dict, fmt: str, output: str | None):
     if fmt == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(payload, sort_keys=True) + "\n"
     else:
         text = _render_text(payload)
     if output:
@@ -311,10 +310,9 @@ def build_ledger(analysis: Analysis) -> list:
         add("l2-isometry-on-dfa", iso_res, 1e-8)
 
     if w is not None:
-        m_block = oqrw_multiplicative_domain(w, tol=tol)
-        add("oqrw-mult-domain-oracle",
-            subspace_distance(m_block, analysis.M), 1e-7)
         rep = oqrw_dfa(w, n_max=analysis.max_power, tol=tol)
+        add("oqrw-mult-domain-oracle",
+            subspace_distance(rep.multiplicative_domain, analysis.M), 1e-7)
         add("oqrw-dfa-oracle",
             subspace_distance(rep.algebra, N), 1e-7)
         if inv.faithful:

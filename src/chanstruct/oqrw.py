@@ -205,25 +205,14 @@ def _algebra(diagonal: MatrixSubspace, off_diagonal: MatrixSubspace):
         [diagonal.basis, off_diagonal.basis]))
 
 
-def oqrw_multiplicative_domain(
-        w: OqrwSpec, tol: Tolerances = DEFAULT_TOL) -> MatrixSubspace:
-    """M from the one-step block conditions: A_ii L_ij L_kj* = L_ij L_kj* A_kk
-    for edges (i, j), (k, j), and A_li L_ij = 0 = L_ij* A_il for l != i.
-    No condition couples an off-diagonal block to any other block, so M is
-    a kernel on the block-diagonal units plus, at each block (l, i),
-    exactly B(W_i, W_l), W_i the common kernel of the L* entering i."""
-    spans = {key: L[None] for key, L in w.transitions.items()}
-    return _algebra(next(_diagonal_chain(w, spans, tol)),
-                    _off_diagonal(w, tol))
-
-
 @dataclass(frozen=True)
 class OqrwDfaReport:
     """Path-condition decoherence-free algebra with its off-diagonal
-    part."""
+    part, and the multiplicative domain, the first step of the chain."""
 
     algebra: MatrixSubspace
     off_diagonal: MatrixSubspace
+    multiplicative_domain: MatrixSubspace
 
 
 def _advance_spans(w: OqrwSpec, spans, tol):
@@ -241,19 +230,26 @@ def _advance_spans(w: OqrwSpec, spans, tol):
 def oqrw_dfa(w: OqrwSpec, n_max: int | None = None,
              tol: Tolerances = DEFAULT_TOL) -> OqrwDfaReport:
     """N from the block conditions of n-step path operators, intersected
-    over n = 1, 2, ... until the dimension repeats or falls to 1.
+    over n = 1, 2, ... until the dimension repeats or falls to 1, and M
+    from those of n = 1.
 
-    The blocks split as for M.  An n-step path into i ends with a one-step
-    path into i and so has a range inside the one-step ranges: the
-    off-diagonal conditions of n = 1 imply those of every n, the
-    off-diagonal part stays the sum of B(W_i, W_l), nonzero only if two
-    vertices have a dead corner W_i != 0, and only the diagonal part
-    shrinks along the chain."""
+    The one-step conditions are A_ii L_ij L_kj* = L_ij L_kj* A_kk for edges
+    (i, j), (k, j), and A_li L_ij = 0 = L_ij* A_il for l != i.  No condition
+    couples an off-diagonal block to any other block, so M is a kernel on
+    the block-diagonal units plus, at each block (l, i), exactly
+    B(W_i, W_l), W_i the common kernel of the L* entering i.  An n-step
+    path into i ends with a one-step path into i and so has a range inside
+    the one-step ranges: the off-diagonal conditions of n = 1 imply those
+    of every n, the off-diagonal part stays the sum of B(W_i, W_l),
+    nonzero only if two vertices have a dead corner W_i != 0, and only the
+    diagonal part shrinks along the chain."""
     cap = n_max if n_max is not None else w.total_dim ** 2
     off_diagonal = _off_diagonal(w, tol)
     spans = {key: span_basis([L], tol) for key, L in w.transitions.items()}
+    steps = _diagonal_chain(w, spans, tol)
+    first = next(steps)
     prev_dim = None
-    for _, diagonal in zip(range(cap), _diagonal_chain(w, spans, tol)):
+    for _, diagonal in zip(range(cap), itertools.chain([first], steps)):
         dim = diagonal.dim + off_diagonal.dim
         if dim == prev_dim or dim <= 1:
             break
@@ -262,7 +258,8 @@ def oqrw_dfa(w: OqrwSpec, n_max: int | None = None,
         raise NoStabilization(
             f"path-condition chain still at dim {prev_dim} after n={cap}")
     return OqrwDfaReport(algebra=_algebra(diagonal, off_diagonal),
-                         off_diagonal=off_diagonal)
+                         off_diagonal=off_diagonal,
+                         multiplicative_domain=_algebra(first, off_diagonal))
 
 
 # ---------------------------------------------------------------------------

@@ -273,10 +273,13 @@ def multiplicative_domain(c: ChannelSpec,
                           tol: Tolerances = DEFAULT_TOL) -> MatrixSubspace:
     """M = {A : Phi(A* A) = Phi(A)* Phi(A), Phi(A A*) = Phi(A) Phi(A)*}: by
     Choi's theorem the commutant {V_j V_k*}' (the pairs j <= k; their
-    adjoints are the rest), re-verified on the definitional test."""
+    adjoints are the rest), re-verified on the definitional test.  Products
+    that are exactly zero, as most are on walks, are dropped: they leave
+    the commutant unchanged, and no tolerance enters."""
     V = c.kraus
     j, k = np.triu_indices(len(V))
-    M = alg_mod.commutant(V[j] @ dagger(V[k]), dim=c.dim, tol=tol)
+    P = V[j] @ dagger(V[k])
+    M = alg_mod.commutant(P[np.any(P != 0, axis=(1, 2))], dim=c.dim, tol=tol)
     B = M.basis
     lhs, PB = np.split(c.apply(np.concatenate([dagger(B) @ B, B])), 2)
     if np.any(np.linalg.norm(lhs - dagger(PB) @ PB, 2, axis=(1, 2))

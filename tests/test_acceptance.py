@@ -35,7 +35,6 @@ from chanstruct.oqrw import (
     builder_nn_cycle,
     builder_pauli_walk,
     oqrw_dfa,
-    oqrw_multiplicative_domain,
     pauli_pair,
     to_channel,
 )
@@ -549,11 +548,11 @@ def test_acceptance_6_oqrw_oracles(capsys):
         walks.append((f"random-{k}", _random_walk(rng, n, dims)))
 
     for label, w in walks:
-        c = to_channel(w)
-        dM = subspace_distance(oqrw_multiplicative_domain(w),
+        c, rep = to_channel(w), oqrw_dfa(w)
+        dM = subspace_distance(rep.multiplicative_domain,
                                multiplicative_domain(c))
         check(dM <= 1e-7, f"{label}: multiplicative domain {dM:.2e}")
-        dN = subspace_distance(oqrw_dfa(w).algebra, dfa(c))
+        dN = subspace_distance(rep.algebra, dfa(c))
         check(dN <= 1e-7, f"{label}: dfa {dN:.2e}")
     _verdict(capsys, f"6: walk oracles vs generic route on {len(walks)} "
                      f"walks", failures)

@@ -51,6 +51,10 @@ def test_commutant_matches_svd_route(seed, dim, ngens):
     new, old = commutant(gens), svd_route_commutant(gens, dim)
     assert new.dim == old.dim
     assert subspace_distance(new, old) < 1e-10
+    # a zero generator leaves the commutant as it is
+    padded = commutant(gens + [np.zeros((dim, dim))])
+    assert padded.dim == new.dim
+    assert subspace_distance(padded, new) < 1e-10
 
 
 def test_generated_algebra_examples():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import chanstruct
-from chanstruct import cli
+from chanstruct import cli, oqrw
 from chanstruct.algebra import center
 from chanstruct.channel import from_kraus, matrix_from_json, matrix_to_json
 from chanstruct.cli import (
@@ -352,6 +352,26 @@ def test_verify_pass(tmp_path, capsys):
     assert report["all_pass"] is True
     names = [e["name"] for e in report["checks"]]
     assert "oqrw-dfa-block-diagonal" in names
+
+
+def test_verify_builds_the_walk_path_chain_once(tmp_path, capsys,
+                                               monkeypatch):
+    # the M oracle is the first step of the chain that the N oracle ends
+    f = tmp_path / "w.json"
+    run(["example", "pauli", "--d", "3", "--output", str(f)], capsys)
+    chains = []
+    build_chain = oqrw._diagonal_chain
+
+    def counted(*args):
+        chains.append(args)
+        return build_chain(*args)
+
+    monkeypatch.setattr(oqrw, "_diagonal_chain", counted)
+    code, out = run(["verify", str(f)], capsys)
+    assert code == EXIT_OK
+    names = [e["name"] for e in json.loads(out)["checks"]]
+    assert {"oqrw-mult-domain-oracle", "oqrw-dfa-oracle"} <= set(names)
+    assert len(chains) == 1
 
 
 def test_verify_corrupted_kraus(tmp_path, capsys):

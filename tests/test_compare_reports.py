@@ -97,6 +97,30 @@ def test_compare_reports_reads_fixed_block_eigenvalues_up_to_a_phase(
     assert "FAIL components.fixed_blocks.eigenvalues" in moved.stdout
 
 
+def test_compare_reports_flags_swapped_fixed_blocks(tmp_path):
+    # the report lists the fixed blocks in an order free of the phase
+    # gauge, so two blocks trading places is a change
+    walk = tmp_path / "walk.json"
+    main(["example", "pauli", "--d", "4", "--output", str(walk)])
+    parent = tmp_path / "parent"
+    parent.mkdir()
+    assert main(["analyze", str(walk), "--output",
+                 str(parent / "w.json")]) == EXIT_OK
+    (parent / "w.exit").write_text("0\n")
+
+    def swap(report):
+        fb = report["components"][0]["fixed_blocks"]
+        assert fb["count"] == 2
+        for key in ("eigenvalues", "central_projections"):
+            fb[key].reverse()
+        fb["invariant_state_parameters"]["left_state_dims"].reverse()
+    swapped = compare(parent, moved_copy(tmp_path, parent, swap))
+    assert swapped.returncode == 1
+    assert "FAIL components.fixed_blocks.central_projections" \
+        in swapped.stdout
+    assert "ok   components.projection" in swapped.stdout
+
+
 def _move_xi_kraus(report, move):
     """Apply ``move`` to the (K, n, n') stack of every xi_kraus[m] of the
     first component, stored back as [re, im] pairs."""

@@ -18,7 +18,6 @@ from chanstruct.oqrw import (
     builder_pauli_walk,
     oqrw_dfa,
     oqrw_from_json,
-    oqrw_multiplicative_domain,
     oqrw_to_json,
     pauli_pair,
     to_channel,
@@ -134,7 +133,7 @@ def test_mult_domain_agrees_pauli_walk():
     for d, alpha in ((3, 0.5), (4, 0.3)):
         w = builder_pauli_walk(d, alpha)
         c = to_channel(w)
-        m_block = oqrw_multiplicative_domain(w)
+        m_block = oqrw_dfa(w).multiplicative_domain
         m_generic = multiplicative_domain(c)
         assert subspace_distance(m_block, m_generic) < 1e-7
 
@@ -144,7 +143,7 @@ def test_mult_domain_agrees_random():
     for _ in range(5):
         w = random_walk(rng, 3, [2, 2, 2])
         c = to_channel(w)
-        m_block = oqrw_multiplicative_domain(w)
+        m_block = oqrw_dfa(w).multiplicative_domain
         m_generic = multiplicative_domain(c)
         assert subspace_distance(m_block, m_generic) < 1e-7
 
@@ -285,7 +284,7 @@ def test_block_split_matches_full_route(name, w):
     # the off-diagonal part is the sum of B(W_i, W_l) over l != i
     assert rep.off_diagonal.dim == sum(
         a * b for a, b in itertools.permutations(ref.dead_corners, 2))
-    assert subspace_distance(oqrw_multiplicative_domain(w),
+    assert subspace_distance(rep.multiplicative_domain,
                              full_route_oqrw_multiplicative_domain(w)) \
         <= 1e-10
     assert least_stable_power(oqrw_dfa, w) == \

@@ -52,6 +52,7 @@ from tests.conftest import (
     word_route_multiplicative_domain,
 )
 from tests.test_acceptance import build_corpus
+from tools.compare_reports import compare_case
 from tools.report_set import dead_corners_walk
 
 
@@ -323,6 +324,28 @@ def test_m_and_n_under_kraus_freedom_and_conjugation(index, seed, padding):
                                    dfa(conjugated))):
         assert subspace_distance(MatrixSubspace(D, basis),
                                  alg) <= 1e-9, c.label
+
+
+@pytest.mark.parametrize("c", [
+    pytest.param(build_corpus(27)[-1], id="corpus-block-sum"),
+    pytest.param(to_channel(builder_pauli_walk(3, 0.5)), id="pauli-walk-3"),
+])
+def test_zero_kraus_padding_keeps_m_n_f_and_the_report(c):
+    # two zero Kraus operators leave the channel as it is
+    padded = from_kraus(list(c.kraus) + [np.zeros((c.dim, c.dim))] * 2)
+    M, Mp = multiplicative_domain(c), multiplicative_domain(padded)
+    N, Np = dfa(c, M=M), dfa(padded, M=Mp)
+    F, Fp = (fixed_points(spectrum(x.transfer)).subspace for x in (c, padded))
+    for a, b in ((M, Mp), (N, Np), (F, Fp)):
+        assert a.dim == b.dim
+        assert subspace_distance(a, b) <= 1e-10
+    report, padded_report = (analyze(x, None, DEFAULT_TOL, None)
+                             for x in (c, padded))
+    assert report["components"]
+    rows = list(compare_case(report, padded_report))
+    assert rows
+    assert [(field, difference) for field, difference, limit in rows
+            if difference > limit] == []
 
 
 def test_dfa_unitary_is_full():

@@ -23,9 +23,10 @@ Only fields that do not depend on the choice of bases are compared:
   1e-8, on the projection, ``period``, the set of cyclic projections,
   ``left_dim``, ``right_dims``, ``structured_kraus_residual`` (absolute),
   of ``fixed_blocks`` the ``count``, ``right_total``, the ``eigenvalues``
-  up to one common phase (the sorted products lam_i conj(lam_j) over all
-  pairs; the monodromy fixes them only up to that phase), the set of
-  ``central_projections``, the sorted eigenvalues of ``sigma``
+  up to one common phase (lam_i conj(lam_0) in report order; the monodromy
+  fixes them only up to that phase, and the report lists the blocks in an
+  order free of it), the ``central_projections`` position by position, the
+  sorted eigenvalues of ``sigma``
   (``fixed_blocks.sigma_spectrum``) and, exactly, the sorted
   ``invariant_state_parameters.left_state_dims``;
   ``block_state_spectra``: the sorted eigenvalues of each
@@ -92,14 +93,13 @@ def _sorted_eigenvalues(values):
     return sorted(values, key=lambda z: (round(z[0], 6), round(z[1], 6)))
 
 
-def _phase_free(values):
-    """The sorted products lam_i conj(lam_j) over all pairs of a list of
-    [re, im] values: the values up to one common phase."""
+def _relative(values):
+    """lam_i conj(lam_0) of a list of [re, im] values, in list order: the
+    values up to one common phase."""
     if not isinstance(values, list):
         return values
     z = np.array([complex(*v) for v in values])
-    ratios = np.outer(z, z.conj()).ravel()
-    return _sorted_eigenvalues([[r.real, r.imag] for r in ratios])
+    return [[r.real, r.imag] for r in z * z[:1].conj()]
 
 
 def _match(xs, ys, diff) -> list:
@@ -152,10 +152,10 @@ def _component_fields(a, b) -> dict:
         "fixed_blocks.count": _diff(fa["count"], fb["count"]),
         "fixed_blocks.right_total": _diff(fa["right_total"],
                                           fb["right_total"]),
-        "fixed_blocks.eigenvalues": _diff(_phase_free(fa["eigenvalues"]),
-                                          _phase_free(fb["eigenvalues"])),
-        "fixed_blocks.central_projections": _set_diff(
-            fa["central_projections"], fb["central_projections"], _diff),
+        "fixed_blocks.eigenvalues": _diff(_relative(fa["eigenvalues"]),
+                                          _relative(fb["eigenvalues"])),
+        "fixed_blocks.central_projections": _diff(
+            fa["central_projections"], fb["central_projections"]),
         "fixed_blocks.sigma_spectrum": _diff(_spectrum(fa["sigma"]),
                                              _spectrum(fb["sigma"])),
         "fixed_blocks.invariant_state_parameters.left_state_dims": _diff(
