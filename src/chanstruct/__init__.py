@@ -8,7 +8,7 @@ MFNC decompositions, component channels and decoherence spectral gap.
 
 from chanstruct.numerics import Tolerances, MatrixSubspace
 from chanstruct.channel import ChannelSpec, from_kraus
-from chanstruct.algebra import commutant, generated_algebra
+from chanstruct.algebra import commutant
 from chanstruct.oqrw import OqrwSpec, build as build_oqrw, to_channel
 
 __all__ = [
@@ -17,7 +17,6 @@ __all__ = [
     "ChannelSpec",
     "from_kraus",
     "commutant",
-    "generated_algebra",
     "OqrwSpec",
     "build_oqrw",
     "to_channel",

@@ -44,7 +44,7 @@ def commutator_gram(gens, dim: int):
     transfer matrix of A -> sum_g g A g*."""
     g = np.asarray(gens, dtype=complex).reshape(-1, dim, dim)
     W = np.concatenate([g, g.conj().transpose(0, 2, 1)])
-    S, eye = np.einsum("kba,kbc->ac", W.conj(), W), np.eye(dim)
+    S, eye = np.tensordot(W.conj(), W, ([0, 1], [0, 1])), np.eye(dim)
     X = np.tensordot(g.conj(), g, (0, 0)).transpose(0, 2, 1, 3) \
         .reshape(dim * dim, dim * dim)
     G = np.kron(S.T, eye) + np.kron(eye, S) - 2 * (X + dagger(X))
@@ -63,28 +63,6 @@ def commutant(gens, dim=None, tol: Tolerances = DEFAULT_TOL) -> MatrixSubspace:
         if g.shape != (dim, dim):
             raise DimensionMismatch(f"generator shape {g.shape} != {(dim, dim)}")
     return gram_kernel(*commutator_gram(gens, dim), tol)
-
-
-def generated_algebra(gens, dim=None,
-                      tol: Tolerances = DEFAULT_TOL) -> MatrixSubspace:
-    """Smallest unital *-algebra containing the generators.
-
-    Closes under products until the dimension stabilizes (word length
-    <= dim^2 always suffices at finite dimension).
-    """
-    gens = [np.asarray(g, dtype=complex) for g in gens]
-    if dim is None:
-        if not gens:
-            raise ValueError("need dim for an empty generator set")
-        dim = gens[0].shape[0]
-    basis = span_basis([np.eye(dim), *gens, *(dagger(g) for g in gens)], tol)
-    for _ in range(dim * dim):
-        prods = (basis[:, None] @ basis).reshape(-1, dim, dim)
-        new = span_basis(np.concatenate([basis, prods]), tol)
-        stable, basis = len(new) == len(basis), new
-        if stable:
-            break
-    return MatrixSubspace(dim, basis)
 
 
 def center(alg: MatrixSubspace,
@@ -136,7 +114,7 @@ def _minimal_ranges(basis, W0: np.ndarray, tol: Tolerances) -> list:
 
     A range W is minimal when the compressed algebra span(W* B W) is one-
     dimensional.  Otherwise W splits along the eigenvalue clusters (gap
-    10 * eq_tol * max(1, |w|)) of the largest in HS norm of the parts
+    derived_tol * max(1, |w|)) of the largest in HS norm of the parts
     b + b* and i(b - b*) of the compressed basis, traces removed, and each
     part is split again.  For a k-dimensional compression their squared
     norms add up to at least 4(k - 1), so the element picked has norm at
@@ -151,7 +129,7 @@ def _minimal_ranges(basis, W0: np.ndarray, tol: Tolerances) -> list:
     parts -= np.trace(parts, axis1=1, axis2=2)[:, None, None] * np.eye(n) / n
     w, V = np.linalg.eigh(
         parts[np.argmax(np.linalg.norm(parts, axis=(1, 2)))])
-    clusters = _cluster_real(w, 10 * tol.eq_tol * max(1.0, np.abs(w).max()))
+    clusters = _cluster_real(w, tol.derived_tol * max(1.0, np.abs(w).max()))
     if len(clusters) == 1:
         raise NotAlgebra("a non-scalar element has one eigenvalue cluster")
     return [W for cl in clusters
@@ -174,7 +152,7 @@ def atomic_structure(alg: MatrixSubspace,
     """
     D = alg.ambient_dim
     defect = max(alg.closure_defects())
-    if defect > 100 * tol.eq_tol:
+    if defect > tol.check_tol:
         raise NotAlgebra(f"closure defect {defect:.3e}")
     cen = center(alg, tol=tol)
     ranges = _minimal_ranges(cen.basis, np.eye(D), tol)
@@ -215,14 +193,14 @@ def atomic_structure(alg: MatrixSubspace,
 
 def _check_factorization(U, comp, W, nL, nR, tol):
     """Every element of the stack ``comp``, carried by U W, must be
-    a (x) I within 100 * eq_tol * max(1, ||b||)."""
+    a (x) I within check_tol * max(1, ||b||)."""
     Ut = U @ W                                   # (nL*nR, nblk)
     X5 = (Ut @ comp @ dagger(Ut)).reshape(-1, nL, nR, nL, nR)
     a = np.einsum("kirjr->kij", X5) / nR
     resid = np.linalg.norm(
         (X5 - np.einsum("kij,rs->kirjs", a, np.eye(nR))).reshape(len(X5), -1),
         axis=1)
-    bound = 100 * tol.eq_tol * np.maximum(1.0, np.linalg.norm(comp, axis=(1, 2)))
+    bound = tol.check_tol * np.maximum(1.0, np.linalg.norm(comp, axis=(1, 2)))
     if np.any(resid > bound):
         raise NotAlgebra(f"factorization residual {resid.max():.3e}")
 

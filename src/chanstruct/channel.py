@@ -79,8 +79,7 @@ class ChannelSpec:
         D = self.dim
         _, s, wh = np.linalg.svd(self.kraus.reshape(-1, D * D),
                                  full_matrices=False)
-        w, cnorm = s[::-1] ** 2, s[0] ** 2
-        keep = w > tol.rank_tol * max(cnorm, 1e-300)
+        keep = s[::-1] ** 2 > tol.rank_tol * s[0] ** 2
         ops = (s[::-1, None] * wh[::-1])[keep].reshape(-1, D, D)
         return ChannelSpec(self.dim, ops, label=self.label + " (minimal)")
 

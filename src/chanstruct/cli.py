@@ -247,11 +247,10 @@ def _expectation_checks(name: str, factors, c: ChannelSpec):
     X, Y = factors
     D = c.dim
     yield (f"{name}-idempotent",
-           lowrank_norm(X @ (dagger(Y) @ X - np.eye(X.shape[1])), Y), 1e-7)
+           lowrank_norm(X @ (dagger(Y) @ X - np.eye(X.shape[1])), Y))
     yield (f"{name}-unital",
-           hs_norm(unvec(X @ (dagger(Y) @ vec(np.eye(D))), D) - np.eye(D)),
-           1e-7)
-    yield (f"{name}-cp", max(0.0, -_choi_min_eig(X @ dagger(Y), D)), 1e-7)
+           hs_norm(unvec(X @ (dagger(Y) @ vec(np.eye(D))), D) - np.eye(D)))
+    yield f"{name}-cp", max(0.0, -_choi_min_eig(X @ dagger(Y), D))
 
 
 def _distance_to_rho_projection(factors, l2: L2Structure, sub) -> float:
@@ -271,29 +270,29 @@ def build_ledger(analysis: Analysis) -> list:
                         "tolerance": tolerance,
                         "passed": bool(residual <= tolerance)})
 
-    add("kraus-unitality", c.unitality_defect, 100 * tol.eq_tol)
+    add("kraus-unitality", c.unitality_defect, tol.check_tol)
     if not entries[-1]["passed"]:
         # downstream structure theory is meaningless for a non-unital map
         return entries
 
     F = analysis.F
-    add("fixed-points-product-closed", F.product_defect, 1e-6)
+    add("fixed-points-product-closed", F.product_defect, tol.check_tol)
 
     inv, N = analysis.inv, analysis.N
     if inv.faithful:
         p, s = analysis.peripheral, analysis.spectrum
         add("dfa-equals-peripheral-span",
-            subspace_distance(N, s.reversible), 1e-6)
+            subspace_distance(N, s.reversible), tol.check_tol)
         kraus_commutant = fixed_points_commutant(c, inv, analysis.M, tol)
         add("fixed-points-kraus-commutant",
-            subspace_distance(kraus_commutant, F.subspace), 1e-6)
+            subspace_distance(kraus_commutant, F.subspace), tol.check_tol)
         for item in _expectation_checks("e-n", s.e_n_factors, c):
-            add(*item)
-        add("e-n-commutes", p.commutation_defect, 1e-7)
+            add(*item, tol.derived_tol)
+        add("e-n-commutes", p.commutation_defect, tol.derived_tol)
         for item in _expectation_checks("e-f", s.e_f_factors, c):
-            add(*item)
+            add(*item, tol.derived_tol)
         add("e-f-commutes", commutator_norm(c.transfer, *s.e_f_factors),
-            1e-7)
+            tol.derived_tol)
         # a faithful invariant rho admits one rho-preserving expectation
         # onto each algebra, the rho-orthogonal projection (Takesaki), so
         # the spectral E_F and E_N must equal the projections onto the
@@ -301,20 +300,22 @@ def build_ledger(analysis: Analysis) -> list:
         l2 = analysis.l2
         add("e-f-vs-rho",
             _distance_to_rho_projection(s.e_f_factors, l2, kraus_commutant),
-            1e-6)
+            tol.check_tol)
         add("e-n-vs-rho",
-            _distance_to_rho_projection(s.e_n_factors, l2, N), 1e-6)
-        add("l2-contraction", max(0.0, l2.map_norm(c.transfer) - 1.0), 1e-8)
+            _distance_to_rho_projection(s.e_n_factors, l2, N), tol.check_tol)
+        add("l2-contraction", max(0.0, l2.map_norm(c.transfer) - 1.0),
+            tol.eq_tol)
         iso_res = max((abs(l2.norm(c.apply(b)) - l2.norm(b))
                        for b in N.basis), default=0.0)
-        add("l2-isometry-on-dfa", iso_res, 1e-8)
+        add("l2-isometry-on-dfa", iso_res, tol.eq_tol)
 
     if w is not None:
         rep = oqrw_dfa(w, n_max=analysis.max_power, tol=tol)
         add("oqrw-mult-domain-oracle",
-            subspace_distance(rep.multiplicative_domain, analysis.M), 1e-7)
+            subspace_distance(rep.multiplicative_domain, analysis.M),
+            tol.derived_tol)
         add("oqrw-dfa-oracle",
-            subspace_distance(rep.algebra, N), 1e-7)
+            subspace_distance(rep.algebra, N), tol.derived_tol)
         if inv.faithful:
             add("oqrw-dfa-block-diagonal", rep.off_diagonal.dim, 0)
     return entries
@@ -459,7 +460,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--tol", type=float, default=None,
-                       help="equality tolerance (default 1e-8)")
+                       help="equality tolerance eq_tol (default 1e-8); "
+                            "every other threshold is a fixed multiple")
         p.add_argument("--max-power", type=int, default=None,
                        help="cap on the power/path chain length")
         p.add_argument("--format", choices=["json", "text"], default="json")

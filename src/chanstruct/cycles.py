@@ -136,7 +136,7 @@ def mfnc_decompose(c: ChannelSpec, F: MatrixSubspace, st: AlgebraStructure,
     for P in atoms:
         PhiP = c.apply(P)
         hits = [k for k, Q in enumerate(atoms)
-                if spectral_norm(PhiP - Q) <= 1e3 * tol.eq_tol]
+                if spectral_norm(PhiP - Q) <= tol.cycle_tol]
         if len(hits) != 1:
             raise OrbitNotClosed(
                 f"image of a minimal central projection matched "
@@ -193,7 +193,7 @@ def _factor_kraus(c_i: ChannelSpec, S, nL: int, nRs, rho,
     reduced channels must carry the block state rho_{m-1} to rho_m.
     """
     d = len(S)
-    limit = 1e3 * tol.eq_tol
+    limit = tol.cycle_tol
 
     # split every Kraus operator along the cycle, all the blocks
     # B = S_m V S_{m-1}* of one step at once: realigned to rows (a, i) and
@@ -245,7 +245,7 @@ def structured_kraus(comp: Component,
         kraus = kraus + dagger(comp.isometries[m]) @ B @ comp.isometries[m - 1]
     rebuilt = from_kraus(kraus, tol=tol, label=f"{comp.channel.label}|rebuilt")
     err = blockwise_norm(rebuilt.transfer - comp.channel.transfer)
-    if err > 1e3 * tol.eq_tol:
+    if err > tol.cycle_tol:
         raise ReconstructionMismatch(
             f"structured Kraus reconstruction error {err:.3e}")
     return rebuilt, err
@@ -265,10 +265,10 @@ def fixed_multiblock(comp: Component,
     F is the span of the matrix units
     sum_m S_m* (T~_m B_j e_pq B_j* T~_m* (x) I) S_m over all j, p, q, and
     their sums over p = q are its minimal central projections.  The
-    component's fixed points must equal that span within 1e3 * eq_tol, or
+    component's fixed points must equal that span within cycle_tol, or
     CenterMismatch is raised.  The eigenvalues are fixed only up to one
     common phase, so the blocks are listed by arg(lam_j conj(lam_ref)) in
-    [0, 2 pi), an arg within 10 * eq_tol of 2 pi counting as 0; lam_ref
+    [0, 2 pi), an arg within derived_tol of 2 pi counting as 0; lam_ref
     belongs to the block whose central projection comes first by
     :func:`algebra.block_order`.
     """
@@ -284,7 +284,7 @@ def fixed_multiblock(comp: Component,
         tilde[m] = acc
 
     w, V = np.linalg.eig(tilde[0])
-    clusters = cluster_values(w, gap=10 * tol.eq_tol)
+    clusters = cluster_values(w, gap=tol.derived_tol)
     left_bases = [np.linalg.qr(V[:, cl])[0] for cl in clusters]
     eigenvalues = [complex(np.mean(w[cl])) for cl in clusters]
 
@@ -302,11 +302,11 @@ def fixed_multiblock(comp: Component,
     ref = eigenvalues[min(range(len(central)),
                           key=lambda j: block_order(central[j]))]
     arg = np.angle(np.array(eigenvalues) * np.conj(ref)) % (2 * np.pi)
-    arg[arg > 2 * np.pi - 10 * tol.eq_tol] = 0.0
+    arg[arg > 2 * np.pi - tol.derived_tol] = 0.0
     order = np.argsort(arg, kind="stable")
     carried = MatrixSubspace.from_span(np.concatenate(units), dim=r, tol=tol)
     distance = subspace_distance(carried, comp.fixed_points)
-    if distance > 1e3 * tol.eq_tol:
+    if distance > tol.cycle_tol:
         raise CenterMismatch(
             f"the monodromy commutant carried around the cycle is "
             f"{distance:.3e} from the fixed points")

@@ -6,8 +6,8 @@ Conventions pinned here and used by every other module:
   so that ``vec(M X N) = kron(N.T, M) vec(X)``.
 * The matrix space carries the Hilbert-Schmidt inner product
   ``<A, B> = trace(A* B)``, under which vec() is an isometry.
-* All equality decisions are relative spectral-norm tests against
-  ``Tolerances.eq_tol``.
+* All equality decisions are relative spectral-norm tests against a
+  level of ``Tolerances``, each a fixed multiple of ``eq_tol``.
 * Every kernel (commutants, centers, M, N, the walk oracles) is decided
   by one SVD of the folded constraint matrix in
   :func:`kernel_coefficients`: singular values sigma <= rank_tol *
@@ -58,23 +58,39 @@ class NotNearProjection(RuntimeError):
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical thresholds shared across the package.
+    """Numerical thresholds: eq_tol (``--tol``) and its multiples by role.
 
-    eq_tol: relative spectral-norm equality threshold.
-    rank_tol: relative singular-value cutoff for rank/kernel decisions.
-    peripheral_band: eigenvalues with ``|lam| > 1 - peripheral_band``
-        count as peripheral.
+    ===============  ==========  ===========================================
+    level            value       decides
+    ===============  ==========  ===========================================
+    rank_tol         eq_tol/10   every rank, span and kernel (relative
+                                 singular values); state eigenvalue floor
+    eq_tol           eq_tol      equalities (relative spectral norm);
+                                 ledger: the L2 contraction and isometry
+    peripheral_band  10 eq_tol   |lam| > 1 - band is peripheral, and
+                                 |lam - 1| <= band is the eigenvalue 1
+    derived_tol      10 eq_tol   cluster gaps, projector rounding, product
+                                 closure of F; ledger: the expectations,
+                                 the walk oracles
+    check_tol        100 eq_tol  a stage's self-checks: closure, the M
+                                 re-check, eigenpairs and their
+                                 conditioning, invariance, walk columns;
+                                 ledger: unitality, distances of two routes
+    cycle_tol        1e3 eq_tol  the cycles layer, built on several stages
+    ===============  ==========  ===========================================
     """
 
     eq_tol: float = 1e-8
-    rank_tol: float = 1e-9
-    peripheral_band: float = 1e-7
 
     def __post_init__(self):
-        for name in ("eq_tol", "rank_tol", "peripheral_band"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, not {value}")
+        if not 0 < self.eq_tol < np.inf:
+            raise ValueError(f"eq_tol {self.eq_tol} is not finite and > 0")
+
+    rank_tol = property(lambda self: self.eq_tol / 10)
+    peripheral_band = property(lambda self: 10 * self.eq_tol)
+    derived_tol = property(lambda self: 10 * self.eq_tol)
+    check_tol = property(lambda self: 100 * self.eq_tol)
+    cycle_tol = property(lambda self: 1e3 * self.eq_tol)
 
 
 DEFAULT_TOL = Tolerances()
@@ -177,16 +193,17 @@ def kernel_coefficients(blocks, k: int,
     matrix with k columns, given as a stream of row blocks.
 
     Blocks, cut to at most ``KERNEL_FOLD_ROWS`` rows (one tall QR is
-    slower than several short ones), are folded into a k x k triangular
-    factor R with one QR per ``KERNEL_FOLD_ROWS`` rows; one SVD of R then
-    decides the kernel on all constraints together: sigma <= rank_tol *
-    max(sigma_max, 1).  The constraints come from operators of norm O(1);
-    the floor of 1 keeps constraints that all hold (a numerically zero
-    matrix) from reading as full rank.
+    slower than several short ones), are folded into a triangular factor R
+    of at most k rows with one QR per ``KERNEL_FOLD_ROWS`` rows; one SVD of
+    R, padded with zero rows to k x k, then decides the kernel on all
+    constraints together: sigma <= rank_tol * max(sigma_max, 1).  The
+    constraints come from operators of norm O(1); the floor of 1 keeps
+    constraints that all hold (a numerically zero matrix) from reading as
+    full rank.
     """
     if k == 0:
         return np.zeros((0, 0), dtype=complex)
-    R = np.zeros((k, k), dtype=complex)
+    R = np.zeros((0, k), dtype=complex)
     pending, rows = [], 0
     for chunk in (b[i:i + KERNEL_FOLD_ROWS] for b in blocks
                   for i in range(0, b.shape[0], KERNEL_FOLD_ROWS)):
@@ -197,15 +214,16 @@ def kernel_coefficients(blocks, k: int,
             pending, rows = [], 0
     if pending:
         R = np.linalg.qr(np.vstack([R, *pending]), mode="r")
+    R = np.vstack([R, np.zeros((k - len(R), k))])
     _, s, vh = np.linalg.svd(R, full_matrices=False)
     return vh[s <= tol.rank_tol * max(s[0], 1.0)].conj().T
 
 
 def range_isometry(P: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal columns spanning the range of a projection; exactly the
-    identity when P is the identity within 10 * eq_tol."""
+    identity when P is the identity within derived_tol."""
     D = P.shape[0]
-    if spectral_norm(P - np.eye(D)) <= 10 * tol.eq_tol:
+    if spectral_norm(P - np.eye(D)) <= tol.derived_tol:
         return np.eye(D, dtype=complex)
     w, V = np.linalg.eigh((P + dagger(P)) / 2)
     return V[:, w > 0.5]
@@ -292,7 +310,11 @@ class MatrixSubspace:
 
 GRAM_CANDIDATE_CUTOFF = 1e-6
 """Stage-1 cutoff of :func:`gram_kernel` on Gram eigenvalues, which are
-squared singular values: far above rank_tol^2 and above eigh rounding."""
+squared singular values: far above rank_tol^2 and above eigh rounding.
+Fixed, not a multiple of eq_tol: it bounds the rounding of eigh, not an
+equality, and rank_tol still decides every kernel.  Scaled down with a
+small ``--tol``, the candidate span could miss the kernel by more than
+rank_tol."""
 
 
 def gram_kernel(G: np.ndarray, constraint,
@@ -316,7 +338,7 @@ def gram_kernel(G: np.ndarray, constraint,
 def round_projector(P: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Snap a near-projection to an exact orthogonal projection.
 
-    Eigenvalues must lie within 10*eq_tol of {0, 1}; those at least 0.5
+    Eigenvalues must lie within derived_tol of {0, 1}; those at least 0.5
     map to 1, the rest to 0, keeping eigenvectors.
     """
     P = np.asarray(P, dtype=complex)
@@ -324,11 +346,11 @@ def round_projector(P: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     if nrm == 0:
         return np.zeros_like(P)
     herm_defect = spectral_norm(P - dagger(P))
-    if herm_defect > 10 * tol.eq_tol * nrm:
+    if herm_defect > tol.derived_tol * nrm:
         raise NotNearProjection(f"Hermiticity defect {herm_defect:.3e}")
     H = (P + dagger(P)) / 2
     w, V = np.linalg.eigh(H)
-    slack = 10 * tol.eq_tol * max(1.0, nrm)
+    slack = tol.derived_tol * max(1.0, nrm)
     bad = [x for x in w if not (abs(x) <= slack or abs(x - 1) <= slack)]
     if bad:
         raise NotNearProjection(f"eigenvalue(s) {bad} not near {{0,1}}")

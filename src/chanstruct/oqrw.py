@@ -109,17 +109,17 @@ def build(vertices, local_dims, transitions,
         if np.isscalar(col):
             col = np.zeros((local_dims[j], local_dims[j]))
         defect = spectral_norm(col - np.eye(local_dims[j]))
-        if defect > 100 * tol.eq_tol:
+        if defect > tol.check_tol:
             raise ColumnNotNormalized(
                 f"column {j} has unitality defect {defect:.3e}")
-    homogeneous = _is_homogeneous(vertices, local_dims, ops)
+    homogeneous = _is_homogeneous(vertices, local_dims, ops, tol)
     return OqrwSpec(vertices=vertices, local_dims=local_dims,
                     transitions=ops, homogeneous=homogeneous, label=label)
 
 
-def _is_homogeneous(vertices, local_dims, ops) -> bool:
-    """True when every vertex sees the same operators keyed by
-    displacement around the (cyclically interpreted) vertex list."""
+def _is_homogeneous(vertices, local_dims, ops, tol: Tolerances) -> bool:
+    """True when every vertex sees the same operators (entries within
+    eq_tol) keyed by displacement around the cyclic vertex list."""
     n = len(vertices)
     if len(set(local_dims)) != 1:
         return False
@@ -129,7 +129,7 @@ def _is_homogeneous(vertices, local_dims, ops) -> bool:
         if set(seen) != set(reference):
             return False
         for disp, L in seen.items():
-            if not np.allclose(L, reference[disp], atol=1e-12):
+            if not np.allclose(L, reference[disp], rtol=0, atol=tol.eq_tol):
                 return False
     return bool(reference)
 
@@ -275,7 +275,7 @@ def builder_cyclic_shift(d: int, unitaries,
     h = unitaries[0].shape[0]
     for i, U in enumerate(unitaries):
         if U.shape != (h, h) or \
-                spectral_norm(dagger(U) @ U - np.eye(h)) > 100 * tol.eq_tol:
+                spectral_norm(dagger(U) @ U - np.eye(h)) > tol.check_tol:
             raise NotUnitary(f"operator {i} is not unitary on a common space")
     transitions = {(i, (i - 1) % d): unitaries[i] for i in range(d)}
     return build(range(d), [h] * d, transitions, tol=tol,

@@ -219,11 +219,11 @@ def spectrum(T: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
 
 def fixed_points(s: Spectrum, tol: Tolerances = DEFAULT_TOL) -> FixedPointSpace:
     """F = range(E_F); flagged as algebra when its adjoint defect is at
-    most eq_tol and its product defect at most 10 * eq_tol."""
+    most eq_tol and its product defect at most derived_tol."""
     adjoint, product = s.fixed.closure_defects()
     return FixedPointSpace(
         subspace=s.fixed, product_defect=product,
-        is_algebra=adjoint <= tol.eq_tol and product <= 10 * tol.eq_tol)
+        is_algebra=adjoint <= tol.eq_tol and product <= tol.derived_tol)
 
 
 def invariant_states(c: ChannelSpec, s: Spectrum,
@@ -239,16 +239,16 @@ def invariant_states(c: ChannelSpec, s: Spectrum,
     w = np.where(np.abs(w) <= tol.rank_tol, 0.0, w)
     rho = (V * w) @ dagger(V)
     tr = float(np.real(np.trace(rho)))
-    if tr <= tol.rank_tol or w.min() < -10 * tol.rank_tol:
+    if tr <= tol.rank_tol or w.min() < -tol.eq_tol:
         raise NoInvariantState(
             f"projection of I/D gave trace {tr:.3e}, min eig {w.min():.3e}")
     rho /= tr
     resid = hs_norm(c.preadjoint_apply(rho) - rho)
-    if resid > 100 * tol.eq_tol:
+    if resid > tol.check_tol:
         raise NoInvariantState(f"candidate not invariant, residual {resid:.3e}")
     min_eig = float(np.linalg.eigvalsh(rho).min())
     return InvariantStateReport(rho_max=rho,
-                                faithful=min_eig > 10 * tol.rank_tol,
+                                faithful=min_eig > tol.eq_tol,
                                 min_eigenvalue=min_eig)
 
 
@@ -283,7 +283,7 @@ def multiplicative_domain(c: ChannelSpec,
     B = M.basis
     lhs, PB = np.split(c.apply(np.concatenate([dagger(B) @ B, B])), 2)
     if np.any(np.linalg.norm(lhs - dagger(PB) @ PB, 2, axis=(1, 2))
-              > 100 * tol.eq_tol):
+              > tol.check_tol):
         raise RuntimeError(
             "commutant route disagrees with the multiplicativity test")
     return M
@@ -333,17 +333,17 @@ def peripheral_subalgebra(c: ChannelSpec, inv: InvariantStateReport,
     T = c.transfer
     w, V = np.linalg.eig(s.a11)
     sv = np.linalg.svd(V, compute_uv=False)
-    if sv[-1] < 1e-6 * sv[0]:
+    if sv[-1] < tol.check_tol * sv[0]:
         raise PeripheralJordanBlock(
             f"peripheral eigenvector conditioning {sv[-1] / sv[0]:.3e}")
     for lam, v in zip(w, (s.z1 @ V).T):
         X = unvec(v, c.dim)
         resid = hs_norm(unvec(T @ v, c.dim) - lam * X)
-        if resid > 100 * tol.eq_tol * hs_norm(X):
+        if resid > tol.check_tol * hs_norm(X):
             raise PeripheralJordanBlock(
                 f"eigenpair residual {resid:.3e} at lambda={lam:.6f}")
     comm_defect = commutator_norm(T, *s.e_n_factors)
-    if comm_defect > 100 * tol.eq_tol * max(1.0, blockwise_norm(T)):
+    if comm_defect > tol.check_tol * max(1.0, blockwise_norm(T)):
         raise PeripheralJordanBlock(
             f"expectation fails to commute with the channel: {comm_defect:.3e}")
     return PeripheralData(eigenvalues=tuple(w),

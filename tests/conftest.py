@@ -45,6 +45,28 @@ def full_algebra(dim: int) -> MatrixSubspace:
     return MatrixSubspace(dim, np.eye(dim * dim))
 
 
+def generated_algebra(gens, dim=None,
+                      tol: Tolerances = DEFAULT_TOL) -> MatrixSubspace:
+    """Smallest unital *-algebra containing the generators.
+
+    Closes under products until the dimension stabilizes (word length
+    <= dim^2 always suffices at finite dimension).
+    """
+    gens = [np.asarray(g, dtype=complex) for g in gens]
+    if dim is None:
+        if not gens:
+            raise ValueError("need dim for an empty generator set")
+        dim = gens[0].shape[0]
+    basis = span_basis([np.eye(dim), *gens, *(dagger(g) for g in gens)], tol)
+    for _ in range(dim * dim):
+        prods = (basis[:, None] @ basis).reshape(-1, dim, dim)
+        new = span_basis(np.concatenate([basis, prods]), tol)
+        stable, basis = len(new) == len(basis), new
+        if stable:
+            break
+    return MatrixSubspace(dim, basis)
+
+
 def dense(factors):
     """The matrix X Y* of an operator kept as its factors (X, Y), such as
     ``Spectrum.e_n_factors`` and ``Spectrum.e_f_factors``."""

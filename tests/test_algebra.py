@@ -8,7 +8,6 @@ from chanstruct.algebra import (
     center,
     commutant,
     extract_block_states,
-    generated_algebra,
 )
 from chanstruct.numerics import (
     MatrixSubspace,
@@ -25,6 +24,7 @@ from tests.conftest import (
     NotFaithful,
     expectation_onto,
     full_algebra,
+    generated_algebra,
     svd_route_commutant,
 )
 

@@ -374,6 +374,17 @@ def test_verify_builds_the_walk_path_chain_once(tmp_path, capsys,
     assert len(chains) == 1
 
 
+def test_verify_tol_scales_every_ledger_bound(tmp_path, capsys):
+    # every ledger bound is a level of Tolerances, a multiple of eq_tol
+    f = tmp_path / "w.json"
+    run(["example", "pauli", "--d", "3", "--output", str(f)], capsys)
+    default, scaled = (json.loads(run(["verify", str(f), *tol], capsys)[1])
+                       ["checks"] for tol in ([], ["--tol", "1e-6"]))
+    assert [e["name"] for e in scaled] == [e["name"] for e in default]
+    assert [e["tolerance"] for e in scaled] == \
+        [100 * e["tolerance"] for e in default]
+
+
 def test_verify_corrupted_kraus(tmp_path, capsys):
     X = np.array([[0, 1], [1, 0]], dtype=complex)
     Z = np.diag([1.0, -1.0]).astype(complex)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import block_diag
 
-from chanstruct.algebra import generated_algebra
 from chanstruct.cli import _choi_min_eig
 from chanstruct.numerics import (
     MatrixSubspace,
@@ -39,6 +39,7 @@ from tests.conftest import (
     dense_gram_kernel,
     dense_sorted_schur,
     expectation_onto,
+    generated_algebra,
     kernel_basis,
     subspace_intersection,
     transfer_of,
@@ -49,8 +50,19 @@ from tests.conftest import (
 def test_tolerances_positive():
     with pytest.raises(ValueError):
         Tolerances(eq_tol=0.0)
-    with pytest.raises(ValueError):
-        Tolerances(rank_tol=-1e-9)
+
+
+def test_tolerance_levels_are_multiples_of_eq_tol():
+    # eq_tol is the one settable value; every other level scales with it
+    assert [f.name for f in dataclasses.fields(Tolerances)] == ["eq_tol"]
+    for x in (1e-8, 3e-7, 1e-4):
+        t = Tolerances(eq_tol=x)
+        assert (t.rank_tol, t.peripheral_band, t.derived_tol, t.check_tol,
+                t.cycle_tol) == (x / 10, 10 * x, 10 * x, 100 * x, 1e3 * x)
+    # the defaults are the fixed values these levels replace
+    t = Tolerances()
+    assert (t.eq_tol, t.rank_tol, t.peripheral_band, t.derived_tol,
+            t.check_tol, t.cycle_tol) == (1e-8, 1e-9, 1e-7, 1e-7, 1e-6, 1e-5)
 
 
 def test_vec_roundtrip():
@@ -93,6 +105,13 @@ def test_kernel_coefficients_folded_blocks():
     assert coeff.shape == (k, k - rank)
     assert np.allclose(coeff.conj().T @ coeff, np.eye(k - rank))
     assert np.linalg.norm(L @ coeff) < 1e-9 * np.linalg.norm(L)
+    # fewer rows than columns: the rows' null space, the rest of C^k
+    short = rng.standard_normal((3, k)) + 1j * rng.standard_normal((3, k))
+    coeff = kernel_coefficients(np.array_split(short, 2), k)
+    assert coeff.shape == (k, k - 3)
+    assert np.allclose(coeff.conj().T @ coeff, np.eye(k - 3))
+    assert np.linalg.norm(short @ coeff) < 1e-12
+    assert kernel_coefficients([np.zeros((0, k))], k).shape == (k, k)
 
 
 def test_transfer_of_matches_kraus_transfer():

@@ -125,6 +125,20 @@ def test_nn_cycle_builder_and_local_map():
     assert spectral_norm(lm.transfer - expected.transfer) < 1e-10
 
 
+def test_homogeneity_is_decided_within_eq_tol():
+    # one down-step of the special-basis walk turned by a phase: its column
+    # stays normalized; entries 2.5e-6 apart differ, 1e-10 apart are equal
+    Lm = np.diag([np.sqrt(0.3), np.sqrt(0.7)])
+    Lp = np.array([[0, np.sqrt(0.3)], [np.sqrt(0.7), 0]])
+    w = builder_nn_cycle(6, Lp, Lm)
+    assert w.homogeneous
+    for phase, homogeneous in ((3e-6, False), (1e-10, True)):
+        transitions = dict(w.transitions)
+        transitions[(2, 3)] = np.exp(1j * phase) * Lm
+        assert build(w.vertices, w.local_dims,
+                     transitions).homogeneous is homogeneous
+
+
 # ---------------------------------------------------------------------------
 # oracle agreement with the generic routes
 # ---------------------------------------------------------------------------

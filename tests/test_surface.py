@@ -1,5 +1,6 @@
-"""Every module-level def and class in `src/chanstruct` has a caller, and
-every dataclass field there a reader.
+"""Every module-level def and class in `src/chanstruct` has a caller,
+every dataclass field there a reader, and no module but `numerics` writes
+out a threshold: each reads a level of `Tolerances`.
 
 A name counts as used when it is referenced, other than inside its own
 definition, somewhere in `src/chanstruct` or `tools/`, or when it is
@@ -101,3 +102,26 @@ def test_a_field_only_constructed_is_flagged(tmp_path):
     app = tmp_path / "app.py"
     app.write_text("from lib import make\n\nprint(make().value)\n")
     assert unread_fields([lib], [lib, app]) == [("lib", "Report", "extra")]
+
+
+def small_float_literals(sources):
+    """(module, line, value) of each float literal in (0, 1e-3) in
+    ``sources``: a threshold written out rather than read from a level of
+    ``Tolerances``."""
+    return [(path.stem, node.lineno, node.value) for path in sources
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Constant)
+            and isinstance(node.value, float) and 0 < node.value < 1e-3]
+
+
+def test_thresholds_outside_numerics_are_tolerance_levels():
+    # numerics holds the default eq_tol and GRAM_CANDIDATE_CUTOFF
+    assert small_float_literals(
+        [p for p in SOURCES if p.name != "numerics.py"]) == []
+
+
+def test_a_written_out_threshold_is_flagged(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text("def ok(x, tol):\n    return x < tol.check_tol * 1e3\n\n\n"
+                   "def bad(x):\n    return -1e-9 < x < 0.5 * 1e-7\n")
+    assert small_float_literals([lib]) == [("lib", 6, 1e-9), ("lib", 6, 1e-7)]
