@@ -22,6 +22,7 @@ from chanstruct.numerics import (
     dagger,
     fix_global_phase,
     gram_kernel,
+    kron_blocks,
     span_basis,
 )
 
@@ -40,15 +41,16 @@ def restrict_to_commutant(sub: MatrixSubspace, ops,
 def commutator_gram(gens, dim: int):
     """(G, constraint) of the commutators with ``gens`` and their adjoints
     W: <vec A, G vec A> = sum_W ||[A, W]||^2 for any generators, with
-    G = S^T (x) I + I (x) S - 2 (X + X*), S = sum_W W* W and X the
-    transfer matrix of A -> sum_g g A g*."""
+    G = H + H* with H = (S^T (x) I + I (x) S) / 2 - 2 X, S = sum_W W* W
+    and X = sum_g conj(g) (x) g the transfer matrix of A -> sum_g g A g*;
+    G is given by its split, H's (:func:`numerics.kron_blocks`)."""
     g = np.asarray(gens, dtype=complex).reshape(-1, dim, dim)
-    W = np.concatenate([g, g.conj().transpose(0, 2, 1)])
-    S, eye = np.tensordot(W.conj(), W, ([0, 1], [0, 1])), np.eye(dim)
-    X = np.tensordot(g.conj(), g, (0, 0)).transpose(0, 2, 1, 3) \
-        .reshape(dim * dim, dim * dim)
-    G = np.kron(S.T, eye) + np.kron(eye, S) - 2 * (X + dagger(X))
-    return G, lambda B: B[:, None] @ W - W @ B[:, None]
+    W = np.concatenate([g, dagger(g)])
+    S, eye = np.tensordot(W.conj(), W, ([0, 1], [0, 1])), np.eye(dim)[None]
+    H = kron_blocks(np.concatenate([S.T[None] / 2, eye / 2, -2 * g.conj()]),
+                    np.concatenate([eye, S[None], g]))
+    return ([(idx, B + dagger(B)) for idx, B in H],
+            lambda B: B[:, None] @ W - W @ B[:, None])
 
 
 def commutant(gens, dim=None, tol: Tolerances = DEFAULT_TOL) -> MatrixSubspace:
@@ -91,17 +93,6 @@ class AlgebraStructure:
         return len(self.central_projections)
 
 
-def _cluster_real(values: np.ndarray, gap: float) -> list[list[int]]:
-    order = np.argsort(values)
-    clusters = [[int(order[0])]]
-    for idx in order[1:]:
-        if values[idx] - values[clusters[-1][-1]] <= gap:
-            clusters[-1].append(int(idx))
-        else:
-            clusters.append([int(idx)])
-    return clusters
-
-
 def block_order(P: np.ndarray):
     """Sort key of a projection: larger rank first, then by its diagonal."""
     d = np.round(np.real(np.diag(P)), 6)
@@ -113,13 +104,13 @@ def _minimal_ranges(basis, W0: np.ndarray, tol: Tolerances) -> list:
     spanned by the stack ``basis``, split by its own elements.
 
     A range W is minimal when the compressed algebra span(W* B W) is one-
-    dimensional.  Otherwise W splits along the eigenvalue clusters (gap
-    derived_tol * max(1, |w|)) of the largest in HS norm of the parts
-    b + b* and i(b - b*) of the compressed basis, traces removed, and each
-    part is split again.  For a k-dimensional compression their squared
-    norms add up to at least 4(k - 1), so the element picked has norm at
-    least 1; should its spectrum still form one cluster, NotAlgebra is
-    raised.
+    dimensional.  Otherwise W splits in two at the widest gap between the
+    eigenvalues w of the largest in HS norm of the parts b + b* and
+    i(b - b*) of the compressed basis, traces removed, and each part is
+    compressed and split again.  For a k-dimensional compression their
+    squared norms add up to at least 4(k - 1), so the element picked has
+    norm at least 1; should its widest gap be at most
+    derived_tol * max(1, |w|), NotAlgebra is raised.
     """
     comp = span_basis(dagger(W0) @ basis @ W0, tol)
     if len(comp) <= 1:
@@ -129,11 +120,11 @@ def _minimal_ranges(basis, W0: np.ndarray, tol: Tolerances) -> list:
     parts -= np.trace(parts, axis1=1, axis2=2)[:, None, None] * np.eye(n) / n
     w, V = np.linalg.eigh(
         parts[np.argmax(np.linalg.norm(parts, axis=(1, 2)))])
-    clusters = _cluster_real(w, tol.derived_tol * max(1.0, np.abs(w).max()))
-    if len(clusters) == 1:
+    cut = int(np.argmax(np.diff(w))) + 1
+    if w[cut] - w[cut - 1] <= tol.derived_tol * max(1.0, np.abs(w).max()):
         raise NotAlgebra("a non-scalar element has one eigenvalue cluster")
-    return [W for cl in clusters
-            for W in _minimal_ranges(basis, W0 @ V[:, cl], tol)]
+    return [W for part in (V[:, :cut], V[:, cut:])
+            for W in _minimal_ranges(basis, W0 @ part, tol)]
 
 
 def atomic_structure(alg: MatrixSubspace,

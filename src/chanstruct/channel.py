@@ -24,6 +24,7 @@ from chanstruct.numerics import (
     DimensionMismatch,
     Tolerances,
     dagger,
+    kron_blocks,
     spectral_norm,
 )
 
@@ -35,7 +36,9 @@ class NotUnital(ValueError):
 @dataclass(frozen=True, eq=False)
 class ChannelSpec:
     """A validated channel: dimension, Kraus operators stacked as a
-    (K, D, D) array, free-form label."""
+    (K, D, D) array, free-form label.  The stages read the transfer matrix
+    through ``transfer_blocks``, its split found once from the Kraus
+    supports; the dense ``transfer`` serves the component residual."""
 
     dim: int
     kraus: np.ndarray
@@ -70,6 +73,12 @@ class ChannelSpec:
         Vm = self.kraus.reshape(-1, D * D)
         P = (Vm.T @ Vm.conj()).reshape((D,) * 4)
         return P.transpose(1, 3, 0, 2).reshape(D * D, D * D)
+
+    @cached_property
+    def transfer_blocks(self) -> list:
+        """The split of T = sum_k V_k^T (x) V_k* (numerics.kron_blocks):
+        T[(i, j), (l, m)] = sum_k V_k[l, i] conj(V_k[m, j])."""
+        return kron_blocks(np.swapaxes(self.kraus, 1, 2), dagger(self.kraus))
 
     def minimal_kraus(self, tol: Tolerances = DEFAULT_TOL) -> "ChannelSpec":
         """Equivalent channel whose Kraus count is the Choi rank: with the

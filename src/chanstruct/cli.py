@@ -39,10 +39,10 @@ from chanstruct.cycles import (
 )
 from chanstruct.numerics import (
     Tolerances,
-    block_stacks,
     commutator_norm,
     dagger,
     hs_norm,
+    kron_blocks,
     lowrank_norm,
     random_unitary,
     subspace_distance,
@@ -195,7 +195,7 @@ class Analysis:
 
     @cached_property
     def spectrum(self):
-        return spectrum(self.c.transfer, tol=self.tol)
+        return spectrum(self.c.transfer_blocks, tol=self.tol)
 
     @cached_property
     def F(self):
@@ -231,15 +231,14 @@ class Analysis:
 # verification ledger
 # ---------------------------------------------------------------------------
 
-def _choi_min_eig(transfer: np.ndarray, dim: int) -> float:
-    """Smallest eigenvalue of the Choi matrix of a transfer-matrix map.
-
-    Choi block (a, b) is the image of E_ab, column b * dim + a of the
-    transfer matrix; the minimum is taken over its pattern blocks."""
-    C = transfer.reshape((dim,) * 4).transpose(3, 1, 2, 0).reshape(
-        dim * dim, dim * dim)
-    return min(float(np.linalg.eigvalsh(S).min())
-               for _, S in block_stacks((C + dagger(C)) / 2))
+def _choi_min_eig(X: np.ndarray, Y: np.ndarray, dim: int) -> float:
+    """Smallest eigenvalue of the Choi matrix of E = X Y*.  Choi block
+    (a, b) is E(E_ab), so the Choi matrix is sum_r conj(y_r) (x) x_r, x_r
+    and y_r the unvec'd columns of X and Y, taken over the blocks of its
+    split; a row that no term reaches is an eigenvalue 0 of its own."""
+    x, y = unvec(X.T, dim), unvec(Y.T, dim)
+    return min(float(np.linalg.eigvalsh((S + dagger(S)) / 2).min())
+               for _, S in kron_blocks(y.conj(), x))
 
 
 def _expectation_checks(name: str, factors, c: ChannelSpec):
@@ -250,7 +249,7 @@ def _expectation_checks(name: str, factors, c: ChannelSpec):
            lowrank_norm(X @ (dagger(Y) @ X - np.eye(X.shape[1])), Y))
     yield (f"{name}-unital",
            hs_norm(unvec(X @ (dagger(Y) @ vec(np.eye(D))), D) - np.eye(D)))
-    yield f"{name}-cp", max(0.0, -_choi_min_eig(X @ dagger(Y), D))
+    yield f"{name}-cp", max(0.0, -_choi_min_eig(X, Y, D))
 
 
 def _distance_to_rho_projection(factors, l2: L2Structure, sub) -> float:
@@ -291,7 +290,8 @@ def build_ledger(analysis: Analysis) -> list:
         add("e-n-commutes", p.commutation_defect, tol.derived_tol)
         for item in _expectation_checks("e-f", s.e_f_factors, c):
             add(*item, tol.derived_tol)
-        add("e-f-commutes", commutator_norm(c.transfer, *s.e_f_factors),
+        add("e-f-commutes",
+            commutator_norm(c.transfer_blocks, *s.e_f_factors),
             tol.derived_tol)
         # a faithful invariant rho admits one rho-preserving expectation
         # onto each algebra, the rho-orthogonal projection (Takesaki), so
@@ -303,8 +303,8 @@ def build_ledger(analysis: Analysis) -> list:
             tol.check_tol)
         add("e-n-vs-rho",
             _distance_to_rho_projection(s.e_n_factors, l2, N), tol.check_tol)
-        add("l2-contraction", max(0.0, l2.map_norm(c.transfer) - 1.0),
-            tol.eq_tol)
+        add("l2-contraction",
+            max(0.0, l2.map_norm(c.transfer_blocks) - 1.0), tol.eq_tol)
         iso_res = max((abs(l2.norm(c.apply(b)) - l2.norm(b))
                        for b in N.basis), default=0.0)
         add("l2-isometry-on-dfa", iso_res, tol.eq_tol)

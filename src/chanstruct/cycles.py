@@ -28,6 +28,7 @@ from chanstruct.numerics import (
     DEFAULT_TOL,
     MatrixSubspace,
     Tolerances,
+    block_stacks,
     blockwise_norm,
     cluster_values,
     dagger,
@@ -244,7 +245,8 @@ def structured_kraus(comp: Component,
             len(L), nL * L.shape[1], nL * L.shape[2])
         kraus = kraus + dagger(comp.isometries[m]) @ B @ comp.isometries[m - 1]
     rebuilt = from_kraus(kraus, tol=tol, label=f"{comp.channel.label}|rebuilt")
-    err = blockwise_norm(rebuilt.transfer - comp.channel.transfer)
+    err = blockwise_norm(
+        block_stacks(rebuilt.transfer - comp.channel.transfer))
     if err > tol.cycle_tol:
         raise ReconstructionMismatch(
             f"structured Kraus reconstruction error {err:.3e}")

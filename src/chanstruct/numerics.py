@@ -20,12 +20,14 @@ Conventions pinned here and used by every other module:
   constraints on their stacked basis (:meth:`MatrixSubspace.restrict`),
   and distances compare the bases (:func:`subspace_distance`), never
   forming D^2 x D^2 projectors.
-* Spectral projectors come from a sorted complex Schur form plus one
-  Sylvester solve on its triangular blocks (:func:`sorted_schur`).
-* The D^2 x D^2 Schur form, Gram eigh and 2-norm (:func:`blockwise_norm`)
-  run block by block over the components of the operand's exact zero
-  pattern (:func:`pattern_blocks`), one batched call per block size: exact,
-  with no tolerance; an operand of one block takes one dense call.
+* A D^2 x D^2 operator is held as its split, (index, stack) pairs: the
+  (m, s) indices of m diagonal blocks of size s and their (m, s, s) stack,
+  zero off the blocks.  A Kronecker sum sum_r A_r (x) B_r (a transfer,
+  Gram or Choi matrix) is split along its terms' supports, never formed
+  (:func:`kron_blocks`), a dense matrix along its exact zero pattern
+  (:func:`block_stacks`): exact, and one block is the same code.  The Schur
+  form and Sylvester solve (:func:`sorted_schur`), Gram eigh, 2-norm and
+  products (:func:`block_apply`) run block by block.
 * An operator of low rank is kept as factors E = X Y* and its residuals
   are written as factors too: X (Y* X - I) Y* for idempotency,
   [X, -T X] [T* Y, Y]* for the commutator with T (:func:`commutator_norm`)
@@ -118,15 +120,12 @@ def spectral_norm(A: np.ndarray) -> float:
     return float(np.linalg.svd(A, compute_uv=False)[0])
 
 
-def pattern_blocks(A: np.ndarray) -> list[np.ndarray]:
-    """Connected components of the symmetric exact nonzero pattern of a
-    square matrix (A_ij != 0 or A_ji != 0), grouped by size: one (m, s)
-    array per block size s, each row one block's ascending indices.  Each
-    index takes the least label of its neighbours, then the label of its
-    label (pointer jumping), until the labels settle."""
-    n = len(A)
-    nz = np.asarray(A) != 0
-    i, j = np.divmod(np.flatnonzero(nz | nz.T), n)
+def components(n: int, i, j) -> list[np.ndarray]:
+    """Connected components of the graph on range(n) with the edges (i, j)
+    both ways, as one (m, s) array of ascending rows per block size s: each
+    index takes its neighbours' least label, then its label's label
+    (pointer jumping), until the labels settle."""
+    i, j = np.concatenate([i, j]), np.concatenate([j, i])
     label, new = None, np.arange(n)
     while new.any() and not np.array_equal(new, label):  # all 0: one block
         label = new.copy()
@@ -138,18 +137,73 @@ def pattern_blocks(A: np.ndarray) -> list[np.ndarray]:
             for s in np.unique(sizes[sizes > 0])]
 
 
-def block_stacks(A: np.ndarray):
-    """(index, (m, s, s) stack) pairs of the diagonal blocks of A along
-    :func:`pattern_blocks`."""
-    for idx in pattern_blocks(A):
-        yield idx, A[idx[:, :, None], idx[:, None, :]]
+def block_stacks(A: np.ndarray) -> list:
+    """The split of a dense square matrix along the components of its
+    symmetric exact nonzero pattern (A_ij != 0 or A_ji != 0)."""
+    return [(idx, A[idx[:, :, None], idx[:, None, :]])
+            for idx in components(len(A), *np.nonzero(A))]
 
 
-def blockwise_norm(A: np.ndarray) -> float:
-    """Spectral norm of a square matrix: the largest over its pattern
-    blocks, one batched SVD per block size."""
+def kron_blocks(A: np.ndarray, B: np.ndarray) -> list:
+    """The split of K = sum_r A_r (x) B_r, for two (r, D, D) stacks, along
+    the supports of its terms, K never formed: K[(p, q), (p', q')] =
+    sum_r A_r[p, p'] B_r[q, q'] (row p D + q) joins (p, q) and (p', q')
+    when some r has A_r[p, p'] != 0 and B_r[q, q'] != 0, so the split is
+    that of :func:`block_stacks` or coarser."""
+    D = A.shape[-1]
+    supports = np.hstack([A != 0, B != 0]).reshape(len(A), -1)
+    blocks = [np.arange(D * D)[None]]       # a term with no zero joins all
+    if not supports.all(axis=1).any():
+        terms = list({row.tobytes(): r
+                      for r, row in enumerate(supports)}.values())
+        ra, p, p2 = np.nonzero(A[terms])
+        rb, q, q2 = np.nonzero(B[terms])
+        nb = np.bincount(rb, minlength=len(terms))[ra]  # per A entry: B
+        ea = np.repeat(np.arange(len(ra)), nb)
+        eb = np.arange(len(ea)) - np.repeat(np.cumsum(nb) - nb, nb) \
+            + np.searchsorted(rb, ra)[ea]
+        blocks = components(D * D, p[ea] * D + q[eb], p2[ea] * D + q2[eb])
+    a, b = A.reshape(len(A), -1), B.reshape(len(B), -1)
+
+    def entries(idx):      # terms gathered a few at a time, never more than
+        p, q = np.divmod(idx, D)            # the D^4 entries of K at once
+        fa, fb = (x[:, :, None] * D + x[:, None] for x in (p, q))
+        step = max(1, D ** 4 // fa.size)
+        return sum(np.einsum("r...,r...->...", a[t:t + step][:, fa],
+                             b[t:t + step][:, fb])
+                   for t in range(0, len(a), step))
+    return [(idx, entries(idx)) for idx in blocks]
+
+
+def split_entries(blocks, u, v) -> np.ndarray:
+    """Entries M[u, v] of the operator M given by its split, for broadcast
+    index arrays u, v: zero unless u and v lie in one block."""
+    n = sum(idx.size for idx, _ in blocks)
+    start, pos, size = np.zeros((3, n), dtype=int)   # start: block's offset
+    off = 0
+    for idx, S in blocks:
+        m, s = idx.shape
+        start[idx] = off + s * s * np.arange(m)[:, None]
+        pos[idx], size[idx] = np.arange(s), s
+        off += S.size
+    flat = np.concatenate([S.ravel() for _, S in blocks] + [np.zeros(1)])
+    return flat[np.where(start[u] == start[v],
+                         start[u] + pos[u] * size[u] + pos[v], off)]
+
+
+def block_apply(blocks, X: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """M X, or M* X, for M given by its split."""
+    out = np.zeros(X.shape, dtype=complex)
+    for idx, S in blocks:
+        out[idx] = (dagger(S) if adjoint else S) @ X[idx]
+    return out
+
+
+def blockwise_norm(blocks) -> float:
+    """Spectral norm of a square matrix given by its split: the largest
+    over its blocks, one batched SVD per block size."""
     return max((float(np.linalg.svd(S, compute_uv=False)[:, 0].max())
-                for _, S in block_stacks(A)), default=0.0)
+                for _, S in blocks), default=0.0)
 
 
 def dagger(A: np.ndarray) -> np.ndarray:
@@ -167,9 +221,11 @@ def lowrank_norm(X: np.ndarray, Y: np.ndarray) -> float:
                          dagger(np.linalg.qr(Y, mode="r")))
 
 
-def commutator_norm(T: np.ndarray, X: np.ndarray, Y: np.ndarray) -> float:
-    """||E T - T E|| for E = X Y*, from the factors [X, -T X] [T* Y, Y]*."""
-    return lowrank_norm(np.hstack([X, -T @ X]), np.hstack([dagger(T) @ Y, Y]))
+def commutator_norm(T, X: np.ndarray, Y: np.ndarray) -> float:
+    """||E T - T E|| for E = X Y* and T given by its split, from the
+    factors [X, -T X] [T* Y, Y]*."""
+    return lowrank_norm(np.hstack([X, -block_apply(T, X)]),
+                        np.hstack([block_apply(T, Y, adjoint=True), Y]))
 
 
 KERNEL_FOLD_ROWS = 2048
@@ -317,21 +373,22 @@ small ``--tol``, the candidate span could miss the kernel by more than
 rank_tol."""
 
 
-def gram_kernel(G: np.ndarray, constraint,
+def gram_kernel(G, constraint,
                 tol: Tolerances = DEFAULT_TOL) -> MatrixSubspace:
-    """Kernel of a linear constraint on D x D matrices with Gram matrix G
-    (<vec A, G vec A> = ||constraint(A)||^2): the exact constraint
-    restricts the candidates from one eigh of G per block size of its
-    pattern, embedded block-sparse, and alone decides."""
-    parts = [(idx, *np.linalg.eigh(S)) for idx, S in block_stacks(G)]
+    """Kernel of a linear constraint on D x D matrices with Gram matrix G,
+    given by its split (<vec A, G vec A> = ||constraint(A)||^2): the exact
+    constraint restricts the candidates from one eigh per block size,
+    embedded block-sparse, and alone decides."""
+    parts = [(idx, *np.linalg.eigh(S)) for idx, S in G]
+    n = sum(idx.size for idx, _, _ in parts)
     cut = GRAM_CANDIDATE_CUTOFF * max(max(w.max() for _, w, _ in parts), 1.0)
     columns = []
     for idx, w, V in parts:
         b, e = np.nonzero(w <= cut)          # block and eigenvector
-        C = np.zeros((len(G), len(b)), dtype=complex)
+        C = np.zeros((n, len(b)), dtype=complex)
         C[idx[b], np.arange(len(b))[:, None]] = V[b, :, e]
         columns.append(C)
-    return MatrixSubspace.from_columns(np.hstack(columns), math.isqrt(len(G))) \
+    return MatrixSubspace.from_columns(np.hstack(columns), math.isqrt(n)) \
         .restrict([constraint], tol)
 
 
@@ -405,44 +462,49 @@ def cluster_values(values, gap: float) -> list[list[int]]:
     return clusters
 
 
-def sorted_schur(M: np.ndarray, select):
-    """(A, Z, k, L): M = Z A Z* in complex Schur form with the k
-    eigenvalues that ``select(lam) -> bool`` picks first on the diagonal of
-    A, and L = [I R] Z*, R solving A11 R - R A22 = A12.  Z[:, :k] @ L is
-    the spectral projector onto their invariant subspace along the
-    complementary one, and Z[:, :k] an orthonormal basis of its range.
-
-    One Schur form per pattern block (the 1 x 1 blocks as one diagonal);
-    each block's selected Schur vectors go among the first k columns, its
-    others after them, in its own order: A stays triangular."""
-    M = np.asarray(M, dtype=complex)
-    n = M.shape[0]
-    parts = []                              # (rows, A_b, Z_b, k_b)
-    for idx, S in block_stacks(M):
-        if idx.shape[1] > 1:
-            parts += [(rows, *scipy.linalg.schur(
-                B, output="complex", sort=lambda x: bool(select(x))))
-                for rows, B in zip(idx, S)]
+def sorted_schur(blocks, select):
+    """(Z1, L, A11, rest) of a matrix M given by its split: each block is
+    B = Z A Z* in complex Schur form with the k_b eigenvalues that
+    ``select(lam) -> bool`` picks first, and L_b = [I R] Z*, R solving
+    A11 R - R A22 = A12 (one ``ztrsyl``).  Z1 (n x k) holds the first k_b
+    Schur vectors of each block and L (k x n) its L_b: Z1 L is the spectral
+    projector onto the picked eigenvalues along the others.  A11 is the
+    split of Z1* M Z1, rest the other eigenvalues."""
+    n = sum(idx.size for idx, _ in blocks)
+    parts, rest = [], []                      # (rows, Z_1, A_11, L) stacks
+    for idx, S in blocks:
+        if idx.shape[1] == 1:
+            pick = np.array([bool(select(x)) for x in S[:, 0, 0]], dtype=bool)
+            rest.append(S[~pick, 0, 0])
+            parts.append((idx[pick], np.ones((pick.sum(), 1, 1)), S[pick],
+                          np.ones((pick.sum(), 1, 1))))
             continue
-        pick = np.array([bool(select(x)) for x in S[:, 0, 0]], dtype=bool)
-        order = np.argsort(~pick, kind="stable")
-        parts.append((idx[order, 0], np.diag(S[order, 0, 0]),
-                      np.eye(len(idx)), pick.sum()))
-    k = int(sum(p[3] for p in parts))
-    A, Z = np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex)
-    first, rest = 0, k
-    for rows, T, U, kb in parts:
-        cols = np.r_[first:first + kb, rest:rest + len(rows) - kb]
-        first, rest = first + kb, rest + len(rows) - kb
-        A[np.ix_(cols, cols)], Z[np.ix_(rows, cols)] = T, U
-    R = np.zeros((k, n - k), dtype=complex)
-    if 0 < k < n:
-        X, scale, info = scipy.linalg.lapack.ztrsyl(
-            A[:k, :k], A[k:, k:], A[:k, k:], isgn=-1)
-        if info < 0:
-            raise np.linalg.LinAlgError(f"Illegal value in the {-info} term")
-        R = X / scale
-    return A, Z, k, np.hstack([np.eye(k), R]) @ dagger(Z)
+        for rows, B in zip(idx, S):
+            A, Z, k = scipy.linalg.schur(B, output="complex",
+                                         sort=lambda x: bool(select(x)))
+            rest.append(np.diag(A)[k:])
+            R = np.zeros((k, len(A) - k), dtype=complex)
+            if 0 < k < len(A):
+                X, scale, info = scipy.linalg.lapack.ztrsyl(
+                    A[:k, :k], A[k:, k:], A[:k, k:], isgn=-1)
+                if info < 0:
+                    raise np.linalg.LinAlgError(
+                        f"Illegal value in the {-info} term")
+                R = X / scale
+            parts.append((rows[None], Z[None, :, :k], A[None, :k, :k],
+                          (np.hstack([np.eye(k), R]) @ dagger(Z))[None]))
+    k = sum(Z.shape[0] * Z.shape[2] for _, Z, _, _ in parts)
+    Z1, L = np.zeros((n, k), dtype=complex), np.zeros((k, n), dtype=complex)
+    a11, first = [], 0
+    for rows, Z, A, Lb in parts:
+        m, _, kb = Z.shape
+        cols = first + np.arange(m * kb).reshape(m, kb)
+        first += cols.size
+        Z1[rows[:, :, None], cols[:, None, :]] = Z
+        L[cols[:, :, None], rows[:, None, :]] = Lb
+        if cols.size:
+            a11.append((cols, A))
+    return Z1, L, a11, np.concatenate(rest + [np.zeros(0)])
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

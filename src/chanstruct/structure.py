@@ -4,10 +4,10 @@ Fixed points F, multiplicative domain M, decoherence-free algebra N,
 reversible/stable splitting, conditional expectations onto F and N,
 invariant states and the decoherence spectral gap.
 
-The spectral stages read one sorted Schur form of the transfer matrix T
-(:func:`spectrum`), and one rule decides all of them: an eigenvalue is
-peripheral when |lam| > 1 - peripheral_band, and among those it is 1 when
-|lam - 1| <= peripheral_band.
+The spectral stages read the sorted Schur forms of the blocks of the
+transfer matrix T (:func:`spectrum`), and one rule decides all of them: an
+eigenvalue is peripheral when |lam| > 1 - peripheral_band, and among those
+it is 1 when |lam - 1| <= peripheral_band.
 """
 
 from __future__ import annotations
@@ -23,11 +23,14 @@ from chanstruct.numerics import (
     DEFAULT_TOL,
     MatrixSubspace,
     Tolerances,
+    block_apply,
     blockwise_norm,
     commutator_norm,
+    components,
     dagger,
     hs_norm,
     sorted_schur,
+    split_entries,
     unvec,
     vec,
 )
@@ -153,15 +156,29 @@ class L2Structure:
     def inner(self, x: np.ndarray, y: np.ndarray) -> complex:
         return complex(np.trace(self.rho @ dagger(x) @ y))
 
-    def map_norm(self, transfer: np.ndarray) -> float:
+    def map_norm(self, T) -> float:
         """Operator norm of a map in the rho-weighted L2 geometry: the
-        2-norm of G T G^-1 with G x = x rho^1/2, conjugated on the
-        (D, D, D, D) reshape of T (axes: output column, row; input column,
-        row)."""
+        2-norm of W = G T G^-1, T the map's transfer matrix given by its
+        split, G = (rho^1/2)^T (x) I (G x = x rho^1/2): T's split, merged
+        where rho^1/2 or rho^-1/2 joins (b, a) and (c, a), splits G too."""
         D = len(self.rho)
-        GT = np.tensordot(self.sqrt, transfer.reshape((D,) * 4), axes=(0, 0))
-        GTG = np.tensordot(GT, self.inv_sqrt, axes=(2, 1))
-        return blockwise_norm(GTG.transpose(0, 1, 3, 2).reshape(D * D, D * D))
+        R = np.stack([self.sqrt.T, self.inv_sqrt.T])
+        b, c = np.nonzero(np.any(R != 0, axis=0))
+        ab, ac = (np.arange(D) + D * x[:, None] for x in (b, c))
+        label = np.empty(D * D, dtype=int)           # a block's first index
+        for idx, _ in T:
+            label[idx] = idx[:, :1]
+        if not np.array_equal(label[ab], label[ac]):  # merge the blocks
+            T = [(idx, split_entries(T, idx[:, :, None], idx[:, None, :]))
+                 for idx in components(D * D, np.r_[ab.ravel(), label],
+                                       np.r_[ac.ravel(), np.arange(D * D)])]
+        parts = []
+        for idx, S in T:
+            (bu, au), (bv, av) = np.divmod(idx[:, :, None], D), \
+                np.divmod(idx[:, None, :], D)
+            G, Gi = R[:, bu, bv] * (au == av)
+            parts.append((idx, G @ S @ Gi))
+        return blockwise_norm(parts)
 
     def projection(self, B: np.ndarray) -> tuple:
         """Factors (B, W) of the rho-orthogonal projection P = B W* onto
@@ -192,29 +209,26 @@ class GapReport:
 # Spectrum, fixed points and invariant states
 # ---------------------------------------------------------------------------
 
-def spectrum(T: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
-    """Spectral data of a unital CP map from one sorted Schur form of its
-    transfer matrix, T = Z A Z* with the k peripheral eigenvalues
-    (|lam| > 1 - band) first.  One Sylvester solve gives
-    E_N = Z_1 L, L = [I R] Z*; with P_11 = Y_f L_11 the spectral projector
-    of A_11 at |lam - 1| <= band, E_F = (Z_1 Y_f)(L_11 L) = E_F E_N.  Both
-    are kept as their rank-k factors.  F = range(E_F), with the orthonormal
-    basis Z_1 Y_f, and range(E_F*) is the invariant-state space: the
-    preadjoint's transfer matrix is the HS adjoint of T.  The map is
-    power-bounded, so every peripheral eigenvalue is semisimple and F is
-    the kernel of T - I."""
-    D = math.isqrt(len(T))
+def spectrum(T, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
+    """Spectral data of a unital CP map from the split of its transfer
+    matrix T, sorted Schur form and Sylvester solve block by block
+    (:func:`sorted_schur`): T Z_1 = Z_1 A_11 with the k peripheral
+    eigenvalues (|lam| > 1 - band), and E_N = Z_1 L; with P_11 = Y_f L_11
+    the spectral projector of A_11 at |lam - 1| <= band, E_F = (Z_1 Y_f)
+    (L_11 L) = E_F E_N.  Both are kept as their rank-k factors.
+    F = range(E_F), with the orthonormal basis Z_1 Y_f, and range(E_F*) is
+    the invariant-state space: the preadjoint's transfer matrix is the HS
+    adjoint of T.  The map is power-bounded, so every peripheral eigenvalue
+    is semisimple and F is the kernel of T - I."""
     band = tol.peripheral_band
-    A, Z, k, L = sorted_schur(T, lambda lam: abs(lam) > 1.0 - band)
-    A11, Z1 = A[:k, :k].copy(), Z[:, :k].copy()
-    _, Y, f, L11 = sorted_schur(A11, lambda lam: abs(lam - 1) <= band)
-    fixed, right_f = Z1 @ Y[:, :f], dagger(L11 @ L)
-    moduli = np.abs(np.diag(A)[k:])
+    Z1, L, a11, rest = sorted_schur(T, lambda lam: abs(lam) > 1.0 - band)
+    Yf, L11, _, _ = sorted_schur(a11, lambda lam: abs(lam - 1) <= band)
+    fixed, right_f = Z1 @ Yf, dagger(L11 @ L)
     return Spectrum(
-        a11=A11, z1=Z1, stable_dim=len(moduli),
-        stable_radius=float(moduli.max(initial=0.0)),
+        a11=block_apply(a11, np.eye(len(L))), z1=Z1, stable_dim=len(rest),
+        stable_radius=float(np.abs(rest).max(initial=0.0)),
         e_n_factors=(Z1, dagger(L)), e_f_factors=(fixed, right_f),
-        fixed=MatrixSubspace.from_columns(fixed, D))
+        fixed=MatrixSubspace.from_columns(fixed, math.isqrt(len(Z1))))
 
 
 def fixed_points(s: Spectrum, tol: Tolerances = DEFAULT_TOL) -> FixedPointSpace:
@@ -330,15 +344,16 @@ def peripheral_subalgebra(c: ChannelSpec, inv: InvariantStateReport,
     if not inv.faithful:
         raise NoFaithfulInvariantState(
             "peripheral splitting needs a faithful invariant state")
-    T = c.transfer
+    T = c.transfer_blocks
     w, V = np.linalg.eig(s.a11)
     sv = np.linalg.svd(V, compute_uv=False)
     if sv[-1] < tol.check_tol * sv[0]:
         raise PeripheralJordanBlock(
             f"peripheral eigenvector conditioning {sv[-1] / sv[0]:.3e}")
-    for lam, v in zip(w, (s.z1 @ V).T):
+    vs = s.z1 @ V
+    for lam, v, Tv in zip(w, vs.T, block_apply(T, vs).T):
         X = unvec(v, c.dim)
-        resid = hs_norm(unvec(T @ v, c.dim) - lam * X)
+        resid = hs_norm(unvec(Tv, c.dim) - lam * X)
         if resid > tol.check_tol * hs_norm(X):
             raise PeripheralJordanBlock(
                 f"eigenpair residual {resid:.3e} at lambda={lam:.6f}")
@@ -373,8 +388,9 @@ def decoherence_gap(c: ChannelSpec, s: Spectrum, l2: L2Structure,
     if s.stable_dim == 0:
         return GapReport(finite_horizon=math.inf, asymptotic=asymptotic,
                          horizon=0, uniform_bound=True)
-    T = c.transfer
-    nrm = l2.map_norm(T - (T @ s.z1) @ dagger(s.e_n_factors[1]))
+    Z1, Y = s.e_n_factors
+    nrm = l2.map_norm([(idx, S - S @ Z1[idx] @ dagger(Y[idx]))
+                       for idx, S in c.transfer_blocks])
     if nrm <= tol.rank_tol:
         finite = math.inf
     elif abs(nrm - 1.0) <= tol.eq_tol:

@@ -20,6 +20,7 @@ from chanstruct.numerics import (
     DimensionMismatch,
     MatrixSubspace,
     Tolerances,
+    block_stacks,
     dagger,
     fix_global_phase,
     kernel_coefficients,
@@ -27,6 +28,7 @@ from chanstruct.numerics import (
     round_projector,
     span_basis,
     spectral_norm,
+    split_entries,
     subspace_distance,
     unvec,
     vec,
@@ -74,6 +76,13 @@ def dense(factors):
     return X @ dagger(Y)
 
 
+def dense_of_split(blocks):
+    """The matrix of an operator given by its split (``numerics``), such
+    as ``ChannelSpec.transfer_blocks``."""
+    u = np.arange(sum(idx.size for idx, _ in blocks))
+    return split_entries(blocks, u[:, None], u[None, :])
+
+
 def kernel_basis(L, tol=DEFAULT_TOL):
     """Oracle for the spectral stages: the numerical kernel of an (m, D^2)
     matrix acting on vectorized D x D matrices, as an HS-orthonormal
@@ -95,6 +104,19 @@ def dense_sorted_schur(M, select):
     if 0 < k < n:
         R = scipy.linalg.solve_sylvester(A[:k, :k], -A[k:, k:], A[:k, k:])
     return A, Z, k, np.hstack([np.eye(k), R]) @ dagger(Z)
+
+
+def dense_spectrum(T, tol=DEFAULT_TOL):
+    """Oracle for ``structure.spectrum``: (E_N, E_F, stable_dim,
+    stable_radius) from one Schur form of the whole transfer matrix T and
+    one of its peripheral block."""
+    band = tol.peripheral_band
+    A, Z, k, L = dense_sorted_schur(T, lambda lam: abs(lam) > 1.0 - band)
+    _, Y, f, L11 = dense_sorted_schur(A[:k, :k],
+                                      lambda lam: abs(lam - 1) <= band)
+    moduli = np.abs(np.diag(A)[k:])
+    return (Z[:, :k] @ L, Z[:, :k] @ Y[:, :f] @ L11 @ L, len(moduli),
+            float(moduli.max(initial=0.0)))
 
 
 def dense_gram_kernel(G, constraint, tol=DEFAULT_TOL):
@@ -510,17 +532,20 @@ def verify_power_fixed_points(c, report, m_max, tol=DEFAULT_TOL):
     d = report.period
     rows = []
     for m in range(1, m_max + 1):
-        dim_f = spectrum(np.linalg.matrix_power(c.transfer, m), tol).fixed.dim
+        dim_f = spectrum(block_stacks(np.linalg.matrix_power(c.transfer, m)),
+                         tol).fixed.dim
         coprime = math.gcd(m, d) == 1
         rows.append(PowerFixedPointRow(power=m, fixed_dim=dim_f,
                                        coprime=coprime,
                                        matches_gcd_rule=(dim_f == 1) == coprime))
     N = dfa(c, tol=tol)
-    Fd = spectrum(np.linalg.matrix_power(c.transfer, d), tol).fixed
+    Fd = spectrum(block_stacks(np.linalg.matrix_power(c.transfer, d)),
+                  tol).fixed
     dist = subspace_distance(Fd, N)
     irreducible_flags, aperiodic_flags = [], []
     for Q in report.projections:
-        sq = spectrum(restricted_power_transfer(c, Q, d, tol), tol)
+        sq = spectrum(block_stacks(restricted_power_transfer(c, Q, d, tol)),
+                      tol)
         irreducible_flags.append(sq.fixed.dim == 1)
         aperiodic_flags.append(sq.peripheral == 1)
     return PowerFixedPointTable(rows=tuple(rows),

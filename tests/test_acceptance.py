@@ -20,6 +20,7 @@ from chanstruct.cycles import (
     structured_kraus,
 )
 from chanstruct.numerics import (
+    block_stacks,
     dagger,
     hs_norm,
     random_unitary,
@@ -170,7 +171,7 @@ def corpus_analysis(corpus):
     t0 = time.perf_counter()
     rows = []
     for c in corpus:
-        s = spectrum(c.transfer)
+        s = spectrum(c.transfer_blocks)
         inv = invariant_states(c, s)
         N = dfa(c)
         p = peripheral_subalgebra(c, inv, s)
@@ -189,7 +190,7 @@ def test_acceptance_1_pauli_walk_d3(capsys):
 
     d = 3
     c = to_channel(builder_pauli_walk(d, 0.5))
-    s = spectrum(c.transfer)
+    s = spectrum(c.transfer_blocks)
     F = fixed_points(s)
     check(F.dim == 1, f"dim F = {F.dim}, expected 1")
     inv = invariant_states(c, s)
@@ -293,7 +294,7 @@ def test_acceptance_2_pauli_walk_d4(capsys):
     for alpha in (0.3, 0.5):
         tag = f"alpha={alpha}"
         c = to_channel(builder_pauli_walk(d, alpha))
-        s = spectrum(c.transfer)
+        s = spectrum(c.transfer_blocks)
         F = fixed_points(s)
         check(F.dim == 2, f"{tag}: dim F = {F.dim}, expected 2")
         comm = max(spectral_norm(a @ b - b @ a)
@@ -478,7 +479,7 @@ def test_acceptance_5_power_fixed_points(capsys):
                   to_channel(builder_cyclic_shift(6, [np.eye(1)] * 6)), 6))
 
     for label, c, d in cases:
-        s = spectrum(c.transfer)
+        s = spectrum(c.transfer_blocks)
         peripheral_subalgebra(c, invariant_states(c, s), s)
         rep = period_irreducible(c, s)
         check(rep.period == d, f"{label}: period {rep.period}, expected {d}")
@@ -578,7 +579,7 @@ def test_acceptance_7_cyclic_shift(capsys):
         check(rep.off_diagonal.dim == 0,
               f"d={d}: off-diagonal dfa part has dim {rep.off_diagonal.dim}")
 
-        s = spectrum(c.transfer)
+        s = spectrum(c.transfer_blocks)
         F = fixed_points(s)
         loop = np.eye(2, dtype=complex)
         for U in Us:
@@ -619,7 +620,7 @@ def test_acceptance_8_nn_cycle(capsys):
     comm = max(spectral_norm(a @ b - b @ a)
                for a in rep.algebra.basis for b in rep.algebra.basis)
     check(comm <= 1e-7, f"special: dfa not abelian ({comm:.2e})")
-    s = spectrum(c.transfer)
+    s = spectrum(c.transfer_blocks)
     peripheral_subalgebra(c, invariant_states(c, s), s)
     cyc = period_irreducible(c, s)
     check(cyc.period == 4, f"special: period {cyc.period}, expected 4")
@@ -642,7 +643,7 @@ def test_acceptance_8_nn_cycle(capsys):
                                            dim=2 * n)
     dist = subspace_distance(rep2.algebra, parity_span)
     check(dist <= 1e-7, f"generic: dfa vs parity span {dist:.2e}")
-    s2 = spectrum(c2.transfer)
+    s2 = spectrum(c2.transfer_blocks)
     peripheral_subalgebra(c2, invariant_states(c2, s2), s2)
     cyc2 = period_irreducible(c2, s2)
     check(cyc2.period == 2, f"generic: period {cyc2.period}, expected 2")
@@ -662,7 +663,7 @@ def test_acceptance_9_l2_geometry(capsys, corpus_analysis):
     for i, (c, s, inv, N, p) in enumerate(rows):
         D = c.dim
         l2 = L2Structure.from_state(inv.rho_max)
-        nrm = l2.map_norm(c.transfer)
+        nrm = l2.map_norm(c.transfer_blocks)
         check(nrm <= 1 + 1e-8, f"channel {i}: L2 norm {nrm - 1:.2e} above 1")
         for a in N.basis:
             gap_iso = abs(l2.norm(c.apply(a)) - l2.norm(a))
@@ -700,7 +701,7 @@ def test_acceptance_9_l2_geometry(capsys, corpus_analysis):
         power = np.eye(D * D)
         for n in range(1, 11):
             power = c.transfer @ power
-            decay = l2.map_norm(power @ Q)
+            decay = l2.map_norm(block_stacks(power @ Q))
             bound = 1e-9 if math.isinf(rate) else math.exp(-n * rate) + 1e-10
             check(decay <= bound,
                   f"channel {i}: |Phi^{n}(I - E_N)| = {decay:.3e} above "

@@ -1,14 +1,19 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from chanstruct.algebra import (
     NotAlgebra,
+    _minimal_ranges,
     atomic_structure,
     center,
     commutant,
     extract_block_states,
 )
+from chanstruct.channel import ChannelSpec
+from chanstruct.cycles import mfnc_decompose, structured_kraus
 from chanstruct.numerics import (
     MatrixSubspace,
     Tolerances,
@@ -17,6 +22,8 @@ from chanstruct.numerics import (
     spectral_norm,
     subspace_distance,
 )
+from chanstruct.oqrw import builder_pauli_walk, to_channel
+from chanstruct.structure import dfa, fixed_points, spectrum
 from tests.conftest import (
     I2,
     X,
@@ -258,3 +265,42 @@ def test_invariant_state_family():
     rng = np.random.default_rng(6)
     A = rng.standard_normal((2, 2))
     assert np.trace(s @ E.apply(A)) == pytest.approx(np.trace(s @ A))
+
+
+def test_atomic_structure_does_not_depend_on_the_kraus_order():
+    # N's center on pauli-walk-8 has eigenvalue clusters 2.6e-6 apart in
+    # some bases: split at every gap at once, half of the 24 orders of
+    # the Kraus operators gave a structured Kraus residual of 3e-10
+    c = to_channel(builder_pauli_walk(8, 0.5))
+    residuals = []
+    for order in itertools.permutations(range(len(c.kraus))):
+        cp = ChannelSpec(c.dim, c.kraus[list(order)])
+        s = spectrum(cp.transfer_blocks)
+        comps = mfnc_decompose(cp, fixed_points(s).as_algebra(),
+                               atomic_structure(dfa(cp)), s)
+        residuals += [structured_kraus(comp)[1] for comp in comps]
+    assert len(residuals) >= 24 and max(residuals) <= 1e-13
+
+
+def test_minimal_ranges_split_at_the_widest_gap_first():
+    # the element picked first has eigenvalues near 1, 1 + d, -1, -1 + d
+    # with d = 2.6e-6, in a random basis: split at every gap at once, the
+    # pairs' eigenvectors carry errors of order eps / d ~ 1e-11; split at
+    # the widest gap, each pair is compressed anew and split at a gap of
+    # order 1, and the minimal projections are exact to rounding
+    rng = np.random.default_rng(1)
+    d = 2.6e-6
+    a = np.array([1, 1 + d, -1, -1 + d])
+    a -= a.mean()
+    Q = np.linalg.qr(np.column_stack([a, np.ones(4),
+                                      rng.standard_normal((4, 2))]))[0]
+    rest = Q[:, 1:] @ np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    diagonals = np.column_stack([Q[:, :1], rest]) * [4, 3, 2, 1]
+    U = random_unitary(4, rng)
+    basis = np.array([U @ np.diag(q) @ dagger(U) for q in diagonals.T])
+    ranges = _minimal_ranges(basis, np.eye(4), Tolerances())
+    assert len(ranges) == 4
+    for W in ranges:
+        P = W @ dagger(W)
+        assert min(spectral_norm(P - np.outer(u, u.conj())) for u in U.T) \
+            <= 1e-13

@@ -12,13 +12,16 @@ from chanstruct.channel import (
 from chanstruct.numerics import (
     DEFAULT_TOL,
     DimensionMismatch,
+    block_stacks,
     dagger,
     random_unitary,
     spectral_norm,
     unvec,
     vec,
 )
-from tests.conftest import I2, X, Y, Z, choi, kron_transfer
+from chanstruct.oqrw import builder_nn_cycle, builder_pauli_walk, to_channel
+from tests.conftest import I2, X, Y, Z, choi, dense_of_split, kron_transfer
+from tests.test_acceptance import build_corpus
 
 
 def pauli_channel():
@@ -149,3 +152,49 @@ def test_json_roundtrip():
     for a, b in zip(c.kraus, c2.kraus):
         assert np.allclose(a, b)
     assert c2.label == "pauli-XZ"
+
+
+def assert_split_matches_dense(c):
+    """The Kraus-support split of c's transfer matrix against the dense
+    matrix: the blocks partition the indices, each block of the exact
+    pattern lies in one of them (the split is that of ``block_stacks``
+    or coarser), the dense matrix is exactly zero off them, and each stack
+    holds the dense entries (to the rounding of one sum over k)."""
+    T, split = c.transfer, c.transfer_blocks
+    n = len(T)
+    label = np.full(n, -1)
+    for start, (idx, S) in enumerate(split):
+        assert S.shape == (*idx.shape, idx.shape[1])
+        assert (label[idx] == -1).all()
+        label[idx] = n * start + idx[:, :1]
+    assert (label >= 0).all()
+    for idx, _ in block_stacks(T):
+        assert (label[idx] == label[idx[:, :1]]).all()
+    assert not T[label[:, None] != label[None, :]].any()
+    scale = 1e-14 * max(1.0, np.abs(T).max())
+    assert np.abs(dense_of_split(split) - T).max() <= scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 4), st.floats(0.05, 1.0),
+       st.integers(0, 2 ** 32 - 1))
+def test_kraus_support_split_of_sparse_stacks(dim, K, density, seed):
+    rng = np.random.default_rng(seed)
+    ops = (rng.standard_normal((K, dim, dim))
+           + 1j * rng.standard_normal((K, dim, dim))) \
+        * (rng.random((K, dim, dim)) < density)
+    assert_split_matches_dense(ChannelSpec(dim, ops))
+
+
+def test_kraus_support_split_of_the_corpus_and_the_walks():
+    lm = np.diag([np.sqrt(0.3), np.sqrt(0.7)])
+    lp = np.array([[0, np.sqrt(0.3)], [np.sqrt(0.7), 0]])
+    walks = [to_channel(builder_nn_cycle(n, lp, lm)) for n in (4, 8)] + \
+        [to_channel(builder_pauli_walk(d, 0.5)) for d in (3, 8)]
+    for c in build_corpus(20240817) + walks:
+        assert_split_matches_dense(c)
+    # the walks split exactly as their pattern: nn-cycle-8 into 224
+    # singletons and two 16 x 16 blocks, pauli-walk-8 into 128 and 16 x 8
+    for c, shapes in zip(walks[1::2], ([(224, 1), (2, 16)],
+                                       [(128, 1), (16, 8)])):
+        assert [idx.shape for idx, _ in c.transfer_blocks] == shapes

@@ -11,7 +11,12 @@ import pytest
 import chanstruct
 from chanstruct import cli, oqrw
 from chanstruct.algebra import center
-from chanstruct.channel import from_kraus, matrix_from_json, matrix_to_json
+from chanstruct.channel import (
+    ChannelSpec,
+    from_kraus,
+    matrix_from_json,
+    matrix_to_json,
+)
 from chanstruct.cli import (
     _choi_min_eig,
     Analysis,
@@ -23,6 +28,7 @@ from chanstruct.cli import (
     main,
 )
 from chanstruct.numerics import MatrixSubspace, Tolerances
+from chanstruct.oqrw import to_channel
 from chanstruct.structure import dfa, fixed_points, spectrum
 from tests.conftest import (
     I2,
@@ -144,10 +150,56 @@ def test_choi_min_eig_layout():
     for a in range(D):
         for b in range(D):
             transpose[b + a * D, a + b * D] = 1
-    assert _choi_min_eig(transpose, D) == pytest.approx(-1)
+    assert _choi_min_eig(transpose, np.eye(D * D), D) == pytest.approx(-1)
     rng = np.random.default_rng(7)
     T = rng.standard_normal((D * D, D * D)) + 1j * rng.standard_normal((D * D, D * D))
-    assert _choi_min_eig(T, D) == pytest.approx(choi_min_eig_by_units(T, D))
+    assert _choi_min_eig(T, np.eye(D * D), D) == \
+        pytest.approx(choi_min_eig_by_units(T, D))
+
+
+def test_choi_min_eig_of_factors_matches_the_dense_choi_matrix():
+    # E_N and E_F of the two D=16 walks, whose Choi matrices have zero
+    # rows, and a random factor pair whose Choi matrix has none
+    lm = np.diag([np.sqrt(0.3), np.sqrt(0.7)])
+    lp = np.array([[0, np.sqrt(0.3)], [np.sqrt(0.7), 0]])
+    pairs = []
+    for c in (to_channel(oqrw.builder_nn_cycle(8, lp, lm)),
+              to_channel(oqrw.builder_pauli_walk(8, 0.5))):
+        s = spectrum(c.transfer_blocks)
+        pairs += [(s.e_n_factors, c.dim), (s.e_f_factors, c.dim)]
+    rng = np.random.default_rng(11)
+    XY = rng.standard_normal((2, 16, 3)) + 1j * rng.standard_normal((2, 16, 3))
+    pairs.append((tuple(XY / np.linalg.norm(XY, axis=(1, 2))[:, None, None]),
+                  4))
+    zero_rows = []
+    for (Xf, Yf), D in pairs:
+        E = Xf @ Yf.conj().T
+        C = E.reshape((D,) * 4).transpose(3, 1, 2, 0).reshape(D * D, D * D)
+        zero_rows.append(int(np.sum(~np.any(C + C.conj().T, axis=1))))
+        assert abs(_choi_min_eig(Xf, Yf, D) - choi_min_eig_by_units(E, D)) \
+            <= 1e-14
+    assert zero_rows[-1] == 0 and max(zero_rows) > 0
+
+
+def test_verify_forms_no_dense_transfer_matrix(tmp_path, capsys,
+                                              monkeypatch):
+    # verify reads T only through its split: with the dense transfer
+    # matrix refused, the ledger still passes on two walks and a Haar
+    # mixture (one block)
+    def refuse(self):
+        raise AssertionError("the dense transfer matrix was formed")
+    monkeypatch.setattr(ChannelSpec, "transfer", property(refuse))
+    paths = []
+    for name, argv in (("nn-cycle-4", ["nn-cycle", "--n", "4"]),
+                       ("pauli-walk-3", ["pauli", "--d", "3"])):
+        paths.append(str(tmp_path / f"{name}.json"))
+        assert main(["example", *argv, "--output", paths[-1]]) == EXIT_OK
+    mixture = build_corpus(20240817)[14]
+    assert mixture.label == "mixture-5-3"
+    paths.append(write_channel(tmp_path / "mixture.json", mixture.kraus))
+    for path in paths:
+        code, out = run(["verify", path], capsys)
+        assert code == EXIT_OK and json.loads(out)["all_pass"], path
 
 
 def test_analyze_channel_input(tmp_path, capsys):
@@ -201,7 +253,7 @@ def test_one_band_rule_for_every_spectral_stage(eps, tmp_path, capsys):
     # edge of the peripheral band for eps near 1e-7; F, the invariant
     # states, E_F and E_N must still agree on which eigenvalues are 1
     c = dephasing_mixture(eps)
-    s = spectrum(c.transfer)
+    s = spectrum(c.transfer_blocks)
     rank_f = np.linalg.matrix_rank(dense(s.e_f_factors))
     assert fixed_points(s).dim == rank_f
     assert rank_f <= np.linalg.matrix_rank(dense(s.e_n_factors))

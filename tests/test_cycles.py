@@ -82,7 +82,7 @@ def pauli_channel():
 
 
 def peripheral_of(c):
-    s = spectrum(c.transfer)
+    s = spectrum(c.transfer_blocks)
     inv = invariant_states(c, s)
     assert inv.faithful
     return s, peripheral_subalgebra(c, inv, s)
@@ -162,7 +162,7 @@ def two_cycles():
 
 def test_mfnc_two_components():
     c = two_cycles()
-    F = fixed_points(spectrum(c.transfer)).as_algebra()
+    F = fixed_points(spectrum(c.transfer_blocks)).as_algebra()
     N = dfa(c)
     assert F.dim == 2
     assert N.dim == 6
@@ -179,12 +179,12 @@ def test_mfnc_two_components():
 def test_mfnc_components_match_their_own_analysis(name):
     # reference route: F and E_N of each restricted channel, recomputed
     c = two_cycles() if name == "two-cycles" else build_corpus(20240817)[40]
-    comps = mfnc_decompose(c, fixed_points(spectrum(c.transfer)).as_algebra(),
-                           atomic_structure(dfa(c)),
-                           peripheral_of(c)[0])
+    comps = mfnc_decompose(
+        c, fixed_points(spectrum(c.transfer_blocks)).as_algebra(),
+        atomic_structure(dfa(c)), peripheral_of(c)[0])
     assert len(comps) == 2
     for comp in comps:
-        ref = fixed_points(spectrum(comp.channel.transfer))
+        ref = fixed_points(spectrum(comp.channel.transfer_blocks))
         assert subspace_distance(comp.fixed_points, ref.subspace) < 1e-10
         blocks = AlgebraStructure(
             ambient_dim=comp.channel.dim,
@@ -200,7 +200,7 @@ def test_mfnc_components_match_their_own_analysis(name):
 
 def test_mfnc_identity_channel():
     c = from_kraus([np.eye(2)])
-    F = fixed_points(spectrum(c.transfer)).as_algebra()
+    F = fixed_points(spectrum(c.transfer_blocks)).as_algebra()
     N = dfa(c)
     comps = mfnc_decompose(c, F, atomic_structure(N), peripheral_of(c)[0])
     assert len(comps) == 1
@@ -210,7 +210,7 @@ def test_mfnc_identity_channel():
 def test_mfnc_shift_walk_single_component():
     rng = np.random.default_rng(42)
     c = shift_walk([random_unitary(2, rng) for _ in range(3)])
-    F = fixed_points(spectrum(c.transfer)).as_algebra()
+    F = fixed_points(spectrum(c.transfer_blocks)).as_algebra()
     N = dfa(c)
     assert F.dim == 2          # commutant of a generic 2x2 unitary
     assert N.dim == 3 * 4      # block diagonals
@@ -221,7 +221,7 @@ def test_mfnc_shift_walk_single_component():
 
 def test_component_decompose_classical_cycle():
     c = classical_cycle(3)
-    F = fixed_points(spectrum(c.transfer)).as_algebra()
+    F = fixed_points(spectrum(c.transfer_blocks)).as_algebra()
     N = dfa(c)
     comps = mfnc_decompose(c, F, atomic_structure(N), peripheral_of(c)[0])
     comp = comps[0]
@@ -237,7 +237,7 @@ def test_component_decompose_shift_walk():
     rng = np.random.default_rng(5)
     Us = [random_unitary(2, rng) for _ in range(3)]
     c = shift_walk(Us)
-    F = fixed_points(spectrum(c.transfer)).as_algebra()
+    F = fixed_points(spectrum(c.transfer_blocks)).as_algebra()
     N = dfa(c)
     comps = mfnc_decompose(c, F, atomic_structure(N), peripheral_of(c)[0])
     comp = comps[0]
@@ -254,7 +254,7 @@ def test_component_decompose_shift_walk():
 
 def test_component_decompose_pauli():
     c = pauli_channel()
-    F = fixed_points(spectrum(c.transfer)).as_algebra()
+    F = fixed_points(spectrum(c.transfer_blocks)).as_algebra()
     N = dfa(c)
     comps = mfnc_decompose(c, F, atomic_structure(N), peripheral_of(c)[0])
     comp = comps[0]
@@ -273,7 +273,7 @@ def test_fixed_multiblock_shift_walk():
     rng = np.random.default_rng(11)
     Us = [random_unitary(2, rng) for _ in range(3)]
     c = shift_walk(Us)
-    F = fixed_points(spectrum(c.transfer)).as_algebra()
+    F = fixed_points(spectrum(c.transfer_blocks)).as_algebra()
     N = dfa(c)
     comps = mfnc_decompose(c, F, atomic_structure(N), peripheral_of(c)[0])
     comp = comps[0]
@@ -357,7 +357,7 @@ def test_fixed_block_order_is_free_of_the_phase_gauge():
 
 def test_fixed_multiblock_pauli():
     c = pauli_channel()
-    F = fixed_points(spectrum(c.transfer)).as_algebra()
+    F = fixed_points(spectrum(c.transfer_blocks)).as_algebra()
     N = dfa(c)
     comps = mfnc_decompose(c, F, atomic_structure(N), peripheral_of(c)[0])
     comp = comps[0]

@@ -11,6 +11,7 @@ from chanstruct.numerics import (
     MatrixSubspace,
     NotNearProjection,
     Tolerances,
+    block_stacks,
     blockwise_norm,
     cluster_values,
     commutator_norm,
@@ -19,7 +20,6 @@ from chanstruct.numerics import (
     gram_kernel,
     kernel_coefficients,
     lowrank_norm,
-    pattern_blocks,
     random_unitary,
     round_projector,
     sorted_schur,
@@ -37,6 +37,7 @@ from tests.conftest import (
     Z,
     apply_block_expectation,
     dense_gram_kernel,
+    dense_of_split,
     dense_sorted_schur,
     expectation_onto,
     generated_algebra,
@@ -240,7 +241,7 @@ def test_lowrank_norm_matches_dense(seed, r, m, n):
     if m == n:
         T = rng.standard_normal((m, m))
         E = X @ Y.conj().T
-        assert commutator_norm(T, X, Y) == pytest.approx(
+        assert commutator_norm(block_stacks(T), X, Y) == pytest.approx(
             spectral_norm(E @ T - T @ E), rel=1e-12, abs=1e-12)
 
 
@@ -340,21 +341,24 @@ def test_split_kernels_match_the_dense_routes(sizes, seed):
         return abs(lam) > 0.7
 
     M, D, blocks = permuted_blocks(rng, sizes, schur_block)
-    assert {tuple(b) for idx in pattern_blocks(M) for b in idx} == blocks
+    assert {tuple(b) for idx, _ in block_stacks(M) for b in idx} == blocks
     chains, _, chain_blocks = permuted_blocks(  # one-sided, long paths
         np.random.default_rng(seed), sizes, lambda s: np.eye(s, k=1))
-    assert {tuple(b) for idx in pattern_blocks(chains) for b in idx} == \
+    assert {tuple(b) for idx, _ in block_stacks(chains) for b in idx} == \
         chain_blocks
     scale = max(1.0, spectral_norm(M))
-    A, Z_, k, L = sorted_schur(M, select)
-    assert spectral_norm(Z_ @ A @ dagger(Z_) - M) <= 1e-13 * scale
-    assert spectral_norm(dagger(Z_) @ Z_ - np.eye(D * D)) <= 1e-13
-    assert not np.tril(A, -1).any()
-    assert [select(x) for x in np.diag(A)] == [True] * k + [False] * (D * D - k)
+    Z1, L, a11, rest = sorted_schur(block_stacks(M), select)
+    k, A11 = len(L), dense_of_split(a11)
+    assert spectral_norm(M @ Z1 - Z1 @ A11) <= 1e-13 * scale
+    assert spectral_norm(dagger(Z1) @ Z1 - np.eye(k)) <= 1e-13
+    assert not np.tril(A11, -1).any()
+    assert all(select(x) for x in np.diag(A11))
+    assert len(rest) == D * D - k and not any(select(x) for x in rest)
     A_ref, Z_ref, k_ref, L_ref = dense_sorted_schur(M, select)
     assert k == k_ref
-    assert spectral_norm(Z_[:, :k] @ L - Z_ref[:, :k] @ L_ref) <= 1e-12
-    assert blockwise_norm(M) == pytest.approx(spectral_norm(M), rel=1e-14)
+    assert spectral_norm(Z1 @ L - Z_ref[:, :k] @ L_ref) <= 1e-12
+    assert blockwise_norm(block_stacks(M)) == \
+        pytest.approx(spectral_norm(M), rel=1e-14)
 
     def constraint_block(s):                    # of rank 0 ... s
         r = rng.integers(0, s + 1)
@@ -365,7 +369,7 @@ def test_split_kernels_match_the_dense_routes(sizes, seed):
 
     def constraint(B):
         return vec(B) @ C.T
-    kernel = gram_kernel(G, constraint)
+    kernel = gram_kernel(block_stacks(G), constraint)
     reference = dense_gram_kernel(G, constraint)
     assert kernel.dim == reference.dim
     assert subspace_distance(kernel, reference) <= 1e-10
@@ -376,7 +380,7 @@ def test_split_kernels_match_the_dense_routes(sizes, seed):
 
     H, D, _ = permuted_blocks(rng, sizes, hermitian_block)
     T = H.reshape((D,) * 4).transpose(3, 1, 2, 0).reshape(D * D, D * D)
-    assert _choi_min_eig(T, D) == pytest.approx(
+    assert _choi_min_eig(T, np.eye(D * D), D) == pytest.approx(
         dense_choi_min_eig(T, D), rel=0, abs=1e-14 * spectral_norm(H))
 
 
@@ -385,10 +389,11 @@ def test_spectral_projector_diagonalizable():
     V = rng.standard_normal((5, 5)) + 0.1 * np.eye(5)
     lams = np.array([1.0, 1.0, 0.5, 0.2, -0.3])
     M = V @ np.diag(lams) @ np.linalg.inv(V)
-    A, Z, k, L = sorted_schur(M, lambda lam: abs(lam - 1) < 1e-6)
-    assert k == 2
-    assert np.linalg.norm(Z @ A @ Z.conj().T - M) < 1e-8
-    P = Z[:, :k] @ L
+    Z1, L, a11, rest = sorted_schur(block_stacks(M),
+                                    lambda lam: abs(lam - 1) < 1e-6)
+    assert len(L) == 2 and len(rest) == 3
+    assert np.linalg.norm(M @ Z1 - Z1 @ dense_of_split(a11)) < 1e-8
+    P = Z1 @ L
     assert np.linalg.norm(P @ P - P) < 1e-8
     assert np.linalg.norm(M @ P - P) < 1e-8
     assert abs(np.trace(P) - 2) < 1e-8

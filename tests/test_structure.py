@@ -11,6 +11,7 @@ from chanstruct.numerics import (
     DEFAULT_TOL,
     GRAM_CANDIDATE_CUTOFF,
     MatrixSubspace,
+    block_stacks,
     dagger,
     gram_kernel,
     hs_norm,
@@ -42,6 +43,8 @@ from tests.conftest import (
     amplitude_damping,
     cesaro_expectation,
     dense,
+    dense_of_split,
+    dense_spectrum,
     dephasing_mixture,
     expectation_onto_dfa,
     gram_route_kraus_commutant,
@@ -73,21 +76,21 @@ def unitary_channel(U):
 
 def spectral_stages(c):
     """Spectrum, invariant states and peripheral data of a channel."""
-    s = spectrum(c.transfer)
+    s = spectrum(c.transfer_blocks)
     inv = invariant_states(c, s)
     return s, inv, peripheral_subalgebra(c, inv, s)
 
 
 def test_fixed_points_identity_channel():
     c = unitary_channel(I2)
-    fp = fixed_points(spectrum(c.transfer))
+    fp = fixed_points(spectrum(c.transfer_blocks))
     assert fp.dim == 4
     assert fp.is_algebra
 
 
 def test_fixed_points_pauli():
     # F of the XZ mixture is the commutant of {X, Z}: scalars only
-    fp = fixed_points(spectrum(pauli_channel().transfer))
+    fp = fixed_points(spectrum(pauli_channel().transfer_blocks))
     assert fp.dim == 1
     assert fp.is_algebra
     assert fp.subspace.residual(I2) < 1e-10
@@ -96,7 +99,7 @@ def test_fixed_points_pauli():
 def test_fixed_points_unitary_rotation():
     # conjugation by diag(1, i): fixed points are the diagonal algebra
     c = unitary_channel(np.diag([1.0, 1j]))
-    fp = fixed_points(spectrum(c.transfer))
+    fp = fixed_points(spectrum(c.transfer_blocks))
     assert fp.dim == 2
     assert fp.subspace.residual(Z) < 1e-9
 
@@ -113,7 +116,7 @@ def test_spectrum_matches_kernel_route():
         unitary_channel(np.eye(3))]
     for c in channels:
         n = c.dim ** 2
-        s = spectrum(c.transfer)
+        s = spectrum(c.transfer_blocks)
         F = kernel_basis(c.transfer - np.eye(n))
         states = kernel_basis(dagger(c.transfer) - np.eye(n))
         assert subspace_distance(s.fixed, F) <= 1e-10, c.label
@@ -124,12 +127,30 @@ def test_spectrum_matches_kernel_route():
         if invariant_states(c, s).faithful:
             assert s.stable_dim + dfa(c).dim == n, c.label
     ad = channels[-2]
-    assert not invariant_states(ad, spectrum(ad.transfer)).faithful
+    assert not invariant_states(ad, spectrum(ad.transfer_blocks)).faithful
+
+
+def test_blockwise_spectrum_matches_the_dense_schur_form():
+    # oracle: one Schur form of the whole D^2 x D^2 transfer matrix and
+    # one of its peripheral block, with scipy's Sylvester solver
+    L_minus = np.diag([np.sqrt(0.3), np.sqrt(0.7)])
+    L_plus = np.array([[0, np.sqrt(0.3)], [np.sqrt(0.7), 0]])
+    channels = build_corpus(20240817) + [
+        to_channel(builder_nn_cycle(n, L_plus, L_minus)) for n in (4, 8)] + [
+        to_channel(builder_pauli_walk(d, 0.5)) for d in (3, 8)] + [
+        amplitude_damping(), unitary_channel(np.eye(3))]
+    for c in channels:
+        s = spectrum(c.transfer_blocks)
+        E_N, E_F, stable_dim, stable_radius = dense_spectrum(c.transfer)
+        assert spectral_norm(dense(s.e_n_factors) - E_N) <= 1e-12, c.label
+        assert spectral_norm(dense(s.e_f_factors) - E_F) <= 1e-12, c.label
+        assert s.stable_dim == stable_dim, c.label
+        assert abs(s.stable_radius - stable_radius) <= 1e-12, c.label
 
 
 def test_invariant_states_unitary_mixture():
     c = random_unital_channel(3, 3, seed=5)
-    s = spectrum(c.transfer)
+    s = spectrum(c.transfer_blocks)
     inv = invariant_states(c, s)
     assert inv.faithful
     assert np.allclose(inv.rho_max, np.eye(3) / 3, atol=1e-8)
@@ -142,7 +163,7 @@ def test_invariant_states_block_channel():
     U[:2, :2] = X
     U[2:, 2:] = np.diag([1.0, -1j])
     c = unitary_channel(U)
-    s = spectrum(c.transfer)
+    s = spectrum(c.transfer_blocks)
     inv = invariant_states(c, s)
     assert inv.faithful
     fp = fixed_points(s)
@@ -151,7 +172,7 @@ def test_invariant_states_block_channel():
 
 def test_fixed_points_commutant_matches_kernel():
     c = random_unital_channel(4, 3, seed=9)
-    s = spectrum(c.transfer)
+    s = spectrum(c.transfer_blocks)
     F_comm = fixed_points_commutant(c, invariant_states(c, s),
                                     multiplicative_domain(c))
     F_spectral = fixed_points(s)
@@ -168,7 +189,7 @@ def test_kraus_commutant_inside_m_matches_gram_oracle():
         to_channel(dead_corners_walk()),
         *(dephasing_mixture(eps) for eps in (1e-3, 1e-7, 5e-8))]
     for c in channels:
-        inv, M = invariant_states(c, spectrum(c.transfer)), \
+        inv, M = invariant_states(c, spectrum(c.transfer_blocks)), \
             multiplicative_domain(c)
         if c.label == "dead-corners-3":
             with pytest.raises(NoFaithfulInvariantState):
@@ -242,6 +263,7 @@ def test_commutator_gram_identity():
         for gens in ([a @ dagger(b) for a in V for b in V], V,
                      rng.standard_normal((2, c.dim, c.dim))):
             G, constraint = commutator_gram(gens, c.dim)
+            G = dense_of_split(G)
             A = rng.standard_normal((5, c.dim, c.dim)) \
                 + 1j * rng.standard_normal((5, c.dim, c.dim))
             quad = np.einsum("ki,ij,kj->k", A.transpose(0, 2, 1).reshape(
@@ -259,7 +281,7 @@ def test_gram_stage_two_decides():
     V = c.kraus
     G, constraint = commutator_gram(
         [V[j] @ dagger(V[k]) for j in range(2) for k in range(j, 2)], 2)
-    lam = np.linalg.eigvalsh(G)
+    lam = np.linalg.eigvalsh(dense_of_split(G))
     assert np.sum(lam <= GRAM_CANDIDATE_CUTOFF * max(lam[-1], 1)) == 4
     assert gram_kernel(G, constraint).dim == multiplicative_domain(c).dim == 2
 
@@ -335,7 +357,8 @@ def test_zero_kraus_padding_keeps_m_n_f_and_the_report(c):
     padded = from_kraus(list(c.kraus) + [np.zeros((c.dim, c.dim))] * 2)
     M, Mp = multiplicative_domain(c), multiplicative_domain(padded)
     N, Np = dfa(c, M=M), dfa(padded, M=Mp)
-    F, Fp = (fixed_points(spectrum(x.transfer)).subspace for x in (c, padded))
+    F, Fp = (fixed_points(spectrum(x.transfer_blocks)).subspace
+             for x in (c, padded))
     for a, b in ((M, Mp), (N, Np), (F, Fp)):
         assert a.dim == b.dim
         assert subspace_distance(a, b) <= 1e-10
@@ -405,7 +428,7 @@ def test_peripheral_eigen_relations():
 
 def test_stable_subspace_decay():
     c = pauli_channel()
-    s = spectrum(c.transfer)
+    s = spectrum(c.transfer_blocks)
     assert s.peripheral + s.stable_dim == 4
     # the stable part, the range of I - E_N, decays under iteration
     T50 = np.linalg.matrix_power(c.transfer, 50)
@@ -429,7 +452,7 @@ def apply_transfer(T, X):
 
 def test_cesaro_expectation_identity_channel():
     c = unitary_channel(np.eye(2))
-    E_F = dense(spectrum(c.transfer).e_f_factors)
+    E_F = dense(spectrum(c.transfer_blocks).e_f_factors)
     disc = spectral_norm(cesaro_expectation(c.transfer, min_n=64) - E_F)
     assert disc < 1e-10
     assert np.allclose(E_F, np.eye(4), atol=1e-9)
@@ -437,7 +460,7 @@ def test_cesaro_expectation_identity_channel():
 
 def test_cesaro_expectation_random():
     c = random_unital_channel(3, 3, seed=17)
-    s = spectrum(c.transfer)
+    s = spectrum(c.transfer_blocks)
     T = dense(s.e_f_factors)
     disc = spectral_norm(cesaro_expectation(c.transfer) - T)
     assert disc < 1e-6
@@ -455,7 +478,7 @@ def test_cesaro_expectation_pauli():
     # peripheral eigenvalue -1 present: root-of-unity-friendly averaging
     # lengths keep the Cesaro route convergent
     c = pauli_channel()
-    E_F = dense(spectrum(c.transfer).e_f_factors)
+    E_F = dense(spectrum(c.transfer_blocks).e_f_factors)
     disc = spectral_norm(cesaro_expectation(c.transfer) - E_F)
     assert disc < 1e-6
     A = np.array([[1, 2], [3, 4]], dtype=complex)
@@ -471,7 +494,7 @@ def test_cesaro_expectation_slowly_mixing():
     for i, label in ((12, "mixture-5-2"), (50, "blocksum-4+4")):
         c = corpus[i]
         assert c.label == label
-        s = spectrum(c.transfer)
+        s = spectrum(c.transfer_blocks)
         assert s.stable_radius > 0.999
         E_F = dense(s.e_f_factors)
         short = cesaro_expectation(c.transfer, max_n=10_000)
@@ -497,7 +520,24 @@ def test_l2_structure_basic():
     assert l2.norm(I2) == pytest.approx(1.0)
     assert l2.inner(X, X) == pytest.approx(1.0)
     # weighted map norm of the identity map is 1
-    assert l2.map_norm(np.eye(4)) == pytest.approx(1.0)
+    assert l2.map_norm(block_stacks(np.eye(4))) == pytest.approx(1.0)
+
+
+def test_map_norm_merges_the_split_along_rho():
+    # oracle: the 2-norm of the dense G T G^-1, G = (rho^1/2)^T (x) I; a
+    # state that mixes the first two levels joins some of the blocks of a
+    # block sum's transfer matrix, a diagonal one joins none
+    rng = np.random.default_rng(0)
+    for c in build_corpus(20240817)[40:]:
+        D = c.dim
+        for mix in (np.eye(2), random_unitary(2, rng)):
+            U = np.eye(D, dtype=complex)
+            U[:2, :2] = mix
+            w = rng.random(D) + 0.5
+            l2 = L2Structure.from_state(U @ np.diag(w / w.sum()) @ dagger(U))
+            G, Gi = (np.kron(M.T, np.eye(D)) for M in (l2.sqrt, l2.inv_sqrt))
+            assert l2.map_norm(c.transfer_blocks) == pytest.approx(
+                spectral_norm(G @ c.transfer @ Gi), rel=1e-13), c.label
 
 
 def test_l2_structure_needs_faithful():
@@ -508,9 +548,9 @@ def test_l2_structure_needs_faithful():
 def test_l2_schwarz_contraction():
     # unital channels contract the rho-weighted L2 norm when rho is invariant
     c = random_unital_channel(3, 3, seed=23)
-    inv = invariant_states(c, spectrum(c.transfer))
+    inv = invariant_states(c, spectrum(c.transfer_blocks))
     l2 = L2Structure.from_state(inv.rho_max)
-    assert l2.map_norm(c.transfer) < 1 + 1e-9
+    assert l2.map_norm(c.transfer_blocks) < 1 + 1e-9
 
 
 def test_decoherence_gap_pauli():
@@ -537,7 +577,8 @@ def test_decoherence_gap_random():
     # consistency: norms actually decay at the reported rate
     Q = np.eye(9) - dense(s.e_n_factors)
     n = 20
-    nrm = l2.map_norm(np.linalg.matrix_power(c.transfer, n) @ Q)
+    nrm = l2.map_norm(
+        block_stacks(np.linalg.matrix_power(c.transfer, n) @ Q))
     assert nrm <= np.exp(-rep.finite_horizon * n) + 1e-12
 
 
@@ -550,7 +591,7 @@ def _finite_horizon_by_powers(c, s, l2, max_n):
     rates = []
     for n in range(1, max_n + 1):
         power = c.transfer @ power
-        nrm = l2.map_norm(power @ Q)
+        nrm = l2.map_norm(block_stacks(power @ Q))
         if nrm <= 1e-9:
             rates.append(np.inf)
             break

@@ -1,6 +1,7 @@
 """Every module-level def and class in `src/chanstruct` has a caller,
-every dataclass field there a reader, and no module but `numerics` writes
-out a threshold: each reads a level of `Tolerances`.
+every dataclass field there a reader, no module but `numerics` writes
+out a threshold (each reads a level of `Tolerances`), and none forms a
+dense Kronecker product with `np.kron`.
 
 A name counts as used when it is referenced, other than inside its own
 definition, somewhere in `src/chanstruct` or `tools/`, or when it is
@@ -125,3 +126,24 @@ def test_a_written_out_threshold_is_flagged(tmp_path):
     lib.write_text("def ok(x, tol):\n    return x < tol.check_tol * 1e3\n\n\n"
                    "def bad(x):\n    return -1e-9 < x < 0.5 * 1e-7\n")
     assert small_float_literals([lib]) == [("lib", 6, 1e-9), ("lib", 6, 1e-7)]
+
+
+def kron_calls(sources):
+    """(module, line) of each use of ``np.kron`` in ``sources``: a dense
+    Kronecker product, where the code holds a Kronecker sum by its split
+    (``numerics.kron_blocks``) or applies its factors."""
+    return [(path.stem, node.lineno) for path in sources
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr == "kron"]
+
+
+def test_no_dense_kronecker_product_in_src():
+    assert kron_calls(SOURCES) == []
+
+
+def test_a_dense_kronecker_product_is_flagged(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text("import numpy as np\n\n\n"
+                   "def gram(S, eye):\n"
+                   "    return np.kron(S.T, eye) + kron_blocks(S, eye)\n")
+    assert kron_calls([lib]) == [("lib", 5)]
