@@ -24,7 +24,7 @@ from chanstruct.numerics import (
     DimensionMismatch,
     Tolerances,
     dagger,
-    kron_blocks,
+    kraus_transfer,
     spectral_norm,
 )
 
@@ -37,8 +37,8 @@ class NotUnital(ValueError):
 class ChannelSpec:
     """A validated channel: dimension, Kraus operators stacked as a
     (K, D, D) array, free-form label.  The stages read the transfer matrix
-    through ``transfer_blocks``, its split found once from the Kraus
-    supports; the dense ``transfer`` serves the component residual."""
+    only through ``transfer_blocks``, its split found once from the Kraus
+    supports; no stage forms it dense."""
 
     dim: int
     kraus: np.ndarray
@@ -64,21 +64,11 @@ class ChannelSpec:
         return sum(V @ rho @ dagger(V) for V in self.kraus)
 
     @cached_property
-    def transfer(self) -> np.ndarray:
-        """D^2 x D^2 matrix of Phi in the column-stacking convention; its HS
-        adjoint is the transfer matrix of Phi_*.  sum_k kron(V_k^T, V_k*)
-        is the reshuffled P = Vm^T conj(Vm): T[(i, j), (l, m)] =
-        P[(l, i), (m, j)]."""
-        D = self.dim
-        Vm = self.kraus.reshape(-1, D * D)
-        P = (Vm.T @ Vm.conj()).reshape((D,) * 4)
-        return P.transpose(1, 3, 0, 2).reshape(D * D, D * D)
-
-    @cached_property
     def transfer_blocks(self) -> list:
-        """The split of T = sum_k V_k^T (x) V_k* (numerics.kron_blocks):
-        T[(i, j), (l, m)] = sum_k V_k[l, i] conj(V_k[m, j])."""
-        return kron_blocks(np.swapaxes(self.kraus, 1, 2), dagger(self.kraus))
+        """The split of the transfer matrix T = sum_k V_k^T (x) V_k* of Phi
+        (column-stacking; numerics.kraus_transfer), the HS adjoint of
+        Phi_*'s: T[(i, j), (l, m)] = sum_k V_k[l, i] conj(V_k[m, j])."""
+        return kraus_transfer(self.kraus, self.kraus)
 
     def minimal_kraus(self, tol: Tolerances = DEFAULT_TOL) -> "ChannelSpec":
         """Equivalent channel whose Kraus count is the Choi rank: with the

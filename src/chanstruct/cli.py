@@ -304,7 +304,7 @@ def build_ledger(analysis: Analysis) -> list:
         add("e-n-vs-rho",
             _distance_to_rho_projection(s.e_n_factors, l2, N), tol.check_tol)
         add("l2-contraction",
-            max(0.0, l2.map_norm(c.transfer_blocks) - 1.0), tol.eq_tol)
+            max(0.0, l2.map_norm(c.kraus) - 1.0), tol.eq_tol)
         iso_res = max((abs(l2.norm(c.apply(b)) - l2.norm(b))
                        for b in N.basis), default=0.0)
         add("l2-isometry-on-dfa", iso_res, tol.eq_tol)

@@ -28,12 +28,12 @@ from chanstruct.numerics import (
     DEFAULT_TOL,
     MatrixSubspace,
     Tolerances,
-    block_stacks,
     blockwise_norm,
     cluster_values,
     dagger,
     fix_global_phase,
     hs_norm,
+    kraus_transfer,
     range_isometry,
     round_projector,
     spectral_norm,
@@ -238,15 +238,17 @@ def structured_kraus(comp: Component,
     """Reassemble the component channel from its factorized data,
     V_k = sum_m S_m* (T_m* (x) L_{m,k}) S_{m-1}, all k of a step in one
     einsum; return it with its residual, the spectral norm of the transfer
-    difference."""
+    difference: the split of the Kraus pair ([V1, V], [V1, -V]), V1 the
+    rebuilt operators and V the component's."""
     nL, kraus = comp.left_dim, 0
     for m, (L, T) in enumerate(zip(comp.xi_kraus, comp.shift_unitaries)):
         B = np.einsum("ba,kij->kaibj", T.conj(), L).reshape(
             len(L), nL * L.shape[1], nL * L.shape[2])
         kraus = kraus + dagger(comp.isometries[m]) @ B @ comp.isometries[m - 1]
     rebuilt = from_kraus(kraus, tol=tol, label=f"{comp.channel.label}|rebuilt")
-    err = blockwise_norm(
-        block_stacks(rebuilt.transfer - comp.channel.transfer))
+    V1, V = rebuilt.kraus, comp.channel.kraus
+    err = blockwise_norm(kraus_transfer(np.concatenate([V1, V]),
+                                        np.concatenate([V1, -V])))
     if err > tol.cycle_tol:
         raise ReconstructionMismatch(
             f"structured Kraus reconstruction error {err:.3e}")

@@ -22,11 +22,12 @@ Conventions pinned here and used by every other module:
   forming D^2 x D^2 projectors.
 * A D^2 x D^2 operator is held as its split, (index, stack) pairs: the
   (m, s) indices of m diagonal blocks of size s and their (m, s, s) stack,
-  zero off the blocks.  A Kronecker sum sum_r A_r (x) B_r (a transfer,
-  Gram or Choi matrix) is split along its terms' supports, never formed
-  (:func:`kron_blocks`), a dense matrix along its exact zero pattern
-  (:func:`block_stacks`): exact, and one block is the same code.  The Schur
-  form and Sylvester solve (:func:`sorted_schur`), Gram eigh, 2-norm and
+  zero off the blocks.  A Kronecker sum sum_r A_r (x) B_r (a Gram or
+  Choi matrix) is split along its terms' supports, never formed
+  (:func:`kron_blocks`): exact, and one block is the same code.  A
+  transfer matrix (T, its rho-weighted form, a difference of channels) is
+  the split of its Kraus pair (:func:`kraus_transfer`).  The Schur form
+  and Sylvester solve (:func:`sorted_schur`), Gram eigh, 2-norm and
   products (:func:`block_apply`) run block by block.
 * An operator of low rank is kept as factors E = X Y* and its residuals
   are written as factors too: X (Y* X - I) Y* for idempotency,
@@ -137,19 +138,12 @@ def components(n: int, i, j) -> list[np.ndarray]:
             for s in np.unique(sizes[sizes > 0])]
 
 
-def block_stacks(A: np.ndarray) -> list:
-    """The split of a dense square matrix along the components of its
-    symmetric exact nonzero pattern (A_ij != 0 or A_ji != 0)."""
-    return [(idx, A[idx[:, :, None], idx[:, None, :]])
-            for idx in components(len(A), *np.nonzero(A))]
-
-
 def kron_blocks(A: np.ndarray, B: np.ndarray) -> list:
     """The split of K = sum_r A_r (x) B_r, for two (r, D, D) stacks, along
     the supports of its terms, K never formed: K[(p, q), (p', q')] =
     sum_r A_r[p, p'] B_r[q, q'] (row p D + q) joins (p, q) and (p', q')
     when some r has A_r[p, p'] != 0 and B_r[q, q'] != 0, so the split is
-    that of :func:`block_stacks` or coarser."""
+    that of K's exact nonzero pattern or coarser."""
     D = A.shape[-1]
     supports = np.hstack([A != 0, B != 0]).reshape(len(A), -1)
     blocks = [np.arange(D * D)[None]]       # a term with no zero joins all
@@ -175,20 +169,11 @@ def kron_blocks(A: np.ndarray, B: np.ndarray) -> list:
     return [(idx, entries(idx)) for idx in blocks]
 
 
-def split_entries(blocks, u, v) -> np.ndarray:
-    """Entries M[u, v] of the operator M given by its split, for broadcast
-    index arrays u, v: zero unless u and v lie in one block."""
-    n = sum(idx.size for idx, _ in blocks)
-    start, pos, size = np.zeros((3, n), dtype=int)   # start: block's offset
-    off = 0
-    for idx, S in blocks:
-        m, s = idx.shape
-        start[idx] = off + s * s * np.arange(m)[:, None]
-        pos[idx], size[idx] = np.arange(s), s
-        off += S.size
-    flat = np.concatenate([S.ravel() for _, S in blocks] + [np.zeros(1)])
-    return flat[np.where(start[u] == start[v],
-                         start[u] + pos[u] * size[u] + pos[v], off)]
+def kraus_transfer(X: np.ndarray, Y: np.ndarray) -> list:
+    """The split of the transfer matrix of x -> sum_k X_k* x Y_k, for two
+    (K, D, D) stacks: sum_k Y_k^T (x) X_k* (:func:`kron_blocks`); a
+    channel's T is that of (V, V)."""
+    return kron_blocks(np.swapaxes(Y, -1, -2), dagger(X))
 
 
 def block_apply(blocks, X: np.ndarray, adjoint: bool = False) -> np.ndarray:

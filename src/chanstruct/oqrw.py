@@ -102,6 +102,8 @@ def build(vertices, local_dims, transitions,
             raise DimensionMismatch(
                 f"transition ({i},{j}) has shape {L.shape}, expected "
                 f"({local_dims[i]}, {local_dims[j]})")
+        if not np.all(np.isfinite(L)):
+            raise ValueError(f"transition ({i},{j}) has non-finite entries")
         if hs_norm(L) > 0:
             ops[(i, j)] = L
     for j in range(len(vertices)):

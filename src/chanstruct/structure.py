@@ -26,11 +26,10 @@ from chanstruct.numerics import (
     block_apply,
     blockwise_norm,
     commutator_norm,
-    components,
     dagger,
     hs_norm,
+    kraus_transfer,
     sorted_schur,
-    split_entries,
     unvec,
     vec,
 )
@@ -156,29 +155,22 @@ class L2Structure:
     def inner(self, x: np.ndarray, y: np.ndarray) -> complex:
         return complex(np.trace(self.rho @ dagger(x) @ y))
 
-    def map_norm(self, T) -> float:
-        """Operator norm of a map in the rho-weighted L2 geometry: the
-        2-norm of W = G T G^-1, T the map's transfer matrix given by its
-        split, G = (rho^1/2)^T (x) I (G x = x rho^1/2): T's split, merged
-        where rho^1/2 or rho^-1/2 joins (b, a) and (c, a), splits G too."""
-        D = len(self.rho)
-        R = np.stack([self.sqrt.T, self.inv_sqrt.T])
-        b, c = np.nonzero(np.any(R != 0, axis=0))
-        ab, ac = (np.arange(D) + D * x[:, None] for x in (b, c))
-        label = np.empty(D * D, dtype=int)           # a block's first index
-        for idx, _ in T:
-            label[idx] = idx[:, :1]
-        if not np.array_equal(label[ab], label[ac]):  # merge the blocks
-            T = [(idx, split_entries(T, idx[:, :, None], idx[:, None, :]))
-                 for idx in components(D * D, np.r_[ab.ravel(), label],
-                                       np.r_[ac.ravel(), np.arange(D * D)])]
-        parts = []
-        for idx, S in T:
-            (bu, au), (bv, av) = np.divmod(idx[:, :, None], D), \
-                np.divmod(idx[:, None, :], D)
-            G, Gi = R[:, bu, bv] * (au == av)
-            parts.append((idx, G @ S @ Gi))
-        return blockwise_norm(parts)
+    def map_norm(self, kraus: np.ndarray, factors=None) -> float:
+        """Operator norm in the rho-weighted L2 geometry of the channel
+        with Kraus stack ``kraus``, or of Phi (I - E) for the spectral
+        projector E = X Y* of T with ``factors`` (X, Y): the 2-norm of
+        W = G T G^-1, G x = x rho^1/2, the transfer matrix of
+        x -> sum_k V_k* x rho^-1/2 V_k rho^1/2 (numerics.kraus_transfer),
+        or of W - W E'.  G is HS-self-adjoint, so E' = G E G^-1 =
+        (G X)(G^-1 Y)* is a spectral projector of W and lies in W's
+        blocks."""
+        W = kraus_transfer(kraus, self.inv_sqrt @ kraus @ self.sqrt)
+        if factors is not None:
+            D = len(self.rho)
+            GX, GiY = ((R.T @ B.reshape(D, -1)).reshape(B.shape)
+                       for R, B in zip((self.sqrt, self.inv_sqrt), factors))
+            W = [(idx, S - S @ GX[idx] @ dagger(GiY[idx])) for idx, S in W]
+        return blockwise_norm(W)
 
     def projection(self, B: np.ndarray) -> tuple:
         """Factors (B, W) of the rho-orthogonal projection P = B W* onto
@@ -289,9 +281,11 @@ def multiplicative_domain(c: ChannelSpec,
     Choi's theorem the commutant {V_j V_k*}' (the pairs j <= k; their
     adjoints are the rest), re-verified on the definitional test.  Products
     that are exactly zero, as most are on walks, are dropped: they leave
-    the commutant unchanged, and no tolerance enters."""
+    the commutant unchanged, and no tolerance enters.  Only the pairs whose
+    column supports meet are multiplied; the others are zero."""
     V = c.kraus
-    j, k = np.triu_indices(len(V))
+    cols = np.any(V != 0, axis=1)          # the columns each V_k reaches
+    j, k = np.nonzero(np.triu(cols @ cols.T))
     P = V[j] @ dagger(V[k])
     M = alg_mod.commutant(P[np.any(P != 0, axis=(1, 2))], dim=c.dim, tol=tol)
     B = M.basis
@@ -388,9 +382,7 @@ def decoherence_gap(c: ChannelSpec, s: Spectrum, l2: L2Structure,
     if s.stable_dim == 0:
         return GapReport(finite_horizon=math.inf, asymptotic=asymptotic,
                          horizon=0, uniform_bound=True)
-    Z1, Y = s.e_n_factors
-    nrm = l2.map_norm([(idx, S - S @ Z1[idx] @ dagger(Y[idx]))
-                       for idx, S in c.transfer_blocks])
+    nrm = l2.map_norm(c.kraus, s.e_n_factors)
     if nrm <= tol.rank_tol:
         finite = math.inf
     elif abs(nrm - 1.0) <= tol.eq_tol:

@@ -20,7 +20,7 @@ from chanstruct.numerics import (
     DimensionMismatch,
     MatrixSubspace,
     Tolerances,
-    block_stacks,
+    components,
     dagger,
     fix_global_phase,
     kernel_coefficients,
@@ -28,13 +28,12 @@ from chanstruct.numerics import (
     round_projector,
     span_basis,
     spectral_norm,
-    split_entries,
     subspace_distance,
     unvec,
     vec,
 )
 from chanstruct.oqrw import _advance_spans
-from chanstruct.structure import NoStabilization, dfa, spectrum
+from chanstruct.structure import L2Structure, NoStabilization, dfa, spectrum
 from tools.report_set import amplitude_damping, dephasing_mixture  # noqa: F401
 
 I2 = np.eye(2, dtype=complex)
@@ -78,9 +77,31 @@ def dense(factors):
 
 def dense_of_split(blocks):
     """The matrix of an operator given by its split (``numerics``), such
-    as ``ChannelSpec.transfer_blocks``."""
-    u = np.arange(sum(idx.size for idx, _ in blocks))
-    return split_entries(blocks, u[:, None], u[None, :])
+    as ``ChannelSpec.transfer_blocks``: each block's stack written into
+    its rows and columns, zero elsewhere."""
+    n = sum(idx.size for idx, _ in blocks)
+    M = np.zeros((n, n), dtype=complex)
+    for idx, S in blocks:
+        M[idx[:, :, None], idx[:, None, :]] = S
+    return M
+
+
+def block_stacks(A):
+    """The split of a dense square matrix along the components of its
+    symmetric exact nonzero pattern (A_ij != 0 or A_ji != 0): the dense
+    operands of the split routines in the tests."""
+    return [(idx, A[idx[:, :, None], idx[:, None, :]])
+            for idx in components(len(A), *np.nonzero(A))]
+
+
+def dense_map_norm(rho, M):
+    """Oracle for ``L2Structure.map_norm``: the rho-weighted L2 operator
+    norm ||G M G^-1||_2 of the map with dense transfer matrix M, for
+    G = (rho^1/2)^T (x) I (G x = x rho^1/2)."""
+    l2 = L2Structure.from_state(rho)
+    eye = np.eye(len(rho))
+    return spectral_norm(np.kron(l2.sqrt.T, eye) @ M
+                         @ np.kron(l2.inv_sqrt.T, eye))
 
 
 def kernel_basis(L, tol=DEFAULT_TOL):
@@ -156,7 +177,8 @@ def choi(c):
 
 
 def kron_transfer(c):
-    """Oracle for ``ChannelSpec.transfer``: sum_k kron(V_k^T, V_k*)."""
+    """Oracle for ``ChannelSpec.transfer_blocks``, the dense transfer
+    matrix: sum_k kron(V_k^T, V_k*)."""
     return sum(np.kron(V.T, dagger(V)) for V in c.kraus)
 
 
@@ -520,8 +542,8 @@ def restricted_power_transfer(c, Q, d, tol=DEFAULT_TOL):
     E -> R* Phi^d(R E R*) R for the isometry R onto it, which is
     kron(R^T, R*) T^d kron(conj(R), R)."""
     R = range_isometry(Q, tol)
-    return np.kron(R.T, dagger(R)) @ np.linalg.matrix_power(c.transfer, d) \
-        @ np.kron(R.conj(), R)
+    return np.kron(R.T, dagger(R)) \
+        @ np.linalg.matrix_power(kron_transfer(c), d) @ np.kron(R.conj(), R)
 
 
 def verify_power_fixed_points(c, report, m_max, tol=DEFAULT_TOL):
@@ -530,16 +552,16 @@ def verify_power_fixed_points(c, report, m_max, tol=DEFAULT_TOL):
     cyclic projections (irreducible, aperiodic), each from a dense Schur
     form of a power of T."""
     d = report.period
-    rows = []
+    rows, T = [], kron_transfer(c)
     for m in range(1, m_max + 1):
-        dim_f = spectrum(block_stacks(np.linalg.matrix_power(c.transfer, m)),
+        dim_f = spectrum(block_stacks(np.linalg.matrix_power(T, m)),
                          tol).fixed.dim
         coprime = math.gcd(m, d) == 1
         rows.append(PowerFixedPointRow(power=m, fixed_dim=dim_f,
                                        coprime=coprime,
                                        matches_gcd_rule=(dim_f == 1) == coprime))
     N = dfa(c, tol=tol)
-    Fd = spectrum(block_stacks(np.linalg.matrix_power(c.transfer, d)),
+    Fd = spectrum(block_stacks(np.linalg.matrix_power(T, d)),
                   tol).fixed
     dist = subspace_distance(Fd, N)
     irreducible_flags, aperiodic_flags = [], []

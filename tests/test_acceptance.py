@@ -20,7 +20,6 @@ from chanstruct.cycles import (
     structured_kraus,
 )
 from chanstruct.numerics import (
-    block_stacks,
     dagger,
     hs_norm,
     random_unitary,
@@ -54,8 +53,10 @@ from tests.conftest import (
     component_embedding,
     cycle_composition,
     dense,
+    dense_map_norm,
     fixed_block_oracles,
     invariant_state,
+    kron_transfer,
     period_irreducible,
     verify_power_fixed_points,
 )
@@ -446,7 +447,8 @@ def test_acceptance_4_conditional_expectations(capsys, corpus_analysis):
     rows, _ = corpus_analysis
     for i, (c, s, inv, N, p) in enumerate(rows):
         E_F, E_N = dense(s.e_f_factors), dense(s.e_n_factors)
-        discrepancy = spectral_norm(cesaro_expectation(c.transfer) - E_F)
+        T = kron_transfer(c)
+        discrepancy = spectral_norm(cesaro_expectation(T) - E_F)
         check(discrepancy <= 1e-6,
               f"channel {i}: Cesaro vs spectral {discrepancy:.2e}")
         for name, E in (("E_F", E_F), ("E_N", E_N)):
@@ -457,7 +459,7 @@ def test_acceptance_4_conditional_expectations(capsys, corpus_analysis):
             check(unital <= 1e-7, f"channel {i}: {name} unital {unital:.2e}")
             cp = -_choi_min_eig(E, c.dim)
             check(cp <= 1e-7, f"channel {i}: {name} CP defect {cp:.2e}")
-            comm = spectral_norm(E @ c.transfer - c.transfer @ E)
+            comm = spectral_norm(E @ T - T @ E)
             check(comm <= 1e-7, f"channel {i}: {name} commute {comm:.2e}")
     _verdict(capsys, "4: conditional expectations on the corpus", failures)
 
@@ -595,7 +597,8 @@ def test_acceptance_7_cyclic_shift(capsys):
         check(comp.period == d,
               f"d={d}: period {comp.period}")
         rebuilt, _ = structured_kraus(comp)
-        err = spectral_norm(rebuilt.transfer - comp.channel.transfer)
+        err = spectral_norm(kron_transfer(rebuilt)
+                            - kron_transfer(comp.channel))
         check(err <= 1e-8, f"d={d}: reconstruction error {err:.2e}")
     _verdict(capsys, "7: cyclic shift walks d=3,4 (seed 42)", failures)
 
@@ -663,7 +666,7 @@ def test_acceptance_9_l2_geometry(capsys, corpus_analysis):
     for i, (c, s, inv, N, p) in enumerate(rows):
         D = c.dim
         l2 = L2Structure.from_state(inv.rho_max)
-        nrm = l2.map_norm(c.transfer_blocks)
+        nrm = l2.map_norm(c.kraus)
         check(nrm <= 1 + 1e-8, f"channel {i}: L2 norm {nrm - 1:.2e} above 1")
         for a in N.basis:
             gap_iso = abs(l2.norm(c.apply(a)) - l2.norm(a))
@@ -683,7 +686,8 @@ def test_acceptance_9_l2_geometry(capsys, corpus_analysis):
             ov2 = abs(l2.inner(c.apply(ex), c.apply(perp)))
             check(ov2 <= 1e-8, f"channel {i}: overlap after step {ov2:.2e}")
         gap = decoherence_gap(c, s, l2)
-        lam = np.linalg.eigvals(c.transfer)
+        T = kron_transfer(c)
+        lam = np.linalg.eigvals(T)
         inner_radius = np.abs(lam)[np.abs(lam) <= 1 - TOL.peripheral_band]
         if inner_radius.size and inner_radius.max() > TOL.rank_tol:
             expect = -math.log(float(inner_radius.max()))
@@ -700,8 +704,8 @@ def test_acceptance_9_l2_geometry(capsys, corpus_analysis):
         Q = np.eye(D * D) - dense(s.e_n_factors)
         power = np.eye(D * D)
         for n in range(1, 11):
-            power = c.transfer @ power
-            decay = l2.map_norm(block_stacks(power @ Q))
+            power = T @ power
+            decay = dense_map_norm(l2.rho, power @ Q)
             bound = 1e-9 if math.isinf(rate) else math.exp(-n * rate) + 1e-10
             check(decay <= bound,
                   f"channel {i}: |Phi^{n}(I - E_N)| = {decay:.3e} above "

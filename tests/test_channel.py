@@ -12,7 +12,6 @@ from chanstruct.channel import (
 from chanstruct.numerics import (
     DEFAULT_TOL,
     DimensionMismatch,
-    block_stacks,
     dagger,
     random_unitary,
     spectral_norm,
@@ -20,7 +19,16 @@ from chanstruct.numerics import (
     vec,
 )
 from chanstruct.oqrw import builder_nn_cycle, builder_pauli_walk, to_channel
-from tests.conftest import I2, X, Y, Z, choi, dense_of_split, kron_transfer
+from tests.conftest import (
+    I2,
+    X,
+    Y,
+    Z,
+    block_stacks,
+    choi,
+    dense_of_split,
+    kron_transfer,
+)
 from tests.test_acceptance import build_corpus
 
 
@@ -71,10 +79,11 @@ def test_preadjoint_examples():
 
 def test_transfer_agrees_with_kraus():
     c = random_unital_channel(3, 3, seed=11)
+    T = dense_of_split(c.transfer_blocks)
     for k in range(9):
         E = unvec(np.eye(9)[:, k], 3)
-        assert np.allclose(unvec(c.transfer @ vec(E), 3), c.apply(E))
-        assert np.allclose(unvec(dagger(c.transfer) @ vec(E), 3),
+        assert np.allclose(unvec(T @ vec(E), 3), c.apply(E))
+        assert np.allclose(unvec(dagger(T) @ vec(E), 3),
                            c.preadjoint_apply(E))
 
 
@@ -123,7 +132,8 @@ def test_transfer_and_minimal_kraus_of_kraus_stacks(dim, seed, padding, data):
     ops = np.concatenate([ops, np.zeros((padding, dim, dim))])
     u = random_unitary(K0 + padding, rng)
     c = ChannelSpec(dim, np.tensordot(u, ops, 1) / np.sqrt(K0 * dim))
-    assert np.abs(c.transfer - kron_transfer(c)).max() <= 1e-14
+    assert np.abs(dense_of_split(c.transfer_blocks)
+                  - kron_transfer(c)).max() <= 1e-14
     C = choi(c)
     w = np.linalg.eigvalsh(C)
     rank = np.sum(w > DEFAULT_TOL.rank_tol * max(spectral_norm(C), 1e-300))
@@ -132,7 +142,7 @@ def test_transfer_and_minimal_kraus_of_kraus_stacks(dim, seed, padding, data):
     gram = np.einsum("iab,jab->ij", m.kraus.conj(), m.kraus)
     off = gram - np.diag(np.diag(gram))
     assert np.abs(off).max(initial=0.0) <= 1e-12 * np.abs(gram).max()
-    assert np.abs(m.transfer - c.transfer).max() <= 1e-12
+    assert np.abs(kron_transfer(m) - kron_transfer(c)).max() <= 1e-12
 
 
 def test_schwarz_inequality_sampled():
@@ -160,7 +170,7 @@ def assert_split_matches_dense(c):
     pattern lies in one of them (the split is that of ``block_stacks``
     or coarser), the dense matrix is exactly zero off them, and each stack
     holds the dense entries (to the rounding of one sum over k)."""
-    T, split = c.transfer, c.transfer_blocks
+    T, split = kron_transfer(c), c.transfer_blocks
     n = len(T)
     label = np.full(n, -1)
     for start, (idx, S) in enumerate(split):

@@ -3,6 +3,8 @@ import importlib
 import inspect
 import json
 import pkgutil
+import tracemalloc
+import warnings
 
 import jsonschema
 import numpy as np
@@ -12,7 +14,6 @@ import chanstruct
 from chanstruct import cli, oqrw
 from chanstruct.algebra import center
 from chanstruct.channel import (
-    ChannelSpec,
     from_kraus,
     matrix_from_json,
     matrix_to_json,
@@ -181,14 +182,27 @@ def test_choi_min_eig_of_factors_matches_the_dense_choi_matrix():
     assert zero_rows[-1] == 0 and max(zero_rows) > 0
 
 
-def test_verify_forms_no_dense_transfer_matrix(tmp_path, capsys,
-                                              monkeypatch):
-    # verify reads T only through its split: with the dense transfer
-    # matrix refused, the ledger still passes on two walks and a Haar
-    # mixture (one block)
-    def refuse(self):
-        raise AssertionError("the dense transfer matrix was formed")
-    monkeypatch.setattr(ChannelSpec, "transfer", property(refuse))
+def test_analyze_and_verify_hold_no_dense_transfer_matrix(tmp_path,
+                                                          capsys):
+    # nn-cycle n=24 (D=48): one dense D^2 x D^2 complex array is
+    # 2304^2 * 16 B = 81 MiB, so a peak of traced allocations below that
+    # shows that no stage formed one, through T, M, the gap, the ledger's
+    # L2 norm or the component residual
+    path = str(tmp_path / "nn-cycle-24.json")
+    assert main(["example", "nn-cycle", "--n", "24",
+                 "--output", path]) == EXIT_OK
+    dense_bytes = (48 * 48) ** 2 * 16
+    for command in ("analyze", "verify"):
+        tracemalloc.start()
+        try:
+            code, out = run([command, path], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK, command
+        assert peak < dense_bytes, (command, peak / 2 ** 20)
+    assert json.loads(out)["all_pass"]
+    # the ledger passes on two small walks and a Haar mixture (one block)
     paths = []
     for name, argv in (("nn-cycle-4", ["nn-cycle", "--n", "4"]),
                        ("pauli-walk-3", ["pauli", "--d", "3"])):
@@ -503,6 +517,29 @@ def test_walk_vertex_out_of_range_is_an_input_error(tmp_path, capsys, key,
     code = main(["analyze", str(f)])
     assert code == EXIT_INPUT_ERROR
     assert "outside 0..1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+@pytest.mark.parametrize("entry", [float("nan"), float("inf")])
+def test_walk_non_finite_transition_is_an_input_error(tmp_path, capsys,
+                                                      command, entry):
+    # the step 0 -> 1 is NaN or Infinity in the JSON, and column 0 is
+    # normalised without it: a NaN step was dropped as a zero operator
+    # (exit 0, all checks passed), an infinite one warned in the
+    # unitality test
+    one = matrix_to_json(np.eye(1))
+    walk = {"vertices": [0, 1], "local_dims": [1, 1],
+            "transitions": [{"from": 0, "to": 0, "matrix": one},
+                            {"from": 0, "to": 1, "matrix": [[[entry, 0.0]]]},
+                            {"from": 1, "to": 1, "matrix": one}]}
+    f = tmp_path / "walk.json"
+    f.write_text(json.dumps(walk))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, str(f)])
+    assert code == EXIT_INPUT_ERROR
+    assert "transition (1,0) has non-finite entries" in \
+        capsys.readouterr().err
 
 
 @pytest.mark.parametrize("dim", [1.7, 0, "1"])

@@ -45,6 +45,7 @@ from tests.conftest import (
     fixed_block_oracles,
     full_algebra,
     invariant_state,
+    kron_transfer,
     period_irreducible,
     probe_shift_unitaries,
     restricted_power_transfer,
@@ -230,7 +231,7 @@ def test_component_decompose_classical_cycle():
     for rho in comp.block_states:
         assert np.allclose(rho, np.eye(1))
     rebuilt, _ = structured_kraus(comp)
-    assert spectral_norm(rebuilt.transfer - c.transfer) < 1e-8
+    assert spectral_norm(kron_transfer(rebuilt) - kron_transfer(c)) < 1e-8
 
 
 def test_component_decompose_shift_walk():
@@ -249,7 +250,7 @@ def test_component_decompose_shift_walk():
     for m in range(3):
         assert np.allclose(xi_transfer(comp, m), np.eye(1), atol=1e-8)
     rebuilt, _ = structured_kraus(comp)
-    assert spectral_norm(rebuilt.transfer - c.transfer) < 1e-8
+    assert spectral_norm(kron_transfer(rebuilt) - kron_transfer(c)) < 1e-8
 
 
 def test_component_decompose_pauli():
@@ -266,7 +267,7 @@ def test_component_decompose_pauli():
     lam = np.linalg.eigvals(M)
     assert np.sum(np.abs(lam) > 1 - 1e-7) == 1
     rebuilt, _ = structured_kraus(comp)
-    assert spectral_norm(rebuilt.transfer - c.transfer) < 1e-8
+    assert spectral_norm(kron_transfer(rebuilt) - kron_transfer(c)) < 1e-8
 
 
 def test_fixed_multiblock_shift_walk():
@@ -459,7 +460,7 @@ def test_restricted_power_transfer_is_the_compressed_power():
     c = from_kraus([np.sqrt(p) * random_unitary(4, rng) for p in (0.2, 0.8)])
     U = random_unitary(4, rng)
     Q = U[:, :2] @ dagger(U[:, :2])
-    R, Td = range_isometry(Q), np.linalg.matrix_power(c.transfer, 3)
+    R, Td = range_isometry(Q), np.linalg.matrix_power(kron_transfer(c), 3)
     oracle = transfer_of_units(
         lambda E: dagger(R) @ unvec(Td @ vec(R @ E @ dagger(R)), 4) @ R, 2)
     assert np.allclose(restricted_power_transfer(c, Q, 3, DEFAULT_TOL),

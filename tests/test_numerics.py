@@ -11,7 +11,6 @@ from chanstruct.numerics import (
     MatrixSubspace,
     NotNearProjection,
     Tolerances,
-    block_stacks,
     blockwise_norm,
     cluster_values,
     commutator_norm,
@@ -19,6 +18,7 @@ from chanstruct.numerics import (
     KERNEL_FOLD_ROWS,
     gram_kernel,
     kernel_coefficients,
+    kraus_transfer,
     lowrank_norm,
     random_unitary,
     round_projector,
@@ -36,12 +36,14 @@ from tests.conftest import (
     X,
     Z,
     apply_block_expectation,
+    block_stacks,
     dense_gram_kernel,
     dense_of_split,
     dense_sorted_schur,
     expectation_onto,
     generated_algebra,
     kernel_basis,
+    kron_transfer,
     subspace_intersection,
     transfer_of,
     transfer_of_units,
@@ -115,10 +117,36 @@ def test_kernel_coefficients_folded_blocks():
     assert kernel_coefficients([np.zeros((0, k))], k).shape == (k, k)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.floats(0.05, 1.0),
+       st.integers(0, 2 ** 32 - 1))
+def test_kraus_transfer_is_the_transfer_of_the_kraus_pair(dim, K, density,
+                                                         seed):
+    # the split of x -> sum_k X_k* x Y_k for sparse stacks, made dense,
+    # against one call of the map on the matrix units and the Kronecker
+    # sum; the pair ([X, Y], [X, -Y]) is the difference of two channels
+    rng = np.random.default_rng(seed)
+    X, Y = ((rng.standard_normal((K, dim, dim))
+             + 1j * rng.standard_normal((K, dim, dim)))
+            * (rng.random((K, dim, dim)) < density) for _ in range(2))
+    T = dense_of_split(kraus_transfer(X, Y))
+    ref = transfer_of(lambda E: sum(dagger(A) @ E @ B for A, B in zip(X, Y)),
+                      dim)
+    scale = 1e-14 * max(1.0, np.abs(ref).max())
+    assert np.abs(T - ref).max() <= scale
+    assert np.abs(T - sum(np.kron(B.T, dagger(A))
+                          for A, B in zip(X, Y))).max() <= scale
+    diff = dense_of_split(kraus_transfer(np.concatenate([X, Y]),
+                                         np.concatenate([X, -Y])))
+    ref = transfer_of(lambda E: sum(dagger(A) @ E @ A - dagger(B) @ E @ B
+                                    for A, B in zip(X, Y)), dim)
+    assert np.abs(diff - ref).max() <= 1e-14 * max(1.0, np.abs(ref).max())
+
+
 def test_transfer_of_matches_kraus_transfer():
     rng = np.random.default_rng(6)
     c = from_kraus([np.sqrt(p) * random_unitary(3, rng) for p in (0.3, 0.7)])
-    assert np.allclose(transfer_of(c.apply, 3), c.transfer, atol=1e-14)
+    assert np.allclose(transfer_of(c.apply, 3), kron_transfer(c), atol=1e-14)
     # rectangular Kraus operators, as in a reduced channel: B(C^2) -> B(C^3)
     Ls = rng.standard_normal((3, 2, 3)) + 1j * rng.standard_normal((3, 2, 3))
 

@@ -27,6 +27,7 @@ from tests.conftest import (
     block_units,
     full_route_oqrw_dfa,
     full_route_oqrw_multiplicative_domain,
+    kron_transfer,
     subspace_intersection,
 )
 from tools.report_set import dead_corners_walk
@@ -105,7 +106,7 @@ def test_pauli_walk_builder():
     lm = local_channel(w)
     Z, X = pauli_pair(3)
     expected = from_kraus([np.sqrt(0.4) * Z, np.sqrt(0.6) * X])
-    assert spectral_norm(lm.transfer - expected.transfer) < 1e-10
+    assert spectral_norm(kron_transfer(lm) - kron_transfer(expected)) < 1e-10
 
 
 def test_pauli_walk_validates_alpha():
@@ -122,7 +123,7 @@ def test_nn_cycle_builder_and_local_map():
     assert w.homogeneous
     lm = local_channel(w)
     expected = from_kraus([Lm, Lp])
-    assert spectral_norm(lm.transfer - expected.transfer) < 1e-10
+    assert spectral_norm(kron_transfer(lm) - kron_transfer(expected)) < 1e-10
 
 
 def test_homogeneity_is_decided_within_eq_tol():
@@ -237,8 +238,8 @@ def test_json_roundtrip():
     assert set(w2.transitions) == set(w.transitions)
     for key, L in w.transitions.items():
         assert np.allclose(w2.transitions[key], L, atol=1e-12)
-    assert spectral_norm(to_channel(w2).transfer - to_channel(w).transfer) \
-        < 1e-10
+    assert spectral_norm(kron_transfer(to_channel(w2))
+                         - kron_transfer(to_channel(w))) < 1e-10
 
 
 # ---------------------------------------------------------------------------

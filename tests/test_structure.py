@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chanstruct.algebra import commutator_gram
+from chanstruct.algebra import commutant, commutator_gram
 from chanstruct.channel import from_kraus
 from chanstruct.cli import analyze
 from chanstruct.numerics import (
     DEFAULT_TOL,
     GRAM_CANDIDATE_CUTOFF,
     MatrixSubspace,
-    block_stacks,
     dagger,
     gram_kernel,
     hs_norm,
@@ -43,6 +42,7 @@ from tests.conftest import (
     amplitude_damping,
     cesaro_expectation,
     dense,
+    dense_map_norm,
     dense_of_split,
     dense_spectrum,
     dephasing_mixture,
@@ -50,6 +50,7 @@ from tests.conftest import (
     gram_route_kraus_commutant,
     kernel_basis,
     kraus_word_basis,
+    kron_transfer,
     peripheral_eigenpairs,
     word_route_dfa,
     word_route_multiplicative_domain,
@@ -117,8 +118,8 @@ def test_spectrum_matches_kernel_route():
     for c in channels:
         n = c.dim ** 2
         s = spectrum(c.transfer_blocks)
-        F = kernel_basis(c.transfer - np.eye(n))
-        states = kernel_basis(dagger(c.transfer) - np.eye(n))
+        F = kernel_basis(kron_transfer(c) - np.eye(n))
+        states = kernel_basis(dagger(kron_transfer(c)) - np.eye(n))
         assert subspace_distance(s.fixed, F) <= 1e-10, c.label
         invariant = MatrixSubspace.from_columns(
             np.linalg.qr(s.e_f_factors[1])[0], c.dim)
@@ -141,7 +142,7 @@ def test_blockwise_spectrum_matches_the_dense_schur_form():
         amplitude_damping(), unitary_channel(np.eye(3))]
     for c in channels:
         s = spectrum(c.transfer_blocks)
-        E_N, E_F, stable_dim, stable_radius = dense_spectrum(c.transfer)
+        E_N, E_F, stable_dim, stable_radius = dense_spectrum(kron_transfer(c))
         assert spectral_norm(dense(s.e_n_factors) - E_N) <= 1e-12, c.label
         assert spectral_norm(dense(s.e_f_factors) - E_F) <= 1e-12, c.label
         assert s.stable_dim == stable_dim, c.label
@@ -220,6 +221,21 @@ def test_multiplicative_domain_unitary():
     c = unitary_channel(np.diag([1.0, 1j]))
     M = multiplicative_domain(c)
     assert M.dim == 4  # automorphisms have full multiplicative domain
+
+
+def test_multiplicative_domain_multiplies_only_meeting_supports():
+    # V_j V_k* is zero unless V_j and V_k share a nonzero column: the pairs
+    # chosen from the supports give the nonzero products of all pairs
+    # j <= k in the same order, so M is bitwise that of their commutant
+    walks = [_nn_cycle(4), _nn_cycle(8), to_channel(dead_corners_walk()),
+             to_channel(builder_pauli_walk(3, 0.5))]
+    for c in walks + build_corpus(20240817)[::5]:
+        V = c.kraus
+        j, k = np.triu_indices(len(V))
+        P = V[j] @ dagger(V[k])
+        reference = commutant(P[np.any(P != 0, axis=(1, 2))], dim=c.dim)
+        assert np.array_equal(multiplicative_domain(c).basis,
+                              reference.basis), c.label
 
 
 def test_kraus_word_basis_growth():
@@ -413,7 +429,8 @@ def test_peripheral_pauli():
     # E_N is idempotent and commutes with the transfer
     E = dense(s.e_n_factors)
     assert spectral_norm(E @ E - E) < 1e-8
-    assert spectral_norm(E @ c.transfer - c.transfer @ E) < 1e-8
+    T = kron_transfer(c)
+    assert spectral_norm(E @ T - T @ E) < 1e-8
 
 
 def test_peripheral_eigen_relations():
@@ -431,7 +448,7 @@ def test_stable_subspace_decay():
     s = spectrum(c.transfer_blocks)
     assert s.peripheral + s.stable_dim == 4
     # the stable part, the range of I - E_N, decays under iteration
-    T50 = np.linalg.matrix_power(c.transfer, 50)
+    T50 = np.linalg.matrix_power(kron_transfer(c), 50)
     assert spectral_norm(T50 @ (np.eye(4) - dense(s.e_n_factors))) < 1e-8
 
 
@@ -442,8 +459,8 @@ def test_expectation_onto_dfa_properties():
     assert spectral_norm(E.transfer @ E.transfer - E.transfer) < 1e-7
     assert np.allclose(E.apply(np.eye(3)), np.eye(3), atol=1e-8)
     # commutes with the channel
-    assert spectral_norm(E.transfer @ c.transfer -
-                         c.transfer @ E.transfer) < 1e-7
+    T = kron_transfer(c)
+    assert spectral_norm(E.transfer @ T - T @ E.transfer) < 1e-7
 
 
 def apply_transfer(T, X):
@@ -453,7 +470,7 @@ def apply_transfer(T, X):
 def test_cesaro_expectation_identity_channel():
     c = unitary_channel(np.eye(2))
     E_F = dense(spectrum(c.transfer_blocks).e_f_factors)
-    disc = spectral_norm(cesaro_expectation(c.transfer, min_n=64) - E_F)
+    disc = spectral_norm(cesaro_expectation(kron_transfer(c), min_n=64) - E_F)
     assert disc < 1e-10
     assert np.allclose(E_F, np.eye(4), atol=1e-9)
 
@@ -462,7 +479,7 @@ def test_cesaro_expectation_random():
     c = random_unital_channel(3, 3, seed=17)
     s = spectrum(c.transfer_blocks)
     T = dense(s.e_f_factors)
-    disc = spectral_norm(cesaro_expectation(c.transfer) - T)
+    disc = spectral_norm(cesaro_expectation(kron_transfer(c)) - T)
     assert disc < 1e-6
     # E is idempotent onto F and trace-preserving at the invariant state
     assert spectral_norm(T @ T - T) < 1e-7
@@ -479,7 +496,7 @@ def test_cesaro_expectation_pauli():
     # lengths keep the Cesaro route convergent
     c = pauli_channel()
     E_F = dense(spectrum(c.transfer_blocks).e_f_factors)
-    disc = spectral_norm(cesaro_expectation(c.transfer) - E_F)
+    disc = spectral_norm(cesaro_expectation(kron_transfer(c)) - E_F)
     assert disc < 1e-6
     A = np.array([[1, 2], [3, 4]], dtype=complex)
     assert np.allclose(apply_transfer(E_F, A), np.trace(A) / 2 * I2,
@@ -497,9 +514,9 @@ def test_cesaro_expectation_slowly_mixing():
         s = spectrum(c.transfer_blocks)
         assert s.stable_radius > 0.999
         E_F = dense(s.e_f_factors)
-        short = cesaro_expectation(c.transfer, max_n=10_000)
+        short = cesaro_expectation(kron_transfer(c), max_n=10_000)
         assert spectral_norm(short - E_F) > 1e-3
-        assert spectral_norm(cesaro_expectation(c.transfer) - E_F) < 1e-6
+        assert spectral_norm(cesaro_expectation(kron_transfer(c)) - E_F) < 1e-6
 
 
 @settings(max_examples=8, deadline=None)
@@ -509,7 +526,7 @@ def test_expectation_compatibility(seed, dim):
     c = random_unital_channel(dim, 3, seed=seed)
     s, inv, p = spectral_stages(c)
     E_F, E_N = dense(s.e_f_factors), dense(s.e_n_factors)
-    assert spectral_norm(cesaro_expectation(c.transfer, min_n=4096) -
+    assert spectral_norm(cesaro_expectation(kron_transfer(c), min_n=4096) -
                          E_F) < 1e-6
     assert spectral_norm(E_F @ E_N - E_F) < 1e-6
 
@@ -520,13 +537,13 @@ def test_l2_structure_basic():
     assert l2.norm(I2) == pytest.approx(1.0)
     assert l2.inner(X, X) == pytest.approx(1.0)
     # weighted map norm of the identity map is 1
-    assert l2.map_norm(block_stacks(np.eye(4))) == pytest.approx(1.0)
+    assert l2.map_norm(I2[None]) == pytest.approx(1.0)
 
 
 def test_map_norm_merges_the_split_along_rho():
     # oracle: the 2-norm of the dense G T G^-1, G = (rho^1/2)^T (x) I; a
     # state that mixes the first two levels joins some of the blocks of a
-    # block sum's transfer matrix, a diagonal one joins none
+    # block sum's weighted Kraus pair, a diagonal one joins none
     rng = np.random.default_rng(0)
     for c in build_corpus(20240817)[40:]:
         D = c.dim
@@ -535,9 +552,30 @@ def test_map_norm_merges_the_split_along_rho():
             U[:2, :2] = mix
             w = rng.random(D) + 0.5
             l2 = L2Structure.from_state(U @ np.diag(w / w.sum()) @ dagger(U))
-            G, Gi = (np.kron(M.T, np.eye(D)) for M in (l2.sqrt, l2.inv_sqrt))
-            assert l2.map_norm(c.transfer_blocks) == pytest.approx(
-                spectral_norm(G @ c.transfer @ Gi), rel=1e-13), c.label
+            assert l2.map_norm(c.kraus) == pytest.approx(
+                dense_map_norm(l2.rho, kron_transfer(c)), rel=1e-13), c.label
+
+
+def test_map_norm_of_the_stable_part_matches_the_dense_oracle():
+    # the gap's norm of Phi (I - E_N), with E_N's factors weighted by G and
+    # G^-1 and subtracted block by block, against the dense
+    # ||G T (I - E_N) G^-1||; the states of the test above, on the block
+    # sums and two walks
+    rng = np.random.default_rng(0)
+    lm = np.diag([np.sqrt(0.3), np.sqrt(0.7)])
+    lp = np.array([[0, np.sqrt(0.3)], [np.sqrt(0.7), 0]])
+    walks = [to_channel(builder_nn_cycle(4, lp, lm)),
+             to_channel(builder_pauli_walk(3, 0.5))]
+    for c in build_corpus(20240817)[40:] + walks:
+        D, s, T = c.dim, spectrum(c.transfer_blocks), kron_transfer(c)
+        stable = T - T @ dense(s.e_n_factors)
+        for mix in (np.eye(2), random_unitary(2, rng)):
+            U = np.eye(D, dtype=complex)
+            U[:2, :2] = mix
+            w = rng.random(D) + 0.5
+            l2 = L2Structure.from_state(U @ np.diag(w / w.sum()) @ dagger(U))
+            assert l2.map_norm(c.kraus, s.e_n_factors) == pytest.approx(
+                dense_map_norm(l2.rho, stable), rel=1e-13), c.label
 
 
 def test_l2_structure_needs_faithful():
@@ -550,7 +588,7 @@ def test_l2_schwarz_contraction():
     c = random_unital_channel(3, 3, seed=23)
     inv = invariant_states(c, spectrum(c.transfer_blocks))
     l2 = L2Structure.from_state(inv.rho_max)
-    assert l2.map_norm(c.transfer_blocks) < 1 + 1e-9
+    assert l2.map_norm(c.kraus) < 1 + 1e-9
 
 
 def test_decoherence_gap_pauli():
@@ -577,8 +615,8 @@ def test_decoherence_gap_random():
     # consistency: norms actually decay at the reported rate
     Q = np.eye(9) - dense(s.e_n_factors)
     n = 20
-    nrm = l2.map_norm(
-        block_stacks(np.linalg.matrix_power(c.transfer, n) @ Q))
+    nrm = dense_map_norm(
+        l2.rho, np.linalg.matrix_power(kron_transfer(c), n) @ Q)
     assert nrm <= np.exp(-rep.finite_horizon * n) + 1e-12
 
 
@@ -587,11 +625,11 @@ def _finite_horizon_by_powers(c, s, l2, max_n):
     at every step, without the rounding rule at norm 1."""
     D = c.dim
     Q = np.eye(D * D) - dense(s.e_n_factors)
-    power = np.eye(D * D, dtype=complex)
+    power, T = np.eye(D * D, dtype=complex), kron_transfer(c)
     rates = []
     for n in range(1, max_n + 1):
-        power = c.transfer @ power
-        nrm = l2.map_norm(block_stacks(power @ Q))
+        power = T @ power
+        nrm = dense_map_norm(l2.rho, power @ Q)
         if nrm <= 1e-9:
             rates.append(np.inf)
             break
