@@ -44,7 +44,7 @@ class ChannelSpec:
     kraus: np.ndarray
     label: str = ""
 
-    @property
+    @cached_property
     def unitality_defect(self) -> float:
         V = self.kraus.reshape(-1, self.dim)     # the V_k stacked as rows
         return spectral_norm(dagger(V) @ V - np.eye(self.dim))

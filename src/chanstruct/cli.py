@@ -9,7 +9,7 @@ Subcommands:
   input JSON file.
 
 Exit codes: 0 success, 1 verification failure, 2 input error,
-3 internal numerical error.
+3 internal numerical error or out of memory.
 """
 
 from __future__ import annotations
@@ -32,11 +32,7 @@ from chanstruct.channel import (
     channel_from_json,
     matrix_to_json,
 )
-from chanstruct.cycles import (
-    fixed_multiblock,
-    mfnc_decompose,
-    structured_kraus,
-)
+from chanstruct.cycles import fixed_multiblock, mfnc_decompose
 from chanstruct.numerics import (
     Tolerances,
     commutator_norm,
@@ -226,6 +222,10 @@ class Analysis:
     def l2(self):
         return L2Structure.from_state(self.inv.rho_max, tol=self.tol)
 
+    @cached_property
+    def weighted(self):
+        return self.l2.weighted_transfer(self.c.kraus)
+
 
 # ---------------------------------------------------------------------------
 # verification ledger
@@ -304,7 +304,7 @@ def build_ledger(analysis: Analysis) -> list:
         add("e-n-vs-rho",
             _distance_to_rho_projection(s.e_n_factors, l2, N), tol.check_tol)
         add("l2-contraction",
-            max(0.0, l2.map_norm(c.kraus) - 1.0), tol.eq_tol)
+            max(0.0, l2.map_norm(analysis.weighted) - 1.0), tol.eq_tol)
         iso_res = max((abs(l2.norm(c.apply(b)) - l2.norm(b))
                        for b in N.basis), default=0.0)
         add("l2-isometry-on-dfa", iso_res, tol.eq_tol)
@@ -326,7 +326,6 @@ def build_ledger(analysis: Analysis) -> list:
 # ---------------------------------------------------------------------------
 
 def _component_summary(comp, tol):
-    _, recon = structured_kraus(comp, tol=tol)
     fb = fixed_multiblock(comp, tol=tol)
     return {
         "projection": matrix_to_json(comp.projection),
@@ -338,7 +337,7 @@ def _component_summary(comp, tol):
         "xi_kraus": [[matrix_to_json(L) for L in ops]
                      for ops in comp.xi_kraus],
         "block_states": [matrix_to_json(r) for r in comp.block_states],
-        "structured_kraus_residual": _num(recon),
+        "structured_kraus_residual": _num(comp.structured_kraus_residual),
         "fixed_blocks": {
             "count": fb.n_blocks,
             "eigenvalues": _complex_pairs(fb.eigenvalues),
@@ -410,7 +409,8 @@ def analyze(c: ChannelSpec, w: OqrwSpec | None, tol: Tolerances,
         for comp in mfnc_decompose(c, F.as_algebra(), analysis.N_structure,
                                    analysis.spectrum, tol=tol)]
 
-    gap = decoherence_gap(c, analysis.spectrum, analysis.l2, tol=tol)
+    gap = decoherence_gap(analysis.weighted, analysis.spectrum, analysis.l2,
+                          tol=tol)
     report["gap"] = {
         "finite_horizon": _num(gap.finite_horizon),
         "asymptotic": _num(gap.asymptotic),
@@ -534,7 +534,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (RuntimeError, np.linalg.LinAlgError) as exc:
+    except (RuntimeError, np.linalg.LinAlgError, MemoryError) as exc:
         print(f"numerical error ({type(exc).__name__}): {exc}",
               file=sys.stderr)
         return EXIT_NUMERICAL_ERROR

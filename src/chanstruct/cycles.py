@@ -5,10 +5,10 @@ projections of N (:func:`mfnc_decompose`).  Each orbit is handed over as
 one :class:`Component` record: its period and cyclic projections, and the
 tensor factorization into a unitary shift part and a chain of reduced
 channels, read off the blocks of its Kraus operators as the orbit is
-found.  :func:`structured_kraus` reassembles the Kraus operators from that
-record, and :func:`fixed_multiblock` reads the fixed points off it as the
-commutant of the monodromy carried around the cycle (Carbone-Jencova,
-arXiv 1905.00857).
+found; the Kraus operators reassembled from that factorization must
+reproduce the component's.  :func:`fixed_multiblock` reads the fixed points
+off the record as the commutant of the monodromy carried around the cycle
+(Carbone-Jencova, arXiv 1905.00857).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from chanstruct.numerics import (
     MatrixSubspace,
     Tolerances,
     blockwise_norm,
-    cluster_values,
     dagger,
     fix_global_phase,
     hs_norm,
@@ -82,6 +81,7 @@ class Component:
     xi_kraus: tuple              # per m: the stack of L_{m,k}
     block_states: tuple          # rho_m
     fixed_points: MatrixSubspace     # F_i = span of W* b W for b in F
+    structured_kraus_residual: float  # ||T(reassembled) - T(channel)||
 
     @property
     def period(self) -> int:
@@ -171,27 +171,35 @@ def mfnc_decompose(c: ChannelSpec, F: MatrixSubspace, st: AlgebraStructure,
         if len(set(nLs)) != 1:
             raise IsomorphismSolveFailed(
                 f"left factors have unequal dimensions {nLs}")
-        shifts, xi_kraus = _factor_kraus(c_i, S, nLs[0], nRs, rho, tol)
+        shifts, xi, residual = _factor_kraus(c_i, S, nLs[0], nRs, rho, tol)
         F_i = MatrixSubspace.from_span(dagger(W) @ F.basis @ W,
                                        dim=W.shape[1], tol=tol)
         components.append(Component(
             projection=Zi, channel=c_i,
             cyclic_projections=tuple(local[k] for k in pos), isometries=S,
             left_dim=nLs[0], right_dims=nRs, shift_unitaries=shifts,
-            xi_kraus=xi_kraus, block_states=rho, fixed_points=F_i))
+            xi_kraus=xi, block_states=rho, fixed_points=F_i,
+            structured_kraus_residual=residual))
     components.sort(key=lambda comp: block_order(comp.projection))
     return tuple(components)
 
 
 def _factor_kraus(c_i: ChannelSpec, S, nL: int, nRs, rho,
                   tol: Tolerances) -> tuple:
-    """Shift unitaries T_m and reduced Kraus stacks L_m of one component.
+    """Shift unitaries T_m, reduced Kraus stacks L_m and reconstruction
+    residual of one component.
 
     Each Kraus operator of the component shifts the cyclic projections
     forward by one step, so it splits into blocks T_m* (x) L_{m,k}; the
-    L blocks share the index k across m, which is what makes the
-    reassembled Kraus operators reproduce the channel exactly.  The
-    reduced channels must carry the block state rho_{m-1} to rho_m.
+    L blocks share the index k across m, so the reassembled operators
+    V'_k = sum_m S_m* (T_m* (x) L_{m,k}) S_{m-1} reproduce the channel.
+    One test per k, ||V'_k - V_k||_HS <= cycle_tol on the canonical V_k,
+    covers both failures: the difference splits into HS-orthogonal parts
+    in the blocks Q_m . Q_{m-1} (a block not T* (x) L) and outside them (a
+    block off the one-step shift).  The residual is the 2-norm of the
+    transfer difference, the split of the Kraus pair ([V', V], [V', -V])
+    with V the component's operators.  The reduced channels must carry
+    the block state rho_{m-1} to rho_m.
     """
     d = len(S)
     limit = tol.cycle_tol
@@ -203,7 +211,7 @@ def _factor_kraus(c_i: ChannelSpec, S, nL: int, nRs, rho,
     # singular vector
     canonical = c_i.minimal_kraus(tol).kraus
     shift_unitaries, xi_kraus = [], []
-    recomposed = np.zeros_like(canonical)
+    rebuilt = np.zeros_like(canonical)
     for m in range(d):
         prev = (m - 1) % d
         B = S[m] @ canonical @ dagger(S[prev])
@@ -213,16 +221,13 @@ def _factor_kraus(c_i: ChannelSpec, S, nL: int, nRs, rho,
         W, _, Vh = np.linalg.svd(u.reshape(nL, nL))
         T = fix_global_phase(dagger(W @ Vh), tol=tol)
         L = np.einsum("ia,karis->krs", T, B5) / nL
-        resid = B5 - np.einsum("ia,krs->karis", T.conj(), L)
-        if np.any(np.linalg.norm(resid.reshape(len(L), -1), axis=1) > limit):
-            raise IsomorphismSolveFailed(
-                "a Kraus block is not of the form T* (x) L")
+        block = np.einsum("ia,krs->karis", T.conj(), L).reshape(B.shape)
+        rebuilt += dagger(S[m]) @ block @ S[prev]
         shift_unitaries.append(T)
         xi_kraus.append(L)
-        recomposed += dagger(S[m]) @ B @ S[prev]
-    if np.any(np.linalg.norm(recomposed - canonical, 2, axis=(1, 2)) > limit):
+    if np.any(np.linalg.norm(rebuilt - canonical, axis=(1, 2)) > limit):
         raise IsomorphismSolveFailed(
-            "a Kraus operator has blocks outside the one-step shift")
+            "a Kraus operator is not sum_m S_m* (T_m* (x) L_m) S_{m-1}")
 
     for m in range(d):
         prev = (m - 1) % d
@@ -230,34 +235,33 @@ def _factor_kraus(c_i: ChannelSpec, S, nL: int, nRs, rho,
         if hs_norm(push - rho[m]) > limit:
             raise IsomorphismSolveFailed(
                 f"reduced channel does not carry rho_{prev} to rho_{m}")
-    return tuple(shift_unitaries), tuple(xi_kraus)
 
-
-def structured_kraus(comp: Component,
-                     tol: Tolerances = DEFAULT_TOL) -> tuple:
-    """Reassemble the component channel from its factorized data,
-    V_k = sum_m S_m* (T_m* (x) L_{m,k}) S_{m-1}, all k of a step in one
-    einsum; return it with its residual, the spectral norm of the transfer
-    difference: the split of the Kraus pair ([V1, V], [V1, -V]), V1 the
-    rebuilt operators and V the component's."""
-    nL, kraus = comp.left_dim, 0
-    for m, (L, T) in enumerate(zip(comp.xi_kraus, comp.shift_unitaries)):
-        B = np.einsum("ba,kij->kaibj", T.conj(), L).reshape(
-            len(L), nL * L.shape[1], nL * L.shape[2])
-        kraus = kraus + dagger(comp.isometries[m]) @ B @ comp.isometries[m - 1]
-    rebuilt = from_kraus(kraus, tol=tol, label=f"{comp.channel.label}|rebuilt")
-    V1, V = rebuilt.kraus, comp.channel.kraus
-    err = blockwise_norm(kraus_transfer(np.concatenate([V1, V]),
-                                        np.concatenate([V1, -V])))
-    if err > tol.cycle_tol:
+    V = c_i.kraus
+    residual = blockwise_norm(kraus_transfer(np.concatenate([rebuilt, V]),
+                                             np.concatenate([rebuilt, -V])))
+    if residual > limit:
         raise ReconstructionMismatch(
-            f"structured Kraus reconstruction error {err:.3e}")
-    return rebuilt, err
+            f"structured Kraus reconstruction error {residual:.3e}")
+    return tuple(shift_unitaries), tuple(xi_kraus), residual
 
 
 # ---------------------------------------------------------------------------
 # Fixed points of a periodic component
 # ---------------------------------------------------------------------------
+
+def circle_clusters(values, gap: float) -> list:
+    """Index arrays of clusters of unimodular values: sorted by arg in
+    [0, 2 pi), split where consecutive args differ by more than ``gap``,
+    the last cluster joined to the first when they meet across the cut at
+    arg 0."""
+    arg = np.angle(values) % (2 * np.pi)
+    order = np.argsort(arg, kind="stable")
+    clusters = np.split(order, np.nonzero(np.diff(arg[order]) > gap)[0] + 1)
+    if len(clusters) > 1 and \
+            arg[order[0]] + 2 * np.pi - arg[order[-1]] <= gap:
+        clusters[0] = np.concatenate([clusters.pop(), clusters[0]])
+    return clusters
+
 
 def fixed_multiblock(comp: Component,
                      tol: Tolerances = DEFAULT_TOL) -> FixedBlockData:
@@ -265,7 +269,8 @@ def fixed_multiblock(comp: Component,
 
     The product of the shift unitaries around the cycle acts on K_0^L and
     T~_m carries it to K_m^L.  The fixed points are its commutant carried
-    around the cycle: with B_j an orthonormal basis of its j-th eigenspace,
+    around the cycle: with B_j an orthonormal basis of its j-th eigenspace
+    (the eigenvalues, unimodular, clustered by :func:`circle_clusters`),
     F is the span of the matrix units
     sum_m S_m* (T~_m B_j e_pq B_j* T~_m* (x) I) S_m over all j, p, q, and
     their sums over p = q are its minimal central projections.  The
@@ -288,7 +293,7 @@ def fixed_multiblock(comp: Component,
         tilde[m] = acc
 
     w, V = np.linalg.eig(tilde[0])
-    clusters = cluster_values(w, gap=tol.derived_tol)
+    clusters = circle_clusters(w, gap=tol.derived_tol)
     left_bases = [np.linalg.qr(V[:, cl])[0] for cl in clusters]
     eigenvalues = [complex(np.mean(w[cl])) for cl in clusters]
 

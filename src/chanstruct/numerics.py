@@ -224,8 +224,11 @@ def span_basis(mats, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     sigma > rank_tol * max(sigma_max, 1), the rule of
     :func:`kernel_coefficients`."""
     mats = np.asarray(mats, dtype=complex)
-    _, s, vh = np.linalg.svd(mats.reshape(len(mats), -1), full_matrices=False)
-    return vh[s > tol.rank_tol * max(s[0], 1.0)].reshape(-1, *mats.shape[1:])
+    shape = mats.shape[1:]
+    _, s, vh = np.linalg.svd(mats.reshape(len(mats), math.prod(shape)),
+                             full_matrices=False)
+    return vh[s > tol.rank_tol * max(s.max(initial=0.0), 1.0)].reshape(
+        -1, *shape)
 
 
 def kernel_coefficients(blocks, k: int,
@@ -291,8 +294,6 @@ class MatrixSubspace:
             if not len(mats):
                 raise ValueError("need dim for an empty span")
             dim = np.shape(mats[0])[0]
-        if not len(mats):
-            return cls(dim)
         return cls(dim, span_basis(mats, tol))
 
     @property
@@ -414,37 +415,6 @@ def subspace_distance(S1: MatrixSubspace, S2: MatrixSubspace) -> float:
         return 1.0
     B1, B2 = S1.basis_matrix(), S2.basis_matrix()
     return spectral_norm(B1 - B2 @ (dagger(B2) @ B1))
-
-
-def cluster_values(values, gap: float) -> list[list[int]]:
-    """Greedy clustering of complex values: indices whose values lie
-    within ``gap`` of a cluster centroid join that cluster.  Values are
-    taken by descending modulus and, within moduli that steps of at most
-    ``gap`` join, by arg in [0, 2 pi), an arg within ``gap`` of 2 pi
-    counting as 0: rounding in |lam| or across the real axis does not
-    reorder them."""
-    clusters: list[list[int]] = []
-    centroids: list[complex] = []
-    m = np.sort(np.abs(values))[::-1]
-    starts = m[1:][m[:-1] - m[1:] > gap]      # moduli that open a level
-    arg = np.angle(values) % (2 * np.pi)
-    arg[arg > 2 * np.pi - gap] = 0.0
-    order = sorted(range(len(values)), key=lambda i: (
-        np.sum(starts >= abs(values[i])), arg[i]))
-    for i in order:
-        v = values[i]
-        placed = False
-        for c, cen in enumerate(centroids):
-            if abs(v - cen) <= gap:
-                clusters[c].append(i)
-                k = len(clusters[c])
-                centroids[c] = cen + (v - cen) / k
-                placed = True
-                break
-        if not placed:
-            clusters.append([i])
-            centroids.append(v)
-    return clusters
 
 
 def sorted_schur(blocks, select):

@@ -155,16 +155,20 @@ class L2Structure:
     def inner(self, x: np.ndarray, y: np.ndarray) -> complex:
         return complex(np.trace(self.rho @ dagger(x) @ y))
 
-    def map_norm(self, kraus: np.ndarray, factors=None) -> float:
+    def weighted_transfer(self, kraus: np.ndarray) -> list:
+        """The split of W = G T G^-1, G x = x rho^1/2, for the channel with
+        Kraus stack ``kraus``: the transfer matrix of
+        x -> sum_k V_k* x rho^-1/2 V_k rho^1/2 (numerics.kraus_transfer)."""
+        return kraus_transfer(kraus, self.inv_sqrt @ kraus @ self.sqrt)
+
+    def map_norm(self, W, factors=None) -> float:
         """Operator norm in the rho-weighted L2 geometry of the channel
-        with Kraus stack ``kraus``, or of Phi (I - E) for the spectral
-        projector E = X Y* of T with ``factors`` (X, Y): the 2-norm of
-        W = G T G^-1, G x = x rho^1/2, the transfer matrix of
-        x -> sum_k V_k* x rho^-1/2 V_k rho^1/2 (numerics.kraus_transfer),
+        whose weighted transfer matrix has the split ``W``
+        (:meth:`weighted_transfer`), or of Phi (I - E) for the spectral
+        projector E = X Y* of T with ``factors`` (X, Y): the 2-norm of W,
         or of W - W E'.  G is HS-self-adjoint, so E' = G E G^-1 =
         (G X)(G^-1 Y)* is a spectral projector of W and lies in W's
         blocks."""
-        W = kraus_transfer(kraus, self.inv_sqrt @ kraus @ self.sqrt)
         if factors is not None:
             D = len(self.rho)
             GX, GiY = ((R.T @ B.reshape(D, -1)).reshape(B.shape)
@@ -363,9 +367,11 @@ def peripheral_subalgebra(c: ChannelSpec, inv: InvariantStateReport,
 # Decoherence spectral gap
 # ---------------------------------------------------------------------------
 
-def decoherence_gap(c: ChannelSpec, s: Spectrum, l2: L2Structure,
+def decoherence_gap(W, s: Spectrum, l2: L2Structure,
                     tol: Tolerances = DEFAULT_TOL) -> GapReport:
-    """Finite-horizon and asymptotic decay rates of the stable part.
+    """Finite-horizon and asymptotic decay rates of the stable part, from
+    the split ``W`` of the channel's weighted transfer matrix
+    (:meth:`L2Structure.weighted_transfer`).
 
     asymptotic = -log(largest nonperipheral eigenvalue modulus), off the
     Schur diagonal; with no stable part both rates are infinite.
@@ -382,7 +388,7 @@ def decoherence_gap(c: ChannelSpec, s: Spectrum, l2: L2Structure,
     if s.stable_dim == 0:
         return GapReport(finite_horizon=math.inf, asymptotic=asymptotic,
                          horizon=0, uniform_bound=True)
-    nrm = l2.map_norm(c.kraus, s.e_n_factors)
+    nrm = l2.map_norm(W, s.e_n_factors)
     if nrm <= tol.rank_tol:
         finite = math.inf
     elif abs(nrm - 1.0) <= tol.eq_tol:

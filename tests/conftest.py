@@ -13,6 +13,7 @@ from chanstruct.algebra import (
     extract_block_states,
     restrict_to_commutant,
 )
+from chanstruct.channel import ChannelSpec
 from chanstruct.cycles import CenterMismatch, IsomorphismSolveFailed
 from chanstruct.numerics import (
     DEFAULT_TOL,
@@ -180,6 +181,19 @@ def kron_transfer(c):
     """Oracle for ``ChannelSpec.transfer_blocks``, the dense transfer
     matrix: sum_k kron(V_k^T, V_k*)."""
     return sum(np.kron(V.T, dagger(V)) for V in c.kraus)
+
+
+def structured_kraus(comp):
+    """Oracle for the Kraus operators that ``cycles._factor_kraus``
+    reassembles from a ``cycles.Component``: the channel with
+    V_k = sum_m S_m* (T_m* (x) L_{m,k}) S_{m-1}, one Kronecker product per
+    m and k."""
+    kraus = sum(
+        dagger(comp.isometries[m])
+        @ np.stack([np.kron(dagger(T), L) for L in comp.xi_kraus[m]])
+        @ comp.isometries[m - 1]
+        for m, T in enumerate(comp.shift_unitaries))
+    return ChannelSpec(comp.channel.dim, kraus)
 
 
 def gram_route_kraus_commutant(c, tol=DEFAULT_TOL):

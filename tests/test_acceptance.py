@@ -14,11 +14,7 @@ import pytest
 
 from chanstruct.algebra import atomic_structure, center, commutant
 from chanstruct.channel import from_kraus
-from chanstruct.cycles import (
-    fixed_multiblock,
-    mfnc_decompose,
-    structured_kraus,
-)
+from chanstruct.cycles import fixed_multiblock, mfnc_decompose
 from chanstruct.numerics import (
     dagger,
     hs_norm,
@@ -58,6 +54,7 @@ from tests.conftest import (
     invariant_state,
     kron_transfer,
     period_irreducible,
+    structured_kraus,
     verify_power_fixed_points,
 )
 
@@ -596,7 +593,7 @@ def test_acceptance_7_cyclic_shift(capsys):
         comp = comps[0]
         check(comp.period == d,
               f"d={d}: period {comp.period}")
-        rebuilt, _ = structured_kraus(comp)
+        rebuilt = structured_kraus(comp)
         err = spectral_norm(kron_transfer(rebuilt)
                             - kron_transfer(comp.channel))
         check(err <= 1e-8, f"d={d}: reconstruction error {err:.2e}")
@@ -666,7 +663,7 @@ def test_acceptance_9_l2_geometry(capsys, corpus_analysis):
     for i, (c, s, inv, N, p) in enumerate(rows):
         D = c.dim
         l2 = L2Structure.from_state(inv.rho_max)
-        nrm = l2.map_norm(c.kraus)
+        nrm = l2.map_norm(l2.weighted_transfer(c.kraus))
         check(nrm <= 1 + 1e-8, f"channel {i}: L2 norm {nrm - 1:.2e} above 1")
         for a in N.basis:
             gap_iso = abs(l2.norm(c.apply(a)) - l2.norm(a))
@@ -685,7 +682,7 @@ def test_acceptance_9_l2_geometry(capsys, corpus_analysis):
             check(ov <= 1e-8, f"channel {i}: overlap {ov:.2e}")
             ov2 = abs(l2.inner(c.apply(ex), c.apply(perp)))
             check(ov2 <= 1e-8, f"channel {i}: overlap after step {ov2:.2e}")
-        gap = decoherence_gap(c, s, l2)
+        gap = decoherence_gap(l2.weighted_transfer(c.kraus), s, l2)
         T = kron_transfer(c)
         lam = np.linalg.eigvals(T)
         inner_radius = np.abs(lam)[np.abs(lam) <= 1 - TOL.peripheral_band]

@@ -13,7 +13,7 @@ from chanstruct.algebra import (
     extract_block_states,
 )
 from chanstruct.channel import ChannelSpec
-from chanstruct.cycles import mfnc_decompose, structured_kraus
+from chanstruct.cycles import mfnc_decompose
 from chanstruct.numerics import (
     MatrixSubspace,
     Tolerances,
@@ -278,7 +278,7 @@ def test_atomic_structure_does_not_depend_on_the_kraus_order():
         s = spectrum(cp.transfer_blocks)
         comps = mfnc_decompose(cp, fixed_points(s).as_algebra(),
                                atomic_structure(dfa(cp)), s)
-        residuals += [structured_kraus(comp)[1] for comp in comps]
+        residuals += [comp.structured_kraus_residual for comp in comps]
     assert len(residuals) >= 24 and max(residuals) <= 1e-13
 
 

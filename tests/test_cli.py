@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import chanstruct
-from chanstruct import cli, oqrw
+from chanstruct import cli, oqrw, structure
 from chanstruct.algebra import center
 from chanstruct.channel import (
     from_kraus,
@@ -586,6 +586,51 @@ def test_every_numerical_failure_class_exits_3(tmp_path, capsys, monkeypatch,
     assert main(["analyze", pauli_channel_file(tmp_path)]) \
         == EXIT_NUMERICAL_ERROR
     assert f"({error.__name__})" in capsys.readouterr().err
+
+
+def test_out_of_memory_exits_3(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(cli, "atomic_structure", fail)
+    assert main(["analyze", pauli_channel_file(tmp_path)]) \
+        == EXIT_NUMERICAL_ERROR
+    assert "(MemoryError)" in capsys.readouterr().err
+
+
+def test_n_without_identity_is_a_numerical_error(tmp_path, capsys):
+    # at --tol 1e-12 the dfa chain of this slowly mixing channel loses I,
+    # so N has dimension 0; analyze died in span_basis on the empty stack
+    c = build_corpus(1)[12]
+    assert c.label == "mixture-5-2"
+    path = write_channel(tmp_path / "c12.json", list(c.kraus))
+    assert main(["analyze", path, "--tol=1e-12"]) == EXIT_NUMERICAL_ERROR
+    assert "(NotAlgebra)" in capsys.readouterr().err
+    code, out = run(["verify", path, "--tol=1e-12"], capsys)
+    assert code == EXIT_VERIFY_FAILED
+    entries = {e["name"]: e for e in json.loads(out)["checks"]}
+    assert entries["dfa-equals-peripheral-span"]["residual"] == 1.0
+
+
+def test_analyze_builds_the_weighted_split_once(tmp_path, capsys,
+                                                monkeypatch):
+    # the gap and the ledger's l2-contraction share one split of the
+    # rho-weighted Kraus pair
+    f = tmp_path / "walk.json"
+    run(["example", "nn-cycle", "--n", "4", "--output", str(f)], capsys)
+    splits = []
+    split = structure.kraus_transfer
+
+    def counted(*args):
+        splits.append(args)
+        return split(*args)
+
+    monkeypatch.setattr(structure, "kraus_transfer", counted)
+    code, out = run(["analyze", str(f)], capsys)
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["gap"]["horizon"] > 0
+    assert "l2-contraction" in {e["name"] for e in report["verification"]}
+    assert len(splits) == 1
 
 
 @pytest.mark.parametrize("command", ["analyze", "verify"])

@@ -8,13 +8,15 @@ from chanstruct.algebra import (
     atomic_structure,
     extract_block_states,
 )
-from chanstruct.channel import from_kraus, matrix_from_json
+from chanstruct.channel import ChannelSpec, from_kraus, matrix_from_json
 from chanstruct.cli import Analysis, analyze
 from chanstruct.cycles import (
     CenterMismatch,
+    IsomorphismSolveFailed,
+    _factor_kraus,
+    circle_clusters,
     fixed_multiblock,
     mfnc_decompose,
-    structured_kraus,
 )
 from chanstruct.numerics import (
     DEFAULT_TOL,
@@ -49,6 +51,7 @@ from tests.conftest import (
     period_irreducible,
     probe_shift_unitaries,
     restricted_power_transfer,
+    structured_kraus,
     transfer_of_units,
     verify_power_fixed_points,
     xi_transfer,
@@ -230,7 +233,7 @@ def test_component_decompose_classical_cycle():
     assert comp.right_dims == (1, 1, 1)
     for rho in comp.block_states:
         assert np.allclose(rho, np.eye(1))
-    rebuilt, _ = structured_kraus(comp)
+    rebuilt = structured_kraus(comp)
     assert spectral_norm(kron_transfer(rebuilt) - kron_transfer(c)) < 1e-8
 
 
@@ -249,7 +252,7 @@ def test_component_decompose_shift_walk():
     # each reduced map is the trivial scalar channel
     for m in range(3):
         assert np.allclose(xi_transfer(comp, m), np.eye(1), atol=1e-8)
-    rebuilt, _ = structured_kraus(comp)
+    rebuilt = structured_kraus(comp)
     assert spectral_norm(kron_transfer(rebuilt) - kron_transfer(c)) < 1e-8
 
 
@@ -266,8 +269,55 @@ def test_component_decompose_pauli():
     M = cycle_composition(comp, 0)
     lam = np.linalg.eigvals(M)
     assert np.sum(np.abs(lam) > 1 - 1e-7) == 1
-    rebuilt, _ = structured_kraus(comp)
+    rebuilt = structured_kraus(comp)
     assert spectral_norm(kron_transfer(rebuilt) - kron_transfer(c)) < 1e-8
+
+
+def _shift_walk_component(seed):
+    rng = np.random.default_rng(seed)
+    c = shift_walk([random_unitary(2, rng) for _ in range(3)])
+    F = fixed_points(spectrum(c.transfer_blocks)).as_algebra()
+    comps = mfnc_decompose(c, F, atomic_structure(dfa(c)),
+                           peripheral_of(c)[0])
+    assert len(comps) == 1 and comps[0].left_dim == 2
+    return comps[0]
+
+
+def _refactor(comp, kraus):
+    return _factor_kraus(ChannelSpec(comp.channel.dim, kraus),
+                         comp.isometries, comp.left_dim, comp.right_dims,
+                         comp.block_states, DEFAULT_TOL)
+
+
+@pytest.mark.parametrize("step", [0, 1],
+                         ids=["outside-the-shift", "not-t-times-l"])
+def test_a_kraus_block_off_the_factorization_fails(step):
+    # S_1* Y S_{1-step}: for step 1 it lies in the shift block Q_1 . Q_0
+    # but is no multiple of T_1*, the walk's right factors being
+    # one-dimensional; for step 0 it lies in Q_1 . Q_1, off the shift
+    comp = _shift_walk_component(5)
+    S, kraus = comp.isometries, comp.channel.kraus
+    assert _refactor(comp, kraus)[2] <= 1e-12
+    Y = np.random.default_rng(1).standard_normal((2, 2))
+    bent = kraus.copy()
+    bent[0] += 1e-3 * dagger(S[1]) @ Y @ S[1 - step]
+    with pytest.raises(IsomorphismSolveFailed, match="is not sum_m"):
+        _refactor(comp, bent)
+
+
+def test_circle_clusters_count():
+    assert len(circle_clusters(np.array([1, 1 + 1e-12, -1, 1j]), 1e-8)) == 3
+
+
+def test_circle_clusters_join_across_the_cut():
+    # args rounded to just below 2 pi and just above 0 join 1, whichever
+    # side of the real axis rounding puts them, and -1 comes after 1 alike
+    gap = 1e-7
+    clusters = circle_clusters(np.array([1 - 1e-17j, -1, 1 + 1e-17j, 1]), gap)
+    assert sorted(sorted(cl) for cl in clusters) == [[0, 2, 3], [1]]
+    for im in (1e-17, -1e-17):
+        assert [list(cl) for cl in circle_clusters(
+            np.array([1, -1 + im * 1j]), gap)] == [[0], [1]]
 
 
 def test_fixed_multiblock_shift_walk():

@@ -12,7 +12,6 @@ from chanstruct.numerics import (
     NotNearProjection,
     Tolerances,
     blockwise_norm,
-    cluster_values,
     commutator_norm,
     dagger,
     KERNEL_FOLD_ROWS,
@@ -175,6 +174,11 @@ def test_numerically_zero_stack_spans_nothing():
     assert span_basis([1e-3 * X]).shape == (1, 2, 2)
 
 
+def test_empty_stack_spans_nothing():
+    assert span_basis(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+    assert MatrixSubspace.from_span([], dim=3).basis.shape == (0, 3, 3)
+
+
 def test_gram_orthonormal():
     rng = np.random.default_rng(2)
     mats = [rng.standard_normal((3, 3)) for _ in range(5)]
@@ -299,31 +303,6 @@ def test_subspace_intersection_matches_projector_kernel(seed):
     inter = subspace_intersection(s1, s2)
     assert inter.dim == ref.dim == len(common)
     assert subspace_distance(inter, ref) < 1e-8
-
-
-def test_cluster_values():
-    vals = [1.0, 1.0 + 1e-12, -1.0, 1j]
-    clusters = cluster_values(vals, 1e-8)
-    assert len(clusters) == 3
-
-
-def test_cluster_order_ignores_rounding_in_the_modulus():
-    # a unimodular value off the circle by one ulp keeps its place: within
-    # moduli the gap joins, the clusters come in the order of arg
-    gap = 1e-7
-    assert cluster_values([1, -1], gap) == \
-        cluster_values([1, -(1 + 2 ** -52)], gap) == [[0], [1]]
-    assert cluster_values([0.5, -1, 1j, 1 - 1e-9], gap) == [[3], [2], [1], [0]]
-
-
-def test_cluster_order_ignores_the_sign_of_a_rounded_imaginary_part():
-    # np.angle is cut at -1: an arg in [0, 2 pi), near 2 pi read as 0,
-    # orders -1 and 1 alike whichever way rounding tips them
-    gap = 1e-7
-    assert cluster_values([1, -1 + 1e-17j], gap) == \
-        cluster_values([1, -1 - 1e-17j], gap) == [[0], [1]]
-    assert cluster_values([1 + 1e-17j, -1], gap) == \
-        cluster_values([1 - 1e-17j, -1], gap) == [[0], [1]]
 
 
 def permuted_blocks(rng, sizes, make_block):

@@ -537,7 +537,7 @@ def test_l2_structure_basic():
     assert l2.norm(I2) == pytest.approx(1.0)
     assert l2.inner(X, X) == pytest.approx(1.0)
     # weighted map norm of the identity map is 1
-    assert l2.map_norm(I2[None]) == pytest.approx(1.0)
+    assert l2.map_norm(l2.weighted_transfer(I2[None])) == pytest.approx(1.0)
 
 
 def test_map_norm_merges_the_split_along_rho():
@@ -552,7 +552,7 @@ def test_map_norm_merges_the_split_along_rho():
             U[:2, :2] = mix
             w = rng.random(D) + 0.5
             l2 = L2Structure.from_state(U @ np.diag(w / w.sum()) @ dagger(U))
-            assert l2.map_norm(c.kraus) == pytest.approx(
+            assert l2.map_norm(l2.weighted_transfer(c.kraus)) == pytest.approx(
                 dense_map_norm(l2.rho, kron_transfer(c)), rel=1e-13), c.label
 
 
@@ -574,7 +574,8 @@ def test_map_norm_of_the_stable_part_matches_the_dense_oracle():
             U[:2, :2] = mix
             w = rng.random(D) + 0.5
             l2 = L2Structure.from_state(U @ np.diag(w / w.sum()) @ dagger(U))
-            assert l2.map_norm(c.kraus, s.e_n_factors) == pytest.approx(
+            assert l2.map_norm(l2.weighted_transfer(c.kraus),
+                               s.e_n_factors) == pytest.approx(
                 dense_map_norm(l2.rho, stable), rel=1e-13), c.label
 
 
@@ -588,7 +589,7 @@ def test_l2_schwarz_contraction():
     c = random_unital_channel(3, 3, seed=23)
     inv = invariant_states(c, spectrum(c.transfer_blocks))
     l2 = L2Structure.from_state(inv.rho_max)
-    assert l2.map_norm(c.kraus) < 1 + 1e-9
+    assert l2.map_norm(l2.weighted_transfer(c.kraus)) < 1 + 1e-9
 
 
 def test_decoherence_gap_pauli():
@@ -597,7 +598,7 @@ def test_decoherence_gap_pauli():
     l2 = L2Structure.from_state(inv.rho_max)
     # XZ mixture sends the off-peripheral span {X, Z} to 0 in one step:
     # the stable part dies immediately, so both rates are infinite
-    rep = decoherence_gap(c, s, l2)
+    rep = decoherence_gap(l2.weighted_transfer(c.kraus), s, l2)
     assert rep.finite_horizon == np.inf
     assert rep.uniform_bound
 
@@ -606,7 +607,7 @@ def test_decoherence_gap_random():
     c = random_unital_channel(3, 3, seed=31)
     s, inv, p = spectral_stages(c)
     l2 = L2Structure.from_state(inv.rho_max)
-    rep = decoherence_gap(c, s, l2)
+    rep = decoherence_gap(l2.weighted_transfer(c.kraus), s, l2)
     assert rep.finite_horizon > 0
     assert rep.asymptotic > 0
     # the finite-horizon rate never exceeds the asymptotic one by much;
@@ -655,7 +656,7 @@ def test_decoherence_gap_matches_powers(name):
         assert c.label.startswith(name)
     s, inv, p = spectral_stages(c)
     l2 = L2Structure.from_state(inv.rho_max)
-    rep = decoherence_gap(c, s, l2)
+    rep = decoherence_gap(l2.weighted_transfer(c.kraus), s, l2)
     ref = _finite_horizon_by_powers(c, s, l2, rep.horizon)
     assert rep.finite_horizon == pytest.approx(ref, rel=0, abs=1e-10)
     if name == "pauli-walk-3":
@@ -671,7 +672,8 @@ def test_gap_two_unitary_mixtures_have_no_uniform_bound():
     assert len(mixtures) == 14
     for c in mixtures:
         s, inv, _ = spectral_stages(c)
-        rep = decoherence_gap(c, s, L2Structure.from_state(inv.rho_max))
+        l2 = L2Structure.from_state(inv.rho_max)
+        rep = decoherence_gap(l2.weighted_transfer(c.kraus), s, l2)
         assert rep.finite_horizon == 0, c.label
         assert not rep.uniform_bound, c.label
 
@@ -680,6 +682,6 @@ def test_gap_infinite_for_automorphism():
     c = unitary_channel(np.diag([1.0, np.exp(1j)]))
     s, inv, p = spectral_stages(c)
     l2 = L2Structure.from_state(inv.rho_max)
-    rep = decoherence_gap(c, s, l2)
+    rep = decoherence_gap(l2.weighted_transfer(c.kraus), s, l2)
     assert rep.finite_horizon == np.inf
     assert rep.asymptotic == np.inf
