@@ -426,23 +426,26 @@ def analyze(c: ChannelSpec, w: OqrwSpec | None, tol: Tolerances,
 # ---------------------------------------------------------------------------
 
 def make_example(name: str, args) -> dict:
-    if name == "pauli":
-        return oqrw_to_json(builder_pauli_walk(args.d, args.alpha))
-    if name == "cyclic-shift":
-        rng = np.random.default_rng(args.seed)
-        us = [random_unitary(args.local_dim, rng) for _ in range(args.d)]
-        return oqrw_to_json(builder_cyclic_shift(args.d, us))
-    if name == "nn-cycle":
-        if args.preset == "special-basis":
-            lm = np.diag([np.sqrt(0.3), np.sqrt(0.7)])
-            lp = np.array([[0, np.sqrt(0.3)], [np.sqrt(0.7), 0]])
-        elif args.preset == "generic-unitary":
+    try:
+        if name == "pauli":
+            return oqrw_to_json(builder_pauli_walk(args.d, args.alpha))
+        if name == "cyclic-shift":
             rng = np.random.default_rng(args.seed)
-            lp = random_unitary(2, rng) / np.sqrt(2)
-            lm = random_unitary(2, rng) / np.sqrt(2)
-        else:
-            raise InputError(f"unknown preset {args.preset!r}")
-        return oqrw_to_json(builder_nn_cycle(args.n, lp, lm))
+            us = [random_unitary(args.local_dim, rng) for _ in range(args.d)]
+            return oqrw_to_json(builder_cyclic_shift(args.d, us))
+        if name == "nn-cycle":
+            if args.preset == "special-basis":
+                lm = np.diag([np.sqrt(0.3), np.sqrt(0.7)])
+                lp = np.array([[0, np.sqrt(0.3)], [np.sqrt(0.7), 0]])
+            elif args.preset == "generic-unitary":
+                rng = np.random.default_rng(args.seed)
+                lp = random_unitary(2, rng) / np.sqrt(2)
+                lm = random_unitary(2, rng) / np.sqrt(2)
+            else:
+                raise InputError(f"unknown preset {args.preset!r}")
+            return oqrw_to_json(builder_nn_cycle(args.n, lp, lm))
+    except ValueError as exc:         # a parameter the builder rejects
+        raise InputError(f"example {name}: {exc}") from exc
     raise InputError(f"unknown example {name!r}")
 
 

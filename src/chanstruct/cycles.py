@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from chanstruct.algebra import (
     AlgebraStructure,
@@ -28,15 +27,14 @@ from chanstruct.numerics import (
     DEFAULT_TOL,
     MatrixSubspace,
     Tolerances,
-    blockwise_norm,
     dagger,
     fix_global_phase,
     hs_norm,
-    kraus_transfer,
     range_isometry,
     round_projector,
     spectral_norm,
     subspace_distance,
+    transfer_distance,
 )
 
 
@@ -81,7 +79,7 @@ class Component:
     xi_kraus: tuple              # per m: the stack of L_{m,k}
     block_states: tuple          # rho_m
     fixed_points: MatrixSubspace     # F_i = span of W* b W for b in F
-    structured_kraus_residual: float  # ||T(reassembled) - T(channel)||
+    structured_kraus_residual: float  # ||T(reassembled) - T(channel)||_HS
 
     @property
     def period(self) -> int:
@@ -196,9 +194,9 @@ def _factor_kraus(c_i: ChannelSpec, S, nL: int, nRs, rho,
     One test per k, ||V'_k - V_k||_HS <= cycle_tol on the canonical V_k,
     covers both failures: the difference splits into HS-orthogonal parts
     in the blocks Q_m . Q_{m-1} (a block not T* (x) L) and outside them (a
-    block off the one-step shift).  The residual is the 2-norm of the
-    transfer difference, the split of the Kraus pair ([V', V], [V', -V])
-    with V the component's operators.  The reduced channels must carry
+    block off the one-step shift).  The residual, ||T' - T||_HS >= ||T' - T||
+    with V the component's operators, is read off thin factors
+    (:func:`numerics.transfer_distance`).  The reduced channels must carry
     the block state rho_{m-1} to rho_m.
     """
     d = len(S)
@@ -236,9 +234,7 @@ def _factor_kraus(c_i: ChannelSpec, S, nL: int, nRs, rho,
             raise IsomorphismSolveFailed(
                 f"reduced channel does not carry rho_{prev} to rho_{m}")
 
-    V = c_i.kraus
-    residual = blockwise_norm(kraus_transfer(np.concatenate([rebuilt, V]),
-                                             np.concatenate([rebuilt, -V])))
+    residual = transfer_distance(rebuilt, c_i.kraus)
     if residual > limit:
         raise ReconstructionMismatch(
             f"structured Kraus reconstruction error {residual:.3e}")
@@ -285,12 +281,9 @@ def fixed_multiblock(comp: Component,
     T = comp.shift_unitaries
     nL = comp.left_dim
     r = comp.channel.dim
-    tilde = [None] * d
-    acc = T[0]
-    tilde[d - 1] = T[0]
+    tilde = [T[0]]                         # tilde[m] = T[m + 1] tilde[m + 1]
     for m in range(d - 2, -1, -1):
-        acc = T[m + 1] @ acc
-        tilde[m] = acc
+        tilde.insert(0, T[m + 1] @ tilde[0])
 
     w, V = np.linalg.eig(tilde[0])
     clusters = circle_clusters(w, gap=tol.derived_tol)
@@ -319,10 +312,12 @@ def fixed_multiblock(comp: Component,
         raise CenterMismatch(
             f"the monodromy commutant carried around the cycle is "
             f"{distance:.3e} from the fixed points")
+    ends = np.cumsum(comp.right_dims)
+    sigma = sum(np.pad(rho, (end - len(rho), ends[-1] - end))
+                for rho, end in zip(comp.block_states, ends)) / d
 
     return FixedBlockData(
         left_bases=tuple(left_bases[j] for j in order),
         eigenvalues=tuple(eigenvalues[j] for j in order),
         central_projections=tuple(central[j] for j in order),
-        sigma=scipy.linalg.block_diag(*comp.block_states) / d,
-        right_total=sum(comp.right_dims))
+        sigma=sigma, right_total=int(ends[-1]))

@@ -9,24 +9,25 @@ Conventions pinned here and used by every other module:
 * All equality decisions are relative spectral-norm tests against a
   level of ``Tolerances``, each a fixed multiple of ``eq_tol``.
 * Every kernel (commutants, centers, M, N, the walk oracles) is decided
-  by one SVD of the folded constraint matrix in
-  :func:`kernel_coefficients`: singular values sigma <= rank_tol *
-  max(sigma_max, 1) span the kernel.  :func:`gram_kernel` first keeps the
-  eigenvectors of a Gram matrix with lambda <= GRAM_CANDIDATE_CUTOFF *
-  max(lambda_max, 1); only the exact constraint on them decides.  Spans
-  keep the rows of one SVD with sigma > rank_tol * max(sigma_max, 1)
-  (:func:`span_basis`), the same rule, so a numerically zero stack spans
-  nothing.  Subspaces are cut down by the kernel of
-  constraints on their stacked basis (:meth:`MatrixSubspace.restrict`),
-  and distances compare the bases (:func:`subspace_distance`), never
-  forming D^2 x D^2 projectors.
+  by one SVD of the folded constraint matrix (:func:`kernel_coefficients`)
+  or of each class of coupled columns (:func:`split_kernel`): singular
+  values sigma <= rank_tol * max(sigma_max, 1) span the kernel.
+  :func:`gram_kernel` first keeps the eigenvectors of a Gram matrix with
+  lambda <= GRAM_CANDIDATE_CUTOFF * max(lambda_max, 1); only the exact
+  constraint on them decides.  Spans keep the rows of one SVD with
+  sigma > rank_tol * max(sigma_max, 1) (:func:`span_basis`), the same
+  rule, so a numerically zero stack spans nothing.  Subspaces are cut
+  down by the kernel of constraints on their stacked basis
+  (:meth:`MatrixSubspace.restrict`), and distances compare the bases
+  (:func:`subspace_distance`), never forming D^2 x D^2 projectors.
 * A D^2 x D^2 operator is held as its split, (index, stack) pairs: the
   (m, s) indices of m diagonal blocks of size s and their (m, s, s) stack,
   zero off the blocks.  A Kronecker sum sum_r A_r (x) B_r (a Gram or
   Choi matrix) is split along its terms' supports, never formed
   (:func:`kron_blocks`): exact, and one block is the same code.  A
-  transfer matrix (T, its rho-weighted form, a difference of channels) is
-  the split of its Kraus pair (:func:`kraus_transfer`).  The Schur form
+  transfer matrix (T, its rho-weighted form) is the split of its Kraus
+  pair (:func:`kraus_transfer`), and a difference of channels has the
+  HS norm of thin factors (:func:`transfer_distance`).  The Schur form
   and Sylvester solve (:func:`sorted_schur`), Gram eigh, 2-norm and
   products (:func:`block_apply`) run block by block.
 * An operator of low rank is kept as factors E = X Y* and its residuals
@@ -196,14 +197,24 @@ def dagger(A: np.ndarray) -> np.ndarray:
     return np.swapaxes(A.conj(), -1, -2)
 
 
+def lowrank_core(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """R_x R_y*, at most r x r, with thin QRs X = Q_x R_x, Y = Q_y R_y."""
+    return np.linalg.qr(X, mode="r") @ dagger(np.linalg.qr(Y, mode="r"))
+
+
+def transfer_distance(A: np.ndarray, B: np.ndarray) -> float:
+    """HS norm, a bound on the 2-norm, of T_A - T_B for two Kraus stacks:
+    T realigns the Choi matrix sum_k vec(V_k) vec(V_k)*, so it is that of
+    X Y* with X = [vec A, vec B] and Y = [vec A, -vec B]."""
+    X = np.concatenate([A, B]).reshape(len(A) + len(B), -1).T
+    return hs_norm(lowrank_core(X, X * np.repeat([1, -1], [len(A), len(B)])))
+
+
 def lowrank_norm(X: np.ndarray, Y: np.ndarray) -> float:
-    """Spectral norm of X Y* for X (m x r) and Y (n x r): with thin QRs
-    X = Q_x R_x and Y = Q_y R_y it is the norm of R_x R_y*, at most
-    r x r."""
+    """Spectral norm of X Y* from :func:`lowrank_core`."""
     if min(X.shape) == 0 or min(Y.shape) == 0:
         return 0.0
-    return spectral_norm(np.linalg.qr(X, mode="r") @
-                         dagger(np.linalg.qr(Y, mode="r")))
+    return spectral_norm(lowrank_core(X, Y))
 
 
 def commutator_norm(T, X: np.ndarray, Y: np.ndarray) -> float:
@@ -261,6 +272,21 @@ def kernel_coefficients(blocks, k: int,
     R = np.vstack([R, np.zeros((k - len(R), k))])
     _, s, vh = np.linalg.svd(R, full_matrices=False)
     return vh[s <= tol.rank_tol * max(s[0], 1.0)].conj().T
+
+
+def split_kernel(C: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """:func:`kernel_coefficients` of C by one QR and SVD per class of the
+    columns that its exact nonzero pattern couples (:func:`components`):
+    C's singular values are the classes', sigma_max the largest of all."""
+    k = C.shape[1]
+    C = np.vstack([C, np.zeros((max(k - len(C), 0), k))])  # R is s x s
+    r, c = np.nonzero(C)
+    V, sigma = np.zeros((k, k), dtype=complex), np.zeros(k)
+    for cl in components(k, c, c[np.searchsorted(r, r)]):
+        _, sigma[cl], vh = np.linalg.svd(np.linalg.qr(
+            C[:, cl].transpose(1, 0, 2), mode="r"))
+        V[cl[:, :, None], cl[:, None]] = dagger(vh)  # column cl[b, e]
+    return V[:, sigma <= tol.rank_tol * max(sigma.max(initial=0.0), 1.0)]
 
 
 def range_isometry(P: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

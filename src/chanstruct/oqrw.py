@@ -33,6 +33,7 @@ from chanstruct.numerics import (
     kernel_coefficients,
     span_basis,
     spectral_norm,
+    split_kernel,
 )
 from chanstruct.structure import NoStabilization
 
@@ -172,17 +173,20 @@ def _diagonal_conditions(w: OqrwSpec, spans):
 def _diagonal_chain(w: OqrwSpec, spans, tol):
     """The diagonal parts cut out of the sum h_i^2 block-diagonal matrix
     units by the conditions of 1-, 2-, ... step paths, cumulatively;
-    spans holds the one-step operators."""
+    spans holds the one-step operators, the first cut split by class."""
     D = w.total_dim
     vertex = np.repeat(np.arange(w.n_vertices), w.local_dims)
     rows, cols = np.nonzero(vertex[:, None] == vertex)
     units = np.zeros((len(rows), D, D))
     units[np.arange(len(rows)), rows, cols] = 1
-    diagonal = MatrixSubspace(D, units)
+    C = np.hstack([fn(units).reshape(len(units), -1)
+                   for fn in _diagonal_conditions(w, spans)])
+    kernel = split_kernel(C.T, tol)
+    diagonal = MatrixSubspace(D, np.tensordot(kernel.T, units, 1))
     while True:
-        diagonal = diagonal.restrict(_diagonal_conditions(w, spans), tol)
         yield diagonal
         spans = _advance_spans(w, spans, tol)
+        diagonal = diagonal.restrict(_diagonal_conditions(w, spans), tol)
 
 
 def _off_diagonal(w: OqrwSpec, tol) -> MatrixSubspace:
@@ -222,9 +226,8 @@ def _advance_spans(w: OqrwSpec, spans, tol):
     out = {}
     for (k, j), Ps in spans.items():
         for (i, kk), L in w.transitions.items():
-            if kk != k:
-                continue
-            out.setdefault((i, j), []).extend(L @ P for P in Ps)
+            if kk == k:
+                out.setdefault((i, j), []).extend(L @ P for P in Ps)
     bases = {key: span_basis(mats, tol) for key, mats in out.items()}
     return {key: basis for key, basis in bases.items() if len(basis)}
 
@@ -247,7 +250,8 @@ def oqrw_dfa(w: OqrwSpec, n_max: int | None = None,
     diagonal part shrinks along the chain."""
     cap = n_max if n_max is not None else w.total_dim ** 2
     off_diagonal = _off_diagonal(w, tol)
-    spans = {key: span_basis([L], tol) for key, L in w.transitions.items()}
+    spans = {key: (L / hs_norm(L))[None] for key, L in w.transitions.items()
+             if hs_norm(L) > tol.rank_tol}
     steps = _diagonal_chain(w, spans, tol)
     first = next(steps)
     prev_dim = None
@@ -272,8 +276,8 @@ def builder_cyclic_shift(d: int, unitaries,
                          tol: Tolerances = DEFAULT_TOL) -> OqrwSpec:
     """Walk on Z_d whose only moves are i-1 -> i via the unitary U_i."""
     unitaries = [np.asarray(U, dtype=complex) for U in unitaries]
-    if len(unitaries) != d:
-        raise DimensionMismatch("need one unitary per vertex")
+    if d < 1 or len(unitaries) != d:
+        raise DimensionMismatch("need d >= 1 and one unitary per vertex")
     h = unitaries[0].shape[0]
     for i, U in enumerate(unitaries):
         if U.shape != (h, h) or \
@@ -313,7 +317,9 @@ def builder_pauli_walk(d: int, alpha: float,
 def builder_nn_cycle(n: int, L_plus, L_minus,
                      tol: Tolerances = DEFAULT_TOL) -> OqrwSpec:
     """Homogeneous nearest-neighbor walk on Z_n with steps L_plus (up)
-    and L_minus (down)."""
+    and L_minus (down); for n < 3 the two steps would share an edge."""
+    if n < 3:
+        raise ValueError("n must be at least 3")
     L_plus = np.asarray(L_plus, dtype=complex)
     L_minus = np.asarray(L_minus, dtype=complex)
     h = L_plus.shape[0]

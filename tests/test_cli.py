@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import chanstruct
-from chanstruct import cli, oqrw, structure
+from chanstruct import cli, numerics, oqrw, structure
 from chanstruct.algebra import center
 from chanstruct.channel import (
     from_kraus,
@@ -138,6 +138,20 @@ def test_example_nn_cycle_presets(tmp_path, capsys):
     assert code == EXIT_OK
     code, _ = run(["example", "nn-cycle", "--preset", "no-such"], capsys)
     assert code == EXIT_INPUT_ERROR
+
+
+@pytest.mark.parametrize("argv", [
+    ["pauli", "--d", "1"], ["pauli", "--alpha", "2"],
+    ["cyclic-shift", "--d", "0"], ["cyclic-shift", "--local-dim", "0"],
+    ["nn-cycle", "--n", "0"], ["nn-cycle", "--n", "1"],
+    ["nn-cycle", "--n", "2"]], ids=" ".join)
+def test_example_bad_parameter_is_an_input_error(tmp_path, capsys, argv):
+    # for n < 3 the up and down steps of nn-cycle share an edge, and n = 0
+    # wrote an empty walk that analyze rejected
+    f = tmp_path / "walk.json"
+    assert main(["example", *argv, "--output", str(f)]) == EXIT_INPUT_ERROR
+    assert "input error" in capsys.readouterr().err
+    assert not f.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -631,6 +645,39 @@ def test_analyze_builds_the_weighted_split_once(tmp_path, capsys,
     assert report["gap"]["horizon"] > 0
     assert "l2-contraction" in {e["name"] for e in report["verification"]}
     assert len(splits) == 1
+
+
+@pytest.mark.parametrize("argv", [["nn-cycle", "--n", "8"],
+                                  ["pauli", "--d", "8"]], ids=" ".join)
+def test_analyze_splits_no_transfer_in_cycles(tmp_path, capsys, monkeypatch,
+                                             argv):
+    # the structured Kraus residual comes from thin factors of the Kraus
+    # pair, with no split of its transfer matrix: every binding of the
+    # three is counted, by whether chanstruct.cycles is on the stack
+    f = tmp_path / "walk.json"
+    run(["example", *argv, "--output", str(f)], capsys)
+    calls = []
+
+    def counting(name, fn):
+        def counted(*args):
+            frame = inspect.currentframe()
+            while frame and frame.f_globals["__name__"] != "chanstruct.cycles":
+                frame = frame.f_back
+            calls.append((name, frame is not None))
+            return fn(*args)
+        return counted
+
+    modules = [importlib.import_module(f"chanstruct.{m.name}")
+               for m in pkgutil.iter_modules(chanstruct.__path__)]
+    for name in ("kraus_transfer", "kron_blocks", "blockwise_norm"):
+        fn = getattr(numerics, name)
+        for mod in modules:
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counting(name, fn))
+    code, out = run(["analyze", str(f)], capsys)
+    assert code == EXIT_OK
+    assert json.loads(out)["components"]
+    assert calls and not [c for c in calls if c[1]]
 
 
 @pytest.mark.parametrize("command", ["analyze", "verify"])

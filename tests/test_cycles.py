@@ -457,6 +457,17 @@ def test_shift_unitaries_match_the_left_action_probe(name):
         assert max(left_dims) > 1        # the shift walks have nL = h
 
 
+@pytest.mark.parametrize("name", ["corpus-20240817", "nn-cycle-8",
+                                  "pauli-walk-8"])
+def test_structured_kraus_residual_is_at_rounding(name):
+    # the HS norm of the transfer difference of the reassembled and the
+    # component's Kraus operators, from thin factors of the Choi difference
+    residuals = [comp.structured_kraus_residual
+                 for c in shift_probe_channels(name)
+                 for comp in pipeline_components(c)]
+    assert residuals and max(residuals) <= 1e-13
+
+
 def test_fixed_multiblock_rejects_a_wrong_fixed_point_algebra():
     # the loop unitary has the eigenvalue 1 twice: fixed blocks of left
     # dimensions 2 and 1, F of dimension 4 + 1

@@ -24,11 +24,13 @@ from chanstruct.numerics import (
     sorted_schur,
     span_basis,
     spectral_norm,
+    split_kernel,
     subspace_distance,
+    transfer_distance,
     unvec,
     vec,
 )
-from chanstruct.channel import from_kraus
+from chanstruct.channel import ChannelSpec, from_kraus
 from tests.test_acceptance import _choi_min_eig as dense_choi_min_eig
 from tests.conftest import (
     I2,
@@ -140,6 +142,48 @@ def test_kraus_transfer_is_the_transfer_of_the_kraus_pair(dim, K, density,
     ref = transfer_of(lambda E: sum(dagger(A) @ E @ A - dagger(B) @ E @ B
                                     for A, B in zip(X, Y)), dim)
     assert np.abs(diff - ref).max() <= 1e-14 * max(1.0, np.abs(ref).max())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.floats(0.05, 1.0),
+       st.floats(1e-9, 1.0), st.integers(0, 2 ** 32 - 1))
+def test_transfer_distance_is_the_hs_norm_of_the_transfer_difference(
+        dim, K, density, eps, seed):
+    # sparse stacks V and V' = V + eps Delta, scaled so that
+    # sum_k ||V_k||^2 = dim as for a channel, against the dense
+    # Kronecker sums: the HS norm of the difference, never below its
+    # 2-norm (rounding aside: for dim 1 the two are equal)
+    rng = np.random.default_rng(seed)
+    V, Delta = ((rng.standard_normal((K, dim, dim))
+                 + 1j * rng.standard_normal((K, dim, dim)))
+                * (rng.random((K, dim, dim)) < density) for _ in range(2))
+    V *= math.sqrt(dim) / max(np.linalg.norm(V), 1e-300)
+    Vp = V + eps * Delta
+    value = transfer_distance(Vp, V)
+    diff = kron_transfer(ChannelSpec(dim, Vp)) - kron_transfer(
+        ChannelSpec(dim, V))
+    slack = 1e-12 * max(1.0, value)
+    assert abs(value - np.linalg.norm(diff)) <= slack
+    assert value >= spectral_norm(diff) - slack
+    assert transfer_distance(V, V) <= 1e-13
+
+
+def test_split_kernel_cuts_with_the_largest_singular_value_of_all():
+    # two uncoupled classes of columns, {0, 2} with sigma_max = 1e3 and
+    # {1, 3} with a singular value 1e-7: rank_tol * 1e3 = 1e-6 puts that
+    # direction in the kernel, as on the whole matrix; a cut per class,
+    # rank_tol * max(1, 1) = 1e-9, would keep it out
+    Q = np.linalg.qr(np.random.default_rng(3).standard_normal((2, 2)))[0]
+    C = np.zeros((6, 4))
+    C[:2][:, [0, 2]] = np.diag([1e3, 2.0]) @ Q
+    C[2:4][:, [1, 3]] = np.diag([1.0, 1e-7]) @ Q.T
+    C[4, 0] = 0.5
+    split, whole = split_kernel(C), kernel_coefficients([C], 4)
+    assert split.shape == whole.shape == (4, 1)
+    assert np.abs(split[[0, 2]]).max() == 0
+    assert subspace_distance(MatrixSubspace.from_columns(split, 2),
+                             MatrixSubspace.from_columns(whole, 2)) <= 1e-12
+    assert kernel_coefficients([C[2:4][:, [1, 3]]], 2).shape == (2, 0)
 
 
 def test_transfer_of_matches_kraus_transfer():
