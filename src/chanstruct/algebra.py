@@ -1,11 +1,9 @@
 """Finite-dimensional von Neumann algebra engine.
 
-Commutants, generated algebras, centers, atomic factor decompositions
-(block form P_j H ~ H_L (x) H_R), and the block states that an
-expectation onto such an algebra leaves on the right factors.  An
-algebra is a :class:`MatrixSubspace` that is closed under adjoints and
-products; :func:`atomic_structure` checks the closure and splits the
-algebra by its own elements, with no random draw.
+Commutants, centers and atomic factor decompositions (block form
+P_j H ~ H_L (x) H_R).  An algebra is a :class:`MatrixSubspace` that is
+closed under adjoints and products; :func:`atomic_structure` checks the
+closure and splits the algebra by its own elements, with no random draw.
 """
 
 from __future__ import annotations
@@ -195,25 +193,3 @@ def _check_factorization(U, comp, W, nL, nR, tol):
     if np.any(resid > bound):
         raise NotAlgebra(f"factorization residual {resid.max():.3e}")
 
-
-def extract_block_states(apply_fn, structure: AlgebraStructure,
-                         tol: Tolerances = DEFAULT_TOL) -> tuple:
-    """Read the defining block states off an expectation's action.
-
-    ``apply_fn`` evaluates the expectation on a stack of matrices; for each
-    block it gets the nR^2 matrices U*(I (x) E_rs)U at once, and the state
-    entries come from E(U*(I (x) E_rs)U) = rho[s, r] P_j.
-    """
-    states = []
-    for P, U, nL, nR in zip(structure.central_projections,
-                            structure.block_unitaries,
-                            structure.left_dims, structure.right_dims):
-        U3 = U.reshape(nL, nR, -1)
-        X = np.einsum("irx,isy->rsxy", U3.conj(), U3).reshape(
-            nR * nR, *P.shape)
-        rho = np.einsum("xy,nyx->n", P, apply_fn(X)).reshape(nR, nR).T \
-            / (nL * nR)
-        rho = (rho + dagger(rho)) / 2
-        rho = rho / np.real(np.trace(rho))
-        states.append(rho)
-    return tuple(states)

@@ -185,9 +185,8 @@ class Analysis:
     """The structure stages of one input, each computed on first use and
     then shared by the report and the verification ledger."""
 
-    def __init__(self, c: ChannelSpec, w: OqrwSpec | None, tol: Tolerances,
-                 max_power: int | None):
-        self.c, self.w, self.tol, self.max_power = c, w, tol, max_power
+    def __init__(self, c: ChannelSpec, w: OqrwSpec | None, tol: Tolerances):
+        self.c, self.w, self.tol = c, w, tol
 
     @cached_property
     def spectrum(self):
@@ -203,7 +202,7 @@ class Analysis:
 
     @cached_property
     def N(self):
-        return dfa(self.c, tol=self.tol, n_max=self.max_power, M=self.M)
+        return dfa(self.c, tol=self.tol, M=self.M)
 
     @cached_property
     def N_structure(self):
@@ -310,7 +309,7 @@ def build_ledger(analysis: Analysis) -> list:
         add("l2-isometry-on-dfa", iso_res, tol.eq_tol)
 
     if w is not None:
-        rep = oqrw_dfa(w, n_max=analysis.max_power, tol=tol)
+        rep = oqrw_dfa(w, tol=tol)
         add("oqrw-mult-domain-oracle",
             subspace_distance(rep.multiplicative_domain, analysis.M),
             tol.derived_tol)
@@ -353,8 +352,7 @@ def _component_summary(comp, tol):
     }
 
 
-def analyze(c: ChannelSpec, w: OqrwSpec | None, tol: Tolerances,
-            max_power: int) -> dict:
+def analyze(c: ChannelSpec, w: OqrwSpec | None, tol: Tolerances) -> dict:
     report = {
         "schema_version": SCHEMA_VERSION,
         "kind": "analysis",
@@ -372,7 +370,7 @@ def analyze(c: ChannelSpec, w: OqrwSpec | None, tol: Tolerances,
             "homogeneous": w.homogeneous,
         }
 
-    analysis = Analysis(c, w, tol, max_power)
+    analysis = Analysis(c, w, tol)
     M, N, F, inv = analysis.M, analysis.N, analysis.F, analysis.inv
     report["faithful"] = inv.faithful
     report["invariant_state"] = {
@@ -407,7 +405,7 @@ def analyze(c: ChannelSpec, w: OqrwSpec | None, tol: Tolerances,
     report["components"] = [
         _component_summary(comp, tol)
         for comp in mfnc_decompose(c, F.as_algebra(), analysis.N_structure,
-                                   analysis.spectrum, tol=tol)]
+                                   inv.rho_max, tol=tol)]
 
     gap = decoherence_gap(analysis.weighted, analysis.spectrum, analysis.l2,
                           tol=tol)
@@ -465,8 +463,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=None,
                        help="equality tolerance eq_tol (default 1e-8); "
                             "every other threshold is a fixed multiple")
-        p.add_argument("--max-power", type=int, default=None,
-                       help="cap on the power/path chain length")
         p.add_argument("--format", choices=["json", "text"], default="json")
         p.add_argument("--output", default=None,
                        help="write to this file (atomically)")
@@ -507,9 +503,6 @@ def main(argv=None) -> int:
             return EXIT_OK
 
         tol = _tolerances(args)
-        max_power = args.max_power
-        if max_power is not None and max_power < 1:
-            raise InputError(f"--max-power must be at least 1, got {max_power}")
         try:
             c, w = load_input(args.input, tol)
         except InputError as exc:
@@ -520,11 +513,11 @@ def main(argv=None) -> int:
             else:
                 raise
         if args.command == "analyze":
-            report = analyze(c, w, tol, max_power)
+            report = analyze(c, w, tol)
             _emit(report, args.format, args.output)
             return EXIT_OK
         # verify
-        ledger = build_ledger(Analysis(c, w, tol, max_power))
+        ledger = build_ledger(Analysis(c, w, tol))
         all_pass = all(e["passed"] for e in ledger)
         payload = {
             "schema_version": SCHEMA_VERSION,

@@ -17,11 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from chanstruct.algebra import (
-    AlgebraStructure,
-    block_order,
-    extract_block_states,
-)
+from chanstruct.algebra import AlgebraStructure, block_order
 from chanstruct.channel import ChannelSpec, from_kraus
 from chanstruct.numerics import (
     DEFAULT_TOL,
@@ -65,8 +61,9 @@ class Component:
     K_m^L (x) K_m^R, T_m the shift unitaries K_m^L -> K_{m-1}^L,
     xi_kraus[m] the Kraus operators L_{m,k} of the reduced channel Xi_m:
     B(K_m^R) -> B(K_{m-1}^R), stacked as a (K, nR_m, nR_{m-1}) array with
-    the same K for every m, and block_states[m] the state of E_N on
-    K_m^R.
+    the same K for every m, and block_states[m] the state omega_m on
+    K_m^R that the invariant state leaves there: U_j rho U_j* =
+    rho_L (x) omega_m on the block of S_m.
     """
 
     projection: np.ndarray       # Z_i in the ambient space
@@ -116,20 +113,36 @@ def _diag_sort_key(P: np.ndarray):
 
 
 def mfnc_decompose(c: ChannelSpec, F: MatrixSubspace, st: AlgebraStructure,
-                   s, tol: Tolerances = DEFAULT_TOL) -> tuple:
+                   rho: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> tuple:
     """Split the channel into its minimal components, returned as a tuple
     of factored :class:`Component`.
 
     ``F`` is the fixed-point algebra, ``st`` the atomic structure of the
-    decoherence-free algebra N (:func:`algebra.atomic_structure`), ``s``
-    the spectrum (:func:`structure.spectrum`), whose expectation E_N gives
-    the block states.  The channel has a faithful invariant state, so F
+    decoherence-free algebra N (:func:`algebra.atomic_structure`) and
+    ``rho`` a faithful invariant density.  The rho-preserving expectation
+    onto N forces U_j rho U_j* = rho_L (x) omega_j on each block, so the
+    block state omega_j is the normalized tr_L(U_j rho U_j*); a block whose
+    state is farther than cycle_tol (HS) from that product raises
+    IsomorphismSolveFailed.  The channel has a faithful invariant state, so F
     lies in N and Z(F) & Z(N) is the Phi-fixed part of Z(N).  Phi permutes
     the minimal central projections of N, and the minimal projections of
     Z(F) & Z(N) are the sums over its orbits.  Each orbit is one
     component, its projections numbered by Phi(Q_m) = Q_{m-1}.
     """
-    states = extract_block_states(s.apply_expectation, st, tol=tol)
+    states = []
+    for j, (U, nL, nR) in enumerate(zip(st.block_unitaries, st.left_dims,
+                                        st.right_dims)):
+        R = (U @ rho @ dagger(U)).reshape(nL, nR, nL, nR)
+        omega = np.einsum("iris->rs", R)
+        omega = (omega + dagger(omega)) / 2
+        omega /= np.real(np.trace(omega))
+        resid = hs_norm(R - np.einsum("irjr,st->isjt", R, omega))
+        if resid > tol.cycle_tol:
+            raise IsomorphismSolveFailed(
+                f"the invariant state is {resid:.3e} from a product "
+                f"rho_L (x) omega on block {j} of N")
+        states.append(omega)
+
     atoms = st.central_projections
     image = []
     for P in atoms:
@@ -165,18 +178,19 @@ def mfnc_decompose(c: ChannelSpec, F: MatrixSubspace, st: AlgebraStructure,
         S = tuple(st.block_unitaries[j] @ W for j in order)
         nLs = tuple(st.left_dims[j] for j in order)
         nRs = tuple(st.right_dims[j] for j in order)
-        rho = tuple(states[j] for j in order)
+        omegas = tuple(states[j] for j in order)
         if len(set(nLs)) != 1:
             raise IsomorphismSolveFailed(
                 f"left factors have unequal dimensions {nLs}")
-        shifts, xi, residual = _factor_kraus(c_i, S, nLs[0], nRs, rho, tol)
+        shifts, xi, residual = _factor_kraus(c_i, S, nLs[0], nRs, omegas,
+                                             tol)
         F_i = MatrixSubspace.from_span(dagger(W) @ F.basis @ W,
                                        dim=W.shape[1], tol=tol)
         components.append(Component(
             projection=Zi, channel=c_i,
             cyclic_projections=tuple(local[k] for k in pos), isometries=S,
             left_dim=nLs[0], right_dims=nRs, shift_unitaries=shifts,
-            xi_kraus=xi, block_states=rho, fixed_points=F_i,
+            xi_kraus=xi, block_states=omegas, fixed_points=F_i,
             structured_kraus_residual=residual))
     components.sort(key=lambda comp: block_order(comp.projection))
     return tuple(components)

@@ -37,9 +37,9 @@ Conventions pinned here and used by every other module:
   from two thin QRs and one SVD of the small triangular product
   (:func:`lowrank_norm`), never from the D^2 x D^2 matrix.
 * A linear action on matrices takes a (k, D, D) stack and returns the
-  stack of its images: one call covers every block unit that
-  ``algebra.extract_block_states`` reads, and one basis row of the
-  products in a closure test (:meth:`MatrixSubspace.closure_defects`).
+  stack of its images: one call covers the whole basis in a restriction
+  (:meth:`MatrixSubspace.restrict`), and one basis row of the products
+  in a closure test (:meth:`MatrixSubspace.closure_defects`).
   :func:`vec`, :func:`unvec` and :func:`dagger` act on the last two axes.
 """
 

@@ -35,7 +35,6 @@ from chanstruct.numerics import (
     spectral_norm,
     split_kernel,
 )
-from chanstruct.structure import NoStabilization
 
 
 class ColumnNotNormalized(ValueError):
@@ -108,9 +107,8 @@ def build(vertices, local_dims, transitions,
         if hs_norm(L) > 0:
             ops[(i, j)] = L
     for j in range(len(vertices)):
-        col = sum(dagger(L) @ L for (i, jj), L in ops.items() if jj == j)
-        if np.isscalar(col):
-            col = np.zeros((local_dims[j], local_dims[j]))
+        col = sum((dagger(L) @ L for (i, jj), L in ops.items() if jj == j),
+                  np.zeros((local_dims[j], local_dims[j])))
         defect = spectral_norm(col - np.eye(local_dims[j]))
         if defect > tol.check_tol:
             raise ColumnNotNormalized(
@@ -232,8 +230,7 @@ def _advance_spans(w: OqrwSpec, spans, tol):
     return {key: basis for key, basis in bases.items() if len(basis)}
 
 
-def oqrw_dfa(w: OqrwSpec, n_max: int | None = None,
-             tol: Tolerances = DEFAULT_TOL) -> OqrwDfaReport:
+def oqrw_dfa(w: OqrwSpec, tol: Tolerances = DEFAULT_TOL) -> OqrwDfaReport:
     """N from the block conditions of n-step path operators, intersected
     over n = 1, 2, ... until the dimension repeats or falls to 1, and M
     from those of n = 1.
@@ -247,22 +244,19 @@ def oqrw_dfa(w: OqrwSpec, n_max: int | None = None,
     the one-step ranges: the off-diagonal conditions of n = 1 imply those
     of every n, the off-diagonal part stays the sum of B(W_i, W_l),
     nonzero only if two vertices have a dead corner W_i != 0, and only the
-    diagonal part shrinks along the chain."""
-    cap = n_max if n_max is not None else w.total_dim ** 2
+    diagonal part shrinks along the chain.  Each step stops the chain or
+    lowers its dimension, at most D^2 to begin with, so it ends."""
     off_diagonal = _off_diagonal(w, tol)
     spans = {key: (L / hs_norm(L))[None] for key, L in w.transitions.items()
              if hs_norm(L) > tol.rank_tol}
     steps = _diagonal_chain(w, spans, tol)
     first = next(steps)
     prev_dim = None
-    for _, diagonal in zip(range(cap), itertools.chain([first], steps)):
+    for diagonal in itertools.chain([first], steps):
         dim = diagonal.dim + off_diagonal.dim
         if dim == prev_dim or dim <= 1:
             break
         prev_dim = dim
-    else:
-        raise NoStabilization(
-            f"path-condition chain still at dim {prev_dim} after n={cap}")
     return OqrwDfaReport(algebra=_algebra(diagonal, off_diagonal),
                          off_diagonal=off_diagonal,
                          multiplicative_domain=_algebra(first, off_diagonal))

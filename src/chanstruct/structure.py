@@ -43,10 +43,6 @@ class PeripheralJordanBlock(RuntimeError):
     """A peripheral eigenvalue appears numerically defective."""
 
 
-class NoStabilization(RuntimeError):
-    """The multiplicative-domain chain did not stabilize by the cap."""
-
-
 class NoInvariantState(RuntimeError):
     """No PSD fixed point of the preadjoint was found (internal error for
     unital trace-preserving maps at finite dimension)."""
@@ -80,12 +76,6 @@ class Spectrum:
     def reversible(self) -> MatrixSubspace:
         """The span of the peripheral eigenmatrices, range(E_N)."""
         return MatrixSubspace.from_columns(self.z1, self.dim)
-
-    def apply_expectation(self, X: np.ndarray) -> np.ndarray:
-        """E_N(X), of one matrix or of each in a stack."""
-        Xf, Yf = self.e_n_factors
-        v = vec(np.asarray(X, dtype=complex))
-        return unvec((v @ Yf.conj()) @ Xf.T, self.dim)
 
 
 @dataclass(frozen=True)
@@ -151,9 +141,6 @@ class L2Structure:
         x = np.asarray(x, dtype=complex)
         return float(np.sqrt(max(np.real(
             np.trace(self.rho @ dagger(x) @ x)), 0.0)))
-
-    def inner(self, x: np.ndarray, y: np.ndarray) -> complex:
-        return complex(np.trace(self.rho @ dagger(x) @ y))
 
     def weighted_transfer(self, kraus: np.ndarray) -> list:
         """The split of W = G T G^-1, G x = x rho^1/2, for the channel with
@@ -302,7 +289,6 @@ def multiplicative_domain(c: ChannelSpec,
 
 
 def dfa(c: ChannelSpec, tol: Tolerances = DEFAULT_TOL,
-        n_max: int | None = None,
         M: MatrixSubspace | None = None) -> MatrixSubspace:
     """N = intersection of the multiplicative domains of all powers.
 
@@ -312,16 +298,12 @@ def dfa(c: ChannelSpec, tol: Tolerances = DEFAULT_TOL,
     C_1 = M (``M``, computed if not given) and C_{m+1} = {A in C_m :
     Phi(A) in C_m}, one linear restriction per power and no Kraus words.
     The chain stops when the dimension repeats (C_m is then Phi-invariant)
-    or is <= 1, and raises NoStabilization past power ``n_max`` (D^2).
+    or is <= 1.  Every other step lowers a dimension that starts at most
+    D^2, so at most D^2 - 1 steps run.
     """
-    cap = n_max if n_max is not None else c.dim ** 2
     current = M if M is not None else multiplicative_domain(c, tol)
-    power = 1
     while current.dim > 1:
-        if power == cap:
-            raise NoStabilization(f"multiplicative-domain chain still at "
-                                  f"dim {current.dim} after n={cap}")
-        prev, power = current.dim, power + 1
+        prev = current.dim
         current = current.restrict(
             [lambda B, S=current: (X := c.apply(B)) - S.project(X)], tol)
         if current.dim == prev:

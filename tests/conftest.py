@@ -1,3 +1,4 @@
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -10,7 +11,6 @@ from chanstruct.algebra import (
     AlgebraStructure,
     atomic_structure,
     commutant,
-    extract_block_states,
     restrict_to_commutant,
 )
 from chanstruct.channel import ChannelSpec
@@ -34,7 +34,7 @@ from chanstruct.numerics import (
     vec,
 )
 from chanstruct.oqrw import _advance_spans
-from chanstruct.structure import L2Structure, NoStabilization, dfa, spectrum
+from chanstruct.structure import L2Structure, dfa, spectrum
 from tools.report_set import amplitude_damping, dephasing_mixture  # noqa: F401
 
 I2 = np.eye(2, dtype=complex)
@@ -74,6 +74,39 @@ def dense(factors):
     ``Spectrum.e_n_factors`` and ``Spectrum.e_f_factors``."""
     X, Y = factors
     return X @ dagger(Y)
+
+
+def apply_expectation(s, X):
+    """E_N(X) of the spectrum ``s``, of one matrix or of each in a stack,
+    from its factors ``Spectrum.e_n_factors``."""
+    Xf, Yf = s.e_n_factors
+    v = vec(np.asarray(X, dtype=complex))
+    return unvec((v @ Yf.conj()) @ Xf.T, s.dim)
+
+
+def extract_block_states(apply_fn, structure):
+    """Oracle for the block states of ``cycles.mfnc_decompose``: read off
+    an expectation's action ``apply_fn`` on a stack of matrices.  For each
+    block it gets the nR^2 matrices U*(I (x) E_rs)U at once, and the state
+    entries come from E(U*(I (x) E_rs)U) = rho[s, r] P_j."""
+    states = []
+    for P, U, nL, nR in zip(structure.central_projections,
+                            structure.block_unitaries,
+                            structure.left_dims, structure.right_dims):
+        U3 = U.reshape(nL, nR, -1)
+        X = np.einsum("irx,isy->rsxy", U3.conj(), U3).reshape(
+            nR * nR, *P.shape)
+        rho = np.einsum("xy,nyx->n", P, apply_fn(X)).reshape(nR, nR).T \
+            / (nL * nR)
+        rho = (rho + dagger(rho)) / 2
+        states.append(rho / np.real(np.trace(rho)))
+    return tuple(states)
+
+
+def l2_inner(l2, x, y):
+    """The rho-weighted inner product trace(rho x* y) of ``l2``, an
+    ``L2Structure``."""
+    return complex(np.trace(l2.rho @ dagger(x) @ y))
 
 
 def dense_of_split(blocks):
@@ -222,6 +255,10 @@ def word_route_multiplicative_domain(c, tol=DEFAULT_TOL):
     """Oracle for M: the commutant of the K^2 generators V_j V_k*."""
     return svd_route_commutant(
         [Vj @ dagger(Vk) for Vj in c.kraus for Vk in c.kraus], c.dim, tol)
+
+
+class NoStabilization(RuntimeError):
+    """An oracle's power or path chain did not stabilise by its cap."""
 
 
 def word_route_dfa(c, tol=DEFAULT_TOL, n_max=None):
@@ -426,9 +463,9 @@ def expectation_onto_dfa(c, s, tol=DEFAULT_TOL):
     N."""
     N = s.reversible
     structure = atomic_structure(N, tol=tol)
-    states = extract_block_states(s.apply_expectation, structure, tol=tol)
-    return ConditionalExpectation(transfer=transfer_of(s.apply_expectation,
-                                                       c.dim),
+    e_n = functools.partial(apply_expectation, s)
+    states = extract_block_states(e_n, structure)
+    return ConditionalExpectation(transfer=transfer_of(e_n, c.dim),
                                   range_algebra=N,
                                   structure=structure, block_states=states)
 

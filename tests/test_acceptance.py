@@ -45,6 +45,7 @@ from chanstruct.structure import (
     L2Structure,
 )
 from tests.conftest import (
+    apply_expectation,
     cesaro_expectation,
     component_embedding,
     cycle_composition,
@@ -53,6 +54,7 @@ from tests.conftest import (
     fixed_block_oracles,
     invariant_state,
     kron_transfer,
+    l2_inner,
     period_irreducible,
     structured_kraus,
     verify_power_fixed_points,
@@ -95,7 +97,8 @@ def _check_cycle_against_oracle(check, label, c, s, rep):
     the period and, embedded by W, the cyclic projections that the
     peripheral-eigenmatrix oracle ``rep`` (period_irreducible) gives."""
     comps = mfnc_decompose(c, fixed_points(s).as_algebra(),
-                           atomic_structure(dfa(c)), s)
+                           atomic_structure(dfa(c)),
+                           invariant_states(c, s).rho_max)
     check(len(comps) == 1, f"{label}: {len(comps)} components, expected 1")
     comp = comps[0]
     check(comp.period == rep.period,
@@ -303,8 +306,8 @@ def test_acceptance_2_pauli_walk_d4(capsys):
         zdim = center(N).dim
         check(zdim == 2, f"{tag}: dim Z(N) = {zdim}")
 
-        comps = mfnc_decompose(c, F.as_algebra(),
-                               atomic_structure(N), s)
+        comps = mfnc_decompose(c, F.as_algebra(), atomic_structure(N),
+                               invariant_states(c, s).rho_max)
         check(len(comps) == 1, f"{tag}: {len(comps)} components, expected 1")
         comp = comps[0]
         check(comp.period == 2, f"{tag}: period {comp.period}")
@@ -587,8 +590,8 @@ def test_acceptance_7_cyclic_shift(capsys):
         check(F.dim == cdim,
               f"d={d}: dim F = {F.dim}, loop commutant has dim {cdim}")
 
-        comps = mfnc_decompose(c, F.as_algebra(),
-                               atomic_structure(dfa(c)), s)
+        comps = mfnc_decompose(c, F.as_algebra(), atomic_structure(dfa(c)),
+                               invariant_states(c, s).rho_max)
         check(len(comps) == 1, f"d={d}: {len(comps)} components")
         comp = comps[0]
         check(comp.period == d,
@@ -672,15 +675,15 @@ def test_acceptance_9_l2_geometry(capsys, corpus_analysis):
         for _ in range(3):
             x = rng.normal(size=(D, D)) + 1j * rng.normal(size=(D, D))
             y = rng.normal(size=(D, D)) + 1j * rng.normal(size=(D, D))
-            ex = s.apply_expectation(x)
-            perp = y - s.apply_expectation(y)
+            ex = apply_expectation(s, x)
+            perp = y - apply_expectation(s, y)
             if l2.norm(ex) < 1e-9 or l2.norm(perp) < 1e-9:
                 continue
             ex = ex / l2.norm(ex)
             perp = perp / l2.norm(perp)
-            ov = abs(l2.inner(ex, perp))
+            ov = abs(l2_inner(l2, ex, perp))
             check(ov <= 1e-8, f"channel {i}: overlap {ov:.2e}")
-            ov2 = abs(l2.inner(c.apply(ex), c.apply(perp)))
+            ov2 = abs(l2_inner(l2, c.apply(ex), c.apply(perp)))
             check(ov2 <= 1e-8, f"channel {i}: overlap after step {ov2:.2e}")
         gap = decoherence_gap(l2.weighted_transfer(c.kraus), s, l2)
         T = kron_transfer(c)

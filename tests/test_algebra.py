@@ -10,7 +10,6 @@ from chanstruct.algebra import (
     atomic_structure,
     center,
     commutant,
-    extract_block_states,
 )
 from chanstruct.channel import ChannelSpec
 from chanstruct.cycles import mfnc_decompose
@@ -23,13 +22,14 @@ from chanstruct.numerics import (
     subspace_distance,
 )
 from chanstruct.oqrw import builder_pauli_walk, to_channel
-from chanstruct.structure import dfa, fixed_points, spectrum
+from chanstruct.structure import dfa, fixed_points, invariant_states, spectrum
 from tests.conftest import (
     I2,
     X,
     Z,
     NotFaithful,
     expectation_onto,
+    extract_block_states,
     full_algebra,
     generated_algebra,
     svd_route_commutant,
@@ -277,7 +277,8 @@ def test_atomic_structure_does_not_depend_on_the_kraus_order():
         cp = ChannelSpec(c.dim, c.kraus[list(order)])
         s = spectrum(cp.transfer_blocks)
         comps = mfnc_decompose(cp, fixed_points(s).as_algebra(),
-                               atomic_structure(dfa(cp)), s)
+                               atomic_structure(dfa(cp)),
+                               invariant_states(cp, s).rho_max)
         residuals += [comp.structured_kraus_residual for comp in comps]
     assert len(residuals) >= 24 and max(residuals) <= 1e-13
 

@@ -263,7 +263,7 @@ def test_dfa_center_is_the_block_count_of_n(tmp_path, capsys):
     # dims.dfa_center is read off the one atomic structure of N that the
     # components also use
     for c in build_corpus(20240817):
-        a = Analysis(c, None, Tolerances(), max_power=None)
+        a = Analysis(c, None, Tolerances())
         assert a.N_structure.n_blocks == center(a.N).dim, c.label
     c = amplitude_damping()
     code, out = run(["analyze", write_channel(tmp_path / "ad.json",
@@ -369,7 +369,7 @@ def _add_rank_one(factors, size, dim):
 def test_corrupted_expectation_fails_its_rho_entry(name):
     # E + 1e-5 u v* is 1e-5 from the rho-orthogonal projection: the
     # matching -vs-rho entry fails at its 1e-6 bound, the other one passes
-    a = Analysis(build_corpus(20240817)[40], None, Tolerances(), None)
+    a = Analysis(build_corpus(20240817)[40], None, Tolerances())
     clean = {e["name"]: e for e in build_ledger(a)}
     assert clean["e-f-vs-rho"]["passed"] and clean["e-n-vs-rho"]["passed"]
     field = f"{name.replace('-', '_')}_factors"
@@ -386,7 +386,7 @@ def test_corrupted_expectation_fails_its_rho_entry(name):
 def test_ledger_reads_the_product_defect_of_f():
     # span{I, X, Z} is not product-closed: XZ = -iY lies at HS distance
     # ||Y / 2|| = 2^-1/2 from it
-    a = Analysis(from_kraus([I2]), None, Tolerances(), max_power=None)
+    a = Analysis(from_kraus([I2]), None, Tolerances())
     sub = MatrixSubspace.from_span([I2, X, Z])
     a.spectrum = dataclasses.replace(a.spectrum, fixed=sub)
     adjoint, product = sub.closure_defects()
@@ -682,24 +682,13 @@ def test_analyze_splits_no_transfer_in_cycles(tmp_path, capsys, monkeypatch,
 
 @pytest.mark.parametrize("command", ["analyze", "verify"])
 @pytest.mark.parametrize("option", ["--tol=0", "--tol=-1", "--tol=nan",
-                                    "--tol=inf", "--max-power=0",
-                                    "--max-power=-2"])
+                                    "--tol=inf"])
 def test_bad_tolerance_or_power_is_an_input_error(tmp_path, capsys, command,
                                                   option):
     path = pauli_channel_file(tmp_path)
     code = main([command, path, option])
     assert code == EXIT_INPUT_ERROR
     assert "input error" in capsys.readouterr().err
-
-
-def test_max_power_too_small_is_a_numerical_error(tmp_path, capsys):
-    # the pauli walk's dfa chain needs more than one step to stabilise
-    f = tmp_path / "walk.json"
-    run(["example", "pauli", "--d", "3", "--output", str(f)], capsys)
-    for command in ("analyze", "verify"):
-        code = main([command, str(f), "--max-power=1"])
-        assert code == EXIT_NUMERICAL_ERROR
-        assert "NoStabilization" in capsys.readouterr().err
 
 
 def test_exit_codes_are_distinct():

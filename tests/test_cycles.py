@@ -1,13 +1,10 @@
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
-from chanstruct.algebra import (
-    AlgebraStructure,
-    atomic_structure,
-    extract_block_states,
-)
+from chanstruct.algebra import AlgebraStructure, atomic_structure
 from chanstruct.channel import ChannelSpec, from_kraus, matrix_from_json
 from chanstruct.cli import Analysis, analyze
 from chanstruct.cycles import (
@@ -43,7 +40,10 @@ from tests.conftest import (
     Z,
     NotRootsOfUnity,
     NotSimple,
+    apply_expectation,
+    component_embedding,
     cycle_composition,
+    extract_block_states,
     fixed_block_oracles,
     full_algebra,
     invariant_state,
@@ -90,6 +90,13 @@ def peripheral_of(c):
     inv = invariant_states(c, s)
     assert inv.faithful
     return s, peripheral_subalgebra(c, inv, s)
+
+
+def rho_of(c):
+    """The faithful rho_max that ``analyze`` hands ``mfnc_decompose``."""
+    inv = invariant_states(c, spectrum(c.transfer_blocks))
+    assert inv.faithful
+    return inv.rho_max
 
 
 def test_period_classical_cycle():
@@ -170,7 +177,7 @@ def test_mfnc_two_components():
     N = dfa(c)
     assert F.dim == 2
     assert N.dim == 6
-    comps = mfnc_decompose(c, F, atomic_structure(N), peripheral_of(c)[0])
+    comps = mfnc_decompose(c, F, atomic_structure(N), rho_of(c))
     assert len(comps) == 2
     assert np.allclose(sum(comp.projection for comp in comps), np.eye(6),
                        atol=1e-8)
@@ -185,7 +192,7 @@ def test_mfnc_components_match_their_own_analysis(name):
     c = two_cycles() if name == "two-cycles" else build_corpus(20240817)[40]
     comps = mfnc_decompose(
         c, fixed_points(spectrum(c.transfer_blocks)).as_algebra(),
-        atomic_structure(dfa(c)), peripheral_of(c)[0])
+        atomic_structure(dfa(c)), rho_of(c))
     assert len(comps) == 2
     for comp in comps:
         ref = fixed_points(spectrum(comp.channel.transfer_blocks))
@@ -197,16 +204,57 @@ def test_mfnc_components_match_their_own_analysis(name):
             left_dims=(comp.left_dim,) * comp.period,
             right_dims=comp.right_dims)
         states = extract_block_states(
-            peripheral_of(comp.channel)[0].apply_expectation, blocks)
+            partial(apply_expectation, peripheral_of(comp.channel)[0]), blocks)
         for rho, ref in zip(comp.block_states, states, strict=True):
             assert hs_norm(rho - ref) < 1e-10
+
+
+@pytest.mark.parametrize("name", ["corpus-20240817", "nn-cycle-8",
+                                  "pauli-walk-8"])
+def test_block_states_are_those_of_the_expectation_onto_n(name):
+    # the states read off rho_max against those that E_N, the peripheral
+    # spectral projection of the whole channel, leaves on each block
+    count = 0
+    for c in shift_probe_channels(name):
+        e_n = partial(apply_expectation, spectrum(c.transfer_blocks))
+        for comp in pipeline_components(c):
+            W = component_embedding(comp)
+            blocks = AlgebraStructure(
+                ambient_dim=c.dim,
+                central_projections=tuple(
+                    W @ Q @ dagger(W) for Q in comp.cyclic_projections),
+                block_unitaries=tuple(S @ dagger(W) for S in comp.isometries),
+                left_dims=(comp.left_dim,) * comp.period,
+                right_dims=comp.right_dims)
+            for rho, ref in zip(comp.block_states,
+                                extract_block_states(e_n, blocks),
+                                strict=True):
+                assert hs_norm(rho - ref) <= 1e-12, c.label
+                count += 1
+    assert count
+
+
+def test_a_block_state_off_the_product_form_is_rejected():
+    # N = B(C^2) (x) I on C^2 (x) C^2 for U (x) (a mixed-unitary channel on
+    # the right): I/4 + eps X (x) X is still a density, but on the one
+    # block it is 2 eps in HS norm from tr_R (x) the state tr_L
+    rng = np.random.default_rng(4)
+    U = random_unitary(2, rng)
+    c = from_kraus([np.kron(U, np.sqrt(p) * P) for p, P in
+                    ((0.4, np.eye(2)), (0.3, X), (0.2, Z), (0.1, X @ Z))])
+    F = fixed_points(spectrum(c.transfer_blocks)).as_algebra()
+    st = atomic_structure(dfa(c))
+    assert (st.left_dims, st.right_dims) == ((2,), (2,))
+    assert len(mfnc_decompose(c, F, st, rho_of(c))) == 1
+    with pytest.raises(IsomorphismSolveFailed, match="block 0"):
+        mfnc_decompose(c, F, st, np.eye(4) / 4 + 1e-3 * np.kron(X, X))
 
 
 def test_mfnc_identity_channel():
     c = from_kraus([np.eye(2)])
     F = fixed_points(spectrum(c.transfer_blocks)).as_algebra()
     N = dfa(c)
-    comps = mfnc_decompose(c, F, atomic_structure(N), peripheral_of(c)[0])
+    comps = mfnc_decompose(c, F, atomic_structure(N), rho_of(c))
     assert len(comps) == 1
     assert comps[0].period == 1
 
@@ -218,7 +266,7 @@ def test_mfnc_shift_walk_single_component():
     N = dfa(c)
     assert F.dim == 2          # commutant of a generic 2x2 unitary
     assert N.dim == 3 * 4      # block diagonals
-    comps = mfnc_decompose(c, F, atomic_structure(N), peripheral_of(c)[0])
+    comps = mfnc_decompose(c, F, atomic_structure(N), rho_of(c))
     assert len(comps) == 1
     assert comps[0].period == 3
 
@@ -227,7 +275,7 @@ def test_component_decompose_classical_cycle():
     c = classical_cycle(3)
     F = fixed_points(spectrum(c.transfer_blocks)).as_algebra()
     N = dfa(c)
-    comps = mfnc_decompose(c, F, atomic_structure(N), peripheral_of(c)[0])
+    comps = mfnc_decompose(c, F, atomic_structure(N), rho_of(c))
     comp = comps[0]
     assert comp.left_dim == 1
     assert comp.right_dims == (1, 1, 1)
@@ -243,7 +291,7 @@ def test_component_decompose_shift_walk():
     c = shift_walk(Us)
     F = fixed_points(spectrum(c.transfer_blocks)).as_algebra()
     N = dfa(c)
-    comps = mfnc_decompose(c, F, atomic_structure(N), peripheral_of(c)[0])
+    comps = mfnc_decompose(c, F, atomic_structure(N), rho_of(c))
     comp = comps[0]
     assert comp.left_dim == 2
     assert comp.right_dims == (1, 1, 1)
@@ -260,7 +308,7 @@ def test_component_decompose_pauli():
     c = pauli_channel()
     F = fixed_points(spectrum(c.transfer_blocks)).as_algebra()
     N = dfa(c)
-    comps = mfnc_decompose(c, F, atomic_structure(N), peripheral_of(c)[0])
+    comps = mfnc_decompose(c, F, atomic_structure(N), rho_of(c))
     comp = comps[0]
     assert comp.period == 2
     assert comp.left_dim == 1
@@ -277,8 +325,7 @@ def _shift_walk_component(seed):
     rng = np.random.default_rng(seed)
     c = shift_walk([random_unitary(2, rng) for _ in range(3)])
     F = fixed_points(spectrum(c.transfer_blocks)).as_algebra()
-    comps = mfnc_decompose(c, F, atomic_structure(dfa(c)),
-                           peripheral_of(c)[0])
+    comps = mfnc_decompose(c, F, atomic_structure(dfa(c)), rho_of(c))
     assert len(comps) == 1 and comps[0].left_dim == 2
     return comps[0]
 
@@ -326,7 +373,7 @@ def test_fixed_multiblock_shift_walk():
     c = shift_walk(Us)
     F = fixed_points(spectrum(c.transfer_blocks)).as_algebra()
     N = dfa(c)
-    comps = mfnc_decompose(c, F, atomic_structure(N), peripheral_of(c)[0])
+    comps = mfnc_decompose(c, F, atomic_structure(N), rho_of(c))
     comp = comps[0]
     fb = fixed_multiblock(comp)
     oracles = fixed_block_oracles(comp, fb)
@@ -377,7 +424,7 @@ def test_fixed_block_eigenvalues_are_fixed_up_to_one_phase():
                 from_kraus(np.tensordot(u, c.kraus, 1))]
     ratios = []
     for channel in variants:
-        [component] = analyze(channel, None, DEFAULT_TOL, None)["components"]
+        [component] = analyze(channel, None, DEFAULT_TOL)["components"]
         blocks = component["fixed_blocks"]
         lam = np.array([complex(*v) for v in blocks["eigenvalues"]])
         assert blocks["count"] == len(lam) == 2
@@ -397,7 +444,7 @@ def test_fixed_block_order_is_free_of_the_phase_gauge():
     for _ in range(10):
         u = random_unitary(len(c.kraus), rng)
         [component] = analyze(from_kraus(np.tensordot(u, c.kraus, 1)), None,
-                              DEFAULT_TOL, None)["components"]
+                              DEFAULT_TOL)["components"]
         orders.append([matrix_from_json(P) for P in
                        component["fixed_blocks"]["central_projections"]])
     for order in orders[1:]:
@@ -410,7 +457,7 @@ def test_fixed_multiblock_pauli():
     c = pauli_channel()
     F = fixed_points(spectrum(c.transfer_blocks)).as_algebra()
     N = dfa(c)
-    comps = mfnc_decompose(c, F, atomic_structure(N), peripheral_of(c)[0])
+    comps = mfnc_decompose(c, F, atomic_structure(N), rho_of(c))
     comp = comps[0]
     fb = fixed_multiblock(comp)
     assert fb.n_blocks == 1
@@ -424,9 +471,9 @@ def test_fixed_multiblock_pauli():
 
 def pipeline_components(c, tol=DEFAULT_TOL):
     """The components that ``analyze`` factors: mfnc_decompose on the
-    analysis' F, atomic structure of N and spectrum."""
-    a = Analysis(c, None, tol, None)
-    return mfnc_decompose(c, a.F.as_algebra(), a.N_structure, a.spectrum,
+    analysis' F, atomic structure of N and rho_max."""
+    a = Analysis(c, None, tol)
+    return mfnc_decompose(c, a.F.as_algebra(), a.N_structure, a.inv.rho_max,
                           tol=tol)
 
 

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from chanstruct import oqrw
 from chanstruct.channel import from_kraus
 from chanstruct.numerics import (
     random_unitary,
@@ -22,8 +23,9 @@ from chanstruct.oqrw import (
     pauli_pair,
     to_channel,
 )
-from chanstruct.structure import NoStabilization, dfa, multiplicative_domain
+from chanstruct.structure import dfa, multiplicative_domain
 from tests.conftest import (
+    NoStabilization,
     block_units,
     full_route_oqrw_dfa,
     full_route_oqrw_multiplicative_domain,
@@ -260,15 +262,30 @@ def rank_one_scatter_walk(rng):
     return build(range(3), [2, 2, 2], transitions)
 
 
-def least_stable_power(dfa_route, w):
-    """Smallest n_max at which the route stops raising NoStabilization."""
+def least_stable_power(w):
+    """Smallest cap at which the full-route oracle stops raising
+    NoStabilization."""
     for n in range(1, w.total_dim ** 2 + 1):
         try:
-            dfa_route(w, n_max=n)
+            full_route_oqrw_dfa(w, n_max=n)
             return n
         except NoStabilization:
             pass
     raise AssertionError("no n_max up to D^2 stabilizes")
+
+
+def path_chain_steps(w):
+    """How many times ``oqrw_dfa`` advances its path spans by one step."""
+    advance, steps = oqrw._advance_spans, []
+
+    def counted(*args):
+        steps.append(None)
+        return advance(*args)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(oqrw, "_advance_spans", counted)
+        oqrw_dfa(w)
+    return len(steps)
 
 
 def oracle_walks():
@@ -302,7 +319,7 @@ def test_block_split_matches_full_route(name, w):
     assert subspace_distance(rep.multiplicative_domain,
                              full_route_oqrw_multiplicative_domain(w)) \
         <= 1e-10
-    assert least_stable_power(oqrw_dfa, w) == \
-        least_stable_power(full_route_oqrw_dfa, w)
+    # n-step conditions take n - 1 advances from the one-step spans
+    assert path_chain_steps(w) + 1 == least_stable_power(w)
     if name == "dead-corners-3":
         assert rep.off_diagonal.dim == 2

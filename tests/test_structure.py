@@ -23,7 +23,6 @@ from chanstruct.numerics import (
 from chanstruct.structure import (
     L2Structure,
     NoFaithfulInvariantState,
-    NoStabilization,
     decoherence_gap,
     dfa,
     fixed_points,
@@ -39,6 +38,7 @@ from tests.conftest import (
     X,
     Y,
     Z,
+    NoStabilization,
     amplitude_damping,
     cesaro_expectation,
     dense,
@@ -51,6 +51,7 @@ from tests.conftest import (
     kernel_basis,
     kraus_word_basis,
     kron_transfer,
+    l2_inner,
     peripheral_eigenpairs,
     word_route_dfa,
     word_route_multiplicative_domain,
@@ -204,9 +205,9 @@ def test_kraus_commutant_inside_m_matches_gram_oracle():
 
 def test_is_irreducible():
     # the report's irreducibility flag: trivial fixed points
-    assert analyze(pauli_channel(), None, DEFAULT_TOL, None)["irreducible"]
-    assert not analyze(unitary_channel(np.eye(2)), None, DEFAULT_TOL,
-                       None)["irreducible"]
+    assert analyze(pauli_channel(), None, DEFAULT_TOL)["irreducible"]
+    assert not analyze(unitary_channel(np.eye(2)), None,
+                       DEFAULT_TOL)["irreducible"]
 
 
 def test_multiplicative_domain_pauli():
@@ -316,22 +317,32 @@ def test_m_and_n_of_a_kraus_list_off_unitality():
                 c.label
 
 
-def _smallest_stabilising_power(route, c):
+def _smallest_stabilising_power(c):
+    """The smallest cap at which the word-route oracle stabilises."""
     for n in range(1, c.dim ** 2 + 1):
         try:
-            route(c, n)
+            word_route_dfa(c, n_max=n)
         except NoStabilization:
             continue
         return n
 
 
-def test_smallest_stabilising_power_matches_oracle():
+def test_smallest_stabilising_power_matches_oracle(monkeypatch):
+    # dfa restricts M once per power after the first, so its chain takes
+    # one restriction fewer than the oracle, which starts from all of B(H)
+    restrict, steps = MatrixSubspace.restrict, []
+
+    def counted(*args, **kwargs):
+        steps.append(None)
+        return restrict(*args, **kwargs)
+
     for c in build_corpus(20240817):
         M = multiplicative_domain(c)
-        assert _smallest_stabilising_power(
-            lambda c, n: dfa(c, n_max=n, M=M), c) == \
-            _smallest_stabilising_power(
-                lambda c, n: word_route_dfa(c, n_max=n), c), c.label
+        steps.clear()
+        with monkeypatch.context() as m:
+            m.setattr(MatrixSubspace, "restrict", counted)
+            dfa(c, M=M)
+        assert len(steps) + 1 == _smallest_stabilising_power(c), c.label
 
 
 _METAMORPHIC_CHANNELS = build_corpus(27)[::3] + [_nn_cycle(3)]
@@ -378,7 +389,7 @@ def test_zero_kraus_padding_keeps_m_n_f_and_the_report(c):
     for a, b in ((M, Mp), (N, Np), (F, Fp)):
         assert a.dim == b.dim
         assert subspace_distance(a, b) <= 1e-10
-    report, padded_report = (analyze(x, None, DEFAULT_TOL, None)
+    report, padded_report = (analyze(x, None, DEFAULT_TOL)
                              for x in (c, padded))
     assert report["components"]
     rows = list(compare_case(report, padded_report))
@@ -535,7 +546,7 @@ def test_l2_structure_basic():
     rho = np.diag([0.7, 0.3])
     l2 = L2Structure.from_state(rho)
     assert l2.norm(I2) == pytest.approx(1.0)
-    assert l2.inner(X, X) == pytest.approx(1.0)
+    assert l2_inner(l2, X, X) == pytest.approx(1.0)
     # weighted map norm of the identity map is 1
     assert l2.map_norm(l2.weighted_transfer(I2[None])) == pytest.approx(1.0)
 

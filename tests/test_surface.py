@@ -1,11 +1,14 @@
-"""Every module-level def and class in `src/chanstruct` has a caller,
-every dataclass field there a reader, no module but `numerics` writes
-out a threshold (each reads a level of `Tolerances`), and none forms a
-dense Kronecker product with `np.kron`.
+"""Every module-level def and class in `src/chanstruct`, and every method
+and property of its classes, has a caller, every dataclass field there a
+reader, no module but `numerics` writes out a threshold (each reads a
+level of `Tolerances`), and none forms a dense Kronecker product with
+`np.kron`.
 
 A name counts as used when it is referenced, other than inside its own
-definition, somewhere in `src/chanstruct` or `tools/`, or when it is
-exported in `chanstruct.__all__`.  A field counts as read when some
+definition, somewhere in `src/chanstruct` or `tools/`, or when a module-
+level name is exported in `chanstruct.__all__`.  A method is matched by
+its name alone, whatever the object it is called on; dunder methods are
+called by Python and do not count.  A field counts as read when some
 statement of `src/chanstruct` or `tools/` loads it as an attribute
 (``x.field``); passing it to the constructor does not count.  Tests do not
 count: a routine or a field that only the tests read is an oracle and
@@ -33,19 +36,39 @@ def _names(node):
             yield sub.name.rsplit(".", 1)[-1]
 
 
+def _units(path):
+    """(nodes, own names) of each top-level statement of the module at
+    ``path``; a class is split into its header and its members, so that
+    neither a member's references to itself nor the class's count."""
+    for stmt in ast.parse(path.read_text()).body:
+        if isinstance(stmt, ast.ClassDef):
+            yield stmt.bases + stmt.keywords + stmt.decorator_list, set()
+            for item in stmt.body:
+                yield [item], {stmt.name, getattr(item, "name", None)}
+        else:
+            yield [stmt], {getattr(stmt, "name", None)}
+
+
 def unused_definitions(sources, callers, exported):
-    """(module, name) of each top-level def or class in ``sources`` that
-    no statement of ``callers`` references outside its own definition."""
+    """(module, name) of each top-level def or class, and (module,
+    "Class.name") of each non-dunder method or property of a top-level
+    class, in ``sources`` that no statement of ``callers`` references by
+    name outside its own definition."""
     defined, used = [], set(exported)
     for path in callers:
-        for stmt in ast.parse(path.read_text()).body:
-            own = getattr(stmt, "name", None)
-            used.update(n for n in _names(stmt) if n != own)
+        for nodes, own in _units(path):
+            used.update(n for node in nodes for n in _names(node)
+                        if n not in own)
     for path in sources:
         for stmt in ast.parse(path.read_text()).body:
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                defined.append((path.stem, stmt.name))
-    return [(mod, name) for mod, name in defined if name not in used]
+                defined.append((path.stem, stmt.name, stmt.name))
+            if isinstance(stmt, ast.ClassDef):
+                defined += [(path.stem, f"{stmt.name}.{item.name}", item.name)
+                            for item in stmt.body
+                            if isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("__")]
+    return [(mod, label) for mod, label, name in defined if name not in used]
 
 
 def test_every_definition_in_src_has_a_caller():
@@ -62,6 +85,22 @@ def test_a_definition_without_a_caller_is_flagged(tmp_path):
     app.write_text("from lib import used\n\nprint(used())\n")
     assert unused_definitions([lib], [lib, app], ["Exported"]) == [
         ("lib", "lonely")]
+
+
+def test_a_method_without_a_caller_is_flagged(tmp_path):
+    # a method that only calls itself and a property that nothing reads;
+    # a dunder method, and a method called on any object, count as used
+    lib = tmp_path / "lib.py"
+    lib.write_text("class Space:\n"
+                   "    def __init__(self, n):\n        self.n = n\n\n"
+                   "    def used(self):\n        return self.n\n\n"
+                   "    def lonely(self, k):\n"
+                   "        return self.lonely(k - 1) if k else 0\n\n"
+                   "    @property\n    def unread(self):\n        return 1\n")
+    app = tmp_path / "app.py"
+    app.write_text("from lib import Space\n\nprint(Space(2).used())\n")
+    assert unused_definitions([lib], [lib, app], []) == [
+        ("lib", "Space.lonely"), ("lib", "Space.unread")]
 
 
 def _is_dataclass(cls: ast.ClassDef) -> bool:
