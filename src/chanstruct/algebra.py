@@ -15,11 +15,12 @@ import numpy as np
 from chanstruct.numerics import (
     DEFAULT_TOL,
     DimensionMismatch,
+    KERNEL_FOLD_ROWS,
     MatrixSubspace,
     Tolerances,
     dagger,
     fix_global_phase,
-    gram_kernel,
+    gram_candidates,
     kron_blocks,
     span_basis,
 )
@@ -31,29 +32,35 @@ class NotAlgebra(RuntimeError):
 
 def restrict_to_commutant(sub: MatrixSubspace, ops,
                           tol: Tolerances = DEFAULT_TOL) -> MatrixSubspace:
-    """Subspace of ``sub`` commuting with every operator in ``ops``."""
-    return sub.restrict((lambda B, S=np.asarray(S, dtype=complex):
-                         B @ S - S @ B for S in ops), tol)
+    """Subspace of ``sub`` commuting with every operator in ``ops``: the
+    commutators with as many operators at once as fill one fold block of
+    :func:`numerics.kernel_coefficients`, so memory stays at one."""
+    D = sub.ambient_dim
+    ops = np.asarray(ops, dtype=complex).reshape(-1, D, D)
+    step = max(1, KERNEL_FOLD_ROWS // D ** 2)
+    return sub.restrict((lambda B, S=ops[t:t + step]:
+                         B[:, None] @ S - S @ B[:, None]
+                         for t in range(0, len(ops), step)), tol)
 
 
-def commutator_gram(gens, dim: int):
-    """(G, constraint) of the commutators with ``gens`` and their adjoints
-    W: <vec A, G vec A> = sum_W ||[A, W]||^2 for any generators, with
-    G = H + H* with H = (S^T (x) I + I (x) S) / 2 - 2 X, S = sum_W W* W
-    and X = sum_g conj(g) (x) g the transfer matrix of A -> sum_g g A g*;
-    G is given by its split, H's (:func:`numerics.kron_blocks`)."""
+def commutator_gram(gens, dim: int) -> list:
+    """The split of the Gram matrix G of the commutators with ``gens`` and
+    their adjoints W: <vec A, G vec A> = sum_W ||[A, W]||^2 for any
+    generators, with G = H + H* with H = (S^T (x) I + I (x) S) / 2 - 2 X,
+    S = sum_W W* W and X = sum_g conj(g) (x) g the transfer matrix of
+    A -> sum_g g A g*; H is split by :func:`numerics.kron_blocks`."""
     g = np.asarray(gens, dtype=complex).reshape(-1, dim, dim)
     W = np.concatenate([g, dagger(g)])
     S, eye = np.tensordot(W.conj(), W, ([0, 1], [0, 1])), np.eye(dim)[None]
     H = kron_blocks(np.concatenate([S.T[None] / 2, eye / 2, -2 * g.conj()]),
                     np.concatenate([eye, S[None], g]))
-    return ([(idx, B + dagger(B)) for idx, B in H],
-            lambda B: B[:, None] @ W - W @ B[:, None])
+    return [(idx, B + dagger(B)) for idx, B in H]
 
 
 def commutant(gens, dim=None, tol: Tolerances = DEFAULT_TOL) -> MatrixSubspace:
     """{A : AS = SA, AS* = S*A for all generators S}; a unital *-algebra:
-    the Gram kernel of :func:`commutator_gram`."""
+    the candidates of :func:`commutator_gram`'s Gram matrix restricted by
+    the exact commutators."""
     gens = [np.asarray(g, dtype=complex) for g in gens]
     if dim is None:
         if not gens:
@@ -62,7 +69,10 @@ def commutant(gens, dim=None, tol: Tolerances = DEFAULT_TOL) -> MatrixSubspace:
     for g in gens:
         if g.shape != (dim, dim):
             raise DimensionMismatch(f"generator shape {g.shape} != {(dim, dim)}")
-    return gram_kernel(*commutator_gram(gens, dim), tol)
+    g = np.reshape(gens, (-1, dim, dim))
+    candidates = gram_candidates(commutator_gram(g, dim))
+    return restrict_to_commutant(candidates, np.concatenate([g, dagger(g)]),
+                                 tol)
 
 
 def center(alg: MatrixSubspace,

@@ -378,43 +378,35 @@ def analyze(c: ChannelSpec, w: OqrwSpec | None, tol: Tolerances) -> dict:
         "min_eigenvalue": _num(inv.min_eigenvalue),
         "rho_max": matrix_to_json(inv.rho_max),
     }
-    dims = {
+    report["fixed_points_is_algebra"] = F.is_algebra
+    report["dims"] = {
         "fixed_points": F.dim,
         "multiplicative_domain": M.dim,
         "dfa": N.dim,
         "dfa_center": analysis.N_structure.n_blocks,
+        "stable": (analysis.spectrum.stable_dim if inv.faithful
+                   else "undetermined"),
     }
-    report["fixed_points_is_algebra"] = F.is_algebra
-
-    if not inv.faithful:
-        dims["stable"] = "undetermined"
-        report["dims"] = dims
-        report["irreducible"] = "undetermined"
-        report["peripheral_eigenvalues"] = "undetermined"
-        report["components"] = "undetermined"
-        report["gap"] = "undetermined"
-        report["verification"] = build_ledger(analysis)
-        return report
-
-    p = analysis.peripheral
-    dims["stable"] = analysis.spectrum.stable_dim
-    report["dims"] = dims
-    report["irreducible"] = F.dim == 1
-    report["peripheral_eigenvalues"] = _complex_pairs(p.eigenvalues)
-
-    report["components"] = [
-        _component_summary(comp, tol)
-        for comp in mfnc_decompose(c, F.as_algebra(), analysis.N_structure,
-                                   inv.rho_max, tol=tol)]
-
-    gap = decoherence_gap(analysis.weighted, analysis.spectrum, analysis.l2,
-                          tol=tol)
-    report["gap"] = {
-        "finite_horizon": _num(gap.finite_horizon),
-        "asymptotic": _num(gap.asymptotic),
-        "horizon": gap.horizon,
-        "uniform_bound": gap.uniform_bound,
-    }
+    if inv.faithful:
+        report["irreducible"] = F.dim == 1
+        report["peripheral_eigenvalues"] = _complex_pairs(
+            analysis.peripheral.eigenvalues)
+        report["components"] = [
+            _component_summary(comp, tol)
+            for comp in mfnc_decompose(c, F.as_algebra(),
+                                       analysis.N_structure, inv.rho_max,
+                                       tol=tol)]
+        gap = decoherence_gap(analysis.weighted, analysis.spectrum,
+                              analysis.l2, tol=tol)
+        report["gap"] = {
+            "finite_horizon": _num(gap.finite_horizon),
+            "asymptotic": _num(gap.asymptotic),
+            "horizon": gap.horizon,
+            "uniform_bound": gap.uniform_bound,
+        }
+    else:
+        report.update(dict.fromkeys(("irreducible", "peripheral_eigenvalues",
+                                     "components", "gap"), "undetermined"))
     report["verification"] = build_ledger(analysis)
     return report
 

@@ -12,14 +12,15 @@ Conventions pinned here and used by every other module:
   by one SVD of the folded constraint matrix (:func:`kernel_coefficients`)
   or of each class of coupled columns (:func:`split_kernel`): singular
   values sigma <= rank_tol * max(sigma_max, 1) span the kernel.
-  :func:`gram_kernel` first keeps the eigenvectors of a Gram matrix with
-  lambda <= GRAM_CANDIDATE_CUTOFF * max(lambda_max, 1); only the exact
-  constraint on them decides.  Spans keep the rows of one SVD with
-  sigma > rank_tol * max(sigma_max, 1) (:func:`span_basis`), the same
-  rule, so a numerically zero stack spans nothing.  Subspaces are cut
-  down by the kernel of constraints on their stacked basis
-  (:meth:`MatrixSubspace.restrict`), and distances compare the bases
-  (:func:`subspace_distance`), never forming D^2 x D^2 projectors.
+  :func:`gram_candidates` keeps the eigenvectors of a Gram matrix with
+  lambda <= GRAM_CANDIDATE_CUTOFF * max(lambda_max, 1) as candidates
+  only: the exact constraint restricts them and decides.  Spans keep the
+  rows of one SVD with sigma > rank_tol * max(sigma_max, 1)
+  (:func:`span_basis`), the same rule, so a numerically zero stack spans
+  nothing.  Subspaces are cut down by the kernel of constraints on their
+  stacked basis (:meth:`MatrixSubspace.restrict`), and distances compare
+  the bases (:func:`subspace_distance`), never forming D^2 x D^2
+  projectors.
 * A D^2 x D^2 operator is held as its split, (index, stack) pairs: the
   (m, s) indices of m diagonal blocks of size s and their (m, s, s) stack,
   zero off the blocks.  A Kronecker sum sum_r A_r (x) B_r (a Gram or
@@ -377,7 +378,7 @@ class MatrixSubspace:
 
 
 GRAM_CANDIDATE_CUTOFF = 1e-6
-"""Stage-1 cutoff of :func:`gram_kernel` on Gram eigenvalues, which are
+"""Cutoff of :func:`gram_candidates` on Gram eigenvalues, which are
 squared singular values: far above rank_tol^2 and above eigh rounding.
 Fixed, not a multiple of eq_tol: it bounds the rounding of eigh, not an
 equality, and rank_tol still decides every kernel.  Scaled down with a
@@ -385,12 +386,12 @@ small ``--tol``, the candidate span could miss the kernel by more than
 rank_tol."""
 
 
-def gram_kernel(G, constraint,
-                tol: Tolerances = DEFAULT_TOL) -> MatrixSubspace:
-    """Kernel of a linear constraint on D x D matrices with Gram matrix G,
-    given by its split (<vec A, G vec A> = ||constraint(A)||^2): the exact
-    constraint restricts the candidates from one eigh per block size,
-    embedded block-sparse, and alone decides."""
+def gram_candidates(G) -> MatrixSubspace:
+    """Candidates for the kernel of a linear constraint on D x D matrices
+    with Gram matrix G, given by its split (<vec A, G vec A> =
+    ||constraint(A)||^2): the eigenvectors with lambda <= cutoff from one
+    eigh per block size, embedded block-sparse.  They span the kernel and
+    may hold more; only the exact constraint on them decides."""
     parts = [(idx, *np.linalg.eigh(S)) for idx, S in G]
     n = sum(idx.size for idx, _, _ in parts)
     cut = GRAM_CANDIDATE_CUTOFF * max(max(w.max() for _, w, _ in parts), 1.0)
@@ -400,8 +401,7 @@ def gram_kernel(G, constraint,
         C = np.zeros((n, len(b)), dtype=complex)
         C[idx[b], np.arange(len(b))[:, None]] = V[b, :, e]
         columns.append(C)
-    return MatrixSubspace.from_columns(np.hstack(columns), math.isqrt(n)) \
-        .restrict([constraint], tol)
+    return MatrixSubspace.from_columns(np.hstack(columns), math.isqrt(n))
 
 
 def round_projector(P: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

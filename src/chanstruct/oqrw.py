@@ -168,10 +168,9 @@ def _diagonal_conditions(w: OqrwSpec, spans):
                                             - M @ w.block(A, k, k)[:, None])
 
 
-def _diagonal_chain(w: OqrwSpec, spans, tol):
-    """The diagonal parts cut out of the sum h_i^2 block-diagonal matrix
-    units by the conditions of 1-, 2-, ... step paths, cumulatively;
-    spans holds the one-step operators, the first cut split by class."""
+def _first_diagonal(w: OqrwSpec, spans, tol) -> MatrixSubspace:
+    """The diagonal part cut out of the sum h_i^2 block-diagonal matrix
+    units by the one-step conditions (``spans``), split by class."""
     D = w.total_dim
     vertex = np.repeat(np.arange(w.n_vertices), w.local_dims)
     rows, cols = np.nonzero(vertex[:, None] == vertex)
@@ -180,11 +179,7 @@ def _diagonal_chain(w: OqrwSpec, spans, tol):
     C = np.hstack([fn(units).reshape(len(units), -1)
                    for fn in _diagonal_conditions(w, spans)])
     kernel = split_kernel(C.T, tol)
-    diagonal = MatrixSubspace(D, np.tensordot(kernel.T, units, 1))
-    while True:
-        yield diagonal
-        spans = _advance_spans(w, spans, tol)
-        diagonal = diagonal.restrict(_diagonal_conditions(w, spans), tol)
+    return MatrixSubspace(D, np.tensordot(kernel.T, units, 1))
 
 
 def _off_diagonal(w: OqrwSpec, tol) -> MatrixSubspace:
@@ -249,14 +244,12 @@ def oqrw_dfa(w: OqrwSpec, tol: Tolerances = DEFAULT_TOL) -> OqrwDfaReport:
     off_diagonal = _off_diagonal(w, tol)
     spans = {key: (L / hs_norm(L))[None] for key, L in w.transitions.items()
              if hs_norm(L) > tol.rank_tol}
-    steps = _diagonal_chain(w, spans, tol)
-    first = next(steps)
-    prev_dim = None
-    for diagonal in itertools.chain([first], steps):
-        dim = diagonal.dim + off_diagonal.dim
-        if dim == prev_dim or dim <= 1:
-            break
-        prev_dim = dim
+    first = diagonal = _first_diagonal(w, spans, tol)
+    prev_dim, dim = None, first.dim + off_diagonal.dim
+    while dim != prev_dim and dim > 1:
+        spans = _advance_spans(w, spans, tol)
+        diagonal = diagonal.restrict(_diagonal_conditions(w, spans), tol)
+        prev_dim, dim = dim, diagonal.dim + off_diagonal.dim
     return OqrwDfaReport(algebra=_algebra(diagonal, off_diagonal),
                          off_diagonal=off_diagonal,
                          multiplicative_domain=_algebra(first, off_diagonal))

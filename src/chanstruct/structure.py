@@ -243,7 +243,7 @@ def invariant_states(c: ChannelSpec, s: Spectrum,
     resid = hs_norm(c.preadjoint_apply(rho) - rho)
     if resid > tol.check_tol:
         raise NoInvariantState(f"candidate not invariant, residual {resid:.3e}")
-    min_eig = float(np.linalg.eigvalsh(rho).min())
+    min_eig = float(w.min()) / tr
     return InvariantStateReport(rho_max=rho,
                                 faithful=min_eig > tol.eq_tol,
                                 min_eigenvalue=min_eig)

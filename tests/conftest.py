@@ -175,8 +175,8 @@ def dense_spectrum(T, tol=DEFAULT_TOL):
 
 
 def dense_gram_kernel(G, constraint, tol=DEFAULT_TOL):
-    """Oracle for ``numerics.gram_kernel``: the candidates from one eigh
-    of the whole Gram matrix."""
+    """Oracle for ``numerics.gram_candidates`` restricted by the exact
+    constraint: the candidates from one eigh of the whole Gram matrix."""
     w, V = np.linalg.eigh(G)
     candidates = V[:, w <= GRAM_CANDIDATE_CUTOFF * max(w[-1], 1.0)]
     return MatrixSubspace.from_columns(candidates, math.isqrt(len(G))) \

@@ -440,13 +440,13 @@ def test_verify_builds_the_walk_path_chain_once(tmp_path, capsys,
     f = tmp_path / "w.json"
     run(["example", "pauli", "--d", "3", "--output", str(f)], capsys)
     chains = []
-    build_chain = oqrw._diagonal_chain
+    first_cut = oqrw._first_diagonal
 
     def counted(*args):
         chains.append(args)
-        return build_chain(*args)
+        return first_cut(*args)
 
-    monkeypatch.setattr(oqrw, "_diagonal_chain", counted)
+    monkeypatch.setattr(oqrw, "_first_diagonal", counted)
     code, out = run(["verify", str(f)], capsys)
     assert code == EXIT_OK
     names = [e["name"] for e in json.loads(out)["checks"]]

@@ -15,7 +15,7 @@ from chanstruct.numerics import (
     commutator_norm,
     dagger,
     KERNEL_FOLD_ROWS,
-    gram_kernel,
+    gram_candidates,
     kernel_coefficients,
     kraus_transfer,
     lowrank_norm,
@@ -420,7 +420,7 @@ def test_split_kernels_match_the_dense_routes(sizes, seed):
 
     def constraint(B):
         return vec(B) @ C.T
-    kernel = gram_kernel(block_stacks(G), constraint)
+    kernel = gram_candidates(block_stacks(G)).restrict([constraint])
     reference = dense_gram_kernel(G, constraint)
     assert kernel.dim == reference.dim
     assert subspace_distance(kernel, reference) <= 1e-10

@@ -3,10 +3,10 @@ import json
 from tools import report_set
 
 
-def test_report_set_has_342_cases_and_runs_one(tmp_path):
+def test_report_set_has_344_cases_and_runs_one(tmp_path):
     cases = report_set.cases(report_set.write_inputs(tmp_path / "in"))
     stems = dict(cases)
-    assert len(cases) == len(stems) == 342
+    assert len(cases) == len(stems) == 344
     stem = "pauli-d3.analyze"
     assert report_set.run_case(stem, stems[stem], tmp_path) == 0
     assert (tmp_path / f"{stem}.exit").read_text() == "0\n"

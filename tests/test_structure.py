@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chanstruct import numerics
 from chanstruct.algebra import commutant, commutator_gram
 from chanstruct.channel import from_kraus
 from chanstruct.cli import analyze
 from chanstruct.numerics import (
     DEFAULT_TOL,
     GRAM_CANDIDATE_CUTOFF,
+    KERNEL_FOLD_ROWS,
     MatrixSubspace,
     dagger,
-    gram_kernel,
+    gram_candidates,
     hs_norm,
     random_unitary,
     spectral_norm,
@@ -32,7 +34,12 @@ from chanstruct.structure import (
     peripheral_subalgebra,
     spectrum,
 )
-from chanstruct.oqrw import builder_nn_cycle, builder_pauli_walk, to_channel
+from chanstruct.oqrw import (
+    builder_nn_cycle,
+    builder_pauli_walk,
+    oqrw_dfa,
+    to_channel,
+)
 from tests.conftest import (
     I2,
     X,
@@ -245,10 +252,14 @@ def test_kraus_word_basis_growth():
     assert len(kraus_word_basis(c, 2)) == 2        # I, XZ (up to phase)
 
 
-def _nn_cycle(n):
+def _nn_walk(n):
     L_minus = np.diag([np.sqrt(0.3), np.sqrt(0.7)])
     L_plus = np.array([[0, np.sqrt(0.3)], [np.sqrt(0.7), 0]])
-    return to_channel(builder_nn_cycle(n, L_plus, L_minus))
+    return builder_nn_cycle(n, L_plus, L_minus)
+
+
+def _nn_cycle(n):
+    return to_channel(_nn_walk(n))
 
 
 def test_gram_routes_match_word_oracle():
@@ -279,13 +290,14 @@ def test_commutator_gram_identity():
         V = [1.5 * v for v in c.kraus]
         for gens in ([a @ dagger(b) for a in V for b in V], V,
                      rng.standard_normal((2, c.dim, c.dim))):
-            G, constraint = commutator_gram(gens, c.dim)
-            G = dense_of_split(G)
+            G = dense_of_split(commutator_gram(gens, c.dim))
             A = rng.standard_normal((5, c.dim, c.dim)) \
                 + 1j * rng.standard_normal((5, c.dim, c.dim))
             quad = np.einsum("ki,ij,kj->k", A.transpose(0, 2, 1).reshape(
                 5, -1).conj(), G, A.transpose(0, 2, 1).reshape(5, -1))
-            norms = np.sum(np.abs(constraint(A).reshape(5, -1)) ** 2, axis=1)
+            W = np.concatenate([gens, dagger(np.asarray(gens))])
+            norms = sum(np.sum(np.abs(A @ w - w @ A) ** 2, axis=(1, 2))
+                        for w in W)
             assert np.allclose(quad, norms, rtol=1e-12, atol=1e-12), c.label
 
 
@@ -296,11 +308,33 @@ def test_gram_stage_two_decides():
     # them, the exact commutators drop them
     c = dephasing_mixture(1e-7)
     V = c.kraus
-    G, constraint = commutator_gram(
-        [V[j] @ dagger(V[k]) for j in range(2) for k in range(j, 2)], 2)
+    gens = [V[j] @ dagger(V[k]) for j in range(2) for k in range(j, 2)]
+    G = commutator_gram(gens, 2)
     lam = np.linalg.eigvalsh(dense_of_split(G))
     assert np.sum(lam <= GRAM_CANDIDATE_CUTOFF * max(lam[-1], 1)) == 4
-    assert gram_kernel(G, constraint).dim == multiplicative_domain(c).dim == 2
+    assert gram_candidates(G).dim == 4
+    assert commutant(gens, 2).dim == multiplicative_domain(c).dim == 2
+
+
+def test_commutant_restricts_one_fold_block_at_a_time(monkeypatch):
+    # the exact commutators of M's second stage reach the kernel fold a
+    # few generators at a time: no constraint block has more rows than a
+    # fold block or one commutator, whatever the number of generators
+    w = _nn_walk(24)
+    c, D = to_channel(w), w.total_dim
+    rows, fold = [], numerics.kernel_coefficients
+
+    def recorded(blocks, k, tol):
+        def seen():
+            for b in blocks:
+                rows.append(b.shape[0])
+                yield b
+        return fold(seen(), k, tol)
+
+    monkeypatch.setattr(numerics, "kernel_coefficients", recorded)
+    M = multiplicative_domain(c)
+    assert rows and max(rows) <= max(KERNEL_FOLD_ROWS, D * D)
+    assert M.dim == oqrw_dfa(w).multiplicative_domain.dim
 
 
 def test_m_and_n_of_a_kraus_list_off_unitality():

@@ -7,16 +7,17 @@ Usage::
 For each input and each of the two commands, writes ``<stem>.json`` (the
 report, when the command wrote one) and ``<stem>.exit`` (its exit code)
 into OUT_DIR, the layout `tools/compare_reports.py` reads; the inputs
-themselves go to OUT_DIR/in.  The stem is ``<input>.<command>``.  The 171
-inputs, 342 cases:
+themselves go to OUT_DIR/in.  The stem is ``<input>.<command>``.  The 172
+inputs, 344 cases:
 
 * the 52-channel corpora of seeds 20240817, 27 and 1, built by
   `perfbench/inputs.py` (``s<seed>-cNN``);
 * the benchmark's two D=16 walks, ``nn-cycle-8`` and ``pauli-walk-8``;
-* six `chanstruct example` models: the Pauli walk with d=3 and d=4, the
+* seven `chanstruct example` models: the Pauli walk with d=3 and d=4, the
   cyclic shift with d=4 and with d=3 on local dimension 3, and the
-  nearest-neighbour cycle with n=4 (special basis) and n=6 (generic
-  unitary steps);
+  nearest-neighbour cycle with n=4 and n=32 (special basis) and n=6
+  (generic unitary steps); at n=32 (D=64) one commutator fills a kernel
+  fold block, so each commutant restriction folds one operator at a time;
 * the dephasing mixture Phi = (1 - p) id + p Ad_Z with eps = 2p in
   {1e-3, 1e-5, 1e-7, 5e-8, 1e-9}, whose eigenvalue 1 - eps crosses the
   edge of the peripheral band (``dephasing-<eps>``), and amplitude
@@ -29,9 +30,10 @@ The commands run in-process through `chanstruct.cli.main`, imported from
 the `src/` next to this script.  Run as a script, it sets
 OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1 before
 numpy is imported, so the reports of two runs compare byte for byte
-whatever the caller's environment.  To compare two checkouts, run the script
-from each (copy it into the other checkout's `tools/` if it has none) and
-pass both output directories to `tools/compare_reports.py`.
+whatever the caller's environment.  To compare two checkouts, copy this
+script into the other checkout's `tools/`, so that both run one case list,
+run it from each, and pass both output directories to
+`tools/compare_reports.py`.
 """
 
 from __future__ import annotations
@@ -69,6 +71,8 @@ EXAMPLES = {
                             "--preset", "special-basis"],
     "nn-cycle-n6-generic": ["nn-cycle", "--n", "6",
                             "--preset", "generic-unitary"],
+    "nn-cycle-n32-special": ["nn-cycle", "--n", "32",
+                             "--preset", "special-basis"],
 }
 DEPHASING_EPS = (1e-3, 1e-5, 1e-7, 5e-8, 1e-9)
 DAMPING_GAMMA = 0.3
