@@ -85,17 +85,22 @@ class ChannelSpec:
 
 def from_kraus(matrices, tol: Tolerances = DEFAULT_TOL,
                label: str = "") -> ChannelSpec:
-    """Validate a Kraus list into a ChannelSpec (unitality enforced)."""
-    mats = [np.asarray(M, dtype=complex) for M in matrices]
-    if not mats:
+    """Validate Kraus operators, a (K, D, D) array (kept as given when
+    complex) or a list of D x D matrices, into a ChannelSpec (unitality
+    enforced)."""
+    if not isinstance(matrices, np.ndarray):
+        matrices = list(matrices)
+        if len(shapes := {np.shape(M) for M in matrices}) > 1:
+            raise DimensionMismatch(f"Kraus shapes differ: {shapes}")
+    V = np.asarray(matrices, dtype=complex)
+    if not len(V):
         raise ValueError("Kraus list must be nonempty")
-    D = mats[0].shape[0]
-    for M in mats:
-        if M.shape != (D, D):
-            raise DimensionMismatch(f"Kraus shapes differ: {M.shape} vs {(D, D)}")
-        if not np.all(np.isfinite(M)):
-            raise ValueError("Kraus operator has non-finite entries")
-    c = ChannelSpec(D, np.stack(mats), label=label)
+    if V.ndim != 3 or V.shape[1] != V.shape[2]:
+        raise DimensionMismatch(
+            f"Kraus operators of shape {V.shape[1:]} are not D x D")
+    if not np.all(np.isfinite(V)):
+        raise ValueError("Kraus operator has non-finite entries")
+    c = ChannelSpec(V.shape[1], V, label=label)
     defect = c.unitality_defect
     if defect > tol.eq_tol:
         raise NotUnital(f"sum V*V deviates from I by {defect:.3e}")

@@ -214,12 +214,16 @@ class Analysis:
 
     @cached_property
     def peripheral(self):
-        return peripheral_subalgebra(self.c, self.inv, self.spectrum,
-                                     tol=self.tol)
+        return peripheral_subalgebra(self.c, self.N, self.e_n, tol=self.tol)
 
     @cached_property
     def l2(self):
         return L2Structure.from_state(self.inv.rho_max, tol=self.tol)
+
+    @cached_property
+    def e_n(self):
+        """Factors of E_N, the rho-orthogonal projection onto N."""
+        return self.l2.projection(self.N.basis_matrix())
 
     @cached_property
     def weighted(self):
@@ -251,13 +255,6 @@ def _expectation_checks(name: str, factors, c: ChannelSpec):
     yield f"{name}-cp", max(0.0, -_choi_min_eig(X, Y, D))
 
 
-def _distance_to_rho_projection(factors, l2: L2Structure, sub) -> float:
-    """||E - P|| for E = X Y* and P the rho-orthogonal projection onto the
-    matrix subspace ``sub``."""
-    (X, Y), (B, W) = factors, l2.projection(sub.basis_matrix())
-    return lowrank_norm(np.hstack([X, -B]), np.hstack([Y, W]))
-
-
 def build_ledger(analysis: Analysis) -> list:
     """Property checks with residuals; each entry carries its tolerance."""
     c, w, tol = analysis.c, analysis.w, analysis.tol
@@ -279,12 +276,17 @@ def build_ledger(analysis: Analysis) -> list:
     inv, N = analysis.inv, analysis.N
     if inv.faithful:
         p, s = analysis.peripheral, analysis.spectrum
+        # N is the reversible part when T has dim N eigenvalues in the
+        # peripheral band and N spans eigenmatrices of T
+        reversible = np.count_nonzero(
+            np.abs(s.eigenvalues) > 1.0 - tol.peripheral_band)
         add("dfa-equals-peripheral-span",
-            subspace_distance(N, s.reversible), tol.check_tol)
+            p.eigenpair_residual if reversible == N.dim else 1.0,
+            tol.check_tol)
         kraus_commutant = fixed_points_commutant(c, inv, analysis.M, tol)
         add("fixed-points-kraus-commutant",
             subspace_distance(kraus_commutant, F.subspace), tol.check_tol)
-        for item in _expectation_checks("e-n", s.e_n_factors, c):
+        for item in _expectation_checks("e-n", analysis.e_n, c):
             add(*item, tol.derived_tol)
         add("e-n-commutes", p.commutation_defect, tol.derived_tol)
         for item in _expectation_checks("e-f", s.e_f_factors, c):
@@ -294,14 +296,12 @@ def build_ledger(analysis: Analysis) -> list:
             tol.derived_tol)
         # a faithful invariant rho admits one rho-preserving expectation
         # onto each algebra, the rho-orthogonal projection (Takesaki), so
-        # the spectral E_F and E_N must equal the projections onto the
-        # algebraic F and N
+        # the spectral E_F must equal the projection onto the algebraic F
         l2 = analysis.l2
-        add("e-f-vs-rho",
-            _distance_to_rho_projection(s.e_f_factors, l2, kraus_commutant),
+        (X, Y), (B, W) = s.e_f_factors, l2.projection(
+            kraus_commutant.basis_matrix())
+        add("e-f-vs-rho", lowrank_norm(np.hstack([X, -B]), np.hstack([Y, W])),
             tol.check_tol)
-        add("e-n-vs-rho",
-            _distance_to_rho_projection(s.e_n_factors, l2, N), tol.check_tol)
         add("l2-contraction",
             max(0.0, l2.map_norm(analysis.weighted) - 1.0), tol.eq_tol)
         iso_res = max((abs(l2.norm(c.apply(b)) - l2.norm(b))
@@ -384,8 +384,7 @@ def analyze(c: ChannelSpec, w: OqrwSpec | None, tol: Tolerances) -> dict:
         "multiplicative_domain": M.dim,
         "dfa": N.dim,
         "dfa_center": analysis.N_structure.n_blocks,
-        "stable": (analysis.spectrum.stable_dim if inv.faithful
-                   else "undetermined"),
+        "stable": c.dim ** 2 - N.dim if inv.faithful else "undetermined",
     }
     if inv.faithful:
         report["irreducible"] = F.dim == 1
@@ -397,7 +396,7 @@ def analyze(c: ChannelSpec, w: OqrwSpec | None, tol: Tolerances) -> dict:
                                        analysis.N_structure, inv.rho_max,
                                        tol=tol)]
         gap = decoherence_gap(analysis.weighted, analysis.spectrum,
-                              analysis.l2, tol=tol)
+                              analysis.l2, analysis.e_n, tol=tol)
         report["gap"] = {
             "finite_horizon": _num(gap.finite_horizon),
             "asymptotic": _num(gap.asymptotic),

@@ -29,7 +29,8 @@ Conventions pinned here and used by every other module:
   transfer matrix (T, its rho-weighted form) is the split of its Kraus
   pair (:func:`kraus_transfer`), and a difference of channels has the
   HS norm of thin factors (:func:`transfer_distance`).  The Schur form
-  and Sylvester solve (:func:`sorted_schur`), Gram eigh, 2-norm and
+  and Sylvester solve (:func:`sorted_schur`: the spectral projector onto
+  the eigenvalues it picks, and every eigenvalue), Gram eigh, 2-norm and
   products (:func:`block_apply`) run block by block.
 * An operator of low rank is kept as factors E = X Y* and its residuals
   are written as factors too: X (Y* X - I) Y* for idempotency,
@@ -72,8 +73,9 @@ class Tolerances:
                                  singular values); state eigenvalue floor
     eq_tol           eq_tol      equalities (relative spectral norm);
                                  ledger: the L2 contraction and isometry
-    peripheral_band  10 eq_tol   |lam| > 1 - band is peripheral, and
-                                 |lam - 1| <= band is the eigenvalue 1
+    peripheral_band  10 eq_tol   |lam| > 1 - band and |lam - 1| <= band
+                                 is the eigenvalue 1; the ledger counts
+                                 |lam| > 1 - band against dim N
     derived_tol      10 eq_tol   cluster gaps, projector rounding, product
                                  closure of F; ledger: the expectations,
                                  the walk oracles
@@ -444,25 +446,29 @@ def subspace_distance(S1: MatrixSubspace, S2: MatrixSubspace) -> float:
 
 
 def sorted_schur(blocks, select):
-    """(Z1, L, A11, rest) of a matrix M given by its split: each block is
+    """(Z1, L, picked, rest) of a matrix M given by its split: each block is
     B = Z A Z* in complex Schur form with the k_b eigenvalues that
     ``select(lam) -> bool`` picks first, and L_b = [I R] Z*, R solving
     A11 R - R A22 = A12 (one ``ztrsyl``).  Z1 (n x k) holds the first k_b
     Schur vectors of each block and L (k x n) its L_b: Z1 L is the spectral
-    projector onto the picked eigenvalues along the others.  A11 is the
-    split of Z1* M Z1, rest the other eigenvalues."""
+    projector onto the picked eigenvalues along the others.  ``picked``
+    holds those eigenvalues in the order of Z1's columns, ``rest`` the
+    others."""
     n = sum(idx.size for idx, _ in blocks)
-    parts, rest = [], []                      # (rows, Z_1, A_11, L) stacks
+    parts, picked, rest = [], [], []          # (rows, Z_1, L) stacks
     for idx, S in blocks:
         if idx.shape[1] == 1:
-            pick = np.array([bool(select(x)) for x in S[:, 0, 0]], dtype=bool)
-            rest.append(S[~pick, 0, 0])
-            parts.append((idx[pick], np.ones((pick.sum(), 1, 1)), S[pick],
-                          np.ones((pick.sum(), 1, 1))))
+            lam = S[:, 0, 0]
+            pick = np.array([bool(select(x)) for x in lam], dtype=bool)
+            picked.append(lam[pick])
+            rest.append(lam[~pick])
+            one = np.ones((pick.sum(), 1, 1))
+            parts.append((idx[pick], one, one))
             continue
         for rows, B in zip(idx, S):
             A, Z, k = scipy.linalg.schur(B, output="complex",
                                          sort=lambda x: bool(select(x)))
+            picked.append(np.diag(A)[:k])
             rest.append(np.diag(A)[k:])
             R = np.zeros((k, len(A) - k), dtype=complex)
             if 0 < k < len(A):
@@ -472,20 +478,19 @@ def sorted_schur(blocks, select):
                     raise np.linalg.LinAlgError(
                         f"Illegal value in the {-info} term")
                 R = X / scale
-            parts.append((rows[None], Z[None, :, :k], A[None, :k, :k],
+            parts.append((rows[None], Z[None, :, :k],
                           (np.hstack([np.eye(k), R]) @ dagger(Z))[None]))
-    k = sum(Z.shape[0] * Z.shape[2] for _, Z, _, _ in parts)
+    k = sum(Z.shape[0] * Z.shape[2] for _, Z, _ in parts)
     Z1, L = np.zeros((n, k), dtype=complex), np.zeros((k, n), dtype=complex)
-    a11, first = [], 0
-    for rows, Z, A, Lb in parts:
+    first = 0
+    for rows, Z, Lb in parts:
         m, _, kb = Z.shape
         cols = first + np.arange(m * kb).reshape(m, kb)
         first += cols.size
         Z1[rows[:, :, None], cols[:, None, :]] = Z
         L[cols[:, :, None], rows[:, None, :]] = Lb
-        if cols.size:
-            a11.append((cols, A))
-    return Z1, L, a11, np.concatenate(rest + [np.zeros(0)])
+    return (Z1, L, *(np.concatenate(x + [np.zeros(0)])
+                     for x in (picked, rest)))
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -137,13 +137,11 @@ def _is_homogeneous(vertices, local_dims, ops, tol: Tolerances) -> bool:
 
 def to_channel(w: OqrwSpec, tol: Tolerances = DEFAULT_TOL) -> ChannelSpec:
     """Flatten the walk to a channel on the direct sum of the h_i."""
-    D = w.total_dim
-    off = w.offsets
-    kraus = []
-    for (i, j), L in sorted(w.transitions.items()):
-        V = np.zeros((D, D), dtype=complex)
+    D, off = w.total_dim, w.offsets
+    steps = sorted(w.transitions.items())
+    kraus = np.zeros((len(steps), D, D), dtype=complex)
+    for V, ((i, j), L) in zip(kraus, steps):
         V[off[i]:off[i + 1], off[j]:off[j + 1]] = L
-        kraus.append(V)
     return from_kraus(kraus, tol=tol, label=w.label or "oqrw")
 
 

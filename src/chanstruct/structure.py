@@ -4,10 +4,12 @@ Fixed points F, multiplicative domain M, decoherence-free algebra N,
 reversible/stable splitting, conditional expectations onto F and N,
 invariant states and the decoherence spectral gap.
 
-The spectral stages read the sorted Schur forms of the blocks of the
-transfer matrix T (:func:`spectrum`), and one rule decides all of them: an
-eigenvalue is peripheral when |lam| > 1 - peripheral_band, and among those
-it is 1 when |lam - 1| <= peripheral_band.
+One sorted Schur form of the blocks of the transfer matrix T decides the
+eigenvalue 1, |lam| > 1 - peripheral_band and |lam - 1| <= peripheral_band
+(:func:`spectrum`), for E_F, F and rho_max.  The rest is read off N: under
+a faithful invariant state rho, N spans the peripheral eigenmatrices, E_N
+is the rho-orthogonal projection onto it, and Phi acts on N as a
+*-automorphism with the peripheral eigenvalues (Wolf 2012, ch. 6).
 """
 
 from __future__ import annotations
@@ -51,31 +53,13 @@ class NoInvariantState(RuntimeError):
 @dataclass(frozen=True)
 class Spectrum:
     """What the stages read off the sorted Schur form T = Z A Z* (see
-    :func:`spectrum`): the peripheral block A_11 and its Schur vectors Z_1,
-    whose span is the reversible part, the number and largest modulus of
-    the other eigenvalues, E_N and E_F as factor pairs (X, Y) with
-    E = X Y* of rank at most dim N, and F = range(E_F)."""
+    :func:`spectrum`): every eigenvalue of T, the spectral projector E_F
+    onto the eigenvalue 1 as its factor pair (X, Y) with E_F = X Y*, and
+    F = range(E_F)."""
 
-    a11: np.ndarray
-    z1: np.ndarray
-    stable_dim: int
-    stable_radius: float
-    e_n_factors: tuple
+    eigenvalues: np.ndarray
     e_f_factors: tuple
     fixed: MatrixSubspace
-
-    @property
-    def peripheral(self) -> int:
-        return len(self.a11)
-
-    @property
-    def dim(self) -> int:
-        return math.isqrt(len(self.z1))
-
-    @property
-    def reversible(self) -> MatrixSubspace:
-        """The span of the peripheral eigenmatrices, range(E_N)."""
-        return MatrixSubspace.from_columns(self.z1, self.dim)
 
 
 @dataclass(frozen=True)
@@ -109,10 +93,12 @@ class InvariantStateReport:
 
 @dataclass(frozen=True)
 class PeripheralData:
-    """Peripheral eigenvalues and the commutation defect ||E_N T - T E_N||
+    """Peripheral eigenvalues, the largest relative residual of their
+    eigenmatrices against T, and the commutation defect ||E_N T - T E_N||
     of the expectation onto N."""
 
     eigenvalues: tuple
+    eigenpair_residual: float
     commutation_defect: float
 
 
@@ -194,24 +180,20 @@ class GapReport:
 
 def spectrum(T, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
     """Spectral data of a unital CP map from the split of its transfer
-    matrix T, sorted Schur form and Sylvester solve block by block
-    (:func:`sorted_schur`): T Z_1 = Z_1 A_11 with the k peripheral
-    eigenvalues (|lam| > 1 - band), and E_N = Z_1 L; with P_11 = Y_f L_11
-    the spectral projector of A_11 at |lam - 1| <= band, E_F = (Z_1 Y_f)
-    (L_11 L) = E_F E_N.  Both are kept as their rank-k factors.
-    F = range(E_F), with the orthonormal basis Z_1 Y_f, and range(E_F*) is
-    the invariant-state space: the preadjoint's transfer matrix is the HS
-    adjoint of T.  The map is power-bounded, so every peripheral eigenvalue
-    is semisimple and F is the kernel of T - I."""
+    matrix T, one sorted Schur form and Sylvester solve per block
+    (:func:`sorted_schur`) that picks the eigenvalue 1: |lam| > 1 - band
+    and |lam - 1| <= band.  E_F = Z_f L, kept as its rank-f factors, is the
+    spectral projector onto it.  F = range(E_F), with the orthonormal
+    basis Z_f, and range(E_F*) is the invariant-state space: the
+    preadjoint's transfer matrix is the HS adjoint of T.  The map is
+    power-bounded, so every peripheral eigenvalue is semisimple and F is
+    the kernel of T - I."""
     band = tol.peripheral_band
-    Z1, L, a11, rest = sorted_schur(T, lambda lam: abs(lam) > 1.0 - band)
-    Yf, L11, _, _ = sorted_schur(a11, lambda lam: abs(lam - 1) <= band)
-    fixed, right_f = Z1 @ Yf, dagger(L11 @ L)
-    return Spectrum(
-        a11=block_apply(a11, np.eye(len(L))), z1=Z1, stable_dim=len(rest),
-        stable_radius=float(np.abs(rest).max(initial=0.0)),
-        e_n_factors=(Z1, dagger(L)), e_f_factors=(fixed, right_f),
-        fixed=MatrixSubspace.from_columns(fixed, math.isqrt(len(Z1))))
+    Zf, L, ones, rest = sorted_schur(
+        T, lambda lam: abs(lam) > 1.0 - band and abs(lam - 1) <= band)
+    return Spectrum(eigenvalues=np.concatenate([ones, rest]),
+                    e_f_factors=(Zf, dagger(L)),
+                    fixed=MatrixSubspace.from_columns(Zf, math.isqrt(len(Zf))))
 
 
 def fixed_points(s: Spectrum, tol: Tolerances = DEFAULT_TOL) -> FixedPointSpace:
@@ -297,51 +279,55 @@ def dfa(c: ChannelSpec, tol: Tolerances = DEFAULT_TOL,
     A A*).  So C_m = M(Phi) ∩ ... ∩ M(Phi^m) = {A : Phi^j(A) in M, j < m}:
     C_1 = M (``M``, computed if not given) and C_{m+1} = {A in C_m :
     Phi(A) in C_m}, one linear restriction per power and no Kraus words.
-    The chain stops when the dimension repeats (C_m is then Phi-invariant)
-    or is <= 1.  Every other step lowers a dimension that starts at most
-    D^2, so at most D^2 - 1 steps run.
+    I/sqrt(D) is the first basis element of every C_m, exactly: M is
+    rotated so, and only the part of C_m orthogonal to I is restricted,
+    since Phi(aI + A') = aI + Phi(A') lies in C_m iff Phi(A') does.  The
+    chain stops when the dimension repeats (C_m is then Phi-invariant) or
+    is 1.  Every other step lowers a dimension that starts at most D^2, so
+    at most D^2 - 1 steps run.
     """
-    current = M if M is not None else multiplicative_domain(c, tol)
-    while current.dim > 1:
-        prev = current.dim
-        current = current.restrict(
-            [lambda B, S=current: (X := c.apply(B)) - S.project(X)], tol)
-        if current.dim == prev:
-            break
-    return current
+    M = M if M is not None else multiplicative_domain(c, tol)
+    one = np.eye(c.dim)[None] / math.sqrt(c.dim)
+    rest = M.restrict([lambda B: np.trace(B, axis1=1, axis2=2)], tol)
+    prev = 0
+    while rest.dim not in (0, prev):
+        prev = rest.dim
+        S = MatrixSubspace(c.dim, np.concatenate([one, rest.basis]))
+        rest = rest.restrict([lambda B: (X := c.apply(B)) - S.project(X)], tol)
+    return MatrixSubspace(c.dim, np.concatenate([one, rest.basis]))
 
 
 # ---------------------------------------------------------------------------
 # Peripheral splitting
 # ---------------------------------------------------------------------------
 
-def peripheral_subalgebra(c: ChannelSpec, inv: InvariantStateReport,
-                          s: Spectrum,
+def peripheral_subalgebra(c: ChannelSpec, N: MatrixSubspace, e_n: tuple,
                           tol: Tolerances = DEFAULT_TOL) -> PeripheralData:
-    """Peripheral eigenvalues, read off the Schur block A_11, with each
-    eigenmatrix (Z_1 times an eigenvector of A_11) checked against T, and
-    the commutation of E_N with T."""
-    if not inv.faithful:
-        raise NoFaithfulInvariantState(
-            "peripheral splitting needs a faithful invariant state")
-    T = c.transfer_blocks
-    w, V = np.linalg.eig(s.a11)
+    """Peripheral eigenvalues, those of A_N = B* T B for the orthonormal
+    basis matrix B of N, on which Phi is a *-automorphism; each
+    eigenmatrix B v is checked against T, and E_N = X Y* with the factors
+    ``e_n`` (:meth:`L2Structure.projection` onto N, so a faithful
+    invariant state) for commuting with T."""
+    T, B = c.transfer_blocks, N.basis_matrix()
+    TB = block_apply(T, B)
+    w, V = np.linalg.eig(dagger(B) @ TB)
     sv = np.linalg.svd(V, compute_uv=False)
     if sv[-1] < tol.check_tol * sv[0]:
         raise PeripheralJordanBlock(
             f"peripheral eigenvector conditioning {sv[-1] / sv[0]:.3e}")
-    vs = s.z1 @ V
-    for lam, v, Tv in zip(w, vs.T, block_apply(T, vs).T):
-        X = unvec(v, c.dim)
-        resid = hs_norm(unvec(Tv, c.dim) - lam * X)
-        if resid > tol.check_tol * hs_norm(X):
-            raise PeripheralJordanBlock(
-                f"eigenpair residual {resid:.3e} at lambda={lam:.6f}")
-    comm_defect = commutator_norm(T, *s.e_n_factors)
+    vs = B @ V
+    resid = np.linalg.norm(TB @ V - vs * w, axis=0) \
+        / np.linalg.norm(vs, axis=0)
+    worst = int(np.argmax(resid))
+    if resid[worst] > tol.check_tol:
+        raise PeripheralJordanBlock(f"eigenpair residual {resid[worst]:.3e} "
+                                    f"at lambda={w[worst]:.6f}")
+    comm_defect = commutator_norm(T, *e_n)
     if comm_defect > tol.check_tol * max(1.0, blockwise_norm(T)):
         raise PeripheralJordanBlock(
             f"expectation fails to commute with the channel: {comm_defect:.3e}")
     return PeripheralData(eigenvalues=tuple(w),
+                          eigenpair_residual=float(resid[worst]),
                           commutation_defect=comm_defect)
 
 
@@ -349,14 +335,16 @@ def peripheral_subalgebra(c: ChannelSpec, inv: InvariantStateReport,
 # Decoherence spectral gap
 # ---------------------------------------------------------------------------
 
-def decoherence_gap(W, s: Spectrum, l2: L2Structure,
+def decoherence_gap(W, s: Spectrum, l2: L2Structure, e_n: tuple,
                     tol: Tolerances = DEFAULT_TOL) -> GapReport:
     """Finite-horizon and asymptotic decay rates of the stable part, from
     the split ``W`` of the channel's weighted transfer matrix
-    (:meth:`L2Structure.weighted_transfer`).
+    (:meth:`L2Structure.weighted_transfer`) and the factors ``e_n`` of E_N
+    (:meth:`L2Structure.projection` onto N).
 
-    asymptotic = -log(largest nonperipheral eigenvalue modulus), off the
-    Schur diagonal; with no stable part both rates are infinite.
+    asymptotic = -log(largest nonperipheral eigenvalue modulus): the
+    largest |lam| of T once the dim N of largest modulus are set aside;
+    with no stable part both rates are infinite.
     finite_horizon = -log a, a = the rho-L2 norm of T Q, Q = I - E_N.  Q is
     T's nonperipheral spectral projector, so in the weighted geometry
     S^n Q' = (S Q')^n (S = G T G^-1, Q' = G Q G^-1, G x = x rho^1/2) and
@@ -365,12 +353,14 @@ def decoherence_gap(W, s: Spectrum, l2: L2Structure,
     a within eq_tol of 1 counts as 1 (rate 0), so rounding neither makes the
     rate negative nor claims a uniform bound.
     """
-    r = s.stable_radius
+    moduli = np.sort(np.abs(s.eigenvalues))
+    stable = len(moduli) - e_n[0].shape[1]
+    r = float(moduli[:stable].max(initial=0.0))
     asymptotic = math.inf if r <= tol.rank_tol else -math.log(r)
-    if s.stable_dim == 0:
+    if stable == 0:
         return GapReport(finite_horizon=math.inf, asymptotic=asymptotic,
                          horizon=0, uniform_bound=True)
-    nrm = l2.map_norm(W, s.e_n_factors)
+    nrm = l2.map_norm(W, e_n)
     if nrm <= tol.rank_tol:
         finite = math.inf
     elif abs(nrm - 1.0) <= tol.eq_tol:

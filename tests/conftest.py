@@ -14,6 +14,7 @@ from chanstruct.algebra import (
     restrict_to_commutant,
 )
 from chanstruct.channel import ChannelSpec
+from chanstruct.cli import Analysis
 from chanstruct.cycles import CenterMismatch, IsomorphismSolveFailed
 from chanstruct.numerics import (
     DEFAULT_TOL,
@@ -71,17 +72,23 @@ def generated_algebra(gens, dim=None,
 
 def dense(factors):
     """The matrix X Y* of an operator kept as its factors (X, Y), such as
-    ``Spectrum.e_n_factors`` and ``Spectrum.e_f_factors``."""
+    ``Analysis.e_n`` and ``Spectrum.e_f_factors``."""
     X, Y = factors
     return X @ dagger(Y)
 
 
-def apply_expectation(s, X):
-    """E_N(X) of the spectrum ``s``, of one matrix or of each in a stack,
-    from its factors ``Spectrum.e_n_factors``."""
-    Xf, Yf = s.e_n_factors
-    v = vec(np.asarray(X, dtype=complex))
-    return unvec((v @ Yf.conj()) @ Xf.T, s.dim)
+def analysis(c, tol=DEFAULT_TOL):
+    """The shared stages of the channel ``c`` (``cli.Analysis``), each
+    computed on first use."""
+    return Analysis(c, None, tol)
+
+
+def apply_expectation(factors, X):
+    """E(X) of one matrix or of each in a stack, for E = X_f Y_f* kept as
+    its factors (X_f, Y_f), such as ``Analysis.e_n``."""
+    Xf, Yf = factors
+    X = np.asarray(X, dtype=complex)
+    return unvec((vec(X) @ Yf.conj()) @ Xf.T, X.shape[-1])
 
 
 def extract_block_states(apply_fn, structure):
@@ -162,9 +169,10 @@ def dense_sorted_schur(M, select):
 
 
 def dense_spectrum(T, tol=DEFAULT_TOL):
-    """Oracle for ``structure.spectrum``: (E_N, E_F, stable_dim,
-    stable_radius) from one Schur form of the whole transfer matrix T and
-    one of its peripheral block."""
+    """Oracle for the spectral stages (``structure.spectrum``, E_N, the
+    stable part): (E_N, E_F, stable_dim, stable_radius) from one Schur form
+    of the whole transfer matrix T, sorted by |lam| > 1 - band, and one of
+    its peripheral block, sorted by |lam - 1| <= band."""
     band = tol.peripheral_band
     A, Z, k, L = dense_sorted_schur(T, lambda lam: abs(lam) > 1.0 - band)
     _, Y, f, L11 = dense_sorted_schur(A[:k, :k],
@@ -457,13 +465,12 @@ def expectation_onto(alg, states, tol=DEFAULT_TOL, structure=None):
                                   block_states=tuple(states))
 
 
-def expectation_onto_dfa(c, s, tol=DEFAULT_TOL):
-    """The peripheral spectral projection of the spectrum ``s`` packaged as
-    a conditional expectation with atomic-structure data for its range
-    N."""
-    N = s.reversible
-    structure = atomic_structure(N, tol=tol)
-    e_n = functools.partial(apply_expectation, s)
+def expectation_onto_dfa(c, tol=DEFAULT_TOL):
+    """E_N of the shared analysis of ``c`` (``Analysis.e_n``) packaged as a
+    conditional expectation with atomic-structure data for its range N."""
+    a = analysis(c, tol)
+    N, structure = a.N, a.N_structure
+    e_n = functools.partial(apply_expectation, a.e_n)
     states = extract_block_states(e_n, structure)
     return ConditionalExpectation(transfer=transfer_of(e_n, c.dim),
                                   range_algebra=N,
@@ -508,18 +515,20 @@ def _root_of_unity_check(eigenvalues, d, tol):
         used[hits[0]] = True
 
 
-def peripheral_eigenpairs(s, dim):
-    """The peripheral eigenvalues of T and their eigenmatrices, Z_1 times
-    the eigenvectors of the Schur block A_11 of ``s``
-    (:func:`structure.spectrum`), in the order of
-    ``PeripheralData.eigenvalues``."""
-    w, V = np.linalg.eig(s.a11)
-    return w, [unvec(v, dim) for v in (s.z1 @ V).T]
+def peripheral_eigenpairs(c, tol=DEFAULT_TOL):
+    """Oracle for ``structure.peripheral_subalgebra``: the peripheral
+    eigenvalues of T and their eigenmatrices, Z_1 times the eigenvectors
+    of the Schur block A_11 at |lam| > 1 - band of the whole dense T."""
+    A, Z, k, _ = dense_sorted_schur(
+        kron_transfer(c), lambda lam: abs(lam) > 1.0 - tol.peripheral_band)
+    w, V = np.linalg.eig(A[:k, :k])
+    return w, [unvec(v, c.dim) for v in (Z[:, :k] @ V).T]
 
 
-def period_irreducible(c, s, tol=DEFAULT_TOL):
+def period_irreducible(c, tol=DEFAULT_TOL):
     """Oracle for the period and cyclic projections of an irreducible
-    channel, from the peripheral eigenpairs of its spectrum ``s`` alone.
+    channel, from its peripheral eigenpairs alone
+    (:func:`peripheral_eigenpairs`).
 
     The period is the number of peripheral eigenvalues, which must form
     the full group of d-th roots of unity, each simple.  The cycle
@@ -527,7 +536,7 @@ def period_irreducible(c, s, tol=DEFAULT_TOL):
     rotated so that 1 lies in its spectrum; its spectral projections are
     the cyclic projections.
     """
-    eigenvalues, eigenmatrices = peripheral_eigenpairs(s, c.dim)
+    eigenvalues, eigenmatrices = peripheral_eigenpairs(c, tol)
     d = len(eigenvalues)
     _root_of_unity_check(eigenvalues, d, tol)
     D = c.dim
@@ -620,7 +629,8 @@ def verify_power_fixed_points(c, report, m_max, tol=DEFAULT_TOL):
         sq = spectrum(block_stacks(restricted_power_transfer(c, Q, d, tol)),
                       tol)
         irreducible_flags.append(sq.fixed.dim == 1)
-        aperiodic_flags.append(sq.peripheral == 1)
+        aperiodic_flags.append(np.count_nonzero(
+            np.abs(sq.eigenvalues) > 1.0 - tol.peripheral_band) == 1)
     return PowerFixedPointTable(rows=tuple(rows),
                                 f_period_matches_dfa=dist <= 10 * tol.eq_tol,
                                 f_period_distance=dist,

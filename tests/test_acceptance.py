@@ -16,6 +16,7 @@ from chanstruct.algebra import atomic_structure, center, commutant
 from chanstruct.channel import from_kraus
 from chanstruct.cycles import fixed_multiblock, mfnc_decompose
 from chanstruct.numerics import (
+    MatrixSubspace,
     dagger,
     hs_norm,
     random_unitary,
@@ -40,11 +41,11 @@ from chanstruct.structure import (
     fixed_points,
     invariant_states,
     multiplicative_domain,
-    peripheral_subalgebra,
     spectrum,
     L2Structure,
 )
 from tests.conftest import (
+    analysis,
     apply_expectation,
     cesaro_expectation,
     component_embedding,
@@ -56,6 +57,7 @@ from tests.conftest import (
     kron_transfer,
     l2_inner,
     period_irreducible,
+    peripheral_eigenpairs,
     structured_kraus,
     verify_power_fixed_points,
 )
@@ -167,16 +169,15 @@ def corpus():
 
 @pytest.fixture(scope="module")
 def corpus_analysis(corpus):
-    """Per-channel invariant state, decoherence-free algebra, peripheral
-    decomposition, plus the wall time the whole pass took."""
+    """Per-channel spectrum, invariant state, decoherence-free algebra and
+    E_N, the peripheral decomposition checked on the way, plus the wall
+    time the whole pass took."""
     t0 = time.perf_counter()
     rows = []
     for c in corpus:
-        s = spectrum(c.transfer_blocks)
-        inv = invariant_states(c, s)
-        N = dfa(c)
-        p = peripheral_subalgebra(c, inv, s)
-        rows.append((c, s, inv, N, p))
+        a = analysis(c)
+        a.peripheral
+        rows.append((c, a.spectrum, a.inv, a.N, a.e_n))
     return rows, time.perf_counter() - t0
 
 
@@ -191,19 +192,20 @@ def test_acceptance_1_pauli_walk_d3(capsys):
 
     d = 3
     c = to_channel(builder_pauli_walk(d, 0.5))
-    s = spectrum(c.transfer_blocks)
+    a = analysis(c)
+    s = a.spectrum
     F = fixed_points(s)
     check(F.dim == 1, f"dim F = {F.dim}, expected 1")
     inv = invariant_states(c, s)
     check(inv.faithful, "invariant state not faithful")
-    p = peripheral_subalgebra(c, inv, s)
+    p = a.peripheral
     roots = np.exp(2j * np.pi * np.arange(d) / d)
     check(len(p.eigenvalues) == d,
           f"{len(p.eigenvalues)} peripheral eigenvalues, expected {d}")
     for r in roots:
         hits = [lam for lam in p.eigenvalues if abs(lam - r) <= 1e-7]
         check(len(hits) == 1, f"root {r:.4f} not simple: {len(hits)} matches")
-    rep = period_irreducible(c, s)
+    rep = period_irreducible(c)
     check(rep.period == d, f"period {rep.period}, expected {d}")
     _check_cycle_against_oracle(check, "pauli d=3", c, s, rep)
     N = dfa(c)
@@ -427,9 +429,10 @@ def test_acceptance_3_dfa_equals_peripheral_span(capsys, corpus_analysis):
     check = _checker(failures)
     rows, elapsed = corpus_analysis
     check(len(rows) >= 50, f"corpus has only {len(rows)} channels")
-    for i, (c, s, inv, N, p) in enumerate(rows):
+    for i, (c, s, inv, N, e_n) in enumerate(rows):
         check(inv.faithful, f"channel {i} ({c.label}): not faithful")
-        dist = subspace_distance(N, s.reversible)
+        dist = subspace_distance(N, MatrixSubspace.from_span(
+            peripheral_eigenpairs(c)[1]))
         check(dist <= 1e-6,
               f"channel {i} ({c.label}): dfa vs peripheral span {dist:.2e}")
     check(elapsed < 60.0, f"corpus analysis took {elapsed:.1f}s")
@@ -445,8 +448,8 @@ def test_acceptance_4_conditional_expectations(capsys, corpus_analysis):
     failures = []
     check = _checker(failures)
     rows, _ = corpus_analysis
-    for i, (c, s, inv, N, p) in enumerate(rows):
-        E_F, E_N = dense(s.e_f_factors), dense(s.e_n_factors)
+    for i, (c, s, inv, N, e_n) in enumerate(rows):
+        E_F, E_N = dense(s.e_f_factors), dense(e_n)
         T = kron_transfer(c)
         discrepancy = spectral_norm(cesaro_expectation(T) - E_F)
         check(discrepancy <= 1e-6,
@@ -482,8 +485,8 @@ def test_acceptance_5_power_fixed_points(capsys):
 
     for label, c, d in cases:
         s = spectrum(c.transfer_blocks)
-        peripheral_subalgebra(c, invariant_states(c, s), s)
-        rep = period_irreducible(c, s)
+        analysis(c).peripheral
+        rep = period_irreducible(c)
         check(rep.period == d, f"{label}: period {rep.period}, expected {d}")
         _check_cycle_against_oracle(check, label, c, s, rep)
         table = verify_power_fixed_points(c, rep, m_max=d + 1)
@@ -624,8 +627,8 @@ def test_acceptance_8_nn_cycle(capsys):
                for a in rep.algebra.basis for b in rep.algebra.basis)
     check(comm <= 1e-7, f"special: dfa not abelian ({comm:.2e})")
     s = spectrum(c.transfer_blocks)
-    peripheral_subalgebra(c, invariant_states(c, s), s)
-    cyc = period_irreducible(c, s)
+    analysis(c).peripheral
+    cyc = period_irreducible(c)
     check(cyc.period == 4, f"special: period {cyc.period}, expected 4")
     _check_cycle_against_oracle(check, "special", c, s, cyc)
 
@@ -647,8 +650,8 @@ def test_acceptance_8_nn_cycle(capsys):
     dist = subspace_distance(rep2.algebra, parity_span)
     check(dist <= 1e-7, f"generic: dfa vs parity span {dist:.2e}")
     s2 = spectrum(c2.transfer_blocks)
-    peripheral_subalgebra(c2, invariant_states(c2, s2), s2)
-    cyc2 = period_irreducible(c2, s2)
+    analysis(c2).peripheral
+    cyc2 = period_irreducible(c2)
     check(cyc2.period == 2, f"generic: period {cyc2.period}, expected 2")
     _check_cycle_against_oracle(check, "generic", c2, s2, cyc2)
     _verdict(capsys, "8: nearest-neighbor 8-cycle regimes", failures)
@@ -663,7 +666,7 @@ def test_acceptance_9_l2_geometry(capsys, corpus_analysis):
     check = _checker(failures)
     rows, _ = corpus_analysis
     rng = np.random.default_rng(99)
-    for i, (c, s, inv, N, p) in enumerate(rows):
+    for i, (c, s, inv, N, e_n) in enumerate(rows):
         D = c.dim
         l2 = L2Structure.from_state(inv.rho_max)
         nrm = l2.map_norm(l2.weighted_transfer(c.kraus))
@@ -675,8 +678,8 @@ def test_acceptance_9_l2_geometry(capsys, corpus_analysis):
         for _ in range(3):
             x = rng.normal(size=(D, D)) + 1j * rng.normal(size=(D, D))
             y = rng.normal(size=(D, D)) + 1j * rng.normal(size=(D, D))
-            ex = apply_expectation(s, x)
-            perp = y - apply_expectation(s, y)
+            ex = apply_expectation(e_n, x)
+            perp = y - apply_expectation(e_n, y)
             if l2.norm(ex) < 1e-9 or l2.norm(perp) < 1e-9:
                 continue
             ex = ex / l2.norm(ex)
@@ -685,7 +688,7 @@ def test_acceptance_9_l2_geometry(capsys, corpus_analysis):
             check(ov <= 1e-8, f"channel {i}: overlap {ov:.2e}")
             ov2 = abs(l2_inner(l2, c.apply(ex), c.apply(perp)))
             check(ov2 <= 1e-8, f"channel {i}: overlap after step {ov2:.2e}")
-        gap = decoherence_gap(l2.weighted_transfer(c.kraus), s, l2)
+        gap = decoherence_gap(l2.weighted_transfer(c.kraus), s, l2, e_n)
         T = kron_transfer(c)
         lam = np.linalg.eigvals(T)
         inner_radius = np.abs(lam)[np.abs(lam) <= 1 - TOL.peripheral_band]
@@ -701,7 +704,7 @@ def test_acceptance_9_l2_geometry(capsys, corpus_analysis):
         check(0 <= rate <= gap.asymptotic + 1e-12,
               f"channel {i}: finite-horizon rate {rate} outside "
               f"[0, {gap.asymptotic}]")
-        Q = np.eye(D * D) - dense(s.e_n_factors)
+        Q = np.eye(D * D) - dense(e_n)
         power = np.eye(D * D)
         for n in range(1, 11):
             power = T @ power

@@ -180,8 +180,8 @@ def test_choi_min_eig_of_factors_matches_the_dense_choi_matrix():
     pairs = []
     for c in (to_channel(oqrw.builder_nn_cycle(8, lp, lm)),
               to_channel(oqrw.builder_pauli_walk(8, 0.5))):
-        s = spectrum(c.transfer_blocks)
-        pairs += [(s.e_n_factors, c.dim), (s.e_f_factors, c.dim)]
+        a = Analysis(c, None, Tolerances())
+        pairs += [(a.e_n, c.dim), (a.spectrum.e_f_factors, c.dim)]
     rng = np.random.default_rng(11)
     XY = rng.standard_normal((2, 16, 3)) + 1j * rng.standard_normal((2, 16, 3))
     pairs.append((tuple(XY / np.linalg.norm(XY, axis=(1, 2))[:, None, None]),
@@ -279,19 +279,56 @@ def test_dfa_center_is_the_block_count_of_n(tmp_path, capsys):
 def test_one_band_rule_for_every_spectral_stage(eps, tmp_path, capsys):
     # Phi = (1 - p) id + p Ad_Z has the eigenvalue 1 - eps twice, at the
     # edge of the peripheral band for eps near 1e-7; F, the invariant
-    # states, E_F and E_N must still agree on which eigenvalues are 1
+    # states and E_F must still agree on which eigenvalues are 1, and the
+    # stable part is what N leaves
     c = dephasing_mixture(eps)
     s = spectrum(c.transfer_blocks)
     rank_f = np.linalg.matrix_rank(dense(s.e_f_factors))
     assert fixed_points(s).dim == rank_f
-    assert rank_f <= np.linalg.matrix_rank(dense(s.e_n_factors))
     code, out = run(["analyze", write_channel(tmp_path / "c.json",
                                               list(c.kraus))], capsys)
     assert code == EXIT_OK
     report = json.loads(out)
     assert report["dims"]["fixed_points"] == rank_f
     assert report["invariant_state"]["space_dim"] == rank_f
-    assert rank_f <= 4 - report["dims"]["stable"]
+    assert report["dims"]["stable"] == 4 - report["dims"]["dfa"]
+
+
+def test_dephasing_inside_the_band_reads_its_rate_off_n(tmp_path, capsys):
+    # at eps = 5e-8 the eigenvalue 1 - eps lies inside the peripheral band,
+    # but its eigenmatrices X and Y lie off N = the diagonal: the stable
+    # part is theirs, and its rate continues the eps = 1e-7 report
+    eps = 5e-8
+    code, out = run(["analyze", write_channel(
+        tmp_path / "c.json", list(dephasing_mixture(eps).kraus))], capsys)
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["dims"]["stable"] == 2
+    assert np.allclose(report["peripheral_eigenvalues"], [[1, 0], [1, 0]],
+                       rtol=0, atol=1e-12)
+    assert report["gap"]["asymptotic"] == pytest.approx(-np.log(1 - eps),
+                                                         rel=1e-6)
+
+
+def test_one_schur_form_per_analysis(tmp_path, capsys, monkeypatch):
+    # the spectrum decides only the eigenvalue 1; the peripheral part and
+    # the stable part come from N, so analyze and verify each take one
+    # sorted Schur pass
+    calls = []
+    schur = structure.sorted_schur
+
+    def counted(*args):
+        calls.append(args)
+        return schur(*args)
+    monkeypatch.setattr(structure, "sorted_schur", counted)
+    walk = tmp_path / "walk.json"
+    run(["example", "nn-cycle", "--n", "4", "--output", str(walk)], capsys)
+    for path in (str(walk), pauli_channel_file(tmp_path)):
+        for command in ("analyze", "verify"):
+            calls.clear()
+            code, _ = run([command, path], capsys)
+            assert code == EXIT_OK
+            assert len(calls) == 1, (command, path)
 
 
 def test_analyze_gap_rate_nonnegative(tmp_path, capsys):
@@ -349,7 +386,7 @@ def test_slowly_mixing_channels_pass_e_f_vs_rho(tmp_path, capsys):
         assert code == EXIT_OK
         entries = {e["name"]: e for e in json.loads(out)["verification"]}
         assert "cesaro-vs-spectral" not in entries
-        for name in ("e-f-vs-rho", "e-n-vs-rho"):
+        for name in ("e-f-vs-rho", "dfa-equals-peripheral-span"):
             assert entries[name]["passed"]
             assert entries[name]["residual"] < 1e-10
         code, _ = run(["verify", path], capsys)
@@ -365,22 +402,35 @@ def _add_rank_one(factors, size, dim):
     return np.hstack([X, size * u]), np.hstack([Y, v])
 
 
-@pytest.mark.parametrize("name", ["e-f", "e-n"])
-def test_corrupted_expectation_fails_its_rho_entry(name):
-    # E + 1e-5 u v* is 1e-5 from the rho-orthogonal projection: the
-    # matching -vs-rho entry fails at its 1e-6 bound, the other one passes
+def test_corrupted_e_f_fails_its_rho_entry():
+    # E_F + 1e-5 u v* is 1e-5 from the rho-orthogonal projection onto F:
+    # e-f-vs-rho fails at its 1e-6 bound, and the certificate of N, which
+    # does not read E_F, passes
     a = Analysis(build_corpus(20240817)[40], None, Tolerances())
     clean = {e["name"]: e for e in build_ledger(a)}
-    assert clean["e-f-vs-rho"]["passed"] and clean["e-n-vs-rho"]["passed"]
-    field = f"{name.replace('-', '_')}_factors"
-    a.spectrum = dataclasses.replace(a.spectrum, **{field: _add_rank_one(
-        getattr(a.spectrum, field), 1e-5, a.c.dim)})
+    assert clean["e-f-vs-rho"]["passed"]
+    a.spectrum = dataclasses.replace(a.spectrum, e_f_factors=_add_rank_one(
+        a.spectrum.e_f_factors, 1e-5, a.c.dim))
     entries = {e["name"]: e for e in build_ledger(a)}
-    assert not entries[f"{name}-vs-rho"]["passed"]
-    assert entries[f"{name}-vs-rho"]["residual"] == pytest.approx(1e-5,
-                                                                  rel=1e-3)
-    other = "e-n" if name == "e-f" else "e-f"
-    assert entries[f"{other}-vs-rho"]["passed"]
+    assert not entries["e-f-vs-rho"]["passed"]
+    assert entries["e-f-vs-rho"]["residual"] == pytest.approx(1e-5, rel=1e-3)
+    assert entries["dfa-equals-peripheral-span"]["passed"]
+
+
+def test_dropping_a_basis_element_of_n_fails_the_certificate():
+    # N without one of its elements has fewer dimensions than T has
+    # eigenvalues in the peripheral band: dfa-equals-peripheral-span fails
+    # at 1.0.  E_N is the rho-orthogonal projection onto N by definition,
+    # so no entry compares the two
+    a = Analysis(build_corpus(20240817)[40], None, Tolerances())
+    clean = {e["name"]: e for e in build_ledger(a)}
+    assert clean["dfa-equals-peripheral-span"]["residual"] < 1e-12
+    assert "e-n-vs-rho" not in clean
+    a = Analysis(a.c, None, Tolerances())
+    a.N = MatrixSubspace(a.c.dim, a.N.basis[:-1])
+    entry = {e["name"]: e for e in build_ledger(a)}[
+        "dfa-equals-peripheral-span"]
+    assert entry["residual"] == 1.0 and not entry["passed"]
 
 
 def test_ledger_reads_the_product_defect_of_f():
@@ -611,18 +661,23 @@ def test_out_of_memory_exits_3(tmp_path, capsys, monkeypatch):
     assert "(MemoryError)" in capsys.readouterr().err
 
 
-def test_n_without_identity_is_a_numerical_error(tmp_path, capsys):
-    # at --tol 1e-12 the dfa chain of this slowly mixing channel loses I,
-    # so N has dimension 0; analyze died in span_basis on the empty stack
+def test_n_keeps_the_identity_at_a_small_tol(tmp_path, capsys):
+    # at --tol 1e-12, M of this slowly mixing channel holds I only to
+    # 2.0e-13, above rank_tol; dfa adjoins I/sqrt(D) exactly, so N keeps
+    # it and the dims are those of the default --tol
     c = build_corpus(1)[12]
     assert c.label == "mixture-5-2"
     path = write_channel(tmp_path / "c12.json", list(c.kraus))
-    assert main(["analyze", path, "--tol=1e-12"]) == EXIT_NUMERICAL_ERROR
-    assert "(NotAlgebra)" in capsys.readouterr().err
+    dims = []
+    for tol in ([], ["--tol=1e-12"]):
+        code, out = run(["analyze", path, *tol], capsys)
+        assert code == EXIT_OK
+        dims.append(json.loads(out)["dims"])
+    assert dims[1] == dims[0] and dims[1]["dfa"] == 1
     code, out = run(["verify", path, "--tol=1e-12"], capsys)
-    assert code == EXIT_VERIFY_FAILED
+    assert code == EXIT_OK
     entries = {e["name"]: e for e in json.loads(out)["checks"]}
-    assert entries["dfa-equals-peripheral-span"]["residual"] == 1.0
+    assert entries["dfa-equals-peripheral-span"]["passed"]
 
 
 def test_analyze_builds_the_weighted_split_once(tmp_path, capsys,

@@ -32,7 +32,6 @@ from chanstruct.structure import (
     dfa,
     fixed_points,
     invariant_states,
-    peripheral_subalgebra,
     spectrum,
 )
 from tests.conftest import (
@@ -40,9 +39,11 @@ from tests.conftest import (
     Z,
     NotRootsOfUnity,
     NotSimple,
+    analysis,
     apply_expectation,
     component_embedding,
     cycle_composition,
+    dense_spectrum,
     extract_block_states,
     fixed_block_oracles,
     full_algebra,
@@ -86,10 +87,18 @@ def pauli_channel():
 
 
 def peripheral_of(c):
-    s = spectrum(c.transfer_blocks)
-    inv = invariant_states(c, s)
-    assert inv.faithful
-    return s, peripheral_subalgebra(c, inv, s)
+    """The shared analysis of ``c``, which has a faithful invariant state,
+    and its peripheral data."""
+    a = analysis(c)
+    assert a.inv.faithful
+    return a, a.peripheral
+
+
+def oracle_e_n(c):
+    """E_N of ``c`` from the dense Schur route (``dense_spectrum``), as
+    factors (E_N, I)."""
+    E_N = dense_spectrum(kron_transfer(c))[0]
+    return E_N, np.eye(len(E_N))
 
 
 def rho_of(c):
@@ -101,8 +110,8 @@ def rho_of(c):
 
 def test_period_classical_cycle():
     c = classical_cycle(4)
-    s, _ = peripheral_of(c)
-    rep = period_irreducible(c, s)
+    peripheral_of(c)
+    rep = period_irreducible(c)
     assert rep.period == 4
     Qs = rep.projections
     assert np.allclose(sum(Qs), np.eye(4), atol=1e-8)
@@ -119,8 +128,8 @@ def test_period_classical_cycle():
 
 def test_period_pauli_channel():
     c = pauli_channel()
-    s, _ = peripheral_of(c)
-    rep = period_irreducible(c, s)
+    peripheral_of(c)
+    rep = period_irreducible(c)
     assert rep.period == 2
     Q0, Q1 = rep.projections
     assert np.linalg.matrix_rank(Q0) == 1
@@ -132,9 +141,9 @@ def test_period_one_aperiodic():
     rng = np.random.default_rng(7)
     kraus = [random_unitary(3, rng) / np.sqrt(2) for _ in range(2)]
     c = from_kraus(kraus)
-    s, p = peripheral_of(c)
+    _, p = peripheral_of(c)
     if len(p.eigenvalues) == 1:  # aperiodic for this seed
-        rep = period_irreducible(c, s)
+        rep = period_irreducible(c)
         assert rep.period == 1
         assert np.allclose(rep.projections[0], np.eye(3))
 
@@ -142,17 +151,18 @@ def test_period_one_aperiodic():
 def test_period_rejects_reducible():
     # unitary conjugation: eigenvalue 1 appears with multiplicity >= 2
     c = from_kraus([np.diag([1.0, np.exp(0.7j)])])
-    s, _ = peripheral_of(c)
+    peripheral_of(c)
     with pytest.raises((NotSimple, NotRootsOfUnity)):
-        period_irreducible(c, s)
+        period_irreducible(c)
 
 
 def test_cycle_seed_independence():
     c = classical_cycle(3)
-    s, _ = peripheral_of(c)
-    rep1 = period_irreducible(c, s)
+    peripheral_of(c)
+    rep1 = period_irreducible(c)
     # recompute peripheral data (fresh eigendecomposition) and compare sets
-    rep2 = period_irreducible(c, peripheral_of(c)[0])
+    peripheral_of(c)
+    rep2 = period_irreducible(c)
     for Q in rep1.projections:
         assert min(spectral_norm(Q - R) for R in rep2.projections) < 1e-8
 
@@ -204,7 +214,7 @@ def test_mfnc_components_match_their_own_analysis(name):
             left_dims=(comp.left_dim,) * comp.period,
             right_dims=comp.right_dims)
         states = extract_block_states(
-            partial(apply_expectation, peripheral_of(comp.channel)[0]), blocks)
+            partial(apply_expectation, oracle_e_n(comp.channel)), blocks)
         for rho, ref in zip(comp.block_states, states, strict=True):
             assert hs_norm(rho - ref) < 1e-10
 
@@ -216,7 +226,7 @@ def test_block_states_are_those_of_the_expectation_onto_n(name):
     # spectral projection of the whole channel, leaves on each block
     count = 0
     for c in shift_probe_channels(name):
-        e_n = partial(apply_expectation, spectrum(c.transfer_blocks))
+        e_n = partial(apply_expectation, oracle_e_n(c))
         for comp in pipeline_components(c):
             W = component_embedding(comp)
             blocks = AlgebraStructure(
@@ -539,8 +549,8 @@ def test_fixed_multiblock_rejects_a_wrong_fixed_point_algebra():
 
 def test_verify_power_fixed_points_cycle4():
     c = classical_cycle(4)
-    s, _ = peripheral_of(c)
-    rep = period_irreducible(c, s)
+    peripheral_of(c)
+    rep = period_irreducible(c)
     table = verify_power_fixed_points(c, rep, m_max=8)
     assert table.all_pass
     dims = {row.power: row.fixed_dim for row in table.rows}
@@ -553,9 +563,9 @@ def test_verify_power_fixed_points_period1():
     rng = np.random.default_rng(7)
     kraus = [random_unitary(3, rng) / np.sqrt(2) for _ in range(2)]
     c = from_kraus(kraus)
-    s, p = peripheral_of(c)
+    _, p = peripheral_of(c)
     if len(p.eigenvalues) == 1:
-        rep = period_irreducible(c, s)
+        rep = period_irreducible(c)
         table = verify_power_fixed_points(c, rep, m_max=4)
         assert table.all_pass
         assert all(row.fixed_dim == 1 for row in table.rows)

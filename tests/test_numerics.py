@@ -398,12 +398,13 @@ def test_split_kernels_match_the_dense_routes(sizes, seed):
     assert {tuple(b) for idx, _ in block_stacks(chains) for b in idx} == \
         chain_blocks
     scale = max(1.0, spectral_norm(M))
-    Z1, L, a11, rest = sorted_schur(block_stacks(M), select)
-    k, A11 = len(L), dense_of_split(a11)
+    Z1, L, picked, rest = sorted_schur(block_stacks(M), select)
+    k, A11 = len(L), dagger(Z1) @ M @ Z1
     assert spectral_norm(M @ Z1 - Z1 @ A11) <= 1e-13 * scale
     assert spectral_norm(dagger(Z1) @ Z1 - np.eye(k)) <= 1e-13
-    assert not np.tril(A11, -1).any()
-    assert all(select(x) for x in np.diag(A11))
+    assert np.abs(np.tril(A11, -1)).max(initial=0.0) <= 1e-13 * scale
+    assert np.abs(np.diag(A11) - picked).max(initial=0.0) <= 1e-13 * scale
+    assert len(picked) == k and all(select(x) for x in picked)
     assert len(rest) == D * D - k and not any(select(x) for x in rest)
     A_ref, Z_ref, k_ref, L_ref = dense_sorted_schur(M, select)
     assert k == k_ref
@@ -440,10 +441,11 @@ def test_spectral_projector_diagonalizable():
     V = rng.standard_normal((5, 5)) + 0.1 * np.eye(5)
     lams = np.array([1.0, 1.0, 0.5, 0.2, -0.3])
     M = V @ np.diag(lams) @ np.linalg.inv(V)
-    Z1, L, a11, rest = sorted_schur(block_stacks(M),
-                                    lambda lam: abs(lam - 1) < 1e-6)
+    Z1, L, picked, rest = sorted_schur(block_stacks(M),
+                                       lambda lam: abs(lam - 1) < 1e-6)
     assert len(L) == 2 and len(rest) == 3
-    assert np.linalg.norm(M @ Z1 - Z1 @ dense_of_split(a11)) < 1e-8
+    assert np.abs(picked - 1).max() < 1e-8
+    assert np.linalg.norm(M @ Z1 - Z1 @ (dagger(Z1) @ M @ Z1)) < 1e-8
     P = Z1 @ L
     assert np.linalg.norm(P @ P - P) < 1e-8
     assert np.linalg.norm(M @ P - P) < 1e-8

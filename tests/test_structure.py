@@ -31,7 +31,6 @@ from chanstruct.structure import (
     fixed_points_commutant,
     invariant_states,
     multiplicative_domain,
-    peripheral_subalgebra,
     spectrum,
 )
 from chanstruct.oqrw import (
@@ -47,6 +46,7 @@ from tests.conftest import (
     Z,
     NoStabilization,
     amplitude_damping,
+    analysis,
     cesaro_expectation,
     dense,
     dense_map_norm,
@@ -84,10 +84,10 @@ def unitary_channel(U):
 
 
 def spectral_stages(c):
-    """Spectrum, invariant states and peripheral data of a channel."""
-    s = spectrum(c.transfer_blocks)
-    inv = invariant_states(c, s)
-    return s, inv, peripheral_subalgebra(c, inv, s)
+    """Spectrum, invariant states, peripheral data and the factors of E_N
+    of a channel, from its shared analysis."""
+    a = analysis(c)
+    return a.spectrum, a.inv, a.peripheral, a.e_n
 
 
 def test_fixed_points_identity_channel():
@@ -115,7 +115,8 @@ def test_fixed_points_unitary_rotation():
 
 def test_spectrum_matches_kernel_route():
     # oracle: F and the invariant-state space as kernels of T - I and
-    # T* - I, and the stable part as the kernel of E_N
+    # T* - I, and the stable part of the dense Schur route as the kernel
+    # of E_N
     L_minus = np.diag([np.sqrt(0.3), np.sqrt(0.7)])
     L_plus = np.array([[0, np.sqrt(0.3)], [np.sqrt(0.7), 0]])
     channels = build_corpus(20240817) + [
@@ -132,16 +133,20 @@ def test_spectrum_matches_kernel_route():
         invariant = MatrixSubspace.from_columns(
             np.linalg.qr(s.e_f_factors[1])[0], c.dim)
         assert subspace_distance(invariant, states) <= 1e-10, c.label
-        assert kernel_basis(dense(s.e_n_factors)).dim == s.stable_dim, c.label
         if invariant_states(c, s).faithful:
-            assert s.stable_dim + dfa(c).dim == n, c.label
+            stable_dim = dense_spectrum(kron_transfer(c))[2]
+            assert kernel_basis(dense(analysis(c).e_n)).dim == stable_dim, \
+                c.label
+            assert stable_dim + dfa(c).dim == n, c.label
     ad = channels[-2]
     assert not invariant_states(ad, spectrum(ad.transfer_blocks)).faithful
 
 
 def test_blockwise_spectrum_matches_the_dense_schur_form():
     # oracle: one Schur form of the whole D^2 x D^2 transfer matrix and
-    # one of its peripheral block, with scipy's Sylvester solver
+    # one of its peripheral block, with scipy's Sylvester solver; E_N, the
+    # stable count and radius are the pipeline's, which reads them off N
+    # when the invariant state is faithful
     L_minus = np.diag([np.sqrt(0.3), np.sqrt(0.7)])
     L_plus = np.array([[0, np.sqrt(0.3)], [np.sqrt(0.7), 0]])
     channels = build_corpus(20240817) + [
@@ -151,10 +156,14 @@ def test_blockwise_spectrum_matches_the_dense_schur_form():
     for c in channels:
         s = spectrum(c.transfer_blocks)
         E_N, E_F, stable_dim, stable_radius = dense_spectrum(kron_transfer(c))
-        assert spectral_norm(dense(s.e_n_factors) - E_N) <= 1e-12, c.label
         assert spectral_norm(dense(s.e_f_factors) - E_F) <= 1e-12, c.label
-        assert s.stable_dim == stable_dim, c.label
-        assert abs(s.stable_radius - stable_radius) <= 1e-12, c.label
+        if not invariant_states(c, s).faithful:
+            continue
+        a = analysis(c)
+        assert spectral_norm(dense(a.e_n) - E_N) <= 1e-12, c.label
+        assert c.dim ** 2 - a.N.dim == stable_dim, c.label
+        radius = np.sort(np.abs(s.eigenvalues))[:stable_dim].max(initial=0.0)
+        assert abs(radius - stable_radius) <= 1e-12, c.label
 
 
 def test_invariant_states_unitary_mixture():
@@ -362,8 +371,9 @@ def _smallest_stabilising_power(c):
 
 
 def test_smallest_stabilising_power_matches_oracle(monkeypatch):
-    # dfa restricts M once per power after the first, so its chain takes
-    # one restriction fewer than the oracle, which starts from all of B(H)
+    # dfa restricts M once to the part orthogonal to I, and that part once
+    # per power after the first; the oracle starts from all of B(H), so its
+    # chain takes as many steps
     restrict, steps = MatrixSubspace.restrict, []
 
     def counted(*args, **kwargs):
@@ -376,7 +386,7 @@ def test_smallest_stabilising_power_matches_oracle(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(MatrixSubspace, "restrict", counted)
             dfa(c, M=M)
-        assert len(steps) + 1 == _smallest_stabilising_power(c), c.label
+        assert len(steps) == _smallest_stabilising_power(c), c.label
 
 
 _METAMORPHIC_CHANNELS = build_corpus(27)[::3] + [_nn_cycle(3)]
@@ -459,48 +469,53 @@ def test_peripheral_matches_dfa():
     # the peripheral span equals N for channels with faithful invariant state
     for seed in (0, 1):
         c = random_unital_channel(3, 2, seed=seed)
-        s, inv, p = spectral_stages(c)
+        spectral_stages(c)
         N = dfa(c)
-        assert subspace_distance(s.reversible, N) < 1e-6
+        reversible = MatrixSubspace.from_span(peripheral_eigenpairs(c)[1])
+        assert subspace_distance(reversible, N) < 1e-6
 
 
 def test_peripheral_pauli():
     c = pauli_channel()
-    s, inv, p = spectral_stages(c)
+    s, inv, p, e_n = spectral_stages(c)
     # XZ is a rotation by pi/2 up to phase: eigenvalues of the transfer on
     # the peripheral part are {1, -1}; span is {I, XZ}
     assert sorted(np.round(np.real(p.eigenvalues)).tolist()) == [-1, 1]
-    assert s.reversible.dim == 2
+    assert MatrixSubspace.from_span(peripheral_eigenpairs(c)[1]).dim == 2
     # E_N is idempotent and commutes with the transfer
-    E = dense(s.e_n_factors)
+    E = dense(e_n)
     assert spectral_norm(E @ E - E) < 1e-8
     T = kron_transfer(c)
     assert spectral_norm(E @ T - T @ E) < 1e-8
 
 
 def test_peripheral_eigen_relations():
+    # the pipeline's peripheral eigenvalues, those of Phi on N, against
+    # the dense Schur route's, whose eigenmatrices are checked
     c = random_unital_channel(4, 3, seed=13)
-    s, inv, p = spectral_stages(c)
-    eigenvalues, eigenmatrices = peripheral_eigenpairs(s, c.dim)
-    assert np.array_equal(eigenvalues, p.eigenvalues)
-    for lam, Xm in zip(p.eigenvalues, eigenmatrices, strict=True):
+    s, inv, p, e_n = spectral_stages(c)
+    eigenvalues, eigenmatrices = peripheral_eigenpairs(c)
+    assert len(eigenvalues) == len(p.eigenvalues)
+    for lam in eigenvalues:
+        assert np.abs(np.array(p.eigenvalues) - lam).min() < 1e-10
+    assert p.eigenpair_residual < 1e-6
+    for lam, Xm in zip(eigenvalues, eigenmatrices, strict=True):
         assert abs(abs(lam) - 1) < 1e-7
         assert hs_norm(c.apply(Xm) - lam * Xm) < 1e-6 * hs_norm(Xm)
 
 
 def test_stable_subspace_decay():
     c = pauli_channel()
-    s = spectrum(c.transfer_blocks)
-    assert s.peripheral + s.stable_dim == 4
+    s, inv, p, e_n = spectral_stages(c)
+    assert len(p.eigenvalues) + dense_spectrum(kron_transfer(c))[2] == 4
     # the stable part, the range of I - E_N, decays under iteration
     T50 = np.linalg.matrix_power(kron_transfer(c), 50)
-    assert spectral_norm(T50 @ (np.eye(4) - dense(s.e_n_factors))) < 1e-8
+    assert spectral_norm(T50 @ (np.eye(4) - dense(e_n))) < 1e-8
 
 
 def test_expectation_onto_dfa_properties():
     c = random_unital_channel(3, 2, seed=2)
-    s, inv, p = spectral_stages(c)
-    E = expectation_onto_dfa(c, s)
+    E = expectation_onto_dfa(c)
     assert spectral_norm(E.transfer @ E.transfer - E.transfer) < 1e-7
     assert np.allclose(E.apply(np.eye(3)), np.eye(3), atol=1e-8)
     # commutes with the channel
@@ -557,7 +572,7 @@ def test_cesaro_expectation_slowly_mixing():
         c = corpus[i]
         assert c.label == label
         s = spectrum(c.transfer_blocks)
-        assert s.stable_radius > 0.999
+        assert np.sort(np.abs(s.eigenvalues))[-2] > 0.999
         E_F = dense(s.e_f_factors)
         short = cesaro_expectation(kron_transfer(c), max_n=10_000)
         assert spectral_norm(short - E_F) > 1e-3
@@ -569,8 +584,8 @@ def test_cesaro_expectation_slowly_mixing():
 def test_expectation_compatibility(seed, dim):
     # E_F = E_F o E_N: the fixed points sit inside N
     c = random_unital_channel(dim, 3, seed=seed)
-    s, inv, p = spectral_stages(c)
-    E_F, E_N = dense(s.e_f_factors), dense(s.e_n_factors)
+    s, inv, p, e_n = spectral_stages(c)
+    E_F, E_N = dense(s.e_f_factors), dense(e_n)
     assert spectral_norm(cesaro_expectation(kron_transfer(c), min_n=4096) -
                          E_F) < 1e-6
     assert spectral_norm(E_F @ E_N - E_F) < 1e-6
@@ -612,15 +627,15 @@ def test_map_norm_of_the_stable_part_matches_the_dense_oracle():
     walks = [to_channel(builder_nn_cycle(4, lp, lm)),
              to_channel(builder_pauli_walk(3, 0.5))]
     for c in build_corpus(20240817)[40:] + walks:
-        D, s, T = c.dim, spectrum(c.transfer_blocks), kron_transfer(c)
-        stable = T - T @ dense(s.e_n_factors)
+        D, e_n, T = c.dim, analysis(c).e_n, kron_transfer(c)
+        stable = T - T @ dense(e_n)
         for mix in (np.eye(2), random_unitary(2, rng)):
             U = np.eye(D, dtype=complex)
             U[:2, :2] = mix
             w = rng.random(D) + 0.5
             l2 = L2Structure.from_state(U @ np.diag(w / w.sum()) @ dagger(U))
             assert l2.map_norm(l2.weighted_transfer(c.kraus),
-                               s.e_n_factors) == pytest.approx(
+                               e_n) == pytest.approx(
                 dense_map_norm(l2.rho, stable), rel=1e-13), c.label
 
 
@@ -639,38 +654,38 @@ def test_l2_schwarz_contraction():
 
 def test_decoherence_gap_pauli():
     c = pauli_channel()
-    s, inv, p = spectral_stages(c)
+    s, inv, p, e_n = spectral_stages(c)
     l2 = L2Structure.from_state(inv.rho_max)
     # XZ mixture sends the off-peripheral span {X, Z} to 0 in one step:
     # the stable part dies immediately, so both rates are infinite
-    rep = decoherence_gap(l2.weighted_transfer(c.kraus), s, l2)
+    rep = decoherence_gap(l2.weighted_transfer(c.kraus), s, l2, e_n)
     assert rep.finite_horizon == np.inf
     assert rep.uniform_bound
 
 
 def test_decoherence_gap_random():
     c = random_unital_channel(3, 3, seed=31)
-    s, inv, p = spectral_stages(c)
+    s, inv, p, e_n = spectral_stages(c)
     l2 = L2Structure.from_state(inv.rho_max)
-    rep = decoherence_gap(l2.weighted_transfer(c.kraus), s, l2)
+    rep = decoherence_gap(l2.weighted_transfer(c.kraus), s, l2, e_n)
     assert rep.finite_horizon > 0
     assert rep.asymptotic > 0
     # the finite-horizon rate never exceeds the asymptotic one by much;
     # asymptotically the decay rate approaches the eigenvalue bound
     assert rep.finite_horizon <= rep.asymptotic + 1e-9
     # consistency: norms actually decay at the reported rate
-    Q = np.eye(9) - dense(s.e_n_factors)
+    Q = np.eye(9) - dense(e_n)
     n = 20
     nrm = dense_map_norm(
         l2.rho, np.linalg.matrix_power(kron_transfer(c), n) @ Q)
     assert nrm <= np.exp(-rep.finite_horizon * n) + 1e-12
 
 
-def _finite_horizon_by_powers(c, s, l2, max_n):
+def _finite_horizon_by_powers(c, e_n, l2, max_n):
     """The finite-horizon rate from a fresh power, projection and weighting
     at every step, without the rounding rule at norm 1."""
     D = c.dim
-    Q = np.eye(D * D) - dense(s.e_n_factors)
+    Q = np.eye(D * D) - dense(e_n)
     power, T = np.eye(D * D, dtype=complex), kron_transfer(c)
     rates = []
     for n in range(1, max_n + 1):
@@ -699,10 +714,10 @@ def test_decoherence_gap_matches_powers(name):
         # corpus 40: two components, one-step norm 1 (rate 0)
         c = build_corpus(20240817)[31 if name == "cyclic-shift-3" else 40]
         assert c.label.startswith(name)
-    s, inv, p = spectral_stages(c)
+    s, inv, p, e_n = spectral_stages(c)
     l2 = L2Structure.from_state(inv.rho_max)
-    rep = decoherence_gap(l2.weighted_transfer(c.kraus), s, l2)
-    ref = _finite_horizon_by_powers(c, s, l2, rep.horizon)
+    rep = decoherence_gap(l2.weighted_transfer(c.kraus), s, l2, e_n)
+    ref = _finite_horizon_by_powers(c, e_n, l2, rep.horizon)
     assert rep.finite_horizon == pytest.approx(ref, rel=0, abs=1e-10)
     if name == "pauli-walk-3":
         assert rep.uniform_bound
@@ -716,17 +731,17 @@ def test_gap_two_unitary_mixtures_have_no_uniform_bound():
                 if c.label.startswith("mixture") and c.label.endswith("-2")]
     assert len(mixtures) == 14
     for c in mixtures:
-        s, inv, _ = spectral_stages(c)
+        s, inv, _, e_n = spectral_stages(c)
         l2 = L2Structure.from_state(inv.rho_max)
-        rep = decoherence_gap(l2.weighted_transfer(c.kraus), s, l2)
+        rep = decoherence_gap(l2.weighted_transfer(c.kraus), s, l2, e_n)
         assert rep.finite_horizon == 0, c.label
         assert not rep.uniform_bound, c.label
 
 
 def test_gap_infinite_for_automorphism():
     c = unitary_channel(np.diag([1.0, np.exp(1j)]))
-    s, inv, p = spectral_stages(c)
+    s, inv, p, e_n = spectral_stages(c)
     l2 = L2Structure.from_state(inv.rho_max)
-    rep = decoherence_gap(l2.weighted_transfer(c.kraus), s, l2)
+    rep = decoherence_gap(l2.weighted_transfer(c.kraus), s, l2, e_n)
     assert rep.finite_horizon == np.inf
     assert rep.asymptotic == np.inf

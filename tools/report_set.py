@@ -7,8 +7,10 @@ Usage::
 For each input and each of the two commands, writes ``<stem>.json`` (the
 report, when the command wrote one) and ``<stem>.exit`` (its exit code)
 into OUT_DIR, the layout `tools/compare_reports.py` reads; the inputs
-themselves go to OUT_DIR/in.  The stem is ``<input>.<command>``.  The 172
-inputs, 344 cases:
+themselves go to OUT_DIR/in.  The stem is ``<input>.<command>``, or
+``<run>.<command>`` for the runs of ``EXTRA_RUNS``, which pass extra
+arguments.  The 172 inputs, and one of them again at ``--tol 1e-12``, 346
+cases:
 
 * the 52-channel corpora of seeds 20240817, 27 and 1, built by
   `perfbench/inputs.py` (``s<seed>-cNN``);
@@ -24,7 +26,9 @@ inputs, 344 cases:
   damping with gamma = 0.3, which has no faithful invariant state
   (``amplitude-damping-0.3``);
 * the 3-vertex walk with two dead corners, whose N has a nonzero
-  off-diagonal part (``dead-corners-3``).
+  off-diagonal part (``dead-corners-3``);
+* ``s1-c12`` at ``--tol 1e-12`` (``s1-c12.tol-1e-12``): it mixes slowly,
+  and M holds I only to 2e-13, above that rank_tol.
 
 The commands run in-process through `chanstruct.cli.main`, imported from
 the `src/` next to this script.  Run as a script, it sets
@@ -74,6 +78,8 @@ EXAMPLES = {
     "nn-cycle-n32-special": ["nn-cycle", "--n", "32",
                              "--preset", "special-basis"],
 }
+EXTRA_RUNS = {"s1-c12.tol-1e-12": ("s1-c12", ["--tol", "1e-12"])}
+"""Run name -> (input, extra arguments of both commands)."""
 DEPHASING_EPS = (1e-3, 1e-5, 1e-7, 5e-8, 1e-9)
 DAMPING_GAMMA = 0.3
 
@@ -137,9 +143,13 @@ def write_inputs(directory: Path) -> dict:
 
 
 def cases(paths: dict) -> list:
-    """(stem, argv without --output) for each command on each input."""
-    return [(f"{name}.{command}", [command, path])
-            for name, path in sorted(paths.items()) for command in COMMANDS]
+    """(stem, argv without --output) for each command on each input and on
+    each run of ``EXTRA_RUNS``."""
+    runs = [(name, path, []) for name, path in sorted(paths.items())]
+    runs += [(name, paths[source], extra)
+             for name, (source, extra) in EXTRA_RUNS.items()]
+    return [(f"{name}.{command}", [command, path, *extra])
+            for name, path, extra in runs for command in COMMANDS]
 
 
 def run_case(stem: str, argv: list, out_dir: Path) -> int:
