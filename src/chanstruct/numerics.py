@@ -28,10 +28,10 @@ Conventions pinned here and used by every other module:
   (:func:`kron_blocks`): exact, and one block is the same code.  A
   transfer matrix (T, its rho-weighted form) is the split of its Kraus
   pair (:func:`kraus_transfer`), and a difference of channels has the
-  HS norm of thin factors (:func:`transfer_distance`).  The Schur form
-  and Sylvester solve (:func:`sorted_schur`: the spectral projector onto
-  the eigenvalues it picks, and every eigenvalue), Gram eigh, 2-norm and
-  products (:func:`block_apply`) run block by block.
+  HS norm of thin factors (:func:`transfer_distance`).  The eig and solve
+  of :func:`unit_projector` (every eigenvalue, and the projector onto the
+  eigenvalue 1), Gram eigh, 2-norm and products (:func:`block_apply`) run
+  block by block.
 * An operator of low rank is kept as factors E = X Y* and its residuals
   are written as factors too: X (Y* X - I) Y* for idempotency,
   [X, -T X] [T* Y, Y]* for the commutator with T (:func:`commutator_norm`)
@@ -51,7 +51,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 
 class DimensionMismatch(ValueError):
@@ -445,52 +444,51 @@ def subspace_distance(S1: MatrixSubspace, S2: MatrixSubspace) -> float:
     return spectral_norm(B1 - B2 @ (dagger(B2) @ B1))
 
 
-def sorted_schur(blocks, select):
-    """(Z1, L, picked, rest) of a matrix M given by its split: each block is
-    B = Z A Z* in complex Schur form with the k_b eigenvalues that
-    ``select(lam) -> bool`` picks first, and L_b = [I R] Z*, R solving
-    A11 R - R A22 = A12 (one ``ztrsyl``).  Z1 (n x k) holds the first k_b
-    Schur vectors of each block and L (k x n) its L_b: Z1 L is the spectral
-    projector onto the picked eigenvalues along the others.  ``picked``
-    holds those eigenvalues in the order of Z1's columns, ``rest`` the
-    others."""
+def unit_projector(blocks, band: float):
+    """(Z, L, ones, rest) for a matrix M, given by its split, whose
+    eigenvalue 1 is semisimple.  One batched ``eig`` per block size gives
+    every eigenvalue; |lam| > 1 - band and |lam - 1| <= band pick the k_b
+    of a block B that count as 1 (``ones``, the others ``rest``).  Z_b, the
+    Q of a QR of the picked eigenvectors, spans ker(B - I), and one solve
+    gives L_b: [L_b, mu] [[B - I, Z_b], [Z_b*, 0]] = [0, I], nonsingular
+    since ker(B - I) and range(B - I) meet only in 0, so L_b (B - I) = 0
+    and L_b Z_b = I (Z_b = L_b = I when k_b is the block size).  Z (n x k)
+    and L (k x n) gather them: Z L is the projector onto ker(M - I) along
+    range(M - I), and the spectral projector to O(eps) when a picked
+    eigenvalue is 1 - eps."""
     n = sum(idx.size for idx, _ in blocks)
-    parts, picked, rest = [], [], []          # (rows, Z_1, L) stacks
+    parts, ones, rest = [], [], []          # (rows, Z_b, L_b) stacks
     for idx, S in blocks:
-        if idx.shape[1] == 1:
-            lam = S[:, 0, 0]
-            pick = np.array([bool(select(x)) for x in lam], dtype=bool)
-            picked.append(lam[pick])
-            rest.append(lam[~pick])
-            one = np.ones((pick.sum(), 1, 1))
-            parts.append((idx[pick], one, one))
-            continue
-        for rows, B in zip(idx, S):
-            A, Z, k = scipy.linalg.schur(B, output="complex",
-                                         sort=lambda x: bool(select(x)))
-            picked.append(np.diag(A)[:k])
-            rest.append(np.diag(A)[k:])
-            R = np.zeros((k, len(A) - k), dtype=complex)
-            if 0 < k < len(A):
-                X, scale, info = scipy.linalg.lapack.ztrsyl(
-                    A[:k, :k], A[k:, k:], A[:k, k:], isgn=-1)
-                if info < 0:
-                    raise np.linalg.LinAlgError(
-                        f"Illegal value in the {-info} term")
-                R = X / scale
-            parts.append((rows[None], Z[None, :, :k],
-                          (np.hstack([np.eye(k), R]) @ dagger(Z))[None]))
+        s = idx.shape[1]            # 1 x 1 blocks are read directly
+        lam, V = (S[:, 0], np.ones_like(S)) if s == 1 else np.linalg.eig(S)
+        pick = (np.abs(lam) > 1.0 - band) & (np.abs(lam - 1) <= band)
+        ones.append(lam[pick])
+        rest.append(lam[~pick])
+        counts = pick.sum(axis=1)
+        for k in np.unique(counts[counts > 0]):
+            b = counts == k
+            if k == s:
+                Z = L = np.broadcast_to(np.eye(s), (b.sum(), s, s))
+            else:
+                order = np.argsort(~pick[b], axis=1, kind="stable")[:, :k]
+                Z, _ = np.linalg.qr(
+                    np.take_along_axis(V[b], order[:, None], axis=2))
+                Mh = np.zeros((b.sum(), s + k, s + k), dtype=complex)  # M*
+                Mh[:, :s, :s] = dagger(S[b]) - np.eye(s)
+                Mh[:, :s, s:], Mh[:, s:, :s] = Z, dagger(Z)
+                L = dagger(np.linalg.solve(Mh, np.eye(s + k)[:, s:])[:, :s])
+            parts.append((idx[b], Z, L))
     k = sum(Z.shape[0] * Z.shape[2] for _, Z, _ in parts)
-    Z1, L = np.zeros((n, k), dtype=complex), np.zeros((k, n), dtype=complex)
+    Z1, L1 = np.zeros((n, k), dtype=complex), np.zeros((k, n), dtype=complex)
     first = 0
     for rows, Z, Lb in parts:
         m, _, kb = Z.shape
         cols = first + np.arange(m * kb).reshape(m, kb)
         first += cols.size
         Z1[rows[:, :, None], cols[:, None, :]] = Z
-        L[cols[:, :, None], rows[:, None, :]] = Lb
-    return (Z1, L, *(np.concatenate(x + [np.zeros(0)])
-                     for x in (picked, rest)))
+        L1[cols[:, :, None], rows[:, None, :]] = Lb
+    return (Z1, L1, *(np.concatenate(x + [np.zeros(0)])
+                      for x in (ones, rest)))
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

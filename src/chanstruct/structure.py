@@ -4,7 +4,7 @@ Fixed points F, multiplicative domain M, decoherence-free algebra N,
 reversible/stable splitting, conditional expectations onto F and N,
 invariant states and the decoherence spectral gap.
 
-One sorted Schur form of the blocks of the transfer matrix T decides the
+One batched eig per block size of the transfer matrix T decides the
 eigenvalue 1, |lam| > 1 - peripheral_band and |lam - 1| <= peripheral_band
 (:func:`spectrum`), for E_F, F and rho_max.  The rest is read off N: under
 a faithful invariant state rho, N spans the peripheral eigenmatrices, E_N
@@ -31,7 +31,8 @@ from chanstruct.numerics import (
     dagger,
     hs_norm,
     kraus_transfer,
-    sorted_schur,
+    spectral_norm,
+    unit_projector,
     unvec,
     vec,
 )
@@ -52,10 +53,9 @@ class NoInvariantState(RuntimeError):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """What the stages read off the sorted Schur form T = Z A Z* (see
-    :func:`spectrum`): every eigenvalue of T, the spectral projector E_F
-    onto the eigenvalue 1 as its factor pair (X, Y) with E_F = X Y*, and
-    F = range(E_F)."""
+    """What the stages read off the blocks of T (see :func:`spectrum`):
+    every eigenvalue of T, the projector E_F onto the eigenvalue 1 as its
+    factor pair (X, Y) with E_F = X Y*, and F = range(E_F)."""
 
     eigenvalues: np.ndarray
     e_f_factors: tuple
@@ -180,17 +180,18 @@ class GapReport:
 
 def spectrum(T, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
     """Spectral data of a unital CP map from the split of its transfer
-    matrix T, one sorted Schur form and Sylvester solve per block
-    (:func:`sorted_schur`) that picks the eigenvalue 1: |lam| > 1 - band
-    and |lam - 1| <= band.  E_F = Z_f L, kept as its rank-f factors, is the
-    spectral projector onto it.  F = range(E_F), with the orthonormal
-    basis Z_f, and range(E_F*) is the invariant-state space: the
-    preadjoint's transfer matrix is the HS adjoint of T.  The map is
-    power-bounded, so every peripheral eigenvalue is semisimple and F is
-    the kernel of T - I."""
-    band = tol.peripheral_band
-    Zf, L, ones, rest = sorted_schur(
-        T, lambda lam: abs(lam) > 1.0 - band and abs(lam - 1) <= band)
+    matrix T (:func:`unit_projector`, whose eigenvalue 1 is |lam| > 1 - band
+    and |lam - 1| <= band).  The map is power-bounded, so every peripheral
+    eigenvalue is semisimple and E_F = Z_f L, kept as its rank-f factors,
+    is the projector onto F = ker(T - I) along range(T - I), F with the
+    orthonormal basis Z_f; range(E_F*) is the invariant-state space, since
+    the preadjoint's transfer matrix is the HS adjoint of T.
+    ||T Z_f - Z_f|| > check_tol, as from picked eigenvectors that are
+    numerically dependent, raises PeripheralJordanBlock."""
+    Zf, L, ones, rest = unit_projector(T, tol.peripheral_band)
+    resid = spectral_norm(block_apply(T, Zf) - Zf)
+    if resid > tol.check_tol:
+        raise PeripheralJordanBlock(f"fixed-point residual {resid:.3e}")
     return Spectrum(eigenvalues=np.concatenate([ones, rest]),
                     e_f_factors=(Zf, dagger(L)),
                     fixed=MatrixSubspace.from_columns(Zf, math.isqrt(len(Zf))))

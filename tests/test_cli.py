@@ -2,7 +2,10 @@ import dataclasses
 import importlib
 import inspect
 import json
+import os
 import pkgutil
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -310,17 +313,17 @@ def test_dephasing_inside_the_band_reads_its_rate_off_n(tmp_path, capsys):
                                                          rel=1e-6)
 
 
-def test_one_schur_form_per_analysis(tmp_path, capsys, monkeypatch):
+def test_one_spectral_pass_per_analysis(tmp_path, capsys, monkeypatch):
     # the spectrum decides only the eigenvalue 1; the peripheral part and
     # the stable part come from N, so analyze and verify each take one
-    # sorted Schur pass
+    # unit_projector pass
     calls = []
-    schur = structure.sorted_schur
+    unit_projector = structure.unit_projector
 
     def counted(*args):
         calls.append(args)
-        return schur(*args)
-    monkeypatch.setattr(structure, "sorted_schur", counted)
+        return unit_projector(*args)
+    monkeypatch.setattr(structure, "unit_projector", counted)
     walk = tmp_path / "walk.json"
     run(["example", "nn-cycle", "--n", "4", "--output", str(walk)], capsys)
     for path in (str(walk), pauli_channel_file(tmp_path)):
@@ -329,6 +332,26 @@ def test_one_schur_form_per_analysis(tmp_path, capsys, monkeypatch):
             code, _ = run([command, path], capsys)
             assert code == EXIT_OK
             assert len(calls) == 1, (command, path)
+
+
+def test_analyze_and_verify_load_no_scipy(tmp_path, capsys):
+    # numpy is the only run-time dependency: a fresh process that imports
+    # the CLI and runs analyze and verify on a walk and on a Kraus channel
+    # loads no scipy module
+    walk = tmp_path / "walk.json"
+    run(["example", "nn-cycle", "--n", "4", "--output", str(walk)], capsys)
+    script = "\n".join([
+        "import sys",
+        "import chanstruct.cli",
+        "print([chanstruct.cli.main([command, path]) for path in sys.argv[1:]",
+        "       for command in ('analyze', 'verify')],",
+        "      sorted(m for m in sys.modules if m.startswith('scipy')))"])
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(chanstruct.__file__)))
+    done = subprocess.run([sys.executable, "-c", script, str(walk),
+                           pauli_channel_file(tmp_path)],
+                          capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.splitlines()[-1] == f"{[EXIT_OK] * 4} []"
 
 
 def test_analyze_gap_rate_nonnegative(tmp_path, capsys):

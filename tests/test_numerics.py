@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import block_diag
+from scipy.optimize import linear_sum_assignment
 
 from chanstruct.cli import _choi_min_eig
 from chanstruct.numerics import (
@@ -21,12 +22,12 @@ from chanstruct.numerics import (
     lowrank_norm,
     random_unitary,
     round_projector,
-    sorted_schur,
     span_basis,
     spectral_norm,
     split_kernel,
     subspace_distance,
     transfer_distance,
+    unit_projector,
     unvec,
     vec,
 )
@@ -378,37 +379,48 @@ def test_split_kernels_match_the_dense_routes(sizes, seed):
     def gaussian(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    def schur_block(s):
-        # moduli in [0.9, 1] or [0, 0.5] under a non-normal triangle, in a
-        # random basis
-        r = np.where(rng.random(s) < 0.5, 0.9 + 0.1 * rng.random(s),
-                     0.5 * rng.random(s))
-        T = np.diag(r * np.exp(2j * np.pi * rng.random(s))) \
-            + 0.3 * np.triu(gaussian(s, s), 1) / s
-        U = random_unitary(s, rng)
-        return U @ T @ dagger(U)
+    def unit_block(s):
+        # a semisimple eigenvalue 1 of multiplicity k (at least 4 in the one
+        # dense block), one of them 1 - eps inside the band in some blocks,
+        # one more on the unit circle at distance >= 1 from 1 and the rest
+        # of modulus below 0.9, so that the projector is well conditioned,
+        # under a random non-normal similarity
+        k = rng.integers(4 if s >= 9 else 0, s + 1)
+        lam = 0.9 * rng.random(s) * np.exp(2j * np.pi * rng.random(s))
+        lam[:k] = 1.0
+        lam[k:k + 1] = np.exp(1j * np.pi * (1 + rng.uniform(-2, 2) / 3))
+        if k and rng.random() < 0.3:
+            lam[0] = 1 - 1e-14
+        S = random_unitary(s, rng) @ (
+            np.eye(s) + 0.5 * np.triu(gaussian(s, s), 1) / np.sqrt(s))
+        return S @ np.diag(lam) @ np.linalg.inv(S)
+
+    band = 1e-7
 
     def select(lam):
-        return abs(lam) > 0.7
+        return abs(lam) > 1 - band and abs(lam - 1) <= band
 
-    M, D, blocks = permuted_blocks(rng, sizes, schur_block)
+    M, D, blocks = permuted_blocks(rng, sizes, unit_block)
     assert {tuple(b) for idx, _ in block_stacks(M) for b in idx} == blocks
     chains, _, chain_blocks = permuted_blocks(  # one-sided, long paths
         np.random.default_rng(seed), sizes, lambda s: np.eye(s, k=1))
     assert {tuple(b) for idx, _ in block_stacks(chains) for b in idx} == \
         chain_blocks
     scale = max(1.0, spectral_norm(M))
-    Z1, L, picked, rest = sorted_schur(block_stacks(M), select)
-    k, A11 = len(L), dagger(Z1) @ M @ Z1
-    assert spectral_norm(M @ Z1 - Z1 @ A11) <= 1e-13 * scale
+    Z1, L, picked, rest = unit_projector(block_stacks(M), band)
+    k = len(L)
+    assert spectral_norm(M @ Z1 - Z1) <= 1e-13 * scale
     assert spectral_norm(dagger(Z1) @ Z1 - np.eye(k)) <= 1e-13
-    assert np.abs(np.tril(A11, -1)).max(initial=0.0) <= 1e-13 * scale
-    assert np.abs(np.diag(A11) - picked).max(initial=0.0) <= 1e-13 * scale
     assert len(picked) == k and all(select(x) for x in picked)
     assert len(rest) == D * D - k and not any(select(x) for x in rest)
     A_ref, Z_ref, k_ref, L_ref = dense_sorted_schur(M, select)
     assert k == k_ref
     assert spectral_norm(Z1 @ L - Z_ref[:, :k] @ L_ref) <= 1e-12
+    for ours, theirs in ((picked, np.diag(A_ref)[:k]),
+                         (rest, np.diag(A_ref)[k:])):
+        cost = np.abs(ours[:, None] - theirs[None])     # as multisets
+        assert cost[linear_sum_assignment(cost)].max(initial=0.0) \
+            <= 1e-13 * scale
     assert blockwise_norm(block_stacks(M)) == \
         pytest.approx(spectral_norm(M), rel=1e-14)
 
@@ -441,8 +453,7 @@ def test_spectral_projector_diagonalizable():
     V = rng.standard_normal((5, 5)) + 0.1 * np.eye(5)
     lams = np.array([1.0, 1.0, 0.5, 0.2, -0.3])
     M = V @ np.diag(lams) @ np.linalg.inv(V)
-    Z1, L, picked, rest = sorted_schur(block_stacks(M),
-                                       lambda lam: abs(lam - 1) < 1e-6)
+    Z1, L, picked, rest = unit_projector(block_stacks(M), 1e-6)
     assert len(L) == 2 and len(rest) == 3
     assert np.abs(picked - 1).max() < 1e-8
     assert np.linalg.norm(M @ Z1 - Z1 @ (dagger(Z1) @ M @ Z1)) < 1e-8
@@ -450,3 +461,17 @@ def test_spectral_projector_diagonalizable():
     assert np.linalg.norm(P @ P - P) < 1e-8
     assert np.linalg.norm(M @ P - P) < 1e-8
     assert abs(np.trace(P) - 2) < 1e-8
+
+
+def test_unit_projector_inside_the_band():
+    # an eigenvalue 1 - eps inside the band is picked with 1, and Z L is
+    # their spectral projector to O(eps) (4.1 eps at this cond(V) = 17)
+    rng = np.random.default_rng(5)
+    V = rng.standard_normal((5, 5)) + 0.1 * np.eye(5)
+    eps = 1e-8
+    M = V @ np.diag([1.0, 1 - eps, 0.5, 0.2, -0.3]) @ np.linalg.inv(V)
+    Z1, L, picked, rest = unit_projector(block_stacks(M), 1e-7)
+    assert len(L) == 2 and np.allclose(np.sort(picked.real), [1 - eps, 1],
+                                       rtol=0, atol=1e-13)
+    P = V[:, :2] @ np.linalg.inv(V)[:2]
+    assert spectral_norm(Z1 @ L - P) <= 10 * eps
