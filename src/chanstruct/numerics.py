@@ -28,10 +28,9 @@ Conventions pinned here and used by every other module:
   (:func:`kron_blocks`): exact, and one block is the same code.  A
   transfer matrix (T, its rho-weighted form) is the split of its Kraus
   pair (:func:`kraus_transfer`), and a difference of channels has the
-  HS norm of thin factors (:func:`transfer_distance`).  The eig and solve
-  of :func:`unit_projector` (every eigenvalue, and the projector onto the
-  eigenvalue 1), Gram eigh, 2-norm and products (:func:`block_apply`) run
-  block by block.
+  HS norm of thin factors (:func:`transfer_distance`).  Eigenvalues and
+  inverse iteration (:func:`unit_projector`), Gram eigh, 2-norm and
+  products (:func:`block_apply`) run block by block.
 * An operator of low rank is kept as factors E = X Y* and its residuals
   are written as factors too: X (Y* X - I) Y* for idempotency,
   [X, -T X] [T* Y, Y]* for the commutator with T (:func:`commutator_norm`)
@@ -446,45 +445,50 @@ def subspace_distance(S1: MatrixSubspace, S2: MatrixSubspace) -> float:
 
 def unit_projector(blocks, band: float):
     """(Z, L, ones, rest) for a matrix M, given by its split, whose
-    eigenvalue 1 is semisimple.  One batched ``eig`` per block size gives
-    every eigenvalue; |lam| > 1 - band and |lam - 1| <= band pick the k_b
-    of a block B that count as 1 (``ones``, the others ``rest``).  Z_b, the
-    Q of a QR of the picked eigenvectors, spans ker(B - I), and one solve
-    gives L_b: [L_b, mu] [[B - I, Z_b], [Z_b*, 0]] = [0, I], nonsingular
-    since ker(B - I) and range(B - I) meet only in 0, so L_b (B - I) = 0
-    and L_b Z_b = I (Z_b = L_b = I when k_b is the block size).  Z (n x k)
-    and L (k x n) gather them: Z L is the projector onto ker(M - I) along
-    range(M - I), and the spectral projector to O(eps) when a picked
-    eigenvalue is 1 - eps."""
+    eigenvalue 1 is semisimple.  One batched ``eigvals`` per block size;
+    |lam| > 1 - band and |lam - 1| <= band pick the k_b eigenvalues of a
+    block B that count as 1 (``ones``, the others ``rest``).  Inverse
+    iteration on B and B* at their mean + band/1e3 (``eig`` where 3 steps
+    leave a residual above 1e-12 ||B||_F) spans their right and left
+    invariant subspaces, Z_b orthonormal and W_b; L_b = (W_b* Z_b)^-1 W_b*
+    (Z_b = L_b = I if k_b = s).  Z (n x k) and L (k x n) gather them: Z L
+    is the spectral projector onto ker(M - I) along range(M - I)."""
     n = sum(idx.size for idx, _ in blocks)
     parts, ones, rest = [], [], []          # (rows, Z_b, L_b) stacks
     for idx, S in blocks:
         s = idx.shape[1]            # 1 x 1 blocks are read directly
-        lam, V = (S[:, 0], np.ones_like(S)) if s == 1 else np.linalg.eig(S)
+        lam = S[:, 0] if s == 1 else np.linalg.eigvals(S)
         pick = (np.abs(lam) > 1.0 - band) & (np.abs(lam - 1) <= band)
         ones.append(lam[pick])
         rest.append(lam[~pick])
         counts = pick.sum(axis=1)
         for k in np.unique(counts[counts > 0]):
             b = counts == k
-            if k == s:
-                Z = L = np.broadcast_to(np.eye(s), (b.sum(), s, s))
-            else:
-                order = np.argsort(~pick[b], axis=1, kind="stable")[:, :k]
-                Z, _ = np.linalg.qr(
-                    np.take_along_axis(V[b], order[:, None], axis=2))
-                Mh = np.zeros((b.sum(), s + k, s + k), dtype=complex)  # M*
-                Mh[:, :s, :s] = dagger(S[b]) - np.eye(s)
-                Mh[:, :s, s:], Mh[:, s:, :s] = Z, dagger(Z)
-                L = dagger(np.linalg.solve(Mh, np.eye(s + k)[:, s:])[:, :s])
+            B, mu = S[b], lam[b][pick[b]].reshape(-1, k).mean(axis=1)
+            Z = L = np.broadcast_to(np.eye(s), B.shape)
+            if k < s:
+                shifted = B - (mu + band / 1e3)[:, None, None] * np.eye(s)
+                Z = W = np.exp(2j * np.pi * np.sqrt(2) * np.outer(
+                    np.arange(1, s + 1), np.arange(1, k + 1)))  # full rank
+                for _ in range(3):
+                    Z = np.linalg.qr(np.linalg.solve(shifted, Z))[0]
+                    W = np.linalg.qr(np.linalg.solve(dagger(shifted), W))[0]
+                bad = sum(np.linalg.norm(A @ X - X @ (dagger(X) @ A @ X),
+                                         axis=(1, 2))
+                          for A, X in ((B, Z), (dagger(B), W))) \
+                    > 1e-12 * np.linalg.norm(B, axis=(1, 2))
+                if bad.any():       # the k_b eigenvalues nearest 1
+                    w, V = np.linalg.eig(B[bad])
+                    near = np.argsort(np.abs(w - 1), axis=1)[:, None, :k]
+                    Z[bad] = np.linalg.qr(np.take_along_axis(V, near, 2))[0]
+                    W[bad] = np.take_along_axis(
+                        dagger(np.linalg.inv(V)), near, 2)
+                L = np.linalg.solve(dagger(W) @ Z, dagger(W))
             parts.append((idx[b], Z, L))
-    k = sum(Z.shape[0] * Z.shape[2] for _, Z, _ in parts)
-    Z1, L1 = np.zeros((n, k), dtype=complex), np.zeros((k, n), dtype=complex)
-    first = 0
-    for rows, Z, Lb in parts:
-        m, _, kb = Z.shape
-        cols = first + np.arange(m * kb).reshape(m, kb)
-        first += cols.size
+    off = np.cumsum([0] + [Z.shape[0] * Z.shape[2] for _, Z, _ in parts])
+    Z1, L1 = np.zeros((n, off[-1]), complex), np.zeros((off[-1], n), complex)
+    for (rows, Z, Lb), f in zip(parts, off):
+        cols = f + np.arange(Z.shape[0] * Z.shape[2]).reshape(len(Z), -1)
         Z1[rows[:, :, None], cols[:, None, :]] = Z
         L1[cols[:, :, None], rows[:, None, :]] = Lb
     return (Z1, L1, *(np.concatenate(x + [np.zeros(0)])

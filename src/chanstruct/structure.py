@@ -4,7 +4,7 @@ Fixed points F, multiplicative domain M, decoherence-free algebra N,
 reversible/stable splitting, conditional expectations onto F and N,
 invariant states and the decoherence spectral gap.
 
-One batched eig per block size of the transfer matrix T decides the
+The eigenvalues of the blocks of the transfer matrix T decide the
 eigenvalue 1, |lam| > 1 - peripheral_band and |lam - 1| <= peripheral_band
 (:func:`spectrum`), for E_F, F and rho_max.  The rest is read off N: under
 a faithful invariant state rho, N spans the peripheral eigenmatrices, E_N
@@ -180,14 +180,11 @@ class GapReport:
 
 def spectrum(T, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
     """Spectral data of a unital CP map from the split of its transfer
-    matrix T (:func:`unit_projector`, whose eigenvalue 1 is |lam| > 1 - band
-    and |lam - 1| <= band).  The map is power-bounded, so every peripheral
-    eigenvalue is semisimple and E_F = Z_f L, kept as its rank-f factors,
-    is the projector onto F = ker(T - I) along range(T - I), F with the
-    orthonormal basis Z_f; range(E_F*) is the invariant-state space, since
-    the preadjoint's transfer matrix is the HS adjoint of T.
-    ||T Z_f - Z_f|| > check_tol, as from picked eigenvectors that are
-    numerically dependent, raises PeripheralJordanBlock."""
+    matrix T (:func:`unit_projector`).  The map is power-bounded, so its
+    eigenvalue 1 is semisimple and E_F = Z_f L, kept as its rank-f factors,
+    is the projector onto F = ker(T - I) along range(T - I); range(E_F*) is
+    the invariant-state space.  ||T Z_f - Z_f|| > check_tol, as from a
+    Jordan block at 1, raises PeripheralJordanBlock."""
     Zf, L, ones, rest = unit_projector(T, tol.peripheral_band)
     resid = spectral_norm(block_apply(T, Zf) - Zf)
     if resid > tol.check_tol:

@@ -381,16 +381,17 @@ def test_split_kernels_match_the_dense_routes(sizes, seed):
 
     def unit_block(s):
         # a semisimple eigenvalue 1 of multiplicity k (at least 4 in the one
-        # dense block), one of them 1 - eps inside the band in some blocks,
-        # one more on the unit circle at distance >= 1 from 1 and the rest
-        # of modulus below 0.9, so that the projector is well conditioned,
-        # under a random non-normal similarity
+        # dense block), one of them 1 - eps inside the band in some blocks
+        # (eps = 1e-14 or band / 2), one more on the unit circle at
+        # distance >= 1 from 1 and the rest of modulus below 0.9, so that
+        # the projector is well conditioned, under a random non-normal
+        # similarity
         k = rng.integers(4 if s >= 9 else 0, s + 1)
         lam = 0.9 * rng.random(s) * np.exp(2j * np.pi * rng.random(s))
         lam[:k] = 1.0
         lam[k:k + 1] = np.exp(1j * np.pi * (1 + rng.uniform(-2, 2) / 3))
-        if k and rng.random() < 0.3:
-            lam[0] = 1 - 1e-14
+        if k and rng.random() < 0.5:
+            lam[0] = 1 - rng.choice([1e-14, band / 2])
         S = random_unitary(s, rng) @ (
             np.eye(s) + 0.5 * np.triu(gaussian(s, s), 1) / np.sqrt(s))
         return S @ np.diag(lam) @ np.linalg.inv(S)
@@ -409,7 +410,7 @@ def test_split_kernels_match_the_dense_routes(sizes, seed):
     scale = max(1.0, spectral_norm(M))
     Z1, L, picked, rest = unit_projector(block_stacks(M), band)
     k = len(L)
-    assert spectral_norm(M @ Z1 - Z1) <= 1e-13 * scale
+    assert spectral_norm(M @ Z1 - Z1 @ (dagger(Z1) @ M @ Z1)) <= 1e-13 * scale
     assert spectral_norm(dagger(Z1) @ Z1 - np.eye(k)) <= 1e-13
     assert len(picked) == k and all(select(x) for x in picked)
     assert len(rest) == D * D - k and not any(select(x) for x in rest)
@@ -465,7 +466,7 @@ def test_spectral_projector_diagonalizable():
 
 def test_unit_projector_inside_the_band():
     # an eigenvalue 1 - eps inside the band is picked with 1, and Z L is
-    # their spectral projector to O(eps) (4.1 eps at this cond(V) = 17)
+    # their spectral projector
     rng = np.random.default_rng(5)
     V = rng.standard_normal((5, 5)) + 0.1 * np.eye(5)
     eps = 1e-8
@@ -474,4 +475,23 @@ def test_unit_projector_inside_the_band():
     assert len(L) == 2 and np.allclose(np.sort(picked.real), [1 - eps, 1],
                                        rtol=0, atol=1e-13)
     P = V[:, :2] @ np.linalg.inv(V)[:2]
-    assert spectral_norm(Z1 @ L - P) <= 10 * eps
+    assert spectral_norm(Z1 @ L - P) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_unit_projector_keeps_the_band_edge(seed):
+    # picked eigenvalues 1 and 1 - 0.9 band, and 1 - 1.1 band just outside:
+    # inverse iteration at their mean converges too slowly to separate
+    # them, so the picked eigenvectors come from eig, as far from the
+    # outside one as an eigenvector gap of 0.2 band allows
+    band = 1e-7
+    rng = np.random.default_rng(seed)
+    lam = [1.0, 1 - 0.9 * band, 1 - 1.1 * band, 0.5, -0.3, 0.2j]
+    V = random_unitary(6, rng) @ (
+        np.eye(6) + 0.5 * np.triu(rng.standard_normal((6, 6)), 1))
+    M = V @ np.diag(lam) @ np.linalg.inv(V)
+    Z1, L, picked, rest = unit_projector(block_stacks(M), band)
+    assert len(L) == 2 and len(rest) == 4
+    assert spectral_norm(dagger(Z1) @ Z1 - np.eye(2)) <= 1e-13
+    P = V[:, :2] @ np.linalg.inv(V)[:2]
+    assert spectral_norm(Z1 @ L - P) <= 1e-6

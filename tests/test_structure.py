@@ -25,6 +25,7 @@ from chanstruct.numerics import (
 from chanstruct.structure import (
     L2Structure,
     NoFaithfulInvariantState,
+    PeripheralJordanBlock,
     decoherence_gap,
     dfa,
     fixed_points,
@@ -47,6 +48,7 @@ from tests.conftest import (
     NoStabilization,
     amplitude_damping,
     analysis,
+    block_stacks,
     cesaro_expectation,
     dense,
     dense_map_norm,
@@ -140,6 +142,20 @@ def test_spectrum_matches_kernel_route():
             assert stable_dim + dfa(c).dim == n, c.label
     ad = channels[-2]
     assert not invariant_states(ad, spectrum(ad.transfer_blocks)).faithful
+
+
+@pytest.mark.parametrize("conjugated", [False, True])
+def test_spectrum_refuses_a_jordan_block_at_one(conjugated):
+    # not power-bounded: a 2 x 2 Jordan block at the eigenvalue 1, alone in
+    # its block of the split (k = s) or inside one dense block with 0.5 and
+    # 0.2 (k < s); Z_f is then not fixed by T
+    T = np.diag([1.0, 1.0, 0.5, 0.2]).astype(complex)
+    T[0, 1] = 1.0
+    if conjugated:
+        S = np.random.default_rng(3).standard_normal((4, 4))
+        T = S @ T @ np.linalg.inv(S)
+    with pytest.raises(PeripheralJordanBlock, match="fixed-point residual"):
+        spectrum(block_stacks(T))
 
 
 def test_blockwise_spectrum_matches_the_dense_schur_form():
