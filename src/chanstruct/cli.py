@@ -304,8 +304,8 @@ def build_ledger(analysis: Analysis) -> list:
             tol.check_tol)
         add("l2-contraction",
             max(0.0, l2.map_norm(analysis.weighted) - 1.0), tol.eq_tol)
-        iso_res = max((abs(l2.norm(c.apply(b)) - l2.norm(b))
-                       for b in N.basis), default=0.0)
+        iso_res = float(np.abs(l2.norm(c.apply(N.basis))
+                               - l2.norm(N.basis)).max(initial=0.0))
         add("l2-isometry-on-dfa", iso_res, tol.eq_tol)
 
     if w is not None:

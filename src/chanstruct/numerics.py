@@ -10,8 +10,8 @@ Conventions pinned here and used by every other module:
   level of ``Tolerances``, each a fixed multiple of ``eq_tol``.
 * Every kernel (commutants, centers, M, N, the walk oracles) is decided
   by one SVD of the folded constraint matrix (:func:`kernel_coefficients`)
-  or of each class of coupled columns (:func:`split_kernel`): singular
-  values sigma <= rank_tol * max(sigma_max, 1) span the kernel.
+  or per class of coupled columns, on its own rows (:func:`split_kernel`):
+  singular values sigma <= rank_tol * max(sigma_max, 1) span the kernel.
   :func:`gram_candidates` keeps the eigenvectors of a Gram matrix with
   lambda <= GRAM_CANDIDATE_CUTOFF * max(lambda_max, 1) as candidates
   only: the exact constraint restricts them and decides.  Spans keep the
@@ -275,18 +275,31 @@ def kernel_coefficients(blocks, k: int,
     return vh[s <= tol.rank_tol * max(s[0], 1.0)].conj().T
 
 
-def split_kernel(C: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """:func:`kernel_coefficients` of C by one QR and SVD per class of the
-    columns that its exact nonzero pattern couples (:func:`components`):
-    C's singular values are the classes', sigma_max the largest of all."""
-    k = C.shape[1]
-    C = np.vstack([C, np.zeros((max(k - len(C), 0), k))])  # R is s x s
-    r, c = np.nonzero(C)
+def split_kernel(rows, cols, vals, k: int, tol=DEFAULT_TOL) -> np.ndarray:
+    """:func:`kernel_coefficients` of the k-column C with nonzeros C[rows,
+    cols] = vals (repeats summed): one QR and SVD per class of the columns
+    that C's exact pattern couples (:func:`components`), on its own rows
+    padded to s.  C's singular values are the classes', sigma_max of all."""
+    key, at = np.unique(np.asarray(rows) * k + cols, return_inverse=True)
+    v = np.bincount(at, np.real(vals)) + 1j * np.bincount(at, np.imag(vals))
+    (r, c), v = np.divmod(key[v != 0], k), v[v != 0]
+    classes = components(k, c, c[np.searchsorted(r, r)])  # r is sorted
+    label, pos = np.zeros(k, int), np.zeros(k, int)   # least column, place
+    for cl in classes:
+        label[cl], pos[cl] = cl[:, :1], np.arange(cl.shape[1])
+    n, lc = r.max(initial=0) + 1, label[c]
+    pair, at = np.unique(lc * n + r, return_inverse=True)  # (class, row)
+    at -= np.searchsorted(pair // n, pair // n)[at]        # row in class
+    count = np.bincount(pair // n, minlength=k)
     V, sigma = np.zeros((k, k), dtype=complex), np.zeros(k)
-    for cl in components(k, c, c[np.searchsorted(r, r)]):
-        _, sigma[cl], vh = np.linalg.svd(np.linalg.qr(
-            C[:, cl].transpose(1, 0, 2), mode="r"))
-        V[cl[:, :, None], cl[:, None]] = dagger(vh)  # column cl[b, e]
+    for cl in classes:
+        height = np.maximum(count[cl[:, 0]], cl.shape[1])  # R is s x s
+        for h in np.unique(height):
+            group, e = cl[height == h], np.isin(lc, cl[height == h, 0])
+            A = np.zeros((len(group), h, cl.shape[1]), dtype=complex)
+            A[np.searchsorted(group[:, 0], lc[e]), at[e], pos[c[e]]] = v[e]
+            _, sigma[group], vh = np.linalg.svd(np.linalg.qr(A, mode="r"))
+            V[group[:, :, None], group[:, None]] = dagger(vh)  # cl[b, e]
     return V[:, sigma <= tol.rank_tol * max(sigma.max(initial=0.0), 1.0)]
 
 

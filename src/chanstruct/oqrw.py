@@ -151,33 +151,34 @@ def to_channel(w: OqrwSpec, tol: Tolerances = DEFAULT_TOL) -> ChannelSpec:
 
 def _diagonal_conditions(w: OqrwSpec, spans):
     """A_ii M = M A_kk for M = P Q*, P in spans[i, j], Q in spans[k, j] over
-    the common sources j: one closure per vertex pair (i, k).  The stack S
-    of the P Q* enters as the triangular R of its QR: R*R = S*S keeps the
-    Gram matrix, hence the kernel, of the constraint."""
-    n, h = w.n_vertices, w.local_dims
-    for i, k in itertools.product(range(n), repeat=2):
-        prods = [np.einsum("pab,qcb->pqac", spans[(i, j)],
-                           spans[(k, j)].conj()).reshape(-1, h[i] * h[k])
-                 for j in range(n) if (i, j) in spans and (k, j) in spans]
-        if prods:
-            M = np.linalg.qr(np.concatenate(prods), mode="r") \
-                .reshape(-1, h[i], h[k])
-            yield lambda A, i=i, k=k, M=M: (w.block(A, i, i)[:, None] @ M
-                                            - M @ w.block(A, k, k)[:, None])
+    the common sources j, as (i, k, M) per vertex pair.  The stack S of the
+    P Q* enters as the triangular R of its QR: R*R = S*S keeps the Gram
+    matrix, hence the kernel, of the constraint."""
+    h, prods = w.local_dims, {}
+    for j, ends in itertools.groupby(sorted(spans, key=lambda e: e[::-1]),
+                                     key=lambda e: e[1]):
+        for (i, _), (k, _) in itertools.product(list(ends), repeat=2):
+            prods.setdefault((i, k), []).append(np.einsum(
+                "pab,qcb->pqac", spans[(i, j)], spans[(k, j)].conj())
+                .reshape(-1, h[i] * h[k]))
+    for (i, k), S in sorted(prods.items()):
+        yield i, k, np.linalg.qr(np.vstack(S), "r").reshape(-1, h[i], h[k])
 
 
-def _first_diagonal(w: OqrwSpec, spans, tol) -> MatrixSubspace:
-    """The diagonal part cut out of the sum h_i^2 block-diagonal matrix
-    units by the one-step conditions (``spans``), split by class."""
-    D = w.total_dim
-    vertex = np.repeat(np.arange(w.n_vertices), w.local_dims)
-    rows, cols = np.nonzero(vertex[:, None] == vertex)
-    units = np.zeros((len(rows), D, D))
-    units[np.arange(len(rows)), rows, cols] = 1
-    C = np.hstack([fn(units).reshape(len(units), -1)
-                   for fn in _diagonal_conditions(w, spans)])
-    kernel = split_kernel(C.T, tol)
-    return MatrixSubspace(D, np.tensordot(kernel.T, units, 1))
+def _first_diagonal(w: OqrwSpec, spans, unit, tol) -> np.ndarray:
+    """Coefficient rows over the block-diagonal units (row-major, vertex i's
+    from unit[i]) cut out by the one-step conditions: row (r, a, c) of
+    (i, k, M) holds M[r, b, c] at (i; a, b), -M[r, a, b] at (k; b, c)."""
+    h, rows, cols, vals, base = w.local_dims, [], [], [], 0
+    for i, k, M in _diagonal_conditions(w, spans):
+        (r, p, q), m = np.nonzero(M), M[M != 0]
+        a, c, row = np.c_[:h[i]], np.c_[:h[k]], base + r * h[i] * h[k]
+        rows += [row + a * h[k] + q, row + p * h[k] + c]
+        cols += [unit[i] + a * h[i] + p, unit[k] + q * h[k] + c]
+        vals += [np.tile(m, (h[i], 1)), np.tile(-m, (h[k], 1))]
+        base += M.size
+    return split_kernel(*(np.concatenate([x.ravel() for x in v])
+                          for v in (rows, cols, vals)), unit[-1], tol).T
 
 
 def _off_diagonal(w: OqrwSpec, tol) -> MatrixSubspace:
@@ -187,9 +188,9 @@ def _off_diagonal(w: OqrwSpec, tol) -> MatrixSubspace:
                               in w.transitions.items() if i == v],
                              w.local_dims[v], tol)
          for v in range(w.n_vertices)]
-    D = w.total_dim
+    D, dead = w.total_dim, [(v, Wv) for v, Wv in enumerate(W) if Wv.size]
     parts = [np.zeros((0, D, D), dtype=complex)]
-    for (l, Wl), (i, Wi) in itertools.permutations(enumerate(W), 2):
+    for (l, Wl), (i, Wi) in itertools.permutations(dead, 2):
         E = np.zeros((Wl.shape[1] * Wi.shape[1], D, D), dtype=complex)
         w.block(E, l, i)[...] = np.einsum("xa,yb->abxy", Wl, Wi.conj()) \
             .reshape(len(E), len(Wl), len(Wi))
@@ -197,9 +198,11 @@ def _off_diagonal(w: OqrwSpec, tol) -> MatrixSubspace:
     return MatrixSubspace(D, np.concatenate(parts))
 
 
-def _algebra(diagonal: MatrixSubspace, off_diagonal: MatrixSubspace):
-    return MatrixSubspace(diagonal.ambient_dim, np.concatenate(
-        [diagonal.basis, off_diagonal.basis]))
+def _algebra(w: OqrwSpec, X: np.ndarray, off_diagonal: MatrixSubspace):
+    D, v = w.total_dim, np.repeat(np.arange(w.n_vertices), w.local_dims)
+    diagonal = np.zeros((len(X), D, D), dtype=complex)
+    diagonal[:, v[:, None] == v] = X        # the units, row-major, as in X
+    return MatrixSubspace(D, np.concatenate([diagonal, off_diagonal.basis]))
 
 
 @dataclass(frozen=True)
@@ -237,20 +240,24 @@ def oqrw_dfa(w: OqrwSpec, tol: Tolerances = DEFAULT_TOL) -> OqrwDfaReport:
     the one-step ranges: the off-diagonal conditions of n = 1 imply those
     of every n, the off-diagonal part stays the sum of B(W_i, W_l),
     nonzero only if two vertices have a dead corner W_i != 0, and only the
-    diagonal part shrinks along the chain.  Each step stops the chain or
-    lowers its dimension, at most D^2 to begin with, so it ends."""
+    diagonal part (coefficient rows, embedded at the end) shrinks along the
+    chain.  Each step ends it or lowers its dimension, at most D^2."""
     off_diagonal = _off_diagonal(w, tol)
     spans = {key: (L / hs_norm(L))[None] for key, L in w.transitions.items()
              if hs_norm(L) > tol.rank_tol}
-    first = diagonal = _first_diagonal(w, spans, tol)
-    prev_dim, dim = None, first.dim + off_diagonal.dim
-    while dim != prev_dim and dim > 1:
-        spans = _advance_spans(w, spans, tol)
-        diagonal = diagonal.restrict(_diagonal_conditions(w, spans), tol)
-        prev_dim, dim = dim, diagonal.dim + off_diagonal.dim
-    return OqrwDfaReport(algebra=_algebra(diagonal, off_diagonal),
+    h, unit = w.local_dims, np.cumsum([0, *np.square(w.local_dims)])
+    first = X = _first_diagonal(w, spans, unit, tol)
+    prev_dim, dim = None, len(X) + off_diagonal.dim
+    while dim != prev_dim and dim > 1:      # X's blocks: A[i] (dim, 1, d, d)
+        spans, A = _advance_spans(w, spans, tol), [x.reshape(
+            len(X), 1, d, d) for x, d in zip(np.split(X, unit[1:-1], 1), h)]
+        X = kernel_coefficients(
+            ((A[i] @ M - M @ A[k]).reshape(len(X), -1).T
+             for i, k, M in _diagonal_conditions(w, spans)), len(X), tol).T @ X
+        prev_dim, dim = dim, len(X) + off_diagonal.dim
+    return OqrwDfaReport(algebra=_algebra(w, X, off_diagonal),
                          off_diagonal=off_diagonal,
-                         multiplicative_domain=_algebra(first, off_diagonal))
+                         multiplicative_domain=_algebra(w, first, off_diagonal))
 
 
 # ---------------------------------------------------------------------------

@@ -123,10 +123,10 @@ class L2Structure:
         return cls(rho=rho, sqrt=(V * np.sqrt(w)) @ dagger(V),
                    inv_sqrt=(V / np.sqrt(w)) @ dagger(V))
 
-    def norm(self, x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=complex)
-        return float(np.sqrt(max(np.real(
-            np.trace(self.rho @ dagger(x) @ x)), 0.0)))
+    def norm(self, x: np.ndarray):
+        x = np.asarray(x, dtype=complex)        # one matrix or a stack
+        return np.sqrt(np.maximum(np.real(np.sum(
+            (x @ self.rho) * x.conj(), axis=(-2, -1))), 0.0))
 
     def weighted_transfer(self, kraus: np.ndarray) -> list:
         """The split of W = G T G^-1, G x = x rho^1/2, for the channel with

@@ -179,7 +179,14 @@ def test_split_kernel_cuts_with_the_largest_singular_value_of_all():
     C[:2][:, [0, 2]] = np.diag([1e3, 2.0]) @ Q
     C[2:4][:, [1, 3]] = np.diag([1.0, 1e-7]) @ Q.T
     C[4, 0] = 0.5
-    split, whole = split_kernel(C), kernel_coefficients([C], 4)
+    # the nonzeros in two halves, and in row 5 a nonzero at column 0 and
+    # two that cancel at column 1, which so couple no columns: repeats
+    # are summed before the classes are found
+    r, c = np.nonzero(C)
+    rows, cols = np.r_[r, r, 5, 5, 5], np.r_[c, c, 0, 1, 1]
+    split = split_kernel(rows, cols,
+                         np.r_[C[r, c], C[r, c], 1, 1, -1] / 2, 4)
+    whole = kernel_coefficients([C], 4)
     assert split.shape == whole.shape == (4, 1)
     assert np.abs(split[[0, 2]]).max() == 0
     assert subspace_distance(MatrixSubspace.from_columns(split, 2),
@@ -438,6 +445,10 @@ def test_split_kernels_match_the_dense_routes(sizes, seed):
     reference = dense_gram_kernel(G, constraint)
     assert kernel.dim == reference.dim
     assert subspace_distance(kernel, reference) <= 1e-10
+    r, c = np.nonzero(C)
+    split = MatrixSubspace.from_columns(split_kernel(r, c, C[r, c], D * D), D)
+    assert split.dim == reference.dim
+    assert subspace_distance(split, reference) <= 1e-10
 
     def hermitian_block(s):
         W = gaussian(s, s)

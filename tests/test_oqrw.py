@@ -6,6 +6,7 @@ import pytest
 from chanstruct import oqrw
 from chanstruct.channel import from_kraus
 from chanstruct.numerics import (
+    components,
     random_unitary,
     spectral_norm,
     subspace_distance,
@@ -286,6 +287,36 @@ def path_chain_steps(w):
         m.setattr(oqrw, "_advance_spans", counted)
         oqrw_dfa(w)
     return len(steps)
+
+
+def test_split_kernel_factors_each_class_over_its_own_rows(monkeypatch):
+    # the first step's QRs run over each class's own rows, padded to at
+    # least s rows, not over every row of the constraint
+    qr, split, calls, heights = np.linalg.qr, oqrw.split_kernel, [], []
+
+    def recorded_qr(A, *args, **kwargs):
+        if calls and calls[-1] is not None:     # inside split_kernel
+            heights.append(int(np.prod(A.shape[:-1])))
+        return qr(A, *args, **kwargs)
+
+    def recorded_split(*args):
+        calls.append(args)
+        try:
+            return split(*args)
+        finally:
+            calls.append(None)
+
+    monkeypatch.setattr(np.linalg, "qr", recorded_qr)
+    monkeypatch.setattr(oqrw, "split_kernel", recorded_split)
+    oqrw_dfa(builder_pauli_walk(8, 0.5))
+    (rows, cols, vals, k, _), _ = calls
+    C = np.zeros((rows.max() + 1, k), dtype=complex)
+    np.add.at(C, (rows, cols), vals)
+    r, c = np.nonzero(C)
+    bound = sum(max(np.count_nonzero(C[:, cl].any(axis=1)), len(cl))
+                for size in components(k, c, c[np.searchsorted(r, r)])
+                for cl in size)
+    assert heights and sum(heights) <= bound
 
 
 def oracle_walks():

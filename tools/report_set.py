@@ -9,17 +9,19 @@ report, when the command wrote one) and ``<stem>.exit`` (its exit code)
 into OUT_DIR, the layout `tools/compare_reports.py` reads; the inputs
 themselves go to OUT_DIR/in.  The stem is ``<input>.<command>``, or
 ``<run>.<command>`` for the runs of ``EXTRA_RUNS``, which pass extra
-arguments.  The 172 inputs, and one of them again at ``--tol 1e-12``, 346
+arguments.  The 173 inputs, and one of them again at ``--tol 1e-12``, 348
 cases:
 
 * the 52-channel corpora of seeds 20240817, 27 and 1, built by
   `perfbench/inputs.py` (``s<seed>-cNN``);
 * the benchmark's two D=16 walks, ``nn-cycle-8`` and ``pauli-walk-8``;
-* seven `chanstruct example` models: the Pauli walk with d=3 and d=4, the
-  cyclic shift with d=4 and with d=3 on local dimension 3, and the
-  nearest-neighbour cycle with n=4 and n=32 (special basis) and n=6
+* eight `chanstruct example` models: the Pauli walk with d=3, d=4 and
+  d=16, the cyclic shift with d=4 and with d=3 on local dimension 3, and
+  the nearest-neighbour cycle with n=4 and n=32 (special basis) and n=6
   (generic unitary steps); at n=32 (D=64) one commutator fills a kernel
-  fold block, so each commutant restriction folds one operator at a time;
+  fold block, so each commutant restriction folds one operator at a time,
+  and at d=16 (D=32) the first step of the walk oracle splits into many
+  classes of coupled columns;
 * the dephasing mixture Phi = (1 - p) id + p Ad_Z with eps = 2p in
   {1e-3, 1e-5, 1e-7, 5e-8, 1e-9}, whose eigenvalue 1 - eps crosses the
   edge of the peripheral band (``dephasing-<eps>``), and amplitude
@@ -69,6 +71,7 @@ COMMANDS = ("analyze", "verify")
 EXAMPLES = {
     "pauli-d3": ["pauli", "--d", "3"],
     "pauli-d4": ["pauli", "--d", "4"],
+    "pauli-d16": ["pauli", "--d", "16"],
     "cyclic-shift-d4": ["cyclic-shift", "--d", "4"],
     "cyclic-shift-d3-l3": ["cyclic-shift", "--d", "3", "--local-dim", "3"],
     "nn-cycle-n4-special": ["nn-cycle", "--n", "4",
