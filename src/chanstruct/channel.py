@@ -30,7 +30,13 @@ from chanstruct.numerics import (
 
 
 class NotUnital(ValueError):
-    """Kraus list fails sum V* V = I within tolerance."""
+    """Kraus list fails sum V* V = I within eq_tol; ``channel`` is the
+    rejected map."""
+
+    def __init__(self, channel: ChannelSpec):
+        super().__init__(f"sum V*V deviates from I by "
+                         f"{channel.unitality_defect:.3e}")
+        self.channel = channel
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,9 +107,8 @@ def from_kraus(matrices, tol: Tolerances = DEFAULT_TOL,
     if not np.all(np.isfinite(V)):
         raise ValueError("Kraus operator has non-finite entries")
     c = ChannelSpec(V.shape[1], V, label=label)
-    defect = c.unitality_defect
-    if defect > tol.eq_tol:
-        raise NotUnital(f"sum V*V deviates from I by {defect:.3e}")
+    if c.unitality_defect > tol.eq_tol:
+        raise NotUnital(c)
     return c
 
 
@@ -130,8 +135,8 @@ def channel_to_json(c: ChannelSpec) -> dict:
 
 def channel_from_json(data: dict, tol: Tolerances = DEFAULT_TOL) -> ChannelSpec:
     mats = [matrix_from_json(m) for m in data["kraus"]]
-    c = from_kraus(mats, tol=tol, label=data.get("label", ""))
-    if c.dim != int(data["dim"]):
-        raise DimensionMismatch(
-            f"declared dim {data['dim']} but matrices are {c.dim}x{c.dim}")
-    return c
+    # checked first: verify reads a NotUnital as a failed ledger entry
+    if mats and len(mats[0]) != int(data["dim"]):
+        raise DimensionMismatch(f"declared dim {data['dim']} but the "
+                                f"matrices have {len(mats[0])} rows")
+    return from_kraus(mats, tol=tol, label=data.get("label", ""))

@@ -70,17 +70,17 @@ class Tolerances:
     rank_tol         eq_tol/10   every rank, span and kernel (relative
                                  singular values); state eigenvalue floor
     eq_tol           eq_tol      equalities (relative spectral norm);
-                                 ledger: the L2 contraction and isometry
+                                 ledger: unitality, L2 contraction, isometry
     peripheral_band  10 eq_tol   |lam| > 1 - band and |lam - 1| <= band
                                  is the eigenvalue 1; the ledger counts
                                  |lam| > 1 - band against dim N
     derived_tol      10 eq_tol   cluster gaps, projector rounding, product
-                                 closure of F; ledger: the expectations,
-                                 the walk oracles
+                                 closure of F; ledger: the same closure,
+                                 the expectations, the walk oracles
     check_tol        100 eq_tol  a stage's self-checks: closure, the M
-                                 re-check, eigenpairs and their
-                                 conditioning, invariance, walk columns;
-                                 ledger: unitality, distances of two routes
+                                 re-check, eigenvector conditioning,
+                                 invariance, walk columns; ledger: N's
+                                 eigenpairs, distances of two routes
     cycle_tol        1e3 eq_tol  the cycles layer, built on several stages
     ===============  ==========  ===========================================
     """
@@ -279,7 +279,8 @@ def split_kernel(rows, cols, vals, k: int, tol=DEFAULT_TOL) -> np.ndarray:
     """:func:`kernel_coefficients` of the k-column C with nonzeros C[rows,
     cols] = vals (repeats summed): one QR and SVD per class of the columns
     that C's exact pattern couples (:func:`components`), on its own rows
-    padded to s.  C's singular values are the classes', sigma_max of all."""
+    padded to s.  C's singular values are the classes', sigma_max of all;
+    only the kernel columns are formed."""
     key, at = np.unique(np.asarray(rows) * k + cols, return_inverse=True)
     v = np.bincount(at, np.real(vals)) + 1j * np.bincount(at, np.imag(vals))
     (r, c), v = np.divmod(key[v != 0], k), v[v != 0]
@@ -290,17 +291,24 @@ def split_kernel(rows, cols, vals, k: int, tol=DEFAULT_TOL) -> np.ndarray:
     n, lc = r.max(initial=0) + 1, label[c]
     pair, at = np.unique(lc * n + r, return_inverse=True)  # (class, row)
     at -= np.searchsorted(pair // n, pair // n)[at]        # row in class
-    count = np.bincount(pair // n, minlength=k)
-    V, sigma = np.zeros((k, k), dtype=complex), np.zeros(k)
+    count, parts = np.bincount(pair // n, minlength=k), []
     for cl in classes:
         height = np.maximum(count[cl[:, 0]], cl.shape[1])  # R is s x s
         for h in np.unique(height):
             group, e = cl[height == h], np.isin(lc, cl[height == h, 0])
             A = np.zeros((len(group), h, cl.shape[1]), dtype=complex)
             A[np.searchsorted(group[:, 0], lc[e]), at[e], pos[c[e]]] = v[e]
-            _, sigma[group], vh = np.linalg.svd(np.linalg.qr(A, mode="r"))
-            V[group[:, :, None], group[:, None]] = dagger(vh)  # cl[b, e]
-    return V[:, sigma <= tol.rank_tol * max(sigma.max(initial=0.0), 1.0)]
+            _, sigma, vh = np.linalg.svd(np.linalg.qr(A, mode="r"))
+            parts.append((group, sigma, vh))
+    cut = tol.rank_tol * max(max(p[1].max() for p in parts), 1.0)
+    # right singular vector e of class b, on the rows cl[b], is slot cl[b, e]
+    kept = [(g[b], g[b, e], vh[b, e].conj()) for g, sigma, vh in parts
+            for b, e in [np.nonzero(sigma <= cut)]]
+    slots = np.sort(np.concatenate([slot for _, slot, _ in kept]))
+    V = np.zeros((k, len(slots)), dtype=complex)
+    for rows, slot, x in kept:             # the kernel columns, by slot
+        V[rows, np.searchsorted(slots, slot)[:, None]] = x
+    return V
 
 
 def range_isometry(P: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

@@ -217,11 +217,12 @@ class OqrwDfaReport:
 
 def _advance_spans(w: OqrwSpec, spans, tol):
     """Span of (n+1)-step path operators from the n-step spans."""
-    out = {}
+    steps, out = {}, {}                 # the transitions by their source
+    for (i, k), L in w.transitions.items():
+        steps.setdefault(k, []).append((i, L))
     for (k, j), Ps in spans.items():
-        for (i, kk), L in w.transitions.items():
-            if kk == k:
-                out.setdefault((i, j), []).extend(L @ P for P in Ps)
+        for i, L in steps.get(k, ()):
+            out.setdefault((i, j), []).extend(L @ P for P in Ps)
     bases = {key: span_basis(mats, tol) for key, mats in out.items()}
     return {key: basis for key, basis in bases.items() if len(basis)}
 

@@ -472,6 +472,38 @@ def test_ledger_reads_the_product_defect_of_f():
     assert entry["residual"] == product and not entry["passed"]
 
 
+@pytest.mark.parametrize("delta", [5e-9, 3e-7, 3e-6])
+def test_product_closed_entry_fails_whenever_f_is_not_an_algebra(delta):
+    # span{I, diag(1, delta, 0)} misses diag(1, delta^2, 0) by a product
+    # defect of about 1.03 delta: below derived_tol at 5e-9, between
+    # derived_tol and check_tol at 3e-7, above both at 3e-6.  The entry
+    # and fixed_points_is_algebra compare it at one level
+    a = Analysis(from_kraus([np.eye(3)]), None, Tolerances())
+    sub = MatrixSubspace.from_span([np.eye(3), np.diag([1, delta, 0])])
+    a.spectrum = dataclasses.replace(a.spectrum, fixed=sub)
+    assert a.F.product_defect == pytest.approx(1.03 * delta, rel=1e-2)
+    entry = {e["name"]: e for e in build_ledger(a)}[
+        "fixed-points-product-closed"]
+    assert entry["residual"] == a.F.product_defect
+    assert entry["passed"] == a.F.is_algebra == (delta < 1e-8)
+
+
+def test_perturbed_n_fails_the_peripheral_certificate():
+    # one basis element of N moved by 1e-5 in HS norm: its eigenpair
+    # residual, about 5e-5, fails dfa-equals-peripheral-span at check_tol;
+    # the peripheral stage itself raises no PeripheralJordanBlock
+    a = Analysis(build_corpus(20240817)[40], None, Tolerances())
+    rng = np.random.default_rng(0)
+    E = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    B = a.N.basis.copy()
+    B[1] += 1e-5 * E / np.linalg.norm(E)
+    a.N = MatrixSubspace.from_span(B)
+    entry = {e["name"]: e for e in build_ledger(a)}[
+        "dfa-equals-peripheral-span"]
+    assert entry["residual"] == a.peripheral.eigenpair_residual
+    assert 1e-6 < entry["residual"] < 1e-4 and not entry["passed"]
+
+
 def test_analyze_text_format(tmp_path, capsys):
     path = pauli_channel_file(tmp_path)
     code, out = run(["analyze", path, "--format", "text"], capsys)
@@ -552,6 +584,24 @@ def test_verify_corrupted_kraus(tmp_path, capsys):
     assert not report["checks"][0]["passed"]
 
 
+@pytest.mark.parametrize("delta", [1e-7, 1e-5])
+def test_verify_reports_a_non_unital_map_as_its_one_failed_entry(
+        tmp_path, capsys, delta):
+    # sum V*V = (1 + delta) I: the loader rejects it above eq_tol, so
+    # analyze exits 2, and verify fails kraus-unitality at the same level
+    # and runs no stage on the map
+    path = write_channel(tmp_path / "near.json",
+                         [np.sqrt(0.5) * I2, np.sqrt(0.5 + delta) * Z])
+    code, out = run(["verify", path], capsys)
+    assert code == EXIT_VERIFY_FAILED
+    [entry] = json.loads(out)["checks"]
+    assert entry["name"] == "kraus-unitality" and not entry["passed"]
+    assert entry["residual"] == pytest.approx(delta, rel=1e-6)
+    assert entry["tolerance"] == Tolerances().eq_tol
+    code, _ = run(["analyze", path], capsys)
+    assert code == EXIT_INPUT_ERROR
+
+
 # ---------------------------------------------------------------------------
 # error paths
 # ---------------------------------------------------------------------------
@@ -581,6 +631,16 @@ def test_nonunital_channel_rejected(tmp_path, capsys):
                           np.eye(2, dtype=complex)])
     code, _ = run(["analyze", path], capsys)
     assert code == EXIT_INPUT_ERROR
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_declared_dim_mismatch_is_an_input_error(tmp_path, capsys, command):
+    # a map both off unitality and of another size than declared: verify
+    # reports the size, not a failed kraus-unitality entry
+    path = tmp_path / "dim.json"
+    path.write_text(json.dumps({"dim": 3, "kraus": [matrix_to_json(I2)] * 2}))
+    assert main([command, str(path)]) == EXIT_INPUT_ERROR
+    assert "declared dim 3" in capsys.readouterr().err
 
 
 def two_vertex_walk():
