@@ -25,7 +25,9 @@ Conventions pinned here and used by every other module:
   (m, s) indices of m diagonal blocks of size s and their (m, s, s) stack,
   zero off the blocks.  A Kronecker sum sum_r A_r (x) B_r (a Gram or
   Choi matrix) is split along its terms' supports, never formed
-  (:func:`kron_blocks`): exact, and one block is the same code.  A
+  (:func:`kron_blocks`), exactly: where a product of nonzeros saves
+  KRON_SCATTER_FACTOR block entries, the blocks sum those products (sum
+  m s^2 at a time), else they gather every term (D^4 entries at a time).  A
   transfer matrix (T, its rho-weighted form) is the split of its Kraus
   pair (:func:`kraus_transfer`), and a difference of channels has the
   HS norm of thin factors (:func:`transfer_distance`).  Eigenvalues and
@@ -137,7 +139,12 @@ def components(n: int, i, j) -> list[np.ndarray]:
     order, sizes = np.argsort(new, kind="stable"), np.bincount(new, minlength=n)
     starts = np.cumsum(sizes) - sizes
     return [order[starts[sizes == s, None] + np.arange(s)]
-            for s in np.unique(sizes[sizes > 0])]
+            for s in np.flatnonzero(np.bincount(sizes[sizes > 0]))]
+
+
+KRON_SCATTER_FACTOR = 32
+"""Block entries per product of nonzeros above which :func:`kron_blocks`
+scatters: below, on D <= 16, its few dozen numpy calls cost more."""
 
 
 def kron_blocks(A: np.ndarray, B: np.ndarray) -> list:
@@ -145,20 +152,39 @@ def kron_blocks(A: np.ndarray, B: np.ndarray) -> list:
     the supports of its terms, K never formed: K[(p, q), (p', q')] =
     sum_r A_r[p, p'] B_r[q, q'] (row p D + q) joins (p, q) and (p', q')
     when some r has A_r[p, p'] != 0 and B_r[q, q'] != 0, so the split is
-    that of K's exact nonzero pattern or coarser."""
-    D = A.shape[-1]
-    supports = np.hstack([A != 0, B != 0]).reshape(len(A), -1)
-    blocks = [np.arange(D * D)[None]]       # a term with no zero joins all
-    if not supports.all(axis=1).any():
-        terms = list({row.tobytes(): r
-                      for r, row in enumerate(supports)}.values())
-        ra, p, p2 = np.nonzero(A[terms])
-        rb, q, q2 = np.nonzero(B[terms])
-        nb = np.bincount(rb, minlength=len(terms))[ra]  # per A entry: B
-        ea = np.repeat(np.arange(len(ra)), nb)
-        eb = np.arange(len(ea)) - np.repeat(np.cumsum(nb) - nb, nb) \
-            + np.searchsorted(rb, ra)[ea]
-        blocks = components(D * D, p[ea] * D + q[eb], p2[ea] * D + q2[eb])
+    that of K's exact nonzero pattern or coarser.  If its sum m s^2 entries
+    (m blocks of each size s) exceed ``KRON_SCATTER_FACTOR`` times the mean
+    products of nonzeros per distinct support, they sum the products, sum
+    m s^2 at most at a time; else they gather each term, D^4 at most."""
+    def addends(A, B):  # (i, j, v): each product v of nonzeros, in K[i, j]
+        (ra, p, p2), (rb, q, q2) = np.nonzero(A), np.nonzero(B)
+        nb = np.bincount(rb, minlength=len(B))[ra]     # per A entry: B's
+        a = np.repeat(np.arange(len(ra)), nb)
+        b = np.arange(len(a)) - np.repeat(
+            np.cumsum(nb) - nb - np.searchsorted(rb, ra), nb)
+        return (p[a] * D + q[b], p2[a] * D + q2[b],
+                A[ra, p, p2][a] * B[rb, q, q2][b])
+    D, supports = A.shape[-1], np.hstack([A != 0, B != 0])
+    blocks, pairs = [np.arange(D * D)[None]], math.inf  # no zero: one block
+    if not supports.all(axis=(1, 2)).any():
+        terms = supports[list({row.tobytes(): r
+                               for r, row in enumerate(supports)}.values())]
+        i, j, _ = addends(terms[:, :D], terms[:, D:])
+        blocks, pairs = components(D * D, i, j), len(i) / len(terms)
+    sizes = [idx.size * idx.shape[1] for idx in blocks]
+    if KRON_SCATTER_FACTOR * pairs < sum(sizes):
+        bases, start, slot = np.cumsum([0, *sizes]), *np.zeros((2, D * D), int)
+        for idx, b0, b1 in zip(blocks, bases, bases[1:]):  # K[i, j] is at
+            start[idx] = np.arange(b0, b1, idx.shape[1]).reshape(idx.shape)
+            slot[idx] = np.arange(idx.shape[1])     # start[i] + slot[j]
+        out = np.zeros(bases[-1], dtype=np.result_type(A, B))
+        step = len(out) // max(1, (np.count_nonzero(A, axis=(1, 2))
+                                   * np.count_nonzero(B, axis=(1, 2))).max())
+        for t in range(0, len(A), step):    # a term's products fit in out
+            i, j, v = addends(A[t:t + step], B[t:t + step])
+            np.add.at(out, start[i] + slot[j], v)
+        return [(idx, out[b0:b1].reshape(-1, idx.shape[1], idx.shape[1]))
+                for idx, b0, b1 in zip(blocks, bases, bases[1:])]
     a, b = A.reshape(len(A), -1), B.reshape(len(B), -1)
 
     def entries(idx):      # terms gathered a few at a time, never more than
@@ -294,7 +320,7 @@ def split_kernel(rows, cols, vals, k: int, tol=DEFAULT_TOL) -> np.ndarray:
     count, parts = np.bincount(pair // n, minlength=k), []
     for cl in classes:
         height = np.maximum(count[cl[:, 0]], cl.shape[1])  # R is s x s
-        for h in np.unique(height):
+        for h in np.flatnonzero(np.bincount(height)):
             group, e = cl[height == h], np.isin(lc, cl[height == h, 0])
             A = np.zeros((len(group), h, cl.shape[1]), dtype=complex)
             A[np.searchsorted(group[:, 0], lc[e]), at[e], pos[c[e]]] = v[e]
@@ -483,7 +509,7 @@ def unit_projector(blocks, band: float):
         ones.append(lam[pick])
         rest.append(lam[~pick])
         counts = pick.sum(axis=1)
-        for k in np.unique(counts[counts > 0]):
+        for k in np.flatnonzero(np.bincount(counts[counts > 0])):
             b = counts == k
             B, mu = S[b], lam[b][pick[b]].reshape(-1, k).mean(axis=1)
             Z = L = np.broadcast_to(np.eye(s), B.shape)

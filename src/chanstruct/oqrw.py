@@ -152,8 +152,8 @@ def to_channel(w: OqrwSpec, tol: Tolerances = DEFAULT_TOL) -> ChannelSpec:
 def _diagonal_conditions(w: OqrwSpec, spans):
     """A_ii M = M A_kk for M = P Q*, P in spans[i, j], Q in spans[k, j] over
     the common sources j, as (i, k, M) per vertex pair.  The stack S of the
-    P Q* enters as the triangular R of its QR: R*R = S*S keeps the Gram
-    matrix, hence the kernel, of the constraint."""
+    P Q* enters as the R of its QR, batched by shape: R*R = S*S keeps the
+    Gram matrix, hence the kernel, of the constraint."""
     h, prods = w.local_dims, {}
     for j, ends in itertools.groupby(sorted(spans, key=lambda e: e[::-1]),
                                      key=lambda e: e[1]):
@@ -161,8 +161,12 @@ def _diagonal_conditions(w: OqrwSpec, spans):
             prods.setdefault((i, k), []).append(np.einsum(
                 "pab,qcb->pqac", spans[(i, j)], spans[(k, j)].conj())
                 .reshape(-1, h[i] * h[k]))
-    for (i, k), S in sorted(prods.items()):
-        yield i, k, np.linalg.qr(np.vstack(S), "r").reshape(-1, h[i], h[k])
+    S = {key: np.vstack(x) for key, x in sorted(prods.items())}
+    for shape in {x.shape for x in S.values()}:
+        keys = [key for key, x in S.items() if x.shape == shape]
+        S.update(zip(keys, np.linalg.qr(np.stack([S[k] for k in keys]), "r")))
+    for (i, k), R in S.items():
+        yield i, k, R.reshape(-1, h[i], h[k])
 
 
 def _first_diagonal(w: OqrwSpec, spans, unit, tol) -> np.ndarray:

@@ -334,10 +334,10 @@ def test_one_spectral_pass_per_analysis(tmp_path, capsys, monkeypatch):
             assert len(calls) == 1, (command, path)
 
 
-def test_analyze_and_verify_load_no_scipy(tmp_path, capsys):
+def test_analyze_and_verify_load_no_scipy_or_numpy_ma(tmp_path, capsys):
     # numpy is the only run-time dependency: a fresh process that imports
     # the CLI and runs analyze and verify on a walk and on a Kraus channel
-    # loads no scipy module
+    # loads no scipy module, nor numpy.ma (a plain np.unique loads it)
     walk = tmp_path / "walk.json"
     run(["example", "nn-cycle", "--n", "4", "--output", str(walk)], capsys)
     script = "\n".join([
@@ -345,7 +345,8 @@ def test_analyze_and_verify_load_no_scipy(tmp_path, capsys):
         "import chanstruct.cli",
         "print([chanstruct.cli.main([command, path]) for path in sys.argv[1:]",
         "       for command in ('analyze', 'verify')],",
-        "      sorted(m for m in sys.modules if m.startswith('scipy')))"])
+        "      sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'",
+        "             or m.split('.')[:2] == ['numpy', 'ma']))"])
     env = dict(os.environ, PYTHONPATH=os.path.dirname(
         os.path.dirname(chanstruct.__file__)))
     done = subprocess.run([sys.executable, "-c", script, str(walk),

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import block_diag
 from scipy.optimize import linear_sum_assignment
 
+from chanstruct import numerics
 from chanstruct.cli import _choi_min_eig
 from chanstruct.numerics import (
     MatrixSubspace,
@@ -19,6 +21,7 @@ from chanstruct.numerics import (
     gram_candidates,
     kernel_coefficients,
     kraus_transfer,
+    kron_blocks,
     lowrank_norm,
     random_unitary,
     round_projector,
@@ -32,7 +35,9 @@ from chanstruct.numerics import (
     vec,
 )
 from chanstruct.channel import ChannelSpec, from_kraus
+from chanstruct.oqrw import builder_nn_cycle, to_channel
 from tests.test_acceptance import _choi_min_eig as dense_choi_min_eig
+from tests.test_oqrw import special_pair
 from tests.conftest import (
     I2,
     X,
@@ -143,6 +148,67 @@ def test_kraus_transfer_is_the_transfer_of_the_kraus_pair(dim, K, density,
     ref = transfer_of(lambda E: sum(dagger(A) @ E @ A - dagger(B) @ E @ B
                                     for A, B in zip(X, Y)), dim)
     assert np.abs(diff - ref).max() <= 1e-14 * max(1.0, np.abs(ref).max())
+
+
+def planted_kron_stacks(kind, rng):
+    """Two (r, D, D) stacks with planted zero patterns: walk-like 2 x 2
+    blocks (the Kraus pair of a transfer matrix), terms dense in A against
+    sparse B, and the latter with an all-zero term and two terms that
+    cancel."""
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if kind == "walk":                  # the steps i -> i +- 1 on Z_4
+        V = np.zeros((8, 8, 8), dtype=complex)
+        for k, (i, j) in enumerate([(i, (i + s) % 4) for i in range(4)
+                                    for s in (1, -1)]):
+            V[k, 2 * i:2 * i + 2, 2 * j:2 * j + 2] = gaussian(2, 2)
+        return np.swapaxes(V, -1, -2), dagger(V)
+    A = gaussian(5, 6, 6)               # B within two diagonal blocks
+    B = gaussian(5, 6, 6) * (rng.random((5, 6, 6)) < 0.5) \
+        * block_diag(np.ones((2, 2)), np.ones((4, 4)))
+    if kind == "dense":
+        return A, B
+    A[1] = 0                                # an all-zero term
+    return np.concatenate([A, A[:1]]), np.concatenate([B, -B[:1]])
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kind", ["walk", "dense", "zero-and-cancel"])
+def test_kron_blocks_routes_agree(monkeypatch, kind, seed):
+    # the scatter of the products of nonzeros and the gather over every
+    # block entry, each forced through the route factor, give the same
+    # index blocks and the dense Kronecker sum
+    A, B = planted_kron_stacks(kind, np.random.default_rng(seed))
+    ref = sum(np.kron(a, b) for a, b in zip(A, B))
+    scale = 1e-14 * max(1.0, np.abs(ref).max())
+    splits = []
+    for factor in (0, math.inf):
+        monkeypatch.setattr(numerics, "KRON_SCATTER_FACTOR", factor)
+        splits.append(kron_blocks(A, B))
+        assert np.abs(dense_of_split(splits[-1]) - ref).max() <= scale
+    scatter, gather = splits
+    assert len(scatter) == len(gather)
+    for (i1, S1), (i2, S2) in zip(scatter, gather):
+        assert np.array_equal(i1, i2)
+        assert np.abs(S1 - S2).max() <= scale
+
+
+def test_transfer_split_of_a_walk_stays_near_its_nonzeros():
+    # nn-cycle n=32 (D=64, 64 Kraus operators of one 2 x 2 block each):
+    # T's split holds 12,160 entries (0.2 MiB) and the Kraus stack 4 MiB;
+    # filling the split stays near them, far below the 12 MiB that a
+    # gather of every term over every entry of the split reads
+    V = to_channel(builder_nn_cycle(32, *special_pair())).kraus
+    A, B = np.swapaxes(V, -1, -2), dagger(V)
+    tracemalloc.start()
+    try:
+        blocks = kron_blocks(A, B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert V.shape == (64, 64, 64)
+    assert sum(S.size for _, S in blocks) == 12160
+    assert peak <= 12 * 2 ** 20, peak / 2 ** 20
 
 
 @settings(max_examples=40, deadline=None)
