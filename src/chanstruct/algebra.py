@@ -4,6 +4,7 @@ Commutants, centers and atomic factor decompositions (block form
 P_j H ~ H_L (x) H_R).  An algebra is a :class:`MatrixSubspace` that is
 closed under adjoints and products; :func:`atomic_structure` checks the
 closure and splits the algebra by its own elements, with no random draw.
+Commutators are taken on the operators' live rows and columns only.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from chanstruct.numerics import (
     gram_candidates,
     kron_blocks,
     span_basis,
+    support_groups,
+    take,
 )
 
 
@@ -32,26 +35,35 @@ class NotAlgebra(RuntimeError):
 
 def restrict_to_commutant(sub: MatrixSubspace, ops,
                           tol: Tolerances = DEFAULT_TOL) -> MatrixSubspace:
-    """Subspace of ``sub`` commuting with every operator in ``ops``: the
-    commutators with as many operators at once as fill one fold block of
-    :func:`numerics.kernel_coefficients`, so memory stays at one."""
-    D = sub.ambient_dim
+    """Subspace of ``sub`` commuting with every operator in ``ops``.  For S
+    with live rows R and columns C, [B, S] is B[R, R] S[R, :] - S[R, C]
+    B[C, :] on R and B[R', R] S[R, C] on the rest R'; the operators of one
+    |R|, |C| fill fold blocks together, each used before the next."""
+    D, every = sub.ambient_dim, np.arange(sub.ambient_dim)[None]
     ops = np.asarray(ops, dtype=complex).reshape(-1, D, D)
-    step = max(1, KERNEL_FOLD_ROWS // D ** 2)
-    return sub.restrict((lambda B, S=ops[t:t + step]:
-                         B[:, None] @ S - S @ B[:, None]
-                         for t in range(0, len(ops), step)), tol)
+
+    def constraints():
+        for V, R, C in support_groups(
+                ops, ops.any(axis=2), ops.any(axis=1),
+                lambda r, c: KERNEL_FOLD_ROWS // (r * D + (D - r) * c)):
+            S = V if C.shape[1] == D else V @ (C[:, :, None] == every)
+            yield lambda B: take(B, R, R) @ S - V @ take(B, C, every)
+            if R.shape[1] < D:
+                other = (every != R[:, :, None]).all(axis=1).nonzero()[1]
+                yield lambda B: take(B, other.reshape(len(R), -1), R) @ V
+    return sub.restrict(constraints(), tol)
 
 
 def commutator_gram(gens, dim: int) -> list:
     """The split of the Gram matrix G of the commutators with ``gens`` and
     their adjoints W: <vec A, G vec A> = sum_W ||[A, W]||^2 for any
     generators, with G = H + H* with H = (S^T (x) I + I (x) S) / 2 - 2 X,
-    S = sum_W W* W and X = sum_g conj(g) (x) g the transfer matrix of
-    A -> sum_g g A g*; H is split by :func:`numerics.kron_blocks`."""
+    S = sum_W W* W, the Gram matrix of the live rows of the g and the g*,
+    and X = sum_g conj(g) (x) g the transfer matrix of A -> sum_g g A g*;
+    H is split by :func:`numerics.kron_blocks`."""
     g = np.asarray(gens, dtype=complex).reshape(-1, dim, dim)
-    W = np.concatenate([g, dagger(g)])
-    S, eye = np.tensordot(W.conj(), W, ([0, 1], [0, 1])), np.eye(dim)[None]
+    G, Gt = g[g.any(axis=2)], np.swapaxes(g, 1, 2)[g.any(axis=1)]
+    S, eye = dagger(G) @ G + Gt.T @ Gt.conj(), np.eye(dim)[None]
     H = kron_blocks(np.concatenate([S.T[None] / 2, eye / 2, -2 * g.conj()]),
                     np.concatenate([eye, S[None], g]))
     return [(idx, B + dagger(B)) for idx, B in H]

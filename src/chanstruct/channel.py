@@ -4,8 +4,8 @@ A channel here is the unital dual map ``Phi(A) = sum_k V_k* A V_k`` with
 ``sum_k V_k* V_k = I``; its preadjoint acts on densities as
 ``Phi_*(rho) = sum_k V_k rho V_k*`` and preserves trace.
 
-The Kraus operators are one (K, D, D) stack; its (K, D^2) row-major
-reshape Vm is the Kraus matrix.
+The Kraus operators are one (K, D, D) stack, used on their supports; its
+(K, D^2) row-major reshape Vm is the Kraus matrix.
 
 Choi convention (pinned): ``C = sum_ij E_ij (x) Phi(E_ij) = A A*`` with
 A = Vm* (the columns are the row-major conj(V_k)); C is PSD iff Phi is
@@ -25,7 +25,10 @@ from chanstruct.numerics import (
     Tolerances,
     dagger,
     kraus_transfer,
+    live_rows,
     spectral_norm,
+    support_groups,
+    take,
 )
 
 
@@ -52,22 +55,43 @@ class ChannelSpec:
 
     @cached_property
     def unitality_defect(self) -> float:
-        V = self.kraus.reshape(-1, self.dim)     # the V_k stacked as rows
+        V = live_rows(self.kraus.reshape(-1, self.dim))  # the V_k's rows
         return spectral_norm(dagger(V) @ V - np.eye(self.dim))
 
+    @cached_property
+    def supports(self) -> tuple:
+        """The live rows and the live columns of each V_k, (K, D) masks."""
+        return self.kraus.any(axis=2), self.kraus.any(axis=1)
+
+    @cached_property
+    def kraus_blocks(self) -> list:
+        """(V_k[R, C], R, C), D^2 entries a chunk (numerics.support_groups)."""
+        return list(support_groups(self.kraus, *self.supports, lambda r, c:
+                                   self.dim ** 2 // max(r, c) ** 2))
+
+    def _sandwich(self, A, blocks) -> np.ndarray:
+        A, D = np.asarray(A, dtype=complex), self.dim
+        if A.shape[-2:] != (D, D):
+            raise DimensionMismatch(f"expected {(D, D)}, got {A.shape}")
+        out = np.zeros((A.size // D ** 2, D * D), dtype=complex)
+        for V, R, C in blocks:          # each matrix as one row of out
+            X = (dagger(V) @ take(A, R, R) @ V).reshape(len(out), -1)
+            if C.shape[1] == D:         # then the chunk is one operator
+                out += X
+            else:
+                np.add.at(out, (slice(None), (C[:, :, None] * D
+                                              + C[:, None]).ravel()), X)
+        return out.reshape(A.shape)
+
     def apply(self, A: np.ndarray) -> np.ndarray:
-        """Phi(A) = sum_k V_k* A V_k, of one matrix or of each in a stack."""
-        A = np.asarray(A, dtype=complex)
-        if A.shape[-2:] != (self.dim, self.dim):
-            raise DimensionMismatch(f"expected {(self.dim, self.dim)}, got {A.shape}")
-        return sum(dagger(V) @ A @ V for V in self.kraus)
+        """Phi(A) = sum_k V_k* A V_k, of one matrix or of each in a stack,
+        on the supports: V_k[R, C]* A[R, R] V_k[R, C] at (C, C)."""
+        return self._sandwich(A, self.kraus_blocks)
 
     def preadjoint_apply(self, rho: np.ndarray) -> np.ndarray:
-        """Phi_*(rho) = sum_k V_k rho V_k* (trace preserving)."""
-        rho = np.asarray(rho, dtype=complex)
-        if rho.shape != (self.dim, self.dim):
-            raise DimensionMismatch(f"expected {(self.dim, self.dim)}, got {rho.shape}")
-        return sum(V @ rho @ dagger(V) for V in self.kraus)
+        """Phi_*(rho) = sum_k V_k rho V_k* (trace preserving), likewise."""
+        return self._sandwich(rho, [(dagger(V), C, R)
+                                    for V, R, C in self.kraus_blocks])
 
     @cached_property
     def transfer_blocks(self) -> list:
@@ -81,12 +105,13 @@ class ChannelSpec:
         SVD Vm = U diag(s) Wh, C = A A* has the eigenpairs (s^2, Wh*), so
         the operators are s_i Wh[i] (ascending in s), pairwise
         HS-orthogonal."""
-        D = self.dim
-        _, s, wh = np.linalg.svd(self.kraus.reshape(-1, D * D),
-                                 full_matrices=False)
+        D, Vm = self.dim, self.kraus.reshape(-1, self.dim ** 2)
+        live = Vm.any(axis=0)               # a zero column adds nothing
+        _, s, wh = np.linalg.svd(live_rows(Vm.T).T, full_matrices=False)
         keep = s[::-1] ** 2 > tol.rank_tol * s[0] ** 2
-        ops = (s[::-1, None] * wh[::-1])[keep].reshape(-1, D, D)
-        return ChannelSpec(self.dim, ops, label=self.label + " (minimal)")
+        ops = np.zeros((keep.sum(), D * D), dtype=complex)
+        ops[:, live] = (s[::-1, None] * wh[::-1])[keep]
+        return ChannelSpec(D, ops.reshape(-1, D, D), self.label + " (minimal)")
 
 
 def from_kraus(matrices, tol: Tolerances = DEFAULT_TOL,
@@ -122,7 +147,10 @@ def matrix_to_json(M: np.ndarray) -> list:
 
 
 def matrix_from_json(rows) -> np.ndarray:
-    return np.array([[complex(c[0], c[1]) for c in row] for row in rows])
+    pairs = np.array(rows)                  # a ValueError if ragged
+    if pairs.dtype.kind not in "biuf" or pairs.shape[2:] != (2,):
+        raise ValueError(f"not rows of [re, im] pairs: shape {pairs.shape}")
+    return pairs.astype(float).view(complex)[..., 0]
 
 
 def channel_to_json(c: ChannelSpec) -> dict:

@@ -44,6 +44,7 @@ Conventions pinned here and used by every other module:
   (:meth:`MatrixSubspace.restrict`), and one basis row of the products
   in a closure test (:meth:`MatrixSubspace.closure_defects`).
   :func:`vec`, :func:`unvec` and :func:`dagger` act on the last two axes.
+  Operators act on their live rows and columns, QRs on their live rows.
 """
 
 from __future__ import annotations
@@ -224,9 +225,39 @@ def dagger(A: np.ndarray) -> np.ndarray:
     return np.swapaxes(A.conj(), -1, -2)
 
 
+def live_rows(X: np.ndarray) -> np.ndarray:
+    """X without its all-zero rows; X itself, not copied, if it has none."""
+    return X if np.count_nonzero(X) == X.size or (
+        live := X.any(axis=1)).all() else X[live]
+
+
+def support_groups(ops: np.ndarray, rows, cols, chunk):
+    """(V, R, C) per chunk of chunk(r, c) nonzero operators of ``ops`` with
+    r live rows R (m, r) and c live columns C (m, c) by the (K, D) masks
+    ``rows``, ``cols``: V holds them on (R, C), a view where all are live."""
+    n, every = cols.shape[1] + 1, np.arange(cols.shape[1])[None]
+    if rows.all() and cols.all():       # views of ops: nothing gathered
+        for t in range(0, len(ops), step := max(1, chunk(n - 1, n - 1))):
+            yield ops[t:t + step], every, every
+        return
+    keys = rows.sum(axis=1) * n + cols.sum(axis=1)    # 0: a zero operator
+    for key in sorted(set(keys.tolist()) - {0}):
+        ks, step = np.flatnonzero(keys == key), max(1, chunk(*divmod(key, n)))
+        for k in (ks[t:t + step] for t in range(0, len(ks), step)):
+            R, C = (m[k].nonzero()[1].reshape(len(k), -1) for m in (rows, cols))
+            yield ops[k[:, None, None], R[:, :, None], C[:, None]], R, C
+
+
+def take(X: np.ndarray, R: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """X[..., R_i, C_i] per row i of R (m, r), C (m, c); a view if all live."""
+    full = R.shape[1] == X.shape[-2] and C.shape[1] == X.shape[-1]
+    return X[..., None, :, :] if full else X[..., R[:, :, None], C[:, None]]
+
+
 def lowrank_core(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """R_x R_y*, at most r x r, with thin QRs X = Q_x R_x, Y = Q_y R_y."""
-    return np.linalg.qr(X, mode="r") @ dagger(np.linalg.qr(Y, mode="r"))
+    """R_x R_y* from thin QRs X = Q_x R_x, Y = Q_y R_y of the live rows."""
+    return np.linalg.qr(live_rows(X), mode="r") @ dagger(
+        np.linalg.qr(live_rows(Y), mode="r"))
 
 
 def transfer_distance(A: np.ndarray, B: np.ndarray) -> float:
@@ -239,8 +270,6 @@ def transfer_distance(A: np.ndarray, B: np.ndarray) -> float:
 
 def lowrank_norm(X: np.ndarray, Y: np.ndarray) -> float:
     """Spectral norm of X Y* from :func:`lowrank_core`."""
-    if min(X.shape) == 0 or min(Y.shape) == 0:
-        return 0.0
     return spectral_norm(lowrank_core(X, Y))
 
 
@@ -274,31 +303,23 @@ def kernel_coefficients(blocks, k: int,
     """Orthonormal k x r columns spanning the joint kernel of a constraint
     matrix with k columns, given as a stream of row blocks.
 
-    Blocks, cut to at most ``KERNEL_FOLD_ROWS`` rows (one tall QR is
-    slower than several short ones), are folded into a triangular factor R
-    of at most k rows with one QR per ``KERNEL_FOLD_ROWS`` rows; one SVD of
-    R, padded with zero rows to k x k, then decides the kernel on all
-    constraints together: sigma <= rank_tol * max(sigma_max, 1).  The
-    constraints come from operators of norm O(1); the floor of 1 keeps
-    constraints that all hold (a numerically zero matrix) from reading as
-    full rank.
+    Blocks, less their zero rows and cut to at most ``KERNEL_FOLD_ROWS``
+    rows (one tall QR is slower than several short ones), are folded into a
+    triangular factor R of at most k rows, one QR per ``KERNEL_FOLD_ROWS``
+    rows; one SVD of R (sigma = 0 past its rows) decides the kernel of all
+    constraints: sigma <= rank_tol * max(sigma_max, 1).  The constraints
+    come from operators of norm O(1); the floor of 1 keeps constraints that
+    all hold, a numerically zero matrix, from reading as full rank.
     """
-    if k == 0:
-        return np.zeros((0, 0), dtype=complex)
-    R = np.zeros((0, k), dtype=complex)
-    pending, rows = [], 0
-    for chunk in (b[i:i + KERNEL_FOLD_ROWS] for b in blocks
+    R, pending = np.zeros((0, k), dtype=complex), []
+    for chunk in (b[i:i + KERNEL_FOLD_ROWS] for b in map(live_rows, blocks)
                   for i in range(0, b.shape[0], KERNEL_FOLD_ROWS)):
         pending.append(chunk)
-        rows += chunk.shape[0]
-        if rows >= KERNEL_FOLD_ROWS:
-            R = np.linalg.qr(np.vstack([R, *pending]), mode="r")
-            pending, rows = [], 0
-    if pending:
-        R = np.linalg.qr(np.vstack([R, *pending]), mode="r")
-    R = np.vstack([R, np.zeros((k - len(R), k))])
-    _, s, vh = np.linalg.svd(R, full_matrices=False)
-    return vh[s <= tol.rank_tol * max(s[0], 1.0)].conj().T
+        if sum(map(len, pending)) >= KERNEL_FOLD_ROWS:
+            R, pending = np.linalg.qr(np.vstack([R, *pending]), mode="r"), []
+    R = np.linalg.qr(np.vstack([R, *pending]), mode="r") if pending else R
+    _, s, vh = np.linalg.svd(R)            # s descends; vh is k x k
+    return vh[np.sum(s > tol.rank_tol * max(s.max(initial=0), 1)):].conj().T
 
 
 def split_kernel(rows, cols, vals, k: int, tol=DEFAULT_TOL) -> np.ndarray:

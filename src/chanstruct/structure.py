@@ -251,8 +251,7 @@ def multiplicative_domain(c: ChannelSpec,
     that are exactly zero, as most are on walks, are dropped: they leave
     the commutant unchanged, and no tolerance enters.  Only the pairs whose
     column supports meet are multiplied; the others are zero."""
-    V = c.kraus
-    cols = np.any(V != 0, axis=1)          # the columns each V_k reaches
+    V, cols = c.kraus, c.supports[1]       # the columns each V_k reaches
     j, k = np.nonzero(np.triu(cols @ cols.T))
     P = V[j] @ dagger(V[k])
     M = alg_mod.commutant(P[np.any(P != 0, axis=(1, 2))], dim=c.dim, tol=tol)

@@ -259,6 +259,26 @@ def svd_route_commutant(gens, dim, tol=DEFAULT_TOL):
     return restrict_to_commutant(full_algebra(dim), ops, tol=tol)
 
 
+def supported(rng, dim, rows, cols):
+    """A random complex dim x dim operator whose live rows and columns are
+    ``rows`` and ``cols``."""
+    V = np.zeros((dim, dim), dtype=complex)
+    V[np.ix_(rows, cols)] = rng.standard_normal((len(rows), len(cols))) \
+        + 1j * rng.standard_normal((len(rows), len(cols)))
+    return V
+
+
+def dense_commutant_restriction(sub, ops, tol=DEFAULT_TOL):
+    """Oracle for ``algebra.restrict_to_commutant``: the kernel on ``sub``
+    of the dense commutator matrices S^T (x) I - I (x) S of all the
+    operators, stacked (column-stacking: vec[B, S] = (S^T (x) I - I (x) S)
+    vec B), decided by one call of ``kernel_coefficients``."""
+    D, eye = sub.ambient_dim, np.eye(sub.ambient_dim)
+    L = np.vstack([np.kron(S.T, eye) - np.kron(eye, S) for S in ops])
+    coeff = kernel_coefficients([L @ sub.basis_matrix()], sub.dim, tol)
+    return MatrixSubspace(D, np.tensordot(coeff.T, sub.basis, 1))
+
+
 def word_route_multiplicative_domain(c, tol=DEFAULT_TOL):
     """Oracle for M: the commutant of the K^2 generators V_j V_k*."""
     return svd_route_commutant(

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -10,6 +11,7 @@ from chanstruct.algebra import (
     atomic_structure,
     center,
     commutant,
+    restrict_to_commutant,
 )
 from chanstruct.channel import ChannelSpec
 from chanstruct.cycles import mfnc_decompose
@@ -18,6 +20,7 @@ from chanstruct.numerics import (
     Tolerances,
     dagger,
     random_unitary,
+    span_basis,
     spectral_norm,
     subspace_distance,
 )
@@ -32,6 +35,8 @@ from tests.conftest import (
     extract_block_states,
     full_algebra,
     generated_algebra,
+    dense_commutant_restriction,
+    supported,
     svd_route_commutant,
 )
 
@@ -62,6 +67,30 @@ def test_commutant_matches_svd_route(seed, dim, ngens):
     padded = commutant(gens + [np.zeros((dim, dim))])
     assert padded.dim == new.dim
     assert subspace_distance(padded, new) < 1e-10
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_commutant_restriction_on_supports_matches_the_dense_route(seed):
+    # operators in the algebra of the blocks {0, 1}, {2, 3, 4}, {5}, {6}:
+    # a zero one, one with every row and column live, two on {0, 1} and
+    # two of one shape on overlapping parts of {2, 3, 4}, one of another
+    # shape; restricted from all matrices, from a subspace, and the
+    # center of the algebra they generate
+    rng, dim = np.random.default_rng(seed), 7
+    op = functools.partial(supported, rng, dim)
+    full = sum(op(b, b) for b in ([0, 1], [2, 3, 4], [5], [6]))
+    ops = np.array([np.zeros((dim, dim)), full, op([0, 1], [0, 1]),
+                    op([0, 1], [0, 1]), op([2, 3], [3, 4]),
+                    op([3, 4], [2, 4]), op([2], [2, 3, 4])])
+    alg = generated_algebra(ops[2:])
+    sub = MatrixSubspace(dim, span_basis(
+        np.concatenate([alg.basis, op(range(dim), range(dim))[None]])))
+    for space, gens in ((full_algebra(dim), ops), (sub, ops[:4]),
+                        (alg, alg.basis), (full_algebra(dim), ops[4:])):
+        new = restrict_to_commutant(space, gens)
+        old = dense_commutant_restriction(space, gens)
+        assert new.dim == old.dim
+        assert subspace_distance(new, old) <= 1e-12
 
 
 def test_generated_algebra_examples():

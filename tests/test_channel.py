@@ -8,6 +8,8 @@ from chanstruct.channel import (
     channel_from_json,
     channel_to_json,
     from_kraus,
+    matrix_from_json,
+    matrix_to_json,
 )
 from chanstruct.numerics import (
     DEFAULT_TOL,
@@ -28,6 +30,7 @@ from tests.conftest import (
     choi,
     dense_of_split,
     kron_transfer,
+    supported,
 )
 from tests.test_acceptance import build_corpus
 
@@ -75,6 +78,30 @@ def test_preadjoint_examples():
     rng = np.random.default_rng(0)
     rho = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     assert np.trace(c.preadjoint_apply(rho)) == pytest.approx(np.trace(rho))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_apply_and_preadjoint_on_supports_match_the_kraus_sums(seed):
+    # three operators share the live columns {1, 4} (their terms add up at
+    # the same entries of Phi(A)), two share the rows {0, 2, 5} (the same
+    # for Phi_*), one is zero and one is full; on one matrix and a stack
+    rng = np.random.default_rng(seed)
+    dim = 6
+    ops = [supported(rng, dim, rows, cols) for rows, cols in (
+        ([0, 3], [1, 4]), ([2], [1, 4]), ([1, 2, 5], [1, 4]),
+        ([0, 2, 5], [3]), ([0, 2, 5], [0, 5]), (range(dim), range(dim)))]
+    c = ChannelSpec(dim, np.array(ops[:4] + [np.zeros((dim, dim))] + ops[4:]))
+    stack = rng.standard_normal((3, dim, dim)) \
+        + 1j * rng.standard_normal((3, dim, dim))
+    for A in (stack[0], stack):
+        phi = sum(dagger(V) @ A @ V for V in c.kraus)
+        phi_star = sum(V @ A @ dagger(V) for V in c.kraus)
+        assert c.apply(A).shape == c.preadjoint_apply(A).shape == A.shape
+        assert np.abs(c.apply(A) - phi).max() <= 1e-12 * np.abs(phi).max()
+        assert np.abs(c.preadjoint_apply(A) - phi_star).max() \
+            <= 1e-12 * np.abs(phi_star).max()
+    with pytest.raises(DimensionMismatch):
+        c.preadjoint_apply(np.eye(dim - 1))
 
 
 def test_transfer_agrees_with_kraus():
@@ -152,6 +179,23 @@ def test_schwarz_inequality_sampled():
         A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         gap = c.apply(A.conj().T @ A) - c.apply(A).conj().T @ c.apply(A)
         assert np.linalg.eigvalsh((gap + gap.conj().T) / 2).min() > -1e-9
+
+
+@pytest.mark.parametrize("matrix", [
+    [[[1.0]]], [[[1.0, 0.0, 5.0]]], [[["1", "0"]]], [[[1.0, 0.0]], [1.0]],
+    [[1.0, 0.0]], [[[None, 0.0]]]])
+def test_matrix_from_json_rejects_anything_but_real_pairs(matrix):
+    with pytest.raises(ValueError):
+        matrix_from_json(matrix)
+
+
+def test_matrix_from_json_reads_pairs_exactly():
+    rng = np.random.default_rng(3)
+    M = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    M[0, 0] = np.nextafter(1.0, 2.0) - 1e-300j
+    assert np.array_equal(matrix_from_json(matrix_to_json(M)), M)
+    assert np.array_equal(matrix_from_json([[[1, 0], [0, -2]]]),
+                          np.array([[1, -2j]]))
 
 
 def test_json_roundtrip():

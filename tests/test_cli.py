@@ -690,6 +690,24 @@ def test_walk_non_finite_transition_is_an_input_error(tmp_path, capsys,
         capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+@pytest.mark.parametrize("kind", ["channel", "walk"])
+@pytest.mark.parametrize("pair", [[1.0], [1.0, 0.0, 5.0]])
+def test_complex_entry_not_a_pair_is_an_input_error(tmp_path, capsys,
+                                                    command, kind, pair):
+    # a one-element pair was an IndexError traceback (exit 1, the code of
+    # a failed verification); a three-element one was read as 1 + 0i
+    if kind == "channel":
+        data = {"dim": 1, "kraus": [[[pair]]]}
+    else:
+        data = two_vertex_walk()
+        data["transitions"][0]["matrix"] = [[pair]]
+    f = tmp_path / "input.json"
+    f.write_text(json.dumps(data))
+    assert main([command, str(f)]) == EXIT_INPUT_ERROR
+    assert "[re, im] pairs" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("dim", [1.7, 0, "1"])
 def test_walk_local_dim_not_a_positive_integer_is_an_input_error(
         tmp_path, capsys, dim):

@@ -44,6 +44,7 @@ from tests.conftest import (
     Z,
     apply_block_expectation,
     block_stacks,
+    choi,
     dense_gram_kernel,
     dense_of_split,
     dense_sorted_schur,
@@ -122,6 +123,64 @@ def test_kernel_coefficients_folded_blocks():
     assert np.allclose(coeff.conj().T @ coeff, np.eye(k - 3))
     assert np.linalg.norm(short @ coeff) < 1e-12
     assert kernel_coefficients([np.zeros((0, k))], k).shape == (k, k)
+
+
+def interleave_zero_rows(A, rng):
+    """A with all-zero rows inserted at random places."""
+    out = np.zeros((2 * len(A), *A.shape[1:]), dtype=A.dtype)
+    out[np.sort(rng.choice(len(out), len(A), replace=False))] = A
+    return out
+
+
+def record_factorisations(monkeypatch):
+    """Wrap np.linalg.qr and svd; the returned list gets, per call, whether
+    its input had an all-zero row or column."""
+    seen = []
+    for name in ("qr", "svd"):
+        def recorded(a, *args, _f=getattr(np.linalg, name), **kwargs):
+            zero = np.asarray(a) == 0
+            seen.append(bool(zero.all(axis=-1).any() | zero.all(axis=-2).any()))
+            return _f(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return seen
+
+
+def test_zero_rows_and_columns_reach_no_factorisation(monkeypatch):
+    # exactly-zero rows add nothing to a Gram matrix and zero columns carry
+    # no singular vector: the kernel of a constraint stream, the core of a
+    # pair of factors and the minimal Kraus form are unchanged without them,
+    # and no QR or SVD sees one
+    rng = np.random.default_rng(12)
+    k, rank = 12, 8
+    L = (rng.standard_normal((3 * KERNEL_FOLD_ROWS // 2, rank))
+         @ rng.standard_normal((rank, k))).astype(complex)
+    X, Y = (rng.standard_normal((40, 5)) + 1j * rng.standard_normal((40, 5))
+            for _ in range(2))
+    c = ChannelSpec(3, np.sqrt([0.5, 0.5])[:, None, None]
+                    * np.stack([np.diag(np.exp(2j * np.pi * rng.random(3)))
+                                for _ in range(2)]))
+    expected = (kernel_coefficients(np.array_split(L, 7), k),
+                np.linalg.svd(X @ dagger(Y), compute_uv=False)[:5],
+                np.linalg.svd(c.kraus.reshape(2, 9), compute_uv=False))
+    seen = record_factorisations(monkeypatch)
+    coeff = kernel_coefficients(
+        np.array_split(interleave_zero_rows(L, rng), 7), k)
+    core = numerics.lowrank_core(interleave_zero_rows(X, rng),
+                                 interleave_zero_rows(Y, rng))
+    # the Kraus matrix of diagonal operators: all but 3 of 9 columns zero
+    minimal = c.minimal_kraus().kraus.reshape(-1, 9)
+    assert seen and not any(seen)
+    assert coeff.shape == expected[0].shape == (k, k - rank)
+    assert spectral_norm(coeff @ dagger(coeff)
+                         - expected[0] @ dagger(expected[0])) <= 1e-12
+    assert np.abs(np.linalg.svd(core, compute_uv=False)
+                  - expected[1]).max() <= 1e-12 * expected[1][0]
+    # the minimal operators are HS-orthogonal, with the singular values of
+    # the Kraus matrix, ascending, as norms
+    assert np.abs(minimal.conj() @ minimal.T
+                  - np.diag(expected[2][::-1] ** 2)).max() <= 1e-12
+    assert np.abs(choi(ChannelSpec(3, minimal.reshape(-1, 3, 3)))
+                  - choi(c)).max() <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,10 +3,10 @@ import json
 from tools import report_set
 
 
-def test_report_set_has_348_cases_and_runs_one(tmp_path):
+def test_report_set_has_352_cases_and_runs_one(tmp_path):
     cases = report_set.cases(report_set.write_inputs(tmp_path / "in"))
     stems = dict(cases)
-    assert len(cases) == len(stems) == 348
+    assert len(cases) == len(stems) == 352
     assert stems["s1-c12.tol-1e-12.verify"] == [
         "verify", stems["s1-c12.verify"][1], "--tol", "1e-12"]
     stem = "pauli-d3.analyze"

@@ -9,7 +9,7 @@ report, when the command wrote one) and ``<stem>.exit`` (its exit code)
 into OUT_DIR, the layout `tools/compare_reports.py` reads; the inputs
 themselves go to OUT_DIR/in.  The stem is ``<input>.<command>``, or
 ``<run>.<command>`` for the runs of ``EXTRA_RUNS``, which pass extra
-arguments.  The 173 inputs, and one of them again at ``--tol 1e-12``, 348
+arguments.  The 175 inputs, and one of them again at ``--tol 1e-12``, 352
 cases:
 
 * the 52-channel corpora of seeds 20240817, 27 and 1, built by
@@ -18,10 +18,11 @@ cases:
 * eight `chanstruct example` models: the Pauli walk with d=3, d=4 and
   d=16, the cyclic shift with d=4 and with d=3 on local dimension 3, and
   the nearest-neighbour cycle with n=4 and n=32 (special basis) and n=6
-  (generic unitary steps); at n=32 (D=64) one commutator fills a kernel
-  fold block, so each commutant restriction folds one operator at a time,
-  and at d=16 (D=32) the first step of the walk oracle splits into many
-  classes of coupled columns;
+  (generic unitary steps); at n=32 (D=64) a dense commutator would fill
+  two kernel fold blocks, while the one-block operators' commutators,
+  taken on their supports, fill one together, and at d=16 (D=32) the
+  first step of the walk oracle splits into many classes of coupled
+  columns;
 * the dephasing mixture Phi = (1 - p) id + p Ad_Z with eps = 2p in
   {1e-3, 1e-5, 1e-7, 5e-8, 1e-9}, whose eigenvalue 1 - eps crosses the
   edge of the peripheral band (``dephasing-<eps>``), and amplitude
@@ -29,6 +30,10 @@ cases:
   (``amplitude-damping-0.3``);
 * the 3-vertex walk with two dead corners, whose N has a nonzero
   off-diagonal part (``dead-corners-3``);
+* two inputs whose Kraus operators have supports of mixed sizes: a
+  3-vertex walk on local dimensions 2, 1 and 3 (``mixed-dims-3``) and
+  sqrt(p) U with sqrt(1 - p) P_0, sqrt(1 - p) P_1 for a Haar unitary U and
+  two complementary projections (``haar-and-projections-4``);
 * ``s1-c12`` at ``--tol 1e-12`` (``s1-c12.tol-1e-12``): it mixes slowly,
   and M holds I only to 2e-13, above that rank_tol.
 
@@ -120,11 +125,37 @@ def dead_corners_walk():
     return build(range(3), [2, 2, 2], transitions, label="dead-corners-3")
 
 
+def mixed_dims_walk():
+    """Each vertex j sends its local space, by one seeded random isometry
+    split into blocks, to the two other vertices: transitions of the sizes
+    1x2, 3x2, 2x1, 3x1, 2x3 and 1x3."""
+    dims, rng, transitions = (2, 1, 3), np.random.default_rng(3), {}
+    for j, h in enumerate(dims):
+        to = [i for i in range(3) if i != j]
+        Q = np.linalg.qr(rng.standard_normal((sum(dims) - h, h))
+                         + 1j * rng.standard_normal((sum(dims) - h, h)))[0]
+        for i, L in zip(to, np.split(Q, np.cumsum([dims[i] for i in to]))):
+            transitions[(i, j)] = L
+    return build(range(3), dims, transitions, label="mixed-dims-3")
+
+
+def haar_and_projections(p=0.3, dim=4):
+    """sqrt(p) U, a seeded Haar unitary of full support, with sqrt(1 - p)
+    times each of two complementary diagonal projections, one block each."""
+    U = random_unitary(dim, np.random.default_rng(4))
+    P = np.diag(np.arange(dim) < dim // 2).astype(float)
+    return from_kraus([np.sqrt(p) * U, np.sqrt(1 - p) * P,
+                       np.sqrt(1 - p) * (np.eye(dim) - P)],
+                      label=f"haar-and-projections-{dim}")
+
+
 def kraus_channels() -> dict:
-    """The dephasing mixtures and the amplitude-damping channel, as
-    channel JSON keyed by input name (the label)."""
+    """The dephasing mixtures, the amplitude-damping channel and the Haar
+    unitary with projections, as channel JSON keyed by input name (the
+    label)."""
     return {c.label: channel_to_json(c) for c in (
-        *map(dephasing_mixture, DEPHASING_EPS), amplitude_damping())}
+        *map(dephasing_mixture, DEPHASING_EPS), amplitude_damping(),
+        haar_and_projections())}
 
 
 def write_inputs(directory: Path) -> dict:
@@ -137,6 +168,7 @@ def write_inputs(directory: Path) -> dict:
     payloads.update(inputs.walks("full"))
     payloads.update(kraus_channels())
     payloads["dead-corners-3"] = oqrw_to_json(dead_corners_walk())
+    payloads["mixed-dims-3"] = oqrw_to_json(mixed_dims_walk())
     paths = inputs.write_inputs(payloads, str(directory))
     for name, argv in EXAMPLES.items():
         path = directory / f"{name}.json"
